@@ -40,6 +40,7 @@ from .hyperbolicity import (
     FourPointResult,
     HyperbolicityReport,
     eccentricity_profile,
+    far_apart_pairs,
     four_point_defect,
     four_point_delta,
     furthest_set,

@@ -187,6 +187,8 @@ def min_core(
     threshold is the ceil(|X|^2/4) pair count that the core existence bound
     guarantees within radius 4*delta4.
     """
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     profile = check_vertices(g.n, X, "profile")
     nX = len(profile)
     if nX < 2:

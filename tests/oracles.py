@@ -51,6 +51,22 @@ def naive_four_point_delta_doubled(dm) -> int:
     return best
 
 
+def naive_interval_thinness(dm) -> int:
+    """Largest d(x,y) over x,y in I(u,v) with d(u,x) = d(u,y), over all u<v."""
+    n = dm.n
+    d = dm.d
+    best = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            duv = int(d[u, v])
+            between = [x for x in range(n) if int(d[u, x]) + int(d[x, v]) == duv]
+            for x in between:
+                for y in between:
+                    if d[u, x] == d[u, y]:
+                        best = max(best, int(d[x, y]))
+    return best
+
+
 def naive_interval(g, dm, u, v):
     verts = set()
     for path in all_geodesics(g, dm, u, v):

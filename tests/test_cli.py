@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hypercore
 
 from hypercore.cli import run_cli
 from hypercore.fileio import (
@@ -73,6 +79,26 @@ def test_core_and_traffic(tmp_path, capsys):
     assert rep["demand_pairs"] == 90
     num, den = rep["mu"]["rational"].split("/")
     assert int(den) >= 1 and int(num) > 0
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0"])
+def test_core_nonpositive_alpha_exits_1(tmp_path, capsys, alpha):
+    path = write_graph(tmp_path, path_graph(10))
+    assert run_cli(["core", "--edges", str(path), "--alpha", alpha]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha must be positive" in captured.err
+
+
+def test_module_entry_point_without_subcommand_exits_1():
+    src = str(Path(hypercore.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercore.cli"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "usage" in proc.stderr
 
 
 def test_traffic_with_demand_file(tmp_path, capsys):

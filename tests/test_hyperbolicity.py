@@ -1,12 +1,17 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercore import (
+    FourPointResult,
     Graph,
     HalfInt,
     distance_matrix,
     eccentricity_profile,
+    far_apart_pairs,
     four_point_defect,
     four_point_delta,
     furthest_set,
@@ -23,7 +28,7 @@ from hypercore.generators import (
     random_tree,
     star_path_graph,
 )
-from oracles import naive_four_point_delta_doubled
+from oracles import naive_four_point_delta_doubled, naive_interval_thinness
 
 
 def test_trees_are_zero_hyperbolic():
@@ -167,3 +172,107 @@ def test_report_bundles_consistently():
     assert rep.diameter == 3 and rep.radius == 3
     assert four_point_defect(dm, rep.witness) == rep.delta
     assert rep.interval_thinness <= rep.delta * 2
+
+
+@st.composite
+def connected_graphs(draw, max_n=14):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if others:
+        edges |= set(draw(st.lists(st.sampled_from(others), unique=True)))
+    return Graph(n, sorted(edges))
+
+
+def naive_far_apart_pairs(g, dm):
+    d = dm.d
+    return [
+        (a, b)
+        for a in range(g.n)
+        for b in range(a + 1, g.n)
+        if all(d[w, b] <= d[a, b] for w in g.adjacency[a])
+        and all(d[w, a] <= d[a, b] for w in g.adjacency[b])
+    ]
+
+
+def check_far_apart_pairs(g, dm):
+    pairs = far_apart_pairs(dm).tolist()
+    assert sorted(map(tuple, pairs)) == naive_far_apart_pairs(g, dm)
+    dists = [dm.dist(a, b) for a, b in pairs]
+    assert dists == sorted(dists, reverse=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_far_apart_scans_match_oracles(g):
+    dm = distance_matrix(g)
+    check_far_apart_pairs(g, dm)
+    res = four_point_delta(dm)
+    assert res.exact
+    assert res.delta.doubled == naive_four_point_delta_doubled(dm)
+    assert four_point_defect(dm, res.witness) == res.delta
+    if res.delta == 0:
+        assert res.witness == (0, 0, 0, 0)
+    assert interval_thinness(dm) == naive_interval_thinness(dm)
+
+
+def test_pruned_scan_matches_bruteforce_beyond_one_block():
+    # over 64 far-apart pairs each, so the decreasing-distance stop is
+    # taken between blocks rather than after one block covering every pair
+    for seed in range(6):
+        g = gnp_connected(30, 1.5 * math.log(30) / 30, seed)
+        dm = distance_matrix(g)
+        assert len(far_apart_pairs(dm)) > 64
+        res = four_point_delta(dm)
+        assert res.delta.doubled == naive_four_point_delta_doubled(dm)
+        assert four_point_defect(dm, res.witness) == res.delta
+
+
+def test_far_apart_single_vertex_and_edge():
+    dm1 = distance_matrix(Graph(1, []))
+    assert far_apart_pairs(dm1).shape == (0, 2)
+    assert four_point_delta(dm1) == FourPointResult(HalfInt(0), (0, 0, 0, 0), True)
+    assert interval_thinness(dm1) == 0
+    dm2 = distance_matrix(Graph(2, [(0, 1)]))
+    assert far_apart_pairs(dm2).tolist() == [[0, 1]]
+    assert four_point_delta(dm2) == FourPointResult(HalfInt(0), (0, 0, 0, 0), True)
+    assert interval_thinness(dm2) == 0
+
+
+def test_far_apart_complete_graphs():
+    for n in range(2, 12):
+        dm = distance_matrix(Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)]))
+        assert len(far_apart_pairs(dm)) == n * (n - 1) // 2
+        assert four_point_delta(dm).delta == 0
+        assert interval_thinness(dm) == 0
+
+
+def test_far_apart_stars():
+    for leaves in range(2, 9):
+        dm = distance_matrix(Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)]))
+        want = [[a, b] for a in range(1, leaves + 1) for b in range(a + 1, leaves + 1)]
+        assert far_apart_pairs(dm).tolist() == want
+        assert four_point_delta(dm).delta == 0
+        assert interval_thinness(dm) == 0
+
+
+def test_far_apart_grids():
+    for rows, cols in ((1, 5), (2, 2), (2, 5), (3, 3), (3, 4), (4, 4)):
+        g = grid_graph(rows, cols)
+        dm = distance_matrix(g)
+        check_far_apart_pairs(g, dm)
+        res = four_point_delta(dm)
+        assert res.delta.doubled == naive_four_point_delta_doubled(dm)
+        assert four_point_defect(dm, res.witness) == res.delta
+        assert interval_thinness(dm) == naive_interval_thinness(dm)
+
+
+def test_far_apart_beyond_one_neighbour_chunk():
+    # vertex 0 has 70 neighbours and only the last, 70, is farther from 71;
+    # 72 vertices also span two 64-row blocks of the pair extraction
+    edges = [(0, v) for v in range(1, 71)] + [(v, 71) for v in range(1, 70)]
+    g = Graph(72, edges)
+    dm = distance_matrix(g)
+    check_far_apart_pairs(g, dm)
+    assert [0, 71] not in far_apart_pairs(dm).tolist()
