@@ -8,14 +8,13 @@ tolerances.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, check_vertices
+from .graphs import DistanceMatrix, Graph, bfs_distances, check_vertices
 
 HALF = Fraction(1, 2)
 
@@ -48,34 +47,44 @@ class TrafficDemand:
         return cls(tuple((s, t) for s in range(n) for t in range(n) if s != t))
 
 
-def _bfs_counts(g: Graph, source: int, blocked: frozenset[int] | None = None):
-    """Distances and geodesic counts from source, optionally avoiding a set."""
-    dist = [-1] * g.n
+def _geodesic_counts(
+    g: Graph, source: int, dist: list[int], last: int, blocked: frozenset[int] = frozenset()
+) -> tuple[list[int], list[int]]:
+    """Exact geodesic counts from source to every vertex within distance last.
+
+    dist holds the distances from source (-1 where unreachable).  One
+    breadth-first pass over the layered geodesic DAG counts for each vertex
+    all of its geodesics from source and those that meet no vertex of
+    blocked; a vertex is final once every vertex of the layer before it has
+    passed its counts on.
+    """
     sigma = [0] * g.n
-    dist[source] = 0
+    avoid = [0] * g.n
     sigma[source] = 1
-    queue = deque([source])
+    avoid[source] = int(source not in blocked)
     adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        su = sigma[u]
-        for w in adj[u]:
-            if blocked is not None and w in blocked:
-                continue
-            if dist[w] < 0:
-                dist[w] = du
-                queue.append(w)
-            if dist[w] == du:
-                sigma[w] += su
-    return dist, sigma
+    order = [source]
+    for v in order:
+        dw = dist[v] + 1
+        if dw > last:
+            break
+        sv, av = sigma[v], avoid[v]
+        for w in adj[v]:
+            if dist[w] == dw:
+                if not sigma[w]:
+                    order.append(w)
+                sigma[w] += sv
+                if av and w not in blocked:
+                    avoid[w] += av
+    return sigma, avoid
 
 
 def geodesic_count(g: Graph, s: int, t: int) -> int:
     """Number of distinct (s,t)-geodesics, exact."""
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"pair ({s},{t}) out of range for n={g.n}")
-    return _bfs_counts(g, s)[1][t]
+    dist = bfs_distances(g, s)
+    return _geodesic_counts(g, s, dist, dist[t])[0][t]
 
 
 def traffic_load(
@@ -85,6 +94,15 @@ def traffic_load(
 
     A pair contributes 1 - (geodesics of the same length avoiding S) /
     (all geodesics); pairs with an endpoint in S contribute exactly 1.
+
+    Per demand source, one pass over its geodesic DAG (read from dm, up to
+    the farthest target) counts both the geodesics to every target and
+    those avoiding S; a target that no geodesic of that length reaches
+    without meeting S has avoiding count 0.  The pairs' whole units are
+    summed as one int, and each avoided share sigma_avoid/sigma_all as an
+    int numerator keyed by its denominator sigma_all, so a Fraction is
+    built only once per distinct denominator, at the end.  Counts are big
+    ints throughout and no float is involved, so the result is exact.
     """
     inside = frozenset(check_vertices(g.n, S, "S"))
     if not inside:
@@ -92,55 +110,25 @@ def traffic_load(
     by_source: dict[int, list[int]] = {}
     for s, t in demand.pairs:
         by_source.setdefault(s, []).append(t)
-    total = Fraction(0)
+    whole = 0
+    avoided: dict[int, int] = {}  # sigma_all -> summed sigma_avoid
     for s, targets in by_source.items():
+        whole += len(targets)
         if s in inside:
-            total += len(targets)
             continue
         outside_targets = [t for t in targets if t not in inside]
-        total += len(targets) - len(outside_targets)
         if not outside_targets:
             continue
-        _, sigma_all = _bfs_counts(g, s)
-        dist_avoid, sigma_avoid = _bfs_counts(g, s, inside)
+        dist = dm.d[s].tolist()
+        last = max(dist[t] for t in outside_targets)
+        sigma, sigma_avoid = _geodesic_counts(g, s, dist, last, inside)
         for t in outside_targets:
-            if dist_avoid[t] == dm.dist(s, t):
-                total += 1 - Fraction(sigma_avoid[t], sigma_all[t])
-            else:
-                total += 1
-    return total
-
-
-def _intercepted_count(
-    g: Graph, dm: DistanceMatrix, ball_vertices: frozenset[int], X: Sequence[int], bail_above: int
-) -> int | None:
-    """Pairs of X intercepted by the given ball vertex set, or None once the
-    count provably falls below the caller's threshold."""
-    outside = [x for x in X if x not in ball_vertices]
-    nX = len(X)
-    total = nX * (nX - 1) // 2
-    missed = 0
-    d = dm.d
-    pos = {x: i for i, x in enumerate(outside)}
-    for x in outside:
-        dist = [-1] * g.n
-        dist[x] = 0
-        queue = deque([x])
-        adj = g.adjacency
-        while queue:
-            u = queue.popleft()
-            du = dist[u] + 1
-            for w in adj[u]:
-                if dist[w] < 0 and w not in ball_vertices:
-                    dist[w] = du
-                    queue.append(w)
-        px = pos[x]
-        for y in outside:
-            if pos[y] > px and dist[y] == d[x, y]:
-                missed += 1
-        if missed > bail_above:
-            return None
-    return total - missed
+            if sigma_avoid[t]:
+                den = sigma[t]
+                avoided[den] = avoided.get(den, 0) + sigma_avoid[t]
+    return Fraction(whole) - sum(
+        (Fraction(num, den) for den, num in avoided.items()), Fraction(0)
+    )
 
 
 def _tree_intercepted_counts(g: Graph, X: Sequence[int]) -> list[int]:
@@ -175,17 +163,91 @@ def _tree_intercepted_counts(g: Graph, X: Sequence[int]) -> list[int]:
     return counts
 
 
+# Elements per block of gathered rows (predecessor or target rows of the
+# escape-radius matrix): bounds the per-source temporaries whatever the
+# layer widths, instead of one n x n block at n = 2000.
+_BLOCK_ELEMS = 1 << 20
+
+
+def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.ndarray:
+    """H[c, r] = number of profile pairs whose escape radius from c is r.
+
+    esc[v, c] holds esc_c(x, v) for the current source x; the arrays kept
+    across sources are n x n in int16 and n x (diameter + 1) in int64.
+    """
+    n = g.n
+    d = dm.d
+    diameter = int(d.max())
+    dtype = np.int16 if diameter < np.iinfo(np.int16).max else np.int32
+    dc = d.astype(dtype)
+    # every arc u -> w of the symmetric adjacency
+    tail = np.repeat(np.arange(n), [len(a) for a in g.adjacency])
+    head = np.fromiter((w for a in g.adjacency for w in a), dtype=np.intp, count=len(tail))
+    width = diameter + 1
+    cols = np.arange(n, dtype=np.intp) * width
+    hist = np.zeros(n * width, dtype=np.int64)
+    esc = np.empty((n, n), dtype=dtype)
+    rows = max(1, _BLOCK_ELEMS // n)
+    profile_arr = np.asarray(profile, dtype=np.intp)
+    for i, x in enumerate(profile[:-1]):
+        dx = d[x]
+        targets = profile_arr[i + 1 :]
+        last = int(dx[targets].max())
+        # DAG arcs u -> w with dx[w] = dx[u] + 1, grouped by head, heads by layer
+        dag = (dx[tail] + 1 == dx[head]) & (dx[head] <= last)
+        preds, heads = tail[dag], head[dag]
+        order = np.argsort(dx[heads] * n + heads, kind="stable")
+        preds, heads = preds[order], heads[order]
+        starts = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
+        vertices = heads[starts]
+        bounds = np.searchsorted(dx[vertices], np.arange(1, last + 2))
+        starts = np.r_[starts, len(heads)]
+        esc[x] = dc[x]
+        for k in range(last):
+            g0, g1 = int(bounds[k]), int(bounds[k + 1])
+            while g0 < g1:
+                # heads g0..g1-1 whose predecessor rows fit in one block
+                lo = starts[g0]
+                cut = int(np.searchsorted(starts, lo + rows, side="right")) - 1
+                cut = min(max(cut, g0 + 1), g1)
+                best = np.maximum.reduceat(esc[preds[lo : starts[cut]]], starts[g0:cut] - lo)
+                vs = vertices[g0:cut]
+                np.minimum(best, dc[vs], out=best)
+                esc[vs] = best
+                g0 = cut
+        for j in range(0, len(targets), rows):
+            block = esc[targets[j : j + rows]].astype(np.intp)
+            block += cols
+            hist += np.bincount(block.ravel(), minlength=n * width)
+    return hist.reshape(n, width)
+
+
 def min_core(
     g: Graph, dm: DistanceMatrix, X: Sequence[int], alpha: Fraction = HALF
 ) -> CoreResult:
     """Minimum-radius ball intercepting at least alpha * |X|^2 / 2 pairs.
 
-    Scans radii upward; at each radius every center's interception count is
-    evaluated by deleting the ball and comparing pair distances.  The first
-    radius at which a center reaches the threshold wins; ties prefer the
-    largest count, then the smallest center id.  For alpha = 1/2 the
-    threshold is the ceil(|X|^2/4) pair count that the core existence bound
-    guarantees within radius 4*delta4.
+    The escape radius esc_c(x,y) is the maximum, over all (x,y)-geodesics P,
+    of min over w in P of d(c,w): the ball B(c,rho) meets every geodesic of
+    the pair iff esc_c(x,y) <= rho (a pair with an endpoint in the ball
+    counts as intercepted).  For each profile source x one pass over the
+    BFS layers of x computes esc_c(x,v) for every vertex v and every center
+    c at once: E[x] = d[x], and each later vertex v takes
+    min(d[v], elementwise max of E[u] over its DAG predecessors u), one
+    numpy reduction per layer, so the whole computation costs O(|X|*m*n).
+    Adding the rows of the targets y > x to a per-center histogram of
+    escape radii and taking its cumulative sum gives every center's count
+    at every radius.  The first radius at which some center reaches the
+    threshold wins; ties prefer the largest count, then the smallest center
+    id.  For alpha = 1/2 the threshold is the ceil(|X|^2/4) pair count that
+    the core existence bound guarantees within radius 4*delta4.
+
+    On trees, radius 0 is checked first from subtree profile sizes in
+    O(n + |X|).  It succeeds whenever alpha <= 1/2 (a profile centroid of a
+    tree intercepts at least |X|^2/4 pairs) and saves the DP, whose layer
+    count grows with the depth of the tree: three orders of magnitude on a
+    1000-vertex random tree.  When radius 0 misses the threshold, the DP
+    runs as on any other graph.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -200,33 +262,20 @@ def min_core(
             f"threshold alpha*|X|^2/2 = {need} exceeds the {total} available pairs"
         )
     threshold = -(-need.numerator // need.denominator)  # ceil, exact
-    bail_above = total - threshold
-    diameter = int(dm.d.max())
-    is_tree = g.is_tree()
-    for rho in range(diameter + 1):
-        if rho == 0 and is_tree:
-            counts: list[int | None] = list(_tree_intercepted_counts(g, profile))
-        else:
-            d = dm.d
-            counts = [
-                _intercepted_count(
-                    g, dm, frozenset(np.flatnonzero(d[v] <= rho).tolist()), profile, bail_above
-                )
-                for v in range(g.n)
-            ]
-        best = None
-        for v, cnt in enumerate(counts):
-            if cnt is not None and cnt >= threshold:
-                if best is None or cnt > counts[best]:
-                    best = v
-        if best is not None:
+    if g.is_tree():
+        counts = _tree_intercepted_counts(g, profile)
+        best = max(range(g.n), key=lambda v: (counts[v], -v))
+        if counts[best] >= threshold:
             return CoreResult(
-                center=best,
-                radius=rho,
-                intercepted_pairs=counts[best],
-                total_pairs=total,
+                center=best, radius=0, intercepted_pairs=counts[best], total_pairs=total
             )
-    raise RuntimeError("no ball up to the diameter met the threshold")  # unreachable
+    curve = np.cumsum(_escape_histogram(g, dm, profile), axis=1)
+    peak = curve.max(axis=0)
+    rho = int(np.argmax(peak >= threshold))
+    best = int(np.argmax(curve[:, rho]))
+    return CoreResult(
+        center=best, radius=rho, intercepted_pairs=int(curve[best, rho]), total_pairs=total
+    )
 
 
 def median_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:

@@ -116,9 +116,9 @@ def _run(tableau, basis, costs, allowed):
         z += factor * prow[-1]
 
 
-def solve_lp(inst: LPInstance, tol: Fraction = ZERO) -> LPSolution:
-    """Solve exactly; ``tol`` is accepted for interface compatibility but the
-    rational pivoting returns the true optimum, so it is never needed."""
+def solve_lp(inst: LPInstance) -> LPSolution:
+    """Solve exactly by two-phase rational pivoting; the reported optimum is
+    the true one, with no tolerance involved."""
     n = inst.num_vars
     m = inst.num_rows
     rows = inst.dense_rows()

@@ -7,8 +7,13 @@ implementations it checks.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
+
+from hypercore import CoreResult
 
 
 def all_geodesics(g, dm, s, t):
@@ -87,6 +92,66 @@ def naive_traffic_load(g, dm, pairs, S) -> Fraction:
         hit = sum(1 for p in paths if inside & set(p))
         total += Fraction(hit, len(paths))
     return total
+
+
+def _intercepted_count(g, dm, ball_vertices, X, bail_above):
+    """Pairs of X intercepted by the given ball vertex set, or None once the
+    count provably falls below the caller's threshold."""
+    outside = [x for x in X if x not in ball_vertices]
+    nX = len(X)
+    total = nX * (nX - 1) // 2
+    missed = 0
+    d = dm.d
+    pos = {x: i for i, x in enumerate(outside)}
+    for x in outside:
+        dist = [-1] * g.n
+        dist[x] = 0
+        queue = deque([x])
+        adj = g.adjacency
+        while queue:
+            u = queue.popleft()
+            du = dist[u] + 1
+            for w in adj[u]:
+                if dist[w] < 0 and w not in ball_vertices:
+                    dist[w] = du
+                    queue.append(w)
+        px = pos[x]
+        for y in outside:
+            if pos[y] > px and dist[y] == d[x, y]:
+                missed += 1
+        if missed > bail_above:
+            return None
+    return total - missed
+
+
+def radius_scan_min_core(g, dm, X, alpha=Fraction(1, 2)):
+    """Reference min_core: scan radii upward and, at each radius, count
+    every center's intercepted pairs by deleting its ball and re-running BFS
+    from each profile vertex.  The first radius at which a center reaches
+    ceil(alpha * |X|^2 / 2) wins; ties prefer the largest count, then the
+    smallest center id."""
+    profile = sorted(set(X))
+    nX = len(profile)
+    total = nX * (nX - 1) // 2
+    need = alpha * nX * nX / 2
+    threshold = -(-need.numerator // need.denominator)
+    bail_above = total - threshold
+    d = dm.d
+    for rho in range(int(d.max()) + 1):
+        counts = [
+            _intercepted_count(
+                g, dm, frozenset(np.flatnonzero(d[v] <= rho).tolist()), profile, bail_above
+            )
+            for v in range(g.n)
+        ]
+        best = None
+        for v, cnt in enumerate(counts):
+            if cnt is not None and cnt >= threshold:
+                if best is None or cnt > counts[best]:
+                    best = v
+        if best is not None:
+            return CoreResult(best, rho, counts[best], total)
+    raise AssertionError("no ball up to the diameter met the threshold")
 
 
 def _solve_square(A, b):

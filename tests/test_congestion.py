@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercore import (
     Ball,
@@ -15,9 +17,13 @@ from hypercore import (
     min_core,
     traffic_load,
 )
-from hypercore.congestion import _intercepted_count, _tree_intercepted_counts
+from hypercore import congestion
+from hypercore.congestion import _tree_intercepted_counts
 from hypercore.generators import cycle_graph, gnp_connected, grid_graph, path_graph, random_tree
-from oracles import all_geodesics, naive_traffic_load
+from oracles import _intercepted_count, all_geodesics, naive_traffic_load, radius_scan_min_core
+from strategies import connected_graphs
+
+ALPHAS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
 
 
 def test_geodesic_count_examples():
@@ -172,3 +178,94 @@ def test_median_matches_bruteforce():
     assert median_vertex(dm, X) == brute
     brute2 = min(range(18), key=lambda v: (sum(dm.dist(v, x) ** 2 for x in X), v))
     assert centroid_vertex(dm, X) == brute2
+
+
+@st.composite
+def core_instances(draw):
+    g = draw(connected_graphs(min_n=2))
+    X = draw(st.lists(st.integers(0, g.n - 1), min_size=2, unique=True))
+    nX = len(X)
+    alpha = draw(
+        st.sampled_from([a for a in ALPHAS if a * nX * nX / 2 <= nX * (nX - 1) // 2])
+    )
+    return g, X, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_instances())
+def test_min_core_matches_radius_scan(case):
+    g, X, alpha = case
+    dm = distance_matrix(g)
+    assert min_core(g, dm, X, alpha) == radius_scan_min_core(g, dm, X, alpha)
+
+
+def test_min_core_cycle_ties_to_smallest_center():
+    # by symmetry every center of a cycle has the same count at every radius
+    for n in (9, 10):
+        g = cycle_graph(n)
+        dm = distance_matrix(g)
+        res = min_core(g, dm, range(n))
+        assert res.center == 0
+        assert res == radius_scan_min_core(g, dm, range(n))
+
+
+def test_min_core_tree_past_radius_zero():
+    # alpha = 3/4 is out of reach at radius 0, so the escape-radius DP runs on a tree
+    for seed in (2, 5):
+        g = random_tree(40, seed)
+        dm = distance_matrix(g)
+        alpha = Fraction(3, 4)
+        counts = _tree_intercepted_counts(g, range(g.n))
+        assert max(counts) < alpha * g.n * g.n / 2
+        res = min_core(g, dm, range(g.n), alpha)
+        assert res.radius > 0
+        assert res == radius_scan_min_core(g, dm, range(g.n), alpha)
+
+
+@pytest.mark.parametrize("g", [grid_graph(8, 10), cycle_graph(60)], ids=["grid8x10", "cycle60"])
+def test_min_core_benchmark_sized_full_profile(g):
+    dm = distance_matrix(g)
+    assert min_core(g, dm, range(g.n)) == radius_scan_min_core(g, dm, range(g.n))
+
+
+def test_min_core_in_small_blocks(monkeypatch):
+    # two rows per block: layers split between heads, a head with more
+    # predecessors than a block, and the target rows in several blocks
+    monkeypatch.setattr(congestion, "_BLOCK_ELEMS", 2 * 30)
+    g = gnp_connected(30, 0.3, 4)
+    dm = distance_matrix(g)
+    for X in (range(30), [0, 3, 4, 9, 17, 22, 29]):
+        for alpha in (Fraction(1, 2), Fraction(3, 4)):
+            assert min_core(g, dm, X, alpha) == radius_scan_min_core(g, dm, X, alpha)
+
+
+@st.composite
+def traffic_instances(draw):
+    g = draw(connected_graphs(min_n=2, max_n=10))
+    vertex = st.integers(0, g.n - 1)
+    pairs = draw(
+        st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), min_size=1, max_size=20)
+    )
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))  # repeated pairs
+    S = draw(st.lists(vertex, min_size=1, unique=True))
+    return g, tuple(pairs), S
+
+
+@settings(max_examples=200, deadline=None)
+@given(traffic_instances())
+def test_traffic_load_matches_enumeration_on_random_graphs(case):
+    g, pairs, S = case
+    dm = distance_matrix(g)
+    mu = traffic_load(g, dm, TrafficDemand(pairs), S)
+    assert type(mu) is Fraction
+    assert mu == naive_traffic_load(g, dm, pairs, S)
+
+
+def test_traffic_load_grid_many_denominators():
+    g = grid_graph(5, 6)
+    dm = distance_matrix(g)
+    demand = TrafficDemand.uniform(g.n)
+    counts = {geodesic_count(g, s, t) for s, t in demand.pairs}
+    assert len(counts) >= 10
+    for S in ([14], [0, 29], [7, 15, 22]):
+        assert traffic_load(g, dm, demand, S) == naive_traffic_load(g, dm, demand.pairs, S)

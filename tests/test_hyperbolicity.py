@@ -3,7 +3,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hypercore import (
     FourPointResult,
@@ -29,6 +28,7 @@ from hypercore.generators import (
     star_path_graph,
 )
 from oracles import naive_four_point_delta_doubled, naive_interval_thinness
+from strategies import connected_graphs
 
 
 def test_trees_are_zero_hyperbolic():
@@ -172,17 +172,6 @@ def test_report_bundles_consistently():
     assert rep.diameter == 3 and rep.radius == 3
     assert four_point_defect(dm, rep.witness) == rep.delta
     assert rep.interval_thinness <= rep.delta * 2
-
-
-@st.composite
-def connected_graphs(draw, max_n=14):
-    """A random spanning tree plus random extra edges."""
-    n = draw(st.integers(1, max_n))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
-    if others:
-        edges |= set(draw(st.lists(st.sampled_from(others), unique=True)))
-    return Graph(n, sorted(edges))
 
 
 def naive_far_apart_pairs(g, dm):
