@@ -74,6 +74,7 @@ from .quasiconvex import (
     HitPackResult,
     QSet,
     QSetFamily,
+    check_hit_pack,
     covering_radius,
     greedy_hit_pack,
     helly_balls_check,

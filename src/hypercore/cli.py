@@ -33,6 +33,7 @@ from .multicore import CommodityGraph, multicore_construct
 from .quasiconvex import (
     QSet,
     QSetFamily,
+    check_hit_pack,
     geodesic_covering_radius,
     greedy_hit_pack,
     helly_center,
@@ -64,13 +65,21 @@ def _load_graph(args):
     return g, dm, table
 
 
-def _thin_delta(args, dm) -> tuple[HalfInt, HalfInt | None]:
-    """(thin-triangle constant to use, measured four-point constant or None
-    when the constant was supplied on the command line)."""
+def _thin_delta(args, dm) -> HalfInt:
+    """Thin-triangle constant to certify with.
+
+    Without --delta it is certified from the four-point constant, which is
+    recorded in ``args.four_point`` for the report.  A sampled constant is
+    only a lower bound, so then it is certified from delta <= diam/2
+    instead: a doubled defect is at most the shorter pair's distance.
+    """
     if args.delta is not None:
-        return _parse_halfint(args.delta), None
+        return _parse_halfint(args.delta)
     fp = four_point_delta(dm, seed=args.seed)
-    return thin_delta_bound(fp.delta), fp.delta
+    args.four_point = fp
+    if fp.exact:
+        return thin_delta_bound(fp.delta)
+    return thin_delta_bound(HalfInt.from_doubled(int(dm.d.max())))
 
 
 def _base_vertex(args, table) -> int:
@@ -167,7 +176,7 @@ def _cmd_multicore(args):
     g, dm, table = _load_graph(args)
     pairs = [(table.id_of(a), table.id_of(b)) for a, b in read_pairs(args.commodity)]
     commodity = CommodityGraph.from_pairs(pairs)
-    delta, delta4 = _thin_delta(args, dm)
+    delta = _thin_delta(args, dm)
     res = multicore_construct(g, dm, commodity, args.radius, delta)
     report = {
         "pairs": len(commodity.demands),
@@ -177,14 +186,12 @@ def _cmd_multicore(args):
         "size": len(res.centers),
         "covered": res.covered,
     }
-    if delta4 is not None:
-        report["delta_four_point"] = _halfint_json(delta4)
     return report, res.covered
 
 
 def _cmd_beamcore(args):
     g, dm, table = _load_graph(args)
-    delta, delta4 = _thin_delta(args, dm)
+    delta = _thin_delta(args, dm)
     bc = total_beam_core(g, dm, delta)
     sc = structural_checks(g, dm, delta)
     ok = bc.all_beams_intercepted and sc.diam_rad_holds and sc.close_to_center_holds
@@ -203,8 +210,6 @@ def _cmd_beamcore(args):
             "close_to_center_holds": sc.close_to_center_holds,
         },
     }
-    if delta4 is not None:
-        report["delta_four_point"] = _halfint_json(delta4)
     return report, ok
 
 
@@ -219,7 +224,7 @@ def _family_from_json(dm, table, entries) -> QSetFamily:
 def _cmd_helly(args):
     g, dm, table = _load_graph(args)
     family = _family_from_json(dm, table, read_family_json(args.family))
-    delta, delta4 = _thin_delta(args, dm)
+    delta = _thin_delta(args, dm)
     z = _base_vertex(args, table)
     ball = helly_center(dm, g, family, args.r, delta, z=z)
     members = ball_members(dm, ball)
@@ -236,26 +241,18 @@ def _cmd_helly(args):
     }
     if all(is_interval_like(dm, s.members) for s in family.sets):
         report["geodesic_case_radius"] = geodesic_covering_radius(args.r, delta).floor()
-    if delta4 is not None:
-        report["delta_four_point"] = _halfint_json(delta4)
     return report, all_hit
 
 
 def _cmd_hitpack(args):
     g, dm, table = _load_graph(args)
     family = _family_from_json(dm, table, read_family_json(args.family))
-    delta, delta4 = _thin_delta(args, dm)
+    delta = _thin_delta(args, dm)
     z = _base_vertex(args, table)
     hp = greedy_hit_pack(dm, g, family, args.r, delta, z=z)
-    d = dm.d
-    hit_ok = all(
-        min(int(d[t, list(s.members)].min()) for t in hp.hitting_set) <= hp.hit_radius
-        for s in family.sets
-    )
-    pack_ok = all(
-        set_distance(dm, family.sets[a].members, family.sets[b].members) > 2 * hp.pack_gap
-        for i, a in enumerate(hp.packing)
-        for b in hp.packing[i + 1 :]
+    members = [s.members for s in family.sets]
+    hit_ok, pack_ok = check_hit_pack(
+        dm, members, hp.hitting_set, hp.hit_radius, hp.packing, hp.pack_gap
     )
     ok = hit_ok and pack_ok and len(hp.hitting_set) == len(hp.packing)
     report = {
@@ -269,8 +266,6 @@ def _cmd_hitpack(args):
         "pack_gap": hp.pack_gap,
         "certificates": {"hitting": hit_ok, "packing": pack_ok},
     }
-    if delta4 is not None:
-        report["delta_four_point"] = _halfint_json(delta4)
     return report, ok
 
 
@@ -281,7 +276,7 @@ def _cmd_kappa(args):
         KappaQSet(tuple(QSet.measure(dm, table.ids_of(part)) for part in e["parts"]))
         for e in entries
     ]
-    delta, delta4 = _thin_delta(args, dm)
+    delta = _thin_delta(args, dm)
     measured = max(kq.epsilon for kq in family)
     epsilon = measured if args.epsilon is None else args.epsilon
     z = _base_vertex(args, table)
@@ -308,8 +303,6 @@ def _cmd_kappa(args):
             "size_bound": res.bound_ok,
         },
     }
-    if delta4 is not None:
-        report["delta_four_point"] = _halfint_json(delta4)
     return report, ok
 
 
@@ -331,6 +324,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed recorded in reports")
     parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     parser.add_argument("--max-n", type=int, default=2000, help="all-pairs distance matrix cap")
+    parser.set_defaults(four_point=None)
     subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("generate", help="emit a synthetic graph as an edge list")
@@ -431,6 +425,10 @@ def run_cli(argv=None) -> int:
         "seed": args.seed,
         **payload,
     }
+    if args.four_point is not None:
+        report["delta_four_point"] = _halfint_json(args.four_point.delta)
+        if not args.four_point.exact:
+            report["delta_exact"] = False
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, set_distance
+from .graphs import DistanceMatrix, Graph
 from .halfint import HalfInt
-from .quasiconvex import QSet, QSetFamily, covering_radius, greedy_hit_pack
+from .quasiconvex import QSet, QSetFamily, check_hit_pack, covering_radius, greedy_hit_pack
 from .simplex import LPInstance, solve_lp
 
 ONE = Fraction(1)
@@ -86,38 +86,65 @@ def gamma_sets(dm: DistanceMatrix, family: Sequence[KappaQSet], r: int) -> Gamma
     return GammaIndex(radius=r, gamma_v=gamma_v, gamma_i=gamma_i)
 
 
-def build_packing_lp(gamma: GammaIndex, m: int, num_vertices: int) -> LPInstance:
-    """max sum x_i subject to, per vertex v, sum of x_i over gamma_v[v] <= 1."""
-    triplets = [
-        (v, i, ONE) for v in range(num_vertices) for i in sorted(gamma.gamma_v[v])
-    ]
+def _witness_vertices(near: np.ndarray) -> list[int]:
+    """Vertices whose member set near[:, v] is nonempty and inclusion-maximal.
+
+    Among vertices with equal sets only the smallest id is kept, so each
+    maximal set appears once.  Every nonempty set is contained in some
+    witness's set, which is what makes the LPs below exact over witnesses.
+    """
+    cols = near.T
+    _, first = np.unique(cols, axis=0, return_index=True)
+    first = first[cols[first].any(axis=1)]
+    sets = cols[first].astype(np.int64)
+    inter = sets @ sets.T  # |S_a & S_b|
+    size = np.diag(inter)
+    # distinct sets, so S_a inside a larger S_b means strictly contained
+    dominated = ((inter == size[:, None]) & (size[None, :] > size[:, None])).any(axis=1)
+    return sorted(first[~dominated].tolist())
+
+
+def _unit_lp(direction: str, a: np.ndarray) -> LPInstance:
+    """max 1.x subject to a x <= 1, or min 1.x subject to a x >= 1, x >= 0."""
+    num_rows, num_vars = a.shape
+    triplets = tuple((int(i), int(j), ONE) for i, j in zip(*np.nonzero(a)))
     return LPInstance(
-        direction="max",
-        num_vars=m,
-        num_rows=num_vertices,
-        objective=(ONE,) * m,
-        triplets=tuple(triplets),
-        senses=("<=",) * num_vertices,
-        rhs=(ONE,) * num_vertices,
+        direction=direction,
+        num_vars=num_vars,
+        num_rows=num_rows,
+        objective=(ONE,) * num_vars,
+        triplets=triplets,
+        senses=("<=" if direction == "max" else ">=",) * num_rows,
+        rhs=(ONE,) * num_rows,
     )
+
+
+def build_packing_lp(gamma: GammaIndex, m: int, num_vertices: int) -> LPInstance:
+    """max sum x_i subject to, per witness vertex v, sum of x_i over gamma_v[v] <= 1.
+
+    The LP over every vertex has the same optimum: a vertex whose member set
+    is empty gives the row 0 <= 1, and one whose set lies inside a witness's
+    set gives a row implied by the witness's row, because x >= 0.
+    """
+    near = np.zeros((m, num_vertices), dtype=bool)
+    for v in range(num_vertices):
+        near[sorted(gamma.gamma_v[v]), v] = True
+    return _unit_lp("max", near[:, _witness_vertices(near)].T)
 
 
 def build_hitting_lp(family: Sequence[KappaQSet], dm: DistanceMatrix, r: int) -> LPInstance:
-    """min sum y_v subject to, per member, sum of y_v over its r-neighborhood >= 1."""
+    """min sum y_v over witness vertices v subject to, per member, sum of y_v
+    over its r-neighborhood >= 1.
+
+    Column k is the k-th witness vertex in increasing id.  The LP over every
+    vertex has the same optimum: a vertex near no member covers nothing, and
+    the weight of a vertex whose member set lies inside a witness's set can
+    move onto that witness at equal cost without uncovering any member.
+    """
     if r < 0:
         raise ValueError(f"negative hitting radius {r}")
     near = _member_distances(dm, family) <= r
-    m, n = near.shape
-    triplets = [(i, int(v), ONE) for i in range(m) for v in np.flatnonzero(near[i])]
-    return LPInstance(
-        direction="min",
-        num_vars=n,
-        num_rows=m,
-        objective=(ONE,) * n,
-        triplets=tuple(triplets),
-        senses=(">=",) * m,
-        rhs=(ONE,) * m,
-    )
+    return _unit_lp("min", near[:, _witness_vertices(near)])
 
 
 def round_packing(
@@ -203,6 +230,12 @@ def kappa_hit_pack(
     pairwise 2r-apart, that T reaches every member within r_prime, and that
     |T| <= 2*kappa^2*|P|.  Requires r >= eps + 2*delta, under which the two
     classical forms of the intermediate radius coincide.
+
+    The member-distance incidence at r_star is computed once, and both LPs
+    are built from it over the witness vertices only (``build_packing_lp``
+    and ``build_hitting_lp`` state why their optima equal those of the LPs
+    over every vertex); the hitting solution is expanded back to every
+    vertex, zero off the witnesses, before rounding.
     """
     if not family:
         raise ValueError("empty family")
@@ -221,29 +254,26 @@ def kappa_hit_pack(
     r_star = covering_radius(r, epsilon, delta).floor()
     r_prime = (r_star + epsilon + delta * 3).floor()
 
-    m = len(family)
     gamma_r = gamma_sets(dm, family, r)
-    gamma_rs = gamma_sets(dm, family, r_star)
+    near = _member_distances(dm, family) <= r_star
+    witnesses = _witness_vertices(near)
+    incidence = near[:, witnesses]  # members x witnesses
 
-    pack_sol = solve_lp(build_packing_lp(gamma_rs, m, dm.n))
-    hit_sol = solve_lp(build_hitting_lp(family, dm, r_star))
+    pack_sol = solve_lp(_unit_lp("max", incidence.T))
+    hit_sol = solve_lp(_unit_lp("min", incidence))
     if pack_sol.status != "optimal" or hit_sol.status != "optimal":
         raise RuntimeError(
             f"LP solve failed: packing={pack_sol.status}, hitting={hit_sol.status}"
         )
 
+    y = [Fraction(0)] * dm.n
+    for w, value in zip(witnesses, hit_sol.values):
+        y[w] = value
     packing = round_packing(pack_sol.values, gamma_r, family)
-    hitting = round_hitting(hit_sol.values, family, dm, g, r_star, delta, z=z)
+    hitting = round_hitting(y, family, dm, g, r_star, delta, z=z)
 
-    unions = [list(kq.union) for kq in family]
-    packing_ok = all(
-        set_distance(dm, unions[packing[a]], unions[packing[b]]) > 2 * r
-        for a in range(len(packing))
-        for b in range(a + 1, len(packing))
-    )
-    d = dm.d
-    hitting_ok = all(
-        min(int(d[t, list(kq.union)].min()) for t in hitting) <= r_prime for kq in family
+    hitting_ok, packing_ok = check_hit_pack(
+        dm, [kq.union for kq in family], hitting, r_prime, packing, r
     )
     bound_ok = len(hitting) <= 2 * kappa * kappa * len(packing)
 

@@ -218,6 +218,30 @@ def greedy_hit_pack(
     )
 
 
+def check_hit_pack(
+    dm: DistanceMatrix,
+    members: Sequence[Sequence[int]],
+    hitting: Sequence[int],
+    hit_radius: int,
+    packing: Sequence[int],
+    pack_gap: int,
+) -> tuple[bool, bool]:
+    """Exhaustive (hitting, packing) certificates for a family of vertex sets.
+
+    Hitting holds when every member lies within ``hit_radius`` of some vertex
+    of ``hitting``; packing holds when the members indexed by ``packing`` are
+    pairwise more than 2*pack_gap apart.
+    """
+    rows = dm.d[list(hitting)]
+    hit_ok = all(int(rows[:, list(ms)].min()) <= hit_radius for ms in members)
+    pack_ok = all(
+        set_distance(dm, members[a], members[b]) > 2 * pack_gap
+        for i, a in enumerate(packing)
+        for b in packing[i + 1 :]
+    )
+    return hit_ok, pack_ok
+
+
 def helly_balls_check(
     dm: DistanceMatrix, balls: Sequence[Ball], delta: HalfInt
 ) -> int | None:

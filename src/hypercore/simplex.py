@@ -1,9 +1,12 @@
 """Dense two-phase simplex over exact rationals.
 
-The covering/packing programs solved here are tiny (tens of rows and
-columns), so a Fraction tableau with Bland's pivoting rule is both fast
-enough and free of tolerance disputes: reported optima are exact and the
-primal/dual pair must agree to the digit.
+The covering/packing programs solved here are tiny.  The kappa LPs have one
+row or column per family member and per witness vertex (a vertex with an
+inclusion-maximal set of nearby members), so their size follows the family,
+not the graph: on 150-250 vertex trees with 12-member families they are at
+most 12 x 12.  A Fraction tableau with Bland's pivoting rule is therefore
+both fast enough and free of tolerance disputes: reported optima are exact
+and the primal/dual pair must agree to the digit.
 """
 
 from __future__ import annotations

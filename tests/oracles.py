@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from hypercore import CoreResult
+from hypercore import CoreResult, LPInstance
 
 
 def all_geodesics(g, dm, s, t):
@@ -213,3 +213,41 @@ def lp_optimum_by_vertex_enumeration(inst):
         else:
             best = min(best, obj)
     return best
+
+
+def full_packing_lp(gamma, m, num_vertices):
+    """The kappa packing LP with one <= 1 row per vertex, empty and
+    dominated rows included: max sum x_i, sum of x_i over gamma_v[v] <= 1."""
+    one = Fraction(1)
+    triplets = [(v, i, one) for v in range(num_vertices) for i in sorted(gamma.gamma_v[v])]
+    return LPInstance(
+        direction="max",
+        num_vars=m,
+        num_rows=num_vertices,
+        objective=(one,) * m,
+        triplets=tuple(triplets),
+        senses=("<=",) * num_vertices,
+        rhs=(one,) * num_vertices,
+    )
+
+
+def full_hitting_lp(family, dm, r):
+    """The kappa hitting LP with one column per vertex: min sum y_v, and for
+    each member, sum of y_v over vertices within r of its union >= 1."""
+    one = Fraction(1)
+    n = dm.n
+    triplets = [
+        (i, v, one)
+        for i, kq in enumerate(family)
+        for v in range(n)
+        if min(int(dm.d[v, u]) for u in kq.union) <= r
+    ]
+    return LPInstance(
+        direction="min",
+        num_vars=n,
+        num_rows=len(family),
+        objective=(one,) * n,
+        triplets=tuple(triplets),
+        senses=(">=",) * len(family),
+        rhs=(one,) * len(family),
+    )

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hypercore
+import hypercore.cli
 
 from hypercore.cli import run_cli
 from hypercore.fileio import (
@@ -184,6 +186,60 @@ def test_multicore_cli(tmp_path, capsys):
     assert code == 0
     assert rep["covered"] is True
     assert rep["size"] == 2
+
+
+def _delta_command_argv(tmp_path, command, radius=0):
+    """argv for one delta-using subcommand on the 9-vertex path; ``radius``
+    is the kappa --r and the multicore --radius."""
+    path = write_graph(tmp_path, path_graph(9))
+    fam = tmp_path / "fam.json"
+    if command == "kappa":
+        fam.write_text(json.dumps([{"name": "m", "parts": [["v0"], ["v8"]]}]), encoding="utf-8")
+        return [command, "--edges", str(path), "--family", str(fam), "--r", str(radius)]
+    if command == "multicore":
+        com = tmp_path / "pairs.txt"
+        com.write_text("v0 v3\nv5 v8\n", encoding="utf-8")
+        return [command, "--edges", str(path), "--commodity", str(com), "--radius", str(radius)]
+    if command == "beamcore":
+        return [command, "--edges", str(path)]
+    fam.write_text(
+        json.dumps([{"name": "a", "vertices": ["v2", "v3"]}, {"name": "b", "vertices": ["v3"]}]),
+        encoding="utf-8",
+    )
+    return [command, "--edges", str(path), "--family", str(fam)]
+
+
+DELTA_COMMANDS = ["multicore", "beamcore", "helly", "hitpack", "kappa"]
+
+
+@pytest.mark.parametrize("command", DELTA_COMMANDS)
+def test_delta_four_point_reported_last(tmp_path, capsys, command):
+    argv = _delta_command_argv(tmp_path, command)
+    code, rep, err = run_json(capsys, argv)
+    assert code == 0
+    assert list(rep)[-1] == "delta_four_point"
+    assert rep["delta_four_point"] == {"value": 0.0, "doubled": 0}
+    assert rep["delta"] == {"value": 0.0, "doubled": 0}
+    code, rep, err = run_json(capsys, [*argv, "--delta", "0"])
+    assert code == 0
+    assert "delta_four_point" not in rep and "delta_exact" not in rep
+
+
+@pytest.mark.parametrize("command", DELTA_COMMANDS)
+def test_sampled_delta_certifies_from_half_diameter(tmp_path, capsys, monkeypatch, command):
+    # with the exact cap below n the four-point constant is a sampled lower
+    # bound (0 on a path), so the certified constant comes from
+    # delta <= diam/2 = 4 instead; the radii meet multicore's r >= 8*delta
+    # and kappa's r >= eps + 2*delta
+    sampled = functools.partial(hypercore.cli.four_point_delta, exact_cap=3)
+    monkeypatch.setattr(hypercore.cli, "four_point_delta", sampled)
+    radius = {"multicore": 128, "kappa": 32}.get(command, 0)
+    code, rep, err = run_json(capsys, _delta_command_argv(tmp_path, command, radius))
+    assert code == 0
+    assert list(rep)[-2:] == ["delta_four_point", "delta_exact"]
+    assert rep["delta_exact"] is False
+    assert rep["delta_four_point"] == {"value": 0.0, "doubled": 0}
+    assert rep["delta"] == {"value": 16.0, "doubled": 32}
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercore import (
+    GammaIndex,
     HalfInt,
     KappaQSet,
     QSet,
@@ -23,6 +27,9 @@ from hypercore import (
     thin_delta_bound,
 )
 from hypercore.generators import gnp_connected, path_graph, random_tree
+from hypercore.lpkappa import _witness_vertices
+from oracles import full_hitting_lp, full_packing_lp
+from strategies import connected_graphs
 
 
 def member(dm, *vertex_sets):
@@ -196,3 +203,94 @@ def test_kappa_hit_pack_preconditions():
     bent = [member(dm, [0, 4])]  # epsilon is 2, stating 0 must be rejected
     with pytest.raises(ValueError, match="measured"):
         kappa_hit_pack(g, dm, bent, 5, 0, HalfInt(0))
+
+
+def test_witness_vertices_rule():
+    # member sets per vertex: {}, {0,1}, {0,1}, {0}, {1,2}, {2}, {}
+    near = np.array(
+        [
+            [0, 1, 1, 1, 0, 0, 0],
+            [0, 1, 1, 0, 1, 0, 0],
+            [0, 0, 0, 0, 1, 1, 0],
+        ],
+        dtype=bool,
+    )
+    # empty sets (0, 6) dropped, duplicate 2 loses to 1, strict subsets 3, 5 dropped
+    assert _witness_vertices(near) == [1, 4]
+    assert _witness_vertices(near[:, ::-1]) == [2, 4]  # duplicates keep the smallest id
+    assert _witness_vertices(np.zeros((2, 3), dtype=bool)) == []
+
+
+def test_packing_lp_rows_are_witnesses():
+    sets = (set(), {0, 1}, {0, 1}, {0}, {1, 2}, {2}, set())
+    gamma = GammaIndex(radius=0, gamma_v=tuple(frozenset(s) for s in sets), gamma_i=())
+    lp = build_packing_lp(gamma, 3, len(sets))
+    assert lp.num_rows == 2 and lp.num_vars == 3
+    assert sorted(lp.triplets) == [(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 1)]
+    full = full_packing_lp(gamma, 3, len(sets))
+    assert solve_lp(lp).objective == solve_lp(full).objective == 2
+
+
+def test_hitting_lp_columns_are_witnesses():
+    g = path_graph(12)
+    dm = distance_matrix(g)
+    far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
+    # at radius 1 the maximal vertex sets are those of 0, 4 and 10
+    lp = build_hitting_lp(far, dm, 1)
+    assert lp.num_vars == 3 and lp.num_rows == 3
+    assert sorted(lp.triplets) == [(0, 0, 1), (1, 1, 1), (2, 2, 1)]
+
+
+@st.composite
+def kappa_families(draw):
+    g = draw(connected_graphs(max_n=10, min_n=2, tree=draw(st.booleans())))
+    vertex = st.integers(0, g.n - 1)
+    kappa = draw(st.integers(1, 3))
+    members = draw(
+        st.lists(
+            st.lists(st.lists(vertex, min_size=1, max_size=3), min_size=1, max_size=kappa),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return g, members, draw(st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kappa_families())
+def test_witness_lps_match_full_lps(case):
+    g, members, radius = case
+    dm = distance_matrix(g)
+    fam = [member(dm, *parts) for parts in members]
+    m = len(fam)
+
+    def optima(r):
+        gamma = gamma_sets(dm, fam, r)
+        pack = solve_lp(build_packing_lp(gamma, m, dm.n)).objective
+        hit = solve_lp(build_hitting_lp(fam, dm, r)).objective
+        assert pack == solve_lp(full_packing_lp(gamma, m, dm.n)).objective
+        assert hit == solve_lp(full_hitting_lp(fam, dm, r)).objective
+        return pack, hit
+
+    optima(radius)
+    delta = thin_delta_bound(four_point_delta(dm).delta)
+    eps = max(kq.epsilon for kq in fam)
+    res = kappa_hit_pack(g, dm, fam, eps + (delta * 2).ceil() + radius, eps, delta)
+    assert (res.packing_optimum, res.hitting_optimum) == optima(res.r_star)
+    if g.is_tree():
+        # four times the four-point constant certifies thin triangles on
+        # trees, but not on graphs with cliques (README Notes): on K6 the
+        # members {1, 2} and {2} at r = 0 get the hitting set {1}
+        assert res.hitting_ok and res.packing_ok and res.bound_ok
+
+
+def test_kappa_hitting_mass_lands_on_witness_vertices():
+    # the unique hitting optimum puts weight 1 on vertex 20, the only
+    # witness; rounding must then represent m0 by its part at 20, not at 0
+    g = path_graph(21)
+    dm = distance_matrix(g)
+    fam = [member(dm, [0], [20]), member(dm, [20])]
+    res = kappa_hit_pack(g, dm, fam, 0, 0, HalfInt(0))
+    assert res.hitting_optimum == 1
+    assert res.hitting_set == (20,)
+    assert res.hitting_ok and res.packing_ok and res.bound_ok

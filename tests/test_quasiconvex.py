@@ -8,6 +8,7 @@ from hypercore import (
     QSet,
     QSetFamily,
     ball_members,
+    check_hit_pack,
     covering_radius,
     distance_matrix,
     four_point_delta,
@@ -207,3 +208,16 @@ def test_qset_measures_epsilon_itself():
     q = QSet.measure(dm, [2, 0])
     assert q.members == (0, 2)
     assert q.epsilon == 1
+
+
+def test_check_hit_pack_radius_boundaries():
+    dm = distance_matrix(path_graph(5))
+    members = [(0,), (2, 3), (4,)]
+    # vertex 2 reaches members 0 and 2 at distance exactly 2
+    assert check_hit_pack(dm, members, [2], 2, [], 0) == (True, True)
+    assert check_hit_pack(dm, members, [2], 1, [], 0) == (False, True)
+    assert check_hit_pack(dm, members, [0], 2, [], 0) == (False, True)
+    # members 0 and 1 are 2 apart: packed at gap 0, not at gap 1
+    assert check_hit_pack(dm, members, [0, 3], 1, [0, 1], 0) == (True, True)
+    assert check_hit_pack(dm, members, [0, 3], 1, [0, 1], 1) == (True, False)
+    assert check_hit_pack(dm, members, [0, 3], 1, [0, 2], 1) == (True, True)
