@@ -30,8 +30,10 @@ from .graphs import (
     distance_matrix,
     distances_avoiding,
     gromov_product,
+    intercepted_pairs,
     intercepts_pair,
     interval,
+    multi_source_distances,
     set_distance,
 )
 from .halfint import HalfInt

@@ -13,9 +13,8 @@ from .graphs import (
     Ball,
     DistanceMatrix,
     Graph,
-    ball_members,
     descend_geodesic,
-    distances_avoiding,
+    intercepted_pairs,
     interval,
     set_distance,
 )
@@ -71,30 +70,15 @@ def total_beam_core(g: Graph, dm: DistanceMatrix, delta: HalfInt) -> BeamCoreRes
     """Ball of radius floor(2*delta) around the middle of a geodesic between
     mutually distant vertices, verified against every beam pair.
 
-    The verification deletes the ball once and re-runs BFS from each beam
-    source, which is equivalent to the per-pair interception test.
+    The verification is one ``intercepted_pairs`` call: the ball is deleted
+    once and a single multi-source BFS runs from the beam sources outside
+    it, which is equivalent to the per-pair interception test.
     """
     u, v = mutually_distant_pair(g, delta)
     mid = _midpoint(g, dm, u, v)
-    radius = (delta * 2).floor()
-    inside = frozenset(ball_members(dm, Ball(mid, max(radius, 0))))
-    d = dm.d
-    ecc = d.max(axis=1)
-    ok = True
-    for x in range(g.n):
-        if not ok:
-            break
-        targets = [int(y) for y in np.flatnonzero(d[x] == ecc[x])]
-        if x in inside or all(t in inside for t in targets):
-            continue
-        dist = distances_avoiding(g, inside, x)
-        for t in targets:
-            if t not in inside and dist[t] == d[x, t]:
-                ok = False
-                break
-    return BeamCoreResult(
-        pair=(u, v), midpoint=mid, radius=max(radius, 0), all_beams_intercepted=ok
-    )
+    radius = max((delta * 2).floor(), 0)
+    ok = bool(intercepted_pairs(g, dm, Ball(mid, radius), beam_pairs(dm)).all())
+    return BeamCoreResult(pair=(u, v), midpoint=mid, radius=radius, all_beams_intercepted=ok)
 
 
 def beams_pairwise_close(dm: DistanceMatrix, delta: HalfInt) -> BeamSeparationReport:

@@ -163,7 +163,7 @@ def _cmd_traffic(args):
     subset = table.ids_of(args.set.split(","))
     mu = traffic_load(g, dm, demand, subset)
     return {
-        "demand_pairs": len(demand.pairs),
+        "demand_pairs": len(demand),
         "set": table.labels_of(sorted(set(subset))),
         "mu": {
             "rational": f"{mu.numerator}/{mu.denominator}",

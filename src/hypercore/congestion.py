@@ -8,7 +8,7 @@ tolerances.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,22 +29,54 @@ class CoreResult:
     total_pairs: int
 
 
-@dataclass(frozen=True)
 class TrafficDemand:
     """Unit-rate source/target pairs; routing spreads each pair's unit of
-    traffic uniformly over all of its geodesics."""
+    traffic uniformly over all of its geodesics.
 
-    pairs: tuple[tuple[int, int], ...]
+    ``TrafficDemand(pairs)`` keeps an explicit pair list.  The uniform demand
+    on n vertices stands for all n(n-1) ordered pairs without listing them;
+    ``pairs`` builds that list only when asked for.
+    """
 
-    def __post_init__(self):
-        for s, t in self.pairs:
+    __slots__ = ("_pairs", "_uniform_n")
+
+    def __init__(self, pairs: Sequence[tuple[int, int]]):
+        for s, t in pairs:
             if s == t:
                 raise ValueError(f"demand pair ({s},{t}) has equal endpoints")
+        self._pairs = tuple(pairs)
+        self._uniform_n = None
 
     @classmethod
     def uniform(cls, n: int) -> "TrafficDemand":
         """All ordered pairs (s, t) with s != t."""
-        return cls(tuple((s, t) for s in range(n) for t in range(n) if s != t))
+        demand = cls(())
+        demand._uniform_n = n
+        return demand
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        n = self._uniform_n
+        if n is None:
+            return self._pairs
+        return tuple((s, t) for s in range(n) for t in range(n) if s != t)
+
+    def __len__(self) -> int:
+        n = self._uniform_n
+        return len(self._pairs) if n is None else n * (n - 1)
+
+    def by_source(self) -> Iterator[tuple[int, list[int]]]:
+        """(source, its targets) per distinct source, in order of first
+        appearance; a target repeats as often as its pair does."""
+        n = self._uniform_n
+        if n is None:
+            groups: dict[int, list[int]] = {}
+            for s, t in self._pairs:
+                groups.setdefault(s, []).append(t)
+            yield from groups.items()
+        elif n > 1:
+            for s in range(n):
+                yield s, [*range(s), *range(s + 1, n)]
 
 
 def _geodesic_counts(
@@ -107,12 +139,9 @@ def traffic_load(
     inside = frozenset(check_vertices(g.n, S, "S"))
     if not inside:
         raise ValueError("traffic_load needs a nonempty vertex set")
-    by_source: dict[int, list[int]] = {}
-    for s, t in demand.pairs:
-        by_source.setdefault(s, []).append(t)
     whole = 0
     avoided: dict[int, int] = {}  # sigma_all -> summed sigma_avoid
-    for s, targets in by_source.items():
+    for s, targets in demand.by_source():
         whole += len(targets)
         if s in inside:
             continue

@@ -10,12 +10,16 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .halfint import HalfInt
 
 DEFAULT_MATRIX_CAP = 2000
+# Sources per bit-parallel BFS pass: its scratch is about five bytes per
+# vertex and source besides the result, 5 MB at n = 2000.
+_SOURCE_BLOCK = 512
 
 
 class Graph:
@@ -154,20 +158,96 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def multi_source_distances(
+    g: Graph, sources: Sequence[int], deleted: Iterable[int] = ()
+) -> np.ndarray:
+    """Hop distances from each of ``sources`` in g with the ``deleted``
+    vertices removed, as a (len(sources), n) int64 array whose row i is the
+    distance row of sources[i].  -1 marks a vertex that is unreachable or
+    deleted; a source must not be deleted.
+
+    A bit-parallel multi-source BFS (Then et al., VLDB 2014; Akiba, Iwata
+    and Yoshida, SIGMOD 2013): every vertex holds a bitset over up to
+    _SOURCE_BLOCK sources, and one BFS layer for all of them is an OR of
+    the neighbours' frontier bitsets, masked by the bits not yet seen.  The
+    distances are kept bit-sliced: the vertices a layer reaches are ORed
+    into the bit planes of that layer's number, and the planes are unpacked
+    once, into a small integer block that is copied into the int64 result
+    one block of sources at a time.
+    """
+    n = g.n
+    sources = [int(s) for s in sources]
+    for s in sources:
+        _check_vertex(n, s, "source")
+    gone = check_vertices(n, deleted, "deleted set")
+    blocked = set(gone).intersection(sources)
+    if blocked:
+        raise ValueError(f"source {min(blocked)} is a blocked vertex")
+    # CSR adjacency plus a sentinel index n naming an always-empty frontier
+    # row, so the last vertex's segment ends in a harmless zero and a
+    # zero-degree vertex (whose reduceat row is its successor's first
+    # neighbour) is a dead row like a deleted one.
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
+    starts = np.zeros(n, dtype=np.intp)
+    np.cumsum(deg[:-1], out=starts[1:])
+    indices = np.fromiter(chain(chain.from_iterable(g.adjacency), (n,)), dtype=np.intp)
+    dead = deg == 0
+    dead[gone] = True
+    # the layer count of any vertex stays below n
+    acc_type = np.int8 if n <= 128 else np.int16 if n <= 32768 else np.int32
+    out = np.empty((len(sources), n), dtype=np.int64)
+    for lo in range(0, len(sources), _SOURCE_BLOCK):
+        block = sources[lo : lo + _SOURCE_BLOCK]
+        bits = np.zeros((n, -(-len(block) // 64) * 64), dtype=np.uint8)
+        bits[block, np.arange(len(block))] = 1
+        start = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        front = np.zeros((n + 1, start.shape[1]), dtype="<u8")
+        front[:n] = start
+        # dead rows count as seen, so no layer ever enters them
+        unseen = ~start
+        unseen[dead] = 0
+        # planes[j] holds bit j of the distance of every vertex reached
+        planes: list[np.ndarray] = []
+        depth = 0
+        while True:
+            gathered = np.take(front, indices, axis=0)
+            layer = np.bitwise_or.reduceat(gathered, starts, axis=0, out=front[:n])
+            layer &= unseen
+            if not layer.any():
+                break
+            unseen ^= layer
+            depth += 1
+            if depth.bit_length() > len(planes):
+                planes.append(np.zeros_like(layer))
+            for j, plane in enumerate(planes):
+                if depth >> j & 1:
+                    plane |= layer
+        acc = np.zeros(bits.shape, dtype=acc_type)
+        for j, plane in enumerate(planes):
+            acc += np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little").astype(acc_type) << j
+        # a dead row is unreached, unless it is an isolated source itself
+        unseen[dead] = ~start[dead]
+        acc[np.unpackbits(unseen.view(np.uint8), axis=1, bitorder="little").view(bool)] = -1
+        out[lo : lo + len(block)] = acc[:, : len(block)].T
+    return out
+
+
 def distance_matrix(g: Graph, *, cap: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
-    """BFS from every vertex.  Refuses graphs above ``cap`` vertices rather
-    than allocating n^2 integers silently."""
+    """All-pairs hop distances by one bit-parallel BFS from every vertex
+    (``multi_source_distances``).  Refuses graphs above ``cap`` vertices
+    rather than allocating n^2 integers silently."""
     if g.n > cap:
         raise ValueError(
             f"graph has {g.n} vertices, above the all-pairs cap of {cap}; "
             f"pass cap= explicitly to materialize the matrix anyway"
         )
-    d = np.empty((g.n, g.n), dtype=np.int64)
-    for v in range(g.n):
-        row = bfs_distances(g, v)
-        if -1 in row:
-            raise ValueError(f"graph is disconnected: no path between {v} and {row.index(-1)}")
-        d[v] = row
+    d = multi_source_distances(g, range(g.n))
+    short = np.flatnonzero(d.min(axis=1) < 0)
+    if short.size:
+        v = int(short[0])
+        raise ValueError(
+            f"graph is disconnected: no path between {v} and {int(np.argmax(d[v] < 0))}"
+        )
     return DistanceMatrix(d)
 
 
@@ -205,7 +285,8 @@ def distances_avoiding(g: Graph, blocked: Iterable[int], source: int) -> list[in
     """BFS distances in the subgraph with ``blocked`` vertices deleted.
 
     Returns -1 for unreachable vertices and for the blocked ones.  The
-    source itself must not be blocked.
+    source itself must not be blocked.  A one-source pure-Python BFS, kept
+    as a test oracle for ``multi_source_distances``.
     """
     blocked_set = set(blocked)
     dist = [-1] * g.n
@@ -224,22 +305,58 @@ def distances_avoiding(g: Graph, blocked: Iterable[int], source: int) -> list[in
     return dist
 
 
-def intercepts_pair(g: Graph, dm: DistanceMatrix, b: Ball, x: int, y: int) -> bool:
-    """True iff every (x,y)-geodesic meets the ball.
+def intercepted_pairs(
+    g: Graph, dm: DistanceMatrix, b: Ball, pairs: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """For each pair (x, y), whether every (x,y)-geodesic meets the ball, as
+    a boolean array.
 
-    Computed by deleting the ball's vertices and testing whether the (x,y)
-    distance strictly increases (or x and y fall apart).  If x or y already
-    lies inside the ball the pair counts as intercepted: the degenerate
-    geodesic endpoint is trivially hit.
+    One ``multi_source_distances`` call from the distinct first endpoints,
+    or the second ones if they are fewer, tests whether each pair's distance
+    strictly increases (or x and y fall apart) once the ball is deleted.
+    That call also deletes every vertex outside the pairs' intervals: every
+    geodesic stays inside its pair's interval, so no answer changes, and the
+    BFS stops after a few layers when the pairs are short.  A pair with x or
+    y inside the ball counts as intercepted: the degenerate geodesic
+    endpoint is trivially hit.
     """
+    p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if p.size and (p.min() < 0 or p.max() >= g.n):
+        raise ValueError(f"pairs contain a vertex out of range for n={g.n}")
+    _check_vertex(dm.n, b.center, "ball center")
+    d = dm.d
+    inside = d[b.center] <= b.radius
+    xs, ys = p[:, 0], p[:, 1]
+    hit = inside[xs] | inside[ys]
+    rest = np.flatnonzero(~hit)
+    if rest.size:
+        xs, ys = xs[rest], ys[rest]
+        gone = np.ones(g.n, dtype=bool)
+        step = max(1, 2**14 // g.n)  # pairs per chunk, about 2**14 elements
+        for lo in range(0, len(xs), step):
+            x, y = xs[lo : lo + step], ys[lo : lo + step]
+            gone &= (d[x] + d[y] != d[x, y][:, None]).all(axis=0)
+        gone |= inside
+        row = np.zeros((2, g.n), dtype=np.intp)
+        row[0, xs] = 1
+        row[1, ys] = 1
+        if row[1].sum() < row[0].sum():
+            xs, ys, row = ys, xs, row[1]  # geodesics reversed are geodesics
+        else:
+            row = row[0]
+        sources = np.flatnonzero(row)
+        row[sources] = np.arange(len(sources))
+        dist = multi_source_distances(g, sources.tolist(), np.flatnonzero(gone).tolist())
+        hit[rest] = dist[row[xs], ys] != d[xs, ys]
+    return hit
+
+
+def intercepts_pair(g: Graph, dm: DistanceMatrix, b: Ball, x: int, y: int) -> bool:
+    """True iff every (x,y)-geodesic meets the ball; ``intercepted_pairs``
+    for the single pair (x, y)."""
     _check_vertex(g.n, x, "x")
     _check_vertex(g.n, y, "y")
-    members = ball_members(dm, b)
-    inside = set(members)
-    if x in inside or y in inside:
-        return True
-    dist = distances_avoiding(g, inside, x)
-    return dist[y] != dm.dist(x, y)
+    return bool(intercepted_pairs(g, dm, b, [(x, y)])[0])
 
 
 def descend_geodesic(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> list[int]:

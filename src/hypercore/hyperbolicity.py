@@ -125,33 +125,7 @@ def four_point_delta(
     """
     n = dm.n
     if n <= exact_cap:
-        pairs = far_apart_pairs(dm)
-        d = dm.d.astype(np.int32)
-        a, b = pairs[:, 0], pairs[:, 1]
-        dist = d[a, b]
-        best = 0
-        best_quad = (0, 0, 0, 0)
-        i = 0
-        while i < len(dist) and int(dist[i]) > best:
-            # rows i..j-1 against pairs 0..j-1, about 2**14 elements a block
-            j = min(len(dist), i + max(1, min(64, 2**14 // (i + 1))))
-            ar, br = a[i:j, None], b[i:j, None]
-            ac, bc = a[None, :j], b[None, :j]
-            s2 = d[ar, ac]
-            s2 += d[br, bc]
-            s3 = d[ar, bc]
-            s3 += d[br, ac]
-            np.maximum(s2, s3, out=s2)
-            diff = dist[i:j, None] + dist[None, :j]
-            diff -= s2
-            flat = int(diff.argmax())
-            val = int(diff.flat[flat])
-            if val > best:
-                r, k = divmod(flat, j)
-                best = val
-                best_quad = (int(a[i + r]), int(b[i + r]), int(a[k]), int(b[k]))
-            i = j
-        return FourPointResult(HalfInt.from_doubled(best), best_quad, True)
+        return _four_point_scan(dm, far_apart_pairs(dm))
 
     rng = random.Random(seed)
     best = 0
@@ -168,6 +142,36 @@ def four_point_delta(
             best = val
             best_quad = quad
     return FourPointResult(HalfInt.from_doubled(best), best_quad, False)
+
+
+def _four_point_scan(dm: DistanceMatrix, pairs: np.ndarray) -> FourPointResult:
+    """The exact scan of ``four_point_delta`` over the given far-apart pairs."""
+    d = dm.d.astype(np.int32)
+    a, b = pairs[:, 0], pairs[:, 1]
+    dist = d[a, b]
+    best = 0
+    best_quad = (0, 0, 0, 0)
+    i = 0
+    while i < len(dist) and int(dist[i]) > best:
+        # rows i..j-1 against pairs 0..j-1, about 2**14 elements a block
+        j = min(len(dist), i + max(1, min(64, 2**14 // (i + 1))))
+        ar, br = a[i:j, None], b[i:j, None]
+        ac, bc = a[None, :j], b[None, :j]
+        s2 = d[ar, ac]
+        s2 += d[br, bc]
+        s3 = d[ar, bc]
+        s3 += d[br, ac]
+        np.maximum(s2, s3, out=s2)
+        diff = dist[i:j, None] + dist[None, :j]
+        diff -= s2
+        flat = int(diff.argmax())
+        val = int(diff.flat[flat])
+        if val > best:
+            r, k = divmod(flat, j)
+            best = val
+            best_quad = (int(a[i + r]), int(b[i + r]), int(a[k]), int(b[k]))
+        i = j
+    return FourPointResult(HalfInt.from_doubled(best), best_quad, True)
 
 
 def thin_delta_bound(delta4: HalfInt) -> HalfInt:
@@ -193,7 +197,11 @@ def interval_thinness(dm: DistanceMatrix) -> int:
       d(u,v) - r) <= d(u,v), so the scan stops once d(u,v) <= the best
       value found.
     """
-    pairs = far_apart_pairs(dm)
+    return _thinness_scan(dm, far_apart_pairs(dm))
+
+
+def _thinness_scan(dm: DistanceMatrix, pairs: np.ndarray) -> int:
+    """The scan of ``interval_thinness`` over the given far-apart pairs."""
     d = dm.d
     nu = 0
     # a chunk at a time: a Python list of every pair would outweigh d itself
@@ -268,14 +276,21 @@ def hyperbolicity_report(
     samples: int = 200_000,
     seed: int = 0,
 ) -> HyperbolicityReport:
-    """Bundle the four-point scan with thinness and eccentricity data."""
-    fp = four_point_delta(dm, exact_cap=exact_cap, samples=samples, seed=seed)
+    """Bundle the four-point scan with thinness and eccentricity data.
+
+    The far-apart pair list is built once and shared by both scans.
+    """
+    pairs = far_apart_pairs(dm)
+    if dm.n <= exact_cap:
+        fp = _four_point_scan(dm, pairs)
+    else:
+        fp = four_point_delta(dm, exact_cap=exact_cap, samples=samples, seed=seed)
     prof = eccentricity_profile(dm)
     return HyperbolicityReport(
         delta=fp.delta,
         witness=fp.witness,
         exact=fp.exact,
-        interval_thinness=interval_thinness(dm),
+        interval_thinness=_thinness_scan(dm, pairs),
         diameter=prof.diameter,
         radius=prof.radius,
         center=prof.center,

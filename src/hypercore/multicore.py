@@ -9,7 +9,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Ball, DistanceMatrix, Graph, intercepts_pair, interval
+import numpy as np
+
+from .graphs import Ball, DistanceMatrix, Graph, intercepted_pairs, interval
 from .halfint import HalfInt
 from .quasiconvex import QSetFamily, greedy_hit_pack, neighborhood
 
@@ -65,7 +67,9 @@ def multicore_construct(
     Runs the greedy hitting/packing pass on the demand intervals with gap
     r - 5*delta (clamped at 0); hitting the (r - delta)-inflation of an
     interval is enough to intercept every geodesic of its pair at radius r.
-    The returned flag records the exhaustive per-pair interception check.
+    The returned flag records the exhaustive per-pair interception check,
+    one ``intercepted_pairs`` call per center over the pairs not yet
+    intercepted.
     Requires r >= 8*delta, the hypothesis under which the covering radius
     collapses below r - delta.
     """
@@ -79,20 +83,21 @@ def multicore_construct(
     gap = max((HalfInt(r) - delta * 5).floor(), 0)
     hp = greedy_hit_pack(dm, g, fam, gap, delta)
     centers = hp.hitting_set
-    covered = all(
-        any(intercepts_pair(g, dm, Ball(c, r), x, y) for c in centers) for x, y in R.demands
-    )
-    return MultiCoreResult(centers=centers, radius=r, covered=covered)
+    pending = list(R.demands)
+    for c in centers:
+        if not pending:
+            break
+        hit = intercepted_pairs(g, dm, Ball(c, r), pending)
+        pending = [p for p, h in zip(pending, hit.tolist()) if not h]
+    return MultiCoreResult(centers=centers, radius=r, covered=not pending)
 
 
 def _interception_masks(g: Graph, dm: DistanceMatrix, R: CommodityGraph, r: int) -> list[int]:
     """Per-vertex bitmask of demand pairs intercepted by a radius-r ball."""
-    masks = [0] * g.n
+    masks = []
     for v in range(g.n):
-        b = Ball(v, r)
-        for i, (x, y) in enumerate(R.demands):
-            if intercepts_pair(g, dm, b, x, y):
-                masks[v] |= 1 << i
+        hit = intercepted_pairs(g, dm, Ball(v, r), R.demands)
+        masks.append(sum(1 << i for i in np.flatnonzero(hit).tolist()))
     return masks
 
 

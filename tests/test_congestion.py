@@ -77,6 +77,23 @@ def test_traffic_load_matches_enumeration():
         assert traffic_load(g, dm, demand, S) == naive_traffic_load(g, dm, demand.pairs, S)
 
 
+def test_uniform_demand_lists_no_pairs_until_asked():
+    for n in (1, 2, 7):
+        demand = TrafficDemand.uniform(n)
+        pairs = tuple((s, t) for s in range(n) for t in range(n) if s != t)
+        assert demand.pairs == pairs
+        assert len(demand) == len(pairs)
+        explicit = TrafficDemand(pairs)
+        assert len(explicit) == len(pairs)
+        assert list(demand.by_source()) == list(explicit.by_source())
+    g = grid_graph(3, 4)
+    dm = distance_matrix(g)
+    uniform = TrafficDemand.uniform(g.n)
+    explicit = TrafficDemand(uniform.pairs)
+    for S in ([0], [5, 6], [0, 11]):
+        assert traffic_load(g, dm, uniform, S) == traffic_load(g, dm, explicit, S)
+
+
 def test_demand_validation():
     with pytest.raises(ValueError):
         TrafficDemand(((1, 1),))
@@ -178,6 +195,15 @@ def test_median_matches_bruteforce():
     assert median_vertex(dm, X) == brute
     brute2 = min(range(18), key=lambda v: (sum(dm.dist(v, x) ** 2 for x in X), v))
     assert centroid_vertex(dm, X) == brute2
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(max_n=10), st.data())
+def test_geodesic_count_matches_enumeration_on_random_graphs(g, data):
+    dm = distance_matrix(g)
+    s = data.draw(st.integers(0, g.n - 1))
+    for t in range(g.n):
+        assert geodesic_count(g, s, t) == len(all_geodesics(g, dm, s, t))
 
 
 @st.composite

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypercore import (
     Ball,
@@ -9,13 +12,17 @@ from hypercore import (
     bfs_distances,
     descend_geodesic,
     distance_matrix,
+    distances_avoiding,
     gromov_product,
+    intercepted_pairs,
     intercepts_pair,
     interval,
+    multi_source_distances,
     set_distance,
 )
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
 from oracles import naive_intercepts, naive_interval
+from strategies import connected_graphs
 
 
 def star_k13():
@@ -181,3 +188,149 @@ def test_descend_geodesic_is_shortest_and_deterministic():
     assert path == descend_geodesic(g, dm, 0, 15)
     for a, b in zip(path, path[1:]):
         assert b in g.adjacency[a]
+
+
+# Sizes around the 64-source word boundary and the int8/int16 switch at 128.
+WORD_SIZES = [1, 2, 63, 64, 65, 128, 129]
+
+
+def seeded_graph(n, seed, extra, *, validate=True):
+    """Random spanning tree plus up to ``extra`` random chords."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(extra if n > 1 else 0):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, sorted(edges), validate=validate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from(WORD_SIZES), st.integers(1, 40)),
+    st.integers(0, 2**32),
+    st.integers(0, 60),
+)
+@example(1, 0, 0)
+@example(64, 1, 10)
+@example(65, 2, 0)
+@example(129, 3, 30)
+def test_distance_matrix_rows_match_bfs(n, seed, extra):
+    g = seeded_graph(n, seed, extra)
+    d = distance_matrix(g).d
+    assert d.dtype == np.int64
+    assert d.shape == (n, n)
+    for v in range(n):
+        assert d[v].tolist() == bfs_distances(g, v)
+
+
+def test_distance_matrix_word_sizes_on_paths_and_cycles():
+    # paths reach the largest layer count a size allows
+    for n in WORD_SIZES[2:]:
+        for g in (path_graph(n), cycle_graph(n)):
+            d = distance_matrix(g).d
+            assert [d[v].tolist() for v in range(n)] == [bfs_distances(g, v) for v in range(n)]
+
+
+def test_distance_matrix_several_source_blocks():
+    g = random_tree(1100, 8)
+    d = distance_matrix(g).d
+    for v in list(range(0, 1100, 97)) + [511, 512, 513, 1023, 1024, 1099]:
+        assert d[v].tolist() == bfs_distances(g, v)
+
+
+@st.composite
+def masked_instances(draw):
+    g = draw(connected_graphs(max_n=20))
+    flags = draw(st.lists(st.sampled_from("sdk"), min_size=g.n, max_size=g.n))
+    deleted = [v for v in range(g.n) if flags[v] == "d"]
+    sources = [v for v in range(g.n) if flags[v] == "s"]
+    sources += draw(st.lists(st.sampled_from(sources), max_size=3)) if sources else []
+    return g, draw(st.permutations(sources)), deleted
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_instances())
+def test_masked_kernel_matches_distances_avoiding(case):
+    g, sources, deleted = case
+    got = multi_source_distances(g, sources, deleted)
+    assert got.shape == (len(sources), g.n)
+    for row, s in zip(got.tolist(), sources):
+        assert row == distances_avoiding(g, deleted, s)
+
+
+def test_masked_kernel_unreachable_and_errors():
+    g = path_graph(6)
+    got = multi_source_distances(g, [0, 5, 1], [3])
+    assert got.tolist() == [
+        [0, 1, 2, -1, -1, -1],
+        [-1, -1, -1, -1, 1, 0],
+        [1, 0, 1, -1, -1, -1],
+    ]
+    assert multi_source_distances(Graph(1, []), [0]).tolist() == [[0]]
+    assert multi_source_distances(g, []).shape == (0, 6)
+    with pytest.raises(ValueError, match="blocked"):
+        multi_source_distances(g, [2], [2])
+    with pytest.raises(ValueError, match="out of range"):
+        multi_source_distances(g, [6])
+    with pytest.raises(ValueError, match="out of range"):
+        multi_source_distances(g, [0], [-1])
+
+
+def expected_disconnected_message(g):
+    for v in range(g.n):
+        row = bfs_distances(g, v)
+        if -1 in row:
+            return f"graph is disconnected: no path between {v} and {row.index(-1)}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70), st.integers(0, 2**32), st.integers(0, 40))
+@example(4, 0, 0).via("isolated last vertex")
+@example(65, 1, 0).via("isolated vertex past the first word")
+def test_disconnected_graph_message_unchanged(n, seed, edge_count):
+    rng = random.Random(seed)
+    pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(edge_count)} if n > 1 else set()
+    if n > 1 and edge_count == 0:
+        pairs = {(v, v + 1) for v in range(n - 2)}  # a path and an isolated last vertex
+    g = Graph(n, sorted(pairs), validate=False)
+    want = expected_disconnected_message(g)
+    if want is None:
+        assert distance_matrix(g).d.tolist() == [bfs_distances(g, v) for v in range(n)]
+    else:
+        with pytest.raises(ValueError) as err:
+            distance_matrix(g)
+        assert str(err.value) == want
+
+
+def test_disconnected_isolated_vertices_messages():
+    cases = [
+        (Graph(4, [(0, 1), (1, 2)], validate=False), "no path between 0 and 3"),
+        (Graph(4, [(0, 1), (2, 3)], validate=False), "no path between 0 and 2"),
+        (Graph(3, [(1, 2)], validate=False), "no path between 0 and 1"),
+        (Graph(2, [], validate=False), "no path between 0 and 1"),
+    ]
+    for g, tail in cases:
+        with pytest.raises(ValueError, match=f"^graph is disconnected: {tail}$"):
+            distance_matrix(g)
+
+
+@st.composite
+def interception_instances(draw):
+    g = draw(connected_graphs(min_n=2, max_n=12))
+    vertex = st.integers(0, g.n - 1)
+    ball = Ball(draw(vertex), draw(st.integers(0, 3)))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=12))
+    return g, ball, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(interception_instances())
+def test_interception_matches_geodesic_enumeration(case):
+    g, ball, pairs = case
+    dm = distance_matrix(g)
+    members = ball_members(dm, ball)
+    batch = intercepted_pairs(g, dm, ball, pairs).tolist()
+    for (x, y), got in zip(pairs, batch):
+        want = naive_intercepts(g, dm, members, x, y)
+        assert intercepts_pair(g, dm, ball, x, y) == got == want
