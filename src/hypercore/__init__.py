@@ -41,6 +41,7 @@ from .hyperbolicity import (
     EccentricityProfile,
     FourPointResult,
     HyperbolicityReport,
+    biconnected_blocks,
     eccentricity_profile,
     far_apart_pairs,
     four_point_defect,

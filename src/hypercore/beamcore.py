@@ -74,7 +74,7 @@ def total_beam_core(g: Graph, dm: DistanceMatrix, delta: HalfInt) -> BeamCoreRes
     once and a single multi-source BFS runs from the beam sources outside
     it, which is equivalent to the per-pair interception test.
     """
-    u, v = mutually_distant_pair(g, delta)
+    u, v = mutually_distant_pair(dm, delta)
     mid = _midpoint(g, dm, u, v)
     radius = max((delta * 2).floor(), 0)
     ok = bool(intercepted_pairs(g, dm, Ball(mid, radius), beam_pairs(dm)).all())
@@ -110,7 +110,7 @@ def structural_checks(g: Graph, dm: DistanceMatrix, delta: HalfInt) -> Structura
     """Evaluate diam >= 2*rad - 2*delta - 1 and C(G) inside B(m, 4*delta + 1)
     with the supplied thin-triangle constant, m being the beam-core midpoint."""
     prof = eccentricity_profile(dm)
-    u, v = mutually_distant_pair(g, delta)
+    u, v = mutually_distant_pair(dm, delta)
     mid = _midpoint(g, dm, u, v)
     diam_rad_holds = prof.diameter >= 2 * prof.radius - delta * 2 - 1
     max_center_distance = max(int(dm.d[mid, c]) for c in prof.center)

@@ -8,6 +8,7 @@ or structural check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -319,7 +320,10 @@ def _add_delta_flag(sub):
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on first use and kept: building costs far more than one parse,
+    # and parsing leaves the parser unchanged
     parser = _Parser(prog="hypercore", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed recorded in reports")
     parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
@@ -341,8 +345,9 @@ def _build_parser() -> _Parser:
         "--exact-cap",
         type=int,
         default=400,
-        help="largest n for the exhaustive quadruple scan; above it the "
-        "constant is a seeded sampled lower bound",
+        help="largest biconnected block, in vertices, for the exhaustive quadruple "
+        "scan (blocks under four vertices and complete blocks need none); above "
+        "it the constant is a seeded sampled lower bound",
     )
 
     p = subs.add_parser("core", help="minimum-radius interception core of a profile")

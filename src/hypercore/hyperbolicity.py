@@ -1,5 +1,5 @@
 """Four-point hyperbolicity, interval thinness, eccentricity machinery, and
-the iterated-BFS search for a mutually distant vertex pair.
+the iterated furthest-vertex search for a mutually distant vertex pair.
 
 The four-point constant is measured exactly up to a configurable size, by a
 scan over far-apart vertex pairs in decreasing-distance order (Cohen, Coudert
@@ -7,6 +7,24 @@ and Lancin, *On computing the Gromov hyperbolicity*, ACM JEA 2015).
 Statements proved for graphs whose geodesic triangles are d-thin are
 asserted downstream with the substitution d := 4 * delta4, which is always
 valid; the measured delta4 itself is reported alongside.
+
+Both scans run block by block over the biconnected components, which is
+exact (the same paper states the reduction for the four-point constant):
+
+- A block B is convex in G: a geodesic between two vertices of B that left
+  B would have to leave and re-enter through the same cut vertex.  So B is
+  isometric in G, its distances are the submatrix of G's, and intervals
+  between vertices of B are the same in B and in G.
+- Every quadruple's defect is at most the largest defect of a quadruple
+  inside one block, and every layer {x in I(u,v) : d(u,x) = r} of an
+  interval of G is a layer of one block's interval: all (u,v)-geodesics
+  pass through the same cut vertices at the same distances from u, so the
+  layer lies in the interval, inside one block, between the two cut
+  vertices (or u, or v) that bracket distance r.
+- Hence delta(G) and the interval thinness of G are the maxima over the
+  blocks.  A block with at most three vertices, or a complete one, has
+  delta 0 and thinness 0 and is never scanned, so a tree costs only the
+  block split.
 """
 
 from __future__ import annotations
@@ -16,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, bfs_distances
+from .graphs import DistanceMatrix
 from .halfint import HalfInt
 
 FOUR_POINT_EXACT_CAP = 400
@@ -95,6 +113,112 @@ def far_apart_pairs(dm: DistanceMatrix) -> np.ndarray:
     return np.stack([heads[order], tails[order]], axis=1)
 
 
+def biconnected_blocks(dm: DistanceMatrix) -> list[np.ndarray]:
+    """Vertex sets of the biconnected components (blocks), each a sorted
+    int64 array, by an iterative Hopcroft-Tarjan depth-first search.
+
+    Adjacency is read from the matrix as d == 1.  Every edge lies in exactly
+    one block, so a bridge is a two-vertex block and a one-vertex graph has
+    none; the cut vertices are those in more than one block.
+    """
+    n = dm.n
+    heads, tails = np.nonzero(dm.d == 1)
+    starts = np.searchsorted(heads, np.arange(n + 1)).tolist()
+    tails = tails.tolist()
+    disc = [-1] * n
+    low = [0] * n
+    at = [0] * n  # position of each vertex on the open stack
+    blocks = []
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        open_ = [root]  # visited vertices whose last block is not closed yet
+        path = [root]
+        cursor = [starts[root]]  # next adjacency slot of each path vertex
+        while path:
+            v = path[-1]
+            i = cursor[-1]
+            if i < starts[v + 1]:
+                cursor[-1] = i + 1
+                w = tails[i]
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    at[w] = len(open_)
+                    open_.append(w)
+                    path.append(w)
+                    cursor.append(starts[w])
+                elif disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            path.pop()
+            cursor.pop()
+            if not path:
+                break
+            p = path[-1]
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if low[v] >= disc[p]:
+                # nothing below v reaches above p: p and v's open subtree
+                # form one block
+                blocks.append(np.sort(np.array(open_[at[v] :] + [p], dtype=np.int64)))
+                del open_[at[v] :]
+    return blocks
+
+
+def _scanned_blocks(dm: DistanceMatrix) -> list[tuple[np.ndarray, DistanceMatrix, int]]:
+    """(vertices, distances, diameter) of every block with at least four
+    vertices that is not complete, by decreasing diameter.
+
+    The other blocks have delta 0 and thinness 0.  A block is isometric in
+    G, so its distances are a submatrix of G's (G's own matrix when the
+    block is all of G).
+    """
+    out = []
+    for blk in biconnected_blocks(dm):
+        if len(blk) < 4:
+            continue
+        sub = dm if len(blk) == dm.n else DistanceMatrix(dm.d[np.ix_(blk, blk)])
+        diam = int(sub.d.max())
+        if diam > 1:
+            out.append((blk, sub, diam))
+    out.sort(key=lambda item: -item[2])
+    return out
+
+
+def _within_cap(blocks, exact_cap: int) -> bool:
+    return max((len(blk) for blk, _, _ in blocks), default=0) <= exact_cap
+
+
+def _block_scans(
+    blocks, *, four_point: bool = True, thinness: bool = True
+) -> tuple[FourPointResult, int]:
+    """Exact four-point constant (witness in G's ids) and interval
+    thinness, as maxima over ``_scanned_blocks``; either can be left out,
+    and then reads 0.
+
+    Each block's scans start from the best values so far, so their stop
+    rules skip a block whose diameter cannot raise them; in decreasing
+    diameter the loop ends at the first block that can raise neither.  The
+    far-apart pair list is built once per block and shared.
+    """
+    best, quad, nu = 0, (0, 0, 0, 0), 0
+    for blk, sub, diam in blocks:
+        if not (four_point and diam > best or thinness and diam > nu):
+            break
+        pairs = far_apart_pairs(sub)
+        if four_point:
+            val, q = _four_point_scan(sub, pairs, best)
+            if val > best:
+                best, quad = val, tuple(int(blk[x]) for x in q)
+        if thinness:
+            nu = _thinness_scan(sub, pairs, nu)
+    return FourPointResult(HalfInt.from_doubled(best), quad, True), nu
+
+
 def four_point_delta(
     dm: DistanceMatrix,
     *,
@@ -105,28 +229,39 @@ def four_point_delta(
     """Smallest delta such that, over every vertex quadruple, the two largest
     of the three pairwise distance sums differ by at most 2*delta.
 
-    Up to ``exact_cap`` vertices the result is exact, with a maximizing
-    witness quadruple ((0, 0, 0, 0) when delta is 0).  The scan pairs up
-    far-apart pairs only (``far_apart_pairs``), taken in decreasing
-    distance, and evaluates each pair p against every earlier pair q as
-    D_p + D_q - max(S2, S3) in int32 (Cohen, Coudert and Lancin, ACM JEA
-    2015).  Both reductions are exact:
+    The constant is the maximum over the biconnected blocks (module
+    docstring), and only blocks with at least four vertices that are not
+    complete are scanned.  When none of them has more than ``exact_cap``
+    vertices the result is exact, with a maximizing witness quadruple in
+    G's ids ((0, 0, 0, 0) when delta is 0); a tree of any size is exact.
+    Within a block the scan pairs up far-apart pairs only
+    (``far_apart_pairs``), taken in decreasing distance, and evaluates each
+    pair p against every earlier pair q as D_p + D_q - max(S2, S3) in int32
+    (Cohen, Coudert and Lancin, ACM JEA 2015).  Both reductions are exact:
 
     - Some maximizer has both pairs of its largest-sum pairing far-apart:
       moving a to a farther neighbour raises S1 by exactly 1 and S2, S3 by
       at most 1, so the defect does not drop.
     - A quadruple's doubled defect is at most the distance of the later
       (shorter) pair of its largest-sum pairing, because S2 + S3 is at least
-      twice the longer one by the triangle inequality; so the scan stops
-      once D_p <= the best doubled defect found.
+      twice the longer one by the triangle inequality; so a scan stops
+      once D_p <= the best doubled defect found, in its own block or an
+      earlier one.
 
-    Above the cap a seeded random sample of quadruples is evaluated instead
-    and the result is a lower bound, flagged by ``exact=False``.
+    When a scanned block exceeds the cap, a seeded random sample of
+    quadruples of G is evaluated instead and the result is a lower bound,
+    flagged by ``exact=False``.
     """
-    n = dm.n
-    if n <= exact_cap:
-        return _four_point_scan(dm, far_apart_pairs(dm))
+    blocks = _scanned_blocks(dm)
+    if _within_cap(blocks, exact_cap):
+        return _block_scans(blocks, thinness=False)[0]
+    return _sampled_four_point(dm, samples, seed)
 
+
+def _sampled_four_point(dm: DistanceMatrix, samples: int, seed: int) -> FourPointResult:
+    """Largest defect over a seeded random sample of quadruples: a lower
+    bound, flagged by ``exact=False``."""
+    n = dm.n
     rng = random.Random(seed)
     best = 0
     best_quad = (0, 0, 0, 0)
@@ -144,12 +279,16 @@ def four_point_delta(
     return FourPointResult(HalfInt.from_doubled(best), best_quad, False)
 
 
-def _four_point_scan(dm: DistanceMatrix, pairs: np.ndarray) -> FourPointResult:
-    """The exact scan of ``four_point_delta`` over the given far-apart pairs."""
+def _four_point_scan(
+    dm: DistanceMatrix, pairs: np.ndarray, best: int
+) -> tuple[int, tuple[int, int, int, int]]:
+    """The exact scan of ``four_point_delta`` over the given far-apart pairs,
+    started from a doubled defect ``best`` already found: the largest
+    doubled defect and a quadruple reaching it, or ``best`` and
+    (0, 0, 0, 0) when no quadruple beats it."""
     d = dm.d.astype(np.int32)
     a, b = pairs[:, 0], pairs[:, 1]
     dist = d[a, b]
-    best = 0
     best_quad = (0, 0, 0, 0)
     i = 0
     while i < len(dist) and int(dist[i]) > best:
@@ -171,7 +310,7 @@ def _four_point_scan(dm: DistanceMatrix, pairs: np.ndarray) -> FourPointResult:
             best = val
             best_quad = (int(a[i + r]), int(b[i + r]), int(a[k]), int(b[k]))
         i = j
-    return FourPointResult(HalfInt.from_doubled(best), best_quad, True)
+    return best, best_quad
 
 
 def thin_delta_bound(delta4: HalfInt) -> HalfInt:
@@ -186,38 +325,49 @@ def thin_delta_bound(delta4: HalfInt) -> HalfInt:
 def interval_thinness(dm: DistanceMatrix) -> int:
     """Largest d(x,y) over x,y in I(u,v) equidistant from u, over all u,v.
 
-    Only far-apart pairs (u, v) are visited (``far_apart_pairs``), in
-    decreasing distance, as in the four-point scan of Cohen, Coudert and
-    Lancin (ACM JEA 2015).  Both reductions are exact:
+    Each such layer of an interval lies in one block's interval (module
+    docstring), so the thinness is the maximum over the biconnected blocks,
+    and only blocks with at least four vertices that are not complete are
+    scanned; it is always exact.  Within a block only far-apart pairs
+    (u, v) are visited (``far_apart_pairs``), in decreasing distance, as in
+    the four-point scan of Cohen, Coudert and Lancin (ACM JEA 2015).  Both
+    reductions are exact:
 
     - If v has a neighbour v' farther from u, then I(u,v) is contained in
       I(u,v') with the same distance layers from u; symmetrically for u,
       since equidistance from u within I(u,v) is equidistance from v.
     - x, y at distance r from u in I(u,v) have d(x,y) <= 2 * min(r,
-      d(u,v) - r) <= d(u,v), so the scan stops once d(u,v) <= the best
-      value found.
+      d(u,v) - r) <= d(u,v), so a scan stops once d(u,v) <= the best
+      value found, in its own block or an earlier one.
     """
-    return _thinness_scan(dm, far_apart_pairs(dm))
+    return _block_scans(_scanned_blocks(dm), four_point=False)[1]
 
 
-def _thinness_scan(dm: DistanceMatrix, pairs: np.ndarray) -> int:
-    """The scan of ``interval_thinness`` over the given far-apart pairs."""
+def _thinness_scan(dm: DistanceMatrix, pairs: np.ndarray, nu: int) -> int:
+    """The scan of ``interval_thinness`` over the given far-apart pairs,
+    started from a thinness ``nu`` already found."""
     d = dm.d
-    nu = 0
     # a chunk at a time: a Python list of every pair would outweigh d itself
     for start in range(0, len(pairs), 4096):
         for u, v in pairs[start : start + 4096].tolist():
-            if d[u, v] <= nu:
+            duv = d[u, v]
+            if duv <= nu:
                 return nu
             du = d[u]
-            iv = np.flatnonzero(du + d[v] == d[u, v])
+            iv = np.flatnonzero(du + d[v] == duv)
             ranks = du[iv]
-            for r in np.unique(ranks):
-                grp = iv[ranks == r]
-                if len(grp) >= 2:
-                    spread = int(d[np.ix_(grp, grp)].max())
-                    if spread > nu:
-                        nu = spread
+            order = np.argsort(ranks)
+            iv, ranks = iv[order], ranks[order]
+            # pair each member with every member of its layer, one gather of
+            # sum(layer size ** 2) entries: member p's partners are the
+            # size[p] entries of iv from its layer's first index, first[p]
+            size = np.bincount(ranks)[ranks]
+            first = np.searchsorted(ranks, ranks)
+            ends = np.cumsum(size)
+            partner = np.arange(int(ends[-1])) - np.repeat(ends - size - first, size)
+            spread = int(d[np.repeat(iv, size), iv[partner]].max())
+            if spread > nu:
+                nu = spread
     return nu
 
 
@@ -238,9 +388,9 @@ def furthest_set(dm: DistanceMatrix, x: int) -> list[int]:
     return np.flatnonzero(row == row.max()).tolist()
 
 
-def mutually_distant_pair(g: Graph, delta: HalfInt) -> tuple[int, int]:
+def mutually_distant_pair(dm: DistanceMatrix, delta: HalfInt) -> tuple[int, int]:
     """A pair u, v with u in P(v) and v in P(u), by iterated furthest-vertex
-    BFS from vertex 0.
+    search from vertex 0 over the rows of the distance matrix.
 
     Each round replaces the current vertex by its smallest-id furthest
     vertex; the pair distance strictly increases on every failed check, so
@@ -248,17 +398,16 @@ def mutually_distant_pair(g: Graph, delta: HalfInt) -> tuple[int, int]:
     at most floor(2*delta) + 2 rounds.  The budget is capped at n as a
     safety net; exhausting it means delta was underestimated.
     """
+    d = dm.d
     budget = (2 * delta).floor() + 2
-    budget = max(2, min(budget, g.n))
+    budget = max(2, min(budget, dm.n))
     prev = 0
-    row = bfs_distances(g, prev)
-    ecc = max(row)
-    cur = row.index(ecc)
+    cur = int(d[prev].argmax())  # argmax takes the first, smallest-id maximum
     steps = 1
     while True:
-        row = bfs_distances(g, cur)
-        ecc = max(row)
-        if row[prev] == ecc:
+        row = d[cur]
+        nxt = int(row.argmax())
+        if row[prev] == row[nxt]:
             return (prev, cur)
         steps += 1
         if steps > budget:
@@ -266,7 +415,7 @@ def mutually_distant_pair(g: Graph, delta: HalfInt) -> tuple[int, int]:
                 f"furthest-vertex iteration did not stabilize within {budget} rounds; "
                 f"is delta={delta} an underestimate of the four-point constant?"
             )
-        prev, cur = cur, row.index(ecc)
+        prev, cur = cur, nxt
 
 
 def hyperbolicity_report(
@@ -278,19 +427,22 @@ def hyperbolicity_report(
 ) -> HyperbolicityReport:
     """Bundle the four-point scan with thinness and eccentricity data.
 
-    The far-apart pair list is built once and shared by both scans.
+    Both scans run block by block over the same blocks, sharing each
+    block's far-apart pair list.  Above the cap the four-point constant is
+    sampled as in ``four_point_delta``; the thinness stays exact.
     """
-    pairs = far_apart_pairs(dm)
-    if dm.n <= exact_cap:
-        fp = _four_point_scan(dm, pairs)
+    blocks = _scanned_blocks(dm)
+    if _within_cap(blocks, exact_cap):
+        fp, nu = _block_scans(blocks)
     else:
-        fp = four_point_delta(dm, exact_cap=exact_cap, samples=samples, seed=seed)
+        fp = _sampled_four_point(dm, samples, seed)
+        nu = _block_scans(blocks, four_point=False)[1]
     prof = eccentricity_profile(dm)
     return HyperbolicityReport(
         delta=fp.delta,
         witness=fp.witness,
         exact=fp.exact,
-        interval_thinness=_thinness_scan(dm, pairs),
+        interval_thinness=nu,
         diameter=prof.diameter,
         radius=prof.radius,
         center=prof.center,

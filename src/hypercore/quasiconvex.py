@@ -195,7 +195,8 @@ def greedy_hit_pack(
         raise ValueError(f"negative packing gap {r}")
     d = dm.d
     sets = family.sets
-    dists = [int(d[z, list(s.members)].min()) for s in sets]
+    members = [list(s.members) for s in sets]
+    dists = [int(d[z, ms].min()) for ms in members]
     remaining = list(range(len(sets)))
     hitting: list[int] = []
     packing: list[int] = []
@@ -204,11 +205,8 @@ def greedy_hit_pack(
         c = project_toward(dm, g, z, sets[pick].members, r)
         hitting.append(c)
         packing.append(pick)
-        remaining = [
-            j
-            for j in remaining
-            if j != pick and set_distance(dm, sets[j].members, sets[pick].members) > 2 * r
-        ]
+        near = d[members[pick]].min(axis=0)  # distance of every vertex to the pick
+        remaining = [j for j in remaining if j != pick and int(near[members[j]].min()) > 2 * r]
     hit_radius = covering_radius(r, family.family_epsilon, delta).floor()
     return HitPackResult(
         hitting_set=tuple(hitting),
@@ -232,13 +230,15 @@ def check_hit_pack(
     of ``hitting``; packing holds when the members indexed by ``packing`` are
     pairwise more than 2*pack_gap apart.
     """
-    rows = dm.d[list(hitting)]
+    d = dm.d
+    rows = d[list(hitting)]
     hit_ok = all(int(rows[:, list(ms)].min()) <= hit_radius for ms in members)
-    pack_ok = all(
-        set_distance(dm, members[a], members[b]) > 2 * pack_gap
-        for i, a in enumerate(packing)
-        for b in packing[i + 1 :]
-    )
+    pack_ok = True
+    for i, a in enumerate(packing[:-1]):
+        near = d[list(members[a])].min(axis=0)  # distance of every vertex to member a
+        if any(int(near[list(members[b])].min()) <= 2 * pack_gap for b in packing[i + 1 :]):
+            pack_ok = False
+            break
     return hit_ok, pack_ok
 
 

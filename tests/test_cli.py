@@ -10,6 +10,7 @@ import pytest
 import hypercore
 import hypercore.cli
 
+from hypercore import Graph
 from hypercore.cli import run_cli
 from hypercore.fileio import (
     read_edge_list,
@@ -188,10 +189,10 @@ def test_multicore_cli(tmp_path, capsys):
     assert rep["size"] == 2
 
 
-def _delta_command_argv(tmp_path, command, radius=0):
-    """argv for one delta-using subcommand on the 9-vertex path; ``radius``
-    is the kappa --r and the multicore --radius."""
-    path = write_graph(tmp_path, path_graph(9))
+def _delta_command_argv(tmp_path, command, radius=0, graph=None):
+    """argv for one delta-using subcommand on ``graph``, by default the
+    9-vertex path; ``radius`` is the kappa --r and the multicore --radius."""
+    path = write_graph(tmp_path, path_graph(9) if graph is None else graph)
     fam = tmp_path / "fam.json"
     if command == "kappa":
         fam.write_text(json.dumps([{"name": "m", "parts": [["v0"], ["v8"]]}]), encoding="utf-8")
@@ -227,18 +228,20 @@ def test_delta_four_point_reported_last(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", DELTA_COMMANDS)
 def test_sampled_delta_certifies_from_half_diameter(tmp_path, capsys, monkeypatch, command):
-    # with the exact cap below n the four-point constant is a sampled lower
-    # bound (0 on a path), so the certified constant comes from
+    # the 9-vertex path with a 4-cycle v0 v1 v2 v9 at one end: that block
+    # exceeds an exact cap of 3, so the four-point constant is a sampled
+    # lower bound (here the true 1), and the certified constant comes from
     # delta <= diam/2 = 4 instead; the radii meet multicore's r >= 8*delta
     # and kappa's r >= eps + 2*delta
     sampled = functools.partial(hypercore.cli.four_point_delta, exact_cap=3)
     monkeypatch.setattr(hypercore.cli, "four_point_delta", sampled)
     radius = {"multicore": 128, "kappa": 32}.get(command, 0)
-    code, rep, err = run_json(capsys, _delta_command_argv(tmp_path, command, radius))
+    graph = Graph(10, [*path_graph(9).edges(), (0, 9), (2, 9)])
+    code, rep, err = run_json(capsys, _delta_command_argv(tmp_path, command, radius, graph))
     assert code == 0
     assert list(rep)[-2:] == ["delta_four_point", "delta_exact"]
     assert rep["delta_exact"] is False
-    assert rep["delta_four_point"] == {"value": 0.0, "doubled": 0}
+    assert rep["delta_four_point"] == {"value": 1.0, "doubled": 2}
     assert rep["delta"] == {"value": 16.0, "doubled": 32}
 
 

@@ -1,13 +1,16 @@
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercore import (
     FourPointResult,
     Graph,
     HalfInt,
+    biconnected_blocks,
     distance_matrix,
     eccentricity_profile,
     far_apart_pairs,
@@ -28,7 +31,7 @@ from hypercore.generators import (
     star_path_graph,
 )
 from oracles import naive_four_point_delta_doubled, naive_interval_thinness
-from strategies import connected_graphs
+from strategies import connected_graphs, glued_blocks
 
 
 def test_trees_are_zero_hyperbolic():
@@ -124,11 +127,11 @@ def test_furthest_set_examples():
 
 
 def test_mutually_distant_pair_path_and_tree():
-    assert mutually_distant_pair(path_graph(5), HalfInt(0)) == (0, 4)
+    assert mutually_distant_pair(distance_matrix(path_graph(5)), HalfInt(0)) == (0, 4)
     for seed in range(4):
         g = random_tree(20, seed)
         dm = distance_matrix(g)
-        u, v = mutually_distant_pair(g, HalfInt(0))
+        u, v = mutually_distant_pair(dm, HalfInt(0))
         assert dm.dist(u, v) == int(dm.d.max())  # double BFS finds tree diameter
 
 
@@ -136,7 +139,7 @@ def test_mutually_distant_pair_contract_on_random_graph():
     g = gnp_connected(30, 0.15, 7)
     dm = distance_matrix(g)
     delta = four_point_delta(dm).delta
-    u, v = mutually_distant_pair(g, delta)
+    u, v = mutually_distant_pair(dm, delta)
     assert v in furthest_set(dm, u)
     assert u in furthest_set(dm, v)
     assert dm.dist(u, v) >= int(dm.d.max()) - (delta * 2)
@@ -145,11 +148,10 @@ def test_mutually_distant_pair_contract_on_random_graph():
 def test_mutually_distant_pair_cap_error():
     # this instance needs a third improvement round, which delta=0 forbids;
     # the true constant admits it
-    g = gnp_connected(25, 0.1, 1)
+    dm = distance_matrix(gnp_connected(25, 0.1, 1))
     with pytest.raises(ValueError, match="stabilize"):
-        mutually_distant_pair(g, HalfInt(0))
-    dm = distance_matrix(g)
-    u, v = mutually_distant_pair(g, four_point_delta(dm).delta)
+        mutually_distant_pair(dm, HalfInt(0))
+    u, v = mutually_distant_pair(dm, four_point_delta(dm).delta)
     assert v in furthest_set(dm, u) and u in furthest_set(dm, v)
 
 
@@ -157,7 +159,7 @@ def test_single_vertex_graph():
     g = Graph(1, [])
     dm = distance_matrix(g)
     assert four_point_delta(dm).delta == 0
-    assert mutually_distant_pair(g, HalfInt(0)) == (0, 0)
+    assert mutually_distant_pair(dm, HalfInt(0)) == (0, 0)
 
 
 def test_thin_delta_bound():
@@ -192,8 +194,8 @@ def check_far_apart_pairs(g, dm):
     assert dists == sorted(dists, reverse=True)
 
 
-@settings(max_examples=200, deadline=None)
-@given(connected_graphs())
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(connected_graphs(), glued_blocks()))
 def test_far_apart_scans_match_oracles(g):
     dm = distance_matrix(g)
     check_far_apart_pairs(g, dm)
@@ -203,7 +205,11 @@ def test_far_apart_scans_match_oracles(g):
     assert four_point_defect(dm, res.witness) == res.delta
     if res.delta == 0:
         assert res.witness == (0, 0, 0, 0)
-    assert interval_thinness(dm) == naive_interval_thinness(dm)
+    thin = naive_interval_thinness(dm)
+    assert interval_thinness(dm) == thin
+    rep = hyperbolicity_report(dm)
+    assert (rep.delta, rep.exact, rep.interval_thinness) == (res.delta, True, thin)
+    assert four_point_defect(dm, rep.witness) == rep.delta
 
 
 def test_pruned_scan_matches_bruteforce_beyond_one_block():
@@ -265,3 +271,33 @@ def test_far_apart_beyond_one_neighbour_chunk():
     dm = distance_matrix(g)
     check_far_apart_pairs(g, dm)
     assert [0, 71] not in far_apart_pairs(dm).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(glued_blocks(), connected_graphs()))
+def test_blocks_match_networkx(g):
+    want = nx.Graph(list(g.edges()))
+    want.add_nodes_from(range(g.n))
+    expected = sorted(sorted(c) for c in nx.biconnected_components(want))
+    assert sorted(blk.tolist() for blk in biconnected_blocks(distance_matrix(g))) == expected
+
+
+def test_large_tree_is_exact_at_default_cap():
+    dm = distance_matrix(random_tree(1000, 3))
+    rep = hyperbolicity_report(dm)
+    assert rep.exact and rep.delta == 0 and rep.interval_thinness == 0
+    assert rep.witness == (0, 0, 0, 0)
+
+
+def test_exact_cap_counts_the_largest_block():
+    # an 8-cycle with a 30-vertex path hanging off vertex 0: n = 38, and the
+    # only block that is scanned is the cycle
+    g = Graph(38, [*cycle_graph(8).edges(), (0, 8), *((v, v + 1) for v in range(8, 37))])
+    dm = distance_matrix(g)
+    exact = four_point_delta(dm, exact_cap=8)
+    assert exact.exact and exact.delta.doubled == naive_four_point_delta_doubled(dm) == 4
+    sampled = four_point_delta(dm, exact_cap=7, samples=2000, seed=1)
+    assert not sampled.exact and sampled.delta <= exact.delta
+    rep = hyperbolicity_report(dm, exact_cap=7, samples=2000, seed=1)
+    assert not rep.exact and rep.delta == sampled.delta
+    assert rep.interval_thinness == interval_thinness(dm) == naive_interval_thinness(dm)
