@@ -69,18 +69,14 @@ def _load_graph(args):
 def _thin_delta(args, dm) -> HalfInt:
     """Thin-triangle constant to certify with.
 
-    Without --delta it is certified from the four-point constant, which is
-    recorded in ``args.four_point`` for the report.  A sampled constant is
-    only a lower bound, so then it is certified from delta <= diam/2
-    instead: a doubled defect is at most the shorter pair's distance.
+    Without --delta it is certified from the upper end of the four-point
+    bracket, which is recorded in ``args.four_point`` for the report.
     """
     if args.delta is not None:
         return _parse_halfint(args.delta)
-    fp = four_point_delta(dm, seed=args.seed)
+    fp = four_point_delta(dm)
     args.four_point = fp
-    if fp.exact:
-        return thin_delta_bound(fp.delta)
-    return thin_delta_bound(HalfInt.from_doubled(int(dm.d.max())))
+    return thin_delta_bound(fp.upper)
 
 
 def _base_vertex(args, table) -> int:
@@ -108,19 +104,21 @@ def _cmd_generate(args):
 
 def _cmd_hyperbolicity(args):
     g, dm, table = _load_graph(args)
-    rep = hyperbolicity_report(dm, exact_cap=args.exact_cap, seed=args.seed)
+    rep = hyperbolicity_report(dm)
+    delta = f"delta = {rep.delta} (exact)" if rep.exact else f"delta in [{rep.delta}, {rep.upper}]"
     print(
-        f"delta = {rep.delta} ({'exact' if rep.exact else 'sampled lower bound'}), "
-        f"interval thinness = {rep.interval_thinness}, "
+        f"{delta}, interval thinness = {rep.interval_thinness}, "
         f"diameter = {rep.diameter}, radius = {rep.radius}, "
         f"|center| = {len(rep.center)}",
         file=sys.stderr,
     )
+    upper = {} if rep.exact else {"delta_upper": _halfint_json(rep.upper)}
     return {
         "n": g.n,
         "m": g.m,
         "delta": _halfint_json(rep.delta),
         "exact": rep.exact,
+        **upper,
         "witness": table.labels_of(rep.witness),
         "interval_thinness": rep.interval_thinness,
         "diameter": rep.diameter,
@@ -316,7 +314,7 @@ def _add_delta_flag(sub):
         "--delta",
         default=None,
         help="thin-triangle constant override (integer or half-integer); "
-        "default is 4x the measured four-point constant",
+        "default is 4x the upper end of the measured four-point bracket",
     )
 
 
@@ -341,14 +339,6 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("hyperbolicity", help="four-point constant and eccentricity report")
     _add_graph_flags(p)
-    p.add_argument(
-        "--exact-cap",
-        type=int,
-        default=400,
-        help="largest biconnected block, in vertices, for the exhaustive quadruple "
-        "scan (blocks under four vertices and complete blocks need none); above "
-        "it the constant is a seeded sampled lower bound",
-    )
 
     p = subs.add_parser("core", help="minimum-radius interception core of a profile")
     _add_graph_flags(p)

@@ -367,11 +367,11 @@ def descend_geodesic(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> lis
     """
     _check_vertex(g.n, start, "start")
     _check_vertex(g.n, goal, "goal")
-    d = dm.d
+    to_goal = dm.d[:, goal].tolist()
     path = [start]
     cur = start
     while cur != goal:
-        target = int(d[cur, goal]) - 1
-        cur = min(w for w in g.adjacency[cur] if d[w, goal] == target)
+        target = to_goal[cur] - 1
+        cur = min(w for w in g.adjacency[cur] if to_goal[w] == target)
         path.append(cur)
     return path

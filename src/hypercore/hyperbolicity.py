@@ -1,11 +1,14 @@
 """Four-point hyperbolicity, interval thinness, eccentricity machinery, and
 the iterated furthest-vertex search for a mutually distant vertex pair.
 
-The four-point constant is measured exactly up to a configurable size, by a
-scan over far-apart vertex pairs in decreasing-distance order (Cohen, Coudert
-and Lancin, *On computing the Gromov hyperbolicity*, ACM JEA 2015).
+The four-point constant is measured by a scan over far-apart vertex pairs in
+decreasing-distance order (Cohen, Coudert and Lancin, *On computing the
+Gromov hyperbolicity*, ACM JEA 2015) under a fixed work budget,
+``FOUR_POINT_BUDGET`` pair comparisons per call.  The scan's stop rule bounds
+every quadruple it has not reached, so wherever the budget runs out the
+result is a certified bracket [delta, upper], exact when the two meet.
 Statements proved for graphs whose geodesic triangles are d-thin are
-asserted downstream with the substitution d := 4 * delta4, which is always
+asserted downstream with the substitution d := 4 * upper, which is always
 valid; the measured delta4 itself is reported alongside.
 
 Both scans run block by block over the biconnected components, which is
@@ -29,7 +32,6 @@ exact (the same paper states the reduction for the four-point constant):
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +39,22 @@ import numpy as np
 from .graphs import DistanceMatrix
 from .halfint import HalfInt
 
-FOUR_POINT_EXACT_CAP = 400
+# pair comparisons one four-point measurement may spend, summed over blocks
+FOUR_POINT_BUDGET = 2**26
 
 
 @dataclass(frozen=True)
 class FourPointResult:
+    """delta is the lower end of the bracket, reached by the witness
+    quadruple; upper bounds the four-point constant from above."""
+
     delta: HalfInt
     witness: tuple[int, int, int, int]
-    exact: bool
+    upper: HalfInt
+
+    @property
+    def exact(self) -> bool:
+        return self.delta == self.upper
 
 
 @dataclass(frozen=True)
@@ -59,11 +69,15 @@ class EccentricityProfile:
 class HyperbolicityReport:
     delta: HalfInt
     witness: tuple[int, int, int, int]
-    exact: bool
+    upper: HalfInt
     interval_thinness: int
     diameter: int
     radius: int
     center: tuple[int, ...]
+
+    @property
+    def exact(self) -> bool:
+        return self.delta == self.upper
 
 
 def four_point_defect(dm: DistanceMatrix, quad: tuple[int, int, int, int]) -> HalfInt:
@@ -189,52 +203,52 @@ def _scanned_blocks(dm: DistanceMatrix) -> list[tuple[np.ndarray, DistanceMatrix
     return out
 
 
-def _within_cap(blocks, exact_cap: int) -> bool:
-    return max((len(blk) for blk, _, _ in blocks), default=0) <= exact_cap
-
-
 def _block_scans(
     blocks, *, four_point: bool = True, thinness: bool = True
 ) -> tuple[FourPointResult, int]:
-    """Exact four-point constant (witness in G's ids) and interval
-    thinness, as maxima over ``_scanned_blocks``; either can be left out,
-    and then reads 0.
+    """Four-point bracket (witness in G's ids) and exact interval thinness,
+    as maxima over ``_scanned_blocks``; either can be left out, and then
+    reads 0.
 
     Each block's scans start from the best values so far, so their stop
     rules skip a block whose diameter cannot raise them; in decreasing
     diameter the loop ends at the first block that can raise neither.  The
-    far-apart pair list is built once per block and shared.
+    far-apart pair list is built once per block and shared.  The four-point
+    scans share one budget of ``FOUR_POINT_BUDGET`` comparisons; when it
+    runs out, the unscanned rest of that block is bounded by the distance
+    of its first unscanned row, and every later block by its diameter, of
+    which the next block's is the largest.
     """
     best, quad, nu = 0, (0, 0, 0, 0), 0
+    rest = 0  # doubled-defect bound on what the budget left unscanned, or 0
+    budget = FOUR_POINT_BUDGET
     for blk, sub, diam in blocks:
+        if rest:
+            rest = max(rest, diam)
+            four_point = False
         if not (four_point and diam > best or thinness and diam > nu):
             break
         pairs = far_apart_pairs(sub)
         if four_point:
-            val, q = _four_point_scan(sub, pairs, best)
+            val, q, budget, rest = _four_point_scan(sub, pairs, best, budget)
             if val > best:
                 best, quad = val, tuple(int(blk[x]) for x in q)
         if thinness:
             nu = _thinness_scan(sub, pairs, nu)
-    return FourPointResult(HalfInt.from_doubled(best), quad, True), nu
+    fp = FourPointResult(HalfInt.from_doubled(best), quad, HalfInt.from_doubled(max(best, rest)))
+    return fp, nu
 
 
-def four_point_delta(
-    dm: DistanceMatrix,
-    *,
-    exact_cap: int = FOUR_POINT_EXACT_CAP,
-    samples: int = 200_000,
-    seed: int = 0,
-) -> FourPointResult:
-    """Smallest delta such that, over every vertex quadruple, the two largest
-    of the three pairwise distance sums differ by at most 2*delta.
+def four_point_delta(dm: DistanceMatrix) -> FourPointResult:
+    """Bracket on the smallest delta such that, over every vertex quadruple,
+    the two largest of the three pairwise distance sums differ by at most
+    2*delta.
 
     The constant is the maximum over the biconnected blocks (module
     docstring), and only blocks with at least four vertices that are not
-    complete are scanned.  When none of them has more than ``exact_cap``
-    vertices the result is exact, with a maximizing witness quadruple in
-    G's ids ((0, 0, 0, 0) when delta is 0); a tree of any size is exact.
-    Within a block the scan pairs up far-apart pairs only
+    complete are scanned, in decreasing diameter.  The lower end ``delta``
+    comes with a quadruple reaching it in G's ids ((0, 0, 0, 0) when it is
+    0).  Within a block the scan pairs up far-apart pairs only
     (``far_apart_pairs``), taken in decreasing distance, and evaluates each
     pair p against every earlier pair q as D_p + D_q - max(S2, S3) in int32
     (Cohen, Coudert and Lancin, ACM JEA 2015).  Both reductions are exact:
@@ -248,44 +262,29 @@ def four_point_delta(
       once D_p <= the best doubled defect found, in its own block or an
       earlier one.
 
-    When a scanned block exceeds the cap, a seeded random sample of
-    quadruples of G is evaluated instead and the result is a lower bound,
-    flagged by ``exact=False``.
+    The scans of one call spend at most ``FOUR_POINT_BUDGET`` pair
+    comparisons, counted as (j - i) * j for a block of rows i..j-1.  If the
+    next block of rows would exceed it, the scan stops before row i, and by
+    the same two facts every quadruple not yet compared has doubled defect
+    at most max(D_i, the diameter of the next block).  ``upper`` is that
+    bound or the lower end, whichever is larger, and ``exact`` holds when
+    the two ends meet, as they do whenever the scan finishes; a tree of
+    any size needs no scan and is exact.
     """
-    blocks = _scanned_blocks(dm)
-    if _within_cap(blocks, exact_cap):
-        return _block_scans(blocks, thinness=False)[0]
-    return _sampled_four_point(dm, samples, seed)
-
-
-def _sampled_four_point(dm: DistanceMatrix, samples: int, seed: int) -> FourPointResult:
-    """Largest defect over a seeded random sample of quadruples: a lower
-    bound, flagged by ``exact=False``."""
-    n = dm.n
-    rng = random.Random(seed)
-    best = 0
-    best_quad = (0, 0, 0, 0)
-    for _ in range(samples):
-        quad = (
-            rng.randrange(n),
-            rng.randrange(n),
-            rng.randrange(n),
-            rng.randrange(n),
-        )
-        val = four_point_defect(dm, quad).doubled
-        if val > best:
-            best = val
-            best_quad = quad
-    return FourPointResult(HalfInt.from_doubled(best), best_quad, False)
+    return _block_scans(_scanned_blocks(dm), thinness=False)[0]
 
 
 def _four_point_scan(
-    dm: DistanceMatrix, pairs: np.ndarray, best: int
-) -> tuple[int, tuple[int, int, int, int]]:
-    """The exact scan of ``four_point_delta`` over the given far-apart pairs,
-    started from a doubled defect ``best`` already found: the largest
-    doubled defect and a quadruple reaching it, or ``best`` and
-    (0, 0, 0, 0) when no quadruple beats it."""
+    dm: DistanceMatrix, pairs: np.ndarray, best: int, budget: int
+) -> tuple[int, tuple[int, int, int, int], int, int]:
+    """The scan of ``four_point_delta`` over the given far-apart pairs,
+    started from a doubled defect ``best`` already found and spending at
+    most ``budget`` comparisons.
+
+    Returns the largest doubled defect and a quadruple reaching it (``best``
+    and (0, 0, 0, 0) when no quadruple beats it), the budget left, and 0 if
+    the scan finished, else the distance of the first row it did not scan.
+    """
     d = dm.d.astype(np.int32)
     a, b = pairs[:, 0], pairs[:, 1]
     dist = d[a, b]
@@ -294,6 +293,9 @@ def _four_point_scan(
     while i < len(dist) and int(dist[i]) > best:
         # rows i..j-1 against pairs 0..j-1, about 2**14 elements a block
         j = min(len(dist), i + max(1, min(64, 2**14 // (i + 1))))
+        if (j - i) * j > budget:
+            return best, best_quad, budget, int(dist[i])
+        budget -= (j - i) * j
         ar, br = a[i:j, None], b[i:j, None]
         ac, bc = a[None, :j], b[None, :j]
         s2 = d[ar, ac]
@@ -310,7 +312,7 @@ def _four_point_scan(
             best = val
             best_quad = (int(a[i + r]), int(b[i + r]), int(a[k]), int(b[k]))
         i = j
-    return best, best_quad
+    return best, best_quad, budget, 0
 
 
 def thin_delta_bound(delta4: HalfInt) -> HalfInt:
@@ -418,30 +420,20 @@ def mutually_distant_pair(dm: DistanceMatrix, delta: HalfInt) -> tuple[int, int]
         prev, cur = cur, nxt
 
 
-def hyperbolicity_report(
-    dm: DistanceMatrix,
-    *,
-    exact_cap: int = FOUR_POINT_EXACT_CAP,
-    samples: int = 200_000,
-    seed: int = 0,
-) -> HyperbolicityReport:
-    """Bundle the four-point scan with thinness and eccentricity data.
+def hyperbolicity_report(dm: DistanceMatrix) -> HyperbolicityReport:
+    """Bundle the four-point bracket with thinness and eccentricity data.
 
     Both scans run block by block over the same blocks, sharing each
-    block's far-apart pair list.  Above the cap the four-point constant is
-    sampled as in ``four_point_delta``; the thinness stays exact.
+    block's far-apart pair list.  The four-point constant is bracketed
+    under the budget as in ``four_point_delta``; the thinness is always
+    exact.
     """
-    blocks = _scanned_blocks(dm)
-    if _within_cap(blocks, exact_cap):
-        fp, nu = _block_scans(blocks)
-    else:
-        fp = _sampled_four_point(dm, samples, seed)
-        nu = _block_scans(blocks, four_point=False)[1]
+    fp, nu = _block_scans(_scanned_blocks(dm))
     prof = eccentricity_profile(dm)
     return HyperbolicityReport(
         delta=fp.delta,
         witness=fp.witness,
-        exact=fp.exact,
+        upper=fp.upper,
         interval_thinness=nu,
         diameter=prof.diameter,
         radius=prof.radius,

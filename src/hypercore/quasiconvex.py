@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Ball, DistanceMatrix, Graph, check_vertices, interval, set_distance
+from .graphs import (
+    Ball,
+    DistanceMatrix,
+    Graph,
+    check_vertices,
+    descend_geodesic,
+    interval,
+    set_distance,
+)
 from .halfint import HalfInt, half_max
 
 
@@ -113,8 +121,8 @@ def project_toward(dm: DistanceMatrix, g: Graph, z: int, Q: Sequence[int], r: in
     """Walk r steps from the closest vertex of Q toward z along one geodesic.
 
     x is the member of Q closest to z (smallest id on ties); the geodesic is
-    built by deterministic BFS-parent descent.  When r exceeds d(z, Q) the
-    walk stops at z itself.
+    the smallest-id descent of ``descend_geodesic`` from x to z.  When r
+    exceeds d(z, Q) the walk stops at z itself.
     """
     if not Q:
         raise ValueError("cannot project toward an empty set")
@@ -122,12 +130,7 @@ def project_toward(dm: DistanceMatrix, g: Graph, z: int, Q: Sequence[int], r: in
     check_vertices(dm.n, Q, "Q")
     d = dm.d
     x = min(Q, key=lambda q: (int(d[z, q]), q))
-    steps = min(r, int(d[x, z]))
-    cur = x
-    for _ in range(steps):
-        target = int(d[cur, z]) - 1
-        cur = min(w for w in g.adjacency[cur] if d[w, z] == target)
-    return cur
+    return descend_geodesic(g, dm, x, z)[min(r, int(d[x, z]))]
 
 
 def covering_radius(r: int, epsilon: int, delta: HalfInt | int) -> HalfInt:

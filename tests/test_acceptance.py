@@ -35,6 +35,7 @@ from hypercore import (
     greedy_hit_pack,
     helly_center,
     inflate_family,
+    intercepted_pairs,
     intercepts_pair,
     interval,
     kappa_hit_pack,
@@ -352,15 +353,14 @@ def test_criterion_9_centroid_divergence():
     dm = distance_matrix(g)
     t = star_path_centroid_offset(n)
     centroid = star_path_hub(n) - t
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
     for r, want in ((t - 1, 2234), (t, 4740)):
         ball = Ball(centroid, r)
-        got = sum(
-            intercepts_pair(g, dm, ball, x, y) for x in range(n) for y in range(x + 1, n)
-        )
+        got = int(intercepted_pairs(g, dm, ball, pairs).sum())
         closed = star_path_intercepted(n, t, r)
         if not got == closed == want:
             failures.append(
-                f"n=100 r={r}: {got} by intercepts_pair, {closed} closed form, "
+                f"n=100 r={r}: {got} by intercepted_pairs, {closed} closed form, "
                 f"{want} expected"
             )
     ok = not failures and all(r == 0 for r in radii)

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -61,7 +60,7 @@ def test_hyperbolicity_report(tmp_path, capsys):
     code, rep, err = run_json(capsys, ["hyperbolicity", "--edges", str(path)])
     assert code == 0
     assert rep["delta"] == {"value": 0.0, "doubled": 0}
-    assert rep["exact"] is True
+    assert rep["exact"] is True and "delta_upper" not in rep
     assert rep["diameter"] == 5 and rep["radius"] == 3
     assert rep["interval_thinness"] == 0
     assert "delta" in err  # human-readable summary emitted
@@ -212,6 +211,9 @@ def _delta_command_argv(tmp_path, command, radius=0, graph=None):
 
 DELTA_COMMANDS = ["multicore", "beamcore", "helly", "hitpack", "kappa"]
 
+# the 9-vertex path with a 4-cycle v0 v1 v2 v9 at one end
+CYCLE_TAIL = Graph(10, [*path_graph(9).edges(), (0, 9), (2, 9)])
+
 
 @pytest.mark.parametrize("command", DELTA_COMMANDS)
 def test_delta_four_point_reported_last(tmp_path, capsys, command):
@@ -228,21 +230,32 @@ def test_delta_four_point_reported_last(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", DELTA_COMMANDS)
 def test_sampled_delta_certifies_from_half_diameter(tmp_path, capsys, monkeypatch, command):
-    # the 9-vertex path with a 4-cycle v0 v1 v2 v9 at one end: that block
-    # exceeds an exact cap of 3, so the four-point constant is a sampled
-    # lower bound (here the true 1), and the certified constant comes from
-    # delta <= diam/2 = 4 instead; the radii meet multicore's r >= 8*delta
-    # and kappa's r >= eps + 2*delta
-    sampled = functools.partial(hypercore.cli.four_point_delta, exact_cap=3)
-    monkeypatch.setattr(hypercore.cli, "four_point_delta", sampled)
-    radius = {"multicore": 128, "kappa": 32}.get(command, 0)
-    graph = Graph(10, [*path_graph(9).edges(), (0, 9), (2, 9)])
-    code, rep, err = run_json(capsys, _delta_command_argv(tmp_path, command, radius, graph))
+    # the 9-vertex path with a 4-cycle v0 v1 v2 v9 at one end: with no
+    # budget the four-point scan stops before its first row, so the bracket
+    # is [0, 1], its upper end half the diameter of the cycle block (not of
+    # the graph, 8), and the certified constant is 4 * 1; the radii meet
+    # multicore's r >= 8*delta and kappa's r >= eps + 2*delta
+    monkeypatch.setattr(hypercore.hyperbolicity, "FOUR_POINT_BUDGET", 0)
+    radius = {"multicore": 32, "kappa": 8}.get(command, 0)
+    code, rep, err = run_json(capsys, _delta_command_argv(tmp_path, command, radius, CYCLE_TAIL))
     assert code == 0
     assert list(rep)[-2:] == ["delta_four_point", "delta_exact"]
     assert rep["delta_exact"] is False
-    assert rep["delta_four_point"] == {"value": 1.0, "doubled": 2}
-    assert rep["delta"] == {"value": 16.0, "doubled": 32}
+    assert rep["delta_four_point"] == {"value": 0.0, "doubled": 0}
+    assert rep["delta"] == {"value": 4.0, "doubled": 8}
+
+
+def test_hyperbolicity_reports_bracket(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hypercore.hyperbolicity, "FOUR_POINT_BUDGET", 0)
+    path = write_graph(tmp_path, CYCLE_TAIL)
+    code, rep, err = run_json(capsys, ["hyperbolicity", "--edges", str(path)])
+    assert code == 0
+    assert list(rep)[6:9] == ["delta", "exact", "delta_upper"]
+    assert rep["delta"] == {"value": 0.0, "doubled": 0}
+    assert rep["exact"] is False
+    assert rep["delta_upper"] == {"value": 1.0, "doubled": 2}
+    assert rep["interval_thinness"] == 2
+    assert "delta in [0, 1]" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

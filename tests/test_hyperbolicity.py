@@ -22,6 +22,7 @@ from hypercore import (
     mutually_distant_pair,
     thin_delta_bound,
 )
+from hypercore import hyperbolicity
 from hypercore.generators import (
     cycle_graph,
     gnp_connected,
@@ -75,14 +76,6 @@ def test_delta_invariant_under_relabeling():
     rng.shuffle(perm)
     relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     assert four_point_delta(distance_matrix(relabeled)).delta == four_point_delta(dm).delta
-
-
-def test_sampled_mode_is_labeled_lower_bound():
-    dm = distance_matrix(cycle_graph(12))
-    exact = four_point_delta(dm)
-    sampled = four_point_delta(dm, exact_cap=4, samples=4000, seed=1)
-    assert exact.exact and not sampled.exact
-    assert sampled.delta <= exact.delta
 
 
 def test_interval_thinness_values():
@@ -227,11 +220,11 @@ def test_pruned_scan_matches_bruteforce_beyond_one_block():
 def test_far_apart_single_vertex_and_edge():
     dm1 = distance_matrix(Graph(1, []))
     assert far_apart_pairs(dm1).shape == (0, 2)
-    assert four_point_delta(dm1) == FourPointResult(HalfInt(0), (0, 0, 0, 0), True)
+    assert four_point_delta(dm1) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
     assert interval_thinness(dm1) == 0
     dm2 = distance_matrix(Graph(2, [(0, 1)]))
     assert far_apart_pairs(dm2).tolist() == [[0, 1]]
-    assert four_point_delta(dm2) == FourPointResult(HalfInt(0), (0, 0, 0, 0), True)
+    assert four_point_delta(dm2) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
     assert interval_thinness(dm2) == 0
 
 
@@ -289,15 +282,49 @@ def test_large_tree_is_exact_at_default_cap():
     assert rep.witness == (0, 0, 0, 0)
 
 
-def test_exact_cap_counts_the_largest_block():
-    # an 8-cycle with a 30-vertex path hanging off vertex 0: n = 38, and the
-    # only block that is scanned is the cycle
+def test_budget_bounds_unscanned_blocks_by_diameter(monkeypatch):
+    # an 8-cycle with a 30-vertex path hanging off vertex 0: n = 38 and
+    # diam 34, and the only block that is scanned is the cycle, diam 4
     g = Graph(38, [*cycle_graph(8).edges(), (0, 8), *((v, v + 1) for v in range(8, 37))])
     dm = distance_matrix(g)
-    exact = four_point_delta(dm, exact_cap=8)
+    exact = four_point_delta(dm)
     assert exact.exact and exact.delta.doubled == naive_four_point_delta_doubled(dm) == 4
-    sampled = four_point_delta(dm, exact_cap=7, samples=2000, seed=1)
-    assert not sampled.exact and sampled.delta <= exact.delta
-    rep = hyperbolicity_report(dm, exact_cap=7, samples=2000, seed=1)
-    assert not rep.exact and rep.delta == sampled.delta
+    monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", 0)
+    bracket = four_point_delta(dm)
+    assert (bracket.delta, bracket.witness, bracket.upper) == (0, (0, 0, 0, 0), 2)
+    assert not bracket.exact
+    rep = hyperbolicity_report(dm)
+    assert not rep.exact and (rep.delta, rep.upper) == (bracket.delta, bracket.upper)
     assert rep.interval_thinness == interval_thinness(dm) == naive_interval_thinness(dm)
+    # an 8-cycle glued at vertex 0 of a 30-vertex G(n,p) block, both of
+    # diameter 4: the budget covers the first 64 rows of the G(n,p) block,
+    # which find doubled defect 2 and stop at a row of distance 3, so only
+    # the cycle's diameter bounds its doubled defect, 4
+    base = gnp_connected(30, 1.5 * math.log(30) / 30, 0)
+    g = Graph(37, [*base.edges(), (0, 30), *((v, v + 1) for v in range(30, 36)), (36, 0)])
+    dm = distance_matrix(g)
+    monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", 64 * 64)
+    bracket = four_point_delta(dm)
+    assert (bracket.delta.doubled, bracket.upper.doubled) == (2, 4)
+    assert naive_four_point_delta_doubled(dm) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(connected_graphs(), glued_blocks()), st.integers(0, 5000))
+def test_budgeted_bracket_holds(g, budget):
+    dm = distance_matrix(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
+        res = four_point_delta(dm)
+        rep = hyperbolicity_report(dm)
+    assert res.delta.doubled <= naive_four_point_delta_doubled(dm) <= res.upper.doubled
+    assert four_point_defect(dm, res.witness) == res.delta
+    assert res.exact == (res.delta == res.upper)
+    assert (rep.delta, rep.witness, rep.upper) == (res.delta, res.witness, res.upper)
+    assert rep.interval_thinness == naive_interval_thinness(dm)
+
+
+def test_sparse_random_graph_is_exact_at_default_budget():
+    n = 2000
+    rep = hyperbolicity_report(distance_matrix(gnp_connected(n, 2 * math.log(n) / n, 1)))
+    assert rep.exact
