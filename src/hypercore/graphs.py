@@ -367,11 +367,16 @@ def descend_geodesic(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> lis
     """
     _check_vertex(g.n, start, "start")
     _check_vertex(g.n, goal, "goal")
+    return list(_descent(g, dm, start, goal))
+
+
+def _descent(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> Iterator[int]:
+    """The vertices of ``descend_geodesic``, lazily, so a caller that needs
+    only the first steps does not walk the rest."""
     to_goal = dm.d[:, goal].tolist()
-    path = [start]
     cur = start
+    yield cur
     while cur != goal:
         target = to_goal[cur] - 1
         cur = min(w for w in g.adjacency[cur] if to_goal[w] == target)
-        path.append(cur)
-    return path
+        yield cur

@@ -75,13 +75,18 @@ def _member_distances(dm: DistanceMatrix, family: Sequence[KappaQSet]) -> np.nda
 
 
 def gamma_sets(dm: DistanceMatrix, family: Sequence[KappaQSet], r: int) -> GammaIndex:
+    return _gamma_index(_member_distances(dm, family), r)
+
+
+def _gamma_index(member_dist: np.ndarray, r: int) -> GammaIndex:
+    """The Gamma incidence of ``_member_distances`` thresholded at r."""
     if r < 0:
         raise ValueError(f"negative gamma radius {r}")
-    near = _member_distances(dm, family) <= r  # m x n
-    m, n = near.shape
-    gamma_v = tuple(frozenset(np.flatnonzero(near[:, v]).tolist()) for v in range(n))
+    near = member_dist <= r  # m x n
+    gamma_v = tuple(frozenset(i for i, hit in enumerate(col) if hit) for col in near.T.tolist())
     gamma_i = tuple(
-        frozenset(np.flatnonzero((near & near[i]).any(axis=1)).tolist()) for i in range(m)
+        frozenset(np.flatnonzero((near & near[i]).any(axis=1)).tolist())
+        for i in range(len(near))
     )
     return GammaIndex(radius=r, gamma_v=gamma_v, gamma_i=gamma_i)
 
@@ -225,17 +230,24 @@ def kappa_hit_pack(
 
     With r_star = r + eps + 3*delta and r_prime = r_star + eps + 3*delta
     (both floored), solves the fractional packing LP at r_star and rounds it
-    to an r-packing P, solves the fractional hitting LP at r_star and rounds
-    it to an r_prime-hitting set T, then checks exhaustively that P is
-    pairwise 2r-apart, that T reaches every member within r_prime, and that
-    |T| <= 2*kappa^2*|P|.  Requires r >= eps + 2*delta, under which the two
-    classical forms of the intermediate radius coincide.
+    to an r-packing P, takes the fractional hitting vector at r_star from
+    the packing LP's duals and rounds it to an r_prime-hitting set T, then
+    checks exhaustively that P is pairwise 2r-apart, that T reaches every
+    member within r_prime, and that |T| <= 2*kappa^2*|P|.  Requires
+    r >= eps + 2*delta, under which the two classical forms of the
+    intermediate radius coincide.
 
-    The member-distance incidence at r_star is computed once, and both LPs
-    are built from it over the witness vertices only (``build_packing_lp``
+    Both LPs are built over the witness vertices only (``build_packing_lp``
     and ``build_hitting_lp`` state why their optima equal those of the LPs
-    over every vertex); the hitting solution is expanded back to every
-    vertex, zero off the witnesses, before rounding.
+    over every vertex), from one member-distance matrix that also gives the
+    Gamma incidence at r.  Over the witnesses the two LPs are exact duals:
+    max 1.x subject to A^T x <= 1 and min 1.y subject to A y >= 1, with A
+    the members x witnesses incidence.  So only the packing LP is solved,
+    and its duals y are checked exactly to be a feasible hitting vector
+    (y >= 0, A y >= 1 row by row) of the same value as the packing optimum;
+    weak duality then proves both optima, and a failed check raises
+    ``RuntimeError``.  The hitting vector is expanded back to every vertex,
+    zero off the witnesses, before rounding.
     """
     if not family:
         raise ValueError("empty family")
@@ -254,20 +266,26 @@ def kappa_hit_pack(
     r_star = covering_radius(r, epsilon, delta).floor()
     r_prime = (r_star + epsilon + delta * 3).floor()
 
-    gamma_r = gamma_sets(dm, family, r)
-    near = _member_distances(dm, family) <= r_star
+    member_dist = _member_distances(dm, family)
+    gamma_r = _gamma_index(member_dist, r)
+    near = member_dist <= r_star
     witnesses = _witness_vertices(near)
     incidence = near[:, witnesses]  # members x witnesses
 
     pack_sol = solve_lp(_unit_lp("max", incidence.T))
-    hit_sol = solve_lp(_unit_lp("min", incidence))
-    if pack_sol.status != "optimal" or hit_sol.status != "optimal":
+    if pack_sol.status != "optimal":
+        raise RuntimeError(f"packing LP solve failed: {pack_sol.status}")
+    hit = pack_sol.duals
+    hitting_optimum = sum(hit, Fraction(0))
+    cover = [sum((v for v, on in zip(hit, row) if on), Fraction(0)) for row in incidence.tolist()]
+    if min(hit) < 0 or min(cover) < 1 or hitting_optimum != pack_sol.objective:
         raise RuntimeError(
-            f"LP solve failed: packing={pack_sol.status}, hitting={hit_sol.status}"
+            "the packing LP's duals are not a hitting vector of equal value: "
+            f"duals {hit}, packing optimum {pack_sol.objective}"
         )
 
     y = [Fraction(0)] * dm.n
-    for w, value in zip(witnesses, hit_sol.values):
+    for w, value in zip(witnesses, hit):
         y[w] = value
     packing = round_packing(pack_sol.values, gamma_r, family)
     hitting = round_hitting(y, family, dm, g, r_star, delta, z=z)
@@ -285,7 +303,7 @@ def kappa_hit_pack(
         r_star=r_star,
         r_prime=r_prime,
         packing_optimum=pack_sol.objective,
-        hitting_optimum=hit_sol.objective,
+        hitting_optimum=hitting_optimum,
         hitting_ok=hitting_ok,
         packing_ok=packing_ok,
         bound_ok=bound_ok,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from .graphs import (
     Ball,
     DistanceMatrix,
     Graph,
+    _descent,
     check_vertices,
-    descend_geodesic,
     interval,
     set_distance,
 )
@@ -130,7 +131,8 @@ def project_toward(dm: DistanceMatrix, g: Graph, z: int, Q: Sequence[int], r: in
     check_vertices(dm.n, Q, "Q")
     d = dm.d
     x = min(Q, key=lambda q: (int(d[z, q]), q))
-    return descend_geodesic(g, dm, x, z)[min(r, int(d[x, z]))]
+    steps = min(r, int(d[x, z]))
+    return next(islice(_descent(g, dm, x, z), steps, None))
 
 
 def covering_radius(r: int, epsilon: int, delta: HalfInt | int) -> HalfInt:

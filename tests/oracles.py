@@ -215,6 +215,154 @@ def lp_optimum_by_vertex_enumeration(inst):
     return best
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _fraction_pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [a / piv for a in tableau[row]]
+    prow = tableau[row]
+    for r in range(len(tableau)):
+        if r != row and tableau[r][col] != 0:
+            f = tableau[r][col]
+            tableau[r] = [a - f * b for a, b in zip(tableau[r], prow)]
+    basis[row] = col
+
+
+def _fraction_price_out(tableau, basis, costs):
+    """Reduced-cost row and current objective for the given basis."""
+    cbar = list(costs)
+    z = _ZERO
+    for r, bv in enumerate(basis):
+        cb = costs[bv]
+        if cb != 0:
+            row = tableau[r]
+            for j in range(len(cbar)):
+                cbar[j] -= cb * row[j]
+            z += cb * row[-1]
+    return cbar, z
+
+
+def _fraction_run(tableau, basis, costs, allowed):
+    """Maximize costs . x with Bland's rule; returns (status, objective)."""
+    cbar, z = _fraction_price_out(tableau, basis, costs)
+    while True:
+        enter = -1
+        for j in allowed:
+            if cbar[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", z
+        leave = -1
+        best_ratio = None
+        for r, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = r
+        if leave < 0:
+            return "unbounded", None
+        factor = cbar[enter]
+        _fraction_pivot(tableau, basis, leave, enter)
+        prow = tableau[leave]
+        for j in range(len(cbar)):
+            cbar[j] -= factor * prow[j]
+        z += factor * prow[-1]
+
+
+def fraction_tableau_solve_lp(inst):
+    """(status, values, objective) by the plain two-phase simplex on a
+    Fraction tableau: divide the pivot row, eliminate, Bland's rule.  The
+    integer tableau of ``solve_lp`` must take the same pivots."""
+    n = inst.num_vars
+    m = inst.num_rows
+    rows = inst.dense_rows()
+    rhs = list(inst.rhs)
+    senses = list(inst.senses)
+    for r in range(m):
+        if rhs[r] < 0:
+            rows[r] = [-a for a in rows[r]]
+            rhs[r] = -rhs[r]
+            senses[r] = {"<=": ">=", ">=": "<=", "=": "="}[senses[r]]
+
+    # column layout: structural | slack/surplus | artificial | rhs
+    slack_of = {}
+    art_of = {}
+    col = n
+    for r, s in enumerate(senses):
+        if s in ("<=", ">="):
+            slack_of[r] = col
+            col += 1
+    for r, s in enumerate(senses):
+        if s == ">=" or s == "=":
+            art_of[r] = col
+            col += 1
+    width = col
+
+    tableau = []
+    basis = []
+    for r in range(m):
+        row = rows[r] + [_ZERO] * (width - n) + [rhs[r]]
+        if senses[r] == "<=":
+            row[slack_of[r]] = _ONE
+            basis.append(slack_of[r])
+        elif senses[r] == ">=":
+            row[slack_of[r]] = -_ONE
+            row[art_of[r]] = _ONE
+            basis.append(art_of[r])
+        else:
+            row[art_of[r]] = _ONE
+            basis.append(art_of[r])
+        tableau.append(row)
+
+    sign = _ONE if inst.direction == "max" else -_ONE
+    structural = [sign * c for c in inst.objective]
+
+    if art_of:
+        phase1 = [_ZERO] * width
+        for c in art_of.values():
+            phase1[c] = -_ONE
+        status, z1 = _fraction_run(tableau, basis, phase1, range(width))
+        if status != "optimal" or z1 != 0:
+            return "infeasible", (), None
+        artificial_cols = set(art_of.values())
+        # drive leftover artificials out of the basis; drop redundant rows
+        r = 0
+        while r < len(tableau):
+            if basis[r] in artificial_cols:
+                pivot_col = next(
+                    (j for j in range(width) if j not in artificial_cols and tableau[r][j] != 0),
+                    None,
+                )
+                if pivot_col is None:
+                    del tableau[r]
+                    del basis[r]
+                    continue
+                _fraction_pivot(tableau, basis, r, pivot_col)
+            r += 1
+        allowed = [j for j in range(width) if j not in artificial_cols]
+    else:
+        allowed = list(range(width))
+
+    phase2 = structural + [_ZERO] * (width - n)
+    status, z = _fraction_run(tableau, basis, phase2, allowed)
+    if status != "optimal":
+        return status, (), None
+    values = [_ZERO] * n
+    for r, bv in enumerate(basis):
+        if bv < n:
+            values[bv] = tableau[r][-1]
+    return "optimal", tuple(values), sign * z
+
+
 def full_packing_lp(gamma, m, num_vertices):
     """The kappa packing LP with one <= 1 row per vertex, empty and
     dominated rows included: max sum x_i, sum of x_i over gamma_v[v] <= 1."""

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -26,6 +27,7 @@ from hypercore import (
     solve_lp,
     thin_delta_bound,
 )
+from hypercore import lpkappa
 from hypercore.generators import gnp_connected, path_graph, random_tree
 from hypercore.lpkappa import _witness_vertices
 from oracles import full_hitting_lp, full_packing_lp
@@ -277,6 +279,9 @@ def test_witness_lps_match_full_lps(case):
     eps = max(kq.epsilon for kq in fam)
     res = kappa_hit_pack(g, dm, fam, eps + (delta * 2).ceil() + radius, eps, delta)
     assert (res.packing_optimum, res.hitting_optimum) == optima(res.r_star)
+    # the hitting optimum is read off the packing duals; compare it with an
+    # independent phase-1 solve of the hitting LP
+    assert res.hitting_optimum == solve_lp(build_hitting_lp(fam, dm, res.r_star)).objective
     if g.is_tree():
         # four times the four-point constant certifies thin triangles on
         # trees, but not on graphs with cliques (README Notes): on K6 the
@@ -294,3 +299,27 @@ def test_kappa_hitting_mass_lands_on_witness_vertices():
     assert res.hitting_optimum == 1
     assert res.hitting_set == (20,)
     assert res.hitting_ok and res.packing_ok and res.bound_ok
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda y: (y[0] + 1,) + y[1:],  # more than the packing optimum
+        lambda y: (F(0), y[1] + y[0]) + y[2:],  # same value, member 0 uncovered
+        lambda y: (-y[0], y[1] + 2 * y[0]) + y[2:],  # same value, a negative entry
+    ],
+)
+def test_kappa_hit_pack_rejects_bad_duals(monkeypatch, corrupt):
+    g = path_graph(12)
+    dm = distance_matrix(g)
+    fam = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
+    solve = lpkappa.solve_lp
+    assert kappa_hit_pack(g, dm, fam, 0, 0, HalfInt(0)).hitting_optimum == 3
+
+    def corrupted(inst):
+        sol = solve(inst)
+        return dataclasses.replace(sol, duals=corrupt(sol.duals))
+
+    monkeypatch.setattr(lpkappa, "solve_lp", corrupted)
+    with pytest.raises(RuntimeError, match="duals"):
+        kappa_hit_pack(g, dm, fam, 0, 0, HalfInt(0))

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction as F
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypercore import simplex
 from hypercore.simplex import LPInstance, solve_lp
-from oracles import lp_optimum_by_vertex_enumeration
+from oracles import fraction_tableau_solve_lp, lp_optimum_by_vertex_enumeration
 
 
 def lp(direction, nvars, rows, obj, triplets, senses, rhs):
@@ -130,3 +134,97 @@ def test_matches_scipy_on_random_covering_instances():
         )
         assert res.success
         assert abs(float(sol.objective) - res.fun) < 1e-9
+
+
+small_fractions = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def lp_instances(draw):
+    """Tiny LPs over all three senses, with Fraction data, negative rhs and
+    sometimes a redundant equality (a nonzero multiple of an equality row)."""
+    nvars = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    dense = [[draw(small_fractions) for _ in range(nvars)] for _ in range(m)]
+    senses = [draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)]
+    rhs = [draw(small_fractions) for _ in range(m)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        k = draw(small_fractions.filter(bool))
+        senses[i] = "="
+        dense.append([k * a for a in dense[i]])
+        senses.append("=")
+        rhs.append(k * rhs[i])
+    obj = [draw(small_fractions) for _ in range(nvars)]
+    triplets = [(r, c, a) for r, row in enumerate(dense) for c, a in enumerate(row) if a]
+    return lp(draw(st.sampled_from(["max", "min"])), nvars, len(dense), obj, triplets, senses, rhs)
+
+
+def _improving_ray(inst):
+    """Whether some direction d >= 0, sum(d) = 1, keeps every row's sense
+    at rhs 0 and strictly improves the objective (by vertex enumeration)."""
+    cone = LPInstance(
+        direction=inst.direction,
+        num_vars=inst.num_vars,
+        num_rows=inst.num_rows + 1,
+        objective=inst.objective,
+        triplets=inst.triplets + tuple((inst.num_rows, c, F(1)) for c in range(inst.num_vars)),
+        senses=inst.senses + ("=",),
+        rhs=(F(0),) * inst.num_rows + (F(1),),
+    )
+    best = lp_optimum_by_vertex_enumeration(cone)
+    return best is not None and (best > 0 if inst.direction == "max" else best < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_instances())
+def test_status_optimum_and_dual_certificate(inst):
+    sol = solve_lp(inst)
+    best = lp_optimum_by_vertex_enumeration(inst)
+    if best is None:
+        assert sol.status == "infeasible"
+        return
+    if _improving_ray(inst):
+        assert sol.status == "unbounded"
+        return
+    assert sol.status == "optimal"
+    assert sol.objective == best
+    rows = inst.dense_rows()
+    assert all(v >= 0 for v in sol.values)
+    assert sum(c * v for c, v in zip(inst.objective, sol.values)) == best
+    # the duals prove the optimum: signs per sense, dual feasibility in
+    # every column, and rhs . duals == objective
+    y = sol.duals
+    assert len(y) == inst.num_rows
+    flip = 1 if inst.direction == "max" else -1
+    for yr, sense in zip(y, inst.senses):
+        if sense == "<=":
+            assert flip * yr >= 0
+        elif sense == ">=":
+            assert flip * yr <= 0
+    for j, c in enumerate(inst.objective):
+        assert flip * (sum(yr * row[j] for yr, row in zip(y, rows)) - c) >= 0
+    assert sum(b * yr for b, yr in zip(inst.rhs, y)) == sol.objective
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_instances())
+def test_integer_tableau_takes_the_fraction_tableau_pivots(inst):
+    integer_pivots, fraction_pivots = [], []
+    int_pivot, frac_pivot = simplex._pivot, oracles._fraction_pivot
+
+    def record_int(rows, basis, row, col, det):
+        integer_pivots.append((row, col))
+        return int_pivot(rows, basis, row, col, det)
+
+    def record_frac(tableau, basis, row, col):
+        fraction_pivots.append((row, col))
+        frac_pivot(tableau, basis, row, col)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", record_int)
+        mp.setattr(oracles, "_fraction_pivot", record_frac)
+        sol = solve_lp(inst)
+        want = fraction_tableau_solve_lp(inst)
+    assert (sol.status, sol.values, sol.objective) == want
+    assert integer_pivots == fraction_pivots
