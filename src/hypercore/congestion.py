@@ -119,6 +119,43 @@ def geodesic_count(g: Graph, s: int, t: int) -> int:
     return _geodesic_counts(g, s, dist, dist[t])[0][t]
 
 
+def _check_demand(n: int, demand: TrafficDemand) -> None:
+    """Reject a demand whose vertex ids do not all lie in 0..n-1."""
+    m = demand._uniform_n
+    if m is None:
+        for s, t in demand._pairs:
+            if not (0 <= s < n and 0 <= t < n):
+                raise ValueError(f"demand pair ({s},{t}) out of range for n={n}")
+    elif m != n:
+        raise ValueError(f"uniform demand on {m} vertices for a graph with n={n}")
+
+
+def _components_without(g: Graph, removed: frozenset[int]) -> tuple[list[int], list[int]]:
+    """Component labels of g - removed, and the size of each component.
+
+    A removed vertex gets the label n, which no component has.
+    """
+    n = g.n
+    adj = g.adjacency
+    label = [-1] * n
+    for v in removed:
+        label[v] = n
+    sizes = []
+    for root in range(n):
+        if label[root] != -1:
+            continue
+        c = len(sizes)
+        label[root] = c
+        comp = [root]
+        for u in comp:
+            for w in adj[u]:
+                if label[w] == -1:
+                    label[w] = c
+                    comp.append(w)
+        sizes.append(len(comp))
+    return label, sizes
+
+
 def traffic_load(
     g: Graph, dm: DistanceMatrix, demand: TrafficDemand, S: Sequence[int]
 ) -> Fraction:
@@ -126,19 +163,37 @@ def traffic_load(
 
     A pair contributes 1 - (geodesics of the same length avoiding S) /
     (all geodesics); pairs with an endpoint in S contribute exactly 1.
+    Demand ids outside 0..n-1, or a uniform demand on another vertex
+    count, raise ValueError.
 
-    Per demand source, one pass over its geodesic DAG (read from dm, up to
-    the farthest target) counts both the geodesics to every target and
-    those avoiding S; a target that no geodesic of that length reaches
-    without meeting S has avoiding count 0.  The pairs' whole units are
-    summed as one int, and each avoided share sigma_avoid/sigma_all as an
-    int numerator keyed by its denominator sigma_all, so a Fraction is
-    built only once per distinct denominator, at the end.  Counts are big
-    ints throughout and no float is involved, so the result is exact.
+    On a tree each pair has one geodesic, which meets S unless both
+    endpoints lie in one component of T - S.  One O(n) pass labels those
+    components; the uniform demand then has mu = n(n-1) - sum |C|(|C|-1)
+    over the components C, and an explicit demand is one count over its
+    pairs (repeats counted).  Neither reads dm.
+
+    On other graphs, per demand source, one pass over its geodesic DAG
+    (read from dm, up to the farthest target) counts both the geodesics to
+    every target and those avoiding S; a target that no geodesic of that
+    length reaches without meeting S has avoiding count 0.  The pairs'
+    whole units are summed as one int, and each avoided share
+    sigma_avoid/sigma_all as an int numerator keyed by its denominator
+    sigma_all, so a Fraction is built only once per distinct denominator,
+    at the end.  Counts are big ints throughout and no float is involved,
+    so the result is exact.
     """
     inside = frozenset(check_vertices(g.n, S, "S"))
     if not inside:
         raise ValueError("traffic_load needs a nonempty vertex set")
+    _check_demand(g.n, demand)
+    if g.is_tree():
+        label, sizes = _components_without(g, inside)
+        n = g.n
+        if demand._uniform_n is not None:
+            return Fraction(n * (n - 1) - sum(c * (c - 1) for c in sizes))
+        return Fraction(
+            sum(1 for s, t in demand._pairs if label[s] == n or label[s] != label[t])
+        )
     whole = 0
     avoided: dict[int, int] = {}  # sigma_all -> summed sigma_avoid
     for s, targets in demand.by_source():
@@ -192,17 +247,33 @@ def _tree_intercepted_counts(g: Graph, X: Sequence[int]) -> list[int]:
     return counts
 
 
-# Elements per block of gathered rows (predecessor or target rows of the
-# escape-radius matrix): bounds the per-source temporaries whatever the
-# layer widths, instead of one n x n block at n = 2000.
+# Elements per block of gathered rows of the escape-radius matrix: bounds
+# the temporaries whatever the layer widths, instead of one n x n block at
+# n = 2000.  One pass of the escape-radius DP takes _BLOCK_ELEMS // n^2
+# profile sources (at least one).
 _BLOCK_ELEMS = 1 << 20
 
 
 def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.ndarray:
     """H[c, r] = number of profile pairs whose escape radius from c is r.
 
-    esc[v, c] holds esc_c(x, v) for the current source x; the arrays kept
-    across sources are n x n in int16 and n x (diameter + 1) in int64.
+    The profile's sources (every vertex but the last) go in blocks of
+    nb = max(1, _BLOCK_ELEMS // n^2).  The geodesic DAGs of one block's
+    sources form one disjoint DAG on the rows i*n + v of esc, where
+    esc[i*n + v, c] holds esc_c(x_i, v) for the block's i-th source x_i.
+    Source x_i's DAG stops at its farthest later profile vertex, and the
+    BFS layers run to the deepest of these, each once for the whole block.
+    Within a layer the heads are ordered by falling in-degree, so the
+    elementwise max over their predecessor rows is taken slot by slot:
+    the first predecessor row of every head, then the second row of the
+    heads that have one, which form a prefix, and so on, each slot one
+    gather and one binary np.maximum over whole rows (np.maximum.reduceat
+    over the same rows is several times slower).  Heads go in chunks of
+    _BLOCK_ELEMS // n rows; the target rows go into the histogram at most
+    n at a time, since bincount widens them to intp.  The arrays kept
+    across blocks are esc, nb*n x n in int16, which never exceeds
+    max(n^2, _BLOCK_ELEMS) entries, and the histogram, n x (diameter + 1)
+    in int64.
     """
     n = g.n
     d = dm.d
@@ -215,37 +286,66 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
     width = diameter + 1
     cols = np.arange(n, dtype=np.intp) * width
     hist = np.zeros(n * width, dtype=np.int64)
-    esc = np.empty((n, n), dtype=dtype)
     rows = max(1, _BLOCK_ELEMS // n)
     profile_arr = np.asarray(profile, dtype=np.intp)
-    for i, x in enumerate(profile[:-1]):
-        dx = d[x]
-        targets = profile_arr[i + 1 :]
-        last = int(dx[targets].max())
-        # DAG arcs u -> w with dx[w] = dx[u] + 1, grouped by head, heads by layer
-        dag = (dx[tail] + 1 == dx[head]) & (dx[head] <= last)
-        preds, heads = tail[dag], head[dag]
-        order = np.argsort(dx[heads] * n + heads, kind="stable")
-        preds, heads = preds[order], heads[order]
+    nsources = len(profile) - 1
+    nb = min(max(1, rows // n), nsources)
+    esc = np.empty((nb * n, n), dtype=dtype)
+    chunk = min(n, rows)
+    for i0 in range(0, nsources, nb):
+        xs = profile_arr[i0 : i0 + nb]
+        k = len(xs)
+        offset = np.arange(k)[:, None] * n
+        dx = dc[xs]
+        # later[i, j]: profile[j] is a target of source i0 + i
+        later = np.arange(len(profile)) > np.arange(i0, i0 + k)[:, None]
+        last = np.where(later, dx[:, profile_arr], -1).max(axis=1)
+        # DAG arcs u -> w with dx[w] = dx[u] + 1 <= last, per source; the
+        # block's arcs grouped by head row, heads by layer and, within a
+        # layer, by falling in-degree
+        dh = dx[:, head]
+        dag = dx[:, tail] + 1 == dh
+        dag &= dh <= last[:, None]
+        src, arc = np.nonzero(dag)
+        layer = dh[src, arc]
+        src *= n
+        heads = src + head[arc]
+        preds = src + tail[arc]
+        del dh, dag, src, arc  # free the arc temporaries before the next ones
+        indeg = np.bincount(heads, minlength=k * n)
+        top = int(indeg.max())
+        # sort key (layer, -indegree, head row) as one int64, built in place
+        key = layer.astype(np.int64)
+        key *= top + 1
+        key -= indeg[heads]
+        key *= k * n
+        key += heads
+        order = np.argsort(key)
+        del key
+        preds, heads, layer = preds[order], heads[order], layer[order]
+        del order
         starts = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
         vertices = heads[starts]
-        bounds = np.searchsorted(dx[vertices], np.arange(1, last + 2))
-        starts = np.r_[starts, len(heads)]
-        esc[x] = dc[x]
-        for k in range(last):
-            g0, g1 = int(bounds[k]), int(bounds[k + 1])
-            while g0 < g1:
-                # heads g0..g1-1 whose predecessor rows fit in one block
-                lo = starts[g0]
-                cut = int(np.searchsorted(starts, lo + rows, side="right")) - 1
-                cut = min(max(cut, g0 + 1), g1)
-                best = np.maximum.reduceat(esc[preds[lo : starts[cut]]], starts[g0:cut] - lo)
-                vs = vertices[g0:cut]
-                np.minimum(best, dc[vs], out=best)
+        degree = indeg[vertices]
+        depth = int(last.max())
+        bounds = np.searchsorted(layer[starts], np.arange(1, depth + 2))
+        del heads, layer, indeg
+        esc[offset[:, 0] + xs] = dx
+        for step in range(depth):
+            for g0 in range(int(bounds[step]), int(bounds[step + 1]), rows):
+                g1 = min(g0 + rows, int(bounds[step + 1]))
+                first = starts[g0:g1]
+                best = esc[preds[first]]
+                down = -degree[g0:g1]
+                # heads with more than j predecessors lead the chunk
+                for j, c in enumerate(np.searchsorted(down, -np.arange(1, -down[0]), "left"), 1):
+                    np.maximum(best[:c], esc[preds[first[:c] + j]], out=best[:c])
+                vs = vertices[g0:g1]
+                np.minimum(best, dc[vs % n], out=best)
                 esc[vs] = best
-                g0 = cut
-        for j in range(0, len(targets), rows):
-            block = esc[targets[j : j + rows]].astype(np.intp)
+        targets = (offset + profile_arr)[later]
+        for j in range(0, len(targets), chunk):
+            block = esc[targets[j : j + chunk]].astype(np.intp)
             block += cols
             hist += np.bincount(block.ravel(), minlength=n * width)
     return hist.reshape(n, width)
@@ -262,8 +362,11 @@ def min_core(
     counts as intercepted).  For each profile source x one pass over the
     BFS layers of x computes esc_c(x,v) for every vertex v and every center
     c at once: E[x] = d[x], and each later vertex v takes
-    min(d[v], elementwise max of E[u] over its DAG predecessors u), one
-    numpy reduction per layer, so the whole computation costs O(|X|*m*n).
+    min(d[v], elementwise max of E[u] over its DAG predecessors u), so the
+    whole computation costs O(|X|*m*n).  Blocks of up to
+    _BLOCK_ELEMS // n^2 sources share their passes, so the numpy calls per
+    layer are paid once per block, not once per source (see
+    _escape_histogram).
     Adding the rows of the targets y > x to a per-center histogram of
     escape radii and taking its cumulative sum gives every center's count
     at every radius.  The first radius at which some center reaches the

@@ -196,17 +196,18 @@ def round_hitting(
 
     Each member is represented by the part whose r-neighborhood carries the
     most fractional mass (first part on ties); the greedy hitting/packing
-    pass over the representatives yields the vertices.
+    pass over the representatives yields the vertices.  Masses are summed
+    over the support of y only.
     """
-    d = dm.d
+    support = [v for v, yv in enumerate(y) if yv]
+    near_support = dm.d[support]
     reps: list[QSet] = []
     for kq in family:
         best = None
         best_mass = None
         for part in kq.parts:
-            cols = list(part.members)
-            mask = d[:, cols].min(axis=1) <= r
-            mass = sum((y[int(v)] for v in np.flatnonzero(mask)), Fraction(0))
+            near = near_support[:, list(part.members)].min(axis=1) <= r
+            mass = sum((y[v] for v, hit in zip(support, near.tolist()) if hit), Fraction(0))
             if best_mass is None or mass > best_mass:
                 best = part
                 best_mass = mass

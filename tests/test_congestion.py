@@ -9,6 +9,7 @@ from hypercore import (
     Ball,
     Graph,
     TrafficDemand,
+    bfs_distances,
     centroid_vertex,
     distance_matrix,
     geodesic_count,
@@ -97,6 +98,14 @@ def test_uniform_demand_lists_no_pairs_until_asked():
 def test_demand_validation():
     with pytest.raises(ValueError):
         TrafficDemand(((1, 1),))
+    for g in (random_tree(9, 3), gnp_connected(9, 0.4, 3)):
+        dm = distance_matrix(g)
+        for bad in ((-1, 0), (0, 9), (12, 3)):
+            with pytest.raises(ValueError, match=rf"\({bad[0]},{bad[1]}\)"):
+                traffic_load(g, dm, TrafficDemand(((1, 2), bad)), [4])
+        for m in (8, 10):
+            with pytest.raises(ValueError, match="uniform demand"):
+                traffic_load(g, dm, TrafficDemand.uniform(m), [4])
 
 
 def test_min_core_star():
@@ -255,25 +264,41 @@ def test_min_core_benchmark_sized_full_profile(g):
 
 
 def test_min_core_in_small_blocks(monkeypatch):
-    # two rows per block: layers split between heads, a head with more
-    # predecessors than a block, and the target rows in several blocks
-    monkeypatch.setattr(congestion, "_BLOCK_ELEMS", 2 * 30)
+    # 2n elements: one source per pass, two rows per block, so layers split
+    # between chunks of heads and the target rows span several blocks;
+    # 2n^2 and 3n^2: passes over two and three sources whose DAGs stop at
+    # different depths, and a short last pass
     g = gnp_connected(30, 0.3, 4)
     dm = distance_matrix(g)
-    for X in (range(30), [0, 3, 4, 9, 17, 22, 29]):
+    n = g.n
+    for X in (range(30), [0, 3, 4, 9, 17, 22, 29], [5, 21]):
         for alpha in (Fraction(1, 2), Fraction(3, 4)):
-            assert min_core(g, dm, X, alpha) == radius_scan_min_core(g, dm, X, alpha)
+            if alpha * len(X) ** 2 / 2 > len(X) * (len(X) - 1) // 2:
+                continue
+            expected = radius_scan_min_core(g, dm, X, alpha)
+            for elems in (2 * n, 2 * n * n, 3 * n * n):
+                monkeypatch.setattr(congestion, "_BLOCK_ELEMS", elems)
+                assert min_core(g, dm, X, alpha) == expected
 
 
 @st.composite
 def traffic_instances(draw):
-    g = draw(connected_graphs(min_n=2, max_n=10))
+    g = draw(connected_graphs(min_n=2, max_n=10, tree=draw(st.booleans())))
     vertex = st.integers(0, g.n - 1)
     pairs = draw(
         st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), min_size=1, max_size=20)
     )
     pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))  # repeated pairs
-    S = draw(st.lists(vertex, min_size=1, unique=True))
+    # a vertex farthest from 0 is inside no geodesic from 0, so g minus it stays connected
+    dist = bfs_distances(g, 0)
+    farthest = max(range(g.n), key=lambda v: (dist[v], v))
+    S = draw(
+        st.one_of(
+            st.lists(vertex, min_size=1, unique=True),
+            st.just(list(range(g.n))),
+            st.just([farthest]),
+        )
+    )
     return g, tuple(pairs), S
 
 
@@ -285,6 +310,10 @@ def test_traffic_load_matches_enumeration_on_random_graphs(case):
     mu = traffic_load(g, dm, TrafficDemand(pairs), S)
     assert type(mu) is Fraction
     assert mu == naive_traffic_load(g, dm, pairs, S)
+    uniform = TrafficDemand.uniform(g.n)
+    mu = traffic_load(g, dm, uniform, S)
+    assert type(mu) is Fraction
+    assert mu == naive_traffic_load(g, dm, uniform.pairs, S)
 
 
 def test_traffic_load_grid_many_denominators():
