@@ -25,13 +25,10 @@ from .graphs import (
     DistanceMatrix,
     Graph,
     ball_members,
-    bfs_distances,
     descend_geodesic,
     distance_matrix,
-    distances_avoiding,
     gromov_product,
     intercepted_pairs,
-    intercepts_pair,
     interval,
     multi_source_distances,
     set_distance,

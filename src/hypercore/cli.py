@@ -87,6 +87,10 @@ def _halfint_json(h: HalfInt) -> dict:
     return {"value": float(h), "doubled": h.doubled}
 
 
+def _fraction_json(f: Fraction) -> dict:
+    return {"rational": f"{f.numerator}/{f.denominator}", "decimal": float(f)}
+
+
 def _cmd_generate(args):
     spec = GeneratorSpec(
         kind=args.kind, n=args.n, p=args.p, seed=args.seed, rows=args.rows, cols=args.cols
@@ -143,10 +147,7 @@ def _cmd_core(args):
         "radius": res.radius,
         "intercepted_pairs": res.intercepted_pairs,
         "total_pairs": res.total_pairs,
-        "pair_fraction": {
-            "rational": f"{frac_of_pairs.numerator}/{frac_of_pairs.denominator}",
-            "decimal": float(frac_of_pairs),
-        },
+        "pair_fraction": _fraction_json(frac_of_pairs),
         "median_vertex": table.label_of(median_vertex(dm, profile)),
     }, True
 
@@ -164,10 +165,7 @@ def _cmd_traffic(args):
     return {
         "demand_pairs": len(demand),
         "set": table.labels_of(sorted(set(subset))),
-        "mu": {
-            "rational": f"{mu.numerator}/{mu.denominator}",
-            "decimal": float(mu),
-        },
+        "mu": _fraction_json(mu),
     }, True
 
 
@@ -309,6 +307,12 @@ def _add_graph_flags(sub):
     sub.add_argument("--edges", required=True, help="edge-list file")
 
 
+def _add_family_flags(sub, family_help, *, r_required=False):
+    sub.add_argument("--family", required=True, help=family_help)
+    sub.add_argument("--r", type=int, default=0, required=r_required)
+    sub.add_argument("--base", default=None, help="base vertex label (default: first label)")
+
+
 def _add_delta_flag(sub):
     sub.add_argument(
         "--delta",
@@ -362,24 +366,18 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("helly", help="single ball meeting a 2r-close family")
     _add_graph_flags(p)
-    p.add_argument("--family", required=True, help="JSON family file")
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--base", default=None, help="base vertex label (default: first label)")
+    _add_family_flags(p, "JSON family file")
     _add_delta_flag(p)
 
     p = subs.add_parser("hitpack", help="greedy equal-size hitting set and packing")
     _add_graph_flags(p)
-    p.add_argument("--family", required=True, help="JSON family file")
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--base", default=None, help="base vertex label (default: first label)")
+    _add_family_flags(p, "JSON family file")
     _add_delta_flag(p)
 
     p = subs.add_parser("kappa", help="covering/packing for unions of quasiconvex sets")
     _add_graph_flags(p)
-    p.add_argument("--family", required=True, help="JSON kappa-family file")
-    p.add_argument("--r", type=int, required=True)
+    _add_family_flags(p, "JSON kappa-family file", r_required=True)
     p.add_argument("--epsilon", type=int, default=None, help="override measured epsilon upward")
-    p.add_argument("--base", default=None, help="base vertex label (default: first label)")
     _add_delta_flag(p)
 
     return parser

@@ -14,7 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, bfs_distances, check_vertices
+from .graphs import (
+    DistanceMatrix,
+    Graph,
+    check_vertices,
+    components_without,
+    multi_source_distances,
+)
 
 HALF = Fraction(1, 2)
 
@@ -115,7 +121,7 @@ def geodesic_count(g: Graph, s: int, t: int) -> int:
     """Number of distinct (s,t)-geodesics, exact."""
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"pair ({s},{t}) out of range for n={g.n}")
-    dist = bfs_distances(g, s)
+    dist = multi_source_distances(g, [s])[0].tolist()
     return _geodesic_counts(g, s, dist, dist[t])[0][t]
 
 
@@ -128,32 +134,6 @@ def _check_demand(n: int, demand: TrafficDemand) -> None:
                 raise ValueError(f"demand pair ({s},{t}) out of range for n={n}")
     elif m != n:
         raise ValueError(f"uniform demand on {m} vertices for a graph with n={n}")
-
-
-def _components_without(g: Graph, removed: frozenset[int]) -> tuple[list[int], list[int]]:
-    """Component labels of g - removed, and the size of each component.
-
-    A removed vertex gets the label n, which no component has.
-    """
-    n = g.n
-    adj = g.adjacency
-    label = [-1] * n
-    for v in removed:
-        label[v] = n
-    sizes = []
-    for root in range(n):
-        if label[root] != -1:
-            continue
-        c = len(sizes)
-        label[root] = c
-        comp = [root]
-        for u in comp:
-            for w in adj[u]:
-                if label[w] == -1:
-                    label[w] = c
-                    comp.append(w)
-        sizes.append(len(comp))
-    return label, sizes
 
 
 def traffic_load(
@@ -187,7 +167,7 @@ def traffic_load(
         raise ValueError("traffic_load needs a nonempty vertex set")
     _check_demand(g.n, demand)
     if g.is_tree():
-        label, sizes = _components_without(g, inside)
+        label, sizes = components_without(g, inside)
         n = g.n
         if demand._uniform_n is not None:
             return Fraction(n * (n - 1) - sum(c * (c - 1) for c in sizes))

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, components_without
 
 PRNG_ID = "python-random-mt19937"
 
@@ -95,29 +95,12 @@ def gnp_connected(n: int, p: float, seed: int, *, max_attempts: int = 1000) -> G
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
         ]
-        if _connected(n, edges):
-            return Graph(n, edges)
+        g = Graph(n, edges, validate=False)
+        if len(components_without(g)[1]) == 1:
+            return g
     raise ValueError(
         f"no connected G({n},{p}) sample within {max_attempts} attempts; raise p"
     )
-
-
-def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = n
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
 
 
 def generate(spec: GeneratorSpec) -> Graph:

@@ -1,5 +1,6 @@
-"""Graph substrate: adjacency, BFS, all-pairs distances, intervals, balls,
-Gromov products, set distances, and the ball interception test.
+"""Graph substrate: adjacency, component labels, BFS, all-pairs distances,
+intervals, balls, Gromov products, set distances, and the ball interception
+test.
 
 Graphs and distance matrices are immutable after construction and safe to
 share across threads; every operation here is a pure function of them.
@@ -7,7 +8,6 @@ share across threads; every operation here is a pure function of them.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -48,10 +48,11 @@ class Graph:
         self.n = n
         self.adjacency = adjacency
         if validate:
-            dist = bfs_distances(self, 0)
-            if -1 in dist:
+            label, sizes = components_without(self)
+            if len(sizes) > 1:
+                # component 1 starts at the first vertex outside 0's component
                 raise ValueError(
-                    f"graph is disconnected: vertex {dist.index(-1)} unreachable from 0"
+                    f"graph is disconnected: vertex {label.index(1)} unreachable from 0"
                 )
 
     @property
@@ -141,21 +142,31 @@ def check_vertices(n: int, vs: Iterable[int], name: str = "vertex set") -> list[
     return out
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from ``source``; -1 marks unreachable vertices."""
-    _check_vertex(g.n, source, "source")
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
+def components_without(g: Graph, removed: Iterable[int] = ()) -> tuple[list[int], list[int]]:
+    """Component labels of g - removed, and the size of each component.
+
+    Components are numbered in order of their smallest vertex.  A removed
+    vertex gets the label n, which no component has.
+    """
+    n = g.n
     adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                queue.append(w)
-    return dist
+    label = [-1] * n
+    for v in removed:
+        label[v] = n
+    sizes = []
+    for root in range(n):
+        if label[root] != -1:
+            continue
+        c = len(sizes)
+        label[root] = c
+        comp = [root]
+        for u in comp:
+            for w in adj[u]:
+                if label[w] == -1:
+                    label[w] = c
+                    comp.append(w)
+        sizes.append(len(comp))
+    return label, sizes
 
 
 def multi_source_distances(
@@ -281,30 +292,6 @@ def set_distance(dm: DistanceMatrix, X: Sequence[int], Y: Sequence[int]) -> int:
     return int(dm.d[np.ix_(xs, ys)].min())
 
 
-def distances_avoiding(g: Graph, blocked: Iterable[int], source: int) -> list[int]:
-    """BFS distances in the subgraph with ``blocked`` vertices deleted.
-
-    Returns -1 for unreachable vertices and for the blocked ones.  The
-    source itself must not be blocked.  A one-source pure-Python BFS, kept
-    as a test oracle for ``multi_source_distances``.
-    """
-    blocked_set = set(blocked)
-    dist = [-1] * g.n
-    if source in blocked_set:
-        raise ValueError(f"source {source} is a blocked vertex")
-    dist[source] = 0
-    queue = deque([source])
-    adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0 and w not in blocked_set:
-                dist[w] = du
-                queue.append(w)
-    return dist
-
-
 def intercepted_pairs(
     g: Graph, dm: DistanceMatrix, b: Ball, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
@@ -349,14 +336,6 @@ def intercepted_pairs(
         dist = multi_source_distances(g, sources.tolist(), np.flatnonzero(gone).tolist())
         hit[rest] = dist[row[xs], ys] != d[xs, ys]
     return hit
-
-
-def intercepts_pair(g: Graph, dm: DistanceMatrix, b: Ball, x: int, y: int) -> bool:
-    """True iff every (x,y)-geodesic meets the ball; ``intercepted_pairs``
-    for the single pair (x, y)."""
-    _check_vertex(g.n, x, "x")
-    _check_vertex(g.n, y, "y")
-    return bool(intercepted_pairs(g, dm, b, [(x, y)])[0])
 
 
 def descend_geodesic(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> list[int]:

@@ -42,15 +42,12 @@ class KappaQSet:
 
 @dataclass(frozen=True)
 class GammaIndex:
-    """Incidence between vertices and members at a fixed radius.
-
-    gamma_v[v] holds the members within the radius of v; gamma_i[i] holds
-    every member sharing such a witness vertex with member i (a symmetric
-    relation containing i itself).
+    """Incidence between members at a fixed radius: gamma_i[i] holds every
+    member sharing with member i a vertex within the radius of both (a
+    symmetric relation containing i itself).
     """
 
     radius: int
-    gamma_v: tuple[frozenset[int], ...]
     gamma_i: tuple[frozenset[int], ...]
 
 
@@ -83,12 +80,11 @@ def _gamma_index(member_dist: np.ndarray, r: int) -> GammaIndex:
     if r < 0:
         raise ValueError(f"negative gamma radius {r}")
     near = member_dist <= r  # m x n
-    gamma_v = tuple(frozenset(i for i, hit in enumerate(col) if hit) for col in near.T.tolist())
     gamma_i = tuple(
         frozenset(np.flatnonzero((near & near[i]).any(axis=1)).tolist())
         for i in range(len(near))
     )
-    return GammaIndex(radius=r, gamma_v=gamma_v, gamma_i=gamma_i)
+    return GammaIndex(radius=r, gamma_i=gamma_i)
 
 
 def _witness_vertices(near: np.ndarray) -> list[int]:
@@ -124,17 +120,27 @@ def _unit_lp(direction: str, a: np.ndarray) -> LPInstance:
     )
 
 
-def build_packing_lp(gamma: GammaIndex, m: int, num_vertices: int) -> LPInstance:
-    """max sum x_i subject to, per witness vertex v, sum of x_i over gamma_v[v] <= 1.
+def _witness_incidence(member_dist: np.ndarray, r: int) -> tuple[list[int], np.ndarray]:
+    """The witness vertices at radius r, in increasing id, and the members x
+    witnesses incidence: entry (i, k) is whether member i lies within r of
+    the k-th witness.  ``member_dist`` is ``_member_distances``."""
+    near = member_dist <= r
+    witnesses = _witness_vertices(near)
+    return witnesses, near[:, witnesses]
 
-    The LP over every vertex has the same optimum: a vertex whose member set
-    is empty gives the row 0 <= 1, and one whose set lies inside a witness's
-    set gives a row implied by the witness's row, because x >= 0.
+
+def build_packing_lp(family: Sequence[KappaQSet], dm: DistanceMatrix, r: int) -> LPInstance:
+    """max sum x_i subject to, per witness vertex v, sum of x_i over the
+    members within r of v <= 1.
+
+    Row k is the k-th witness vertex in increasing id.  The LP over every
+    vertex has the same optimum: a vertex near no member gives the row
+    0 <= 1, and one whose member set lies inside a witness's set gives a
+    row implied by the witness's row, because x >= 0.
     """
-    near = np.zeros((m, num_vertices), dtype=bool)
-    for v in range(num_vertices):
-        near[sorted(gamma.gamma_v[v]), v] = True
-    return _unit_lp("max", near[:, _witness_vertices(near)].T)
+    if r < 0:
+        raise ValueError(f"negative packing radius {r}")
+    return _unit_lp("max", _witness_incidence(_member_distances(dm, family), r)[1].T)
 
 
 def build_hitting_lp(family: Sequence[KappaQSet], dm: DistanceMatrix, r: int) -> LPInstance:
@@ -148,8 +154,7 @@ def build_hitting_lp(family: Sequence[KappaQSet], dm: DistanceMatrix, r: int) ->
     """
     if r < 0:
         raise ValueError(f"negative hitting radius {r}")
-    near = _member_distances(dm, family) <= r
-    return _unit_lp("min", near[:, _witness_vertices(near)])
+    return _unit_lp("min", _witness_incidence(_member_distances(dm, family), r)[1])
 
 
 def round_packing(
@@ -269,9 +274,7 @@ def kappa_hit_pack(
 
     member_dist = _member_distances(dm, family)
     gamma_r = _gamma_index(member_dist, r)
-    near = member_dist <= r_star
-    witnesses = _witness_vertices(near)
-    incidence = near[:, witnesses]  # members x witnesses
+    witnesses, incidence = _witness_incidence(member_dist, r_star)
 
     pack_sol = solve_lp(_unit_lp("max", incidence.T))
     if pack_sol.status != "optimal":

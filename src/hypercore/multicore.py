@@ -101,6 +101,21 @@ def _interception_masks(g: Graph, dm: DistanceMatrix, R: CommodityGraph, r: int)
     return masks
 
 
+def _smallest_cover(masks: list[int], bits: int, k_max: int) -> int | None:
+    """Smallest k <= k_max such that the OR of some k masks has all ``bits``
+    low bits set, or None.  Exhaustive over the nonzero masks."""
+    full = (1 << bits) - 1
+    candidates = [m for m in masks if m]
+    for k in range(1, k_max + 1):
+        for combo in combinations(candidates, k):
+            acc = 0
+            for m in combo:
+                acc |= m
+            if acc == full:
+                return k
+    return None
+
+
 def brute_sigma(
     g: Graph, dm: DistanceMatrix, R: CommodityGraph, r: int, k_max: int
 ) -> int | None:
@@ -108,17 +123,7 @@ def brute_sigma(
     or None when every size up to k_max fails.  Exhaustive; oracle scale only."""
     if not R.demands:
         raise ValueError("commodity graph has no demand pairs")
-    masks = _interception_masks(g, dm, R, r)
-    full = (1 << len(R.demands)) - 1
-    candidates = [v for v in range(g.n) if masks[v]]
-    for k in range(1, k_max + 1):
-        for combo in combinations(candidates, k):
-            acc = 0
-            for v in combo:
-                acc |= masks[v]
-            if acc == full:
-                return k
-    return None
+    return _smallest_cover(_interception_masks(g, dm, R, r), len(R.demands), k_max)
 
 
 def brute_tau(n: int, vertex_sets: Sequence[Sequence[int]], k_max: int | None = None) -> int | None:
@@ -126,21 +131,11 @@ def brute_tau(n: int, vertex_sets: Sequence[Sequence[int]], k_max: int | None = 
     sets = [frozenset(s) for s in vertex_sets]
     if any(not s for s in sets):
         raise ValueError("cannot hit an empty set")
-    limit = len(sets) if k_max is None else k_max
-    full = (1 << len(sets)) - 1
     hit_mask = [0] * n
     for i, s in enumerate(sets):
         for v in s:
             hit_mask[v] |= 1 << i
-    candidates = [v for v in range(n) if hit_mask[v]]
-    for k in range(1, limit + 1):
-        for combo in combinations(candidates, k):
-            acc = 0
-            for v in combo:
-                acc |= hit_mask[v]
-            if acc == full:
-                return k
-    return None
+    return _smallest_cover(hit_mask, len(sets), len(sets) if k_max is None else k_max)
 
 
 def brute_pi(vertex_sets: Sequence[Sequence[int]]) -> int:

@@ -16,6 +16,32 @@ import numpy as np
 from hypercore import CoreResult, LPInstance
 
 
+def distances_avoiding(g, blocked, source):
+    """One-source BFS hop distances in g with the ``blocked`` vertices
+    deleted; -1 marks unreachable and blocked vertices.  The reference for
+    the bit-parallel kernel ``multi_source_distances``."""
+    if not 0 <= source < g.n:
+        raise ValueError(f"source {source} out of range for n={g.n}")
+    blocked = set(blocked)
+    if source in blocked:
+        raise ValueError(f"source {source} is a blocked vertex")
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.adjacency[u]:
+            if dist[w] < 0 and w not in blocked:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def bfs_distances(g, source):
+    """One-source BFS hop distances; -1 marks unreachable vertices."""
+    return distances_avoiding(g, (), source)
+
+
 def all_geodesics(g, dm, s, t):
     """Every geodesic vertex path from s to t, by DFS on the layered DAG."""
     d = dm.d
@@ -104,17 +130,7 @@ def _intercepted_count(g, dm, ball_vertices, X, bail_above):
     d = dm.d
     pos = {x: i for i, x in enumerate(outside)}
     for x in outside:
-        dist = [-1] * g.n
-        dist[x] = 0
-        queue = deque([x])
-        adj = g.adjacency
-        while queue:
-            u = queue.popleft()
-            du = dist[u] + 1
-            for w in adj[u]:
-                if dist[w] < 0 and w not in ball_vertices:
-                    dist[w] = du
-                    queue.append(w)
+        dist = distances_avoiding(g, ball_vertices, x)
         px = pos[x]
         for y in outside:
             if pos[y] > px and dist[y] == d[x, y]:
@@ -363,19 +379,27 @@ def fraction_tableau_solve_lp(inst):
     return "optimal", tuple(values), sign * z
 
 
-def full_packing_lp(gamma, m, num_vertices):
+def full_packing_lp(family, dm, r):
     """The kappa packing LP with one <= 1 row per vertex, empty and
-    dominated rows included: max sum x_i, sum of x_i over gamma_v[v] <= 1."""
+    dominated rows included: max sum x_i, and for each vertex, sum of x_i
+    over the members whose union lies within r of it <= 1."""
     one = Fraction(1)
-    triplets = [(v, i, one) for v in range(num_vertices) for i in sorted(gamma.gamma_v[v])]
+    n = dm.n
+    m = len(family)
+    triplets = [
+        (v, i, one)
+        for v in range(n)
+        for i, kq in enumerate(family)
+        if min(int(dm.d[v, u]) for u in kq.union) <= r
+    ]
     return LPInstance(
         direction="max",
         num_vars=m,
-        num_rows=num_vertices,
+        num_rows=n,
         objective=(one,) * m,
         triplets=tuple(triplets),
-        senses=("<=",) * num_vertices,
-        rhs=(one,) * num_vertices,
+        senses=("<=",) * n,
+        rhs=(one,) * n,
     )
 
 

@@ -36,7 +36,6 @@ from hypercore import (
     helly_center,
     inflate_family,
     intercepted_pairs,
-    intercepts_pair,
     interval,
     kappa_hit_pack,
     min_core,
@@ -393,7 +392,7 @@ def test_criterion_10_oracle_equivalence(corpus):
             if x == y:
                 continue
             b = Ball(rng.randrange(g.n), rng.randrange(3))
-            got = intercepts_pair(g, dm, b, x, y)
+            got = intercepted_pairs(g, dm, b, [(x, y)])[0]
             want = naive_intercepts(g, dm, ball_members(dm, b), x, y)
             if got != want:
                 failures.append(f"{item.name}: intercepts({b},{x},{y})")

@@ -6,7 +6,7 @@ from hypercore import (
     beams_pairwise_close,
     distance_matrix,
     four_point_delta,
-    intercepts_pair,
+    intercepted_pairs,
     structural_checks,
     thin_delta_bound,
     total_beam_core,
@@ -54,9 +54,7 @@ def test_total_beam_core_random_graphs_thin_delta():
         res = total_beam_core(g, dm, delta)
         assert res.radius == (delta * 2).floor()
         assert res.all_beams_intercepted
-        b = Ball(res.midpoint, res.radius)
-        for x, y in beam_pairs(dm):
-            assert intercepts_pair(g, dm, b, x, y)
+        assert intercepted_pairs(g, dm, Ball(res.midpoint, res.radius), beam_pairs(dm)).all()
 
 
 def test_beams_pairwise_close():

@@ -9,11 +9,10 @@ from hypercore import (
     Ball,
     Graph,
     TrafficDemand,
-    bfs_distances,
     centroid_vertex,
     distance_matrix,
     geodesic_count,
-    intercepts_pair,
+    intercepted_pairs,
     median_vertex,
     min_core,
     traffic_load,
@@ -21,7 +20,13 @@ from hypercore import (
 from hypercore import congestion
 from hypercore.congestion import _tree_intercepted_counts
 from hypercore.generators import cycle_graph, gnp_connected, grid_graph, path_graph, random_tree
-from oracles import _intercepted_count, all_geodesics, naive_traffic_load, radius_scan_min_core
+from oracles import (
+    _intercepted_count,
+    all_geodesics,
+    bfs_distances,
+    naive_traffic_load,
+    radius_scan_min_core,
+)
 from strategies import connected_graphs
 
 ALPHAS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
@@ -152,13 +157,8 @@ def test_min_core_count_is_rechekable_via_intercepts_pair():
     dm = distance_matrix(g)
     X = list(range(g.n))
     res = min_core(g, dm, X)
-    b = Ball(res.center, res.radius)
-    recount = sum(
-        1
-        for i, x in enumerate(X)
-        for y in X[i + 1 :]
-        if intercepts_pair(g, dm, b, x, y)
-    )
+    pairs = [(x, y) for i, x in enumerate(X) for y in X[i + 1 :]]
+    recount = int(intercepted_pairs(g, dm, Ball(res.center, res.radius), pairs).sum())
     assert recount == res.intercepted_pairs
 
 

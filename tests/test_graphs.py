@@ -9,19 +9,16 @@ from hypercore import (
     Ball,
     Graph,
     ball_members,
-    bfs_distances,
     descend_geodesic,
     distance_matrix,
-    distances_avoiding,
     gromov_product,
     intercepted_pairs,
-    intercepts_pair,
     interval,
     multi_source_distances,
     set_distance,
 )
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
-from oracles import naive_intercepts, naive_interval
+from oracles import bfs_distances, distances_avoiding, naive_intercepts, naive_interval
 from strategies import connected_graphs
 
 
@@ -29,23 +26,27 @@ def star_k13():
     return Graph(4, [(0, 1), (0, 2), (0, 3)])
 
 
+def bfs_row(g, source):
+    return multi_source_distances(g, [source])[0].tolist()
+
+
 def test_bfs_path_and_identity():
     g = path_graph(3)
-    assert bfs_distances(g, 0) == [0, 1, 2]
-    assert bfs_distances(g, 1)[1] == 0
+    assert bfs_row(g, 0) == [0, 1, 2]
+    assert bfs_row(g, 1)[1] == 0
 
 
 def test_bfs_cycle6():
     g = cycle_graph(6)
-    assert bfs_distances(g, 0) == [0, 1, 2, 3, 2, 1]
+    assert bfs_row(g, 0) == [0, 1, 2, 3, 2, 1]
 
 
 def test_bfs_source_range():
     g = path_graph(3)
     with pytest.raises(ValueError):
-        bfs_distances(g, 3)
+        bfs_row(g, 3)
     with pytest.raises(ValueError):
-        bfs_distances(g, -1)
+        bfs_row(g, -1)
 
 
 def test_graph_validation():
@@ -55,8 +56,8 @@ def test_graph_validation():
         Graph(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 1)])  # vertex 2 unreachable
+    with pytest.raises(ValueError, match="^graph is disconnected: vertex 2 unreachable from 0$"):
+        Graph(3, [(0, 1)])
     g = Graph(3, [(0, 1)], validate=False)  # opt-out for oracle uses
     assert g.n == 3
 
@@ -140,13 +141,13 @@ def test_set_distance():
 def test_intercepts_pair_examples():
     g = path_graph(5)
     dm = distance_matrix(g)
-    assert intercepts_pair(g, dm, Ball(2, 0), 0, 4)
+    assert intercepted_pairs(g, dm, Ball(2, 0), [(0, 4)])[0]
     g4 = cycle_graph(4)
     dm4 = distance_matrix(g4)
-    assert not intercepts_pair(g4, dm4, Ball(1, 0), 0, 2)
+    assert not intercepted_pairs(g4, dm4, Ball(1, 0), [(0, 2)])[0]
     # endpoint inside the ball counts as intercepted by convention
-    assert intercepts_pair(g4, dm4, Ball(1, 1), 0, 2)
-    assert intercepts_pair(g, dm, Ball(0, 0), 0, 4)
+    assert intercepted_pairs(g4, dm4, Ball(1, 1), [(0, 2)])[0]
+    assert intercepted_pairs(g, dm, Ball(0, 0), [(0, 4)])[0]
 
 
 def test_interval_and_interception_match_enumeration():
@@ -167,7 +168,7 @@ def test_interval_and_interception_match_enumeration():
             if x == y:
                 continue
             b = Ball(rng.randrange(g.n), rng.randrange(3))
-            assert intercepts_pair(g, dm, b, x, y) == naive_intercepts(
+            assert intercepted_pairs(g, dm, b, [(x, y)])[0] == naive_intercepts(
                 g, dm, ball_members(dm, b), x, y
             )
 
@@ -333,4 +334,4 @@ def test_interception_matches_geodesic_enumeration(case):
     batch = intercepted_pairs(g, dm, ball, pairs).tolist()
     for (x, y), got in zip(pairs, batch):
         want = naive_intercepts(g, dm, members, x, y)
-        assert intercepts_pair(g, dm, ball, x, y) == got == want
+        assert intercepted_pairs(g, dm, ball, [(x, y)])[0] == got == want

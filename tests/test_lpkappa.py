@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
-    GammaIndex,
     HalfInt,
     KappaQSet,
     QSet,
@@ -62,21 +61,23 @@ def test_gamma_structural_properties():
         assert i in gi.gamma_i[i]
         for j in gi.gamma_i[i]:
             assert i in gi.gamma_i[j]
-    for v in range(18):
-        for i in gi.gamma_v[v]:
-            assert set_distance(dm, [v], list(fam[i].union)) <= 1
+    near = [
+        {v for v in range(18) if set_distance(dm, [v], list(kq.union)) <= 1} for kq in fam
+    ]
+    for i in range(6):
+        for j in range(6):
+            assert (j in gi.gamma_i[i]) == bool(near[i] & near[j])
 
 
 def test_packing_lp_extremes():
     g = path_graph(12)
     dm = distance_matrix(g)
     far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
-    gi = gamma_sets(dm, far, 0)
-    sol = solve_lp(build_packing_lp(gi, 3, dm.n))
+    sol = solve_lp(build_packing_lp(far, dm, 0))
     assert sol.status == "optimal" and sol.objective == 3
     near = [member(dm, [4]), member(dm, [5]), member(dm, [4, 5])]
-    gi2 = gamma_sets(dm, near, 1)  # vertex 4 or 5 is within 1 of all three
-    sol2 = solve_lp(build_packing_lp(gi2, 3, dm.n))
+    # vertex 4 or 5 is within 1 of all three
+    sol2 = solve_lp(build_packing_lp(near, dm, 1))
     assert sol2.objective <= 1
 
 
@@ -100,8 +101,7 @@ def test_lp_duality_zero_gap():
         for _ in range(5)
     ]
     for r in (0, 1, 2):
-        gi = gamma_sets(dm, fam, r)
-        p = solve_lp(build_packing_lp(gi, len(fam), dm.n))
+        p = solve_lp(build_packing_lp(fam, dm, r))
         h = solve_lp(build_hitting_lp(fam, dm, r))
         assert p.status == h.status == "optimal"
         assert p.objective == h.objective  # exact strong duality
@@ -224,12 +224,14 @@ def test_witness_vertices_rule():
 
 
 def test_packing_lp_rows_are_witnesses():
-    sets = (set(), {0, 1}, {0, 1}, {0}, {1, 2}, {2}, set())
-    gamma = GammaIndex(radius=0, gamma_v=tuple(frozenset(s) for s in sets), gamma_i=())
-    lp = build_packing_lp(gamma, 3, len(sets))
+    dm = distance_matrix(path_graph(7))
+    fam = [member(dm, [1, 2, 3]), member(dm, [1, 2], [4]), member(dm, [4, 5])]
+    # at radius 0 the member sets of vertices 0..6 are {}, {0, 1}, {0, 1},
+    # {0}, {1, 2}, {2}, {}: empty, duplicate and dominated rows
+    lp = build_packing_lp(fam, dm, 0)
     assert lp.num_rows == 2 and lp.num_vars == 3
     assert sorted(lp.triplets) == [(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 1)]
-    full = full_packing_lp(gamma, 3, len(sets))
+    full = full_packing_lp(fam, dm, 0)
     assert solve_lp(lp).objective == solve_lp(full).objective == 2
 
 
@@ -264,13 +266,11 @@ def test_witness_lps_match_full_lps(case):
     g, members, radius = case
     dm = distance_matrix(g)
     fam = [member(dm, *parts) for parts in members]
-    m = len(fam)
 
     def optima(r):
-        gamma = gamma_sets(dm, fam, r)
-        pack = solve_lp(build_packing_lp(gamma, m, dm.n)).objective
+        pack = solve_lp(build_packing_lp(fam, dm, r)).objective
         hit = solve_lp(build_hitting_lp(fam, dm, r)).objective
-        assert pack == solve_lp(full_packing_lp(gamma, m, dm.n)).objective
+        assert pack == solve_lp(full_packing_lp(fam, dm, r)).objective
         assert hit == solve_lp(full_hitting_lp(fam, dm, r)).objective
         return pack, hit
 
