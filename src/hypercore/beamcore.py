@@ -52,12 +52,8 @@ class StructuralReport:
 def beam_pairs(dm: DistanceMatrix) -> list[tuple[int, int]]:
     """All ordered pairs (x, y) with y a furthest vertex from x."""
     d = dm.d
-    ecc = d.max(axis=1)
-    pairs = []
-    for x in range(dm.n):
-        for y in np.flatnonzero(d[x] == ecc[x]):
-            pairs.append((x, int(y)))
-    return pairs
+    xs, ys = np.nonzero(d == d.max(axis=1)[:, None])
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def _midpoint(g: Graph, dm: DistanceMatrix, u: int, v: int) -> int:

@@ -26,7 +26,7 @@ from .fileio import (
     write_edge_list,
 )
 from .generators import PRNG_ID, GeneratorSpec, generate
-from .graphs import ball_members, distance_matrix, set_distance
+from .graphs import ball_members, check_matrix_cap, distance_matrix, set_distance
 from .halfint import HalfInt
 from .hyperbolicity import four_point_delta, hyperbolicity_report, thin_delta_bound
 from .lpkappa import KappaQSet, kappa_hit_pack
@@ -153,7 +153,10 @@ def _cmd_core(args):
 
 
 def _cmd_traffic(args):
-    g, dm, table = _load_graph(args)
+    g, table = read_edge_list(args.edges)
+    check_matrix_cap(g.n, args.max_n)
+    # the tree load is a closed form over the components of T - S
+    dm = None if g.is_tree() else distance_matrix(g, cap=args.max_n)
     if args.demand == "uniform":
         demand = TrafficDemand.uniform(g.n)
     else:

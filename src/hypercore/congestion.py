@@ -137,7 +137,7 @@ def _check_demand(n: int, demand: TrafficDemand) -> None:
 
 
 def traffic_load(
-    g: Graph, dm: DistanceMatrix, demand: TrafficDemand, S: Sequence[int]
+    g: Graph, dm: DistanceMatrix | None, demand: TrafficDemand, S: Sequence[int]
 ) -> Fraction:
     """mu(S): summed fraction of each demand pair's geodesics that meet S.
 
@@ -150,7 +150,8 @@ def traffic_load(
     endpoints lie in one component of T - S.  One O(n) pass labels those
     components; the uniform demand then has mu = n(n-1) - sum |C|(|C|-1)
     over the components C, and an explicit demand is one count over its
-    pairs (repeats counted).  Neither reads dm.
+    pairs (repeats counted).  Neither reads dm, so on a tree dm may be
+    None; on any other graph a missing dm raises ValueError.
 
     On other graphs, per demand source, one pass over its geodesic DAG
     (read from dm, up to the farthest target) counts both the geodesics to
@@ -174,6 +175,8 @@ def traffic_load(
         return Fraction(
             sum(1 for s, t in demand._pairs if label[s] == n or label[s] != label[t])
         )
+    if dm is None:
+        raise ValueError("traffic_load needs the distance matrix of a graph that is not a tree")
     whole = 0
     avoided: dict[int, int] = {}  # sigma_all -> summed sigma_avoid
     for s, targets in demand.by_source():
@@ -395,7 +398,12 @@ def median_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:
     profile = check_vertices(dm.n, X, "profile")
     if not profile:
         raise ValueError("median of an empty profile")
-    return int(dm.d[:, profile].sum(axis=1).argmin())
+    # d is symmetric, so the profile's rows give the sums; they are gathered
+    # in chunks of about 2**16 elements, not as one |X| x n copy
+    d = dm.d
+    step = max(1, 2**16 // dm.n)
+    sums = sum(d[profile[lo : lo + step]].sum(axis=0) for lo in range(0, len(profile), step))
+    return int(sums.argmin())
 
 
 def centroid_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:
@@ -403,5 +411,5 @@ def centroid_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:
     profile = check_vertices(dm.n, X, "profile")
     if not profile:
         raise ValueError("centroid of an empty profile")
-    cols = dm.d[:, profile]
-    return int((cols * cols).sum(axis=1).argmin())
+    rows = dm.d[profile]
+    return int((rows * rows).sum(axis=0).argmin())

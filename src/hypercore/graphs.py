@@ -243,23 +243,98 @@ def multi_source_distances(
     return out
 
 
-def distance_matrix(g: Graph, *, cap: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
-    """All-pairs hop distances by one bit-parallel BFS from every vertex
-    (``multi_source_distances``).  Refuses graphs above ``cap`` vertices
-    rather than allocating n^2 integers silently."""
-    if g.n > cap:
+def check_matrix_cap(n: int, cap: int) -> None:
+    """Refuse an all-pairs matrix above ``cap`` vertices rather than
+    allocating n^2 integers silently."""
+    if n > cap:
         raise ValueError(
-            f"graph has {g.n} vertices, above the all-pairs cap of {cap}; "
+            f"graph has {n} vertices, above the all-pairs cap of {cap}; "
             f"pass cap= explicitly to materialize the matrix anyway"
         )
-    d = multi_source_distances(g, range(g.n))
-    short = np.flatnonzero(d.min(axis=1) < 0)
-    if short.size:
-        v = int(short[0])
-        raise ValueError(
-            f"graph is disconnected: no path between {v} and {int(np.argmax(d[v] < 0))}"
-        )
+
+
+def distance_matrix(g: Graph, *, cap: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
+    """All-pairs hop distances.  Refuses graphs above ``cap`` vertices
+    (``check_matrix_cap``).
+
+    A tree (``g.is_tree()``, and one pass from vertex 0 reaches every
+    vertex) is filled from parent rows, BFS layer by layer
+    (``_tree_distances``); any other graph gets one bit-parallel BFS from
+    every vertex (``multi_source_distances``)."""
+    check_matrix_cap(g.n, cap)
+    d = _tree_distances(g) if g.is_tree() else None
+    if d is None:
+        d = multi_source_distances(g, range(g.n))
+        short = np.flatnonzero(d.min(axis=1) < 0)
+        if short.size:
+            v = int(short[0])
+            raise ValueError(
+                f"graph is disconnected: no path between {v} and {int(np.argmax(d[v] < 0))}"
+            )
     return DistanceMatrix(d)
+
+
+def _tree_distances(g: Graph) -> np.ndarray | None:
+    """All-pairs distances of a tree, or None when a pass from vertex 0 does
+    not reach every vertex (n - 1 edges without validation need not make a
+    tree).
+
+    One depth-first pass records each vertex's parent, depth and preorder
+    number tin, and groups the vertices into BFS layers; a reverse pass
+    sums subtree sizes, so the subtree of v is the preorder range
+    [tin[v], tout[v]) with tout = tin + size.  Row 0 is the depth vector.
+    Moving from a parent p to its child v brings v one step nearer to
+    every vertex of v's subtree and one step farther from every other
+    vertex, so d[v] = d[p] + 1 - 2*[tin[v] <= tin[col] < tout[v]], and each
+    BFS layer is filled from the one before it in a few numpy steps, in
+    chunks of about 2**16 elements so a wide layer builds no n x n mask.
+    """
+    n = g.n
+    adj = g.adjacency
+    parent = [-1] * n
+    depth = [0] * n
+    tin = [0] * n
+    seen = [False] * n
+    seen[0] = True
+    order: list[int] = []
+    layers = [[0]]
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        tin[v] = len(order)
+        order.append(v)
+        dw = depth[v] + 1
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                depth[w] = dw
+                stack.append(w)
+                if dw == len(layers):
+                    layers.append([w])
+                else:
+                    layers[dw].append(w)
+    if len(order) < n:
+        return None
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    tin_of = np.array(tin, dtype=np.int64)
+    tout_of = tin_of + np.array(size, dtype=np.int64)
+    parent_of = np.array(parent, dtype=np.intp)
+    d = np.empty((n, n), dtype=np.int64)
+    d[0] = depth
+    step = max(1, 2**16 // n)  # rows per chunk
+    for layer in layers[1:]:
+        ids = np.array(layer, dtype=np.intp)
+        for lo in range(0, len(ids), step):
+            r = ids[lo : lo + step]
+            rows = d[parent_of[r]]
+            rows += 1
+            in_subtree = (tin_of >= tin_of[r, None]) & (tin_of < tout_of[r, None])
+            np.subtract(rows, 2, out=rows, where=in_subtree)
+            d[r] = rows
+    return d
 
 
 def interval(dm: DistanceMatrix, u: int, v: int) -> list[int]:
@@ -296,34 +371,44 @@ def intercepted_pairs(
     g: Graph, dm: DistanceMatrix, b: Ball, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """For each pair (x, y), whether every (x,y)-geodesic meets the ball, as
-    a boolean array.
+    a boolean array.  A pair with x or y inside the ball counts as
+    intercepted: the degenerate geodesic endpoint is trivially hit.
 
-    One ``multi_source_distances`` call from the distinct first endpoints,
-    or the second ones if they are fewer, tests whether each pair's distance
-    strictly increases (or x and y fall apart) once the ball is deleted.
-    That call also deletes every vertex outside the pairs' intervals: every
-    geodesic stays inside its pair's interval, so no answer changes, and the
-    BFS stops after a few layers when the pairs are short.  A pair with x or
-    y inside the ball counts as intercepted: the degenerate geodesic
-    endpoint is trivially hit.
+    On a tree each pair has one geodesic, and the Gromov product (x|y)_c is
+    its distance from the center c, so the answer is one exact integer
+    test, d(c,x) + d(c,y) - d(x,y) <= 2r, with no BFS.
+
+    On other graphs, one ``multi_source_distances`` call from the distinct
+    first endpoints, or the second ones if they are fewer, tests whether
+    each pair's distance strictly increases (or x and y fall apart) once
+    the ball is deleted.  When there are at most n pairs left, that call
+    also deletes every vertex outside the pairs' intervals: every geodesic
+    stays inside its pair's interval, so no answer changes, and the BFS
+    stops after a few layers when the pairs are short.  With more pairs
+    the mask would cost more than n^2 to build, more than the BFS it
+    prunes, so only the ball is deleted.
     """
     p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if p.size and (p.min() < 0 or p.max() >= g.n):
         raise ValueError(f"pairs contain a vertex out of range for n={g.n}")
     _check_vertex(dm.n, b.center, "ball center")
     d = dm.d
-    inside = d[b.center] <= b.radius
     xs, ys = p[:, 0], p[:, 1]
+    if g.is_tree():
+        return d[b.center, xs] + d[b.center, ys] - d[xs, ys] <= 2 * b.radius
+    inside = d[b.center] <= b.radius
     hit = inside[xs] | inside[ys]
     rest = np.flatnonzero(~hit)
     if rest.size:
         xs, ys = xs[rest], ys[rest]
-        gone = np.ones(g.n, dtype=bool)
-        step = max(1, 2**14 // g.n)  # pairs per chunk, about 2**14 elements
-        for lo in range(0, len(xs), step):
-            x, y = xs[lo : lo + step], ys[lo : lo + step]
-            gone &= (d[x] + d[y] != d[x, y][:, None]).all(axis=0)
-        gone |= inside
+        gone = inside
+        if len(xs) <= g.n:
+            off = np.ones(g.n, dtype=bool)
+            step = max(1, 2**14 // g.n)  # pairs per chunk, about 2**14 elements
+            for lo in range(0, len(xs), step):
+                x, y = xs[lo : lo + step], ys[lo : lo + step]
+                off &= (d[x] + d[y] != d[x, y][:, None]).all(axis=0)
+            gone = inside | off
         row = np.zeros((2, g.n), dtype=np.intp)
         row[0, xs] = 1
         row[1, ys] = 1

@@ -103,6 +103,23 @@ def test_module_entry_point_without_subcommand_exits_1():
     assert "usage" in proc.stderr
 
 
+def test_traffic_refuses_a_tree_above_max_n(tmp_path, capsys):
+    # a tree's load reads no matrix, but --max-n still bounds the input
+    path = write_graph(tmp_path, path_graph(10))
+    argv = ["traffic", "--edges", str(path), "--demand", "uniform", "--set", "v4"]
+    assert run_cli(["--max-n", "9", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: graph has 10 vertices, above the all-pairs cap of 9; "
+        "pass cap= explicitly to materialize the matrix anyway\n"
+    )
+    code, rep, err = run_json(capsys, ["--max-n", "10", *argv])
+    assert code == 0
+    # the ordered pairs within v0..v3 and within v5..v9 miss v4: 90 - 4*3 - 5*4
+    assert rep["mu"]["rational"] == "58/1"
+
+
 def test_traffic_with_demand_file(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(4))
     dem = tmp_path / "demand.txt"

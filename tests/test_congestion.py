@@ -314,6 +314,12 @@ def test_traffic_load_matches_enumeration_on_random_graphs(case):
     mu = traffic_load(g, dm, uniform, S)
     assert type(mu) is Fraction
     assert mu == naive_traffic_load(g, dm, uniform.pairs, S)
+    if g.is_tree():  # the closed form reads no distances
+        assert traffic_load(g, None, uniform, S) == mu
+        assert traffic_load(g, None, TrafficDemand(pairs), S) == naive_traffic_load(g, dm, pairs, S)
+    else:
+        with pytest.raises(ValueError, match="distance matrix"):
+            traffic_load(g, None, uniform, S)
 
 
 def test_traffic_load_grid_many_denominators():

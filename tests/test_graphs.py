@@ -18,6 +18,7 @@ from hypercore import (
     set_distance,
 )
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
+from hypercore.graphs import _tree_distances
 from oracles import bfs_distances, distances_avoiding, naive_intercepts, naive_interval
 from strategies import connected_graphs
 
@@ -232,6 +233,30 @@ def test_distance_matrix_word_sizes_on_paths_and_cycles():
             assert [d[v].tolist() for v in range(n)] == [bfs_distances(g, v) for v in range(n)]
 
 
+def assert_tree_path_matches_kernel(g):
+    d = _tree_distances(g)
+    assert d is not None  # the tree fill ran, not the kernel
+    want = multi_source_distances(g, range(g.n))
+    assert d.dtype == np.int64
+    assert np.array_equal(d, want)
+    assert np.array_equal(distance_matrix(g).d, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(max_n=40, tree=True))
+@example(Graph(1, []))
+@example(Graph(2, [(0, 1)]))
+def test_tree_distances_match_kernel(g):
+    assert_tree_path_matches_kernel(g)
+
+
+def test_tree_distances_deep_wide_and_large():
+    star = Graph(600, [(0, v) for v in range(1, 600)])  # one wide layer
+    leaf_root = Graph(600, [(v, 599) for v in range(599)])  # root is a leaf
+    for g in (path_graph(300), star, leaf_root, random_tree(1100, 4)):
+        assert_tree_path_matches_kernel(g)
+
+
 def test_distance_matrix_several_source_blocks():
     g = random_tree(1100, 8)
     d = distance_matrix(g).d
@@ -310,6 +335,13 @@ def test_disconnected_isolated_vertices_messages():
         (Graph(4, [(0, 1), (2, 3)], validate=False), "no path between 0 and 2"),
         (Graph(3, [(1, 2)], validate=False), "no path between 0 and 1"),
         (Graph(2, [], validate=False), "no path between 0 and 1"),
+        # n - 1 edges, yet a cycle plus isolated vertices: not a tree
+        (Graph(4, [(0, 1), (1, 2), (0, 2)], validate=False), "no path between 0 and 3"),
+        (Graph(4, [(1, 2), (2, 3), (1, 3)], validate=False), "no path between 0 and 1"),
+        (
+            Graph(6, [(0, 5), (1, 2), (2, 3), (3, 4), (1, 4)], validate=False),
+            "no path between 0 and 1",
+        ),
     ]
     for g, tail in cases:
         with pytest.raises(ValueError, match=f"^graph is disconnected: {tail}$"):
@@ -317,8 +349,8 @@ def test_disconnected_isolated_vertices_messages():
 
 
 @st.composite
-def interception_instances(draw):
-    g = draw(connected_graphs(min_n=2, max_n=12))
+def interception_instances(draw, tree=False):
+    g = draw(connected_graphs(min_n=2, max_n=12, tree=tree))
     vertex = st.integers(0, g.n - 1)
     ball = Ball(draw(vertex), draw(st.integers(0, 3)))
     pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=12))
@@ -335,3 +367,27 @@ def test_interception_matches_geodesic_enumeration(case):
     for (x, y), got in zip(pairs, batch):
         want = naive_intercepts(g, dm, members, x, y)
         assert intercepted_pairs(g, dm, ball, [(x, y)])[0] == got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(interception_instances(tree=True))
+@example((path_graph(5), Ball(2, 0), [(0, 4), (2, 2), (1, 1), (2, 4), (3, 4), (4, 3)]))
+@example((star_k13(), Ball(1, 0), [(1, 2), (2, 3), (1, 1), (3, 3)]))
+def test_tree_interception_is_the_gromov_product_test(case):
+    g, ball, pairs = case
+    dm = distance_matrix(g)
+    members = ball_members(dm, ball)
+    got = intercepted_pairs(g, dm, ball, pairs)
+    assert got.dtype == bool
+    assert got.tolist() == [naive_intercepts(g, dm, members, x, y) for x, y in pairs]
+
+
+def test_many_pairs_skip_the_interval_mask():
+    # more pairs than vertices: only the ball is deleted, same answers
+    g = grid_graph(3, 4)
+    dm = distance_matrix(g)
+    pairs = [(x, y) for x in range(g.n) for y in range(g.n)]
+    for ball in (Ball(5, 0), Ball(0, 1), Ball(6, 1)):
+        members = ball_members(dm, ball)
+        got = intercepted_pairs(g, dm, ball, pairs).tolist()
+        assert got == [naive_intercepts(g, dm, members, x, y) for x, y in pairs]
