@@ -154,9 +154,11 @@ def _cmd_core(args):
 
 def _cmd_traffic(args):
     g, table = read_edge_list(args.edges)
-    check_matrix_cap(g.n, args.max_n)
-    # the tree load is a closed form over the components of T - S
-    dm = None if g.is_tree() else distance_matrix(g, cap=args.max_n)
+    if g.is_tree():  # the tree load is a closed form over the components of T - S
+        check_matrix_cap(g.n, args.max_n)
+        dm = None
+    else:
+        dm = distance_matrix(g, cap=args.max_n)
     if args.demand == "uniform":
         demand = TrafficDemand.uniform(g.n)
     else:

@@ -20,6 +20,7 @@ from .graphs import (
     check_vertices,
     components_without,
     multi_source_distances,
+    row_chunks,
 )
 
 HALF = Fraction(1, 2)
@@ -399,10 +400,9 @@ def median_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:
     if not profile:
         raise ValueError("median of an empty profile")
     # d is symmetric, so the profile's rows give the sums; they are gathered
-    # in chunks of about 2**16 elements, not as one |X| x n copy
+    # in row chunks, not as one |X| x n copy
     d = dm.d
-    step = max(1, 2**16 // dm.n)
-    sums = sum(d[profile[lo : lo + step]].sum(axis=0) for lo in range(0, len(profile), step))
+    sums = sum(d[profile[c]].sum(axis=0) for c in row_chunks(len(profile), dm.n))
     return int(sums.argmin())
 
 
@@ -411,5 +411,6 @@ def centroid_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:
     profile = check_vertices(dm.n, X, "profile")
     if not profile:
         raise ValueError("centroid of an empty profile")
-    rows = dm.d[profile]
-    return int((rows * rows).sum(axis=0).argmin())
+    d = dm.d
+    sums = sum(np.square(d[profile[c]]).sum(axis=0) for c in row_chunks(len(profile), dm.n))
+    return int(sums.argmin())

@@ -142,6 +142,14 @@ def check_vertices(n: int, vs: Iterable[int], name: str = "vertex set") -> list[
     return out
 
 
+def row_chunks(count: int, n: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each short enough that its rows
+    of an n-column array hold about 2**16 elements, so a gather such as
+    d[rows[chunk]] stays small however many rows there are."""
+    step = max(1, 2**16 // n)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
 def components_without(g: Graph, removed: Iterable[int] = ()) -> tuple[list[int], list[int]]:
     """Component labels of g - removed, and the size of each component.
 
@@ -287,7 +295,7 @@ def _tree_distances(g: Graph) -> np.ndarray | None:
     every vertex of v's subtree and one step farther from every other
     vertex, so d[v] = d[p] + 1 - 2*[tin[v] <= tin[col] < tout[v]], and each
     BFS layer is filled from the one before it in a few numpy steps, in
-    chunks of about 2**16 elements so a wide layer builds no n x n mask.
+    ``row_chunks`` so a wide layer builds no n x n mask.
     """
     n = g.n
     adj = g.adjacency
@@ -324,11 +332,10 @@ def _tree_distances(g: Graph) -> np.ndarray | None:
     parent_of = np.array(parent, dtype=np.intp)
     d = np.empty((n, n), dtype=np.int64)
     d[0] = depth
-    step = max(1, 2**16 // n)  # rows per chunk
     for layer in layers[1:]:
         ids = np.array(layer, dtype=np.intp)
-        for lo in range(0, len(ids), step):
-            r = ids[lo : lo + step]
+        for chunk in row_chunks(len(ids), n):
+            r = ids[chunk]
             rows = d[parent_of[r]]
             rows += 1
             in_subtree = (tin_of >= tin_of[r, None]) & (tin_of < tout_of[r, None])
@@ -381,12 +388,12 @@ def intercepted_pairs(
     On other graphs, one ``multi_source_distances`` call from the distinct
     first endpoints, or the second ones if they are fewer, tests whether
     each pair's distance strictly increases (or x and y fall apart) once
-    the ball is deleted.  When there are at most n pairs left, that call
-    also deletes every vertex outside the pairs' intervals: every geodesic
-    stays inside its pair's interval, so no answer changes, and the BFS
-    stops after a few layers when the pairs are short.  With more pairs
-    the mask would cost more than n^2 to build, more than the BFS it
-    prunes, so only the ball is deleted.
+    the ball is deleted.  When at most n/8 pairs are left, that call also
+    deletes every vertex outside the pairs' intervals: every geodesic stays
+    inside its pair's interval, so no answer changes, and the BFS stops
+    after a few layers when the pairs are short.  With more pairs the mask
+    costs more to build than it saves (README, Notes), so only the ball is
+    deleted.
     """
     p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if p.size and (p.min() < 0 or p.max() >= g.n):
@@ -402,11 +409,10 @@ def intercepted_pairs(
     if rest.size:
         xs, ys = xs[rest], ys[rest]
         gone = inside
-        if len(xs) <= g.n:
+        if 8 * len(xs) <= g.n:
             off = np.ones(g.n, dtype=bool)
-            step = max(1, 2**14 // g.n)  # pairs per chunk, about 2**14 elements
-            for lo in range(0, len(xs), step):
-                x, y = xs[lo : lo + step], ys[lo : lo + step]
+            for chunk in row_chunks(len(xs), g.n):
+                x, y = xs[chunk], ys[chunk]
                 off &= (d[x] + d[y] != d[x, y][:, None]).all(axis=0)
             gone = inside | off
         row = np.zeros((2, g.n), dtype=np.intp)

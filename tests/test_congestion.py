@@ -206,6 +206,16 @@ def test_median_matches_bruteforce():
     assert centroid_vertex(dm, X) == brute2
 
 
+def test_median_and_centroid_over_several_row_chunks():
+    # 2**16 // 1100 = 59 profile rows a chunk, so 300 rows take six chunks
+    g = grid_graph(25, 44)
+    dm = distance_matrix(g)
+    X = sorted(random.Random(2).sample(range(g.n), 300))
+    cols = dm.d[:, X]
+    assert median_vertex(dm, X) == int(cols.sum(axis=1).argmin())
+    assert centroid_vertex(dm, X) == int((cols * cols).sum(axis=1).argmin())
+
+
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs(max_n=10), st.data())
 def test_geodesic_count_matches_enumeration_on_random_graphs(g, data):

@@ -226,11 +226,14 @@ def test_distance_matrix_rows_match_bfs(n, seed, extra):
 
 
 def test_distance_matrix_word_sizes_on_paths_and_cycles():
-    # paths reach the largest layer count a size allows
+    # paths reach the largest layer count a size allows; distance_matrix
+    # fills a path by the tree path, so the kernel's word sizes (int8 up to
+    # 128 vertices, int16 above) are checked on the kernel directly
     for n in WORD_SIZES[2:]:
         for g in (path_graph(n), cycle_graph(n)):
-            d = distance_matrix(g).d
-            assert [d[v].tolist() for v in range(n)] == [bfs_distances(g, v) for v in range(n)]
+            want = [bfs_distances(g, v) for v in range(n)]
+            assert distance_matrix(g).d.tolist() == want
+            assert multi_source_distances(g, range(n)).tolist() == want
 
 
 def assert_tree_path_matches_kernel(g):
@@ -258,10 +261,15 @@ def test_tree_distances_deep_wide_and_large():
 
 
 def test_distance_matrix_several_source_blocks():
+    # a tree takes the tree path in distance_matrix, so the kernel's source
+    # blocks (512 sources each) are checked on the kernel directly
     g = random_tree(1100, 8)
     d = distance_matrix(g).d
+    kernel = multi_source_distances(g, range(1100))
     for v in list(range(0, 1100, 97)) + [511, 512, 513, 1023, 1024, 1099]:
-        assert d[v].tolist() == bfs_distances(g, v)
+        want = bfs_distances(g, v)
+        assert d[v].tolist() == want
+        assert kernel[v].tolist() == want
 
 
 @st.composite
@@ -383,11 +391,14 @@ def test_tree_interception_is_the_gromov_product_test(case):
 
 
 def test_many_pairs_skip_the_interval_mask():
-    # more pairs than vertices: only the ball is deleted, same answers
-    g = grid_graph(3, 4)
+    # at most n/8 pairs left after the ball test: the interval mask is
+    # built; more pairs: only the ball is deleted; the answers are the same
+    g = grid_graph(6, 8)
     dm = distance_matrix(g)
-    pairs = [(x, y) for x in range(g.n) for y in range(g.n)]
-    for ball in (Ball(5, 0), Ball(0, 1), Ball(6, 1)):
+    every = [(x, y) for x in range(g.n) for y in range(g.n)]
+    few = [(0, 47), (7, 40), (12, 15), (3, 3), (1, 46), (47, 0)]
+    for ball in (Ball(20, 0), Ball(0, 1), Ball(27, 1), Ball(22, 2)):
         members = ball_members(dm, ball)
-        got = intercepted_pairs(g, dm, ball, pairs).tolist()
-        assert got == [naive_intercepts(g, dm, members, x, y) for x, y in pairs]
+        for pairs in (every, few):
+            got = intercepted_pairs(g, dm, ball, pairs).tolist()
+            assert got == [naive_intercepts(g, dm, members, x, y) for x, y in pairs]
