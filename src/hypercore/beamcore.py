@@ -49,11 +49,11 @@ class StructuralReport:
     close_to_center_holds: bool
 
 
-def beam_pairs(dm: DistanceMatrix) -> list[tuple[int, int]]:
-    """All ordered pairs (x, y) with y a furthest vertex from x."""
+def beam_pairs(dm: DistanceMatrix) -> np.ndarray:
+    """All ordered pairs (x, y) with y a furthest vertex from x, as the rows
+    of a (k, 2) array in row-major order."""
     d = dm.d
-    xs, ys = np.nonzero(d == d.max(axis=1)[:, None])
-    return list(zip(xs.tolist(), ys.tolist()))
+    return np.argwhere(d == d.max(axis=1)[:, None])
 
 
 def _midpoint(g: Graph, dm: DistanceMatrix, u: int, v: int) -> int:
@@ -87,7 +87,7 @@ def beams_pairwise_close(dm: DistanceMatrix, delta: HalfInt) -> BeamSeparationRe
     """
     seen: set[frozenset[int]] = set()
     intervals: list[list[int]] = []
-    for x, y in beam_pairs(dm):
+    for x, y in beam_pairs(dm).tolist():
         key = frozenset((x, y))
         if key not in seen:
             seen.add(key)

@@ -154,11 +154,7 @@ def _cmd_core(args):
 
 def _cmd_traffic(args):
     g, table = read_edge_list(args.edges)
-    if g.is_tree():  # the tree load is a closed form over the components of T - S
-        check_matrix_cap(g.n, args.max_n)
-        dm = None
-    else:
-        dm = distance_matrix(g, cap=args.max_n)
+    check_matrix_cap(g.n, args.max_n)
     if args.demand == "uniform":
         demand = TrafficDemand.uniform(g.n)
     else:
@@ -166,7 +162,7 @@ def _cmd_traffic(args):
             tuple((table.id_of(a), table.id_of(b)) for a, b in read_pairs(args.demand))
         )
     subset = table.ids_of(args.set.split(","))
-    mu = traffic_load(g, dm, demand, subset)
+    mu = traffic_load(g, demand, subset)
     return {
         "demand_pairs": len(demand),
         "set": table.labels_of(sorted(set(subset))),

@@ -21,6 +21,7 @@ from .graphs import (
     components_without,
     multi_source_distances,
     row_chunks,
+    tree_walk,
 )
 
 HALF = Fraction(1, 2)
@@ -137,9 +138,7 @@ def _check_demand(n: int, demand: TrafficDemand) -> None:
         raise ValueError(f"uniform demand on {m} vertices for a graph with n={n}")
 
 
-def traffic_load(
-    g: Graph, dm: DistanceMatrix | None, demand: TrafficDemand, S: Sequence[int]
-) -> Fraction:
+def traffic_load(g: Graph, demand: TrafficDemand, S: Sequence[int]) -> Fraction:
     """mu(S): summed fraction of each demand pair's geodesics that meet S.
 
     A pair contributes 1 - (geodesics of the same length avoiding S) /
@@ -151,18 +150,18 @@ def traffic_load(
     endpoints lie in one component of T - S.  One O(n) pass labels those
     components; the uniform demand then has mu = n(n-1) - sum |C|(|C|-1)
     over the components C, and an explicit demand is one count over its
-    pairs (repeats counted).  Neither reads dm, so on a tree dm may be
-    None; on any other graph a missing dm raises ValueError.
+    pairs (repeats counted).
 
-    On other graphs, per demand source, one pass over its geodesic DAG
-    (read from dm, up to the farthest target) counts both the geodesics to
-    every target and those avoiding S; a target that no geodesic of that
-    length reaches without meeting S has avoiding count 0.  The pairs'
-    whole units are summed as one int, and each avoided share
-    sigma_avoid/sigma_all as an int numerator keyed by its denominator
-    sigma_all, so a Fraction is built only once per distinct denominator,
-    at the end.  Counts are big ints throughout and no float is involved,
-    so the result is exact.
+    On other graphs, one ``multi_source_distances`` call gives the
+    distance rows of the demand sources outside S that have a target
+    outside S.  Per such source, one pass over its geodesic DAG (up to the
+    farthest target) counts both the geodesics to every target and those
+    avoiding S; a target that no geodesic of that length reaches without
+    meeting S has avoiding count 0.  Every pair counts as a whole unit,
+    less each avoided share sigma_avoid/sigma_all, summed as an int
+    numerator keyed by its denominator sigma_all, so a Fraction is built
+    only once per distinct denominator, at the end.  Counts are big ints
+    throughout and no float is involved, so the result is exact.
     """
     inside = frozenset(check_vertices(g.n, S, "S"))
     if not inside:
@@ -176,25 +175,26 @@ def traffic_load(
         return Fraction(
             sum(1 for s, t in demand._pairs if label[s] == n or label[s] != label[t])
         )
-    if dm is None:
-        raise ValueError("traffic_load needs the distance matrix of a graph that is not a tree")
-    whole = 0
+    sources = [
+        s
+        for s, targets in demand.by_source()
+        if s not in inside and not inside.issuperset(targets)
+    ]
+    row_of = {s: i for i, s in enumerate(sources)}
+    rows = multi_source_distances(g, sources)
     avoided: dict[int, int] = {}  # sigma_all -> summed sigma_avoid
     for s, targets in demand.by_source():
-        whole += len(targets)
-        if s in inside:
+        if s not in row_of:
             continue
         outside_targets = [t for t in targets if t not in inside]
-        if not outside_targets:
-            continue
-        dist = dm.d[s].tolist()
+        dist = rows[row_of[s]].tolist()
         last = max(dist[t] for t in outside_targets)
         sigma, sigma_avoid = _geodesic_counts(g, s, dist, last, inside)
         for t in outside_targets:
             if sigma_avoid[t]:
                 den = sigma[t]
                 avoided[den] = avoided.get(den, 0) + sigma_avoid[t]
-    return Fraction(whole) - sum(
+    return Fraction(len(demand)) - sum(
         (Fraction(num, den) for den, num in avoided.items()), Fraction(0)
     )
 
@@ -203,23 +203,12 @@ def _tree_intercepted_counts(g: Graph, X: Sequence[int]) -> list[int]:
     """Radius-0 interception counts for every center of a tree, via subtree
     profile sizes (geodesics in trees are unique)."""
     n = g.n
-    in_x = [0] * n
+    parent, _, order = tree_walk(g)
+    sub = [0] * n
     for x in X:
-        in_x[x] = 1
-    parent = [-1] * n
-    order = [0]
-    seen = [False] * n
-    seen[0] = True
-    for u in order:
-        for w in g.adjacency[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                order.append(w)
-    sub = in_x[:]
-    for u in reversed(order):
-        if parent[u] >= 0:
-            sub[parent[u]] += sub[u]
+        sub[x] = 1
+    for u in reversed(order[1:]):
+        sub[parent[u]] += sub[u]
     nX = len(X)
     total = nX * (nX - 1) // 2
     counts = [0] * n

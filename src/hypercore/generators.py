@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, components_without
+from .graphs import Graph
 
 PRNG_ID = "python-random-mt19937"
 
@@ -84,23 +84,22 @@ def star_path_hub(n: int) -> int:
     return 3 * math.isqrt(n) - 1
 
 
-def gnp_connected(n: int, p: float, seed: int, *, max_attempts: int = 1000) -> Graph:
+def gnp_connected(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n,p), resampled until connected."""
     if n < 2:
         raise ValueError(f"gnp needs n >= 2, got {n}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"gnp needs 0 < p <= 1, got {p}")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(1000):
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
         ]
-        g = Graph(n, edges, validate=False)
-        if len(components_without(g)[1]) == 1:
-            return g
-    raise ValueError(
-        f"no connected G({n},{p}) sample within {max_attempts} attempts; raise p"
-    )
+        try:
+            return Graph(n, edges)
+        except ValueError:
+            pass  # the edges are in range and distinct, so the sample is disconnected
+    raise ValueError(f"no connected G({n},{p}) sample within 1000 attempts; raise p")
 
 
 def generate(spec: GeneratorSpec) -> Graph:

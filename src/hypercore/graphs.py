@@ -27,7 +27,7 @@ class Graph:
 
     __slots__ = ("n", "adjacency")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], *, validate: bool = True):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         adjacency: list[list[int]] = [[] for _ in range(n)]
@@ -47,13 +47,12 @@ class Graph:
             nbrs.sort()
         self.n = n
         self.adjacency = adjacency
-        if validate:
-            label, sizes = components_without(self)
-            if len(sizes) > 1:
-                # component 1 starts at the first vertex outside 0's component
-                raise ValueError(
-                    f"graph is disconnected: vertex {label.index(1)} unreachable from 0"
-                )
+        label, sizes = components_without(self)
+        if len(sizes) > 1:
+            # component 1 starts at the first vertex outside 0's component
+            raise ValueError(
+                f"graph is disconnected: vertex {label.index(1)} unreachable from 0"
+            )
 
     @property
     def m(self) -> int:
@@ -265,77 +264,67 @@ def distance_matrix(g: Graph, *, cap: int = DEFAULT_MATRIX_CAP) -> DistanceMatri
     """All-pairs hop distances.  Refuses graphs above ``cap`` vertices
     (``check_matrix_cap``).
 
-    A tree (``g.is_tree()``, and one pass from vertex 0 reaches every
-    vertex) is filled from parent rows, BFS layer by layer
+    A tree is filled from parent rows, BFS layer by layer
     (``_tree_distances``); any other graph gets one bit-parallel BFS from
     every vertex (``multi_source_distances``)."""
     check_matrix_cap(g.n, cap)
-    d = _tree_distances(g) if g.is_tree() else None
-    if d is None:
-        d = multi_source_distances(g, range(g.n))
-        short = np.flatnonzero(d.min(axis=1) < 0)
-        if short.size:
-            v = int(short[0])
-            raise ValueError(
-                f"graph is disconnected: no path between {v} and {int(np.argmax(d[v] < 0))}"
-            )
+    d = _tree_distances(g) if g.is_tree() else multi_source_distances(g, range(g.n))
     return DistanceMatrix(d)
 
 
-def _tree_distances(g: Graph) -> np.ndarray | None:
-    """All-pairs distances of a tree, or None when a pass from vertex 0 does
-    not reach every vertex (n - 1 edges without validation need not make a
-    tree).
+def tree_walk(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """Parent (-1 at the root), depth and depth-first preorder of a tree
+    rooted at vertex 0.  A parent precedes its children in the preorder,
+    and the subtree of each vertex is the run of the preorder that starts
+    at the vertex."""
+    if not g.is_tree():
+        raise ValueError(f"tree_walk needs a tree, got {g!r}")
+    adj = g.adjacency
+    parent = [-1] * g.n
+    depth = [0] * g.n
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                stack.append(w)
+    return parent, depth, order
 
-    One depth-first pass records each vertex's parent, depth and preorder
-    number tin, and groups the vertices into BFS layers; a reverse pass
-    sums subtree sizes, so the subtree of v is the preorder range
-    [tin[v], tout[v]) with tout = tin + size.  Row 0 is the depth vector.
-    Moving from a parent p to its child v brings v one step nearer to
+
+def _tree_distances(g: Graph) -> np.ndarray:
+    """All-pairs distances of a tree.
+
+    ``tree_walk`` gives each vertex's parent, depth and preorder number
+    tin; a reverse pass sums subtree sizes, so the subtree of v is the
+    preorder range [tin[v], tout[v]) with tout = tin + size, and sorting
+    by depth groups the vertices into BFS layers.  Row 0 is the depth
+    vector.  Moving from a parent p to its child v brings v one step nearer to
     every vertex of v's subtree and one step farther from every other
     vertex, so d[v] = d[p] + 1 - 2*[tin[v] <= tin[col] < tout[v]], and each
     BFS layer is filled from the one before it in a few numpy steps, in
     ``row_chunks`` so a wide layer builds no n x n mask.
     """
     n = g.n
-    adj = g.adjacency
-    parent = [-1] * n
-    depth = [0] * n
-    tin = [0] * n
-    seen = [False] * n
-    seen[0] = True
-    order: list[int] = []
-    layers = [[0]]
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        tin[v] = len(order)
-        order.append(v)
-        dw = depth[v] + 1
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                depth[w] = dw
-                stack.append(w)
-                if dw == len(layers):
-                    layers.append([w])
-                else:
-                    layers[dw].append(w)
-    if len(order) < n:
-        return None
+    parent, depth, order = tree_walk(g)
     size = [1] * n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
-    tin_of = np.array(tin, dtype=np.int64)
+    tin_of = np.empty(n, dtype=np.int64)
+    tin_of[order] = np.arange(n)
     tout_of = tin_of + np.array(size, dtype=np.int64)
     parent_of = np.array(parent, dtype=np.intp)
+    depth_of = np.array(depth, dtype=np.intp)
+    by_depth = np.argsort(depth_of, kind="stable")
+    layers = np.split(by_depth, np.flatnonzero(np.diff(depth_of[by_depth])) + 1)
     d = np.empty((n, n), dtype=np.int64)
-    d[0] = depth
+    d[0] = depth_of
     for layer in layers[1:]:
-        ids = np.array(layer, dtype=np.intp)
-        for chunk in row_chunks(len(ids), n):
-            r = ids[chunk]
+        for chunk in row_chunks(len(layer), n):
+            r = layer[chunk]
             rows = d[parent_of[r]]
             rows += 1
             in_subtree = (tin_of >= tin_of[r, None]) & (tin_of < tout_of[r, None])
@@ -388,12 +377,7 @@ def intercepted_pairs(
     On other graphs, one ``multi_source_distances`` call from the distinct
     first endpoints, or the second ones if they are fewer, tests whether
     each pair's distance strictly increases (or x and y fall apart) once
-    the ball is deleted.  When at most n/8 pairs are left, that call also
-    deletes every vertex outside the pairs' intervals: every geodesic stays
-    inside its pair's interval, so no answer changes, and the BFS stops
-    after a few layers when the pairs are short.  With more pairs the mask
-    costs more to build than it saves (README, Notes), so only the ball is
-    deleted.
+    the ball is deleted.
     """
     p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if p.size and (p.min() < 0 or p.max() >= g.n):
@@ -408,13 +392,6 @@ def intercepted_pairs(
     rest = np.flatnonzero(~hit)
     if rest.size:
         xs, ys = xs[rest], ys[rest]
-        gone = inside
-        if 8 * len(xs) <= g.n:
-            off = np.ones(g.n, dtype=bool)
-            for chunk in row_chunks(len(xs), g.n):
-                x, y = xs[chunk], ys[chunk]
-                off &= (d[x] + d[y] != d[x, y][:, None]).all(axis=0)
-            gone = inside | off
         row = np.zeros((2, g.n), dtype=np.intp)
         row[0, xs] = 1
         row[1, ys] = 1
@@ -424,7 +401,7 @@ def intercepted_pairs(
             row = row[0]
         sources = np.flatnonzero(row)
         row[sources] = np.arange(len(sources))
-        dist = multi_source_distances(g, sources.tolist(), np.flatnonzero(gone).tolist())
+        dist = multi_source_distances(g, sources.tolist(), np.flatnonzero(inside).tolist())
         hit[rest] = dist[row[xs], ys] != d[xs, ys]
     return hit
 

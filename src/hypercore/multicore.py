@@ -83,13 +83,13 @@ def multicore_construct(
     gap = max((HalfInt(r) - delta * 5).floor(), 0)
     hp = greedy_hit_pack(dm, g, fam, gap, delta)
     centers = hp.hitting_set
-    pending = list(R.demands)
+    pending = np.array(R.demands, dtype=np.intp)
     for c in centers:
-        if not pending:
+        if not len(pending):
             break
         hit = intercepted_pairs(g, dm, Ball(c, r), pending)
-        pending = [p for p, h in zip(pending, hit.tolist()) if not h]
-    return MultiCoreResult(centers=centers, radius=r, covered=not pending)
+        pending = pending[~hit]
+    return MultiCoreResult(centers=centers, radius=r, covered=not len(pending))
 
 
 def _interception_masks(g: Graph, dm: DistanceMatrix, R: CommodityGraph, r: int) -> list[int]:

@@ -276,7 +276,7 @@ def test_criterion_8_traffic_consistency(corpus):
             continue
         members = ball_members(item.dm, Ball(res.center, res.radius))
         demand = TrafficDemand.uniform(n)
-        mu = traffic_load(item.g, item.dm, demand, members)
+        mu = traffic_load(item.g, demand, members)
         if n <= 12:
             oracle = naive_traffic_load(item.g, item.dm, demand.pairs, members)
             if mu != oracle:

@@ -120,6 +120,18 @@ def test_traffic_refuses_a_tree_above_max_n(tmp_path, capsys):
     assert rep["mu"]["rational"] == "58/1"
 
 
+def test_traffic_refuses_a_non_tree_above_max_n(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(10))
+    argv = ["traffic", "--edges", str(path), "--demand", "uniform", "--set", "v4"]
+    assert run_cli(["--max-n", "9", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: graph has 10 vertices, above the all-pairs cap of 9; "
+        "pass cap= explicitly to materialize the matrix anyway\n"
+    )
+
+
 def test_traffic_with_demand_file(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(4))
     dem = tmp_path / "demand.txt"

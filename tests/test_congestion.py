@@ -56,23 +56,20 @@ def test_geodesic_count_symmetric_and_matches_enumeration():
 
 def test_traffic_load_examples():
     g = path_graph(5)
-    dm = distance_matrix(g)
-    assert traffic_load(g, dm, TrafficDemand(((0, 4),)), [0]) == 1
-    assert traffic_load(g, dm, TrafficDemand(((0, 4),)), [2]) == 1
+    assert traffic_load(g, TrafficDemand(((0, 4),)), [0]) == 1
+    assert traffic_load(g, TrafficDemand(((0, 4),)), [2]) == 1
     g4 = cycle_graph(4)
-    dm4 = distance_matrix(g4)
-    assert traffic_load(g4, dm4, TrafficDemand(((0, 2),)), [1]) == Fraction(1, 2)
+    assert traffic_load(g4, TrafficDemand(((0, 2),)), [1]) == Fraction(1, 2)
 
 
 def test_traffic_load_monotone_and_total():
     g = gnp_connected(12, 0.3, 2)
-    dm = distance_matrix(g)
     demand = TrafficDemand.uniform(g.n)
     rng = random.Random(3)
     small = sorted(rng.sample(range(g.n), 3))
     larger = sorted(set(small) | {rng.randrange(g.n)})
-    assert traffic_load(g, dm, demand, small) <= traffic_load(g, dm, demand, larger)
-    assert traffic_load(g, dm, demand, range(g.n)) == len(demand.pairs)
+    assert traffic_load(g, demand, small) <= traffic_load(g, demand, larger)
+    assert traffic_load(g, demand, range(g.n)) == len(demand.pairs)
 
 
 def test_traffic_load_matches_enumeration():
@@ -80,7 +77,7 @@ def test_traffic_load_matches_enumeration():
     dm = distance_matrix(g)
     demand = TrafficDemand.uniform(g.n)
     for S in ([0], [3, 7], [1, 2, 8]):
-        assert traffic_load(g, dm, demand, S) == naive_traffic_load(g, dm, demand.pairs, S)
+        assert traffic_load(g, demand, S) == naive_traffic_load(g, dm, demand.pairs, S)
 
 
 def test_uniform_demand_lists_no_pairs_until_asked():
@@ -93,24 +90,22 @@ def test_uniform_demand_lists_no_pairs_until_asked():
         assert len(explicit) == len(pairs)
         assert list(demand.by_source()) == list(explicit.by_source())
     g = grid_graph(3, 4)
-    dm = distance_matrix(g)
     uniform = TrafficDemand.uniform(g.n)
     explicit = TrafficDemand(uniform.pairs)
     for S in ([0], [5, 6], [0, 11]):
-        assert traffic_load(g, dm, uniform, S) == traffic_load(g, dm, explicit, S)
+        assert traffic_load(g, uniform, S) == traffic_load(g, explicit, S)
 
 
 def test_demand_validation():
     with pytest.raises(ValueError):
         TrafficDemand(((1, 1),))
     for g in (random_tree(9, 3), gnp_connected(9, 0.4, 3)):
-        dm = distance_matrix(g)
         for bad in ((-1, 0), (0, 9), (12, 3)):
             with pytest.raises(ValueError, match=rf"\({bad[0]},{bad[1]}\)"):
-                traffic_load(g, dm, TrafficDemand(((1, 2), bad)), [4])
+                traffic_load(g, TrafficDemand(((1, 2), bad)), [4])
         for m in (8, 10):
             with pytest.raises(ValueError, match="uniform demand"):
-                traffic_load(g, dm, TrafficDemand.uniform(m), [4])
+                traffic_load(g, TrafficDemand.uniform(m), [4])
 
 
 def test_min_core_star():
@@ -317,19 +312,13 @@ def traffic_instances(draw):
 def test_traffic_load_matches_enumeration_on_random_graphs(case):
     g, pairs, S = case
     dm = distance_matrix(g)
-    mu = traffic_load(g, dm, TrafficDemand(pairs), S)
+    mu = traffic_load(g, TrafficDemand(pairs), S)
     assert type(mu) is Fraction
     assert mu == naive_traffic_load(g, dm, pairs, S)
     uniform = TrafficDemand.uniform(g.n)
-    mu = traffic_load(g, dm, uniform, S)
+    mu = traffic_load(g, uniform, S)
     assert type(mu) is Fraction
     assert mu == naive_traffic_load(g, dm, uniform.pairs, S)
-    if g.is_tree():  # the closed form reads no distances
-        assert traffic_load(g, None, uniform, S) == mu
-        assert traffic_load(g, None, TrafficDemand(pairs), S) == naive_traffic_load(g, dm, pairs, S)
-    else:
-        with pytest.raises(ValueError, match="distance matrix"):
-            traffic_load(g, None, uniform, S)
 
 
 def test_traffic_load_grid_many_denominators():
@@ -339,4 +328,4 @@ def test_traffic_load_grid_many_denominators():
     counts = {geodesic_count(g, s, t) for s, t in demand.pairs}
     assert len(counts) >= 10
     for S in ([14], [0, 29], [7, 15, 22]):
-        assert traffic_load(g, dm, demand, S) == naive_traffic_load(g, dm, demand.pairs, S)
+        assert traffic_load(g, demand, S) == naive_traffic_load(g, dm, demand.pairs, S)

@@ -55,8 +55,8 @@ def test_gnp_deterministic_connected():
     b = gnp_connected(30, 0.15, 7)
     assert list(a.edges()) == list(b.edges())
     distance_matrix(a).validate(a)
-    with pytest.raises(ValueError, match="attempts"):
-        gnp_connected(40, 0.001, 0, max_attempts=3)
+    with pytest.raises(ValueError, match="within 1000 attempts"):
+        gnp_connected(40, 0.001, 0)
 
 
 def test_generator_outputs_satisfy_metric_invariants():

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypercore import (
     set_distance,
 )
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
-from hypercore.graphs import _tree_distances
+from hypercore.graphs import _tree_distances, tree_walk
 from oracles import bfs_distances, distances_avoiding, naive_intercepts, naive_interval
 from strategies import connected_graphs
 
@@ -59,8 +60,6 @@ def test_graph_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError, match="^graph is disconnected: vertex 2 unreachable from 0$"):
         Graph(3, [(0, 1)])
-    g = Graph(3, [(0, 1)], validate=False)  # opt-out for oracle uses
-    assert g.n == 3
 
 
 def test_distance_matrix_single_edge_and_star():
@@ -80,9 +79,8 @@ def test_distance_matrix_grid_corner():
 def test_distance_matrix_cap_and_disconnected():
     with pytest.raises(ValueError, match="cap"):
         distance_matrix(path_graph(5), cap=4)
-    g = Graph(3, [(0, 1)], validate=False)
-    with pytest.raises(ValueError, match="no path"):
-        distance_matrix(g)
+    with pytest.raises(ValueError, match="^graph is disconnected: vertex 2 unreachable from 0$"):
+        Graph(3, [(0, 1)])
 
 
 def test_distance_matrix_invariants_on_generated():
@@ -196,14 +194,14 @@ def test_descend_geodesic_is_shortest_and_deterministic():
 WORD_SIZES = [1, 2, 63, 64, 65, 128, 129]
 
 
-def seeded_graph(n, seed, extra, *, validate=True):
+def seeded_graph(n, seed, extra):
     """Random spanning tree plus up to ``extra`` random chords."""
     rng = random.Random(seed)
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     for _ in range(extra if n > 1 else 0):
         u, v = sorted(rng.sample(range(n), 2))
         edges.add((u, v))
-    return Graph(n, sorted(edges), validate=validate)
+    return Graph(n, sorted(edges))
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,7 +236,6 @@ def test_distance_matrix_word_sizes_on_paths_and_cycles():
 
 def assert_tree_path_matches_kernel(g):
     d = _tree_distances(g)
-    assert d is not None  # the tree fill ran, not the kernel
     want = multi_source_distances(g, range(g.n))
     assert d.dtype == np.int64
     assert np.array_equal(d, want)
@@ -258,6 +255,31 @@ def test_tree_distances_deep_wide_and_large():
     leaf_root = Graph(600, [(v, 599) for v in range(599)])  # root is a leaf
     for g in (path_graph(300), star, leaf_root, random_tree(1100, 4)):
         assert_tree_path_matches_kernel(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(max_n=30, tree=True))
+def test_tree_walk_is_a_preorder_from_0(g):
+    parent, depth, order = tree_walk(g)
+    assert order[0] == 0 and sorted(order) == list(range(g.n))
+    assert depth == bfs_distances(g, 0)
+    for v in order[1:]:
+        assert v in g.adjacency[parent[v]]
+    at = {v: i for i, v in enumerate(order)}
+    for v in range(g.n):
+        subtree = set()
+        for u in range(g.n):
+            w = u
+            while w != -1 and w != v:
+                w = parent[w]
+            if w == v:
+                subtree.add(u)
+        assert set(order[at[v] : at[v] + len(subtree)]) == subtree
+
+
+def test_tree_walk_refuses_other_graphs():
+    with pytest.raises(ValueError, match="needs a tree"):
+        tree_walk(cycle_graph(4))
 
 
 def test_distance_matrix_several_source_blocks():
@@ -310,12 +332,15 @@ def test_masked_kernel_unreachable_and_errors():
         multi_source_distances(g, [0], [-1])
 
 
-def expected_disconnected_message(g):
-    for v in range(g.n):
-        row = bfs_distances(g, v)
-        if -1 in row:
-            return f"graph is disconnected: no path between {v} and {row.index(-1)}"
-    return None
+def first_unreachable(n, edges):
+    """Smallest vertex with no path from 0, by the oracle BFS on a bare
+    adjacency list, or None when every vertex is reachable."""
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    row = bfs_distances(SimpleNamespace(n=n, adjacency=adjacency), 0)
+    return row.index(-1) if -1 in row else None
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,33 +352,30 @@ def test_disconnected_graph_message_unchanged(n, seed, edge_count):
     pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(edge_count)} if n > 1 else set()
     if n > 1 and edge_count == 0:
         pairs = {(v, v + 1) for v in range(n - 2)}  # a path and an isolated last vertex
-    g = Graph(n, sorted(pairs), validate=False)
-    want = expected_disconnected_message(g)
-    if want is None:
+    k = first_unreachable(n, pairs)
+    if k is None:
+        g = Graph(n, sorted(pairs))
         assert distance_matrix(g).d.tolist() == [bfs_distances(g, v) for v in range(n)]
     else:
         with pytest.raises(ValueError) as err:
-            distance_matrix(g)
-        assert str(err.value) == want
+            Graph(n, sorted(pairs))
+        assert str(err.value) == f"graph is disconnected: vertex {k} unreachable from 0"
 
 
 def test_disconnected_isolated_vertices_messages():
     cases = [
-        (Graph(4, [(0, 1), (1, 2)], validate=False), "no path between 0 and 3"),
-        (Graph(4, [(0, 1), (2, 3)], validate=False), "no path between 0 and 2"),
-        (Graph(3, [(1, 2)], validate=False), "no path between 0 and 1"),
-        (Graph(2, [], validate=False), "no path between 0 and 1"),
+        (4, [(0, 1), (1, 2)], 3),
+        (4, [(0, 1), (2, 3)], 2),
+        (3, [(1, 2)], 1),
+        (2, [], 1),
         # n - 1 edges, yet a cycle plus isolated vertices: not a tree
-        (Graph(4, [(0, 1), (1, 2), (0, 2)], validate=False), "no path between 0 and 3"),
-        (Graph(4, [(1, 2), (2, 3), (1, 3)], validate=False), "no path between 0 and 1"),
-        (
-            Graph(6, [(0, 5), (1, 2), (2, 3), (3, 4), (1, 4)], validate=False),
-            "no path between 0 and 1",
-        ),
+        (4, [(0, 1), (1, 2), (0, 2)], 3),
+        (4, [(1, 2), (2, 3), (1, 3)], 1),
+        (6, [(0, 5), (1, 2), (2, 3), (3, 4), (1, 4)], 1),
     ]
-    for g, tail in cases:
-        with pytest.raises(ValueError, match=f"^graph is disconnected: {tail}$"):
-            distance_matrix(g)
+    for n, edges, k in cases:
+        with pytest.raises(ValueError, match=f"^graph is disconnected: vertex {k} unreachable from 0$"):
+            Graph(n, edges)
 
 
 @st.composite
@@ -391,8 +413,8 @@ def test_tree_interception_is_the_gromov_product_test(case):
 
 
 def test_many_pairs_skip_the_interval_mask():
-    # at most n/8 pairs left after the ball test: the interval mask is
-    # built; more pairs: only the ball is deleted; the answers are the same
+    # a few pairs and every ordered pair, both against the oracle: the
+    # batch answers do not depend on how many pairs share the call
     g = grid_graph(6, 8)
     dm = distance_matrix(g)
     every = [(x, y) for x in range(g.n) for y in range(g.n)]
