@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .beamcore import structural_checks, total_beam_core
-from .congestion import TrafficDemand, median_vertex, min_core, traffic_load
+from .congestion import TrafficDemand, min_core, traffic_load
 from .fileio import (
     LabelTable,
     read_edge_list,
@@ -132,13 +132,14 @@ def _cmd_hyperbolicity(args):
 
 
 def _cmd_core(args):
-    g, dm, table = _load_graph(args)
+    g, table = read_edge_list(args.edges)
+    check_matrix_cap(g.n, args.max_n)
     if args.profile == "all":
         profile = list(range(g.n))
     else:
         profile = table.ids_of(read_tokens(args.profile))
     alpha = Fraction(args.alpha)
-    res = min_core(g, dm, profile, alpha)
+    res = min_core(g, profile, alpha)
     frac_of_pairs = Fraction(res.intercepted_pairs, res.total_pairs)
     return {
         "profile_size": len(set(profile)),
@@ -148,7 +149,7 @@ def _cmd_core(args):
         "intercepted_pairs": res.intercepted_pairs,
         "total_pairs": res.total_pairs,
         "pair_fraction": _fraction_json(frac_of_pairs),
-        "median_vertex": table.label_of(median_vertex(dm, profile)),
+        "median_vertex": table.label_of(res.median),
     }, True
 
 

@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     check_vertices,
     components_without,
+    distance_matrix,
     multi_source_distances,
     row_chunks,
     tree_walk,
@@ -29,12 +30,13 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class CoreResult:
-    """Best interception ball found for a profile."""
+    """Best interception ball found for a profile, and the profile median."""
 
     center: int
     radius: int
     intercepted_pairs: int
     total_pairs: int
+    median: int
 
 
 class TrafficDemand:
@@ -199,25 +201,37 @@ def traffic_load(g: Graph, demand: TrafficDemand, S: Sequence[int]) -> Fraction:
     )
 
 
-def _tree_intercepted_counts(g: Graph, X: Sequence[int]) -> list[int]:
-    """Radius-0 interception counts for every center of a tree, via subtree
-    profile sizes (geodesics in trees are unique)."""
+def _tree_profile_pass(g: Graph, profile: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Radius-0 interception counts and profile distance sums of every
+    vertex of a tree, from one ``tree_walk`` (geodesics in trees are unique).
+
+    sub[v] counts the profile vertices in the subtree of v.  Removing v
+    splits the tree into the subtrees of its children w and the part above
+    v, so v intercepts total - sum C(sub[w], 2) - C(|X| - sub[v], 2) pairs.
+    The distance sum of the root is the profile's summed depth; moving from
+    a parent to its child v brings sub[v] profile vertices one step nearer
+    and the other |X| - sub[v] one step farther, so
+    S(v) = S(parent v) + |X| - 2*sub[v], filled in preorder.
+    """
     n = g.n
-    parent, _, order = tree_walk(g)
+    parent, depth, order = tree_walk(g)
     sub = [0] * n
-    for x in X:
+    for x in profile:
         sub[x] = 1
     for u in reversed(order[1:]):
         sub[parent[u]] += sub[u]
-    nX = len(X)
-    total = nX * (nX - 1) // 2
-    counts = [0] * n
-    for v in range(n):
-        comp_sizes = [sub[w] for w in g.adjacency[v] if parent[w] == v]
-        comp_sizes.append(nX - sub[v])
-        missed = sum(c * (c - 1) // 2 for c in comp_sizes)
-        counts[v] = total - missed
-    return counts
+    nX = len(profile)
+    sums = [0] * n
+    sums[0] = sum(depth[x] for x in profile)
+    for v in order[1:]:
+        sums[v] = sums[parent[v]] + nX - 2 * sub[v]
+    size = np.array(sub, dtype=np.int64)
+    pairs = size * (size - 1) // 2
+    up = nX - size
+    missed = up * (up - 1) // 2
+    # vertex 0 is the root, so vertices 1..n-1 are the children of their parents
+    np.add.at(missed, np.array(parent[1:], dtype=np.intp), pairs[1:])
+    return nX * (nX - 1) // 2 - missed, np.array(sums, dtype=np.int64)
 
 
 # Elements per block of gathered rows of the escape-radius matrix: bounds
@@ -324,10 +338,9 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
     return hist.reshape(n, width)
 
 
-def min_core(
-    g: Graph, dm: DistanceMatrix, X: Sequence[int], alpha: Fraction = HALF
-) -> CoreResult:
-    """Minimum-radius ball intercepting at least alpha * |X|^2 / 2 pairs.
+def min_core(g: Graph, X: Sequence[int], alpha: Fraction = HALF) -> CoreResult:
+    """Minimum-radius ball intercepting at least alpha * |X|^2 / 2 pairs,
+    and the profile median (``median_vertex``).
 
     The escape radius esc_c(x,y) is the maximum, over all (x,y)-geodesics P,
     of min over w in P of d(c,w): the ball B(c,rho) meets every geodesic of
@@ -348,11 +361,13 @@ def min_core(
     the core existence bound guarantees within radius 4*delta4.
 
     On trees, radius 0 is checked first from subtree profile sizes in
-    O(n + |X|).  It succeeds whenever alpha <= 1/2 (a profile centroid of a
-    tree intercepts at least |X|^2/4 pairs) and saves the DP, whose layer
-    count grows with the depth of the tree: three orders of magnitude on a
-    1000-vertex random tree.  When radius 0 misses the threshold, the DP
-    runs as on any other graph.
+    O(n + |X|), and the same pass gives every vertex's profile distance sum
+    (``_tree_profile_pass``).  It succeeds whenever alpha <= 1/2 (a profile
+    centroid of a tree intercepts at least |X|^2/4 pairs) and saves the DP,
+    whose layer count grows with the depth of the tree, and the distance
+    matrix.  When radius 0 misses the threshold, and on every other graph,
+    the matrix is built (with no cap: bounding n is the caller's choice),
+    the DP runs and the median is read off the same matrix.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -368,19 +383,16 @@ def min_core(
         )
     threshold = -(-need.numerator // need.denominator)  # ceil, exact
     if g.is_tree():
-        counts = _tree_intercepted_counts(g, profile)
-        best = max(range(g.n), key=lambda v: (counts[v], -v))
+        counts, sums = _tree_profile_pass(g, profile)
+        best = int(counts.argmax())
         if counts[best] >= threshold:
-            return CoreResult(
-                center=best, radius=0, intercepted_pairs=counts[best], total_pairs=total
-            )
+            return CoreResult(best, 0, int(counts[best]), total, int(sums.argmin()))
+    dm = distance_matrix(g, cap=g.n)
     curve = np.cumsum(_escape_histogram(g, dm, profile), axis=1)
     peak = curve.max(axis=0)
     rho = int(np.argmax(peak >= threshold))
     best = int(np.argmax(curve[:, rho]))
-    return CoreResult(
-        center=best, radius=rho, intercepted_pairs=int(curve[best, rho]), total_pairs=total
-    )
+    return CoreResult(best, rho, int(curve[best, rho]), total, median_vertex(dm, profile))
 
 
 def median_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:

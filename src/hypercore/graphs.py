@@ -25,7 +25,7 @@ _SOURCE_BLOCK = 512
 class Graph:
     """Undirected connected simple graph on dense vertex ids 0..n-1."""
 
-    __slots__ = ("n", "adjacency")
+    __slots__ = ("n", "m", "adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -46,6 +46,7 @@ class Graph:
         for nbrs in adjacency:
             nbrs.sort()
         self.n = n
+        self.m = len(seen)
         self.adjacency = adjacency
         label, sizes = components_without(self)
         if len(sizes) > 1:
@@ -53,10 +54,6 @@ class Graph:
             raise ValueError(
                 f"graph is disconnected: vertex {label.index(1)} unreachable from 0"
             )
-
-    @property
-    def m(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):

@@ -38,7 +38,7 @@ class CorpusGraph:
 
     def full_profile_core(self) -> CoreResult:
         if self._core is None:
-            self._core = min_core(self.g, self.dm, range(self.g.n))
+            self._core = min_core(self.g, range(self.g.n))
         return self._core
 
 

@@ -145,7 +145,8 @@ def radius_scan_min_core(g, dm, X, alpha=Fraction(1, 2)):
     every center's intercepted pairs by deleting its ball and re-running BFS
     from each profile vertex.  The first radius at which a center reaches
     ceil(alpha * |X|^2 / 2) wins; ties prefer the largest count, then the
-    smallest center id."""
+    smallest center id.  The median is the vertex with the smallest distance
+    sum to the profile, summed vertex by vertex, smallest id on ties."""
     profile = sorted(set(X))
     nX = len(profile)
     total = nX * (nX - 1) // 2
@@ -153,6 +154,7 @@ def radius_scan_min_core(g, dm, X, alpha=Fraction(1, 2)):
     threshold = -(-need.numerator // need.denominator)
     bail_above = total - threshold
     d = dm.d
+    median = min(range(g.n), key=lambda v: (sum(int(d[v, x]) for x in profile), v))
     for rho in range(int(d.max()) + 1):
         counts = [
             _intercepted_count(
@@ -166,7 +168,7 @@ def radius_scan_min_core(g, dm, X, alpha=Fraction(1, 2)):
                 if best is None or cnt > counts[best]:
                     best = v
         if best is not None:
-            return CoreResult(best, rho, counts[best], total)
+            return CoreResult(best, rho, counts[best], total, median)
     raise AssertionError("no ball up to the diameter met the threshold")
 
 

@@ -330,7 +330,7 @@ def test_criterion_9_centroid_divergence():
         dm = distance_matrix(g)
         hub = star_path_hub(n)
         need = ceil_quarter_square(n)
-        core = min_core(g, dm, range(n))
+        core = min_core(g, range(n))
         centroid = centroid_vertex(dm, range(n))
         t = star_path_centroid_offset(n)
         radii.append(core.radius)

@@ -9,7 +9,7 @@ import pytest
 import hypercore
 import hypercore.cli
 
-from hypercore import Graph
+from hypercore import Ball, Graph, distance_matrix, intercepted_pairs
 from hypercore.cli import run_cli
 from hypercore.fileio import (
     read_edge_list,
@@ -17,7 +17,7 @@ from hypercore.fileio import (
     read_pairs,
     write_edge_list,
 )
-from hypercore.generators import cycle_graph, path_graph
+from hypercore.generators import cycle_graph, path_graph, random_tree
 
 
 def run_json(capsys, argv):
@@ -130,6 +130,51 @@ def test_traffic_refuses_a_non_tree_above_max_n(tmp_path, capsys):
         "error: graph has 10 vertices, above the all-pairs cap of 9; "
         "pass cap= explicitly to materialize the matrix anyway\n"
     )
+
+
+@pytest.mark.parametrize("g", [path_graph(10), cycle_graph(10)], ids=["tree", "cycle"])
+def test_core_refuses_a_graph_above_max_n(tmp_path, capsys, g):
+    # a tree's core reads no matrix, but --max-n still bounds the input
+    path = write_graph(tmp_path, g)
+    argv = ["core", "--edges", str(path), "--profile", "all"]
+    assert run_cli(["--max-n", "9", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: graph has 10 vertices, above the all-pairs cap of 9; "
+        "pass cap= explicitly to materialize the matrix anyway\n"
+    )
+    code, rep, err = run_json(capsys, ["--max-n", "10", *argv])
+    assert code == 0
+    assert rep["total_pairs"] == 45
+
+
+def test_core_on_a_tree_builds_no_matrix(tmp_path, capsys, monkeypatch):
+    g = random_tree(1000, 7)
+    path = write_graph(tmp_path, g)
+    argv = ["core", "--edges", str(path), "--profile", "all"]
+    code, expected, _ = run_json(capsys, argv)
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("core on a tree built a distance matrix")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "hypercore" or name.startswith("hypercore."):
+            for attr in ("_tree_distances", "distance_matrix", "multi_source_distances"):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, refuse)
+    code, rep, err = run_json(capsys, argv)
+    assert (code, err) == (0, "")
+    assert rep == expected
+    monkeypatch.undo()
+    # the report itself, checked against the matrix
+    dm = distance_matrix(g)
+    assert rep["radius"] == 0
+    assert rep["median_vertex"] == f"v{int(dm.d.sum(axis=0).argmin())}"
+    center = int(rep["center"][1:])
+    pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+    assert rep["intercepted_pairs"] == int(intercepted_pairs(g, dm, Ball(center, 0), pairs).sum())
 
 
 def test_traffic_with_demand_file(tmp_path, capsys):

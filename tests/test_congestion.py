@@ -18,7 +18,7 @@ from hypercore import (
     traffic_load,
 )
 from hypercore import congestion
-from hypercore.congestion import _tree_intercepted_counts
+from hypercore.congestion import _tree_profile_pass
 from hypercore.generators import cycle_graph, gnp_connected, grid_graph, path_graph, random_tree
 from oracles import (
     _intercepted_count,
@@ -110,8 +110,7 @@ def test_demand_validation():
 
 def test_min_core_star():
     star = Graph(5, [(0, i) for i in range(1, 5)])
-    dm = distance_matrix(star)
-    res = min_core(star, dm, range(5))
+    res = min_core(star, range(5))
     assert res.center == 0
     assert res.radius == 0
     assert res.intercepted_pairs == res.total_pairs == 10
@@ -120,38 +119,36 @@ def test_min_core_star():
 def test_min_core_trees_radius_zero():
     for seed in range(5):
         g = random_tree(20, seed + 50)
-        dm = distance_matrix(g)
-        assert min_core(g, dm, range(g.n)).radius == 0
+        assert min_core(g, range(g.n)).radius == 0
 
 
 def test_min_core_trees_arbitrary_profile():
     rng = random.Random(17)
     for seed in range(4):
         g = random_tree(24, seed + 80)
-        dm = distance_matrix(g)
         X = sorted(rng.sample(range(24), rng.randint(2, 12)))
-        res = min_core(g, dm, X)
+        res = min_core(g, X)
         assert res.radius == 0
         assert res.intercepted_pairs >= -(-len(X) * len(X) // 4)
 
 
 def test_min_core_path10():
     g = path_graph(10)
-    dm = distance_matrix(g)
-    res = min_core(g, dm, range(10))
+    res = min_core(g, range(10))
     # pairs through vertex 4: C(10,2) - C(4,2) - C(5,2) = 29, best at rho=0
     assert res.radius == 0
     assert res.center == 4
     assert res.intercepted_pairs == 29
     assert res.intercepted_pairs >= 25
     assert res.total_pairs == 45
+    assert res.median == 4  # vertices 4 and 5 tie on distance sum 25; smallest id
 
 
 def test_min_core_count_is_rechekable_via_intercepts_pair():
     g = gnp_connected(12, 0.3, 21)
     dm = distance_matrix(g)
     X = list(range(g.n))
-    res = min_core(g, dm, X)
+    res = min_core(g, X)
     pairs = [(x, y) for i, x in enumerate(X) for y in X[i + 1 :]]
     recount = int(intercepted_pairs(g, dm, Ball(res.center, res.radius), pairs).sum())
     assert recount == res.intercepted_pairs
@@ -159,13 +156,12 @@ def test_min_core_count_is_rechekable_via_intercepts_pair():
 
 def test_min_core_respects_alpha_and_errors():
     g = path_graph(6)
-    dm = distance_matrix(g)
-    res = min_core(g, dm, range(6), Fraction(1, 3))
+    res = min_core(g, range(6), Fraction(1, 3))
     assert res.intercepted_pairs >= -(-36 // 6)
     with pytest.raises(ValueError):
-        min_core(g, dm, [0])
+        min_core(g, [0])
     with pytest.raises(ValueError, match="exceeds"):
-        min_core(g, dm, range(6), Fraction(99, 100))
+        min_core(g, range(6), Fraction(99, 100))
 
 
 def test_tree_fast_path_matches_generic_counts():
@@ -174,11 +170,12 @@ def test_tree_fast_path_matches_generic_counts():
         dm = distance_matrix(g)
         rng = random.Random(seed)
         X = sorted(rng.sample(range(16), 9))
-        fast = _tree_intercepted_counts(g, X)
+        counts, sums = _tree_profile_pass(g, X)
         total = len(X) * (len(X) - 1) // 2
         for v in range(g.n):
             generic = _intercepted_count(g, dm, frozenset([v]), X, total)
-            assert generic == fast[v]
+            assert generic == counts[v]
+            assert sum(dm.dist(v, x) for x in X) == sums[v]
 
 
 def test_median_and_centroid_examples():
@@ -236,7 +233,7 @@ def core_instances(draw):
 def test_min_core_matches_radius_scan(case):
     g, X, alpha = case
     dm = distance_matrix(g)
-    assert min_core(g, dm, X, alpha) == radius_scan_min_core(g, dm, X, alpha)
+    assert min_core(g, X, alpha) == radius_scan_min_core(g, dm, X, alpha)
 
 
 def test_min_core_cycle_ties_to_smallest_center():
@@ -244,7 +241,7 @@ def test_min_core_cycle_ties_to_smallest_center():
     for n in (9, 10):
         g = cycle_graph(n)
         dm = distance_matrix(g)
-        res = min_core(g, dm, range(n))
+        res = min_core(g, range(n))
         assert res.center == 0
         assert res == radius_scan_min_core(g, dm, range(n))
 
@@ -255,9 +252,9 @@ def test_min_core_tree_past_radius_zero():
         g = random_tree(40, seed)
         dm = distance_matrix(g)
         alpha = Fraction(3, 4)
-        counts = _tree_intercepted_counts(g, range(g.n))
+        counts, _ = _tree_profile_pass(g, list(range(g.n)))
         assert max(counts) < alpha * g.n * g.n / 2
-        res = min_core(g, dm, range(g.n), alpha)
+        res = min_core(g, range(g.n), alpha)
         assert res.radius > 0
         assert res == radius_scan_min_core(g, dm, range(g.n), alpha)
 
@@ -265,7 +262,7 @@ def test_min_core_tree_past_radius_zero():
 @pytest.mark.parametrize("g", [grid_graph(8, 10), cycle_graph(60)], ids=["grid8x10", "cycle60"])
 def test_min_core_benchmark_sized_full_profile(g):
     dm = distance_matrix(g)
-    assert min_core(g, dm, range(g.n)) == radius_scan_min_core(g, dm, range(g.n))
+    assert min_core(g, range(g.n)) == radius_scan_min_core(g, dm, range(g.n))
 
 
 def test_min_core_in_small_blocks(monkeypatch):
@@ -283,7 +280,7 @@ def test_min_core_in_small_blocks(monkeypatch):
             expected = radius_scan_min_core(g, dm, X, alpha)
             for elems in (2 * n, 2 * n * n, 3 * n * n):
                 monkeypatch.setattr(congestion, "_BLOCK_ELEMS", elems)
-                assert min_core(g, dm, X, alpha) == expected
+                assert min_core(g, X, alpha) == expected
 
 
 @st.composite
