@@ -26,8 +26,7 @@ exact (the same paper states the reduction for the four-point constant):
   vertices (or u, or v) that bracket distance r.
 - Hence delta(G) and the interval thinness of G are the maxima over the
   blocks.  A block with at most three vertices, or a complete one, has
-  delta 0 and thinness 0 and is never scanned, so a tree costs only the
-  block split.
+  delta 0 and thinness 0 and is never scanned; a tree is not even split.
 """
 
 from __future__ import annotations
@@ -84,47 +83,76 @@ def four_point_defect(dm: DistanceMatrix, quad: tuple[int, int, int, int]) -> Ha
     """Half the gap between the two largest distance sums of one quadruple."""
     u, v, x, y = quad
     d = dm.d
-    sums = sorted(
-        (
-            int(d[u, v]) + int(d[x, y]),
-            int(d[u, x]) + int(d[v, y]),
-            int(d[u, y]) + int(d[v, x]),
-        )
-    )
+    sums = sorted((int(d[u, v] + d[x, y]), int(d[u, x] + d[v, y]), int(d[u, y] + d[v, x])))
     return HalfInt.from_doubled(sums[2] - sums[1])
+
+
+# Elements in one gather of the far-apart mask or batch of the thinness scan
+_BLOCK_ELEMS = 1 << 20
 
 
 def far_apart_pairs(dm: DistanceMatrix) -> np.ndarray:
     """Every pair (a, b), a < b, such that no neighbour of a is farther from b
     and no neighbour of b is farther from a, as an (m, 2) int32 array sorted
-    by decreasing d(a, b), ties in row-major order.
+    by decreasing d(a, b), ties in row-major order: the diameter layer, as
+    in ``_FarApart``, then ``_lower_layers``.  Adjacency is read as d == 1."""
+    diam = int(dm.d.max())
+    return np.concatenate([_upper_pairs(dm.d == diam), _lower_layers(dm.d, diam)])
 
-    Adjacency is read from the matrix as d == 1.  A one-vertex graph has no
-    pairs.  Scratch beyond the result is one n x n boolean mask, 64 rows of
-    n at a time, and the sort's few entries per pair.
-    """
-    d = dm.d
-    n = dm.n
-    # local[a, b]: no neighbour of a is farther from b
-    local = np.ones((n, n), dtype=bool)
-    for a in range(n):
-        nbrs = np.flatnonzero(d[a] == 1)
-        for s in range(0, len(nbrs), 64):
-            local[a] &= (d[nbrs[s : s + 64]] <= d[a]).all(axis=0)
-    heads, tails = [], []
-    for s in range(0, n, 64):
-        # rows s..s+63: keep b > a where both ends are local maxima
-        block = np.triu(local[s : s + 64] & local[:, s : s + 64].T, s + 1)
-        h, t = np.nonzero(block)
-        heads.append((h + s).astype(np.int32))
-        tails.append(t.astype(np.int32))
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    del local
-    key = d[heads, tails]
-    np.negative(key, out=key)
-    order = np.argsort(key, kind="stable")
-    del key
-    return np.stack([heads[order], tails[order]], axis=1)
+
+def _lower_layers(d: np.ndarray, diam: int) -> np.ndarray:
+    """The far-apart pairs closer than diam, the largest distance in d, in
+    the order of ``far_apart_pairs``.  local[a, b] (no neighbour of a is
+    farther from b) compares row a with the elementwise max of a's
+    neighbour rows, folded slot by slot as in congestion._escape_histogram
+    over the vertices by falling degree, about _BLOCK_ELEMS // n at a time."""
+    n = len(d)
+    if diam < 2:
+        return np.empty((0, 2), dtype=np.int32)
+    dc = d.astype(np.int16 if diam < np.iinfo(np.int16).max else np.int32)
+    heads, tails = np.divmod(np.flatnonzero(dc == 1), n)
+    deg = np.bincount(heads, minlength=n)
+    by_degree = np.argsort(-deg, kind="stable")
+    local = np.empty((n, n), dtype=bool)
+    for vs in np.array_split(by_degree, max(1, n * n // _BLOCK_ELEMS)):
+        first, down = np.searchsorted(heads, vs), -deg[vs]
+        far = dc[tails[first]]
+        # vertices with more than j neighbours lead the chunk
+        for j, c in enumerate(np.searchsorted(down, -np.arange(1, -down[0]), "left"), 1):
+            np.maximum(far[:c], dc[tails[first[:c] + j]], out=far[:c])
+        local[vs] = far <= dc[vs]
+    local &= local.T & (dc < diam)
+    pairs = _upper_pairs(local)
+    return pairs[np.argsort(-dc[pairs[:, 0], pairs[:, 1]], kind="stable")]
+
+
+def _upper_pairs(mask: np.ndarray) -> np.ndarray:
+    """Row-major (m, 2) int32 array of the (a, b), a < b, where a square mask holds."""
+    heads, tails = np.divmod(np.flatnonzero(mask), len(mask))
+    keep = heads < tails
+    return np.stack([heads[keep], tails[keep]], axis=1).astype(np.int32)
+
+
+class _FarApart:
+    """A block's far-apart pairs in scan order and their int32 distances,
+    shared by both scans: the diameter layer, all far-apart since no vertex
+    is farther, then ``_lower_layers`` once a scan needs them."""
+
+    def __init__(self, d: np.ndarray, diam: int):
+        self.d, self.diam, self.whole = d, diam, False
+        self.pairs = _upper_pairs(d == diam)
+        self.dist = np.full(len(self.pairs), diam, dtype=np.int32)
+
+    def reach(self, i: int, j: int, best: int) -> None:
+        """Build the lower layers if rows i..j-1 pass the built ones and a scan
+        at ``best`` goes on at row i (past them only if best < diam - 1)."""
+        built = len(self.dist)
+        goes_on = self.dist[i] > best if i < built else best < self.diam - 1
+        if self.whole or j <= built or not goes_on:
+            return
+        self.pairs = np.concatenate([self.pairs, _lower_layers(self.d, self.diam)])
+        self.dist = self.d[self.pairs[:, 0], self.pairs[:, 1]].astype(np.int32)
+        self.whole = True
 
 
 def biconnected_blocks(dm: DistanceMatrix) -> list[np.ndarray]:
@@ -191,6 +219,8 @@ def _scanned_blocks(dm: DistanceMatrix) -> list[tuple[np.ndarray, DistanceMatrix
     G, so its distances are a submatrix of G's (G's own matrix when the
     block is all of G).
     """
+    if np.count_nonzero(dm.d == 1) == 2 * (dm.n - 1):  # a tree: all blocks are bridges
+        return []
     out = []
     for blk in biconnected_blocks(dm):
         if len(blk) < 4:
@@ -212,8 +242,8 @@ def _block_scans(
 
     Each block's scans start from the best values so far, so their stop
     rules skip a block whose diameter cannot raise them; in decreasing
-    diameter the loop ends at the first block that can raise neither.  The
-    far-apart pair list is built once per block and shared.  The four-point
+    diameter the loop ends at the first block that can raise neither.  Both
+    scans share the block's lazily built ``_FarApart`` pairs.  The four-point
     scans share one budget of ``FOUR_POINT_BUDGET`` comparisons; when it
     runs out, the unscanned rest of that block is bounded by the distance
     of its first unscanned row, and every later block by its diameter, of
@@ -228,7 +258,7 @@ def _block_scans(
             four_point = False
         if not (four_point and diam > best or thinness and diam > nu):
             break
-        pairs = far_apart_pairs(sub)
+        pairs = _FarApart(sub.d, diam)
         if four_point:
             val, q, budget, rest = _four_point_scan(sub, pairs, best, budget)
             if val > best:
@@ -275,9 +305,9 @@ def four_point_delta(dm: DistanceMatrix) -> FourPointResult:
 
 
 def _four_point_scan(
-    dm: DistanceMatrix, pairs: np.ndarray, best: int, budget: int
+    dm: DistanceMatrix, pairs: _FarApart, best: int, budget: int
 ) -> tuple[int, tuple[int, int, int, int], int, int]:
-    """The scan of ``four_point_delta`` over the given far-apart pairs,
+    """The scan of ``four_point_delta`` over a block's far-apart pairs,
     started from a doubled defect ``best`` already found and spending at
     most ``budget`` comparisons.
 
@@ -286,13 +316,17 @@ def _four_point_scan(
     the scan finished, else the distance of the first row it did not scan.
     """
     d = dm.d.astype(np.int32)
-    a, b = pairs[:, 0], pairs[:, 1]
-    dist = d[a, b]
     best_quad = (0, 0, 0, 0)
     i = 0
-    while i < len(dist) and int(dist[i]) > best:
-        # rows i..j-1 against pairs 0..j-1, about 2**14 elements a block
-        j = min(len(dist), i + max(1, min(64, 2**14 // (i + 1))))
+    while True:
+        # rows i..j-1 against pairs 0..j-1, about 2**14 elements a block; j
+        # counts the whole list, so a block past the built rows needs them all
+        j = i + max(1, min(64, 2**14 // (i + 1)))
+        pairs.reach(i, j, best)
+        a, b, dist = pairs.pairs[:, 0], pairs.pairs[:, 1], pairs.dist
+        if i >= len(dist) or int(dist[i]) <= best:
+            return best, best_quad, budget, 0
+        j = min(j, len(dist))
         if (j - i) * j > budget:
             return best, best_quad, budget, int(dist[i])
         budget -= (j - i) * j
@@ -312,7 +346,6 @@ def _four_point_scan(
             best = val
             best_quad = (int(a[i + r]), int(b[i + r]), int(a[k]), int(b[k]))
         i = j
-    return best, best_quad, budget, 0
 
 
 def thin_delta_bound(delta4: HalfInt) -> HalfInt:
@@ -345,32 +378,40 @@ def interval_thinness(dm: DistanceMatrix) -> int:
     return _block_scans(_scanned_blocks(dm), four_point=False)[1]
 
 
-def _thinness_scan(dm: DistanceMatrix, pairs: np.ndarray, nu: int) -> int:
-    """The scan of ``interval_thinness`` over the given far-apart pairs,
-    started from a thinness ``nu`` already found."""
-    d = dm.d
-    # a chunk at a time: a Python list of every pair would outweigh d itself
-    for start in range(0, len(pairs), 4096):
-        for u, v in pairs[start : start + 4096].tolist():
-            duv = d[u, v]
-            if duv <= nu:
-                return nu
-            du = d[u]
-            iv = np.flatnonzero(du + d[v] == duv)
-            ranks = du[iv]
-            order = np.argsort(ranks)
-            iv, ranks = iv[order], ranks[order]
-            # pair each member with every member of its layer, one gather of
-            # sum(layer size ** 2) entries: member p's partners are the
-            # size[p] entries of iv from its layer's first index, first[p]
-            size = np.bincount(ranks)[ranks]
-            first = np.searchsorted(ranks, ranks)
-            ends = np.cumsum(size)
-            partner = np.arange(int(ends[-1])) - np.repeat(ends - size - first, size)
-            spread = int(d[np.repeat(iv, size), iv[partner]].max())
-            if spread > nu:
-                nu = spread
-    return nu
+def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int) -> int:
+    """The scan of ``interval_thinness`` over a block's far-apart pairs from a
+    thinness ``nu`` already found, in batches of 4, 16, ... up to
+    _BLOCK_ELEMS // n pairs: one np.nonzero marks a batch's intervals, one sort
+    groups their members by (pair, layer), and each group's widest distance
+    counts.  A batched pair past the stop (distance <= nu) cannot raise nu."""
+    width = pairs.diam + 1
+    dc = dm.d.astype(np.int16 if 2 * width < np.iinfo(np.int16).max else np.int32)
+    i, rows = 0, 4
+    while True:
+        pairs.reach(i, i + 1, nu)
+        stop = len(pairs.dist) - int(np.searchsorted(pairs.dist[::-1], nu, "right"))
+        if i >= stop:
+            return nu
+        e = min(i + rows, stop)
+        du = dc[pairs.pairs[i:e, 0]]
+        p, x = np.nonzero(du + dc[pairs.pairs[i:e, 1]] == pairs.dist[i:e, None])
+        key = p * width + du[p, x]
+        order = np.argsort(key)
+        key, x = key[order], x[order]
+        # member t's mates are the size[t] entries of x from first[t],
+        # gathered for up to _BLOCK_ELEMS mates (or one member's) at once
+        first = np.searchsorted(key, key)
+        size = np.searchsorted(key, key, "right") - first
+        ends = np.cumsum(size)
+        start = ends - size
+        lo = 0
+        while lo < len(x):
+            hi = max(lo + 1, int(np.searchsorted(ends, start[lo] + _BLOCK_ELEMS, "right")))
+            sz = size[lo:hi]
+            mate = np.arange(start[lo], ends[hi - 1]) - np.repeat(start[lo:hi] - first[lo:hi], sz)
+            nu = max(nu, int(dc[np.repeat(x[lo:hi], sz), x[mate]].max()))
+            lo = hi
+        i, rows = e, min(4 * rows, max(1, _BLOCK_ELEMS // dm.n))
 
 
 def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
@@ -429,13 +470,5 @@ def hyperbolicity_report(dm: DistanceMatrix) -> HyperbolicityReport:
     exact.
     """
     fp, nu = _block_scans(_scanned_blocks(dm))
-    prof = eccentricity_profile(dm)
-    return HyperbolicityReport(
-        delta=fp.delta,
-        witness=fp.witness,
-        upper=fp.upper,
-        interval_thinness=nu,
-        diameter=prof.diameter,
-        radius=prof.radius,
-        center=prof.center,
-    )
+    p = eccentricity_profile(dm)
+    return HyperbolicityReport(fp.delta, fp.witness, fp.upper, nu, p.diameter, p.radius, p.center)

@@ -98,6 +98,94 @@ def naive_interval_thinness(dm) -> int:
     return best
 
 
+def far_apart_pairs_by_vertex(dm) -> np.ndarray:
+    """Reference for ``far_apart_pairs``: the local mask one vertex at a time
+    (its neighbour rows 64 at a time), the pairs 64 rows at a time, then one
+    stable sort by decreasing distance."""
+    d = dm.d
+    n = dm.n
+    # local[a, b]: no neighbour of a is farther from b
+    local = np.ones((n, n), dtype=bool)
+    for a in range(n):
+        nbrs = np.flatnonzero(d[a] == 1)
+        for s in range(0, len(nbrs), 64):
+            local[a] &= (d[nbrs[s : s + 64]] <= d[a]).all(axis=0)
+    heads, tails = [], []
+    for s in range(0, n, 64):
+        # rows s..s+63: keep b > a where both ends are local maxima
+        block = np.triu(local[s : s + 64] & local[:, s : s + 64].T, s + 1)
+        h, t = np.nonzero(block)
+        heads.append((h + s).astype(np.int32))
+        tails.append(t.astype(np.int32))
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    order = np.argsort(-d[heads, tails], kind="stable")
+    return np.stack([heads[order], tails[order]], axis=1)
+
+
+def thinness_scan_by_pair(dm, pairs, nu) -> int:
+    """Reference for ``_thinness_scan``: one pair of the complete far-apart
+    list at a time, from a thinness ``nu`` already found, stopping at the
+    first pair at distance <= nu."""
+    d = dm.d
+    for u, v in pairs.tolist():
+        duv = d[u, v]
+        if duv <= nu:
+            return nu
+        du = d[u]
+        iv = np.flatnonzero(du + d[v] == duv)
+        ranks = du[iv]
+        order = np.argsort(ranks)
+        iv, ranks = iv[order], ranks[order]
+        # pair each member with every member of its layer: member p's
+        # partners are the size[p] entries of iv from its layer's first index
+        size = np.bincount(ranks)[ranks]
+        first = np.searchsorted(ranks, ranks)
+        ends = np.cumsum(size)
+        partner = np.arange(int(ends[-1])) - np.repeat(ends - size - first, size)
+        nu = max(nu, int(d[np.repeat(iv, size), iv[partner]].max()))
+    return nu
+
+
+def budgeted_four_point(dm, budget) -> tuple[int, tuple[int, int, int, int], int]:
+    """Reference for ``four_point_delta`` under a budget: the scan in row
+    blocks over each scanned block's complete far-apart list, as (doubled
+    delta, witness, doubled upper).  Row blocks i..j-1 cost (j - i) * j; the
+    scan stops before a block that would pass the budget, and the bound is
+    then the distance of its first row or the next block's diameter.  The
+    blocks come from the package's ``_scanned_blocks``, since the budget and
+    the witness depend on the order of blocks of equal diameter."""
+    from hypercore.hyperbolicity import _scanned_blocks
+
+    best, quad, rest = 0, (0, 0, 0, 0), 0
+    for blk, sub, diam in _scanned_blocks(dm):
+        if rest:
+            rest = max(rest, diam)
+            break
+        if diam <= best:
+            break
+        d = sub.d.astype(np.int32)
+        pairs = far_apart_pairs_by_vertex(sub)
+        a, b = pairs[:, 0], pairs[:, 1]
+        dist = d[a, b]
+        i = 0
+        while i < len(dist) and dist[i] > best:
+            j = min(len(dist), i + max(1, min(64, 2**14 // (i + 1))))
+            if (j - i) * j > budget:
+                rest = int(dist[i])
+                break
+            budget -= (j - i) * j
+            ar, br, ac, bc = a[i:j, None], b[i:j, None], a[None, :j], b[None, :j]
+            diff = dist[i:j, None] + dist[None, :j]
+            diff -= np.maximum(d[ar, ac] + d[br, bc], d[ar, bc] + d[br, ac])
+            flat = int(diff.argmax())
+            if diff.flat[flat] > best:
+                r, k = divmod(flat, j)
+                best = int(diff.flat[flat])
+                quad = tuple(int(blk[x]) for x in (a[i + r], b[i + r], a[k], b[k]))
+            i = j
+    return best, quad, max(best, rest)
+
+
 def naive_interval(g, dm, u, v):
     verts = set()
     for path in all_geodesics(g, dm, u, v):

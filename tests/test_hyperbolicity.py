@@ -2,6 +2,7 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,13 @@ from hypercore.generators import (
     random_tree,
     star_path_graph,
 )
-from oracles import naive_four_point_delta_doubled, naive_interval_thinness
+from oracles import (
+    budgeted_four_point,
+    far_apart_pairs_by_vertex,
+    naive_four_point_delta_doubled,
+    naive_interval_thinness,
+    thinness_scan_by_pair,
+)
 from strategies import connected_graphs, glued_blocks
 
 
@@ -181,7 +188,10 @@ def naive_far_apart_pairs(g, dm):
 
 
 def check_far_apart_pairs(g, dm):
-    pairs = far_apart_pairs(dm).tolist()
+    got = far_apart_pairs(dm)
+    assert got.dtype == np.int32
+    pairs = got.tolist()
+    assert pairs == far_apart_pairs_by_vertex(dm).tolist()
     assert sorted(map(tuple, pairs)) == naive_far_apart_pairs(g, dm)
     dists = [dm.dist(a, b) for a, b in pairs]
     assert dists == sorted(dists, reverse=True)
@@ -257,8 +267,8 @@ def test_far_apart_grids():
 
 
 def test_far_apart_beyond_one_neighbour_chunk():
-    # vertex 0 has 70 neighbours and only the last, 70, is farther from 71;
-    # 72 vertices also span two 64-row blocks of the pair extraction
+    # vertex 0 has 70 neighbours and only the last, 70, is farther from 71,
+    # so the mask must fold every neighbour slot of the widest vertex
     edges = [(0, v) for v in range(1, 71)] + [(v, 71) for v in range(1, 70)]
     g = Graph(72, edges)
     dm = distance_matrix(g)
@@ -328,3 +338,115 @@ def test_sparse_random_graph_is_exact_at_default_budget():
     n = 2000
     rep = hyperbolicity_report(distance_matrix(gnp_connected(n, 2 * math.log(n) / n, 1)))
     assert rep.exact
+
+
+def gnp_half(max_n=40):
+    return st.builds(gnp_connected, st.integers(4, max_n), st.just(0.5), st.integers(0, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(connected_graphs(), glued_blocks(), gnp_half()))
+def test_far_apart_layers_match_oracles(g):
+    # the exact list, order included, and the diameter layer then the lower
+    # layers, as the scans build them
+    dm = distance_matrix(g)
+    check_far_apart_pairs(g, dm)
+    want = far_apart_pairs_by_vertex(dm)
+    diam = int(dm.d.max())
+    dist = dm.d[want[:, 0], want[:, 1]]
+    pairs = hyperbolicity._FarApart(dm.d, diam)
+    assert pairs.pairs.tolist() == want[dist == diam].tolist()
+    assert hyperbolicity._lower_layers(dm.d, diam).tolist() == want[dist < diam].tolist()
+    pairs.reach(0, len(pairs.dist) + 1, -1)
+    assert pairs.pairs.tolist() == want.tolist()
+    assert pairs.dist.tolist() == dist.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(connected_graphs(), glued_blocks(), gnp_half()), st.sampled_from([0, 1, 2]))
+def test_thinness_scan_matches_pair_by_pair(g, nu):
+    dm = distance_matrix(g)
+    want = thinness_scan_by_pair(dm, far_apart_pairs_by_vertex(dm), nu)
+    got = hyperbolicity._thinness_scan(dm, hyperbolicity._FarApart(dm.d, int(dm.d.max())), nu)
+    assert got == want
+    for _, sub, diam in hyperbolicity._scanned_blocks(dm):
+        want = thinness_scan_by_pair(sub, far_apart_pairs_by_vertex(sub), nu)
+        assert hyperbolicity._thinness_scan(sub, hyperbolicity._FarApart(sub.d, diam), nu) == want
+
+
+def test_thinness_batches_past_the_stop_and_chunk_their_mates(monkeypatch):
+    # at 2**14 elements the batches grow to 273 pairs past the stop; at 64
+    # a batch is one pair, whose layer mates go in several gathers
+    for g in (gnp_connected(60, 0.1, 3), grid_graph(6, 10), gnp_connected(60, 0.5, 2)):
+        dm = distance_matrix(g)
+        want = thinness_scan_by_pair(dm, far_apart_pairs_by_vertex(dm), 0)
+        for elems in (2**14, 64):
+            monkeypatch.setattr(hyperbolicity, "_BLOCK_ELEMS", elems)
+            pairs = hyperbolicity._FarApart(dm.d, int(dm.d.max()))
+            assert hyperbolicity._thinness_scan(dm, pairs, 0) == want
+            assert interval_thinness(dm) == naive_interval_thinness(dm) == want
+
+
+BUDGETS = st.one_of(st.sampled_from([0, 1, 7, 64 * 64]), st.integers(0, 5000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(connected_graphs(), glued_blocks(), gnp_half()), BUDGETS)
+def test_budget_matches_a_scan_over_complete_lists(g, budget):
+    dm = distance_matrix(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
+        res = four_point_delta(dm)
+        rep = hyperbolicity_report(dm)
+    want = budgeted_four_point(dm, budget)
+    assert (res.delta.doubled, res.witness, res.upper.doubled) == want
+    assert (rep.delta.doubled, rep.witness, rep.upper.doubled) == want
+
+
+def test_budget_matches_complete_lists_past_the_top_layer(monkeypatch):
+    # diameter layers of 43 to 9985 pairs; a budget of t * t covers the 43
+    # diameter rows of the sparse graph but not its first 64-row block,
+    # which counts the lower layers
+    n = 120
+    sparse = gnp_connected(n, 2 * math.log(n) / n, 1)
+    for g in (gnp_connected(200, 0.5, 1), cycle_graph(200), cycle_graph(201), sparse):
+        dm = distance_matrix(g)
+        t = len(hyperbolicity._FarApart(dm.d, int(dm.d.max())).pairs)
+        for budget in (0, 1, 7, t * t, 64 * 64 - 1, 64 * 64, 10**5, 2**26):
+            monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
+            res = four_point_delta(dm)
+            want = budgeted_four_point(dm, budget)
+            assert (res.delta.doubled, res.witness, res.upper.doubled) == want
+
+
+def test_scans_that_stop_in_the_diameter_layer_build_no_lower_layers(monkeypatch):
+    # the doubled delta and the thinness both reach the diameter inside the
+    # diameter layer, so neither scan goes past it
+
+    def no_lower_layers(d, diam):
+        raise AssertionError("lower layers built")
+
+    n = 20
+    kmm = Graph(2 * n, [(a, n + b) for a in range(n) for b in range(n)])
+    graphs = (gnp_connected(200, 0.5, 1), cycle_graph(200), kmm)
+    want = [hyperbolicity_report(distance_matrix(g)) for g in graphs]
+    monkeypatch.setattr(hyperbolicity, "_lower_layers", no_lower_layers)
+    for g, rep in zip(graphs, want):
+        dm = distance_matrix(g)
+        assert hyperbolicity_report(dm) == rep
+        assert four_point_delta(dm) == FourPointResult(rep.delta, rep.witness, rep.upper)
+        assert interval_thinness(dm) == rep.interval_thinness
+
+
+def test_tree_skips_the_block_split(monkeypatch):
+    dm = distance_matrix(random_tree(1000, 3))
+    want = hyperbolicity_report(dm)
+
+    def no_split(dm):
+        raise AssertionError("block split")
+
+    monkeypatch.setattr(hyperbolicity, "biconnected_blocks", no_split)
+    assert hyperbolicity._scanned_blocks(dm) == []
+    assert hyperbolicity_report(dm) == want
+    assert four_point_delta(dm) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
+    assert interval_thinness(dm) == 0
