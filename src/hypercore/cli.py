@@ -66,7 +66,7 @@ def _load_graph(args):
     return g, dm, table
 
 
-def _thin_delta(args, dm) -> HalfInt:
+def _thin_delta(args, g, dm) -> HalfInt:
     """Thin-triangle constant to certify with.
 
     Without --delta it is certified from the upper end of the four-point
@@ -74,7 +74,7 @@ def _thin_delta(args, dm) -> HalfInt:
     """
     if args.delta is not None:
         return _parse_halfint(args.delta)
-    fp = four_point_delta(dm)
+    fp = four_point_delta(g, dm)
     args.four_point = fp
     return thin_delta_bound(fp.upper)
 
@@ -108,7 +108,7 @@ def _cmd_generate(args):
 
 def _cmd_hyperbolicity(args):
     g, dm, table = _load_graph(args)
-    rep = hyperbolicity_report(dm)
+    rep = hyperbolicity_report(g, dm)
     delta = f"delta = {rep.delta} (exact)" if rep.exact else f"delta in [{rep.delta}, {rep.upper}]"
     print(
         f"{delta}, interval thinness = {rep.interval_thinness}, "
@@ -175,7 +175,7 @@ def _cmd_multicore(args):
     g, dm, table = _load_graph(args)
     pairs = [(table.id_of(a), table.id_of(b)) for a, b in read_pairs(args.commodity)]
     commodity = CommodityGraph.from_pairs(pairs)
-    delta = _thin_delta(args, dm)
+    delta = _thin_delta(args, g, dm)
     res = multicore_construct(g, dm, commodity, args.radius, delta)
     report = {
         "pairs": len(commodity.demands),
@@ -190,7 +190,7 @@ def _cmd_multicore(args):
 
 def _cmd_beamcore(args):
     g, dm, table = _load_graph(args)
-    delta = _thin_delta(args, dm)
+    delta = _thin_delta(args, g, dm)
     bc = total_beam_core(g, dm, delta)
     sc = structural_checks(g, dm, delta)
     ok = bc.all_beams_intercepted and sc.diam_rad_holds and sc.close_to_center_holds
@@ -223,9 +223,9 @@ def _family_from_json(dm, table, entries) -> QSetFamily:
 def _cmd_helly(args):
     g, dm, table = _load_graph(args)
     family = _family_from_json(dm, table, read_family_json(args.family))
-    delta = _thin_delta(args, dm)
+    delta = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
-    ball = helly_center(dm, g, family, args.r, delta, z=z)
+    ball = helly_center(g, dm, family, args.r, delta, z=z)
     members = ball_members(dm, ball)
     gaps = [set_distance(dm, members, s.members) for s in family.sets]
     all_hit = all(gap == 0 for gap in gaps)
@@ -246,9 +246,9 @@ def _cmd_helly(args):
 def _cmd_hitpack(args):
     g, dm, table = _load_graph(args)
     family = _family_from_json(dm, table, read_family_json(args.family))
-    delta = _thin_delta(args, dm)
+    delta = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
-    hp = greedy_hit_pack(dm, g, family, args.r, delta, z=z)
+    hp = greedy_hit_pack(g, dm, family, args.r, delta, z=z)
     members = [s.members for s in family.sets]
     hit_ok, pack_ok = check_hit_pack(
         dm, members, hp.hitting_set, hp.hit_radius, hp.packing, hp.pack_gap
@@ -275,7 +275,7 @@ def _cmd_kappa(args):
         KappaQSet(tuple(QSet.measure(dm, table.ids_of(part)) for part in e["parts"]))
         for e in entries
     ]
-    delta = _thin_delta(args, dm)
+    delta = _thin_delta(args, g, dm)
     measured = max(kq.epsilon for kq in family)
     epsilon = measured if args.epsilon is None else args.epsilon
     z = _base_vertex(args, table)

@@ -268,8 +268,7 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
     dtype = np.int16 if diameter < np.iinfo(np.int16).max else np.int32
     dc = d.astype(dtype)
     # every arc u -> w of the symmetric adjacency
-    tail = np.repeat(np.arange(n), [len(a) for a in g.adjacency])
-    head = np.fromiter((w for a in g.adjacency for w in a), dtype=np.intp, count=len(tail))
+    tail, head = np.repeat(np.arange(n), np.diff(g.indptr)), g.indices
     width = diameter + 1
     cols = np.arange(n, dtype=np.intp) * width
     hist = np.zeros(n * width, dtype=np.int64)

@@ -45,6 +45,7 @@ def read_edge_list(path: str | Path) -> tuple[Graph, LabelTable]:
     labels: list[str] = []
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
+    first_line: dict[tuple[int, int], int] = {}
 
     def vid(token: str) -> int:
         if token not in index:
@@ -63,6 +64,11 @@ def read_edge_list(path: str | Path) -> tuple[Graph, LabelTable]:
         u, v = vid(parts[0]), vid(parts[1])
         if u == v:
             raise ValueError(f"{path}:{lineno}: self-loop at {parts[0]!r}")
+        first = first_line.setdefault((u, v) if u < v else (v, u), lineno)
+        if first != lineno:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate edge {parts[0]!r} {parts[1]!r}, first on line {first}"
+            )
         edges.append((u, v))
     if not labels:
         raise ValueError(f"{path}: no edges found")

@@ -25,7 +25,7 @@ _SOURCE_BLOCK = 512
 class Graph:
     """Undirected connected simple graph on dense vertex ids 0..n-1."""
 
-    __slots__ = ("n", "m", "adjacency")
+    __slots__ = ("n", "m", "adjacency", "indptr", "indices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -54,12 +54,13 @@ class Graph:
             raise ValueError(
                 f"graph is disconnected: vertex {label.index(1)} unreachable from 0"
             )
+        # read-only CSR of the lists: the neighbours of v are indices[indptr[v]:indptr[v + 1]]
+        self.indptr = np.cumsum([0, *map(len, adjacency)], dtype=np.intp)
+        self.indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=2 * self.m)
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield (u, v)
+        return ((u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
 
     def is_tree(self) -> bool:
         return self.m == self.n - 1
@@ -198,16 +199,9 @@ def multi_source_distances(
     blocked = set(gone).intersection(sources)
     if blocked:
         raise ValueError(f"source {min(blocked)} is a blocked vertex")
-    # CSR adjacency plus a sentinel index n naming an always-empty frontier
-    # row, so the last vertex's segment ends in a harmless zero and a
-    # zero-degree vertex (whose reduceat row is its successor's first
-    # neighbour) is a dead row like a deleted one.
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
-    starts = np.zeros(n, dtype=np.intp)
-    np.cumsum(deg[:-1], out=starts[1:])
-    indices = np.fromiter(chain(chain.from_iterable(g.adjacency), (n,)), dtype=np.intp)
-    dead = deg == 0
-    dead[gone] = True
+    # the CSR plus a sentinel index n naming an always-empty frontier row that
+    # ends the last vertex's segment; g is connected, so no other is empty
+    starts, indices = g.indptr[:-1], np.append(g.indices, n)
     # the layer count of any vertex stays below n
     acc_type = np.int8 if n <= 128 else np.int16 if n <= 32768 else np.int32
     out = np.empty((len(sources), n), dtype=np.int64)
@@ -218,9 +212,9 @@ def multi_source_distances(
         start = np.packbits(bits, axis=1, bitorder="little").view("<u8")
         front = np.zeros((n + 1, start.shape[1]), dtype="<u8")
         front[:n] = start
-        # dead rows count as seen, so no layer ever enters them
+        # deleted rows count as seen, so no layer ever enters them
         unseen = ~start
-        unseen[dead] = 0
+        unseen[gone] = 0
         # planes[j] holds bit j of the distance of every vertex reached
         planes: list[np.ndarray] = []
         depth = 0
@@ -240,8 +234,7 @@ def multi_source_distances(
         acc = np.zeros(bits.shape, dtype=acc_type)
         for j, plane in enumerate(planes):
             acc += np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little").astype(acc_type) << j
-        # a dead row is unreached, unless it is an isolated source itself
-        unseen[dead] = ~start[dead]
+        unseen[gone] = ~np.uint64(0)  # a deleted row is unreached
         acc[np.unpackbits(unseen.view(np.uint8), axis=1, bitorder="little").view(bool)] = -1
         out[lo : lo + len(block)] = acc[:, : len(block)].T
     return out

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistanceMatrix
+from .graphs import DistanceMatrix, Graph, check_vertices
 from .halfint import HalfInt
 
 # pair comparisons one four-point measurement may spend, summed over blocks
@@ -81,6 +81,7 @@ class HyperbolicityReport:
 
 def four_point_defect(dm: DistanceMatrix, quad: tuple[int, int, int, int]) -> HalfInt:
     """Half the gap between the two largest distance sums of one quadruple."""
+    check_vertices(dm.n, quad, "quadruple")
     u, v, x, y = quad
     d = dm.d
     sums = sorted((int(d[u, v] + d[x, y]), int(d[u, x] + d[v, y]), int(d[u, y] + d[v, x])))
@@ -91,26 +92,36 @@ def four_point_defect(dm: DistanceMatrix, quad: tuple[int, int, int, int]) -> Ha
 _BLOCK_ELEMS = 1 << 20
 
 
-def far_apart_pairs(dm: DistanceMatrix) -> np.ndarray:
-    """Every pair (a, b), a < b, such that no neighbour of a is farther from b
-    and no neighbour of b is farther from a, as an (m, 2) int32 array sorted
-    by decreasing d(a, b), ties in row-major order: the diameter layer, as
-    in ``_FarApart``, then ``_lower_layers``.  Adjacency is read as d == 1."""
+def far_apart_pairs(g: Graph, dm: DistanceMatrix) -> np.ndarray:
+    """Every pair (a, b), a < b, of g with no neighbour of a farther from b
+    and no neighbour of b farther from a, as an (m, 2) int32 array by
+    decreasing d(a, b), ties row-major: the diameter layer, then ``_lower_layers``."""
     diam = int(dm.d.max())
-    return np.concatenate([_upper_pairs(dm.d == diam), _lower_layers(dm.d, diam)])
+    lower = _lower_layers(g, np.arange(g.n), dm.d, diam)
+    return np.concatenate([_upper_pairs(dm.d == diam), lower])
 
 
-def _lower_layers(d: np.ndarray, diam: int) -> np.ndarray:
-    """The far-apart pairs closer than diam, the largest distance in d, in
-    the order of ``far_apart_pairs``.  local[a, b] (no neighbour of a is
-    farther from b) compares row a with the elementwise max of a's
-    neighbour rows, folded slot by slot as in congestion._escape_histogram
+def _block_arcs(g: Graph, blk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major heads and tails of the arcs of g with both ends in the
+    sorted array blk, relabelled by position in blk."""
+    lo, deg = g.indptr[blk], np.diff(g.indptr)[blk]
+    nbrs = g.indices[np.arange(deg.sum()) + np.repeat(lo - np.cumsum(deg) + deg, deg)]
+    tails = np.searchsorted(blk, nbrs)
+    keep = blk[np.minimum(tails, len(blk) - 1)] == nbrs
+    return np.repeat(np.arange(len(blk)), deg)[keep], tails[keep]
+
+
+def _lower_layers(g: Graph, blk: np.ndarray, d: np.ndarray, diam: int) -> np.ndarray:
+    """The far-apart pairs closer than diam of the block blk of g, whose
+    distances are d, in the order of ``far_apart_pairs``.  local[a, b] (no
+    neighbour of a is farther from b) compares row a with the elementwise
+    max of a's neighbour rows, folded slot by slot as in congestion._escape_histogram
     over the vertices by falling degree, about _BLOCK_ELEMS // n at a time."""
     n = len(d)
     if diam < 2:
         return np.empty((0, 2), dtype=np.int32)
     dc = d.astype(np.int16 if diam < np.iinfo(np.int16).max else np.int32)
-    heads, tails = np.divmod(np.flatnonzero(dc == 1), n)
+    heads, tails = _block_arcs(g, blk)
     deg = np.bincount(heads, minlength=n)
     by_degree = np.argsort(-deg, kind="stable")
     local = np.empty((n, n), dtype=bool)
@@ -138,8 +149,8 @@ class _FarApart:
     shared by both scans: the diameter layer, all far-apart since no vertex
     is farther, then ``_lower_layers`` once a scan needs them."""
 
-    def __init__(self, d: np.ndarray, diam: int):
-        self.d, self.diam, self.whole = d, diam, False
+    def __init__(self, g: Graph, blk: np.ndarray, d: np.ndarray, diam: int):
+        self.g, self.blk, self.d, self.diam, self.whole = g, blk, d, diam, False
         self.pairs = _upper_pairs(d == diam)
         self.dist = np.full(len(self.pairs), diam, dtype=np.int32)
 
@@ -150,23 +161,20 @@ class _FarApart:
         goes_on = self.dist[i] > best if i < built else best < self.diam - 1
         if self.whole or j <= built or not goes_on:
             return
-        self.pairs = np.concatenate([self.pairs, _lower_layers(self.d, self.diam)])
+        lower = _lower_layers(self.g, self.blk, self.d, self.diam)
+        self.pairs = np.concatenate([self.pairs, lower])
         self.dist = self.d[self.pairs[:, 0], self.pairs[:, 1]].astype(np.int32)
         self.whole = True
 
 
-def biconnected_blocks(dm: DistanceMatrix) -> list[np.ndarray]:
-    """Vertex sets of the biconnected components (blocks), each a sorted
-    int64 array, by an iterative Hopcroft-Tarjan depth-first search.
-
-    Adjacency is read from the matrix as d == 1.  Every edge lies in exactly
-    one block, so a bridge is a two-vertex block and a one-vertex graph has
-    none; the cut vertices are those in more than one block.
-    """
-    n = dm.n
-    heads, tails = np.nonzero(dm.d == 1)
-    starts = np.searchsorted(heads, np.arange(n + 1)).tolist()
-    tails = tails.tolist()
+def biconnected_blocks(g: Graph) -> list[np.ndarray]:
+    """Vertex sets of the biconnected components (blocks) of g, each a sorted
+    int64 array, by an iterative Hopcroft-Tarjan depth-first search over the
+    graph's CSR adjacency in O(n + m).  Every edge lies in exactly one block,
+    so a bridge is a two-vertex block and a one-vertex graph has none; the
+    cut vertices are those in more than one block."""
+    n = g.n
+    starts, tails = g.indptr.tolist(), g.indices.tolist()
     disc = [-1] * n
     low = [0] * n
     at = [0] * n  # position of each vertex on the open stack
@@ -211,7 +219,7 @@ def biconnected_blocks(dm: DistanceMatrix) -> list[np.ndarray]:
     return blocks
 
 
-def _scanned_blocks(dm: DistanceMatrix) -> list[tuple[np.ndarray, DistanceMatrix, int]]:
+def _scanned_blocks(g: Graph, dm: DistanceMatrix) -> list[tuple[np.ndarray, DistanceMatrix, int]]:
     """(vertices, distances, diameter) of every block with at least four
     vertices that is not complete, by decreasing diameter.
 
@@ -219,10 +227,8 @@ def _scanned_blocks(dm: DistanceMatrix) -> list[tuple[np.ndarray, DistanceMatrix
     G, so its distances are a submatrix of G's (G's own matrix when the
     block is all of G).
     """
-    if np.count_nonzero(dm.d == 1) == 2 * (dm.n - 1):  # a tree: all blocks are bridges
-        return []
     out = []
-    for blk in biconnected_blocks(dm):
+    for blk in [] if g.is_tree() else biconnected_blocks(g):  # a tree's blocks are its edges
         if len(blk) < 4:
             continue
         sub = dm if len(blk) == dm.n else DistanceMatrix(dm.d[np.ix_(blk, blk)])
@@ -234,7 +240,7 @@ def _scanned_blocks(dm: DistanceMatrix) -> list[tuple[np.ndarray, DistanceMatrix
 
 
 def _block_scans(
-    blocks, *, four_point: bool = True, thinness: bool = True
+    g: Graph, dm: DistanceMatrix, *, four_point: bool = True, thinness: bool = True
 ) -> tuple[FourPointResult, int]:
     """Four-point bracket (witness in G's ids) and exact interval thinness,
     as maxima over ``_scanned_blocks``; either can be left out, and then
@@ -252,13 +258,13 @@ def _block_scans(
     best, quad, nu = 0, (0, 0, 0, 0), 0
     rest = 0  # doubled-defect bound on what the budget left unscanned, or 0
     budget = FOUR_POINT_BUDGET
-    for blk, sub, diam in blocks:
+    for blk, sub, diam in _scanned_blocks(g, dm):
         if rest:
             rest = max(rest, diam)
             four_point = False
         if not (four_point and diam > best or thinness and diam > nu):
             break
-        pairs = _FarApart(sub.d, diam)
+        pairs = _FarApart(g, blk, sub.d, diam)
         if four_point:
             val, q, budget, rest = _four_point_scan(sub, pairs, best, budget)
             if val > best:
@@ -269,7 +275,7 @@ def _block_scans(
     return fp, nu
 
 
-def four_point_delta(dm: DistanceMatrix) -> FourPointResult:
+def four_point_delta(g: Graph, dm: DistanceMatrix) -> FourPointResult:
     """Bracket on the smallest delta such that, over every vertex quadruple,
     the two largest of the three pairwise distance sums differ by at most
     2*delta.
@@ -301,7 +307,7 @@ def four_point_delta(dm: DistanceMatrix) -> FourPointResult:
     the two ends meet, as they do whenever the scan finishes; a tree of
     any size needs no scan and is exact.
     """
-    return _block_scans(_scanned_blocks(dm), thinness=False)[0]
+    return _block_scans(g, dm, thinness=False)[0]
 
 
 def _four_point_scan(
@@ -357,7 +363,7 @@ def thin_delta_bound(delta4: HalfInt) -> HalfInt:
     return delta4 * 4
 
 
-def interval_thinness(dm: DistanceMatrix) -> int:
+def interval_thinness(g: Graph, dm: DistanceMatrix) -> int:
     """Largest d(x,y) over x,y in I(u,v) equidistant from u, over all u,v.
 
     Each such layer of an interval lies in one block's interval (module
@@ -375,7 +381,7 @@ def interval_thinness(dm: DistanceMatrix) -> int:
       d(u,v) - r) <= d(u,v), so a scan stops once d(u,v) <= the best
       value found, in its own block or an earlier one.
     """
-    return _block_scans(_scanned_blocks(dm), four_point=False)[1]
+    return _block_scans(g, dm, four_point=False)[1]
 
 
 def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int) -> int:
@@ -427,6 +433,7 @@ def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
 
 def furthest_set(dm: DistanceMatrix, x: int) -> list[int]:
     """P(x): all vertices at maximum distance from x."""
+    check_vertices(dm.n, [x], "vertex")
     row = dm.d[x]
     return np.flatnonzero(row == row.max()).tolist()
 
@@ -461,7 +468,7 @@ def mutually_distant_pair(dm: DistanceMatrix, delta: HalfInt) -> tuple[int, int]
         prev, cur = cur, nxt
 
 
-def hyperbolicity_report(dm: DistanceMatrix) -> HyperbolicityReport:
+def hyperbolicity_report(g: Graph, dm: DistanceMatrix) -> HyperbolicityReport:
     """Bundle the four-point bracket with thinness and eccentricity data.
 
     Both scans run block by block over the same blocks, sharing each
@@ -469,6 +476,6 @@ def hyperbolicity_report(dm: DistanceMatrix) -> HyperbolicityReport:
     under the budget as in ``four_point_delta``; the thinness is always
     exact.
     """
-    fp, nu = _block_scans(_scanned_blocks(dm))
+    fp, nu = _block_scans(g, dm)
     p = eccentricity_profile(dm)
     return HyperbolicityReport(fp.delta, fp.witness, fp.upper, nu, p.diameter, p.radius, p.center)

@@ -218,7 +218,7 @@ def round_hitting(
                 best_mass = mass
         reps.append(best)
     rep_family = QSetFamily(sets=tuple(reps))
-    hp = greedy_hit_pack(dm, g, rep_family, r, delta, z=z)
+    hp = greedy_hit_pack(g, dm, rep_family, r, delta, z=z)
     return list(hp.hitting_set)
 
 

@@ -81,7 +81,7 @@ def multicore_construct(
         )
     fam = interval_family(dm, R)
     gap = max((HalfInt(r) - delta * 5).floor(), 0)
-    hp = greedy_hit_pack(dm, g, fam, gap, delta)
+    hp = greedy_hit_pack(g, dm, fam, gap, delta)
     centers = hp.hitting_set
     pending = np.array(R.demands, dtype=np.intp)
     for c in centers:

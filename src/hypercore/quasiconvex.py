@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -118,7 +118,7 @@ def neighborhood(dm: DistanceMatrix, S: Sequence[int], r: int) -> list[int]:
     return np.flatnonzero(dm.d[:, members].min(axis=1) <= r).tolist()
 
 
-def project_toward(dm: DistanceMatrix, g: Graph, z: int, Q: Sequence[int], r: int) -> int:
+def project_toward(g: Graph, dm: DistanceMatrix, z: int, Q: Sequence[int], r: int) -> int:
     """Walk r steps from the closest vertex of Q toward z along one geodesic.
 
     x is the member of Q closest to z (smallest id on ties); the geodesic is
@@ -154,8 +154,8 @@ def _require_pairwise_close(dm: DistanceMatrix, family: QSetFamily, r: int) -> N
 
 
 def helly_center(
-    dm: DistanceMatrix,
     g: Graph,
+    dm: DistanceMatrix,
     family: QSetFamily,
     r: int,
     delta: HalfInt,
@@ -174,14 +174,14 @@ def helly_center(
     d = dm.d
     dists = [int(d[z, list(s.members)].min()) for s in family.sets]
     farthest = max(range(len(family)), key=lambda i: (dists[i], -i))
-    c = project_toward(dm, g, z, family.sets[farthest].members, r)
+    c = project_toward(g, dm, z, family.sets[farthest].members, r)
     radius = covering_radius(r, family.family_epsilon, delta).floor()
     return Ball(c, max(radius, 0))
 
 
 def greedy_hit_pack(
-    dm: DistanceMatrix,
     g: Graph,
+    dm: DistanceMatrix,
     family: QSetFamily,
     r: int,
     delta: HalfInt,
@@ -207,7 +207,7 @@ def greedy_hit_pack(
     packing: list[int] = []
     while remaining:
         pick = max(remaining, key=lambda i: (dists[i], -i))
-        c = project_toward(dm, g, z, sets[pick].members, r)
+        c = project_toward(g, dm, z, sets[pick].members, r)
         hitting.append(c)
         packing.append(pick)
         near = d[members[pick]].min(axis=0)  # distance of every vertex to the pick
@@ -235,6 +235,8 @@ def check_hit_pack(
     of ``hitting``; packing holds when the members indexed by ``packing`` are
     pairwise more than 2*pack_gap apart.
     """
+    check_vertices(dm.n, hitting, "hitting set")
+    check_vertices(dm.n, chain.from_iterable(members), "members")
     d = dm.d
     rows = d[list(hitting)]
     hit_ok = all(int(rows[:, list(ms)].min()) <= hit_radius for ms in members)

@@ -72,7 +72,7 @@ def corpus() -> list[CorpusGraph]:
     for name, kind, g in _corpus_graphs():
         dm = distance_matrix(g)
         out.append(
-            CorpusGraph(name=name, kind=kind, g=g, dm=dm, delta4=four_point_delta(dm).delta)
+            CorpusGraph(name=name, kind=kind, g=g, dm=dm, delta4=four_point_delta(g, dm).delta)
         )
     return out
 

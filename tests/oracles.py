@@ -146,7 +146,7 @@ def thinness_scan_by_pair(dm, pairs, nu) -> int:
     return nu
 
 
-def budgeted_four_point(dm, budget) -> tuple[int, tuple[int, int, int, int], int]:
+def budgeted_four_point(g, dm, budget) -> tuple[int, tuple[int, int, int, int], int]:
     """Reference for ``four_point_delta`` under a budget: the scan in row
     blocks over each scanned block's complete far-apart list, as (doubled
     delta, witness, doubled upper).  Row blocks i..j-1 cost (j - i) * j; the
@@ -157,7 +157,7 @@ def budgeted_four_point(dm, budget) -> tuple[int, tuple[int, int, int, int], int
     from hypercore.hyperbolicity import _scanned_blocks
 
     best, quad, rest = 0, (0, 0, 0, 0), 0
-    for blk, sub, diam in _scanned_blocks(dm):
+    for blk, sub, diam in _scanned_blocks(g, dm):
         if rest:
             rest = max(rest, diam)
             break

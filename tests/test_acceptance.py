@@ -119,7 +119,7 @@ def test_criterion_2_helly_quasiconvex(corpus):
             item.dm, intersecting_interval_sets(item.dm, rng, rng.randint(3, 6))
         )
         built += 1
-        ball = helly_center(item.dm, item.g, fam, 0, item.thin_delta)
+        ball = helly_center(item.g, item.dm, fam, 0, item.thin_delta)
         members = ball_members(item.dm, ball)
         for s in fam.sets:
             if set_distance(item.dm, members, s.members) != 0:
@@ -142,7 +142,7 @@ def test_criterion_3_hitting_packing_equality(corpus):
             item.dm, random_interval_sets(item.dm, rng, rng.randint(3, 7))
         )
         built += 1
-        hp = greedy_hit_pack(item.dm, item.g, fam, 0, item.thin_delta)
+        hp = greedy_hit_pack(item.g, item.dm, fam, 0, item.thin_delta)
         expected_radius = (2 * fam.family_epsilon + item.thin_delta * 5).floor()
         if len(hp.hitting_set) != len(hp.packing):
             failures.append(f"{item.name}: |T| != |P|")
@@ -174,7 +174,7 @@ def test_criterion_4_multicore_chain():
     exercised = 0
     for g in instances:
         dm = distance_matrix(g)
-        thin = four_point_delta(dm).delta * 4
+        thin = four_point_delta(g, dm).delta * 4
         pairs = []
         want = rng.randint(3, 6)
         while len(pairs) < want:

@@ -50,7 +50,7 @@ def test_total_beam_core_random_graphs_thin_delta():
     for seed in (1, 4, 6):
         g = gnp_connected(30, 0.12, seed)
         dm = distance_matrix(g)
-        delta = thin_delta_bound(four_point_delta(dm).delta)
+        delta = thin_delta_bound(four_point_delta(g, dm).delta)
         res = total_beam_core(g, dm, delta)
         assert res.radius == (delta * 2).floor()
         assert res.all_beams_intercepted
@@ -69,7 +69,7 @@ def test_beams_pairwise_close():
     assert not k4_rep.within_bound
     g = cycle_graph(6)
     dm6 = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(dm6).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm6).delta)
     rep = beams_pairwise_close(dm6, delta)
     assert rep.bound == (delta * 2).floor()
     assert rep.within_bound
@@ -79,7 +79,7 @@ def test_beams_pairwise_close_random():
     for seed in (2, 7):
         g = gnp_connected(18, 0.2, seed)
         dm = distance_matrix(g)
-        delta = thin_delta_bound(four_point_delta(dm).delta)
+        delta = thin_delta_bound(four_point_delta(g, dm).delta)
         assert beams_pairwise_close(dm, delta).within_bound
 
 
@@ -96,7 +96,7 @@ def test_structural_checks_tree():
 def test_structural_checks_cycle4():
     g = cycle_graph(4)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(dm).delta)  # 4 * 1
+    delta = thin_delta_bound(four_point_delta(g, dm).delta)  # 4 * 1
     rep = structural_checks(g, dm, delta)
     assert (rep.diameter, rep.radius) == (2, 2)
     assert rep.diam_rad_holds and rep.close_to_center_holds
@@ -106,7 +106,7 @@ def test_structural_checks_random():
     for seed in (3, 9, 15):
         g = gnp_connected(24, 0.15, seed)
         dm = distance_matrix(g)
-        delta = thin_delta_bound(four_point_delta(dm).delta)
+        delta = thin_delta_bound(four_point_delta(g, dm).delta)
         rep = structural_checks(g, dm, delta)
         assert rep.diam_rad_holds and rep.close_to_center_holds
 
@@ -114,6 +114,6 @@ def test_structural_checks_random():
 def test_grid_beam_core():
     g = grid_graph(4, 4)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm).delta)
     res = total_beam_core(g, dm, delta)
     assert res.all_beams_intercepted

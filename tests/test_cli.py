@@ -373,6 +373,14 @@ def test_file_format_errors(tmp_path):
         read_family_json(fam)
 
 
+def test_duplicate_edge_reported_by_line_and_label(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text("a b\n# comment\nb c\n\nb a\n", encoding="utf-8")
+    assert run_cli(["hyperbolicity", "--edges", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:5: duplicate edge 'b' 'a', first on line 1\n"
+
+
 def test_unknown_label_errors(tmp_path, capsys):
     path = write_graph(tmp_path, path_graph(4))
     code = run_cli(["traffic", "--edges", str(path), "--set", "nope"])

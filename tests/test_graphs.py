@@ -20,8 +20,10 @@ from hypercore import (
 )
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
 from hypercore.graphs import _tree_distances, tree_walk
+from hypercore.hyperbolicity import four_point_defect, furthest_set
+from hypercore.quasiconvex import check_hit_pack
 from oracles import bfs_distances, distances_avoiding, naive_intercepts, naive_interval
-from strategies import connected_graphs
+from strategies import connected_graphs, glued_blocks
 
 
 def star_k13():
@@ -178,6 +180,36 @@ def test_out_of_range_vertex_ids_rejected():
         set_distance(dm, [-1], [0])
     with pytest.raises(ValueError, match="out of range"):
         set_distance(dm, [0], [5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda dm: check_hit_pack(dm, [[4]], [-1], 0, [0], 0),
+        lambda dm: check_hit_pack(dm, [[4], [5]], [0], 4, [0], 0),
+        lambda dm: four_point_defect(dm, (-1, 0, 1, 2)),
+        lambda dm: four_point_defect(dm, (0, 1, 2, 5)),
+        lambda dm: furthest_set(dm, -1),
+        lambda dm: furthest_set(dm, 5),
+    ],
+    ids=["hitting", "members", "quad-neg", "quad-big", "furthest-neg", "furthest-big"],
+)
+def test_ids_that_would_wrap_are_rejected(call):
+    with pytest.raises(ValueError, match="out of range"):
+        call(distance_matrix(path_graph(5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(connected_graphs(), glued_blocks()))
+def test_stored_csr_reproduces_adjacency(g):
+    assert g.indptr.dtype == g.indices.dtype == np.intp
+    assert len(g.indptr) == g.n + 1 and g.indptr[-1] == len(g.indices) == 2 * g.m
+    rows = [g.indices[g.indptr[v] : g.indptr[v + 1]].tolist() for v in range(g.n)]
+    assert rows == g.adjacency
+    for a in (g.indptr, g.indices):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = 0
 
 
 def test_descend_geodesic_is_shortest_and_deterministic():

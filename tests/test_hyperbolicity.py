@@ -44,19 +44,21 @@ from strategies import connected_graphs, glued_blocks
 
 def test_trees_are_zero_hyperbolic():
     for seed in range(5):
-        dm = distance_matrix(random_tree(14, seed))
-        assert four_point_delta(dm).delta == 0
+        g = random_tree(14, seed)
+        assert four_point_delta(g, distance_matrix(g)).delta == 0
 
 
 def test_cycle4_delta_one():
-    res = four_point_delta(distance_matrix(cycle_graph(4)))
+    g = cycle_graph(4)
+    res = four_point_delta(g, distance_matrix(g))
     assert res.delta == 1
     assert res.exact
 
 
 def test_grid_3x3_delta_matches_bruteforce():
-    dm = distance_matrix(grid_graph(3, 3))
-    res = four_point_delta(dm)
+    g = grid_graph(3, 3)
+    dm = distance_matrix(g)
+    res = four_point_delta(g, dm)
     assert res.delta.doubled == naive_four_point_delta_doubled(dm) == 4
     assert res.delta == 2
 
@@ -65,13 +67,13 @@ def test_delta_matches_bruteforce_on_random_graphs():
     for seed in (1, 2, 3):
         g = gnp_connected(12, 0.3, seed)
         dm = distance_matrix(g)
-        assert four_point_delta(dm).delta.doubled == naive_four_point_delta_doubled(dm)
+        assert four_point_delta(g, dm).delta.doubled == naive_four_point_delta_doubled(dm)
 
 
 def test_witness_reproduces_delta():
     for g in (cycle_graph(7), grid_graph(3, 4), gnp_connected(15, 0.25, 11)):
         dm = distance_matrix(g)
-        res = four_point_delta(dm)
+        res = four_point_delta(g, dm)
         assert four_point_defect(dm, res.witness) == res.delta
 
 
@@ -82,19 +84,19 @@ def test_delta_invariant_under_relabeling():
     perm = list(range(g.n))
     rng.shuffle(perm)
     relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    assert four_point_delta(distance_matrix(relabeled)).delta == four_point_delta(dm).delta
+    want = four_point_delta(g, dm).delta
+    assert four_point_delta(relabeled, distance_matrix(relabeled)).delta == want
 
 
 def test_interval_thinness_values():
-    assert interval_thinness(distance_matrix(random_tree(12, 2))) == 0
-    assert interval_thinness(distance_matrix(cycle_graph(4))) == 2
-    assert interval_thinness(distance_matrix(cycle_graph(6))) == 2
+    for g, want in ((random_tree(12, 2), 0), (cycle_graph(4), 2), (cycle_graph(6), 2)):
+        assert interval_thinness(g, distance_matrix(g)) == want
 
 
 def test_thinness_at_most_twice_delta():
     for g in (cycle_graph(5), grid_graph(3, 3), gnp_connected(14, 0.3, 3), random_tree(15, 1)):
         dm = distance_matrix(g)
-        assert interval_thinness(dm) <= (four_point_delta(dm).delta * 2)
+        assert interval_thinness(g, dm) <= (four_point_delta(g, dm).delta * 2)
 
 
 def test_eccentricity_profile_examples():
@@ -138,7 +140,7 @@ def test_mutually_distant_pair_path_and_tree():
 def test_mutually_distant_pair_contract_on_random_graph():
     g = gnp_connected(30, 0.15, 7)
     dm = distance_matrix(g)
-    delta = four_point_delta(dm).delta
+    delta = four_point_delta(g, dm).delta
     u, v = mutually_distant_pair(dm, delta)
     assert v in furthest_set(dm, u)
     assert u in furthest_set(dm, v)
@@ -148,17 +150,18 @@ def test_mutually_distant_pair_contract_on_random_graph():
 def test_mutually_distant_pair_cap_error():
     # this instance needs a third improvement round, which delta=0 forbids;
     # the true constant admits it
-    dm = distance_matrix(gnp_connected(25, 0.1, 1))
+    g = gnp_connected(25, 0.1, 1)
+    dm = distance_matrix(g)
     with pytest.raises(ValueError, match="stabilize"):
         mutually_distant_pair(dm, HalfInt(0))
-    u, v = mutually_distant_pair(dm, four_point_delta(dm).delta)
+    u, v = mutually_distant_pair(dm, four_point_delta(g, dm).delta)
     assert v in furthest_set(dm, u) and u in furthest_set(dm, v)
 
 
 def test_single_vertex_graph():
     g = Graph(1, [])
     dm = distance_matrix(g)
-    assert four_point_delta(dm).delta == 0
+    assert four_point_delta(g, dm).delta == 0
     assert mutually_distant_pair(dm, HalfInt(0)) == (0, 0)
 
 
@@ -167,8 +170,9 @@ def test_thin_delta_bound():
 
 
 def test_report_bundles_consistently():
-    dm = distance_matrix(cycle_graph(6))
-    rep = hyperbolicity_report(dm)
+    g = cycle_graph(6)
+    dm = distance_matrix(g)
+    rep = hyperbolicity_report(g, dm)
     assert rep.delta == 1
     assert rep.interval_thinness == 2
     assert rep.diameter == 3 and rep.radius == 3
@@ -187,8 +191,13 @@ def naive_far_apart_pairs(g, dm):
     ]
 
 
+def whole_graph_pairs(g, dm):
+    """The scans' far-apart pairs of all of g, as one block."""
+    return hyperbolicity._FarApart(g, np.arange(g.n), dm.d, int(dm.d.max()))
+
+
 def check_far_apart_pairs(g, dm):
-    got = far_apart_pairs(dm)
+    got = far_apart_pairs(g, dm)
     assert got.dtype == np.int32
     pairs = got.tolist()
     assert pairs == far_apart_pairs_by_vertex(dm).tolist()
@@ -202,15 +211,15 @@ def check_far_apart_pairs(g, dm):
 def test_far_apart_scans_match_oracles(g):
     dm = distance_matrix(g)
     check_far_apart_pairs(g, dm)
-    res = four_point_delta(dm)
+    res = four_point_delta(g, dm)
     assert res.exact
     assert res.delta.doubled == naive_four_point_delta_doubled(dm)
     assert four_point_defect(dm, res.witness) == res.delta
     if res.delta == 0:
         assert res.witness == (0, 0, 0, 0)
     thin = naive_interval_thinness(dm)
-    assert interval_thinness(dm) == thin
-    rep = hyperbolicity_report(dm)
+    assert interval_thinness(g, dm) == thin
+    rep = hyperbolicity_report(g, dm)
     assert (rep.delta, rep.exact, rep.interval_thinness) == (res.delta, True, thin)
     assert four_point_defect(dm, rep.witness) == rep.delta
 
@@ -221,38 +230,38 @@ def test_pruned_scan_matches_bruteforce_beyond_one_block():
     for seed in range(6):
         g = gnp_connected(30, 1.5 * math.log(30) / 30, seed)
         dm = distance_matrix(g)
-        assert len(far_apart_pairs(dm)) > 64
-        res = four_point_delta(dm)
+        assert len(far_apart_pairs(g, dm)) > 64
+        res = four_point_delta(g, dm)
         assert res.delta.doubled == naive_four_point_delta_doubled(dm)
         assert four_point_defect(dm, res.witness) == res.delta
 
 
 def test_far_apart_single_vertex_and_edge():
-    dm1 = distance_matrix(Graph(1, []))
-    assert far_apart_pairs(dm1).shape == (0, 2)
-    assert four_point_delta(dm1) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
-    assert interval_thinness(dm1) == 0
-    dm2 = distance_matrix(Graph(2, [(0, 1)]))
-    assert far_apart_pairs(dm2).tolist() == [[0, 1]]
-    assert four_point_delta(dm2) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
-    assert interval_thinness(dm2) == 0
+    for g, want in ((Graph(1, []), []), (Graph(2, [(0, 1)]), [[0, 1]])):
+        dm = distance_matrix(g)
+        got = far_apart_pairs(g, dm)
+        assert got.shape == (len(want), 2) and got.tolist() == want
+        assert four_point_delta(g, dm) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
+        assert interval_thinness(g, dm) == 0
 
 
 def test_far_apart_complete_graphs():
     for n in range(2, 12):
-        dm = distance_matrix(Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)]))
-        assert len(far_apart_pairs(dm)) == n * (n - 1) // 2
-        assert four_point_delta(dm).delta == 0
-        assert interval_thinness(dm) == 0
+        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+        dm = distance_matrix(g)
+        assert len(far_apart_pairs(g, dm)) == n * (n - 1) // 2
+        assert four_point_delta(g, dm).delta == 0
+        assert interval_thinness(g, dm) == 0
 
 
 def test_far_apart_stars():
     for leaves in range(2, 9):
-        dm = distance_matrix(Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)]))
+        g = Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+        dm = distance_matrix(g)
         want = [[a, b] for a in range(1, leaves + 1) for b in range(a + 1, leaves + 1)]
-        assert far_apart_pairs(dm).tolist() == want
-        assert four_point_delta(dm).delta == 0
-        assert interval_thinness(dm) == 0
+        assert far_apart_pairs(g, dm).tolist() == want
+        assert four_point_delta(g, dm).delta == 0
+        assert interval_thinness(g, dm) == 0
 
 
 def test_far_apart_grids():
@@ -260,10 +269,10 @@ def test_far_apart_grids():
         g = grid_graph(rows, cols)
         dm = distance_matrix(g)
         check_far_apart_pairs(g, dm)
-        res = four_point_delta(dm)
+        res = four_point_delta(g, dm)
         assert res.delta.doubled == naive_four_point_delta_doubled(dm)
         assert four_point_defect(dm, res.witness) == res.delta
-        assert interval_thinness(dm) == naive_interval_thinness(dm)
+        assert interval_thinness(g, dm) == naive_interval_thinness(dm)
 
 
 def test_far_apart_beyond_one_neighbour_chunk():
@@ -273,7 +282,7 @@ def test_far_apart_beyond_one_neighbour_chunk():
     g = Graph(72, edges)
     dm = distance_matrix(g)
     check_far_apart_pairs(g, dm)
-    assert [0, 71] not in far_apart_pairs(dm).tolist()
+    assert [0, 71] not in far_apart_pairs(g, dm).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,12 +291,27 @@ def test_blocks_match_networkx(g):
     want = nx.Graph(list(g.edges()))
     want.add_nodes_from(range(g.n))
     expected = sorted(sorted(c) for c in nx.biconnected_components(want))
-    assert sorted(blk.tolist() for blk in biconnected_blocks(distance_matrix(g))) == expected
+    assert sorted(blk.tolist() for blk in biconnected_blocks(g)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(connected_graphs(), glued_blocks()))
+def test_block_arcs_are_the_unit_entries(g):
+    # the arcs _lower_layers reads, against the unit entries of the block's
+    # submatrix, order included: the whole graph, every block and the
+    # scanned blocks as the scans see them
+    dm = distance_matrix(g)
+    scanned = [blk for blk, _, _ in hyperbolicity._scanned_blocks(g, dm)]
+    for blk in (np.arange(g.n), *biconnected_blocks(g), *scanned):
+        heads, tails = hyperbolicity._block_arcs(g, blk)
+        want = np.divmod(np.flatnonzero(dm.d[np.ix_(blk, blk)] == 1), len(blk))
+        assert heads.tolist() == want[0].tolist()
+        assert tails.tolist() == want[1].tolist()
 
 
 def test_large_tree_is_exact_at_default_cap():
-    dm = distance_matrix(random_tree(1000, 3))
-    rep = hyperbolicity_report(dm)
+    g = random_tree(1000, 3)
+    rep = hyperbolicity_report(g, distance_matrix(g))
     assert rep.exact and rep.delta == 0 and rep.interval_thinness == 0
     assert rep.witness == (0, 0, 0, 0)
 
@@ -297,15 +321,15 @@ def test_budget_bounds_unscanned_blocks_by_diameter(monkeypatch):
     # diam 34, and the only block that is scanned is the cycle, diam 4
     g = Graph(38, [*cycle_graph(8).edges(), (0, 8), *((v, v + 1) for v in range(8, 37))])
     dm = distance_matrix(g)
-    exact = four_point_delta(dm)
+    exact = four_point_delta(g, dm)
     assert exact.exact and exact.delta.doubled == naive_four_point_delta_doubled(dm) == 4
     monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", 0)
-    bracket = four_point_delta(dm)
+    bracket = four_point_delta(g, dm)
     assert (bracket.delta, bracket.witness, bracket.upper) == (0, (0, 0, 0, 0), 2)
     assert not bracket.exact
-    rep = hyperbolicity_report(dm)
+    rep = hyperbolicity_report(g, dm)
     assert not rep.exact and (rep.delta, rep.upper) == (bracket.delta, bracket.upper)
-    assert rep.interval_thinness == interval_thinness(dm) == naive_interval_thinness(dm)
+    assert rep.interval_thinness == interval_thinness(g, dm) == naive_interval_thinness(dm)
     # an 8-cycle glued at vertex 0 of a 30-vertex G(n,p) block, both of
     # diameter 4: the budget covers the first 64 rows of the G(n,p) block,
     # which find doubled defect 2 and stop at a row of distance 3, so only
@@ -314,7 +338,7 @@ def test_budget_bounds_unscanned_blocks_by_diameter(monkeypatch):
     g = Graph(37, [*base.edges(), (0, 30), *((v, v + 1) for v in range(30, 36)), (36, 0)])
     dm = distance_matrix(g)
     monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", 64 * 64)
-    bracket = four_point_delta(dm)
+    bracket = four_point_delta(g, dm)
     assert (bracket.delta.doubled, bracket.upper.doubled) == (2, 4)
     assert naive_four_point_delta_doubled(dm) == 4
 
@@ -325,8 +349,8 @@ def test_budgeted_bracket_holds(g, budget):
     dm = distance_matrix(g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
-        res = four_point_delta(dm)
-        rep = hyperbolicity_report(dm)
+        res = four_point_delta(g, dm)
+        rep = hyperbolicity_report(g, dm)
     assert res.delta.doubled <= naive_four_point_delta_doubled(dm) <= res.upper.doubled
     assert four_point_defect(dm, res.witness) == res.delta
     assert res.exact == (res.delta == res.upper)
@@ -336,7 +360,8 @@ def test_budgeted_bracket_holds(g, budget):
 
 def test_sparse_random_graph_is_exact_at_default_budget():
     n = 2000
-    rep = hyperbolicity_report(distance_matrix(gnp_connected(n, 2 * math.log(n) / n, 1)))
+    g = gnp_connected(n, 2 * math.log(n) / n, 1)
+    rep = hyperbolicity_report(g, distance_matrix(g))
     assert rep.exact
 
 
@@ -354,9 +379,11 @@ def test_far_apart_layers_match_oracles(g):
     want = far_apart_pairs_by_vertex(dm)
     diam = int(dm.d.max())
     dist = dm.d[want[:, 0], want[:, 1]]
-    pairs = hyperbolicity._FarApart(dm.d, diam)
+    whole = np.arange(g.n)
+    pairs = hyperbolicity._FarApart(g, whole, dm.d, diam)
     assert pairs.pairs.tolist() == want[dist == diam].tolist()
-    assert hyperbolicity._lower_layers(dm.d, diam).tolist() == want[dist < diam].tolist()
+    lower = hyperbolicity._lower_layers(g, whole, dm.d, diam)
+    assert lower.tolist() == want[dist < diam].tolist()
     pairs.reach(0, len(pairs.dist) + 1, -1)
     assert pairs.pairs.tolist() == want.tolist()
     assert pairs.dist.tolist() == dist.tolist()
@@ -367,11 +394,12 @@ def test_far_apart_layers_match_oracles(g):
 def test_thinness_scan_matches_pair_by_pair(g, nu):
     dm = distance_matrix(g)
     want = thinness_scan_by_pair(dm, far_apart_pairs_by_vertex(dm), nu)
-    got = hyperbolicity._thinness_scan(dm, hyperbolicity._FarApart(dm.d, int(dm.d.max())), nu)
-    assert got == want
-    for _, sub, diam in hyperbolicity._scanned_blocks(dm):
+    pairs = whole_graph_pairs(g, dm)
+    assert hyperbolicity._thinness_scan(dm, pairs, nu) == want
+    for blk, sub, diam in hyperbolicity._scanned_blocks(g, dm):
         want = thinness_scan_by_pair(sub, far_apart_pairs_by_vertex(sub), nu)
-        assert hyperbolicity._thinness_scan(sub, hyperbolicity._FarApart(sub.d, diam), nu) == want
+        pairs = hyperbolicity._FarApart(g, blk, sub.d, diam)
+        assert hyperbolicity._thinness_scan(sub, pairs, nu) == want
 
 
 def test_thinness_batches_past_the_stop_and_chunk_their_mates(monkeypatch):
@@ -382,9 +410,9 @@ def test_thinness_batches_past_the_stop_and_chunk_their_mates(monkeypatch):
         want = thinness_scan_by_pair(dm, far_apart_pairs_by_vertex(dm), 0)
         for elems in (2**14, 64):
             monkeypatch.setattr(hyperbolicity, "_BLOCK_ELEMS", elems)
-            pairs = hyperbolicity._FarApart(dm.d, int(dm.d.max()))
+            pairs = whole_graph_pairs(g, dm)
             assert hyperbolicity._thinness_scan(dm, pairs, 0) == want
-            assert interval_thinness(dm) == naive_interval_thinness(dm) == want
+            assert interval_thinness(g, dm) == naive_interval_thinness(dm) == want
 
 
 BUDGETS = st.one_of(st.sampled_from([0, 1, 7, 64 * 64]), st.integers(0, 5000))
@@ -396,9 +424,9 @@ def test_budget_matches_a_scan_over_complete_lists(g, budget):
     dm = distance_matrix(g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
-        res = four_point_delta(dm)
-        rep = hyperbolicity_report(dm)
-    want = budgeted_four_point(dm, budget)
+        res = four_point_delta(g, dm)
+        rep = hyperbolicity_report(g, dm)
+    want = budgeted_four_point(g, dm, budget)
     assert (res.delta.doubled, res.witness, res.upper.doubled) == want
     assert (rep.delta.doubled, rep.witness, rep.upper.doubled) == want
 
@@ -411,11 +439,11 @@ def test_budget_matches_complete_lists_past_the_top_layer(monkeypatch):
     sparse = gnp_connected(n, 2 * math.log(n) / n, 1)
     for g in (gnp_connected(200, 0.5, 1), cycle_graph(200), cycle_graph(201), sparse):
         dm = distance_matrix(g)
-        t = len(hyperbolicity._FarApart(dm.d, int(dm.d.max())).pairs)
+        t = len(whole_graph_pairs(g, dm).pairs)
         for budget in (0, 1, 7, t * t, 64 * 64 - 1, 64 * 64, 10**5, 2**26):
             monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
-            res = four_point_delta(dm)
-            want = budgeted_four_point(dm, budget)
+            res = four_point_delta(g, dm)
+            want = budgeted_four_point(g, dm, budget)
             assert (res.delta.doubled, res.witness, res.upper.doubled) == want
 
 
@@ -423,30 +451,31 @@ def test_scans_that_stop_in_the_diameter_layer_build_no_lower_layers(monkeypatch
     # the doubled delta and the thinness both reach the diameter inside the
     # diameter layer, so neither scan goes past it
 
-    def no_lower_layers(d, diam):
+    def no_lower_layers(g, blk, d, diam):
         raise AssertionError("lower layers built")
 
     n = 20
     kmm = Graph(2 * n, [(a, n + b) for a in range(n) for b in range(n)])
     graphs = (gnp_connected(200, 0.5, 1), cycle_graph(200), kmm)
-    want = [hyperbolicity_report(distance_matrix(g)) for g in graphs]
+    want = [hyperbolicity_report(g, distance_matrix(g)) for g in graphs]
     monkeypatch.setattr(hyperbolicity, "_lower_layers", no_lower_layers)
     for g, rep in zip(graphs, want):
         dm = distance_matrix(g)
-        assert hyperbolicity_report(dm) == rep
-        assert four_point_delta(dm) == FourPointResult(rep.delta, rep.witness, rep.upper)
-        assert interval_thinness(dm) == rep.interval_thinness
+        assert hyperbolicity_report(g, dm) == rep
+        assert four_point_delta(g, dm) == FourPointResult(rep.delta, rep.witness, rep.upper)
+        assert interval_thinness(g, dm) == rep.interval_thinness
 
 
 def test_tree_skips_the_block_split(monkeypatch):
-    dm = distance_matrix(random_tree(1000, 3))
-    want = hyperbolicity_report(dm)
+    g = random_tree(1000, 3)
+    dm = distance_matrix(g)
+    want = hyperbolicity_report(g, dm)
 
-    def no_split(dm):
+    def no_split(g):
         raise AssertionError("block split")
 
     monkeypatch.setattr(hyperbolicity, "biconnected_blocks", no_split)
-    assert hyperbolicity._scanned_blocks(dm) == []
-    assert hyperbolicity_report(dm) == want
-    assert four_point_delta(dm) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
-    assert interval_thinness(dm) == 0
+    assert hyperbolicity._scanned_blocks(g, dm) == []
+    assert hyperbolicity_report(g, dm) == want
+    assert four_point_delta(g, dm) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
+    assert interval_thinness(g, dm) == 0

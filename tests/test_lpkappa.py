@@ -121,13 +121,13 @@ def test_round_packing_trivial_cases():
 def test_round_hitting_kappa1_reduces_to_greedy():
     g = gnp_connected(16, 0.25, 2)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm).delta)
     rng = random.Random(4)
     parts = [interval(dm, rng.randrange(16), rng.randrange(16)) for _ in range(5)]
     fam = [member(dm, p) for p in parts]
     y = [F(1, 16)] * 16
     got = round_hitting(y, fam, dm, g, 1, delta)
-    expected = greedy_hit_pack(dm, g, QSetFamily.measure(dm, parts), 1, delta).hitting_set
+    expected = greedy_hit_pack(g, dm, QSetFamily.measure(dm, parts), 1, delta).hitting_set
     assert tuple(got) == expected
 
 
@@ -179,7 +179,7 @@ def test_kappa_hit_pack_tree_unions_of_subtrees():
 def test_kappa_hit_pack_random_graph():
     g = gnp_connected(25, 0.15, 12)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm).delta)
     rng = random.Random(7)
     fam = []
     for _ in range(5):
@@ -275,7 +275,7 @@ def test_witness_lps_match_full_lps(case):
         return pack, hit
 
     optima(radius)
-    delta = thin_delta_bound(four_point_delta(dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm).delta)
     eps = max(kq.epsilon for kq in fam)
     res = kappa_hit_pack(g, dm, fam, eps + (delta * 2).ceil() + radius, eps, delta)
     assert (res.packing_optimum, res.hitting_optimum) == optima(res.r_star)

@@ -77,7 +77,7 @@ def test_multicore_tree_matches_brute_sigma():
 def test_multicore_every_pair_intercepted_nontree():
     g = gnp_connected(14, 0.3, 9)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm).delta)
     rng = random.Random(0)
     pairs = [(rng.randrange(14), rng.randrange(14)) for _ in range(4)]
     pairs = [(a, b) for a, b in pairs if a != b] or [(0, 1)]
@@ -92,7 +92,7 @@ def test_multicore_every_pair_intercepted_nontree():
 def test_multicore_rejects_small_radius():
     g = cycle_graph(8)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm).delta)
     with pytest.raises(ValueError, match="8\\*delta"):
         multicore_construct(g, dm, CommodityGraph.from_pairs([(0, 4)]), 1, delta)
 
@@ -119,7 +119,7 @@ def test_inequality_chain_small_trees():
     for seed in (3, 8):
         g = random_tree(11, seed)
         dm = distance_matrix(g)
-        delta = thin_delta_bound(four_point_delta(dm).delta)
+        delta = thin_delta_bound(four_point_delta(g, dm).delta)
         assert delta == 0
         rng = random.Random(seed)
         pairs = []

@@ -42,7 +42,7 @@ def test_intervals_are_thinness_quasiconvex():
     rng = random.Random(5)
     for g in (gnp_connected(16, 0.25, 2), cycle_graph(9)):
         dm = distance_matrix(g)
-        nu = interval_thinness(dm)
+        nu = interval_thinness(g, dm)
         for _ in range(12):
             u, v = rng.randrange(g.n), rng.randrange(g.n)
             assert measure_epsilon(dm, interval(dm, u, v)) <= nu
@@ -61,10 +61,10 @@ def test_neighborhood():
 def test_project_toward():
     g = path_graph(7)
     dm = distance_matrix(g)
-    assert project_toward(dm, g, 6, [0, 1], 0) == 1
-    assert project_toward(dm, g, 6, [0, 1], 2) == 3
-    assert project_toward(dm, g, 3, [0, 3, 5], 4) == 3  # z inside Q
-    assert project_toward(dm, g, 6, [0], 99) == 6  # walk caps at z
+    assert project_toward(g, dm, 6, [0, 1], 0) == 1
+    assert project_toward(g, dm, 6, [0, 1], 2) == 3
+    assert project_toward(g, dm, 3, [0, 3, 5], 4) == 3  # z inside Q
+    assert project_toward(g, dm, 6, [0], 99) == 6  # walk caps at z
 
 
 def test_covering_radius_formula():
@@ -84,7 +84,7 @@ def test_helly_center_subtrees_of_tree():
     dm = distance_matrix(tree)
     fam = _tree_ball_family(dm, tree, hub=4, picks=[0, 7, 13, 19])
     assert fam.family_epsilon == 0
-    ball = helly_center(dm, tree, fam, 0, HalfInt(0))
+    ball = helly_center(tree, dm, fam, 0, HalfInt(0))
     assert ball.radius == 0
     for s in fam.sets:
         assert set_distance(dm, [ball.center], s.members) == 0
@@ -93,11 +93,11 @@ def test_helly_center_subtrees_of_tree():
 def test_helly_center_cycle_intervals():
     g = cycle_graph(6)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm).delta)
     fam = QSetFamily.measure(
         dm, [interval(dm, 0, x) for x in (2, 3, 4)]  # all contain vertex 0
     )
-    ball = helly_center(dm, g, fam, 0, delta)
+    ball = helly_center(g, dm, fam, 0, delta)
     members = ball_members(dm, ball)
     assert ball.radius <= covering_radius(0, fam.family_epsilon, delta).floor()
     for s in fam.sets:
@@ -108,7 +108,7 @@ def test_helly_center_single_set():
     g = path_graph(6)
     dm = distance_matrix(g)
     fam = QSetFamily.measure(dm, [[4, 5]])
-    ball = helly_center(dm, g, fam, 0, HalfInt(0))
+    ball = helly_center(g, dm, fam, 0, HalfInt(0))
     assert set_distance(dm, [ball.center], fam.sets[0].members) == 0
 
 
@@ -117,14 +117,14 @@ def test_helly_center_rejects_far_family():
     dm = distance_matrix(g)
     fam = QSetFamily.measure(dm, [[0], [8]], names=["left", "right"])
     with pytest.raises(ValueError, match="left.*right"):
-        helly_center(dm, g, fam, 1, HalfInt(0))
+        helly_center(g, dm, fam, 1, HalfInt(0))
 
 
 def test_greedy_hit_pack_far_singletons():
     tree = path_graph(15)
     dm = distance_matrix(tree)
     fam = QSetFamily.measure(dm, [[0], [5], [10], [14]])
-    hp = greedy_hit_pack(dm, tree, fam, 1, HalfInt(0))
+    hp = greedy_hit_pack(tree, dm, fam, 1, HalfInt(0))
     assert len(hp.hitting_set) == len(hp.packing) == 4
     assert hp.pack_gap == 1
 
@@ -133,7 +133,7 @@ def test_greedy_hit_pack_intersecting_collapses():
     g = cycle_graph(6)
     dm = distance_matrix(g)
     fam = QSetFamily.measure(dm, [interval(dm, 0, 3), interval(dm, 1, 4), interval(dm, 2, 5)])
-    hp = greedy_hit_pack(dm, g, fam, 0, thin_delta_bound(four_point_delta(dm).delta))
+    hp = greedy_hit_pack(g, dm, fam, 0, thin_delta_bound(four_point_delta(g, dm).delta))
     assert len(hp.hitting_set) == len(hp.packing) == 1
 
 
@@ -141,14 +141,14 @@ def test_greedy_hit_pack_random_certificates():
     rng = random.Random(9)
     g = gnp_connected(30, 0.12, 4)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm).delta)
     sets = []
     for _ in range(10):
         a, b = rng.randrange(30), rng.randrange(30)
         sets.append(interval(dm, a, b))
     fam = QSetFamily.measure(dm, sets)
     for r in (0, 1, 2):
-        hp = greedy_hit_pack(dm, g, fam, r, delta)
+        hp = greedy_hit_pack(g, dm, fam, r, delta)
         assert len(hp.hitting_set) == len(hp.packing)
         assert hp.hit_radius == covering_radius(r, fam.family_epsilon, delta).floor()
         for s in fam.sets:
@@ -176,7 +176,7 @@ def test_helly_balls_check_random_with_thin_inflation():
     for seed in range(8):
         g = gnp_connected(18, 0.2, seed + 40)
         dm = distance_matrix(g)
-        delta = thin_delta_bound(four_point_delta(dm).delta)
+        delta = thin_delta_bound(four_point_delta(g, dm).delta)
         balls = [Ball(rng.randrange(18), rng.randrange(0, 3)) for _ in range(5)]
         ok = all(
             dm.dist(a.center, b.center) <= a.radius + b.radius
