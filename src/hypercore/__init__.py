@@ -1,89 +1,66 @@
 """Congestion cores, Helly-type covering/packing, and hyperbolicity analysis
-for unweighted connected graphs, over exact arithmetic."""
+for unweighted connected graphs, over exact arithmetic.
 
-from .beamcore import (
-    BeamCoreResult,
-    BeamSeparationReport,
-    StructuralReport,
-    beam_pairs,
-    beams_pairwise_close,
-    structural_checks,
-    total_beam_core,
-)
-from .congestion import (
-    CoreResult,
-    TrafficDemand,
-    centroid_vertex,
-    geodesic_count,
-    median_vertex,
-    min_core,
-    traffic_load,
-)
-from .generators import GeneratorSpec, generate
-from .graphs import (
-    Ball,
-    DistanceMatrix,
-    Graph,
-    ball_members,
-    descend_geodesic,
-    distance_matrix,
-    gromov_product,
-    intercepted_pairs,
-    interval,
-    multi_source_distances,
-    set_distance,
-)
-from .halfint import HalfInt
-from .hyperbolicity import (
-    EccentricityProfile,
-    FourPointResult,
-    HyperbolicityReport,
-    biconnected_blocks,
-    eccentricity_profile,
-    far_apart_pairs,
-    four_point_defect,
-    four_point_delta,
-    furthest_set,
-    hyperbolicity_report,
-    interval_thinness,
-    mutually_distant_pair,
-    thin_delta_bound,
-)
-from .lpkappa import (
-    GammaIndex,
-    KappaHitPackResult,
-    KappaQSet,
-    build_hitting_lp,
-    build_packing_lp,
-    gamma_sets,
-    kappa_hit_pack,
-    round_hitting,
-    round_packing,
-)
-from .multicore import (
-    CommodityGraph,
-    MultiCoreResult,
-    brute_pi,
-    brute_sigma,
-    brute_tau,
-    inflate_family,
-    interval_family,
-    multicore_construct,
-)
-from .quasiconvex import (
-    HitPackResult,
-    QSet,
-    QSetFamily,
-    check_hit_pack,
-    covering_radius,
-    greedy_hit_pack,
-    helly_balls_check,
-    helly_center,
-    is_interval_like,
-    measure_epsilon,
-    neighborhood,
-    project_toward,
-)
-from .simplex import LPInstance, LPSolution, solve_lp
+The names below load on first use: ``hypercore.min_core`` imports
+``hypercore.congestion`` at that moment, so importing the package, or one of
+its modules, loads only the modules that are used.
+"""
+
+import importlib
+
+# Exported names, by the submodule that defines them.
+_EXPORTS = {
+    "beamcore": (
+        "BeamCoreResult", "BeamSeparationReport", "StructuralReport", "beam_pairs",
+        "beams_pairwise_close", "structural_checks", "total_beam_core",
+    ),
+    "congestion": (
+        "CoreResult", "TrafficDemand", "centroid_vertex", "geodesic_count", "median_vertex",
+        "min_core", "traffic_load",
+    ),
+    "generators": ("GeneratorSpec", "generate"),
+    "graphs": (
+        "Ball", "DistanceMatrix", "Graph", "ball_members", "descend_geodesic",
+        "distance_matrix", "gromov_product", "intercepted_pairs", "interval",
+        "multi_source_distances", "set_distance",
+    ),
+    "halfint": ("HalfInt",),
+    "hyperbolicity": (
+        "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
+        "eccentricity_profile", "far_apart_pairs", "four_point_defect", "four_point_delta",
+        "furthest_set", "hyperbolicity_report", "interval_thinness", "mutually_distant_pair",
+        "thin_delta_bound",
+    ),
+    "lpkappa": (
+        "GammaIndex", "KappaHitPackResult", "KappaQSet", "build_hitting_lp", "build_packing_lp",
+        "gamma_sets", "kappa_hit_pack", "round_hitting", "round_packing",
+    ),
+    "multicore": (
+        "CommodityGraph", "MultiCoreResult", "brute_pi", "brute_sigma", "brute_tau",
+        "inflate_family", "interval_family", "multicore_construct",
+    ),
+    "quasiconvex": (
+        "HitPackResult", "QSet", "QSetFamily", "check_hit_pack", "covering_radius",
+        "greedy_hit_pack", "helly_balls_check", "helly_center", "is_interval_like",
+        "measure_epsilon", "neighborhood", "project_toward",
+    ),
+    "simplex": ("LPInstance", "LPSolution", "solve_lp"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_OWNER)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Read from the submodule on every access, not copied here: a copy taken
+    # at first use would outlive a later rebinding in the submodule (a test's
+    # patch, a tracer's wrapper) and disagree with it.
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

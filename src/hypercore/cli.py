@@ -14,8 +14,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .beamcore import structural_checks, total_beam_core
-from .congestion import TrafficDemand, min_core, traffic_load
 from .fileio import (
     LabelTable,
     read_edge_list,
@@ -25,21 +23,21 @@ from .fileio import (
     read_tokens,
     write_edge_list,
 )
-from .generators import PRNG_ID, GeneratorSpec, generate
+from .generators import PRNG_ID
 from .graphs import ball_members, check_matrix_cap, distance_matrix, set_distance
 from .halfint import HalfInt
-from .hyperbolicity import four_point_delta, hyperbolicity_report, thin_delta_bound
-from .lpkappa import KappaQSet, kappa_hit_pack
-from .multicore import CommodityGraph, multicore_construct
-from .quasiconvex import (
-    QSet,
-    QSetFamily,
-    check_hit_pack,
-    geodesic_covering_radius,
-    greedy_hit_pack,
-    helly_center,
-    is_interval_like,
-)
+
+# Each handler imports the analysis modules it runs, so a command loads
+# only its own (see README Notes).
+
+
+def __getattr__(name):
+    # The package's names, which this module once imported at the top, stay
+    # readable as its attributes: ``hypercore.cli.four_point_delta``.
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 SCHEMA = "hypercore-report/1"
 
@@ -74,6 +72,8 @@ def _thin_delta(args, g, dm) -> HalfInt:
     """
     if args.delta is not None:
         return _parse_halfint(args.delta)
+    from .hyperbolicity import four_point_delta, thin_delta_bound
+
     fp = four_point_delta(g, dm)
     args.four_point = fp
     return thin_delta_bound(fp.upper)
@@ -92,6 +92,8 @@ def _fraction_json(f: Fraction) -> dict:
 
 
 def _cmd_generate(args):
+    from .generators import GeneratorSpec, generate
+
     spec = GeneratorSpec(
         kind=args.kind, n=args.n, p=args.p, seed=args.seed, rows=args.rows, cols=args.cols
     )
@@ -107,6 +109,8 @@ def _cmd_generate(args):
 
 
 def _cmd_hyperbolicity(args):
+    from .hyperbolicity import hyperbolicity_report
+
     g, dm, table = _load_graph(args)
     rep = hyperbolicity_report(g, dm)
     delta = f"delta = {rep.delta} (exact)" if rep.exact else f"delta in [{rep.delta}, {rep.upper}]"
@@ -132,6 +136,8 @@ def _cmd_hyperbolicity(args):
 
 
 def _cmd_core(args):
+    from .congestion import min_core
+
     g, table = read_edge_list(args.edges)
     check_matrix_cap(g.n, args.max_n)
     if args.profile == "all":
@@ -154,6 +160,8 @@ def _cmd_core(args):
 
 
 def _cmd_traffic(args):
+    from .congestion import TrafficDemand, traffic_load
+
     g, table = read_edge_list(args.edges)
     check_matrix_cap(g.n, args.max_n)
     if args.demand == "uniform":
@@ -172,6 +180,8 @@ def _cmd_traffic(args):
 
 
 def _cmd_multicore(args):
+    from .multicore import CommodityGraph, multicore_construct
+
     g, dm, table = _load_graph(args)
     pairs = [(table.id_of(a), table.id_of(b)) for a, b in read_pairs(args.commodity)]
     commodity = CommodityGraph.from_pairs(pairs)
@@ -189,6 +199,8 @@ def _cmd_multicore(args):
 
 
 def _cmd_beamcore(args):
+    from .beamcore import structural_checks, total_beam_core
+
     g, dm, table = _load_graph(args)
     delta = _thin_delta(args, g, dm)
     bc = total_beam_core(g, dm, delta)
@@ -212,7 +224,9 @@ def _cmd_beamcore(args):
     return report, ok
 
 
-def _family_from_json(dm, table, entries) -> QSetFamily:
+def _family_from_json(dm, table, entries):
+    from .quasiconvex import QSetFamily
+
     return QSetFamily.measure(
         dm,
         [table.ids_of(e["vertices"]) for e in entries],
@@ -221,6 +235,8 @@ def _family_from_json(dm, table, entries) -> QSetFamily:
 
 
 def _cmd_helly(args):
+    from .quasiconvex import geodesic_covering_radius, helly_center, is_interval_like
+
     g, dm, table = _load_graph(args)
     family = _family_from_json(dm, table, read_family_json(args.family))
     delta = _thin_delta(args, g, dm)
@@ -244,6 +260,8 @@ def _cmd_helly(args):
 
 
 def _cmd_hitpack(args):
+    from .quasiconvex import check_hit_pack, greedy_hit_pack
+
     g, dm, table = _load_graph(args)
     family = _family_from_json(dm, table, read_family_json(args.family))
     delta = _thin_delta(args, g, dm)
@@ -269,6 +287,9 @@ def _cmd_hitpack(args):
 
 
 def _cmd_kappa(args):
+    from .lpkappa import KappaQSet, kappa_hit_pack
+    from .quasiconvex import QSet
+
     g, dm, table = _load_graph(args)
     entries = read_kappa_family_json(args.family)
     family = [

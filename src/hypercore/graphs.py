@@ -31,22 +31,23 @@ class Graph:
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        edges = list(edges)
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise _first_bad_edge(n, edges)
             adjacency[u].append(v)
             adjacency[v].append(u)
         for nbrs in adjacency:
             nbrs.sort()
+        # read-only CSR of the lists: the neighbours of v are indices[indptr[v]:indptr[v + 1]]
+        indptr = np.cumsum([0, *map(len, adjacency)], dtype=np.intp)
+        indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=2 * len(edges))
+        # a repeated edge shows as equal neighbours side by side in a sorted row
+        keys = np.repeat(np.arange(n, dtype=np.intp) * n, np.diff(indptr)) + indices
+        if (keys[1:] == keys[:-1]).any():
+            raise _first_bad_edge(n, edges)
         self.n = n
-        self.m = len(seen)
+        self.m = len(edges)
         self.adjacency = adjacency
         label, sizes = components_without(self)
         if len(sizes) > 1:
@@ -54,10 +55,8 @@ class Graph:
             raise ValueError(
                 f"graph is disconnected: vertex {label.index(1)} unreachable from 0"
             )
-        # read-only CSR of the lists: the neighbours of v are indices[indptr[v]:indptr[v + 1]]
-        self.indptr = np.cumsum([0, *map(len, adjacency)], dtype=np.intp)
-        self.indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=2 * self.m)
-        self.indptr.flags.writeable = self.indices.flags.writeable = False
+        self.indptr, self.indices = indptr, indices
+        indptr.flags.writeable = indices.flags.writeable = False
 
     def edges(self) -> Iterator[tuple[int, int]]:
         return ((u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
@@ -67,6 +66,21 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _first_bad_edge(n: int, edges: Sequence[tuple[int, int]]) -> ValueError:
+    """The error for the first edge, in input order, that is out of range, a
+    self-loop or a repeat of an earlier edge."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            return ValueError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return ValueError(f"duplicate edge ({key[0]},{key[1]})")
+        seen.add(key)
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,9 @@ def check_hit_pack(
     """
     check_vertices(dm.n, hitting, "hitting set")
     check_vertices(dm.n, chain.from_iterable(members), "members")
+    for a in packing:
+        if not (0 <= a < len(members)):
+            raise ValueError(f"packing index {a} out of range for {len(members)} members")
     d = dm.d
     rows = d[list(hitting)]
     hit_ok = all(int(rows[:, list(ms)].min()) <= hit_radius for ms in members)

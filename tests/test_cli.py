@@ -159,11 +159,15 @@ def test_core_on_a_tree_builds_no_matrix(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("core on a tree built a distance matrix")
 
+    patched = set()
     for name, mod in list(sys.modules.items()):
         if name == "hypercore" or name.startswith("hypercore."):
             for attr in ("_tree_distances", "distance_matrix", "multi_source_distances"):
                 if hasattr(mod, attr):
                     monkeypatch.setattr(mod, attr, refuse)
+                    patched.add(name)
+    # modules load on first use: the one that runs `core` must be among those patched
+    assert {"hypercore.congestion", "hypercore.graphs", "hypercore.cli"} <= patched
     code, rep, err = run_json(capsys, argv)
     assert (code, err) == (0, "")
     assert rep == expected

@@ -64,6 +64,25 @@ def test_graph_validation():
         Graph(3, [(0, 1)])
 
 
+def test_first_bad_edge_in_input_order_decides_the_message():
+    cases = [
+        ([(0, 1), (1, 2), (2, 1), (0, 3)], "duplicate edge (1,2)"),
+        ([(0, 1), (0, 3), (1, 2), (2, 1)], "edge (0,3) out of range for n=3"),
+        ([(0, 1), (1, 0), (2, 2)], "duplicate edge (0,1)"),
+        ([(1, 1), (0, 1), (1, 0)], "self-loop at vertex 1"),
+        # repeats in two rows: the later-listed pair repeats first
+        ([(0, 2), (1, 2), (2, 1), (2, 0)], "duplicate edge (1,2)"),
+        # a repeat wins over disconnection
+        ([(0, 1), (1, 0)], "duplicate edge (0,1)"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(ValueError) as err:
+            Graph(3, iter(edges))
+        assert str(err.value) == message
+    # rows that end and start at the same neighbour hold no repeat
+    assert Graph(3, [(0, 2), (1, 2)]).m == 2
+
+
 def test_distance_matrix_single_edge_and_star():
     dm = distance_matrix(Graph(2, [(0, 1)]))
     assert dm.d.tolist() == [[0, 1], [1, 0]]

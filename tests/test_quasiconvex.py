@@ -221,3 +221,13 @@ def test_check_hit_pack_radius_boundaries():
     assert check_hit_pack(dm, members, [0, 3], 1, [0, 1], 0) == (True, True)
     assert check_hit_pack(dm, members, [0, 3], 1, [0, 1], 1) == (True, False)
     assert check_hit_pack(dm, members, [0, 3], 1, [0, 2], 1) == (True, True)
+
+
+def test_check_hit_pack_rejects_packing_indices_out_of_range():
+    dm = distance_matrix(path_graph(5))
+    members = [[0], [4]]
+    assert check_hit_pack(dm, members, [0, 4], 0, [0, 1], 1) == (True, True)
+    # -1 would wrap to member 1 and certify a packing that was never given
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=f"^packing index {bad} out of range for 2 members$"):
+            check_hit_pack(dm, members, [0, 4], 0, [0, bad], 1)
