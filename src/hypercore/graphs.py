@@ -156,7 +156,8 @@ def check_vertices(n: int, vs: Iterable[int], name: str = "vertex set") -> list[
 def row_chunks(count: int, n: int) -> Iterator[slice]:
     """Consecutive slices of range(count), each short enough that its rows
     of an n-column array hold about 2**16 elements, so a gather such as
-    d[rows[chunk]] stays small however many rows there are."""
+    d[rows[chunk]] stays small however many rows there are.  Its users are
+    ``congestion.median_vertex`` and ``congestion.centroid_vertex``."""
     step = max(1, 2**16 // n)
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
@@ -268,7 +269,7 @@ def distance_matrix(g: Graph, *, cap: int = DEFAULT_MATRIX_CAP) -> DistanceMatri
     """All-pairs hop distances.  Refuses graphs above ``cap`` vertices
     (``check_matrix_cap``).
 
-    A tree is filled from parent rows, BFS layer by layer
+    A tree is filled from one prefix count over its preorder
     (``_tree_distances``); any other graph gets one bit-parallel BFS from
     every vertex (``multi_source_distances``)."""
     check_matrix_cap(g.n, cap)
@@ -300,41 +301,51 @@ def tree_walk(g: Graph) -> tuple[list[int], list[int], list[int]]:
 
 
 def _tree_distances(g: Graph) -> np.ndarray:
-    """All-pairs distances of a tree.
+    """All-pairs distances of a tree, as a C-contiguous int64 array, from
+    d(u, v) = depth u + depth v - 2 * depth lca(u, v), with no loop over
+    vertices or layers.
 
-    ``tree_walk`` gives each vertex's parent, depth and preorder number
-    tin; a reverse pass sums subtree sizes, so the subtree of v is the
-    preorder range [tin[v], tout[v]) with tout = tin + size, and sorting
-    by depth groups the vertices into BFS layers.  Row 0 is the depth
-    vector.  Moving from a parent p to its child v brings v one step nearer to
-    every vertex of v's subtree and one step farther from every other
-    vertex, so d[v] = d[p] + 1 - 2*[tin[v] <= tin[col] < tout[v]], and each
-    BFS layer is filled from the one before it in a few numpy steps, in
-    ``row_chunks`` so a wide layer builds no n x n mask.
+    Work in ``tree_walk``'s preorder positions.  The subtree of position s
+    is the run s..last[s] of the preorder, with last[s] = s + size - 1, so
+    the ancestors-or-self of position i are the s <= i with last[s] >= i,
+    one per depth 0..depth i.  For i <= j, s is an ancestor-or-self of
+    both positions exactly when its run contains i and j, that is, when
+    s <= i and last[s] >= j.  So the prefix count along row j of
+    the mask [last[s] >= j], T[j, i] = #{s <= i : last[s] >= j}, is
+    depth(lca) + 1 wherever i <= j.  For i <= j, T[i, j] >= T[j, i], since
+    it counts more starts (up to j) under a weaker condition (last >= i),
+    so min(T, T^T) holds depth(lca) + 1 everywhere, and with p the depths
+    in preorder, d = p_i + p_j - 2T + 2.  Two ``take`` calls by the
+    preorder number tin then put rows and columns back in vertex order.
+
+    Every count and sum stays within 2n in absolute value (T <= n and the
+    depths are below n), so int16 holds them while 2n < 2^15, and int32
+    above, as the BFS kernel picks its accumulator.  The count runs along
+    the contiguous axis, and each n x n intermediate is freed once the next
+    is built, so at most one small-int array lives beside the int64 result
+    (about 40 MB at the default cap).
     """
     n = g.n
     parent, depth, order = tree_walk(g)
     size = [1] * n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
-    tin_of = np.empty(n, dtype=np.int64)
-    tin_of[order] = np.arange(n)
-    tout_of = tin_of + np.array(size, dtype=np.int64)
-    parent_of = np.array(parent, dtype=np.intp)
-    depth_of = np.array(depth, dtype=np.intp)
-    by_depth = np.argsort(depth_of, kind="stable")
-    layers = np.split(by_depth, np.flatnonzero(np.diff(depth_of[by_depth])) + 1)
-    d = np.empty((n, n), dtype=np.int64)
-    d[0] = depth_of
-    for layer in layers[1:]:
-        for chunk in row_chunks(len(layer), n):
-            r = layer[chunk]
-            rows = d[parent_of[r]]
-            rows += 1
-            in_subtree = (tin_of >= tin_of[r, None]) & (tin_of < tout_of[r, None])
-            np.subtract(rows, 2, out=rows, where=in_subtree)
-            d[r] = rows
-    return d
+    acc_type = np.int16 if 2 * n < 2**15 else np.int32
+    pos = np.arange(n)
+    last = pos + np.array(size)[order] - 1
+    inside = last >= pos[:, None]
+    t = np.cumsum(inside, axis=1, dtype=acc_type)
+    del inside
+    t = np.minimum(t, t.T)
+    t *= -2
+    p = np.array(depth, dtype=acc_type)[order] + 1
+    t += p[:, None]
+    t += p
+    tin = np.empty(n, dtype=np.intp)
+    tin[order] = pos
+    t = t.take(tin, axis=0)
+    t = t.take(tin, axis=1)
+    return t.astype(np.int64)
 
 
 def interval(dm: DistanceMatrix, u: int, v: int) -> list[int]:

@@ -254,7 +254,17 @@ def _block_scans(
     runs out, the unscanned rest of that block is bounded by the distance
     of its first unscanned row, and every later block by its diameter, of
     which the next block's is the largest.
+
+    When both are scanned, a block's thinness scan stops once nu reaches
+    max(best, rest), the doubled upper end so far.  Take x, y in the layer
+    at distance r from u of I(u, v), with D = d(u, v): then d(u, x) =
+    d(u, y) = r and d(v, x) = d(v, y) = D - r, so the quadruple (u, v, x,
+    y) has S2 = S3 = D and S1 = D + d(x, y), and its doubled defect is
+    d(x, y).  So the block's thinness is at most its doubled four-point
+    constant, which its own scan (or, once the budget ran out, ``rest``)
+    bounds by max(best, rest).  Thinness alone has no such cap.
     """
+    capped = four_point
     best, quad, nu = 0, (0, 0, 0, 0), 0
     rest = 0  # doubled-defect bound on what the budget left unscanned, or 0
     budget = FOUR_POINT_BUDGET
@@ -270,7 +280,7 @@ def _block_scans(
             if val > best:
                 best, quad = val, tuple(int(blk[x]) for x in q)
         if thinness:
-            nu = _thinness_scan(sub, pairs, nu)
+            nu = _thinness_scan(sub, pairs, nu, max(best, rest) if capped else diam)
     fp = FourPointResult(HalfInt.from_doubled(best), quad, HalfInt.from_doubled(max(best, rest)))
     return fp, nu
 
@@ -384,16 +394,19 @@ def interval_thinness(g: Graph, dm: DistanceMatrix) -> int:
     return _block_scans(g, dm, four_point=False)[1]
 
 
-def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int) -> int:
+def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> int:
     """The scan of ``interval_thinness`` over a block's far-apart pairs from a
     thinness ``nu`` already found, in batches of 4, 16, ... up to
     _BLOCK_ELEMS // n pairs: one np.nonzero marks a batch's intervals, one sort
     groups their members by (pair, layer), and each group's widest distance
-    counts.  A batched pair past the stop (distance <= nu) cannot raise nu."""
+    counts.  A batched pair past the stop (distance <= nu) cannot raise nu,
+    and the scan returns as soon as nu reaches ``cap``, a known upper bound
+    on the block's thinness (its diameter, or the doubled four-point upper
+    end in ``_block_scans``)."""
     width = pairs.diam + 1
     dc = dm.d.astype(np.int16 if 2 * width < np.iinfo(np.int16).max else np.int32)
     i, rows = 0, 4
-    while True:
+    while nu < cap:
         pairs.reach(i, i + 1, nu)
         stop = len(pairs.dist) - int(np.searchsorted(pairs.dist[::-1], nu, "right"))
         if i >= stop:
@@ -411,20 +424,21 @@ def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int) -> int:
         ends = np.cumsum(size)
         start = ends - size
         lo = 0
-        while lo < len(x):
+        while lo < len(x) and nu < cap:
             hi = max(lo + 1, int(np.searchsorted(ends, start[lo] + _BLOCK_ELEMS, "right")))
             sz = size[lo:hi]
             mate = np.arange(start[lo], ends[hi - 1]) - np.repeat(start[lo:hi] - first[lo:hi], sz)
             nu = max(nu, int(dc[np.repeat(x[lo:hi], sz), x[mate]].max()))
             lo = hi
         i, rows = e, min(4 * rows, max(1, _BLOCK_ELEMS // dm.n))
+    return nu
 
 
 def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
     ecc = dm.eccentricities()
     radius = int(ecc.min())
     return EccentricityProfile(
-        ecc=tuple(int(e) for e in ecc),
+        ecc=tuple(ecc.tolist()),
         diameter=int(ecc.max()),
         radius=radius,
         center=tuple(np.flatnonzero(ecc == radius).tolist()),

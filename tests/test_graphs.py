@@ -288,7 +288,7 @@ def test_distance_matrix_word_sizes_on_paths_and_cycles():
 def assert_tree_path_matches_kernel(g):
     d = _tree_distances(g)
     want = multi_source_distances(g, range(g.n))
-    assert d.dtype == np.int64
+    assert d.dtype == np.int64 and d.flags.c_contiguous
     assert np.array_equal(d, want)
     assert np.array_equal(distance_matrix(g).d, want)
 
@@ -301,10 +301,18 @@ def test_tree_distances_match_kernel(g):
     assert_tree_path_matches_kernel(g)
 
 
+def long_tree(n, seed):
+    """Vertex v hangs off one of the 8 before it, so the diameter is about n / 4."""
+    rng = random.Random(seed)
+    return Graph(n, [(rng.randint(max(0, v - 8), v - 1), v) for v in range(1, n)])
+
+
 def test_tree_distances_deep_wide_and_large():
-    star = Graph(600, [(0, v) for v in range(1, 600)])  # one wide layer
+    star = Graph(2000, [(0, v) for v in range(1, 2000)])  # one wide layer
     leaf_root = Graph(600, [(v, 599) for v in range(599)])  # root is a leaf
-    for g in (path_graph(300), star, leaf_root, random_tree(1100, 4)):
+    tiny = (Graph(1, []), Graph(2, [(0, 1)]))
+    long = [long_tree(n, n) for n in (150, 173, 201, 250)]
+    for g in (*tiny, path_graph(300), star, leaf_root, random_tree(1100, 4), *long):
         assert_tree_path_matches_kernel(g)
 
 

@@ -395,11 +395,11 @@ def test_thinness_scan_matches_pair_by_pair(g, nu):
     dm = distance_matrix(g)
     want = thinness_scan_by_pair(dm, far_apart_pairs_by_vertex(dm), nu)
     pairs = whole_graph_pairs(g, dm)
-    assert hyperbolicity._thinness_scan(dm, pairs, nu) == want
+    assert hyperbolicity._thinness_scan(dm, pairs, nu, pairs.diam) == want
     for blk, sub, diam in hyperbolicity._scanned_blocks(g, dm):
         want = thinness_scan_by_pair(sub, far_apart_pairs_by_vertex(sub), nu)
         pairs = hyperbolicity._FarApart(g, blk, sub.d, diam)
-        assert hyperbolicity._thinness_scan(sub, pairs, nu) == want
+        assert hyperbolicity._thinness_scan(sub, pairs, nu, diam) == want
 
 
 def test_thinness_batches_past_the_stop_and_chunk_their_mates(monkeypatch):
@@ -411,7 +411,7 @@ def test_thinness_batches_past_the_stop_and_chunk_their_mates(monkeypatch):
         for elems in (2**14, 64):
             monkeypatch.setattr(hyperbolicity, "_BLOCK_ELEMS", elems)
             pairs = whole_graph_pairs(g, dm)
-            assert hyperbolicity._thinness_scan(dm, pairs, 0) == want
+            assert hyperbolicity._thinness_scan(dm, pairs, 0, pairs.diam) == want
             assert interval_thinness(g, dm) == naive_interval_thinness(dm) == want
 
 
@@ -429,6 +429,19 @@ def test_budget_matches_a_scan_over_complete_lists(g, budget):
     want = budgeted_four_point(g, dm, budget)
     assert (res.delta.doubled, res.witness, res.upper.doubled) == want
     assert (rep.delta.doubled, rep.witness, rep.upper.doubled) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(connected_graphs(), glued_blocks()), BUDGETS)
+def test_report_thinness_stops_at_the_doubled_upper_end(g, budget):
+    # a layer quadruple (u, v, x, y) has doubled defect d(x, y), so the
+    # thinness is at most the doubled upper end, even when the budget runs out
+    dm = distance_matrix(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
+        rep = hyperbolicity_report(g, dm)
+    assert rep.interval_thinness == interval_thinness(g, dm) == naive_interval_thinness(dm)
+    assert rep.interval_thinness <= rep.upper.doubled
 
 
 def test_budget_matches_complete_lists_past_the_top_layer(monkeypatch):
