@@ -15,8 +15,8 @@ _EXPORTS = {
         "beams_pairwise_close", "structural_checks", "total_beam_core",
     ),
     "congestion": (
-        "CoreResult", "TrafficDemand", "centroid_vertex", "geodesic_count", "median_vertex",
-        "min_core", "traffic_load",
+        "CoreResult", "centroid_vertex", "geodesic_count", "median_vertex", "min_core",
+        "traffic_load",
     ),
     "generators": ("GeneratorSpec", "generate"),
     "graphs": (
@@ -36,8 +36,8 @@ _EXPORTS = {
         "gamma_sets", "kappa_hit_pack", "round_hitting", "round_packing",
     ),
     "multicore": (
-        "CommodityGraph", "MultiCoreResult", "brute_pi", "brute_sigma", "brute_tau",
-        "inflate_family", "interval_family", "multicore_construct",
+        "MultiCoreResult", "brute_pi", "brute_sigma", "brute_tau", "inflate_family",
+        "interval_family", "multicore_construct",
     ),
     "quasiconvex": (
         "HitPackResult", "QSet", "QSetFamily", "check_hit_pack", "covering_radius",

@@ -24,7 +24,7 @@ from .fileio import (
     write_edge_list,
 )
 from .generators import PRNG_ID
-from .graphs import ball_members, check_matrix_cap, distance_matrix, set_distance
+from .graphs import check_matrix_cap, distance_matrix
 from .halfint import HalfInt
 
 # Each handler imports the analysis modules it runs, so a command loads
@@ -51,8 +51,15 @@ class _Parser(argparse.ArgumentParser):
         raise _CLIError(message)
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def _parse_halfint(text: str) -> HalfInt:
-    frac = Fraction(text)
+    frac = _parse_fraction(text)
     if frac.denominator not in (1, 2):
         raise ValueError(f"{text!r} is not an integer or half-integer")
     return HalfInt.from_doubled(frac.numerator * (2 // frac.denominator))
@@ -144,7 +151,7 @@ def _cmd_core(args):
         profile = list(range(g.n))
     else:
         profile = table.ids_of(read_tokens(args.profile))
-    alpha = Fraction(args.alpha)
+    alpha = _parse_fraction(args.alpha)
     res = min_core(g, profile, alpha)
     frac_of_pairs = Fraction(res.intercepted_pairs, res.total_pairs)
     return {
@@ -160,35 +167,31 @@ def _cmd_core(args):
 
 
 def _cmd_traffic(args):
-    from .congestion import TrafficDemand, traffic_load
+    from .congestion import traffic_load
 
     g, table = read_edge_list(args.edges)
     check_matrix_cap(g.n, args.max_n)
-    if args.demand == "uniform":
-        demand = TrafficDemand.uniform(g.n)
-    else:
-        demand = TrafficDemand(
-            tuple((table.id_of(a), table.id_of(b)) for a, b in read_pairs(args.demand))
-        )
+    demand = None  # the uniform demand
+    if args.demand != "uniform":
+        demand = [(table.id_of(a), table.id_of(b)) for a, b in read_pairs(args.demand)]
     subset = table.ids_of(args.set.split(","))
     mu = traffic_load(g, demand, subset)
     return {
-        "demand_pairs": len(demand),
+        "demand_pairs": g.n * (g.n - 1) if demand is None else len(demand),
         "set": table.labels_of(sorted(set(subset))),
         "mu": _fraction_json(mu),
     }, True
 
 
 def _cmd_multicore(args):
-    from .multicore import CommodityGraph, multicore_construct
+    from .multicore import multicore_construct
 
     g, dm, table = _load_graph(args)
     pairs = [(table.id_of(a), table.id_of(b)) for a, b in read_pairs(args.commodity)]
-    commodity = CommodityGraph.from_pairs(pairs)
     delta = _thin_delta(args, g, dm)
-    res = multicore_construct(g, dm, commodity, args.radius, delta)
+    res = multicore_construct(g, dm, pairs, args.radius, delta)
     report = {
-        "pairs": len(commodity.demands),
+        "pairs": len(pairs),
         "radius": res.radius,
         "delta": _halfint_json(delta),
         "centers": table.labels_of(res.centers),
@@ -242,8 +245,10 @@ def _cmd_helly(args):
     delta = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
     ball = helly_center(g, dm, family, args.r, delta, z=z)
-    members = ball_members(dm, ball)
-    gaps = [set_distance(dm, members, s.members) for s in family.sets]
+    # d(B(c, rho), S) = max(d(c, S) - rho, 0): a geodesic from c to a nearest
+    # s in S passes a ball vertex at distance d(c, s) - rho from s
+    row = dm.d[ball.center]
+    gaps = [max(int(row[list(s.members)].min()) - ball.radius, 0) for s in family.sets]
     all_hit = all(gap == 0 for gap in gaps)
     report = {
         "sets": len(family),

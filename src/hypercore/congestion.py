@@ -17,6 +17,7 @@ import numpy as np
 from .graphs import (
     DistanceMatrix,
     Graph,
+    check_pairs,
     check_vertices,
     components_without,
     distance_matrix,
@@ -39,54 +40,21 @@ class CoreResult:
     median: int
 
 
-class TrafficDemand:
-    """Unit-rate source/target pairs; routing spreads each pair's unit of
-    traffic uniformly over all of its geodesics.
-
-    ``TrafficDemand(pairs)`` keeps an explicit pair list.  The uniform demand
-    on n vertices stands for all n(n-1) ordered pairs without listing them;
-    ``pairs`` builds that list only when asked for.
-    """
-
-    __slots__ = ("_pairs", "_uniform_n")
-
-    def __init__(self, pairs: Sequence[tuple[int, int]]):
-        for s, t in pairs:
-            if s == t:
-                raise ValueError(f"demand pair ({s},{t}) has equal endpoints")
-        self._pairs = tuple(pairs)
-        self._uniform_n = None
-
-    @classmethod
-    def uniform(cls, n: int) -> "TrafficDemand":
-        """All ordered pairs (s, t) with s != t."""
-        demand = cls(())
-        demand._uniform_n = n
-        return demand
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        n = self._uniform_n
-        if n is None:
-            return self._pairs
-        return tuple((s, t) for s in range(n) for t in range(n) if s != t)
-
-    def __len__(self) -> int:
-        n = self._uniform_n
-        return len(self._pairs) if n is None else n * (n - 1)
-
-    def by_source(self) -> Iterator[tuple[int, list[int]]]:
-        """(source, its targets) per distinct source, in order of first
-        appearance; a target repeats as often as its pair does."""
-        n = self._uniform_n
-        if n is None:
-            groups: dict[int, list[int]] = {}
-            for s, t in self._pairs:
-                groups.setdefault(s, []).append(t)
-            yield from groups.items()
-        elif n > 1:
-            for s in range(n):
-                yield s, [*range(s), *range(s + 1, n)]
+def _by_source(
+    n: int, demand: Sequence[tuple[int, int]] | None
+) -> Iterator[tuple[int, list[int]]]:
+    """(source, its targets) per distinct source, in order of first
+    appearance; a target repeats as often as its pair does.  The uniform
+    demand (None) yields each source with every other vertex, one source at
+    a time, so its n(n-1) pairs are never listed."""
+    if demand is None:
+        for s in range(n):
+            yield s, [*range(s), *range(s + 1, n)]
+        return
+    groups: dict[int, list[int]] = {}
+    for s, t in demand:
+        groups.setdefault(s, []).append(t)
+    yield from groups.items()
 
 
 def _geodesic_counts(
@@ -129,24 +97,16 @@ def geodesic_count(g: Graph, s: int, t: int) -> int:
     return _geodesic_counts(g, s, dist, dist[t])[0][t]
 
 
-def _check_demand(n: int, demand: TrafficDemand) -> None:
-    """Reject a demand whose vertex ids do not all lie in 0..n-1."""
-    m = demand._uniform_n
-    if m is None:
-        for s, t in demand._pairs:
-            if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"demand pair ({s},{t}) out of range for n={n}")
-    elif m != n:
-        raise ValueError(f"uniform demand on {m} vertices for a graph with n={n}")
-
-
-def traffic_load(g: Graph, demand: TrafficDemand, S: Sequence[int]) -> Fraction:
+def traffic_load(g: Graph, demand: Sequence[tuple[int, int]] | None, S: Sequence[int]) -> Fraction:
     """mu(S): summed fraction of each demand pair's geodesics that meet S.
 
-    A pair contributes 1 - (geodesics of the same length avoiding S) /
-    (all geodesics); pairs with an endpoint in S contribute exactly 1.
-    Demand ids outside 0..n-1, or a uniform demand on another vertex
-    count, raise ValueError.
+    demand is a sequence of unit-rate (s, t) id pairs, a repeated pair
+    counted as often as it appears, or None for the uniform demand: all
+    n(n-1) ordered pairs, never listed.  Routing spreads each pair's unit
+    of traffic uniformly over all of its geodesics, so a pair contributes
+    1 - (geodesics of the same length avoiding S) / (all geodesics); pairs
+    with an endpoint in S contribute exactly 1.  A pair with equal
+    endpoints or an id outside 0..n-1 raises ValueError (``check_pairs``).
 
     On a tree each pair has one geodesic, which meets S unless both
     endpoints lie in one component of T - S.  One O(n) pass labels those
@@ -168,24 +128,23 @@ def traffic_load(g: Graph, demand: TrafficDemand, S: Sequence[int]) -> Fraction:
     inside = frozenset(check_vertices(g.n, S, "S"))
     if not inside:
         raise ValueError("traffic_load needs a nonempty vertex set")
-    _check_demand(g.n, demand)
+    n = g.n
+    if demand is not None:
+        demand = check_pairs(n, demand)
     if g.is_tree():
         label, sizes = components_without(g, inside)
-        n = g.n
-        if demand._uniform_n is not None:
+        if demand is None:
             return Fraction(n * (n - 1) - sum(c * (c - 1) for c in sizes))
-        return Fraction(
-            sum(1 for s, t in demand._pairs if label[s] == n or label[s] != label[t])
-        )
+        return Fraction(sum(1 for s, t in demand if label[s] == n or label[s] != label[t]))
     sources = [
         s
-        for s, targets in demand.by_source()
+        for s, targets in _by_source(n, demand)
         if s not in inside and not inside.issuperset(targets)
     ]
     row_of = {s: i for i, s in enumerate(sources)}
     rows = multi_source_distances(g, sources)
     avoided: dict[int, int] = {}  # sigma_all -> summed sigma_avoid
-    for s, targets in demand.by_source():
+    for s, targets in _by_source(n, demand):
         if s not in row_of:
             continue
         outside_targets = [t for t in targets if t not in inside]
@@ -196,7 +155,8 @@ def traffic_load(g: Graph, demand: TrafficDemand, S: Sequence[int]) -> Fraction:
             if sigma_avoid[t]:
                 den = sigma[t]
                 avoided[den] = avoided.get(den, 0) + sigma_avoid[t]
-    return Fraction(len(demand)) - sum(
+    total = n * (n - 1) if demand is None else len(demand)
+    return Fraction(total) - sum(
         (Fraction(num, den) for den, num in avoided.items()), Fraction(0)
     )
 

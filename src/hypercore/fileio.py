@@ -7,9 +7,10 @@ report so outputs can be mapped back.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
-from .graphs import Graph
+from .graphs import DuplicateEdgeError, Graph
 
 
 class LabelTable:
@@ -40,40 +41,39 @@ class LabelTable:
         return len(self.labels)
 
 
+def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, whitespace-separated fields) of every line that is
+    neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
+
+
 def read_edge_list(path: str | Path) -> tuple[Graph, LabelTable]:
     """One edge per line, two whitespace-separated labels; '#' starts a comment."""
-    labels: list[str] = []
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-    first_line: dict[tuple[int, int], int] = {}
-
-    def vid(token: str) -> int:
-        if token not in index:
-            index[token] = len(labels)
-            labels.append(token)
-        return index[token]
-
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected two labels, got {len(parts)}")
-        u, v = vid(parts[0]), vid(parts[1])
-        if u == v:
-            raise ValueError(f"{path}:{lineno}: self-loop at {parts[0]!r}")
-        first = first_line.setdefault((u, v) if u < v else (v, u), lineno)
-        if first != lineno:
-            raise ValueError(
-                f"{path}:{lineno}: duplicate edge {parts[0]!r} {parts[1]!r}, first on line {first}"
-            )
-        edges.append((u, v))
-    if not labels:
+    lines: list[int] = []  # the line of each edge
+    for lineno, fields in _records(path):
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two labels, got {len(fields)}")
+        a, b = fields
+        if a == b:
+            raise ValueError(f"{path}:{lineno}: self-loop at {a!r}")
+        edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+        lines.append(lineno)
+    if not index:
         raise ValueError(f"{path}: no edges found")
+    labels = list(index)
     try:
         g = Graph(len(labels), edges)
+    except DuplicateEdgeError as exc:
+        first, repeat = exc.positions
+        a, b = (labels[v] for v in edges[repeat])
+        raise ValueError(
+            f"{path}:{lines[repeat]}: duplicate edge {a!r} {b!r}, first on line {lines[first]}"
+        ) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return g, LabelTable(labels)
@@ -86,26 +86,16 @@ def write_edge_list(g: Graph, table: LabelTable, path: str | Path) -> None:
 
 def read_tokens(path: str | Path) -> list[str]:
     """Whitespace-separated tokens, '#' comments allowed: used for profiles."""
-    tokens: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens.extend(line.split())
-    return tokens
+    return [token for _, fields in _records(path) for token in fields]
 
 
 def read_pairs(path: str | Path) -> list[tuple[str, str]]:
     """One labeled pair per line: demand and commodity files."""
     pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected two labels, got {len(parts)}")
-        pairs.append((parts[0], parts[1]))
+    for lineno, fields in _records(path):
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two labels, got {len(fields)}")
+        pairs.append((fields[0], fields[1]))
     if not pairs:
         raise ValueError(f"{path}: no pairs found")
     return pairs

@@ -68,19 +68,27 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+class DuplicateEdgeError(ValueError):
+    """A repeated edge; ``positions`` are the input indices of both copies."""
+
+    def __init__(self, u: int, v: int, positions: tuple[int, int]):
+        super().__init__(f"duplicate edge ({u},{v})")
+        self.positions = positions
+
+
 def _first_bad_edge(n: int, edges: Sequence[tuple[int, int]]) -> ValueError:
     """The error for the first edge, in input order, that is out of range, a
     self-loop or a repeat of an earlier edge."""
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
+    seen: dict[tuple[int, int], int] = {}
+    for i, (u, v) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
             return ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             return ValueError(f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
-        if key in seen:
-            return ValueError(f"duplicate edge ({key[0]},{key[1]})")
-        seen.add(key)
+        first = seen.setdefault(key, i)
+        if first != i:
+            return DuplicateEdgeError(*key, (first, i))
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,19 @@ def check_vertices(n: int, vs: Iterable[int], name: str = "vertex set") -> list[
     for v in out:
         if not (0 <= v < n):
             raise ValueError(f"{name} contains vertex {v}, out of range for n={n}")
+    return out
+
+
+def check_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Validate demand pairs (s, t): s != t, both in 0..n-1.  Returns them
+    as a list in input order, repeats kept."""
+    out = []
+    for s, t in pairs:
+        if s == t:
+            raise ValueError(f"demand pair ({s},{t}) has equal endpoints")
+        if not (0 <= s < n and 0 <= t < n):
+            raise ValueError(f"demand pair ({s},{t}) out of range for n={n}")
+        out.append((s, t))
     return out
 
 

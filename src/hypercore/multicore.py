@@ -11,33 +11,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import Ball, DistanceMatrix, Graph, intercepted_pairs, interval
+from .graphs import Ball, DistanceMatrix, Graph, check_pairs, intercepted_pairs, interval
 from .halfint import HalfInt
 from .quasiconvex import QSetFamily, greedy_hit_pack, neighborhood
-
-
-@dataclass(frozen=True)
-class CommodityGraph:
-    """Profile X plus the demand pairs F whose traffic must be intercepted."""
-
-    profile: tuple[int, ...]
-    demands: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        members = set(self.profile)
-        for x, y in self.demands:
-            if x == y:
-                raise ValueError(f"demand pair ({x},{y}) has equal endpoints")
-            if x not in members or y not in members:
-                raise ValueError(f"demand pair ({x},{y}) leaves the profile")
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Sequence[tuple[int, int]], profile: Sequence[int] | None = None
-    ) -> "CommodityGraph":
-        if profile is None:
-            profile = sorted({v for p in pairs for v in p})
-        return cls(profile=tuple(sorted(set(profile))), demands=tuple(tuple(p) for p in pairs))
 
 
 @dataclass(frozen=True)
@@ -47,22 +23,27 @@ class MultiCoreResult:
     covered: bool
 
 
-def interval_family(dm: DistanceMatrix, R: CommodityGraph) -> QSetFamily:
+def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> QSetFamily:
     """One measured quasiconvex set per demand pair: its interval.  Duplicate
     demand pairs keep duplicate sets (multiset semantics)."""
-    if not R.demands:
+    pairs = check_pairs(dm.n, pairs)
+    if not pairs:
         raise ValueError("commodity graph has no demand pairs")
     return QSetFamily.measure(
         dm,
-        [interval(dm, x, y) for x, y in R.demands],
-        names=[f"I({x},{y})" for x, y in R.demands],
+        [interval(dm, x, y) for x, y in pairs],
+        names=[f"I({x},{y})" for x, y in pairs],
     )
 
 
 def multicore_construct(
-    g: Graph, dm: DistanceMatrix, R: CommodityGraph, r: int, delta: HalfInt
+    g: Graph, dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int, delta: HalfInt
 ) -> MultiCoreResult:
     """Centers of radius-r balls jointly intercepting every demand pair.
+
+    pairs lists the demand pairs (x, y) of vertex ids, repeats kept; an
+    empty list, or a pair that ``check_pairs`` rejects, raises ValueError
+    before the radius is checked.
 
     Runs the greedy hitting/packing pass on the demand intervals with gap
     r - 5*delta (clamped at 0); hitting the (r - delta)-inflation of an
@@ -73,17 +54,17 @@ def multicore_construct(
     Requires r >= 8*delta, the hypothesis under which the covering radius
     collapses below r - delta.
     """
+    fam = interval_family(dm, pairs)
     floor8 = (delta * 8).floor()
     if r < floor8:
         raise ValueError(
             f"radius r={r} below 8*delta={delta * 8}: the multi-core construction "
             f"requires r >= 8*delta"
         )
-    fam = interval_family(dm, R)
     gap = max((HalfInt(r) - delta * 5).floor(), 0)
     hp = greedy_hit_pack(g, dm, fam, gap, delta)
     centers = hp.hitting_set
-    pending = np.array(R.demands, dtype=np.intp)
+    pending = np.array(pairs, dtype=np.intp)
     for c in centers:
         if not len(pending):
             break
@@ -92,11 +73,13 @@ def multicore_construct(
     return MultiCoreResult(centers=centers, radius=r, covered=not len(pending))
 
 
-def _interception_masks(g: Graph, dm: DistanceMatrix, R: CommodityGraph, r: int) -> list[int]:
+def _interception_masks(
+    g: Graph, dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int
+) -> list[int]:
     """Per-vertex bitmask of demand pairs intercepted by a radius-r ball."""
     masks = []
     for v in range(g.n):
-        hit = intercepted_pairs(g, dm, Ball(v, r), R.demands)
+        hit = intercepted_pairs(g, dm, Ball(v, r), pairs)
         masks.append(sum(1 << i for i in np.flatnonzero(hit).tolist()))
     return masks
 
@@ -117,13 +100,13 @@ def _smallest_cover(masks: list[int], bits: int, k_max: int) -> int | None:
 
 
 def brute_sigma(
-    g: Graph, dm: DistanceMatrix, R: CommodityGraph, r: int, k_max: int
+    g: Graph, dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int, k_max: int
 ) -> int | None:
     """Exact smallest number of radius-r balls intercepting all demand pairs,
     or None when every size up to k_max fails.  Exhaustive; oracle scale only."""
-    if not R.demands:
+    if not pairs:
         raise ValueError("commodity graph has no demand pairs")
-    return _smallest_cover(_interception_masks(g, dm, R, r), len(R.demands), k_max)
+    return _smallest_cover(_interception_masks(g, dm, pairs, r), len(pairs), k_max)
 
 
 def brute_tau(n: int, vertex_sets: Sequence[Sequence[int]], k_max: int | None = None) -> int | None:
@@ -144,22 +127,12 @@ def brute_pi(vertex_sets: Sequence[Sequence[int]]) -> int:
     m = len(sets)
     best = 0
     for mask in range(1, 1 << m):
-        chosen = [i for i in range(m) if mask >> i & 1]
-        if len(chosen) <= best:
-            continue
-        ok = True
-        for a in range(len(chosen)):
-            for b in range(a + 1, len(chosen)):
-                if sets[chosen[a]] & sets[chosen[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        chosen = [sets[i] for i in range(m) if mask >> i & 1]
+        if len(chosen) > best and all(a.isdisjoint(b) for a, b in combinations(chosen, 2)):
             best = len(chosen)
     return best
 
 
-def inflate_family(dm: DistanceMatrix, R: CommodityGraph, r: int) -> list[list[int]]:
+def inflate_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int) -> list[list[int]]:
     """r-inflations of the demand intervals, as plain vertex lists."""
-    return [neighborhood(dm, interval(dm, x, y), r) for x, y in R.demands]
+    return [neighborhood(dm, interval(dm, x, y), r) for x, y in pairs]

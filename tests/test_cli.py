@@ -9,7 +9,7 @@ import pytest
 import hypercore
 import hypercore.cli
 
-from hypercore import Ball, Graph, distance_matrix, intercepted_pairs
+from hypercore import Ball, Graph, ball_members, distance_matrix, intercepted_pairs, set_distance
 from hypercore.cli import run_cli
 from hypercore.fileio import (
     read_edge_list,
@@ -233,6 +233,25 @@ def test_helly_and_hitpack_cli(tmp_path, capsys):
     assert rep["certificates"] == {"hitting": True, "packing": True}
 
 
+def test_helly_gaps_are_ball_to_set_distances(tmp_path, capsys, monkeypatch):
+    # a ball at v0 whatever the family, so that gaps above 0 are reported too
+    from hypercore import quasiconvex
+
+    sets = [["v0", "v1"], ["v5"], ["v3", "v7"], ["v6", "v8"]]
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps([{"vertices": s} for s in sets]), encoding="utf-8")
+    for g in (cycle_graph(10), random_tree(12, 5)):
+        path = write_graph(tmp_path, g)
+        dm = distance_matrix(g)
+        for radius in (0, 1, 2):
+            monkeypatch.setattr(quasiconvex, "helly_center", lambda *a, z, r=radius: Ball(0, r))
+            code, rep, err = run_json(capsys, ["helly", "--edges", str(path), "--family", str(fam)])
+            members = ball_members(dm, Ball(0, radius))
+            gaps = [set_distance(dm, members, [int(v[1:]) for v in s]) for s in sets]
+            assert rep["set_gaps"] == gaps and max(gaps) > 0
+            assert code == 2
+
+
 def test_kappa_cli(tmp_path, capsys):
     path = write_graph(tmp_path, path_graph(12))
     fam = tmp_path / "kfam.json"
@@ -355,6 +374,13 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert run_cli(["hyperbolicity", "--edges", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+    edges = str(write_graph(tmp_path, path_graph(4)))
+    for argv in (
+        ["core", "--edges", edges, "--alpha", "1/0"],
+        ["beamcore", "--edges", edges, "--delta", "1/0"],
+    ):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
 
 
 def test_file_format_errors(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from hypercore import (
     Ball,
     Graph,
-    TrafficDemand,
     centroid_vertex,
     distance_matrix,
     geodesic_count,
@@ -18,7 +18,7 @@ from hypercore import (
     traffic_load,
 )
 from hypercore import congestion
-from hypercore.congestion import _tree_profile_pass
+from hypercore.congestion import _by_source, _tree_profile_pass
 from hypercore.generators import cycle_graph, gnp_connected, grid_graph, path_graph, random_tree
 from oracles import (
     _intercepted_count,
@@ -56,56 +56,48 @@ def test_geodesic_count_symmetric_and_matches_enumeration():
 
 def test_traffic_load_examples():
     g = path_graph(5)
-    assert traffic_load(g, TrafficDemand(((0, 4),)), [0]) == 1
-    assert traffic_load(g, TrafficDemand(((0, 4),)), [2]) == 1
+    assert traffic_load(g, [(0, 4)], [0]) == 1
+    assert traffic_load(g, [(0, 4)], [2]) == 1
     g4 = cycle_graph(4)
-    assert traffic_load(g4, TrafficDemand(((0, 2),)), [1]) == Fraction(1, 2)
+    assert traffic_load(g4, [(0, 2)], [1]) == Fraction(1, 2)
 
 
 def test_traffic_load_monotone_and_total():
     g = gnp_connected(12, 0.3, 2)
-    demand = TrafficDemand.uniform(g.n)
     rng = random.Random(3)
     small = sorted(rng.sample(range(g.n), 3))
     larger = sorted(set(small) | {rng.randrange(g.n)})
-    assert traffic_load(g, demand, small) <= traffic_load(g, demand, larger)
-    assert traffic_load(g, demand, range(g.n)) == len(demand.pairs)
+    assert traffic_load(g, None, small) <= traffic_load(g, None, larger)
+    assert traffic_load(g, None, range(g.n)) == g.n * (g.n - 1)
 
 
 def test_traffic_load_matches_enumeration():
     g = gnp_connected(10, 0.3, 14)
     dm = distance_matrix(g)
-    demand = TrafficDemand.uniform(g.n)
+    pairs = list(itertools.permutations(range(g.n), 2))
     for S in ([0], [3, 7], [1, 2, 8]):
-        assert traffic_load(g, demand, S) == naive_traffic_load(g, dm, demand.pairs, S)
+        assert traffic_load(g, None, S) == naive_traffic_load(g, dm, pairs, S)
 
 
-def test_uniform_demand_lists_no_pairs_until_asked():
-    for n in (1, 2, 7):
-        demand = TrafficDemand.uniform(n)
-        pairs = tuple((s, t) for s in range(n) for t in range(n) if s != t)
-        assert demand.pairs == pairs
-        assert len(demand) == len(pairs)
-        explicit = TrafficDemand(pairs)
-        assert len(explicit) == len(pairs)
-        assert list(demand.by_source()) == list(explicit.by_source())
+def test_uniform_demand_is_every_ordered_pair():
+    for n in (2, 7):
+        pairs = list(itertools.permutations(range(n), 2))
+        assert list(_by_source(n, None)) == list(_by_source(n, pairs))
+    assert traffic_load(Graph(1, []), None, [0]) == 0
     g = grid_graph(3, 4)
-    uniform = TrafficDemand.uniform(g.n)
-    explicit = TrafficDemand(uniform.pairs)
+    pairs = list(itertools.permutations(range(g.n), 2))
     for S in ([0], [5, 6], [0, 11]):
-        assert traffic_load(g, uniform, S) == traffic_load(g, explicit, S)
+        assert traffic_load(g, None, S) == traffic_load(g, pairs, S)
 
 
 def test_demand_validation():
-    with pytest.raises(ValueError):
-        TrafficDemand(((1, 1),))
     for g in (random_tree(9, 3), gnp_connected(9, 0.4, 3)):
+        with pytest.raises(ValueError, match=r"^demand pair \(1,1\) has equal endpoints$"):
+            traffic_load(g, [(1, 2), (1, 1)], [4])
         for bad in ((-1, 0), (0, 9), (12, 3)):
-            with pytest.raises(ValueError, match=rf"\({bad[0]},{bad[1]}\)"):
-                traffic_load(g, TrafficDemand(((1, 2), bad)), [4])
-        for m in (8, 10):
-            with pytest.raises(ValueError, match="uniform demand"):
-                traffic_load(g, TrafficDemand.uniform(m), [4])
+            message = rf"^demand pair \({bad[0]},{bad[1]}\) out of range for n=9$"
+            with pytest.raises(ValueError, match=message):
+                traffic_load(g, [(1, 2), bad], [4])
 
 
 def test_min_core_star():
@@ -309,20 +301,19 @@ def traffic_instances(draw):
 def test_traffic_load_matches_enumeration_on_random_graphs(case):
     g, pairs, S = case
     dm = distance_matrix(g)
-    mu = traffic_load(g, TrafficDemand(pairs), S)
+    mu = traffic_load(g, pairs, S)
     assert type(mu) is Fraction
     assert mu == naive_traffic_load(g, dm, pairs, S)
-    uniform = TrafficDemand.uniform(g.n)
-    mu = traffic_load(g, uniform, S)
+    mu = traffic_load(g, None, S)
     assert type(mu) is Fraction
-    assert mu == naive_traffic_load(g, dm, uniform.pairs, S)
+    assert mu == naive_traffic_load(g, dm, list(itertools.permutations(range(g.n), 2)), S)
 
 
 def test_traffic_load_grid_many_denominators():
     g = grid_graph(5, 6)
     dm = distance_matrix(g)
-    demand = TrafficDemand.uniform(g.n)
-    counts = {geodesic_count(g, s, t) for s, t in demand.pairs}
+    pairs = list(itertools.permutations(range(g.n), 2))
+    counts = {geodesic_count(g, s, t) for s, t in pairs}
     assert len(counts) >= 10
     for S in ([14], [0, 29], [7, 15, 22]):
-        assert traffic_load(g, demand, S) == naive_traffic_load(g, dm, demand.pairs, S)
+        assert traffic_load(g, None, S) == naive_traffic_load(g, dm, pairs, S)

@@ -5,7 +5,6 @@ import pytest
 
 from hypercore import (
     Ball,
-    CommodityGraph,
     HalfInt,
     brute_pi,
     brute_sigma,
@@ -23,35 +22,36 @@ from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_
 
 
 def test_commodity_validation():
-    with pytest.raises(ValueError):
-        CommodityGraph(profile=(0, 1), demands=((0, 0),))
-    with pytest.raises(ValueError):
-        CommodityGraph(profile=(0, 1), demands=((0, 2),))
-    r = CommodityGraph.from_pairs([(3, 1), (1, 2)])
-    assert r.profile == (1, 2, 3)
+    for g in (path_graph(6), cycle_graph(6)):
+        dm = distance_matrix(g)
+        with pytest.raises(ValueError, match=r"^demand pair \(2,2\) has equal endpoints$"):
+            multicore_construct(g, dm, [(0, 3), (2, 2)], 0, HalfInt(0))
+        for bad in ((-1, 0), (0, 6), (9, 3)):
+            message = rf"^demand pair \({bad[0]},{bad[1]}\) out of range for n=6$"
+            with pytest.raises(ValueError, match=message):
+                multicore_construct(g, dm, [(0, 3), bad], 0, HalfInt(0))
 
 
 def test_interval_family_examples():
     tree = random_tree(12, 7)
     dm = distance_matrix(tree)
-    r = CommodityGraph.from_pairs([(0, 5), (2, 9)])
-    fam = interval_family(dm, r)
+    fam = interval_family(dm, [(0, 5), (2, 9)])
     assert all(s.epsilon == 0 for s in fam.sets)
     dm4 = distance_matrix(cycle_graph(4))
-    fam4 = interval_family(dm4, CommodityGraph.from_pairs([(0, 2)]))
+    fam4 = interval_family(dm4, [(0, 2)])
     assert fam4.sets[0].members == (0, 1, 2, 3)
-    fam_dup = interval_family(dm4, CommodityGraph.from_pairs([(0, 2), (0, 2)]))
+    fam_dup = interval_family(dm4, [(0, 2), (0, 2)])
     assert len(fam_dup) == 2  # duplicates retained
     with pytest.raises(ValueError):
-        interval_family(dm4, CommodityGraph(profile=(0, 1), demands=()))
+        interval_family(dm4, [])
 
 
 def test_multicore_single_pair_and_far_pairs():
     g = path_graph(15)
     dm = distance_matrix(g)
-    single = multicore_construct(g, dm, CommodityGraph.from_pairs([(2, 9)]), 0, HalfInt(0))
+    single = multicore_construct(g, dm, [(2, 9)], 0, HalfInt(0))
     assert len(single.centers) == 1 and single.covered
-    far = CommodityGraph.from_pairs([(0, 1), (6, 7), (12, 13)])
+    far = [(0, 1), (6, 7), (12, 13)]
     res = multicore_construct(g, dm, far, 1, HalfInt(0))
     assert len(res.centers) == 3 and res.covered
 
@@ -66,11 +66,10 @@ def test_multicore_tree_matches_brute_sigma():
             a, b = rng.randrange(12), rng.randrange(12)
             if a != b:
                 pairs.append((a, b))
-        R = CommodityGraph.from_pairs(pairs)
         for r in (0, 1):
-            res = multicore_construct(g, dm, R, r, HalfInt(0))
+            res = multicore_construct(g, dm, pairs, r, HalfInt(0))
             assert res.covered
-            sigma = brute_sigma(g, dm, R, r, len(pairs))
+            sigma = brute_sigma(g, dm, pairs, r, len(pairs))
             assert len(res.centers) == sigma  # delta=0 collapses the chain
 
 
@@ -81,11 +80,10 @@ def test_multicore_every_pair_intercepted_nontree():
     rng = random.Random(0)
     pairs = [(rng.randrange(14), rng.randrange(14)) for _ in range(4)]
     pairs = [(a, b) for a, b in pairs if a != b] or [(0, 1)]
-    R = CommodityGraph.from_pairs(pairs)
     r = (delta * 8).floor()
-    res = multicore_construct(g, dm, R, r, delta)
+    res = multicore_construct(g, dm, pairs, r, delta)
     assert res.covered
-    hit = [intercepted_pairs(g, dm, Ball(c, r), R.demands) for c in res.centers]
+    hit = [intercepted_pairs(g, dm, Ball(c, r), pairs) for c in res.centers]
     assert np.any(hit, axis=0).all()
 
 
@@ -94,15 +92,15 @@ def test_multicore_rejects_small_radius():
     dm = distance_matrix(g)
     delta = thin_delta_bound(four_point_delta(g, dm).delta)
     with pytest.raises(ValueError, match="8\\*delta"):
-        multicore_construct(g, dm, CommodityGraph.from_pairs([(0, 4)]), 1, delta)
+        multicore_construct(g, dm, [(0, 4)], 1, delta)
 
 
 def test_brute_sigma_examples():
     g = path_graph(9)
     dm = distance_matrix(g)
-    one = CommodityGraph.from_pairs([(0, 8), (1, 7)])
+    one = [(0, 8), (1, 7)]
     assert brute_sigma(g, dm, one, 0, 2) == 1  # vertex 4 cuts both
-    far = CommodityGraph.from_pairs([(0, 1), (4, 5), (7, 8)])
+    far = [(0, 1), (4, 5), (7, 8)]
     assert brute_sigma(g, dm, far, 0, 3) == 3
     assert brute_sigma(g, dm, far, 0, 2) is None  # budget overflow signal
 
@@ -127,13 +125,12 @@ def test_inequality_chain_small_trees():
             a, b = rng.randrange(11), rng.randrange(11)
             if a != b:
                 pairs.append((a, b))
-        R = CommodityGraph.from_pairs(pairs)
         diam = int(dm.d.max())
         kmax = len(pairs)
         for r in range(0, diam + 1):
-            infl_r = inflate_family(dm, R, r)
+            infl_r = inflate_family(dm, pairs, r)
             pi_r = brute_pi(infl_r)
             tau_r = brute_tau(g.n, infl_r, kmax)
-            sigma_r = brute_sigma(g, dm, R, r, kmax)
+            sigma_r = brute_sigma(g, dm, pairs, r, kmax)
             assert pi_r <= tau_r <= sigma_r <= tau_r  # delta=0: chain collapses
             assert pi_r == sigma_r
