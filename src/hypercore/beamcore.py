@@ -13,10 +13,12 @@ from .graphs import (
     Ball,
     DistanceMatrix,
     Graph,
+    _check_vertex,
+    _min_rows,
     descend_geodesic,
     intercepted_pairs,
     interval,
-    set_distance,
+    row_chunks,
 )
 from .halfint import HalfInt
 from .hyperbolicity import eccentricity_profile, mutually_distant_pair
@@ -92,30 +94,30 @@ def beams_pairwise_close(dm: DistanceMatrix, delta: HalfInt) -> BeamSeparationRe
         if key not in seen:
             seen.add(key)
             intervals.append(interval(dm, x, y))
-    worst = 0
-    for i in range(len(intervals)):
-        for j in range(i + 1, len(intervals)):
-            gap = set_distance(dm, intervals[i], intervals[j])
-            if gap > worst:
-                worst = gap
+    # the largest entry of the intervals' set-to-set distances, taken a run
+    # of rows at a time so that no block grows with the square of their number
+    worst = 0  # the diagonal is 0
+    for rows in row_chunks(len(intervals), dm.n):
+        near = _min_rows(dm.d, intervals[rows])
+        worst = max(worst, int(_min_rows(near.T, intervals).max()))
     bound = (delta * 2).floor()
     return BeamSeparationReport(max_distance=worst, bound=bound, within_bound=worst <= bound)
 
 
-def structural_checks(g: Graph, dm: DistanceMatrix, delta: HalfInt) -> StructuralReport:
+def structural_checks(dm: DistanceMatrix, delta: HalfInt, midpoint: int) -> StructuralReport:
     """Evaluate diam >= 2*rad - 2*delta - 1 and C(G) inside B(m, 4*delta + 1)
-    with the supplied thin-triangle constant, m being the beam-core midpoint."""
+    with the supplied thin-triangle constant, m being the beam-core midpoint
+    (``total_beam_core(g, dm, delta).midpoint``)."""
+    _check_vertex(dm.n, midpoint, "midpoint")
     prof = eccentricity_profile(dm)
-    u, v = mutually_distant_pair(dm, delta)
-    mid = _midpoint(g, dm, u, v)
     diam_rad_holds = prof.diameter >= 2 * prof.radius - delta * 2 - 1
-    max_center_distance = max(int(dm.d[mid, c]) for c in prof.center)
+    max_center_distance = max(int(dm.d[midpoint, c]) for c in prof.center)
     close_holds = max_center_distance <= delta * 4 + 1
     return StructuralReport(
         diameter=prof.diameter,
         radius=prof.radius,
         center=prof.center,
-        midpoint=mid,
+        midpoint=midpoint,
         delta=delta,
         diam_rad_holds=bool(diam_rad_holds),
         max_center_distance=max_center_distance,

@@ -207,7 +207,7 @@ def _cmd_beamcore(args):
     g, dm, table = _load_graph(args)
     delta = _thin_delta(args, g, dm)
     bc = total_beam_core(g, dm, delta)
-    sc = structural_checks(g, dm, delta)
+    sc = structural_checks(dm, delta, bc.midpoint)
     ok = bc.all_beams_intercepted and sc.diam_rad_holds and sc.close_to_center_holds
     report = {
         "delta": _halfint_json(delta),
@@ -293,14 +293,13 @@ def _cmd_hitpack(args):
 
 def _cmd_kappa(args):
     from .lpkappa import KappaQSet, kappa_hit_pack
-    from .quasiconvex import QSet
+    from .quasiconvex import QSetFamily
 
     g, dm, table = _load_graph(args)
     entries = read_kappa_family_json(args.family)
-    family = [
-        KappaQSet(tuple(QSet.measure(dm, table.ids_of(part)) for part in e["parts"]))
-        for e in entries
-    ]
+    parts = [table.ids_of(part) for e in entries for part in e["parts"]]
+    qsets = iter(QSetFamily.measure(dm, parts).sets)  # every part in one pass
+    family = [KappaQSet(tuple(next(qsets) for _ in e["parts"])) for e in entries]
     delta = _thin_delta(args, g, dm)
     measured = max(kq.epsilon for kq in family)
     epsilon = measured if args.epsilon is None else args.epsilon

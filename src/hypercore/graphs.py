@@ -178,7 +178,9 @@ def row_chunks(count: int, n: int) -> Iterator[slice]:
     """Consecutive slices of range(count), each short enough that its rows
     of an n-column array hold about 2**16 elements, so a gather such as
     d[rows[chunk]] stays small however many rows there are.  Its users are
-    ``congestion.median_vertex`` and ``congestion.centroid_vertex``."""
+    ``congestion.median_vertex``, ``congestion.centroid_vertex``,
+    ``beamcore.beams_pairwise_close`` and the interval blocks of
+    ``quasiconvex._set_epsilons``."""
     step = max(1, 2**16 // n)
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
@@ -397,6 +399,67 @@ def set_distance(dm: DistanceMatrix, X: Sequence[int], Y: Sequence[int]) -> int:
     if not xs or not ys:
         raise ValueError("set_distance needs two nonempty vertex sets")
     return int(dm.d[np.ix_(xs, ys)].min())
+
+
+def _padded(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """The vertex lists ``sets`` as the rows of one index array, each padded
+    to the largest size by repeating its first member, so that a min over a
+    row of a gathered array is the min over the set.  An empty set, or a
+    vertex outside 0..n-1, raises, where a negative one would wrap."""
+    if not all(map(len, sets)):
+        raise ValueError("cannot take the distance to an empty set")
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    flat = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum()))
+    if len(flat) and (flat.min() < 0 or flat.max() >= n):
+        bad = min(v for v in flat.tolist() if not 0 <= v < n)
+        raise ValueError(f"set contains vertex {bad}, out of range for n={n}")
+    starts = np.cumsum(sizes) - sizes
+    cols = np.arange(sizes.max(initial=1))
+    return flat[starts[:, None] + np.where(cols < sizes[:, None], cols, 0)]
+
+
+def _by_size(sets: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The ``_padded`` rows largest first: (order, idx, live) with idx =
+    _padded(sets, n)[order], ``order`` sorting by decreasing size (ties in
+    any order), and live[c] the number of rows with more than c members,
+    so column c of the first live[c] rows holds no padding."""
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    order = np.argsort(-sizes)
+    idx = _padded(sets, n)[order]
+    live = (np.arange(idx.shape[1]) < sizes[:, None]).sum(axis=0).tolist()
+    return order, idx, live
+
+
+def _padded_min(a: np.ndarray, idx: np.ndarray, live: Sequence[int]) -> np.ndarray:
+    """Row k is the elementwise minimum of the rows a[v] over the members v
+    of row k of a ``_by_size`` layout: one gather per member position, and
+    column c updates only the first live[c] rows."""
+    block = a[idx[:, 0]]
+    for c, m in enumerate(live[1:], 1):
+        np.minimum(block[:m], a[idx[:m, c]], out=block[:m])
+    return block
+
+
+def _min_rows(a: np.ndarray, sets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Row i is the elementwise minimum of the rows a[v], v in sets[i]; with
+    ``a = dm.d`` entry (i, v) is d(v, sets[i]).  Sets are checked as by
+    ``_padded``, with n = len(a)."""
+    if not len(sets):
+        return np.empty((0, a.shape[1]), dtype=a.dtype)
+    order, idx, live = _by_size(sets, len(a))
+    out = np.empty((len(sets), a.shape[1]), dtype=a.dtype)
+    out[order] = _padded_min(a, idx, live)
+    return out
+
+
+def _set_block(
+    dm: DistanceMatrix, sets: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(near, gaps) of a family of vertex lists, checked as by ``_padded``:
+    near[i, v] = d(v, sets[i]) as an S x n block, and gaps[i, j] =
+    d(sets[i], sets[j]) = min of near[i] over sets[j], as an S x S block."""
+    near = _min_rows(dm.d, sets)
+    return near, _min_rows(near.T, sets)
 
 
 def intercepted_pairs(

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph
+from .graphs import DistanceMatrix, Graph, _min_rows
 from .halfint import HalfInt
 from .quasiconvex import QSet, QSetFamily, check_hit_pack, covering_radius, greedy_hit_pack
 from .simplex import LPInstance, solve_lp
@@ -67,8 +67,8 @@ class KappaHitPackResult:
 
 
 def _member_distances(dm: DistanceMatrix, family: Sequence[KappaQSet]) -> np.ndarray:
-    """m x n matrix of d(v, member union)."""
-    return np.stack([dm.d[:, list(kq.union)].min(axis=1) for kq in family])
+    """m x n matrix of d(v, member union), as one row block."""
+    return _min_rows(dm.d, [kq.union for kq in family])
 
 
 def gamma_sets(dm: DistanceMatrix, family: Sequence[KappaQSet], r: int) -> GammaIndex:
@@ -80,10 +80,8 @@ def _gamma_index(member_dist: np.ndarray, r: int) -> GammaIndex:
     if r < 0:
         raise ValueError(f"negative gamma radius {r}")
     near = member_dist <= r  # m x n
-    gamma_i = tuple(
-        frozenset(np.flatnonzero((near & near[i]).any(axis=1)).tolist())
-        for i in range(len(near))
-    )
+    share = near @ near.T  # boolean product: some vertex within r of both
+    gamma_i = tuple(frozenset(np.flatnonzero(row).tolist()) for row in share)
     return GammaIndex(radius=r, gamma_i=gamma_i)
 
 
@@ -205,18 +203,14 @@ def round_hitting(
     over the support of y only.
     """
     support = [v for v, yv in enumerate(y) if yv]
-    near_support = dm.d[support]
+    # row k: which support vertices lie within r of the k-th part
+    parts = [part for kq in family for part in kq.parts]
+    near = (_min_rows(dm.d[:, support], [p.members for p in parts]) <= r).tolist()
+    masses = (sum((y[v] for v, hit in zip(support, row) if hit), Fraction(0)) for row in near)
     reps: list[QSet] = []
     for kq in family:
-        best = None
-        best_mass = None
-        for part in kq.parts:
-            near = near_support[:, list(part.members)].min(axis=1) <= r
-            mass = sum((y[v] for v, hit in zip(support, near.tolist()) if hit), Fraction(0))
-            if best_mass is None or mass > best_mass:
-                best = part
-                best_mass = mass
-        reps.append(best)
+        mass = [next(masses) for _ in kq.parts]
+        reps.append(kq.parts[mass.index(max(mass))])  # first part on ties
     rep_family = QSetFamily(sets=tuple(reps))
     hp = greedy_hit_pack(g, dm, rep_family, r, delta, z=z)
     return list(hp.hitting_set)

@@ -21,10 +21,14 @@ from .graphs import (
     Ball,
     DistanceMatrix,
     Graph,
+    _by_size,
     _descent,
+    _padded,
+    _padded_min,
+    _set_block,
     check_vertices,
     interval,
-    set_distance,
+    row_chunks,
 )
 from .halfint import HalfInt, half_max
 
@@ -38,8 +42,7 @@ class QSet:
 
     @classmethod
     def measure(cls, dm: DistanceMatrix, members: Sequence[int]) -> "QSet":
-        ms = tuple(sorted(set(members)))
-        return cls(members=ms, epsilon=measure_epsilon(dm, ms))
+        return _measure_sets(dm, [members])[0]
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class QSetFamily:
         vertex_sets: Sequence[Sequence[int]],
         names: Sequence[str] | None = None,
     ) -> "QSetFamily":
-        sets = tuple(QSet.measure(dm, vs) for vs in vertex_sets)
+        sets = tuple(_measure_sets(dm, vertex_sets))
         return cls(sets=sets, names=tuple(names) if names is not None else None)
 
     @property
@@ -91,21 +94,70 @@ class HitPackResult:
 
 def measure_epsilon(dm: DistanceMatrix, C: Sequence[int]) -> int:
     """Least eps such that every geodesic between members of C stays within
-    distance eps of C.  Equals the max of d(z, C) over interval vertices z."""
-    members = check_vertices(dm.n, C, "set")
-    if not members:
-        raise ValueError("cannot measure quasiconvexity of an empty set")
-    d = dm.d
-    to_c = d[:, members].min(axis=1)
-    eps = 0
-    for i, x in enumerate(members):
-        dx = d[x]
-        for y in members[i + 1 :]:
-            on_interval = dx + d[y] == d[x, y]
-            val = int(to_c[on_interval].max())
-            if val > eps:
-                eps = val
-    return eps
+    distance eps of C.
+
+    Every geodesic between x and y lies in the interval I(x, y), and every
+    interval vertex lies on one, so eps is the largest d(z, C) over z in the
+    union of the intervals I(x, y), x < y in C, and 0 for a singleton.  It
+    is computed by ``_set_epsilons`` (interval blocks of at most 2**16
+    elements).
+    """
+    return _measure_sets(dm, [C])[0].epsilon
+
+
+def _measure_sets(dm: DistanceMatrix, vertex_sets: Sequence[Sequence[int]]) -> list[QSet]:
+    """One measured ``QSet`` per vertex collection, from one ``_set_epsilons``
+    pass.  Each collection is checked in input order, its range before its
+    emptiness, so the first bad one raises as ``measure_epsilon`` would."""
+    sets = []
+    for C in vertex_sets:
+        members = check_vertices(dm.n, C, "set")
+        if not members:
+            raise ValueError("cannot measure quasiconvexity of an empty set")
+        sets.append(members)
+    return [QSet(tuple(ms), eps) for ms, eps in zip(sets, _set_epsilons(dm, sets))]
+
+
+def _set_epsilons(dm: DistanceMatrix, sets: Sequence[Sequence[int]]) -> list[int]:
+    """eps of every set of a family of nonempty, in-range vertex lists.
+
+    eps(S) = max{d(z, S) : z in I(x, y), x < y in S}, and 0 for a singleton,
+    where z lies in I(x, y) iff d(x, z) + d(z, y) = d(x, y): the union of
+    the pairwise intervals, over the pairs of the pair loop
+    (``tests/oracles.py``), so the values are the same.
+
+    The sets are laid out largest first (``graphs._by_size``).  For each
+    member position b, every set with more than b members tests the pairs
+    (a, b), a < b, at once: a (sets x a x n) block of d(x, .) + d(y, .)
+    compared with d(x, y) and OR-ed over a into the set's union mask.  A
+    block holds at most 2**16 elements (``graphs.row_chunks``): whole sets
+    while b*n fits, otherwise one set and a run of its earlier members.
+    The member rows are read in the narrowest signed type that holds a sum
+    of two distances (int16 up to n = 16384), so a block takes 128 KB.
+    """
+    if not sets:
+        return []
+    d, n = dm.d, dm.n
+    order, idx, live = _by_size(sets, n)
+    member = np.zeros(n, dtype=bool)
+    member[idx] = True
+    loc = (np.cumsum(member) - 1)[idx]  # idx as row numbers of ``rows``
+    rows = d[member].astype(np.min_scalar_type(-2 * n))
+    near = _padded_min(d, idx, live)  # d(v, S) per set, in layout order
+    between = np.zeros(near.shape, dtype=bool)  # union of the set's intervals
+    for b, m in enumerate(live[1:], 1):
+        # the sets with more than b members: earlier members x, member b as y
+        xs, y, mask = loc[:m, :b], idx[:m, b, None], between[:m]
+        y_rows = rows[loc[:m, b]][:, None, :]
+        for s in row_chunks(m, b * n):
+            for a in row_chunks(b, n * (s.stop - s.start)):
+                x = xs[s, a]
+                block = rows[x]
+                block += y_rows[s]
+                mask[s] |= (block == rows[x, y[s]][:, :, None]).any(axis=1)
+    eps = np.empty(len(sets), dtype=np.int64)
+    eps[order] = np.where(between, near, 0).max(axis=1)
+    return eps.tolist()
 
 
 def neighborhood(dm: DistanceMatrix, S: Sequence[int], r: int) -> list[int]:
@@ -141,16 +193,16 @@ def covering_radius(r: int, epsilon: int, delta: HalfInt | int) -> HalfInt:
     return half_max(2 * epsilon + dlt * 5, r + epsilon + dlt * 3)
 
 
-def _require_pairwise_close(dm: DistanceMatrix, family: QSetFamily, r: int) -> None:
-    sets = family.sets
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            gap = set_distance(dm, sets[i].members, sets[j].members)
-            if gap > 2 * r:
-                raise ValueError(
-                    f"{family.name_of(i)} and {family.name_of(j)} are {gap} apart, "
-                    f"more than 2r = {2 * r}: family is not pairwise 2r-close"
-                )
+def _require_pairwise_close(family: QSetFamily, gaps: np.ndarray, r: int) -> None:
+    """Raise for the first pair i < j, in row order, of sets more than 2r
+    apart; ``gaps`` is the family's set-to-set block."""
+    far = np.argwhere(np.triu(gaps > 2 * r, 1))
+    if len(far):
+        i, j = far[0].tolist()
+        raise ValueError(
+            f"{family.name_of(i)} and {family.name_of(j)} are {int(gaps[i, j])} apart, "
+            f"more than 2r = {2 * r}: family is not pairwise 2r-close"
+        )
 
 
 def helly_center(
@@ -170,9 +222,9 @@ def helly_center(
     """
     if r < 0:
         raise ValueError(f"negative closeness radius {r}")
-    _require_pairwise_close(dm, family, r)
-    d = dm.d
-    dists = [int(d[z, list(s.members)].min()) for s in family.sets]
+    near, gaps = _set_block(dm, [s.members for s in family.sets])
+    _require_pairwise_close(family, gaps, r)
+    dists = near[:, z].tolist()
     farthest = max(range(len(family)), key=lambda i: (dists[i], -i))
     c = project_toward(g, dm, z, family.sets[farthest].members, r)
     radius = covering_radius(r, family.family_epsilon, delta).floor()
@@ -200,18 +252,19 @@ def greedy_hit_pack(
         raise ValueError(f"negative packing gap {r}")
     d = dm.d
     sets = family.sets
-    members = [list(s.members) for s in sets]
-    dists = [int(d[z, ms].min()) for ms in members]
+    pad = _padded([s.members for s in sets], dm.n)
+    dists = d[z][pad].min(axis=1).tolist()  # d(z, S) per set
     remaining = list(range(len(sets)))
     hitting: list[int] = []
     packing: list[int] = []
     while remaining:
         pick = max(remaining, key=lambda i: (dists[i], -i))
-        c = project_toward(g, dm, z, sets[pick].members, r)
-        hitting.append(c)
+        hitting.append(project_toward(g, dm, z, sets[pick].members, r))
         packing.append(pick)
-        near = d[members[pick]].min(axis=0)  # distance of every vertex to the pick
-        remaining = [j for j in remaining if j != pick and int(near[members[j]].min()) > 2 * r]
+        near = d[list(sets[pick].members)].min(axis=0)  # d(v, pick) for every v
+        # the pick's row of the set-to-set distances; the pick itself is at 0
+        apart = (near[pad].min(axis=1) > 2 * r).tolist()
+        remaining = [j for j in remaining if apart[j]]
     hit_radius = covering_radius(r, family.family_epsilon, delta).floor()
     return HitPackResult(
         hitting_set=tuple(hitting),
@@ -233,7 +286,9 @@ def check_hit_pack(
 
     Hitting holds when every member lies within ``hit_radius`` of some vertex
     of ``hitting``; packing holds when the members indexed by ``packing`` are
-    pairwise more than 2*pack_gap apart.
+    pairwise more than 2*pack_gap apart.  Both are read off row blocks built
+    here from ``dm`` and the member lists, never from the pass that made the
+    certificate, so the check stays independent of it.
     """
     check_vertices(dm.n, hitting, "hitting set")
     check_vertices(dm.n, chain.from_iterable(members), "members")
@@ -241,14 +296,11 @@ def check_hit_pack(
         if not (0 <= a < len(members)):
             raise ValueError(f"packing index {a} out of range for {len(members)} members")
     d = dm.d
-    rows = d[list(hitting)]
-    hit_ok = all(int(rows[:, list(ms)].min()) <= hit_radius for ms in members)
-    pack_ok = True
-    for i, a in enumerate(packing[:-1]):
-        near = d[list(members[a])].min(axis=0)  # distance of every vertex to member a
-        if any(int(near[list(members[b])].min()) <= 2 * pack_gap for b in packing[i + 1 :]):
-            pack_ok = False
-            break
+    # d(v, hitting set); an empty hitting set is infinitely far
+    to_hitting = d[list(hitting)].min(axis=0, initial=np.iinfo(d.dtype).max)
+    hit_ok = bool((to_hitting[_padded(members, dm.n)].min(axis=1) <= hit_radius).all())
+    _, gaps = _set_block(dm, [members[a] for a in packing])
+    pack_ok = not np.triu(gaps <= 2 * pack_gap, 1).any()
     return hit_ok, pack_ok
 
 

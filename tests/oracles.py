@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from hypercore import CoreResult, LPInstance
+from hypercore.graphs import check_vertices
 
 
 def distances_avoiding(g, blocked, source):
@@ -196,6 +197,75 @@ def naive_interval(g, dm, u, v):
 def naive_intercepts(g, dm, members, x, y) -> bool:
     inside = set(members)
     return all(inside & set(path) for path in all_geodesics(g, dm, x, y))
+
+
+def epsilon_by_pairs(dm, C) -> int:
+    """The pair loop for ``measure_epsilon``: the largest d(z, C) over the
+    interval of each pair x < y of C, one pair at a time."""
+    members = check_vertices(dm.n, C, "set")
+    if not members:
+        raise ValueError("cannot measure quasiconvexity of an empty set")
+    d = dm.d
+    to_c = d[:, members].min(axis=1)
+    eps = 0
+    for i, x in enumerate(members):
+        dx = d[x]
+        for y in members[i + 1 :]:
+            on_interval = dx + d[y] == d[x, y]
+            val = int(to_c[on_interval].max())
+            if val > eps:
+                eps = val
+    return eps
+
+
+def greedy_hit_pack_by_sets(g, dm, family, r, delta, *, z=0):
+    """``greedy_hit_pack`` one set at a time: each round recomputes the
+    pick's distance row and tests every remaining set against it."""
+    # imported here, so that loading the oracles loads no family code
+    from hypercore.quasiconvex import HitPackResult, covering_radius, project_toward
+
+    if r < 0:
+        raise ValueError(f"negative packing gap {r}")
+    d = dm.d
+    sets = family.sets
+    members = [list(s.members) for s in sets]
+    dists = [int(d[z, ms].min()) for ms in members]
+    remaining = list(range(len(sets)))
+    hitting: list[int] = []
+    packing: list[int] = []
+    while remaining:
+        pick = max(remaining, key=lambda i: (dists[i], -i))
+        c = project_toward(g, dm, z, sets[pick].members, r)
+        hitting.append(c)
+        packing.append(pick)
+        near = d[members[pick]].min(axis=0)  # distance of every vertex to the pick
+        remaining = [j for j in remaining if j != pick and int(near[members[j]].min()) > 2 * r]
+    hit_radius = covering_radius(r, family.family_epsilon, delta).floor()
+    return HitPackResult(
+        hitting_set=tuple(hitting),
+        packing=tuple(packing),
+        hit_radius=max(hit_radius, 0),
+        pack_gap=r,
+    )
+
+
+def check_hit_pack_by_sets(dm, members, hitting, hit_radius, packing, pack_gap):
+    """``check_hit_pack`` one member and one packed pair at a time."""
+    check_vertices(dm.n, hitting, "hitting set")
+    check_vertices(dm.n, chain.from_iterable(members), "members")
+    for a in packing:
+        if not (0 <= a < len(members)):
+            raise ValueError(f"packing index {a} out of range for {len(members)} members")
+    d = dm.d
+    rows = d[list(hitting)]
+    hit_ok = all(int(rows[:, list(ms)].min()) <= hit_radius for ms in members)
+    pack_ok = True
+    for i, a in enumerate(packing[:-1]):
+        near = d[list(members[a])].min(axis=0)  # distance of every vertex to member a
+        if any(int(near[list(members[b])].min()) <= 2 * pack_gap for b in packing[i + 1 :]):
+            pack_ok = False
+            break
+    return hit_ok, pack_ok
 
 
 def naive_traffic_load(g, dm, pairs, S) -> Fraction:

@@ -221,7 +221,8 @@ def test_criterion_5_total_beam_core(corpus):
 def test_criterion_6_structural_inequalities(corpus):
     failures = []
     for item in corpus:
-        rep = structural_checks(item.g, item.dm, item.thin_delta)
+        mid = total_beam_core(item.g, item.dm, item.thin_delta).midpoint
+        rep = structural_checks(item.dm, item.thin_delta, mid)
         if not rep.diam_rad_holds:
             failures.append(f"{item.name}: diam/rad")
         if not rep.close_to_center_holds:

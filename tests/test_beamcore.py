@@ -86,7 +86,7 @@ def test_beams_pairwise_close_random():
 def test_structural_checks_tree():
     g = random_tree(25, 8)
     dm = distance_matrix(g)
-    rep = structural_checks(g, dm, HalfInt(0))
+    rep = structural_checks(dm, HalfInt(0), total_beam_core(g, dm, HalfInt(0)).midpoint)
     assert rep.diameter >= 2 * rep.radius - 1
     assert rep.diam_rad_holds
     assert rep.max_center_distance <= 1
@@ -97,7 +97,7 @@ def test_structural_checks_cycle4():
     g = cycle_graph(4)
     dm = distance_matrix(g)
     delta = thin_delta_bound(four_point_delta(g, dm).delta)  # 4 * 1
-    rep = structural_checks(g, dm, delta)
+    rep = structural_checks(dm, delta, total_beam_core(g, dm, delta).midpoint)
     assert (rep.diameter, rep.radius) == (2, 2)
     assert rep.diam_rad_holds and rep.close_to_center_holds
 
@@ -107,7 +107,7 @@ def test_structural_checks_random():
         g = gnp_connected(24, 0.15, seed)
         dm = distance_matrix(g)
         delta = thin_delta_bound(four_point_delta(g, dm).delta)
-        rep = structural_checks(g, dm, delta)
+        rep = structural_checks(dm, delta, total_beam_core(g, dm, delta).midpoint)
         assert rep.diam_rad_holds and rep.close_to_center_holds
 
 

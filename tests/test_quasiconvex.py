@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercore import (
     Ball,
@@ -25,6 +27,8 @@ from hypercore import (
     thin_delta_bound,
 )
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
+from oracles import check_hit_pack_by_sets, epsilon_by_pairs, greedy_hit_pack_by_sets
+from strategies import connected_graphs, glued_blocks
 
 
 def test_measure_epsilon_examples():
@@ -118,6 +122,21 @@ def test_helly_center_rejects_far_family():
     fam = QSetFamily.measure(dm, [[0], [8]], names=["left", "right"])
     with pytest.raises(ValueError, match="left.*right"):
         helly_center(g, dm, fam, 1, HalfInt(0))
+
+
+def test_family_passes_reject_unmeasured_bad_sets():
+    # a QSet built without measure(): -6 would wrap to vertex 0 and pass
+    g = path_graph(6)
+    dm = distance_matrix(g)
+    fam = QSetFamily(sets=(QSet((4, 5), 0), QSet((-6,), 0)))
+    empty = QSetFamily(sets=(QSet((4, 5), 0), QSet((), 0)))
+    for run in (helly_center, greedy_hit_pack):
+        with pytest.raises(ValueError, match="^set contains vertex -6, out of range for n=6$"):
+            run(g, dm, fam, 3, HalfInt(0))
+        with pytest.raises(ValueError, match="^cannot take the distance to an empty set$"):
+            run(g, dm, empty, 3, HalfInt(0))
+    with pytest.raises(ValueError, match="^cannot take the distance to an empty set$"):
+        check_hit_pack(dm, [[4, 5], []], [4], 1, [0], 0)
 
 
 def test_greedy_hit_pack_far_singletons():
@@ -231,3 +250,87 @@ def test_check_hit_pack_rejects_packing_indices_out_of_range():
     for bad in (-1, 2):
         with pytest.raises(ValueError, match=f"^packing index {bad} out of range for 2 members$"):
             check_hit_pack(dm, members, [0, 4], 0, [0, bad], 1)
+
+
+def test_family_errors_in_input_order():
+    # each set is checked in turn, its range before its emptiness
+    dm = distance_matrix(path_graph(4))
+    with pytest.raises(ValueError, match="^cannot measure quasiconvexity of an empty set$"):
+        QSetFamily.measure(dm, [[0, 1], [], [9]])
+    with pytest.raises(ValueError, match="^set contains vertex 9, out of range for n=4$"):
+        QSetFamily.measure(dm, [[0, 1], [9], []])
+
+
+def test_check_hit_pack_catches_mutants():
+    g = path_graph(12)
+    dm = distance_matrix(g)
+    fam = QSetFamily.measure(dm, [[0], [4], [8, 9]])
+    members = [s.members for s in fam.sets]
+    hp = greedy_hit_pack(g, dm, fam, 1, HalfInt(0))
+    assert (hp.hitting_set, hp.packing, hp.hit_radius) == ((7, 3, 0), (2, 1, 0), 1)
+    assert check_hit_pack(dm, members, hp.hitting_set, 1, hp.packing, 1) == (True, True)
+    # [0] and [4] are 4 apart: packed at gap 1, within 2*gap at gap 2
+    assert check_hit_pack(dm, members, hp.hitting_set, 1, (0, 1), 2) == (True, False)
+    # a repeated packing index is a member at distance 0 from itself
+    assert check_hit_pack(dm, members, hp.hitting_set, 1, (2, 2), 1) == (True, False)
+    # without vertex 0, member [0] lies 3 from the hitting set, beyond radius 1
+    assert check_hit_pack(dm, members, (7, 3), 1, hp.packing, 1) == (False, True)
+    with pytest.raises(ValueError, match="^packing index 3 out of range for 3 members$"):
+        check_hit_pack(dm, members, hp.hitting_set, 1, (0, 3), 1)
+
+
+@st.composite
+def graphs_and_families(draw):
+    """A graph and a family of vertex lists mixing singletons, lists with
+    repeated vertices, the whole vertex set and repeats of earlier sets."""
+    g = draw(
+        st.one_of(connected_graphs(max_n=12), connected_graphs(max_n=12, tree=True), glued_blocks())
+    )
+    vertex = st.integers(0, g.n - 1)
+    sets: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["single", "list", "all", "repeat"]))
+        if kind == "single":
+            sets.append([draw(vertex)])
+        elif kind == "all":
+            sets.append(list(range(g.n)))
+        elif kind == "repeat" and sets:
+            sets.append(draw(st.sampled_from(sets)))
+        else:
+            sets.append(draw(st.lists(vertex, min_size=1, max_size=g.n + 2)))
+    return g, sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_families())
+def test_family_epsilons_equal_pair_loop(case):
+    g, sets = case
+    dm = distance_matrix(g)
+    fam = QSetFamily.measure(dm, sets)
+    want = [epsilon_by_pairs(dm, s) for s in sets]
+    assert [q.epsilon for q in fam.sets] == want
+    assert [q.members for q in fam.sets] == [tuple(sorted(set(s))) for s in sets]
+    assert [measure_epsilon(dm, s) for s in sets] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_families(), st.data())
+def test_greedy_and_check_hit_pack_equal_set_loops(case, data):
+    g, sets = case
+    dm = distance_matrix(g)
+    fam = QSetFamily.measure(dm, sets)
+    members = [q.members for q in fam.sets]
+    r = data.draw(st.integers(0, 3))
+    delta = HalfInt.from_doubled(data.draw(st.integers(0, 4)))
+    z = data.draw(st.integers(0, g.n - 1))
+    hp = greedy_hit_pack(g, dm, fam, r, delta, z=z)
+    assert hp == greedy_hit_pack_by_sets(g, dm, fam, r, delta, z=z)
+    args = (dm, members, hp.hitting_set, hp.hit_radius, hp.packing, hp.pack_gap)
+    hit_ok, pack_ok = check_hit_pack(*args)
+    assert (hit_ok, pack_ok) == check_hit_pack_by_sets(*args)
+    assert pack_ok  # greedy drops every set within 2r of a pick; hit_ok needs a sound delta
+    # arbitrary certificates, repeated packing indices included
+    hitting = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
+    packing = data.draw(st.lists(st.integers(0, len(sets) - 1), max_size=len(sets) + 1))
+    args = (dm, members, hitting, data.draw(st.integers(0, 4)), packing, r)
+    assert check_hit_pack(*args) == check_hit_pack_by_sets(*args)
