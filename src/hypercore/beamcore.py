@@ -14,11 +14,8 @@ from .graphs import (
     DistanceMatrix,
     Graph,
     _check_vertex,
-    _min_rows,
     descend_geodesic,
     intercepted_pairs,
-    interval,
-    row_chunks,
 )
 from .halfint import HalfInt
 from .hyperbolicity import eccentricity_profile, mutually_distant_pair
@@ -30,13 +27,6 @@ class BeamCoreResult:
     midpoint: int
     radius: int
     all_beams_intercepted: bool
-
-
-@dataclass(frozen=True)
-class BeamSeparationReport:
-    max_distance: int
-    bound: int
-    within_bound: bool
 
 
 @dataclass(frozen=True)
@@ -77,31 +67,6 @@ def total_beam_core(g: Graph, dm: DistanceMatrix, delta: HalfInt) -> BeamCoreRes
     radius = max((delta * 2).floor(), 0)
     ok = bool(intercepted_pairs(g, dm, Ball(mid, radius), beam_pairs(dm)).all())
     return BeamCoreResult(pair=(u, v), midpoint=mid, radius=radius, all_beams_intercepted=ok)
-
-
-def beams_pairwise_close(dm: DistanceMatrix, delta: HalfInt) -> BeamSeparationReport:
-    """Maximum distance between intervals of distinct beam pairs, compared to
-    the 2*delta closeness bound.
-
-    The interval of a beam pair contains every beam geodesic between its
-    endpoints, so the interval-to-interval distance lower-bounds the
-    geodesic-to-geodesic one; the bound holds for it a fortiori.
-    """
-    seen: set[frozenset[int]] = set()
-    intervals: list[list[int]] = []
-    for x, y in beam_pairs(dm).tolist():
-        key = frozenset((x, y))
-        if key not in seen:
-            seen.add(key)
-            intervals.append(interval(dm, x, y))
-    # the largest entry of the intervals' set-to-set distances, taken a run
-    # of rows at a time so that no block grows with the square of their number
-    worst = 0  # the diagonal is 0
-    for rows in row_chunks(len(intervals), dm.n):
-        near = _min_rows(dm.d, intervals[rows])
-        worst = max(worst, int(_min_rows(near.T, intervals).max()))
-    bound = (delta * 2).floor()
-    return BeamSeparationReport(max_distance=worst, bound=bound, within_bound=worst <= bound)
 
 
 def structural_checks(dm: DistanceMatrix, delta: HalfInt, midpoint: int) -> StructuralReport:

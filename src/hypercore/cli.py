@@ -78,7 +78,10 @@ def _thin_delta(args, g, dm) -> HalfInt:
     bracket, which is recorded in ``args.four_point`` for the report.
     """
     if args.delta is not None:
-        return _parse_halfint(args.delta)
+        delta = _parse_halfint(args.delta)
+        if delta.doubled < 0:
+            raise ValueError(f"--delta {args.delta} is negative: a thin-triangle constant is >= 0")
+        return delta
     from .hyperbolicity import four_point_delta, thin_delta_bound
 
     fp = four_point_delta(g, dm)

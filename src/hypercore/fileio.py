@@ -101,6 +101,16 @@ def read_pairs(path: str | Path) -> list[tuple[str, str]]:
     return pairs
 
 
+def _check_strings(path: str | Path, i: int, entry: dict, labels: list) -> None:
+    """Raise unless the entry's name, if given, and every label are strings:
+    a list or object label would otherwise fail as an unhashable key."""
+    if not isinstance(entry.get("name", ""), str):
+        raise ValueError(f"{path}: entry {i} has a name that is not a string")
+    for label in labels:
+        if not isinstance(label, str):
+            raise ValueError(f"{path}: entry {i} has a label that is not a string: {label!r}")
+
+
 def read_family_json(path: str | Path) -> list[dict]:
     """[{"name": str, "vertices": [labels]}, ...]; epsilon is never read."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -111,6 +121,7 @@ def read_family_json(path: str | Path) -> list[dict]:
             raise ValueError(f"{path}: entry {i} must be an object with 'vertices'")
         if not isinstance(entry["vertices"], list) or not entry["vertices"]:
             raise ValueError(f"{path}: entry {i} has no vertices")
+        _check_strings(path, i, entry, entry["vertices"])
         entry.setdefault("name", f"set[{i}]")
     return data
 
@@ -129,5 +140,6 @@ def read_kappa_family_json(path: str | Path) -> list[dict]:
         for j, part in enumerate(parts):
             if not isinstance(part, list) or not part:
                 raise ValueError(f"{path}: entry {i} part {j} is empty")
+        _check_strings(path, i, entry, [label for part in parts for label in part])
         entry.setdefault("name", f"member[{i}]")
     return data

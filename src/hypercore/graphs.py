@@ -121,27 +121,6 @@ class DistanceMatrix:
     def eccentricities(self) -> np.ndarray:
         return self.d.max(axis=1)
 
-    def validate(self, g: Graph | None = None) -> None:
-        """Raise if any metric invariant fails.  O(n^3); meant for tests."""
-        d = self.d
-        n = self.n
-        if d.shape != (n, n):
-            raise ValueError("distance matrix is not square")
-        if (d.diagonal() != 0).any():
-            raise ValueError("nonzero diagonal entry")
-        if (d != d.T).any():
-            raise ValueError("asymmetric distances")
-        off = d[~np.eye(n, dtype=bool)]
-        if n > 1 and (off < 1).any():
-            raise ValueError("distinct vertices at distance < 1")
-        for k in range(n):
-            if (d > d[:, k : k + 1] + d[k : k + 1, :]).any():
-                raise ValueError(f"triangle inequality fails through vertex {k}")
-        if g is not None:
-            for u, v in g.edges():
-                if (np.abs(d[:, u] - d[:, v]) > 1).any():
-                    raise ValueError(f"edge ({u},{v}) violates 1-Lipschitz rows")
-
 
 def _check_vertex(n: int, v: int, name: str = "vertex") -> None:
     if not (0 <= v < n):
@@ -178,9 +157,8 @@ def row_chunks(count: int, n: int) -> Iterator[slice]:
     """Consecutive slices of range(count), each short enough that its rows
     of an n-column array hold about 2**16 elements, so a gather such as
     d[rows[chunk]] stays small however many rows there are.  Its users are
-    ``congestion.median_vertex``, ``congestion.centroid_vertex``,
-    ``beamcore.beams_pairwise_close`` and the interval blocks of
-    ``quasiconvex._set_epsilons``."""
+    ``congestion.median_vertex``, ``congestion.centroid_vertex`` and the
+    interval blocks of ``quasiconvex._set_epsilons``."""
     step = max(1, 2**16 // n)
     return (slice(lo, lo + step) for lo in range(0, count, step))
 

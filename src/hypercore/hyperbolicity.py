@@ -445,16 +445,9 @@ def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
     )
 
 
-def furthest_set(dm: DistanceMatrix, x: int) -> list[int]:
-    """P(x): all vertices at maximum distance from x."""
-    check_vertices(dm.n, [x], "vertex")
-    row = dm.d[x]
-    return np.flatnonzero(row == row.max()).tolist()
-
-
 def mutually_distant_pair(dm: DistanceMatrix, delta: HalfInt) -> tuple[int, int]:
-    """A pair u, v with u in P(v) and v in P(u), by iterated furthest-vertex
-    search from vertex 0 over the rows of the distance matrix.
+    """A pair u, v, each at maximum distance from the other, by iterated
+    furthest-vertex search from vertex 0 over the rows of the distance matrix.
 
     Each round replaces the current vertex by its smallest-id furthest
     vertex; the pair distance strictly increases on every failed check, so

@@ -41,17 +41,6 @@ class KappaQSet:
 
 
 @dataclass(frozen=True)
-class GammaIndex:
-    """Incidence between members at a fixed radius: gamma_i[i] holds every
-    member sharing with member i a vertex within the radius of both (a
-    symmetric relation containing i itself).
-    """
-
-    radius: int
-    gamma_i: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
 class KappaHitPackResult:
     hitting_set: tuple[int, ...]
     packing: tuple[int, ...]
@@ -71,18 +60,22 @@ def _member_distances(dm: DistanceMatrix, family: Sequence[KappaQSet]) -> np.nda
     return _min_rows(dm.d, [kq.union for kq in family])
 
 
-def gamma_sets(dm: DistanceMatrix, family: Sequence[KappaQSet], r: int) -> GammaIndex:
+def gamma_sets(
+    dm: DistanceMatrix, family: Sequence[KappaQSet], r: int
+) -> tuple[frozenset[int], ...]:
+    """Incidence between members at radius r: entry i holds every member
+    sharing with member i a vertex within r of both (a symmetric relation
+    containing i itself)."""
     return _gamma_index(_member_distances(dm, family), r)
 
 
-def _gamma_index(member_dist: np.ndarray, r: int) -> GammaIndex:
+def _gamma_index(member_dist: np.ndarray, r: int) -> tuple[frozenset[int], ...]:
     """The Gamma incidence of ``_member_distances`` thresholded at r."""
     if r < 0:
         raise ValueError(f"negative gamma radius {r}")
     near = member_dist <= r  # m x n
     share = near @ near.T  # boolean product: some vertex within r of both
-    gamma_i = tuple(frozenset(np.flatnonzero(row).tolist()) for row in share)
-    return GammaIndex(radius=r, gamma_i=gamma_i)
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in share)
 
 
 def _witness_vertices(near: np.ndarray) -> list[int]:
@@ -156,14 +149,14 @@ def build_hitting_lp(family: Sequence[KappaQSet], dm: DistanceMatrix, r: int) ->
 
 
 def round_packing(
-    x: Sequence[Fraction], gamma: GammaIndex, family: Sequence[KappaQSet]
+    x: Sequence[Fraction], gamma: Sequence[frozenset[int]], family: Sequence[KappaQSet]
 ) -> list[int]:
     """Integral packing from a fractional solution of the wider-radius LP.
 
     Repeatedly selects a member whose remaining Gamma-neighborhood carries
     fractional mass at most 2*kappa (one always exists for a feasible input)
-    and discards that neighborhood.  The result is a packing at the gamma
-    radius of size at least sum(x) / (2*kappa).
+    and discards that neighborhood.  The result is a packing at the radius
+    of ``gamma`` (``gamma_sets``) of size at least sum(x) / (2*kappa).
     """
     kappa = max(len(kq.parts) for kq in family)
     remaining = set(range(len(family)))
@@ -171,7 +164,7 @@ def round_packing(
     while remaining:
         pick = -1
         for i in sorted(remaining):
-            mass = sum((x[j] for j in gamma.gamma_i[i] if j in remaining), Fraction(0))
+            mass = sum((x[j] for j in gamma[i] if j in remaining), Fraction(0))
             if mass <= 2 * kappa:
                 pick = i
                 break
@@ -181,7 +174,7 @@ def round_packing(
                 "fractional packing (or the family's epsilon/delta were mismeasured)"
             )
         packing.append(pick)
-        remaining -= gamma.gamma_i[pick]
+        remaining -= gamma[pick]
     return packing
 
 

@@ -1,19 +1,17 @@
 """Total multi-cores for commodity graphs: the interval family of the demand
-pairs, the constructive hitting-set route, and brute-force oracles for the
-hitting, packing, and multi-core numbers at desk scale.
+pairs and the constructive hitting-set route.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .graphs import Ball, DistanceMatrix, Graph, check_pairs, intercepted_pairs, interval
 from .halfint import HalfInt
-from .quasiconvex import QSetFamily, greedy_hit_pack, neighborhood
+from .quasiconvex import QSetFamily, greedy_hit_pack
 
 
 @dataclass(frozen=True)
@@ -72,67 +70,3 @@ def multicore_construct(
         pending = pending[~hit]
     return MultiCoreResult(centers=centers, radius=r, covered=not len(pending))
 
-
-def _interception_masks(
-    g: Graph, dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int
-) -> list[int]:
-    """Per-vertex bitmask of demand pairs intercepted by a radius-r ball."""
-    masks = []
-    for v in range(g.n):
-        hit = intercepted_pairs(g, dm, Ball(v, r), pairs)
-        masks.append(sum(1 << i for i in np.flatnonzero(hit).tolist()))
-    return masks
-
-
-def _smallest_cover(masks: list[int], bits: int, k_max: int) -> int | None:
-    """Smallest k <= k_max such that the OR of some k masks has all ``bits``
-    low bits set, or None.  Exhaustive over the nonzero masks."""
-    full = (1 << bits) - 1
-    candidates = [m for m in masks if m]
-    for k in range(1, k_max + 1):
-        for combo in combinations(candidates, k):
-            acc = 0
-            for m in combo:
-                acc |= m
-            if acc == full:
-                return k
-    return None
-
-
-def brute_sigma(
-    g: Graph, dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int, k_max: int
-) -> int | None:
-    """Exact smallest number of radius-r balls intercepting all demand pairs,
-    or None when every size up to k_max fails.  Exhaustive; oracle scale only."""
-    if not pairs:
-        raise ValueError("commodity graph has no demand pairs")
-    return _smallest_cover(_interception_masks(g, dm, pairs, r), len(pairs), k_max)
-
-
-def brute_tau(n: int, vertex_sets: Sequence[Sequence[int]], k_max: int | None = None) -> int | None:
-    """Exact hitting number of a family of vertex sets by exhaustive search."""
-    sets = [frozenset(s) for s in vertex_sets]
-    if any(not s for s in sets):
-        raise ValueError("cannot hit an empty set")
-    hit_mask = [0] * n
-    for i, s in enumerate(sets):
-        for v in s:
-            hit_mask[v] |= 1 << i
-    return _smallest_cover(hit_mask, len(sets), len(sets) if k_max is None else k_max)
-
-
-def brute_pi(vertex_sets: Sequence[Sequence[int]]) -> int:
-    """Exact packing number: largest subfamily of pairwise disjoint sets."""
-    sets = [frozenset(s) for s in vertex_sets]
-    m = len(sets)
-    best = 0
-    for mask in range(1, 1 << m):
-        chosen = [sets[i] for i in range(m) if mask >> i & 1]
-        if len(chosen) > best and all(a.isdisjoint(b) for a, b in combinations(chosen, 2)):
-            best = len(chosen)
-    return best
-
-
-def inflate_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int) -> list[list[int]]:
-    """r-inflations of the demand intervals, as plain vertex lists."""
-    return [neighborhood(dm, interval(dm, x, y), r) for x, y in pairs]

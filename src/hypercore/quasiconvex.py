@@ -1,7 +1,6 @@
 """Quasiconvexity measurement and the Helly-type machinery built on it:
 projections toward a base vertex, the common-ball center for 2r-close
-families, the greedy primal-dual hitting/packing construction, and the
-inflated-ball Helly check.
+families, and the greedy primal-dual hitting/packing construction.
 
 Every quasiconvexity defect is measured from the distance matrix, never
 trusted from input.  Radius formulas take the thin-triangle constant as a
@@ -187,10 +186,9 @@ def project_toward(g: Graph, dm: DistanceMatrix, z: int, Q: Sequence[int], r: in
     return next(islice(_descent(g, dm, x, z), steps, None))
 
 
-def covering_radius(r: int, epsilon: int, delta: HalfInt | int) -> HalfInt:
+def covering_radius(r: int, epsilon: int, delta: HalfInt) -> HalfInt:
     """max(2*eps + 5*delta, r + eps + 3*delta), exactly."""
-    dlt = delta if isinstance(delta, HalfInt) else HalfInt(delta)
-    return half_max(2 * epsilon + dlt * 5, r + epsilon + dlt * 3)
+    return half_max(2 * epsilon + delta * 5, r + epsilon + delta * 3)
 
 
 def _require_pairwise_close(family: QSetFamily, gaps: np.ndarray, r: int) -> None:
@@ -302,35 +300,6 @@ def check_hit_pack(
     _, gaps = _set_block(dm, [members[a] for a in packing])
     pack_ok = not np.triu(gaps <= 2 * pack_gap, 1).any()
     return hit_ok, pack_ok
-
-
-def helly_balls_check(
-    dm: DistanceMatrix, balls: Sequence[Ball], delta: HalfInt
-) -> int | None:
-    """Common vertex of the delta-inflated balls of a pairwise intersecting
-    collection, or None if no such vertex exists.
-
-    Pairwise intersection of the input balls is a precondition and is
-    verified; the inflation applied is ceil(delta).
-    """
-    if not balls:
-        raise ValueError("empty ball collection")
-    check_vertices(dm.n, [b.center for b in balls], "ball centers")
-    d = dm.d
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            bi, bj = balls[i], balls[j]
-            if int(d[bi.center, bj.center]) > bi.radius + bj.radius:
-                raise ValueError(
-                    f"balls {i} and {j} do not intersect "
-                    f"(d={int(d[bi.center, bj.center])} > {bi.radius}+{bj.radius})"
-                )
-    inflate = delta.ceil() if isinstance(delta, HalfInt) else int(delta)
-    ok = np.ones(dm.n, dtype=bool)
-    for b in balls:
-        ok &= d[b.center] <= b.radius + inflate
-    hits = np.flatnonzero(ok)
-    return int(hits[0]) if len(hits) else None
 
 
 def is_interval_like(dm: DistanceMatrix, members: Sequence[int]) -> bool:

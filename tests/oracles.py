@@ -2,19 +2,30 @@
 
 Everything here is deliberately naive (exhaustive path enumeration, plain
 O(n^4) loops, polytope vertex enumeration) and shares no code path with the
-implementations it checks.
+implementations it checks.  The checks of the paper's statements
+(``brute_sigma``, ``brute_tau``, ``brute_pi``, ``helly_balls_check``,
+``beams_pairwise_close``) read intervals and interceptions from the package:
+they test the theorems built on those, which the package does not compute.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
 
 from hypercore import CoreResult, LPInstance
-from hypercore.graphs import check_vertices
+from hypercore.graphs import (
+    Ball,
+    _min_rows,
+    check_vertices,
+    intercepted_pairs,
+    interval,
+    row_chunks,
+)
+from hypercore.halfint import HalfInt
 
 
 def distances_avoiding(g, blocked, source):
@@ -41,6 +52,30 @@ def distances_avoiding(g, blocked, source):
 def bfs_distances(g, source):
     """One-source BFS hop distances; -1 marks unreachable vertices."""
     return distances_avoiding(g, (), source)
+
+
+def validate_metric(dm, g=None) -> None:
+    """Raise if any metric invariant of ``dm`` fails: square, zero diagonal,
+    symmetric, distinct vertices at least 1 apart, the triangle inequality,
+    and, given g, rows 1-Lipschitz along every edge.  O(n^3)."""
+    d = dm.d
+    n = dm.n
+    if d.shape != (n, n):
+        raise ValueError("distance matrix is not square")
+    if (d.diagonal() != 0).any():
+        raise ValueError("nonzero diagonal entry")
+    if (d != d.T).any():
+        raise ValueError("asymmetric distances")
+    off = d[~np.eye(n, dtype=bool)]
+    if n > 1 and (off < 1).any():
+        raise ValueError("distinct vertices at distance < 1")
+    for k in range(n):
+        if (d > d[:, k : k + 1] + d[k : k + 1, :]).any():
+            raise ValueError(f"triangle inequality fails through vertex {k}")
+    if g is not None:
+        for u, v in g.edges():
+            if (np.abs(d[:, u] - d[:, v]) > 1).any():
+                raise ValueError(f"edge ({u},{v}) violates 1-Lipschitz rows")
 
 
 def all_geodesics(g, dm, s, t):
@@ -97,6 +132,13 @@ def naive_interval_thinness(dm) -> int:
                     if d[u, x] == d[u, y]:
                         best = max(best, int(d[x, y]))
     return best
+
+
+def furthest_set(dm, x) -> list[int]:
+    """P(x): all vertices at maximum distance from x."""
+    check_vertices(dm.n, [x], "vertex")
+    row = dm.d[x]
+    return np.flatnonzero(row == row.max()).tolist()
 
 
 def far_apart_pairs_by_vertex(dm) -> np.ndarray:
@@ -266,6 +308,130 @@ def check_hit_pack_by_sets(dm, members, hitting, hit_radius, packing, pack_gap):
             pack_ok = False
             break
     return hit_ok, pack_ok
+
+
+def helly_balls_check(dm, balls, delta):
+    """Common vertex of the delta-inflated balls of a pairwise intersecting
+    collection, or None if no such vertex exists.
+
+    Pairwise intersection of the input balls is a precondition and is
+    verified; the inflation applied is ceil(delta).
+    """
+    if not balls:
+        raise ValueError("empty ball collection")
+    check_vertices(dm.n, [b.center for b in balls], "ball centers")
+    d = dm.d
+    for i in range(len(balls)):
+        for j in range(i + 1, len(balls)):
+            bi, bj = balls[i], balls[j]
+            if int(d[bi.center, bj.center]) > bi.radius + bj.radius:
+                raise ValueError(
+                    f"balls {i} and {j} do not intersect "
+                    f"(d={int(d[bi.center, bj.center])} > {bi.radius}+{bj.radius})"
+                )
+    inflate = delta.ceil() if isinstance(delta, HalfInt) else int(delta)
+    ok = np.ones(dm.n, dtype=bool)
+    for b in balls:
+        ok &= d[b.center] <= b.radius + inflate
+    hits = np.flatnonzero(ok)
+    return int(hits[0]) if len(hits) else None
+
+
+# a namedtuple, not a dataclass: perfbench loads this file without entering
+# it in sys.modules, which a dataclass's string annotations would need
+BeamSeparationReport = namedtuple("BeamSeparationReport", "max_distance bound within_bound")
+
+
+def beams_pairwise_close(dm, delta) -> BeamSeparationReport:
+    """Maximum distance between intervals of distinct beam pairs, compared to
+    the 2*delta closeness bound.
+
+    The interval of a beam pair contains every beam geodesic between its
+    endpoints, so the interval-to-interval distance lower-bounds the
+    geodesic-to-geodesic one; the bound holds for it a fortiori.
+    """
+    # imported here, so that loading the oracles loads no beam code
+    from hypercore.beamcore import beam_pairs
+
+    seen = set()
+    intervals = []
+    for x, y in beam_pairs(dm).tolist():
+        key = frozenset((x, y))
+        if key not in seen:
+            seen.add(key)
+            intervals.append(interval(dm, x, y))
+    # the largest entry of the intervals' set-to-set distances, taken a run
+    # of rows at a time so that no block grows with the square of their number
+    worst = 0  # the diagonal is 0
+    for rows in row_chunks(len(intervals), dm.n):
+        near = _min_rows(dm.d, intervals[rows])
+        worst = max(worst, int(_min_rows(near.T, intervals).max()))
+    bound = (delta * 2).floor()
+    return BeamSeparationReport(max_distance=worst, bound=bound, within_bound=worst <= bound)
+
+
+def _interception_masks(g, dm, pairs, r) -> list[int]:
+    """Per-vertex bitmask of demand pairs intercepted by a radius-r ball."""
+    masks = []
+    for v in range(g.n):
+        hit = intercepted_pairs(g, dm, Ball(v, r), pairs)
+        masks.append(sum(1 << i for i in np.flatnonzero(hit).tolist()))
+    return masks
+
+
+def _smallest_cover(masks, bits, k_max):
+    """Smallest k <= k_max such that the OR of some k masks has all ``bits``
+    low bits set, or None.  Exhaustive over the nonzero masks."""
+    full = (1 << bits) - 1
+    candidates = [m for m in masks if m]
+    for k in range(1, k_max + 1):
+        for combo in combinations(candidates, k):
+            acc = 0
+            for m in combo:
+                acc |= m
+            if acc == full:
+                return k
+    return None
+
+
+def brute_sigma(g, dm, pairs, r, k_max):
+    """Exact smallest number of radius-r balls intercepting all demand pairs,
+    or None when every size up to k_max fails.  Exhaustive; oracle scale only."""
+    if not pairs:
+        raise ValueError("commodity graph has no demand pairs")
+    return _smallest_cover(_interception_masks(g, dm, pairs, r), len(pairs), k_max)
+
+
+def brute_tau(n, vertex_sets, k_max=None):
+    """Exact hitting number of a family of vertex sets by exhaustive search."""
+    sets = [frozenset(s) for s in vertex_sets]
+    if any(not s for s in sets):
+        raise ValueError("cannot hit an empty set")
+    hit_mask = [0] * n
+    for i, s in enumerate(sets):
+        for v in s:
+            hit_mask[v] |= 1 << i
+    return _smallest_cover(hit_mask, len(sets), len(sets) if k_max is None else k_max)
+
+
+def brute_pi(vertex_sets) -> int:
+    """Exact packing number: largest subfamily of pairwise disjoint sets."""
+    sets = [frozenset(s) for s in vertex_sets]
+    m = len(sets)
+    best = 0
+    for mask in range(1, 1 << m):
+        chosen = [sets[i] for i in range(m) if mask >> i & 1]
+        if len(chosen) > best and all(a.isdisjoint(b) for a, b in combinations(chosen, 2)):
+            best = len(chosen)
+    return best
+
+
+def inflate_family(dm, pairs, r) -> list[list[int]]:
+    """r-inflations of the demand intervals, as plain vertex lists."""
+    # imported here, so that loading the oracles loads no family code
+    from hypercore.quasiconvex import neighborhood
+
+    return [neighborhood(dm, interval(dm, x, y), r) for x, y in pairs]
 
 
 def naive_traffic_load(g, dm, pairs, S) -> Fraction:

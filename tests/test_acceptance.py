@@ -24,16 +24,12 @@ from hypercore import (
     QSet,
     QSetFamily,
     ball_members,
-    brute_pi,
-    brute_sigma,
-    brute_tau,
     centroid_vertex,
     distance_matrix,
     four_point_delta,
     geodesic_count,
     greedy_hit_pack,
     helly_center,
-    inflate_family,
     intercepted_pairs,
     interval,
     kappa_hit_pack,
@@ -51,7 +47,16 @@ from hypercore.generators import (
     star_path_hub,
 )
 from conftest import acceptance_line
-from oracles import all_geodesics, naive_intercepts, naive_interval, naive_traffic_load
+from oracles import (
+    all_geodesics,
+    brute_pi,
+    brute_sigma,
+    brute_tau,
+    inflate_family,
+    naive_intercepts,
+    naive_interval,
+    naive_traffic_load,
+)
 
 CORE_TIME_BUDGET_S = 300.0
 

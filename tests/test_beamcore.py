@@ -3,7 +3,6 @@ from hypercore import (
     Graph,
     HalfInt,
     beam_pairs,
-    beams_pairwise_close,
     distance_matrix,
     four_point_delta,
     intercepted_pairs,
@@ -12,6 +11,7 @@ from hypercore import (
     total_beam_core,
 )
 from hypercore.generators import cycle_graph, gnp_connected, grid_graph, path_graph, random_tree
+from oracles import beams_pairwise_close
 
 
 def test_beam_pairs_path():

@@ -326,6 +326,40 @@ def test_delta_four_point_reported_last(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", DELTA_COMMANDS)
+def test_negative_delta_is_an_input_error(tmp_path, capsys, command):
+    radius = {"multicore": 8, "kappa": 8}.get(command, 0)
+    for delta in ("-1", "-1/2"):
+        code, rep, err = run_json(
+            capsys, [*_delta_command_argv(tmp_path, command, radius), f"--delta={delta}"]
+        )
+        assert (code, rep) == (1, None)
+        assert err == f"error: --delta {delta} is negative: a thin-triangle constant is >= 0\n"
+
+
+NOT_STRING = "a label that is not a string: "
+
+
+@pytest.mark.parametrize(
+    "command, entry, bad",
+    [
+        ("helly", {"name": "a", "vertices": ["v1", ["v0"]]}, NOT_STRING + "['v0']"),
+        ("hitpack", {"name": "a", "vertices": [{"v": 0}]}, NOT_STRING + "{'v': 0}"),
+        ("kappa", {"name": "m", "parts": [["v1"], [["v0"]]]}, NOT_STRING + "['v0']"),
+        ("helly", {"name": "a", "vertices": [0]}, NOT_STRING + "0"),
+        ("hitpack", {"name": ["a"], "vertices": ["v0"]}, "a name that is not a string"),
+        ("kappa", {"name": {"n": 1}, "parts": [["v0"]]}, "a name that is not a string"),
+    ],
+)
+def test_family_labels_and_names_must_be_strings(tmp_path, capsys, command, entry, bad):
+    argv = _delta_command_argv(tmp_path, command, 8)
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps([entry]), encoding="utf-8")
+    code, rep, err = run_json(capsys, argv)
+    assert (code, rep) == (1, None)
+    assert err == f"error: {fam}: entry 0 has {bad}\n"
+
+
+@pytest.mark.parametrize("command", DELTA_COMMANDS)
 def test_sampled_delta_certifies_from_half_diameter(tmp_path, capsys, monkeypatch, command):
     # the 9-vertex path with a 4-cycle v0 v1 v2 v9 at one end: with no
     # budget the four-point scan stops before its first row, so the bracket

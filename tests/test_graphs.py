@@ -20,9 +20,15 @@ from hypercore import (
 )
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
 from hypercore.graphs import _tree_distances, tree_walk
-from hypercore.hyperbolicity import four_point_defect, furthest_set
+from hypercore.hyperbolicity import four_point_defect
 from hypercore.quasiconvex import check_hit_pack
-from oracles import bfs_distances, distances_avoiding, naive_intercepts, naive_interval
+from oracles import (
+    bfs_distances,
+    distances_avoiding,
+    naive_intercepts,
+    naive_interval,
+    validate_metric,
+)
 from strategies import connected_graphs, glued_blocks
 
 
@@ -106,7 +112,7 @@ def test_distance_matrix_cap_and_disconnected():
 
 def test_distance_matrix_invariants_on_generated():
     for g in (random_tree(17, 5), cycle_graph(9), grid_graph(3, 4), star_path_graph(16)):
-        distance_matrix(g).validate(g)
+        validate_metric(distance_matrix(g), g)
 
 
 def test_interval_examples():
@@ -208,10 +214,8 @@ def test_out_of_range_vertex_ids_rejected():
         lambda dm: check_hit_pack(dm, [[4], [5]], [0], 4, [0], 0),
         lambda dm: four_point_defect(dm, (-1, 0, 1, 2)),
         lambda dm: four_point_defect(dm, (0, 1, 2, 5)),
-        lambda dm: furthest_set(dm, -1),
-        lambda dm: furthest_set(dm, 5),
     ],
-    ids=["hitting", "members", "quad-neg", "quad-big", "furthest-neg", "furthest-big"],
+    ids=["hitting", "members", "quad-neg", "quad-big"],
 )
 def test_ids_that_would_wrap_are_rejected(call):
     with pytest.raises(ValueError, match="out of range"):

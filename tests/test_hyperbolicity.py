@@ -17,7 +17,6 @@ from hypercore import (
     far_apart_pairs,
     four_point_defect,
     four_point_delta,
-    furthest_set,
     hyperbolicity_report,
     interval_thinness,
     mutually_distant_pair,
@@ -35,6 +34,7 @@ from hypercore.generators import (
 from oracles import (
     budgeted_four_point,
     far_apart_pairs_by_vertex,
+    furthest_set,
     naive_four_point_delta_doubled,
     naive_interval_thinness,
     thinness_scan_by_pair,

@@ -15,8 +15,8 @@ import hypercore.cli
 
 EXPORTS = {
     "beamcore": [
-        "BeamCoreResult", "BeamSeparationReport", "StructuralReport", "beam_pairs",
-        "beams_pairwise_close", "structural_checks", "total_beam_core",
+        "BeamCoreResult", "StructuralReport", "beam_pairs", "structural_checks",
+        "total_beam_core",
     ],
     "congestion": [
         "CoreResult", "centroid_vertex", "geodesic_count", "median_vertex", "min_core",
@@ -32,21 +32,17 @@ EXPORTS = {
     "hyperbolicity": [
         "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
         "eccentricity_profile", "far_apart_pairs", "four_point_defect", "four_point_delta",
-        "furthest_set", "hyperbolicity_report", "interval_thinness", "mutually_distant_pair",
-        "thin_delta_bound",
+        "hyperbolicity_report", "interval_thinness", "mutually_distant_pair", "thin_delta_bound",
     ],
     "lpkappa": [
-        "GammaIndex", "KappaHitPackResult", "KappaQSet", "build_hitting_lp", "build_packing_lp",
-        "gamma_sets", "kappa_hit_pack", "round_hitting", "round_packing",
+        "KappaHitPackResult", "KappaQSet", "build_hitting_lp", "build_packing_lp", "gamma_sets",
+        "kappa_hit_pack", "round_hitting", "round_packing",
     ],
-    "multicore": [
-        "MultiCoreResult", "brute_pi", "brute_sigma", "brute_tau", "inflate_family",
-        "interval_family", "multicore_construct",
-    ],
+    "multicore": ["MultiCoreResult", "interval_family", "multicore_construct"],
     "quasiconvex": [
         "HitPackResult", "QSet", "QSetFamily", "check_hit_pack", "covering_radius",
-        "greedy_hit_pack", "helly_balls_check", "helly_center", "is_interval_like",
-        "measure_epsilon", "neighborhood", "project_toward",
+        "greedy_hit_pack", "helly_center", "is_interval_like", "measure_epsilon",
+        "neighborhood", "project_toward",
     ],
     "simplex": ["LPInstance", "LPSolution", "solve_lp"],
 }
@@ -71,7 +67,7 @@ print(json.dumps([code, loaded()]))
 
 def test_all_lists_the_exported_names():
     assert hypercore.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(hypercore.__all__) == 71
+    assert len(hypercore.__all__) == 62
 
 
 def test_each_name_is_the_object_of_its_submodule():

@@ -42,10 +42,10 @@ def test_gamma_far_and_shared():
     dm = distance_matrix(g)
     fam = [member(dm, [0]), member(dm, [8])]
     gi = gamma_sets(dm, fam, 0)
-    assert gi.gamma_i == (frozenset({0}), frozenset({1}))
+    assert gi == (frozenset({0}), frozenset({1}))
     fam2 = [member(dm, [0, 4]), member(dm, [4, 8])]
     gi2 = gamma_sets(dm, fam2, 0)
-    assert gi2.gamma_i == (frozenset({0, 1}), frozenset({0, 1}))
+    assert gi2 == (frozenset({0, 1}), frozenset({0, 1}))
 
 
 def test_gamma_structural_properties():
@@ -58,15 +58,15 @@ def test_gamma_structural_properties():
     ]
     gi = gamma_sets(dm, fam, 1)
     for i in range(6):
-        assert i in gi.gamma_i[i]
-        for j in gi.gamma_i[i]:
-            assert i in gi.gamma_i[j]
+        assert i in gi[i]
+        for j in gi[i]:
+            assert i in gi[j]
     near = [
         {v for v in range(18) if set_distance(dm, [v], list(kq.union)) <= 1} for kq in fam
     ]
     for i in range(6):
         for j in range(6):
-            assert (j in gi.gamma_i[i]) == bool(near[i] & near[j])
+            assert (j in gi[i]) == bool(near[i] & near[j])
 
 
 def test_packing_lp_extremes():

@@ -6,12 +6,8 @@ import pytest
 from hypercore import (
     Ball,
     HalfInt,
-    brute_pi,
-    brute_sigma,
-    brute_tau,
     distance_matrix,
     four_point_delta,
-    inflate_family,
     intercepted_pairs,
     interval,
     interval_family,
@@ -19,6 +15,7 @@ from hypercore import (
     thin_delta_bound,
 )
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
+from oracles import brute_pi, brute_sigma, brute_tau, inflate_family
 
 
 def test_commodity_validation():

@@ -15,7 +15,6 @@ from hypercore import (
     distance_matrix,
     four_point_delta,
     greedy_hit_pack,
-    helly_balls_check,
     helly_center,
     interval,
     interval_thinness,
@@ -27,7 +26,12 @@ from hypercore import (
     thin_delta_bound,
 )
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
-from oracles import check_hit_pack_by_sets, epsilon_by_pairs, greedy_hit_pack_by_sets
+from oracles import (
+    check_hit_pack_by_sets,
+    epsilon_by_pairs,
+    greedy_hit_pack_by_sets,
+    helly_balls_check,
+)
 from strategies import connected_graphs, glued_blocks
 
 

@@ -1,0 +1,16 @@
+"""The README's "Library quick start" block runs as shown, so an export it
+uses cannot be removed or renamed without the README following."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_quick_start_runs():
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)```", section, re.S)
+    assert block, "no python block opens the 'Library quick start' section"
+    namespace = {}
+    exec(compile(block.group(1), "README.md (Library quick start)", "exec"), namespace)
+    assert namespace["beams"].all_beams_intercepted
