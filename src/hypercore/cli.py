@@ -24,7 +24,7 @@ from .fileio import (
     write_edge_list,
 )
 from .generators import PRNG_ID
-from .graphs import check_matrix_cap, distance_matrix
+from .graphs import DEFAULT_MATRIX_CAP, check_matrix_cap, distance_matrix
 from .halfint import HalfInt
 
 # Each handler imports the analysis modules it runs, so a command loads
@@ -359,7 +359,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hypercore", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed recorded in reports")
     parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    parser.add_argument("--max-n", type=int, default=2000, help="all-pairs distance matrix cap")
+    parser.add_argument(
+        "--max-n", type=int, default=DEFAULT_MATRIX_CAP, help="all-pairs distance matrix cap"
+    )
     parser.set_defaults(four_point=None)
     subs = parser.add_subparsers(dest="command")
 
@@ -428,6 +430,11 @@ _HANDLERS = {
 
 def run_cli(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value such as -1/2 after a space for an option: glue it to its flag
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in ("--delta", "--alpha") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except _CLIError as exc:

@@ -15,8 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import (
+    _BLOCK_ELEMS,
     DistanceMatrix,
     Graph,
+    _fold_rows,
     check_pairs,
     check_vertices,
     components_without,
@@ -194,13 +196,6 @@ def _tree_profile_pass(g: Graph, profile: list[int]) -> tuple[np.ndarray, np.nda
     return nX * (nX - 1) // 2 - missed, np.array(sums, dtype=np.int64)
 
 
-# Elements per block of gathered rows of the escape-radius matrix: bounds
-# the temporaries whatever the layer widths, instead of one n x n block at
-# n = 2000.  One pass of the escape-radius DP takes _BLOCK_ELEMS // n^2
-# profile sources (at least one).
-_BLOCK_ELEMS = 1 << 20
-
-
 def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.ndarray:
     """H[c, r] = number of profile pairs whose escape radius from c is r.
 
@@ -211,16 +206,12 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
     Source x_i's DAG stops at its farthest later profile vertex, and the
     BFS layers run to the deepest of these, each once for the whole block.
     Within a layer the heads are ordered by falling in-degree, so the
-    elementwise max over their predecessor rows is taken slot by slot:
-    the first predecessor row of every head, then the second row of the
-    heads that have one, which form a prefix, and so on, each slot one
-    gather and one binary np.maximum over whole rows (np.maximum.reduceat
-    over the same rows is several times slower).  Heads go in chunks of
-    _BLOCK_ELEMS // n rows; the target rows go into the histogram at most
-    n at a time, since bincount widens them to intp.  The arrays kept
-    across blocks are esc, nb*n x n in int16, which never exceeds
-    max(n^2, _BLOCK_ELEMS) entries, and the histogram, n x (diameter + 1)
-    in int64.
+    elementwise max over their predecessor rows is one ``graphs._fold_rows``
+    with np.maximum.  Heads go in chunks of _BLOCK_ELEMS // n rows; the
+    target rows go into the histogram at most n at a time, since bincount
+    widens them to intp.  The arrays kept across blocks are esc, nb*n x n
+    in int16, which never exceeds max(n^2, _BLOCK_ELEMS) entries, and the
+    histogram, n x (diameter + 1) in int64.
     """
     n = g.n
     d = dm.d
@@ -280,12 +271,7 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
         for step in range(depth):
             for g0 in range(int(bounds[step]), int(bounds[step + 1]), rows):
                 g1 = min(g0 + rows, int(bounds[step + 1]))
-                first = starts[g0:g1]
-                best = esc[preds[first]]
-                down = -degree[g0:g1]
-                # heads with more than j predecessors lead the chunk
-                for j, c in enumerate(np.searchsorted(down, -np.arange(1, -down[0]), "left"), 1):
-                    np.maximum(best[:c], esc[preds[first[:c] + j]], out=best[:c])
+                best = _fold_rows(np.maximum, esc, preds, starts[g0:g1], degree[g0:g1])
                 vs = vertices[g0:g1]
                 np.minimum(best, dc[vs % n], out=best)
                 esc[vs] = best

@@ -17,6 +17,11 @@ import numpy as np
 from .halfint import HalfInt
 
 DEFAULT_MATRIX_CAP = 2000
+# Elements in one block of gathered distance rows: the escape-radius DP's
+# sources per pass (congestion), and one gather of the far-apart mask or
+# batch of the thinness scan (hyperbolicity).  Bounds the temporaries
+# whatever the layer widths, instead of one n x n block at n = 2000.
+_BLOCK_ELEMS = 1 << 20
 # Sources per bit-parallel BFS pass: its scratch is about five bytes per
 # vertex and source besides the result, 5 MB at n = 2000.
 _SOURCE_BLOCK = 512
@@ -396,38 +401,44 @@ def _padded(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return flat[starts[:, None] + np.where(cols < sizes[:, None], cols, 0)]
 
 
-def _by_size(sets: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The ``_padded`` rows largest first: (order, idx, live) with idx =
+def _by_size(sets: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_padded`` rows largest first: (order, idx, sizes) with idx =
     _padded(sets, n)[order], ``order`` sorting by decreasing size (ties in
-    any order), and live[c] the number of rows with more than c members,
-    so column c of the first live[c] rows holds no padding."""
+    any order), and sizes the set sizes in that order."""
     sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
     order = np.argsort(-sizes)
-    idx = _padded(sets, n)[order]
-    live = (np.arange(idx.shape[1]) < sizes[:, None]).sum(axis=0).tolist()
-    return order, idx, live
+    return order, _padded(sets, n)[order], sizes[order]
 
 
-def _padded_min(a: np.ndarray, idx: np.ndarray, live: Sequence[int]) -> np.ndarray:
-    """Row k is the elementwise minimum of the rows a[v] over the members v
-    of row k of a ``_by_size`` layout: one gather per member position, and
-    column c updates only the first live[c] rows."""
-    block = a[idx[:, 0]]
-    for c, m in enumerate(live[1:], 1):
-        np.minimum(block[:m], a[idx[:m, c]], out=block[:m])
-    return block
+def _longer(sizes: np.ndarray) -> list[int]:
+    """c[j] = the number of groups longer than j, j < max(sizes), for group
+    sizes in non-increasing order: those groups are the first c[j]."""
+    return np.searchsorted(-sizes, -np.arange(sizes.max(initial=0)), "left").tolist()
+
+
+def _fold_rows(
+    ufunc: np.ufunc, a: np.ndarray, flat: np.ndarray, first: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Row k is ``ufunc`` folded over the rows a[flat[first[k] + j]], j <
+    sizes[k], of nonempty groups in non-increasing size.  Slot j is one
+    gather and one binary ``ufunc`` call over whole rows, for the leading
+    groups longer than j (``_longer``).  ``ufunc.reduceat`` over the same
+    gathered rows gives the same result, but it gathers every row at once
+    and runs one short inner loop per group and column, down the group,
+    which is tens of times slower on distance rows."""
+    out = a[flat[first]]
+    for j, c in enumerate(_longer(sizes)[1:], 1):
+        ufunc(out[:c], a[flat[first[:c] + j]], out=out[:c])
+    return out
 
 
 def _min_rows(a: np.ndarray, sets: Sequence[Sequence[int]]) -> np.ndarray:
     """Row i is the elementwise minimum of the rows a[v], v in sets[i]; with
     ``a = dm.d`` entry (i, v) is d(v, sets[i]).  Sets are checked as by
     ``_padded``, with n = len(a)."""
-    if not len(sets):
-        return np.empty((0, a.shape[1]), dtype=a.dtype)
-    order, idx, live = _by_size(sets, len(a))
-    out = np.empty((len(sets), a.shape[1]), dtype=a.dtype)
-    out[order] = _padded_min(a, idx, live)
-    return out
+    order, idx, sizes = _by_size(sets, len(a))
+    starts = np.arange(0, idx.size, idx.shape[1])
+    return _fold_rows(np.minimum, a, idx.ravel(), starts, sizes)[np.argsort(order)]
 
 
 def _set_block(

@@ -8,9 +8,11 @@ package compares such quantities through floats.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 
+@functools.total_ordering
 class HalfInt:
     """A number of the form k/2, stored as the integer ``doubled`` = k."""
 
@@ -52,23 +54,17 @@ class HalfInt:
 
     def __add__(self, other):
         od = self._other_doubled(other)
-        if od is None:
-            return NotImplemented
-        return HalfInt.from_doubled(self.doubled + od)
+        return NotImplemented if od is None else HalfInt.from_doubled(self.doubled + od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         od = self._other_doubled(other)
-        if od is None:
-            return NotImplemented
-        return HalfInt.from_doubled(self.doubled - od)
+        return NotImplemented if od is None else HalfInt.from_doubled(self.doubled - od)
 
     def __rsub__(self, other):
         od = self._other_doubled(other)
-        if od is None:
-            return NotImplemented
-        return HalfInt.from_doubled(od - self.doubled)
+        return NotImplemented if od is None else HalfInt.from_doubled(od - self.doubled)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -82,33 +78,11 @@ class HalfInt:
 
     def __eq__(self, other):
         od = self._other_doubled(other)
-        if od is None:
-            return NotImplemented
-        return self.doubled == od
+        return NotImplemented if od is None else self.doubled == od
 
     def __lt__(self, other):
         od = self._other_doubled(other)
-        if od is None:
-            return NotImplemented
-        return self.doubled < od
-
-    def __le__(self, other):
-        od = self._other_doubled(other)
-        if od is None:
-            return NotImplemented
-        return self.doubled <= od
-
-    def __gt__(self, other):
-        od = self._other_doubled(other)
-        if od is None:
-            return NotImplemented
-        return self.doubled > od
-
-    def __ge__(self, other):
-        od = self._other_doubled(other)
-        if od is None:
-            return NotImplemented
-        return self.doubled >= od
+        return NotImplemented if od is None else self.doubled < od
 
     def __hash__(self):
         return hash(self.as_fraction())
@@ -132,9 +106,4 @@ def half_max(*values: HalfInt | int) -> HalfInt:
     """Exact maximum of a mix of HalfInt and int values, as a HalfInt."""
     if not values:
         raise ValueError("half_max needs at least one value")
-    best = None
-    for v in values:
-        h = v if isinstance(v, HalfInt) else HalfInt(v)
-        if best is None or h.doubled > best.doubled:
-            best = h
-    return best
+    return max(v if isinstance(v, HalfInt) else HalfInt(v) for v in values)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, check_vertices
+from .graphs import _BLOCK_ELEMS, DistanceMatrix, Graph, _fold_rows, check_vertices
 from .halfint import HalfInt
 
 # pair comparisons one four-point measurement may spend, summed over blocks
@@ -88,10 +88,6 @@ def four_point_defect(dm: DistanceMatrix, quad: tuple[int, int, int, int]) -> Ha
     return HalfInt.from_doubled(sums[2] - sums[1])
 
 
-# Elements in one gather of the far-apart mask or batch of the thinness scan
-_BLOCK_ELEMS = 1 << 20
-
-
 def far_apart_pairs(g: Graph, dm: DistanceMatrix) -> np.ndarray:
     """Every pair (a, b), a < b, of g with no neighbour of a farther from b
     and no neighbour of b farther from a, as an (m, 2) int32 array by
@@ -115,8 +111,8 @@ def _lower_layers(g: Graph, blk: np.ndarray, d: np.ndarray, diam: int) -> np.nda
     """The far-apart pairs closer than diam of the block blk of g, whose
     distances are d, in the order of ``far_apart_pairs``.  local[a, b] (no
     neighbour of a is farther from b) compares row a with the elementwise
-    max of a's neighbour rows, folded slot by slot as in congestion._escape_histogram
-    over the vertices by falling degree, about _BLOCK_ELEMS // n at a time."""
+    max of a's neighbour rows, one ``graphs._fold_rows`` over the vertices
+    by falling degree, about _BLOCK_ELEMS // n at a time."""
     n = len(d)
     if diam < 2:
         return np.empty((0, 2), dtype=np.int32)
@@ -126,11 +122,7 @@ def _lower_layers(g: Graph, blk: np.ndarray, d: np.ndarray, diam: int) -> np.nda
     by_degree = np.argsort(-deg, kind="stable")
     local = np.empty((n, n), dtype=bool)
     for vs in np.array_split(by_degree, max(1, n * n // _BLOCK_ELEMS)):
-        first, down = np.searchsorted(heads, vs), -deg[vs]
-        far = dc[tails[first]]
-        # vertices with more than j neighbours lead the chunk
-        for j, c in enumerate(np.searchsorted(down, -np.arange(1, -down[0]), "left"), 1):
-            np.maximum(far[:c], dc[tails[first[:c] + j]], out=far[:c])
+        far = _fold_rows(np.maximum, dc, tails, np.searchsorted(heads, vs), deg[vs])
         local[vs] = far <= dc[vs]
     local &= local.T & (dc < diam)
     pairs = _upper_pairs(local)

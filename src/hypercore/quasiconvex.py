@@ -22,8 +22,9 @@ from .graphs import (
     Graph,
     _by_size,
     _descent,
+    _fold_rows,
+    _longer,
     _padded,
-    _padded_min,
     _set_block,
     check_vertices,
     interval,
@@ -134,17 +135,16 @@ def _set_epsilons(dm: DistanceMatrix, sets: Sequence[Sequence[int]]) -> list[int
     The member rows are read in the narrowest signed type that holds a sum
     of two distances (int16 up to n = 16384), so a block takes 128 KB.
     """
-    if not sets:
-        return []
     d, n = dm.d, dm.n
-    order, idx, live = _by_size(sets, n)
+    order, idx, sizes = _by_size(sets, n)
     member = np.zeros(n, dtype=bool)
     member[idx] = True
     loc = (np.cumsum(member) - 1)[idx]  # idx as row numbers of ``rows``
     rows = d[member].astype(np.min_scalar_type(-2 * n))
-    near = _padded_min(d, idx, live)  # d(v, S) per set, in layout order
+    starts = np.arange(0, idx.size, idx.shape[1])
+    near = _fold_rows(np.minimum, d, idx.ravel(), starts, sizes)  # d(v, S), layout order
     between = np.zeros(near.shape, dtype=bool)  # union of the set's intervals
-    for b, m in enumerate(live[1:], 1):
+    for b, m in enumerate(_longer(sizes)[1:], 1):
         # the sets with more than b members: earlier members x, member b as y
         xs, y, mask = loc[:m, :b], idx[:m, b, None], between[:m]
         y_rows = rows[loc[:m, b]][:, None, :]

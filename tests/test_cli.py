@@ -18,6 +18,7 @@ from hypercore.fileio import (
     write_edge_list,
 )
 from hypercore.generators import cycle_graph, path_graph, random_tree
+from hypercore.graphs import DEFAULT_MATRIX_CAP
 
 
 def run_json(capsys, argv):
@@ -83,13 +84,15 @@ def test_core_and_traffic(tmp_path, capsys):
     assert int(den) >= 1 and int(num) > 0
 
 
-@pytest.mark.parametrize("alpha", ["-1", "0"])
+@pytest.mark.parametrize("alpha", ["-1", "0", "-1/2"])
 def test_core_nonpositive_alpha_exits_1(tmp_path, capsys, alpha):
     path = write_graph(tmp_path, path_graph(10))
-    assert run_cli(["core", "--edges", str(path), "--alpha", alpha]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "alpha must be positive" in captured.err
+    # a fraction such as -1/2 reads the same after a space as after '='
+    for value in (["--alpha", alpha], [f"--alpha={alpha}"]):
+        assert run_cli(["core", "--edges", str(path), *value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: alpha must be positive, got {alpha}\n"
 
 
 def test_module_entry_point_without_subcommand_exits_1():
@@ -329,11 +332,17 @@ def test_delta_four_point_reported_last(tmp_path, capsys, command):
 def test_negative_delta_is_an_input_error(tmp_path, capsys, command):
     radius = {"multicore": 8, "kappa": 8}.get(command, 0)
     for delta in ("-1", "-1/2"):
-        code, rep, err = run_json(
-            capsys, [*_delta_command_argv(tmp_path, command, radius), f"--delta={delta}"]
-        )
-        assert (code, rep) == (1, None)
-        assert err == f"error: --delta {delta} is negative: a thin-triangle constant is >= 0\n"
+        for value in (["--delta", delta], [f"--delta={delta}"]):
+            code, rep, err = run_json(
+                capsys, [*_delta_command_argv(tmp_path, command, radius), *value]
+            )
+            assert (code, rep) == (1, None)
+            assert err == f"error: --delta {delta} is negative: a thin-triangle constant is >= 0\n"
+
+
+def test_max_n_default_is_the_matrix_cap():
+    args = hypercore.cli._build_parser().parse_args(["hyperbolicity", "--edges", "g.txt"])
+    assert args.max_n == DEFAULT_MATRIX_CAP
 
 
 NOT_STRING = "a label that is not a string: "
@@ -415,6 +424,10 @@ def test_input_errors_exit_1(tmp_path, capsys):
     ):
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
+    # a flag with no value before the next flag keeps argparse's message
+    for command, flag in (("core", "--alpha"), ("beamcore", "--delta")):
+        assert run_cli([command, flag, "--edges", edges]) == 1
+        assert capsys.readouterr().err == f"error: argument {flag}: expected one argument\n"
 
 
 def test_file_format_errors(tmp_path):

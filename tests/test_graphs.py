@@ -19,7 +19,7 @@ from hypercore import (
     set_distance,
 )
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
-from hypercore.graphs import _tree_distances, tree_walk
+from hypercore.graphs import _fold_rows, _tree_distances, tree_walk
 from hypercore.hyperbolicity import four_point_defect
 from hypercore.quasiconvex import check_hit_pack
 from oracles import (
@@ -487,3 +487,32 @@ def test_many_pairs_skip_the_interval_mask():
         for pairs in (every, few):
             got = intercepted_pairs(g, dm, ball, pairs).tolist()
             assert got == [naive_intercepts(g, dm, members, x, y) for x, y in pairs]
+
+
+@st.composite
+def ragged_groups(draw):
+    """Rows of an int16 or int64 array, and groups of row numbers (repeats
+    allowed) in non-increasing size."""
+    dtype = draw(st.sampled_from([np.int16, np.int64]))
+    info = np.iinfo(dtype)
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    values = st.lists(st.integers(int(info.min), int(info.max)), min_size=cols, max_size=cols)
+    a = np.array(draw(st.lists(values, min_size=rows, max_size=rows)), dtype=dtype)
+    sizes = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=10)), reverse=True)
+    return a, [draw(st.lists(st.integers(0, rows - 1), min_size=k, max_size=k)) for k in sizes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ragged_groups())
+@example((np.arange(12, dtype=np.int16).reshape(3, 4), [[2], [0], [1], [2]]))  # singletons
+@example((-np.arange(12, dtype=np.int64).reshape(3, 4), [[2, 0, 1, 1]]))  # one group
+@example((np.eye(3, dtype=np.int16), [[0, 1, 2], [2, 1, 0], [1, 2], [0, 2], [1]]))  # ties
+def test_fold_rows_reduces_each_group(case):
+    a, groups = case
+    sizes = np.array([len(grp) for grp in groups])
+    flat = np.array([v for grp in groups for v in grp], dtype=np.intp)
+    first = np.cumsum(sizes) - sizes
+    for ufunc in (np.minimum, np.maximum):
+        out = _fold_rows(ufunc, a, flat, first, sizes)
+        assert out.dtype == a.dtype
+        assert out.tolist() == [ufunc.reduce(a[grp], axis=0).tolist() for grp in groups]
