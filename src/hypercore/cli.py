@@ -81,6 +81,10 @@ def _thin_delta(args, g, dm) -> HalfInt:
         delta = _parse_halfint(args.delta)
         if delta.doubled < 0:
             raise ValueError(f"--delta {args.delta} is negative: a thin-triangle constant is >= 0")
+        try:
+            float(delta)  # the report gives it as a float too
+        except OverflowError:
+            raise ValueError(f"--delta {args.delta} is too large for a float") from None
         return delta
     from .hyperbolicity import four_point_delta, thin_delta_bound
 
@@ -460,10 +464,14 @@ def run_cli(argv=None) -> int:
         if not args.four_point.exact:
             report["delta_exact"] = False
     text = json.dumps(report, indent=2, sort_keys=False)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    try:
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        else:
+            print(text)
+    except OSError as exc:  # such as an --out in a missing directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if ok else 2
 
 

@@ -21,7 +21,6 @@ from .graphs import (
     _fold_rows,
     check_pairs,
     check_vertices,
-    components_without,
     distance_matrix,
     multi_source_distances,
     row_chunks,
@@ -111,10 +110,10 @@ def traffic_load(g: Graph, demand: Sequence[tuple[int, int]] | None, S: Sequence
     endpoints or an id outside 0..n-1 raises ValueError (``check_pairs``).
 
     On a tree each pair has one geodesic, which meets S unless both
-    endpoints lie in one component of T - S.  One O(n) pass labels those
-    components; the uniform demand then has mu = n(n-1) - sum |C|(|C|-1)
-    over the components C, and an explicit demand is one count over its
-    pairs (repeats counted).
+    endpoints lie in one component of T - S.  One O(n) pass down the
+    ``tree_walk`` preorder labels and sizes those components; the uniform
+    demand has mu = n(n-1) - sum |C|(|C|-1) over the components C, and an
+    explicit demand is one count over its pairs (repeats counted).
 
     On other graphs, one ``multi_source_distances`` call gives the
     distance rows of the demand sources outside S that have a target
@@ -134,7 +133,17 @@ def traffic_load(g: Graph, demand: Sequence[tuple[int, int]] | None, S: Sequence
     if demand is not None:
         demand = check_pairs(n, demand)
     if g.is_tree():
-        label, sizes = components_without(g, inside)
+        parent, _, order = tree_walk(g)
+        label = [n] * n  # n marks the vertices of S
+        sizes: list[int] = []
+        for v in order:
+            if v not in inside:
+                c = label[parent[v]] if v else n
+                if c == n:  # the root, or a parent in S: a new component
+                    c = len(sizes)
+                    sizes.append(0)
+                label[v] = c
+                sizes[c] += 1
         if demand is None:
             return Fraction(n * (n - 1) - sum(c * (c - 1) for c in sizes))
         return Fraction(sum(1 for s, t in demand if label[s] == n or label[s] != label[t]))

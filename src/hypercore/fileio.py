@@ -43,8 +43,9 @@ class LabelTable:
 
 def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """(line number, whitespace-separated fields) of every line that is
-    neither blank nor a '#' comment."""
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    neither blank nor a '#' comment.  A leading byte-order mark is dropped
+    (``utf-8-sig``), as by both JSON readers, so it never joins a label."""
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         fields = raw.split()
         if fields and not fields[0].startswith("#"):
             yield lineno, fields
@@ -113,7 +114,7 @@ def _check_strings(path: str | Path, i: int, entry: dict, labels: list) -> None:
 
 def read_family_json(path: str | Path) -> list[dict]:
     """[{"name": str, "vertices": [labels]}, ...]; epsilon is never read."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a nonempty JSON list of sets")
     for i, entry in enumerate(data):
@@ -128,7 +129,7 @@ def read_family_json(path: str | Path) -> list[dict]:
 
 def read_kappa_family_json(path: str | Path) -> list[dict]:
     """[{"name": str, "parts": [[labels], ...]}, ...]."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a nonempty JSON list of members")
     for i, entry in enumerate(data):

@@ -1,6 +1,6 @@
-"""Graph substrate: adjacency, component labels, BFS, all-pairs distances,
-intervals, balls, Gromov products, set distances, and the ball interception
-test.
+"""Graph substrate: adjacency, the rooted walk of a tree, BFS, all-pairs
+distances, intervals, balls, Gromov products, set distances, and the ball
+interception test.
 
 Graphs and distance matrices are immutable after construction and safe to
 share across threads; every operation here is a pure function of them.
@@ -30,7 +30,7 @@ _SOURCE_BLOCK = 512
 class Graph:
     """Undirected connected simple graph on dense vertex ids 0..n-1."""
 
-    __slots__ = ("n", "m", "adjacency", "indptr", "indices")
+    __slots__ = ("n", "m", "adjacency", "indptr", "indices", "_walk")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -54,12 +54,26 @@ class Graph:
         self.n = n
         self.m = len(edges)
         self.adjacency = adjacency
-        label, sizes = components_without(self)
-        if len(sizes) > 1:
-            # component 1 starts at the first vertex outside 0's component
+        # a depth-first walk from 0 checks connectivity; a tree keeps it for
+        # ``tree_walk``, since a vertex's unreached neighbours are its children
+        parent = [-1] * n
+        depth = [-1] * n
+        depth[0] = 0
+        order: list[int] = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w in adjacency[v]:
+                if depth[w] < 0:
+                    parent[w] = v
+                    depth[w] = depth[v] + 1
+                    stack.append(w)
+        if len(order) < n:
             raise ValueError(
-                f"graph is disconnected: vertex {label.index(1)} unreachable from 0"
+                f"graph is disconnected: vertex {depth.index(-1)} unreachable from 0"
             )
+        self._walk = (parent, depth, order) if self.is_tree() else None
         self.indptr, self.indices = indptr, indices
         indptr.flags.writeable = indices.flags.writeable = False
 
@@ -168,33 +182,6 @@ def row_chunks(count: int, n: int) -> Iterator[slice]:
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
-def components_without(g: Graph, removed: Iterable[int] = ()) -> tuple[list[int], list[int]]:
-    """Component labels of g - removed, and the size of each component.
-
-    Components are numbered in order of their smallest vertex.  A removed
-    vertex gets the label n, which no component has.
-    """
-    n = g.n
-    adj = g.adjacency
-    label = [-1] * n
-    for v in removed:
-        label[v] = n
-    sizes = []
-    for root in range(n):
-        if label[root] != -1:
-            continue
-        c = len(sizes)
-        label[root] = c
-        comp = [root]
-        for u in comp:
-            for w in adj[u]:
-                if label[w] == -1:
-                    label[w] = c
-                    comp.append(w)
-        sizes.append(len(comp))
-    return label, sizes
-
-
 def multi_source_distances(
     g: Graph, sources: Sequence[int], deleted: Iterable[int] = ()
 ) -> np.ndarray:
@@ -287,23 +274,12 @@ def tree_walk(g: Graph) -> tuple[list[int], list[int], list[int]]:
     """Parent (-1 at the root), depth and depth-first preorder of a tree
     rooted at vertex 0.  A parent precedes its children in the preorder,
     and the subtree of each vertex is the run of the preorder that starts
-    at the vertex."""
+    at the vertex.  They are the lists of the constructor's connectivity
+    walk, so nothing is traversed here; they belong to the graph and are
+    read-only."""
     if not g.is_tree():
         raise ValueError(f"tree_walk needs a tree, got {g!r}")
-    adj = g.adjacency
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                stack.append(w)
-    return parent, depth, order
+    return g._walk
 
 
 def _tree_distances(g: Graph) -> np.ndarray:

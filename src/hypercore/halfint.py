@@ -91,7 +91,8 @@ class HalfInt:
         return self.doubled != 0
 
     def __float__(self):
-        return self.doubled / 2.0
+        # int / int rounds once, and overflows only when the value does
+        return self.doubled / 2
 
     def __str__(self):
         if self.is_integer:

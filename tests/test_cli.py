@@ -340,6 +340,15 @@ def test_negative_delta_is_an_input_error(tmp_path, capsys, command):
             assert err == f"error: --delta {delta} is negative: a thin-triangle constant is >= 0\n"
 
 
+@pytest.mark.parametrize("command", DELTA_COMMANDS)
+def test_delta_without_a_float_is_an_input_error(tmp_path, capsys, command):
+    radius = {"multicore": 8, "kappa": 8}.get(command, 0)
+    argv = [*_delta_command_argv(tmp_path, command, radius), "--delta", "1e400"]
+    code, rep, err = run_json(capsys, argv)
+    assert (code, rep) == (1, None)
+    assert err == "error: --delta 1e400 is too large for a float\n"
+
+
 def test_max_n_default_is_the_matrix_cap():
     args = hypercore.cli._build_parser().parse_args(["hyperbolicity", "--edges", "g.txt"])
     assert args.max_n == DEFAULT_MATRIX_CAP
@@ -406,6 +415,44 @@ def test_out_flag_writes_file(tmp_path, capsys):
     rep = json.loads(target.read_text(encoding="utf-8"))
     assert rep["command"] == "hyperbolicity"
     assert capsys.readouterr().out == ""
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    path = write_graph(tmp_path, path_graph(4))
+    for target in (tmp_path / "missing" / "rep.json", tmp_path):
+        assert run_cli(["--out", str(target), "core", "--edges", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno ") and f"'{target}'" in captured.err
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    golden = Path(__file__).parent / "golden"
+    names = ("tree40.txt", "profile.txt", "pairs.txt", "family.json", "kappa.json")
+    inputs = {name: (golden / name).read_bytes() for name in names}
+    inputs["triangle.txt"] = b"a b\nb c\nc a\n"
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        for inp, data in inputs.items():
+            (tmp_path / name / inp).write_bytes(bom + data)
+    family = ["--edges", "{d}/tree40.txt", "--family"]
+    cases = [
+        ["hyperbolicity", "--edges", "{d}/triangle.txt"],
+        ["core", "--edges", "{d}/tree40.txt", "--profile", "{d}/profile.txt"],
+        ["traffic", "--edges", "{d}/tree40.txt", "--demand", "{d}/pairs.txt", "--set", "3,6"],
+        ["helly", *family, "{d}/family.json", "--r", "3", "--delta", "0"],
+        ["kappa", *family, "{d}/kappa.json", "--r", "1", "--delta", "0"],
+    ]
+    for i, case in enumerate(cases):
+        reports = []
+        for name in ("plain", "bom"):
+            out = tmp_path / f"{name}{i}.json"
+            argv = [arg.replace("{d}", str(tmp_path / name)) for arg in case]
+            assert run_cli(["--out", str(out), *argv]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+    triangle = json.loads((tmp_path / "bom0.json").read_text(encoding="utf-8"))
+    assert (triangle["n"], triangle["m"], triangle["diameter"]) == (3, 3, 1)
 
 
 def test_input_errors_exit_1(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
@@ -296,8 +296,20 @@ def traffic_instances(draw):
     return g, tuple(pairs), S
 
 
+def _all_pairs(n):
+    return tuple(itertools.permutations(range(n), 2))
+
+
+# tree components of T - S: the root in S with three children below it, a
+# path cut at every other vertex, and one vertex left outside S
+ROOT_SPLIT = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (2, 6)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(traffic_instances())
+@example((ROOT_SPLIT, _all_pairs(7) + ((4, 1), (5, 6)), [0]))
+@example((path_graph(8), _all_pairs(8), [1, 3, 5, 7]))
+@example((random_tree(9, 3), _all_pairs(9), [v for v in range(9) if v != 4]))
 def test_traffic_load_matches_enumeration_on_random_graphs(case):
     g, pairs, S = case
     dm = distance_matrix(g)

@@ -340,6 +340,14 @@ def test_tree_walk_is_a_preorder_from_0(g):
         assert set(order[at[v] : at[v] + len(subtree)]) == subtree
 
 
+def test_tree_walk_is_kept_from_the_constructor():
+    g = random_tree(60, 5)
+    walk = tree_walk(g)
+    assert all(type(lists) is list for lists in walk)
+    g.adjacency = None  # a second traversal would fail here
+    assert all(again is kept for again, kept in zip(tree_walk(g), walk))
+
+
 def test_tree_walk_refuses_other_graphs():
     with pytest.raises(ValueError, match="needs a tree"):
         tree_walk(cycle_graph(4))

@@ -53,6 +53,10 @@ def test_str_and_flags():
     assert HalfInt(2).is_integer
     assert not HalfInt.from_doubled(5).is_integer
     assert float(HalfInt.from_doubled(5)) == 2.5
+    # a value near the float limit converts, and one past it overflows
+    assert float(HalfInt(10**308)) == 1e308
+    with pytest.raises(OverflowError):
+        float(HalfInt(10**400))
     assert not HalfInt(0)
     assert HalfInt.from_doubled(1)
 
