@@ -24,7 +24,7 @@ from .fileio import (
     write_edge_list,
 )
 from .generators import PRNG_ID
-from .graphs import DEFAULT_MATRIX_CAP, check_matrix_cap, distance_matrix
+from .graphs import DEFAULT_MATRIX_CAP, distance_matrix
 from .halfint import HalfInt
 
 # Each handler imports the analysis modules it runs, so a command loads
@@ -65,10 +65,16 @@ def _parse_halfint(text: str) -> HalfInt:
     return HalfInt.from_doubled(frac.numerator * (2 // frac.denominator))
 
 
-def _load_graph(args):
+def _read_graph(args):
     g, table = read_edge_list(args.edges)
-    dm = distance_matrix(g, cap=args.max_n)
-    return g, dm, table
+    if g.n > args.max_n:
+        raise ValueError(f"graph has {g.n} vertices, above the all-pairs cap --max-n {args.max_n}")
+    return g, table
+
+
+def _load_graph(args):
+    g, table = _read_graph(args)
+    return g, distance_matrix(g, cap=args.max_n), table
 
 
 def _thin_delta(args, g, dm) -> HalfInt:
@@ -152,8 +158,7 @@ def _cmd_hyperbolicity(args):
 def _cmd_core(args):
     from .congestion import min_core
 
-    g, table = read_edge_list(args.edges)
-    check_matrix_cap(g.n, args.max_n)
+    g, table = _read_graph(args)
     if args.profile == "all":
         profile = list(range(g.n))
     else:
@@ -176,8 +181,7 @@ def _cmd_core(args):
 def _cmd_traffic(args):
     from .congestion import traffic_load
 
-    g, table = read_edge_list(args.edges)
-    check_matrix_cap(g.n, args.max_n)
+    g, table = _read_graph(args)
     demand = None  # the uniform demand
     if args.demand != "uniform":
         demand = [(table.id_of(a), table.id_of(b)) for a, b in read_pairs(args.demand)]
@@ -441,6 +445,8 @@ def run_cli(argv=None) -> int:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
+        if args.max_n < 1:  # no graph has fewer vertices, so it would refuse every one
+            parser.error(f"argument --max-n: must be at least 1, got {args.max_n}")
     except _CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

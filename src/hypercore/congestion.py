@@ -219,14 +219,12 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
     with np.maximum.  Heads go in chunks of _BLOCK_ELEMS // n rows; the
     target rows go into the histogram at most n at a time, since bincount
     widens them to intp.  The arrays kept across blocks are esc, nb*n x n
-    in int16, which never exceeds max(n^2, _BLOCK_ELEMS) entries, and the
-    histogram, n x (diameter + 1) in int64.
+    in the matrix's distance type, which never exceeds max(n^2, _BLOCK_ELEMS)
+    entries, and the histogram, n x (diameter + 1) in int64.
     """
     n = g.n
     d = dm.d
     diameter = int(d.max())
-    dtype = np.int16 if diameter < np.iinfo(np.int16).max else np.int32
-    dc = d.astype(dtype)
     # every arc u -> w of the symmetric adjacency
     tail, head = np.repeat(np.arange(n), np.diff(g.indptr)), g.indices
     width = diameter + 1
@@ -236,13 +234,13 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
     profile_arr = np.asarray(profile, dtype=np.intp)
     nsources = len(profile) - 1
     nb = min(max(1, rows // n), nsources)
-    esc = np.empty((nb * n, n), dtype=dtype)
+    esc = np.empty((nb * n, n), dtype=d.dtype)
     chunk = min(n, rows)
     for i0 in range(0, nsources, nb):
         xs = profile_arr[i0 : i0 + nb]
         k = len(xs)
         offset = np.arange(k)[:, None] * n
-        dx = dc[xs]
+        dx = d[xs]
         # later[i, j]: profile[j] is a target of source i0 + i
         later = np.arange(len(profile)) > np.arange(i0, i0 + k)[:, None]
         last = np.where(later, dx[:, profile_arr], -1).max(axis=1)
@@ -261,8 +259,7 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
         indeg = np.bincount(heads, minlength=k * n)
         top = int(indeg.max())
         # sort key (layer, -indegree, head row) as one int64, built in place
-        key = layer.astype(np.int64)
-        key *= top + 1
+        key = np.multiply(layer, top + 1, dtype=np.int64)
         key -= indeg[heads]
         key *= k * n
         key += heads
@@ -282,7 +279,7 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
                 g1 = min(g0 + rows, int(bounds[step + 1]))
                 best = _fold_rows(np.maximum, esc, preds, starts[g0:g1], degree[g0:g1])
                 vs = vertices[g0:g1]
-                np.minimum(best, dc[vs % n], out=best)
+                np.minimum(best, d[vs % n], out=best)
                 esc[vs] = best
         targets = (offset + profile_arr)[later]
         for j in range(0, len(targets), chunk):
@@ -355,9 +352,8 @@ def median_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:
     if not profile:
         raise ValueError("median of an empty profile")
     # d is symmetric, so the profile's rows give the sums; they are gathered
-    # in row chunks, not as one |X| x n copy
-    d = dm.d
-    sums = sum(d[profile[c]].sum(axis=0) for c in row_chunks(len(profile), dm.n))
+    # in row chunks, not as one |X| x n copy, and summed in the platform integer
+    sums = sum(dm.d[profile[c]].sum(axis=0) for c in row_chunks(len(profile), dm.n))
     return int(sums.argmin())
 
 
@@ -366,6 +362,7 @@ def centroid_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:
     profile = check_vertices(dm.n, X, "profile")
     if not profile:
         raise ValueError("centroid of an empty profile")
-    d = dm.d
-    sums = sum(np.square(d[profile[c]]).sum(axis=0) for c in row_chunks(len(profile), dm.n))
+    rows = (dm.d[profile[c]] for c in row_chunks(len(profile), dm.n))
+    # a square leaves the distance type, so it is taken in int64
+    sums = sum(np.square(r, dtype=np.int64).sum(axis=0) for r in rows)
     return int(sums.argmin())

@@ -122,13 +122,20 @@ class Ball:
             raise ValueError(f"ball radius must be nonnegative, got {self.radius}")
 
 
+def _distance_dtype(n: int) -> type[np.signedinteger]:
+    """The type of every distance array on n vertices, int16 while 2n < 2^15,
+    int32 above: it holds every sum or difference of two distances (< n)."""
+    return np.int16 if 2 * n < 2**15 else np.int32
+
+
 class DistanceMatrix:
-    """All-pairs hop distances, materialized as an n x n integer array."""
+    """All-pairs hop distances as an n x n array of the distance type
+    (``_distance_dtype``): int16 below 16,384 vertices, int32 above."""
 
     __slots__ = ("d",)
 
     def __init__(self, d: np.ndarray):
-        self.d = np.asarray(d, dtype=np.int64)
+        self.d = np.asarray(d, dtype=_distance_dtype(len(d)))
 
     @property
     def n(self) -> int:
@@ -186,9 +193,9 @@ def multi_source_distances(
     g: Graph, sources: Sequence[int], deleted: Iterable[int] = ()
 ) -> np.ndarray:
     """Hop distances from each of ``sources`` in g with the ``deleted``
-    vertices removed, as a (len(sources), n) int64 array whose row i is the
-    distance row of sources[i].  -1 marks a vertex that is unreachable or
-    deleted; a source must not be deleted.
+    vertices removed, as a (len(sources), n) array of the distance type
+    whose row i is the distance row of sources[i].  -1 marks a vertex that
+    is unreachable or deleted; a source must not be deleted.
 
     A bit-parallel multi-source BFS (Then et al., VLDB 2014; Akiba, Iwata
     and Yoshida, SIGMOD 2013): every vertex holds a bitset over up to
@@ -196,8 +203,8 @@ def multi_source_distances(
     the neighbours' frontier bitsets, masked by the bits not yet seen.  The
     distances are kept bit-sliced: the vertices a layer reaches are ORed
     into the bit planes of that layer's number, and the planes are unpacked
-    once, into a small integer block that is copied into the int64 result
-    one block of sources at a time.
+    once, into a block of the distance type that is copied, transposed,
+    into the result one block of sources at a time.
     """
     n = g.n
     sources = [int(s) for s in sources]
@@ -210,9 +217,8 @@ def multi_source_distances(
     # the CSR plus a sentinel index n naming an always-empty frontier row that
     # ends the last vertex's segment; g is connected, so no other is empty
     starts, indices = g.indptr[:-1], np.append(g.indices, n)
-    # the layer count of any vertex stays below n
-    acc_type = np.int8 if n <= 128 else np.int16 if n <= 32768 else np.int32
-    out = np.empty((len(sources), n), dtype=np.int64)
+    acc_type = _distance_dtype(n)
+    out = np.empty((len(sources), n), dtype=acc_type)
     for lo in range(0, len(sources), _SOURCE_BLOCK):
         block = sources[lo : lo + _SOURCE_BLOCK]
         bits = np.zeros((n, -(-len(block) // 64) * 64), dtype=np.uint8)
@@ -283,9 +289,9 @@ def tree_walk(g: Graph) -> tuple[list[int], list[int], list[int]]:
 
 
 def _tree_distances(g: Graph) -> np.ndarray:
-    """All-pairs distances of a tree, as a C-contiguous int64 array, from
-    d(u, v) = depth u + depth v - 2 * depth lca(u, v), with no loop over
-    vertices or layers.
+    """All-pairs distances of a tree, as a C-contiguous array of the
+    distance type (``_distance_dtype``), with no loop over vertices or
+    layers, from d(u, v) = depth u + depth v - 2 * depth lca(u, v).
 
     Work in ``tree_walk``'s preorder positions.  The subtree of position s
     is the run s..last[s] of the preorder, with last[s] = s + size - 1, so
@@ -301,33 +307,29 @@ def _tree_distances(g: Graph) -> np.ndarray:
     preorder number tin then put rows and columns back in vertex order.
 
     Every count and sum stays within 2n in absolute value (T <= n and the
-    depths are below n), so int16 holds them while 2n < 2^15, and int32
-    above, as the BFS kernel picks its accumulator.  The count runs along
-    the contiguous axis, and each n x n intermediate is freed once the next
-    is built, so at most one small-int array lives beside the int64 result
-    (about 40 MB at the default cap).
+    depths are below n), so the count in the distance type is the result.
+    It runs along the contiguous axis, and each n x n intermediate is freed
+    once the next is built (about 20 MB at the default cap).
     """
     n = g.n
     parent, depth, order = tree_walk(g)
     size = [1] * n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
-    acc_type = np.int16 if 2 * n < 2**15 else np.int32
     pos = np.arange(n)
     last = pos + np.array(size)[order] - 1
     inside = last >= pos[:, None]
-    t = np.cumsum(inside, axis=1, dtype=acc_type)
+    t = np.cumsum(inside, axis=1, dtype=_distance_dtype(n))
     del inside
     t = np.minimum(t, t.T)
     t *= -2
-    p = np.array(depth, dtype=acc_type)[order] + 1
+    p = np.array(depth, dtype=t.dtype)[order] + 1
     t += p[:, None]
     t += p
     tin = np.empty(n, dtype=np.intp)
     tin[order] = pos
     t = t.take(tin, axis=0)
-    t = t.take(tin, axis=1)
-    return t.astype(np.int64)
+    return t.take(tin, axis=1)
 
 
 def interval(dm: DistanceMatrix, u: int, v: int) -> list[int]:

@@ -116,17 +116,16 @@ def _lower_layers(g: Graph, blk: np.ndarray, d: np.ndarray, diam: int) -> np.nda
     n = len(d)
     if diam < 2:
         return np.empty((0, 2), dtype=np.int32)
-    dc = d.astype(np.int16 if diam < np.iinfo(np.int16).max else np.int32)
     heads, tails = _block_arcs(g, blk)
     deg = np.bincount(heads, minlength=n)
     by_degree = np.argsort(-deg, kind="stable")
     local = np.empty((n, n), dtype=bool)
     for vs in np.array_split(by_degree, max(1, n * n // _BLOCK_ELEMS)):
-        far = _fold_rows(np.maximum, dc, tails, np.searchsorted(heads, vs), deg[vs])
-        local[vs] = far <= dc[vs]
-    local &= local.T & (dc < diam)
+        far = _fold_rows(np.maximum, d, tails, np.searchsorted(heads, vs), deg[vs])
+        local[vs] = far <= d[vs]
+    local &= local.T & (d < diam)
     pairs = _upper_pairs(local)
-    return pairs[np.argsort(-dc[pairs[:, 0], pairs[:, 1]], kind="stable")]
+    return pairs[np.argsort(-d[pairs[:, 0], pairs[:, 1]], kind="stable")]
 
 
 def _upper_pairs(mask: np.ndarray) -> np.ndarray:
@@ -137,14 +136,14 @@ def _upper_pairs(mask: np.ndarray) -> np.ndarray:
 
 
 class _FarApart:
-    """A block's far-apart pairs in scan order and their int32 distances,
+    """A block's far-apart pairs in scan order and their distances,
     shared by both scans: the diameter layer, all far-apart since no vertex
     is farther, then ``_lower_layers`` once a scan needs them."""
 
     def __init__(self, g: Graph, blk: np.ndarray, d: np.ndarray, diam: int):
         self.g, self.blk, self.d, self.diam, self.whole = g, blk, d, diam, False
         self.pairs = _upper_pairs(d == diam)
-        self.dist = np.full(len(self.pairs), diam, dtype=np.int32)
+        self.dist = np.full(len(self.pairs), diam, dtype=d.dtype)
 
     def reach(self, i: int, j: int, best: int) -> None:
         """Build the lower layers if rows i..j-1 pass the built ones and a scan
@@ -155,7 +154,7 @@ class _FarApart:
             return
         lower = _lower_layers(self.g, self.blk, self.d, self.diam)
         self.pairs = np.concatenate([self.pairs, lower])
-        self.dist = self.d[self.pairs[:, 0], self.pairs[:, 1]].astype(np.int32)
+        self.dist = self.d[self.pairs[:, 0], self.pairs[:, 1]]
         self.whole = True
 
 
@@ -288,8 +287,9 @@ def four_point_delta(g: Graph, dm: DistanceMatrix) -> FourPointResult:
     comes with a quadruple reaching it in G's ids ((0, 0, 0, 0) when it is
     0).  Within a block the scan pairs up far-apart pairs only
     (``far_apart_pairs``), taken in decreasing distance, and evaluates each
-    pair p against every earlier pair q as D_p + D_q - max(S2, S3) in int32
-    (Cohen, Coudert and Lancin, ACM JEA 2015).  Both reductions are exact:
+    pair p against every earlier pair q as D_p + D_q - max(S2, S3), in the
+    matrix's distance type (Cohen, Coudert and Lancin, ACM JEA 2015).  Both
+    reductions are exact:
 
     - Some maximizer has both pairs of its largest-sum pairing far-apart:
       moving a to a farther neighbour raises S1 by exactly 1 and S2, S3 by
@@ -323,7 +323,6 @@ def _four_point_scan(
     and (0, 0, 0, 0) when no quadruple beats it), the budget left, and 0 if
     the scan finished, else the distance of the first row it did not scan.
     """
-    d = dm.d.astype(np.int32)
     best_quad = (0, 0, 0, 0)
     i = 0
     while True:
@@ -340,10 +339,10 @@ def _four_point_scan(
         budget -= (j - i) * j
         ar, br = a[i:j, None], b[i:j, None]
         ac, bc = a[None, :j], b[None, :j]
-        s2 = d[ar, ac]
-        s2 += d[br, bc]
-        s3 = d[ar, bc]
-        s3 += d[br, ac]
+        s2 = dm.d[ar, ac]
+        s2 += dm.d[br, bc]
+        s3 = dm.d[ar, bc]
+        s3 += dm.d[br, ac]
         np.maximum(s2, s3, out=s2)
         diff = dist[i:j, None] + dist[None, :j]
         diff -= s2
@@ -396,7 +395,6 @@ def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> i
     on the block's thinness (its diameter, or the doubled four-point upper
     end in ``_block_scans``)."""
     width = pairs.diam + 1
-    dc = dm.d.astype(np.int16 if 2 * width < np.iinfo(np.int16).max else np.int32)
     i, rows = 0, 4
     while nu < cap:
         pairs.reach(i, i + 1, nu)
@@ -404,8 +402,8 @@ def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> i
         if i >= stop:
             return nu
         e = min(i + rows, stop)
-        du = dc[pairs.pairs[i:e, 0]]
-        p, x = np.nonzero(du + dc[pairs.pairs[i:e, 1]] == pairs.dist[i:e, None])
+        du = dm.d[pairs.pairs[i:e, 0]]
+        p, x = np.nonzero(du + dm.d[pairs.pairs[i:e, 1]] == pairs.dist[i:e, None])
         key = p * width + du[p, x]
         order = np.argsort(key)
         key, x = key[order], x[order]
@@ -420,7 +418,7 @@ def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> i
             hi = max(lo + 1, int(np.searchsorted(ends, start[lo] + _BLOCK_ELEMS, "right")))
             sz = size[lo:hi]
             mate = np.arange(start[lo], ends[hi - 1]) - np.repeat(start[lo:hi] - first[lo:hi], sz)
-            nu = max(nu, int(dc[np.repeat(x[lo:hi], sz), x[mate]].max()))
+            nu = max(nu, int(dm.d[np.repeat(x[lo:hi], sz), x[mate]].max()))
             lo = hi
         i, rows = e, min(4 * rows, max(1, _BLOCK_ELEMS // dm.n))
     return nu

@@ -132,28 +132,24 @@ def _set_epsilons(dm: DistanceMatrix, sets: Sequence[Sequence[int]]) -> list[int
     compared with d(x, y) and OR-ed over a into the set's union mask.  A
     block holds at most 2**16 elements (``graphs.row_chunks``): whole sets
     while b*n fits, otherwise one set and a run of its earlier members.
-    The member rows are read in the narrowest signed type that holds a sum
-    of two distances (int16 up to n = 16384), so a block takes 128 KB.
+    The matrix's distance type holds a sum of two distances, so the sums
+    are formed in place (int16 below 16,384 vertices: a block takes 128 KB).
     """
     d, n = dm.d, dm.n
     order, idx, sizes = _by_size(sets, n)
-    member = np.zeros(n, dtype=bool)
-    member[idx] = True
-    loc = (np.cumsum(member) - 1)[idx]  # idx as row numbers of ``rows``
-    rows = d[member].astype(np.min_scalar_type(-2 * n))
     starts = np.arange(0, idx.size, idx.shape[1])
     near = _fold_rows(np.minimum, d, idx.ravel(), starts, sizes)  # d(v, S), layout order
     between = np.zeros(near.shape, dtype=bool)  # union of the set's intervals
     for b, m in enumerate(_longer(sizes)[1:], 1):
         # the sets with more than b members: earlier members x, member b as y
-        xs, y, mask = loc[:m, :b], idx[:m, b, None], between[:m]
-        y_rows = rows[loc[:m, b]][:, None, :]
+        xs, y, mask = idx[:m, :b], idx[:m, b, None], between[:m]
+        y_rows = d[idx[:m, b]][:, None, :]
         for s in row_chunks(m, b * n):
             for a in row_chunks(b, n * (s.stop - s.start)):
                 x = xs[s, a]
-                block = rows[x]
+                block = d[x]
                 block += y_rows[s]
-                mask[s] |= (block == rows[x, y[s]][:, :, None]).any(axis=1)
+                mask[s] |= (block == d[x, y[s]][:, :, None]).any(axis=1)
     eps = np.empty(len(sets), dtype=np.int64)
     eps[order] = np.where(between, near, 0).max(axis=1)
     return eps.tolist()

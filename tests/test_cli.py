@@ -114,8 +114,7 @@ def test_traffic_refuses_a_tree_above_max_n(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: graph has 10 vertices, above the all-pairs cap of 9; "
-        "pass cap= explicitly to materialize the matrix anyway\n"
+        "error: graph has 10 vertices, above the all-pairs cap --max-n 9\n"
     )
     code, rep, err = run_json(capsys, ["--max-n", "10", *argv])
     assert code == 0
@@ -130,8 +129,7 @@ def test_traffic_refuses_a_non_tree_above_max_n(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: graph has 10 vertices, above the all-pairs cap of 9; "
-        "pass cap= explicitly to materialize the matrix anyway\n"
+        "error: graph has 10 vertices, above the all-pairs cap --max-n 9\n"
     )
 
 
@@ -144,8 +142,7 @@ def test_core_refuses_a_graph_above_max_n(tmp_path, capsys, g):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: graph has 10 vertices, above the all-pairs cap of 9; "
-        "pass cap= explicitly to materialize the matrix anyway\n"
+        "error: graph has 10 vertices, above the all-pairs cap --max-n 9\n"
     )
     code, rep, err = run_json(capsys, ["--max-n", "10", *argv])
     assert code == 0
@@ -349,9 +346,36 @@ def test_delta_without_a_float_is_an_input_error(tmp_path, capsys, command):
     assert err == "error: --delta 1e400 is too large for a float\n"
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("multicore", []),
+        ("kappa", []),
+        ("helly", ["--r", str(10**9), "--delta", str(10**9)]),
+        ("beamcore", ["--delta", str(10**9)]),
+    ],
+)
+def test_radius_or_delta_far_above_every_distance(tmp_path, capsys, command, extra):
+    # 10**9 is out of range of the distance type, so it may be compared with
+    # distances but never added to or subtracted from a distance array
+    argv = _delta_command_argv(tmp_path, command, 10**9, CYCLE_TAIL)
+    code, rep, err = run_json(capsys, [*argv, *extra])
+    assert code == 0
+
+
 def test_max_n_default_is_the_matrix_cap():
     args = hypercore.cli._build_parser().parse_args(["hyperbolicity", "--edges", "g.txt"])
     assert args.max_n == DEFAULT_MATRIX_CAP
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_max_n_below_one_is_an_input_error(tmp_path, capsys, cap):
+    path = write_graph(tmp_path, path_graph(4))
+    code, rep, err = run_json(capsys, ["--max-n", cap, "hyperbolicity", "--edges", str(path)])
+    assert (code, rep) == (1, None)
+    assert err == f"error: argument --max-n: must be at least 1, got {cap}\n"
+    code, rep, err = run_json(capsys, ["--max-n", "4", "hyperbolicity", "--edges", str(path)])
+    assert code == 0
 
 
 NOT_STRING = "a label that is not a string: "

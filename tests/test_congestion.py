@@ -190,6 +190,20 @@ def test_median_matches_bruteforce():
     assert centroid_vertex(dm, X) == brute2
 
 
+def test_centroid_squares_without_overflow():
+    # squares of distances up to 399 leave int16: a bare int16 square gives 36
+    assert centroid_vertex(distance_matrix(path_graph(400)), range(400)) == 199
+
+
+def test_median_and_centroid_on_a_long_path():
+    # on the path 0..n-1 both sums are symmetric about (k - 1) / 2 for the
+    # profile 0..k-1 and smallest there, so the smaller middle vertex wins
+    dm = distance_matrix(path_graph(2000))
+    for k in (2000, 1500, 7):
+        assert median_vertex(dm, range(k)) == (k - 1) // 2
+        assert centroid_vertex(dm, range(k)) == (k - 1) // 2
+
+
 def test_median_and_centroid_over_several_row_chunks():
     # 2**16 // 1100 = 59 profile rows a chunk, so 300 rows take six chunks
     g = grid_graph(25, 44)

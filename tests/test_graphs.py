@@ -19,7 +19,7 @@ from hypercore import (
     set_distance,
 )
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
-from hypercore.graphs import _fold_rows, _tree_distances, tree_walk
+from hypercore.graphs import DistanceMatrix, _distance_dtype, _fold_rows, _tree_distances, tree_walk
 from hypercore.hyperbolicity import four_point_defect
 from hypercore.quasiconvex import check_hit_pack
 from oracles import (
@@ -245,7 +245,7 @@ def test_descend_geodesic_is_shortest_and_deterministic():
         assert b in g.adjacency[a]
 
 
-# Sizes around the 64-source word boundary and the int8/int16 switch at 128.
+# Sizes around the 64-source word boundaries of the kernel's bitsets.
 WORD_SIZES = [1, 2, 63, 64, 65, 128, 129]
 
 
@@ -272,16 +272,16 @@ def seeded_graph(n, seed, extra):
 def test_distance_matrix_rows_match_bfs(n, seed, extra):
     g = seeded_graph(n, seed, extra)
     d = distance_matrix(g).d
-    assert d.dtype == np.int64
+    assert d.dtype == np.int16  # the distance type below 16,384 vertices
     assert d.shape == (n, n)
     for v in range(n):
         assert d[v].tolist() == bfs_distances(g, v)
 
 
 def test_distance_matrix_word_sizes_on_paths_and_cycles():
-    # paths reach the largest layer count a size allows; distance_matrix
-    # fills a path by the tree path, so the kernel's word sizes (int8 up to
-    # 128 vertices, int16 above) are checked on the kernel directly
+    # paths reach the largest layer count a size allows, so every bit plane
+    # of the kernel's counts is set; distance_matrix fills a path by the tree
+    # path, so the kernel is checked directly
     for n in WORD_SIZES[2:]:
         for g in (path_graph(n), cycle_graph(n)):
             want = [bfs_distances(g, v) for v in range(n)]
@@ -289,10 +289,19 @@ def test_distance_matrix_word_sizes_on_paths_and_cycles():
             assert multi_source_distances(g, range(n)).tolist() == want
 
 
+@pytest.mark.parametrize("n, dtype", [(16383, np.int16), (16384, np.int32)])
+def test_distance_dtype_switches_at_16384_vertices(n, dtype):
+    assert _distance_dtype(n) == dtype
+    assert 2 * (n - 1) <= np.iinfo(dtype).max  # a sum of two distances fits
+    star = Graph(n, [(0, v) for v in range(1, n)])
+    assert multi_source_distances(star, [1]).dtype == dtype
+    assert DistanceMatrix([[0, 1], [1, 0]]).d.dtype == np.int16
+
+
 def assert_tree_path_matches_kernel(g):
     d = _tree_distances(g)
     want = multi_source_distances(g, range(g.n))
-    assert d.dtype == np.int64 and d.flags.c_contiguous
+    assert d.dtype == want.dtype == np.int16 and d.flags.c_contiguous
     assert np.array_equal(d, want)
     assert np.array_equal(distance_matrix(g).d, want)
 
