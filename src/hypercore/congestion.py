@@ -1,14 +1,14 @@
 """Minimum-radius traffic cores, exact geodesic counting, traffic load of a
 vertex set under a demand profile, and median/centroid vertices.
 
-Geodesic counts use arbitrary-precision integers and traffic fractions use
-exact rationals, so none of the congestion certificates depend on float
-tolerances.
+Geodesic counts are int64, promoted to Python ints where they could
+overflow, and traffic fractions are exact rationals, so none of the
+congestion certificates depend on float tolerances.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,61 +41,70 @@ class CoreResult:
     median: int
 
 
-def _by_source(
-    n: int, demand: Sequence[tuple[int, int]] | None
-) -> Iterator[tuple[int, list[int]]]:
-    """(source, its targets) per distinct source, in order of first
-    appearance; a target repeats as often as its pair does.  The uniform
-    demand (None) yields each source with every other vertex, one source at
-    a time, so its n(n-1) pairs are never listed."""
-    if demand is None:
-        for s in range(n):
-            yield s, [*range(s), *range(s + 1, n)]
-        return
-    groups: dict[int, list[int]] = {}
-    for s, t in demand:
-        groups.setdefault(s, []).append(t)
-    yield from groups.items()
+def _geodesic_dag(g: Graph, dx: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The geodesic DAGs of k sources with distance rows dx, each stopping
+    at distance last[i], as one disjoint DAG on the rows i*n + v: its arcs
+    (preds, starts, vertices, degree, bounds) grouped by head row, heads by
+    layer and then by falling in-degree, so that head vertices[h] has the
+    degree[h] predecessor rows preds[starts[h]:], the heads at distance l
+    are bounds[l - 1]:bounds[l], and a layer is one ``graphs._fold_rows``.
+    The arc temporaries hold k x 2m entries."""
+    n = g.n
+    # every arc u -> w of the symmetric adjacency
+    tail, head = np.repeat(np.arange(n), np.diff(g.indptr)), g.indices
+    dh = dx[:, head]
+    dag = dx[:, tail] + 1 == dh
+    dag &= dh <= last[:, None]
+    src, arc = np.nonzero(dag)
+    layer = dh[src, arc]
+    src *= n
+    heads = src + head[arc]
+    preds = src + tail[arc]
+    del dh, dag, src, arc  # free the arc temporaries before the next ones
+    indeg = np.bincount(heads, minlength=dx.size)
+    # sort key (layer, -indegree, head row) as one int64, built in place
+    key = np.multiply(layer, int(indeg.max()) + 1, dtype=np.int64)
+    key -= indeg[heads]
+    key *= dx.size
+    key += heads
+    order = np.argsort(key)
+    del key
+    preds, heads, layer = preds[order], heads[order], layer[order]
+    del order
+    starts = np.flatnonzero(np.diff(heads, prepend=-1))
+    vertices = heads[starts]
+    bounds = np.searchsorted(layer[starts], np.arange(1, int(last.max()) + 2))
+    return preds, starts, vertices, indeg[vertices], bounds
 
 
-def _geodesic_counts(
-    g: Graph, source: int, dist: list[int], last: int, blocked: frozenset[int] = frozenset()
-) -> tuple[list[int], list[int]]:
-    """Exact geodesic counts from source to every vertex within distance last.
-
-    dist holds the distances from source (-1 where unreachable).  One
-    breadth-first pass over the layered geodesic DAG counts for each vertex
-    all of its geodesics from source and those that meet no vertex of
-    blocked; a vertex is final once every vertex of the layer before it has
-    passed its counts on.
-    """
-    sigma = [0] * g.n
-    avoid = [0] * g.n
-    sigma[source] = 1
-    avoid[source] = int(source not in blocked)
-    adj = g.adjacency
-    order = [source]
-    for v in order:
-        dw = dist[v] + 1
-        if dw > last:
-            break
-        sv, av = sigma[v], avoid[v]
-        for w in adj[v]:
-            if dist[w] == dw:
-                if not sigma[w]:
-                    order.append(w)
-                sigma[w] += sv
-                if av and w not in blocked:
-                    avoid[w] += av
-    return sigma, avoid
+def _path_counts(g: Graph, dx: np.ndarray, last: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """Row i*n + v: the geodesics from source i (dx[i] its distance row,
+    the source outside ``blocked``) to v within last[i], and those meeting
+    no vertex of the mask ``blocked``, from one ``graphs._fold_rows`` with
+    np.add per layer of ``_geodesic_dag``.  The counts stay int64 while
+    every count a layer sums is below 2^62 / (its largest in-degree), so
+    no sum wraps; before the first layer where one might, the array
+    becomes Python ints (dtype object), which the same fold adds exactly."""
+    preds, starts, vertices, degree, bounds = _geodesic_dag(g, dx, last)
+    counts = np.zeros((dx.size, 2), dtype=np.int64)
+    counts[dx.ravel() == 0] = 1  # each source, the one vertex at distance 0 in its row
+    peak = 1
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if counts.dtype != object and peak >= 2**62 // int(degree[lo]):
+            counts = counts.astype(object)
+        layer = _fold_rows(np.add, counts, preds, starts[lo:hi], degree[lo:hi])
+        layer[blocked[vertices[lo:hi] % g.n], 1] = 0
+        counts[vertices[lo:hi]] = layer
+        peak = layer[:, 0].max()
+    return counts
 
 
 def geodesic_count(g: Graph, s: int, t: int) -> int:
     """Number of distinct (s,t)-geodesics, exact."""
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"pair ({s},{t}) out of range for n={g.n}")
-    dist = multi_source_distances(g, [s])[0].tolist()
-    return _geodesic_counts(g, s, dist, dist[t])[0][t]
+    dx = multi_source_distances(g, [s])
+    return int(_path_counts(g, dx, dx[:, t], np.zeros(g.n, dtype=bool))[t, 0])
 
 
 def traffic_load(g: Graph, demand: Sequence[tuple[int, int]] | None, S: Sequence[int]) -> Fraction:
@@ -115,16 +124,16 @@ def traffic_load(g: Graph, demand: Sequence[tuple[int, int]] | None, S: Sequence
     demand has mu = n(n-1) - sum |C|(|C|-1) over the components C, and an
     explicit demand is one count over its pairs (repeats counted).
 
-    On other graphs, one ``multi_source_distances`` call gives the
-    distance rows of the demand sources outside S that have a target
-    outside S.  Per such source, one pass over its geodesic DAG (up to the
-    farthest target) counts both the geodesics to every target and those
-    avoiding S; a target that no geodesic of that length reaches without
-    meeting S has avoiding count 0.  Every pair counts as a whole unit,
-    less each avoided share sigma_avoid/sigma_all, summed as an int
-    numerator keyed by its denominator sigma_all, so a Fraction is built
-    only once per distinct denominator, at the end.  Counts are big ints
-    throughout and no float is involved, so the result is exact.
+    On other graphs the sources outside S go in blocks of
+    k = max(1, _BLOCK_ELEMS // 8m), so the k x 2m arc temporaries stay
+    bounded.  Per block one ``multi_source_distances`` call gives their
+    rows, a k x n weight counts each source's targets outside S (the
+    uniform demand counts t > s twice: (t, s) has the same geodesics), and
+    ``_path_counts`` counts all and S-avoiding geodesics up to each
+    source's farthest target.  Every pair counts as a whole unit, less
+    each avoided share sigma_avoid/sigma_all, summed as an exact int
+    numerator per distinct denominator sigma_all, so a Fraction is built
+    once per denominator.  No float is involved, so the result is exact.
     """
     inside = frozenset(check_vertices(g.n, S, "S"))
     if not inside:
@@ -147,29 +156,39 @@ def traffic_load(g: Graph, demand: Sequence[tuple[int, int]] | None, S: Sequence
         if demand is None:
             return Fraction(n * (n - 1) - sum(c * (c - 1) for c in sizes))
         return Fraction(sum(1 for s, t in demand if label[s] == n or label[s] != label[t]))
-    sources = [
-        s
-        for s, targets in _by_source(n, demand)
-        if s not in inside and not inside.issuperset(targets)
-    ]
-    row_of = {s: i for i, s in enumerate(sources)}
-    rows = multi_source_distances(g, sources)
+    outside = np.bincount(list(inside), minlength=n) == 0
+    if demand is None:
+        sources = np.flatnonzero(outside)
+    else:
+        pairs = np.array(demand, dtype=np.intp).reshape(-1, 2)
+        pairs = pairs[outside[pairs].all(axis=1)]
+        sources, row = np.unique(pairs[:, 0], return_inverse=True)
+        key = np.sort(row * n + pairs[:, 1])
+    nb = max(1, _BLOCK_ELEMS // (4 * len(g.indices)))
     avoided: dict[int, int] = {}  # sigma_all -> summed sigma_avoid
-    for s, targets in _by_source(n, demand):
-        if s not in row_of:
-            continue
-        outside_targets = [t for t in targets if t not in inside]
-        dist = rows[row_of[s]].tolist()
-        last = max(dist[t] for t in outside_targets)
-        sigma, sigma_avoid = _geodesic_counts(g, s, dist, last, inside)
-        for t in outside_targets:
-            if sigma_avoid[t]:
-                den = sigma[t]
-                avoided[den] = avoided.get(den, 0) + sigma_avoid[t]
+    for b0 in range(0, len(sources), nb):
+        xs = sources[b0 : b0 + nb]
+        k = len(xs)
+        if demand is None:
+            weight = 2 * (outside & (np.arange(n) > xs[:, None]))
+        else:
+            lo, hi = np.searchsorted(key, [b0 * n, (b0 + k) * n])
+            weight = np.bincount(key[lo:hi] - b0 * n, minlength=k * n).reshape(k, n)
+        dx = multi_source_distances(g, xs)
+        counts = _path_counts(g, dx, np.where(weight > 0, dx, -1).max(axis=1), ~outside)
+        hit = np.flatnonzero((weight.ravel() > 0) & (counts[:, 1] > 0))
+        # equal counts sort together by their int64 residue mod a prime, and
+        # a pair is repeated as often as its weight counts it
+        hit = hit[np.argsort((counts[hit, 0] % (2**61 - 1)).astype(np.int64))]
+        hit = np.repeat(hit, weight.ravel()[hit])
+        den = counts[hit, 0]
+        first = np.flatnonzero(den != np.r_[0, den[:-1]])
+        shares = np.add.reduceat(counts[hit, 1].astype(object), first)
+        for d, share in zip(den[first].tolist(), shares.tolist()):
+            avoided[d] = avoided.get(d, 0) + share
+        del counts, den  # free this block's counts before the next block's arcs
     total = n * (n - 1) if demand is None else len(demand)
-    return Fraction(total) - sum(
-        (Fraction(num, den) for den, num in avoided.items()), Fraction(0)
-    )
+    return Fraction(total) - sum(Fraction(share, d) for d, share in avoided.items())
 
 
 def _tree_profile_pass(g: Graph, profile: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -210,23 +229,21 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
 
     The profile's sources (every vertex but the last) go in blocks of
     nb = max(1, _BLOCK_ELEMS // n^2).  The geodesic DAGs of one block's
-    sources form one disjoint DAG on the rows i*n + v of esc, where
-    esc[i*n + v, c] holds esc_c(x_i, v) for the block's i-th source x_i.
-    Source x_i's DAG stops at its farthest later profile vertex, and the
-    BFS layers run to the deepest of these, each once for the whole block.
-    Within a layer the heads are ordered by falling in-degree, so the
-    elementwise max over their predecessor rows is one ``graphs._fold_rows``
-    with np.maximum.  Heads go in chunks of _BLOCK_ELEMS // n rows; the
-    target rows go into the histogram at most n at a time, since bincount
-    widens them to intp.  The arrays kept across blocks are esc, nb*n x n
-    in the matrix's distance type, which never exceeds max(n^2, _BLOCK_ELEMS)
-    entries, and the histogram, n x (diameter + 1) in int64.
+    sources (``_geodesic_dag``) form one disjoint DAG on the rows i*n + v
+    of esc, where esc[i*n + v, c] holds esc_c(x_i, v) for the block's i-th
+    source x_i.  Source x_i's DAG stops at its farthest later profile
+    vertex, and the BFS layers run to the deepest of these, each once for
+    the whole block: the elementwise max over a layer's predecessor rows
+    is one ``graphs._fold_rows`` with np.maximum.  Heads go in chunks of
+    _BLOCK_ELEMS // n rows; the target rows go into the histogram at most
+    n at a time, since bincount widens them to intp.  The arrays kept
+    across blocks are esc, nb*n x n in the matrix's distance type, which
+    never exceeds max(n^2, _BLOCK_ELEMS) entries, and the histogram,
+    n x (diameter + 1) in int64.
     """
     n = g.n
     d = dm.d
     diameter = int(d.max())
-    # every arc u -> w of the symmetric adjacency
-    tail, head = np.repeat(np.arange(n), np.diff(g.indptr)), g.indices
     width = diameter + 1
     cols = np.arange(n, dtype=np.intp) * width
     hist = np.zeros(n * width, dtype=np.int64)
@@ -244,39 +261,11 @@ def _escape_histogram(g: Graph, dm: DistanceMatrix, profile: list[int]) -> np.nd
         # later[i, j]: profile[j] is a target of source i0 + i
         later = np.arange(len(profile)) > np.arange(i0, i0 + k)[:, None]
         last = np.where(later, dx[:, profile_arr], -1).max(axis=1)
-        # DAG arcs u -> w with dx[w] = dx[u] + 1 <= last, per source; the
-        # block's arcs grouped by head row, heads by layer and, within a
-        # layer, by falling in-degree
-        dh = dx[:, head]
-        dag = dx[:, tail] + 1 == dh
-        dag &= dh <= last[:, None]
-        src, arc = np.nonzero(dag)
-        layer = dh[src, arc]
-        src *= n
-        heads = src + head[arc]
-        preds = src + tail[arc]
-        del dh, dag, src, arc  # free the arc temporaries before the next ones
-        indeg = np.bincount(heads, minlength=k * n)
-        top = int(indeg.max())
-        # sort key (layer, -indegree, head row) as one int64, built in place
-        key = np.multiply(layer, top + 1, dtype=np.int64)
-        key -= indeg[heads]
-        key *= k * n
-        key += heads
-        order = np.argsort(key)
-        del key
-        preds, heads, layer = preds[order], heads[order], layer[order]
-        del order
-        starts = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
-        vertices = heads[starts]
-        degree = indeg[vertices]
-        depth = int(last.max())
-        bounds = np.searchsorted(layer[starts], np.arange(1, depth + 2))
-        del heads, layer, indeg
+        preds, starts, vertices, degree, bounds = _geodesic_dag(g, dx, last)
         esc[offset[:, 0] + xs] = dx
-        for step in range(depth):
-            for g0 in range(int(bounds[step]), int(bounds[step + 1]), rows):
-                g1 = min(g0 + rows, int(bounds[step + 1]))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            for g0 in range(lo, hi, rows):
+                g1 = min(g0 + rows, hi)
                 best = _fold_rows(np.maximum, esc, preds, starts[g0:g1], degree[g0:g1])
                 vs = vertices[g0:g1]
                 np.minimum(best, d[vs % n], out=best)

@@ -398,7 +398,8 @@ def _fold_rows(
     ufunc: np.ufunc, a: np.ndarray, flat: np.ndarray, first: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
     """Row k is ``ufunc`` folded over the rows a[flat[first[k] + j]], j <
-    sizes[k], of nonempty groups in non-increasing size.  Slot j is one
+    sizes[k], of nonempty groups in non-increasing size; a row may be a
+    scalar (a 1-D ``a``) and of any dtype, object too.  Slot j is one
     gather and one binary ``ufunc`` call over whole rows, for the leading
     groups longer than j (``_longer``).  ``ufunc.reduceat`` over the same
     gathered rows gives the same result, but it gathers every row at once

@@ -327,16 +327,22 @@ def _four_point_scan(
     i = 0
     while True:
         # rows i..j-1 against pairs 0..j-1, about 2**14 elements a block; j
-        # counts the whole list, so a block past the built rows needs them all
-        j = i + max(1, min(64, 2**14 // (i + 1)))
-        pairs.reach(i, j, best)
+        # counts the whole list, so a block past the built rows needs them
+        # all.  A block that fits the budget whatever the list's length tries
+        # its built rows first: if they reach the diameter, no lower pair
+        # (defect below it) ties and nothing later raises best, so the lower
+        # layers stay unbuilt and the block's charge is never needed
+        step = max(1, min(64, 2**14 // (i + 1)))
+        trial = not pairs.whole and i < len(pairs.dist) < i + step <= budget // step
+        if not trial:
+            pairs.reach(i, i + step, best)
         a, b, dist = pairs.pairs[:, 0], pairs.pairs[:, 1], pairs.dist
         if i >= len(dist) or int(dist[i]) <= best:
             return best, best_quad, budget, 0
-        j = min(j, len(dist))
+        j = min(i + step, len(dist))
         if (j - i) * j > budget:
             return best, best_quad, budget, int(dist[i])
-        budget -= (j - i) * j
+        budget -= 0 if trial else (j - i) * j
         ar, br = a[i:j, None], b[i:j, None]
         ac, bc = a[None, :j], b[None, :j]
         s2 = dm.d[ar, ac]
@@ -348,6 +354,9 @@ def _four_point_scan(
         diff -= s2
         flat = int(diff.argmax())
         val = int(diff.flat[flat])
+        if trial and val < pairs.diam:
+            pairs.reach(i, i + step, best)
+            continue
         if val > best:
             r, k = divmod(flat, j)
             best = val

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from hypercore import (
     traffic_load,
 )
 from hypercore import congestion
-from hypercore.congestion import _by_source, _tree_profile_pass
+from hypercore.congestion import _tree_profile_pass
 from hypercore.generators import cycle_graph, gnp_connected, grid_graph, path_graph, random_tree
 from oracles import (
     _intercepted_count,
@@ -80,9 +81,10 @@ def test_traffic_load_matches_enumeration():
 
 
 def test_uniform_demand_is_every_ordered_pair():
-    for n in (2, 7):
-        pairs = list(itertools.permutations(range(n), 2))
-        assert list(_by_source(n, None)) == list(_by_source(n, pairs))
+    for g in (path_graph(2), cycle_graph(7)):
+        pairs = list(itertools.permutations(range(g.n), 2))
+        for S in ([0], [1]):
+            assert traffic_load(g, None, S) == traffic_load(g, pairs, S)
     assert traffic_load(Graph(1, []), None, [0]) == 0
     g = grid_graph(3, 4)
     pairs = list(itertools.permutations(range(g.n), 2))
@@ -287,6 +289,37 @@ def test_min_core_in_small_blocks(monkeypatch):
             for elems in (2 * n, 2 * n * n, 3 * n * n):
                 monkeypatch.setattr(congestion, "_BLOCK_ELEMS", elems)
                 assert min_core(g, X, alpha) == expected
+
+
+def test_traffic_load_in_small_blocks(monkeypatch):
+    # 8m elements: one source per block; 16m and 24m: blocks of two and
+    # three sources whose DAGs stop at different depths, and a short last
+    # block
+    for g in (gnp_connected(30, 0.3, 4), grid_graph(4, 5)):
+        dm = distance_matrix(g)
+        n = g.n
+        uniform = list(itertools.permutations(range(n), 2))
+        demand = [(s, (7 * s + 3) % n) for s in range(0, n, 2) if (7 * s + 3) % n != s]
+        demand += demand[:5] + [(n - 1, 0), (n - 1, 0)]
+        for S in ([3], [0, 7, 11]):
+            want = [naive_traffic_load(g, dm, pairs, S) for pairs in (uniform, demand)]
+            for per_block in (1, 2, 3):
+                monkeypatch.setattr(congestion, "_BLOCK_ELEMS", 4 * per_block * len(g.indices))
+                assert [traffic_load(g, None, S), traffic_load(g, demand, S)] == want
+
+
+def test_counts_past_int64_on_a_grid():
+    # C(68, 34) > 2^63 monotone paths cross the 35 x 35 grid, so an int64
+    # count wraps unless the counts are promoted to Python ints in time; the
+    # share of those paths through cell (i, j) is
+    # C(i + j, i) * C(68 - i - j, 34 - i) / C(68, 34)
+    g = grid_graph(35, 35)
+    total = comb(68, 34)
+    assert total > 2**63
+    assert geodesic_count(g, 0, 1224) == geodesic_count(g, 1224, 0) == total
+    for i, j in ((17, 17), (1, 0), (10, 30), (34, 0), (33, 34)):
+        share = Fraction(comb(i + j, i) * comb(68 - i - j, 34 - i), total)
+        assert traffic_load(g, [(0, 1224)], [35 * i + j]) == share
 
 
 @st.composite

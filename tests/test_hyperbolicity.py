@@ -4,7 +4,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
@@ -416,10 +416,20 @@ def test_thinness_batches_past_the_stop_and_chunk_their_mates(monkeypatch):
 
 
 BUDGETS = st.one_of(st.sampled_from([0, 1, 7, 64 * 64]), st.integers(0, 5000))
+# grids with two chords: the 8 x 3 one's diameter rows reach the diameter,
+# and a budget of 100 covers them but not the first row block over the
+# whole list; the 7 x 3 one's reach one less, which a lower pair earlier
+# in that block ties, so the witness is the lower pair's
+CHORDED_GRIDS = (
+    Graph(24, [*grid_graph(8, 3).edges(), (17, 2), (23, 2)]),
+    Graph(21, [*grid_graph(7, 3).edges(), (3, 11), (2, 16)]),
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(connected_graphs(), glued_blocks(), gnp_half()), BUDGETS)
+@example(CHORDED_GRIDS[0], 100)
+@example(CHORDED_GRIDS[1], 4096)
 def test_budget_matches_a_scan_over_complete_lists(g, budget):
     dm = distance_matrix(g)
     with pytest.MonkeyPatch.context() as mp:
@@ -469,7 +479,7 @@ def test_scans_that_stop_in_the_diameter_layer_build_no_lower_layers(monkeypatch
 
     n = 20
     kmm = Graph(2 * n, [(a, n + b) for a in range(n) for b in range(n)])
-    graphs = (gnp_connected(200, 0.5, 1), cycle_graph(200), kmm)
+    graphs = (gnp_connected(200, 0.5, 1), cycle_graph(200), cycle_graph(40), kmm)
     want = [hyperbolicity_report(g, distance_matrix(g)) for g in graphs]
     monkeypatch.setattr(hyperbolicity, "_lower_layers", no_lower_layers)
     for g, rep in zip(graphs, want):
