@@ -91,11 +91,13 @@ def read_tokens(path: str | Path) -> list[str]:
 
 
 def read_pairs(path: str | Path) -> list[tuple[str, str]]:
-    """One labeled pair per line: demand and commodity files."""
+    """One labeled pair of distinct labels per line: demand and commodity files."""
     pairs: list[tuple[str, str]] = []
     for lineno, fields in _records(path):
         if len(fields) != 2:
             raise ValueError(f"{path}:{lineno}: expected two labels, got {len(fields)}")
+        if fields[0] == fields[1]:
+            raise ValueError(f"{path}:{lineno}: pair with equal endpoints {fields[0]!r}")
         pairs.append((fields[0], fields[1]))
     if not pairs:
         raise ValueError(f"{path}: no pairs found")

@@ -1,4 +1,4 @@
-"""Graph substrate: adjacency, the rooted walk of a tree, BFS, all-pairs
+"""Graph substrate: CSR adjacency, the rooted walk of a tree, BFS, all-pairs
 distances, intervals, balls, Gromov products, set distances, and the ball
 interception test.
 
@@ -8,6 +8,7 @@ share across threads; every operation here is a pure function of them.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -17,10 +18,11 @@ import numpy as np
 from .halfint import HalfInt
 
 DEFAULT_MATRIX_CAP = 2000
-# Elements in one block of gathered distance rows: the escape-radius DP's
-# sources per pass (congestion), and one gather of the far-apart mask or
-# batch of the thinness scan (hyperbolicity).  Bounds the temporaries
-# whatever the layer widths, instead of one n x n block at n = 2000.
+# Elements in one block of gathered distance rows or arc temporaries: the
+# escape-radius DP's sources per pass and ``traffic_load``'s k x 2m arc
+# entries (congestion), and one gather of the far-apart mask or batch of
+# the thinness scan (hyperbolicity).  Bounds the temporaries whatever the
+# layer widths, instead of one n x n block at n = 2000.
 _BLOCK_ELEMS = 1 << 20
 # Sources per bit-parallel BFS pass: its scratch is about five bytes per
 # vertex and source besides the result, 5 MB at n = 2000.
@@ -28,57 +30,61 @@ _SOURCE_BLOCK = 512
 
 
 class Graph:
-    """Undirected connected simple graph on dense vertex ids 0..n-1."""
+    """Undirected connected simple graph on dense vertex ids 0..n-1, stored as
+    its CSR (compressed sparse rows) adjacency: the neighbours of v are
+    indices[indptr[v]:indptr[v + 1]] in increasing order; both are read-only intp."""
 
-    __slots__ = ("n", "m", "adjacency", "indptr", "indices", "_walk")
+    __slots__ = ("n", "m", "indptr", "indices", "_walk")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        adjacency: list[list[int]] = [[] for _ in range(n)]
         edges = list(edges)
-        for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise _first_bad_edge(n, edges)
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        for nbrs in adjacency:
-            nbrs.sort()
-        # read-only CSR of the lists: the neighbours of v are indices[indptr[v]:indptr[v + 1]]
-        indptr = np.cumsum([0, *map(len, adjacency)], dtype=np.intp)
-        indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=2 * len(edges))
-        # a repeated edge shows as equal neighbours side by side in a sorted row
-        keys = np.repeat(np.arange(n, dtype=np.intp) * n, np.diff(indptr)) + indices
+        try:  # an id passes operator.index: a float or a string is refused, not converted
+            pairs = max(map(len, edges), default=2) == 2
+            ids = map(operator.index, chain.from_iterable(edges))
+            ends = np.fromiter(ids, np.intp, 2 * len(edges)).reshape(-1, 2)
+        except (TypeError, ValueError, OverflowError):  # no integer, too large, or too few
+            pairs = False
+        if not pairs or ends.min(initial=0) < 0 or ends.max(initial=0) >= n:
+            raise _first_bad_edge(n, edges)
+        # the keys u * n + v of both arcs of every edge, sorted: row u is the
+        # run of keys in [u * n, (u + 1) * n), in increasing v, and a repeat
+        # or a self-loop shows as two equal keys side by side
+        keys = (ends * n + ends[:, ::-1]).ravel()
+        keys.sort()
         if (keys[1:] == keys[:-1]).any():
             raise _first_bad_edge(n, edges)
-        self.n = n
-        self.m = len(edges)
-        self.adjacency = adjacency
-        # a depth-first walk from 0 checks connectivity; a tree keeps it for
-        # ``tree_walk``, since a vertex's unreached neighbours are its children
-        parent = [-1] * n
-        depth = [-1] * n
-        depth[0] = 0
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        keys %= n
+        indptr.flags.writeable = keys.flags.writeable = False
+        self.n, self.m, self.indptr, self.indices = n, len(edges), indptr, keys
+        # a depth-first walk from 0 checks connectivity, reading no row once
+        # every vertex is reached; a tree keeps it for ``tree_walk``, since a
+        # vertex's unreached neighbours are its children
+        starts, rows = indptr.tolist(), memoryview(keys)  # a slice of rows yields ints
+        parent, depth = [-1] * n, [0] + [-1] * (n - 1)
         order: list[int] = []
         stack = [0]
-        while stack:
+        unreached = n - 1
+        while unreached and stack:
             v = stack.pop()
             order.append(v)
-            for w in adjacency[v]:
+            for w in rows[starts[v] : starts[v + 1]]:
                 if depth[w] < 0:
                     parent[w] = v
                     depth[w] = depth[v] + 1
                     stack.append(w)
-        if len(order) < n:
-            raise ValueError(
-                f"graph is disconnected: vertex {depth.index(-1)} unreachable from 0"
-            )
-        self._walk = (parent, depth, order) if self.is_tree() else None
-        self.indptr, self.indices = indptr, indices
-        indptr.flags.writeable = indices.flags.writeable = False
+                    unreached -= 1
+        if unreached:
+            raise ValueError(f"graph is disconnected: vertex {depth.index(-1)} unreachable from 0")
+        self._walk = (parent, depth, order + stack[::-1]) if self.is_tree() else None
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        return ((u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
+        """Every edge once as (u, v), u < v, in increasing (u, v)."""
+        heads = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = heads < self.indices
+        return zip(heads[upper].tolist(), self.indices[upper].tolist())
 
     def is_tree(self) -> bool:
         return self.m == self.n - 1
@@ -95,19 +101,23 @@ class DuplicateEdgeError(ValueError):
         self.positions = positions
 
 
-def _first_bad_edge(n: int, edges: Sequence[tuple[int, int]]) -> ValueError:
+def _first_bad_edge(n: int, edges: Sequence[tuple[int, int]]) -> Exception:
     """The error for the first edge, in input order, that is out of range, a
-    self-loop or a repeat of an earlier edge."""
+    self-loop or a repeat of an earlier edge; an edge that is no pair of
+    integers raises at once, unless a range or self-loop fault comes first."""
     seen: dict[tuple[int, int], int] = {}
+    repeat = None
     for i, (u, v) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
-            return ValueError(f"edge ({u},{v}) out of range for n={n}")
+            return repeat or ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
-            return ValueError(f"self-loop at vertex {u}")
+            return repeat or ValueError(f"self-loop at vertex {u}")
+        operator.index(u), operator.index(v)
         key = (u, v) if u < v else (v, u)
         first = seen.setdefault(key, i)
-        if first != i:
-            return DuplicateEdgeError(*key, (first, i))
+        if repeat is None and first != i:
+            repeat = DuplicateEdgeError(*key, (first, i))
+    return repeat or TypeError("every edge must be a pair with a length")
 
 
 @dataclass(frozen=True)
@@ -487,10 +497,11 @@ def descend_geodesic(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> lis
 def _descent(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> Iterator[int]:
     """The vertices of ``descend_geodesic``, lazily, so a caller that needs
     only the first steps does not walk the rest."""
-    to_goal = dm.d[:, goal].tolist()
+    to_goal, rows = dm.d[:, goal].tolist(), memoryview(g.indices)
     cur = start
     yield cur
     while cur != goal:
         target = to_goal[cur] - 1
-        cur = min(w for w in g.adjacency[cur] if to_goal[w] == target)
+        row = rows[g.indptr[cur] : g.indptr[cur + 1]]
+        cur = next(w for w in row if to_goal[w] == target)  # rows increase
         yield cur

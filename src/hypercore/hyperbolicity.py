@@ -88,35 +88,25 @@ def four_point_defect(dm: DistanceMatrix, quad: tuple[int, int, int, int]) -> Ha
     return HalfInt.from_doubled(sums[2] - sums[1])
 
 
-def far_apart_pairs(g: Graph, dm: DistanceMatrix) -> np.ndarray:
-    """Every pair (a, b), a < b, of g with no neighbour of a farther from b
-    and no neighbour of b farther from a, as an (m, 2) int32 array by
+def far_apart_pairs(dm: DistanceMatrix) -> np.ndarray:
+    """Every pair (a, b), a < b, with no neighbour of a farther from b and
+    no neighbour of b farther from a, as an (m, 2) int32 array by
     decreasing d(a, b), ties row-major: the diameter layer, then ``_lower_layers``."""
     diam = int(dm.d.max())
-    lower = _lower_layers(g, np.arange(g.n), dm.d, diam)
-    return np.concatenate([_upper_pairs(dm.d == diam), lower])
+    return np.concatenate([_upper_pairs(dm.d == diam), _lower_layers(dm.d, diam)])
 
 
-def _block_arcs(g: Graph, blk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major heads and tails of the arcs of g with both ends in the
-    sorted array blk, relabelled by position in blk."""
-    lo, deg = g.indptr[blk], np.diff(g.indptr)[blk]
-    nbrs = g.indices[np.arange(deg.sum()) + np.repeat(lo - np.cumsum(deg) + deg, deg)]
-    tails = np.searchsorted(blk, nbrs)
-    keep = blk[np.minimum(tails, len(blk) - 1)] == nbrs
-    return np.repeat(np.arange(len(blk)), deg)[keep], tails[keep]
-
-
-def _lower_layers(g: Graph, blk: np.ndarray, d: np.ndarray, diam: int) -> np.ndarray:
-    """The far-apart pairs closer than diam of the block blk of g, whose
-    distances are d, in the order of ``far_apart_pairs``.  local[a, b] (no
-    neighbour of a is farther from b) compares row a with the elementwise
-    max of a's neighbour rows, one ``graphs._fold_rows`` over the vertices
-    by falling degree, about _BLOCK_ELEMS // n at a time."""
+def _lower_layers(d: np.ndarray, diam: int) -> np.ndarray:
+    """The far-apart pairs closer than diam of the graph or block whose
+    distances are d, in the order of ``far_apart_pairs``.  A block is
+    isometric (module docstring), so its arcs are the unit entries of d.
+    local[a, b] (no neighbour of a is farther from b) compares row a with
+    the elementwise max of a's neighbour rows, one ``graphs._fold_rows``
+    over the vertices by falling degree, about _BLOCK_ELEMS // n at a time."""
     n = len(d)
     if diam < 2:
         return np.empty((0, 2), dtype=np.int32)
-    heads, tails = _block_arcs(g, blk)
+    heads, tails = np.nonzero(d == 1)
     deg = np.bincount(heads, minlength=n)
     by_degree = np.argsort(-deg, kind="stable")
     local = np.empty((n, n), dtype=bool)
@@ -140,8 +130,8 @@ class _FarApart:
     shared by both scans: the diameter layer, all far-apart since no vertex
     is farther, then ``_lower_layers`` once a scan needs them."""
 
-    def __init__(self, g: Graph, blk: np.ndarray, d: np.ndarray, diam: int):
-        self.g, self.blk, self.d, self.diam, self.whole = g, blk, d, diam, False
+    def __init__(self, d: np.ndarray, diam: int):
+        self.d, self.diam, self.whole = d, diam, False
         self.pairs = _upper_pairs(d == diam)
         self.dist = np.full(len(self.pairs), diam, dtype=d.dtype)
 
@@ -152,7 +142,7 @@ class _FarApart:
         goes_on = self.dist[i] > best if i < built else best < self.diam - 1
         if self.whole or j <= built or not goes_on:
             return
-        lower = _lower_layers(self.g, self.blk, self.d, self.diam)
+        lower = _lower_layers(self.d, self.diam)
         self.pairs = np.concatenate([self.pairs, lower])
         self.dist = self.d[self.pairs[:, 0], self.pairs[:, 1]]
         self.whole = True
@@ -165,48 +155,43 @@ def biconnected_blocks(g: Graph) -> list[np.ndarray]:
     so a bridge is a two-vertex block and a one-vertex graph has none; the
     cut vertices are those in more than one block."""
     n = g.n
-    starts, tails = g.indptr.tolist(), g.indices.tolist()
-    disc = [-1] * n
+    starts, tails = g.indptr.tolist(), memoryview(g.indices)  # an item of tails is an int
+    disc = [0] + [-1] * (n - 1)  # g is connected, so one search from 0 reaches all
     low = [0] * n
     at = [0] * n  # position of each vertex on the open stack
     blocks = []
-    clock = 0
-    for root in range(n):
-        if disc[root] >= 0:
+    clock = 1
+    open_ = [0]  # visited vertices whose last block is not closed yet
+    path = [0]
+    cursor = [starts[0]]  # next adjacency slot of each path vertex
+    while path:
+        v = path[-1]
+        i = cursor[-1]
+        if i < starts[v + 1]:
+            cursor[-1] = i + 1
+            w = tails[i]
+            if disc[w] < 0:
+                disc[w] = low[w] = clock
+                clock += 1
+                at[w] = len(open_)
+                open_.append(w)
+                path.append(w)
+                cursor.append(starts[w])
+            elif disc[w] < low[v]:
+                low[v] = disc[w]
             continue
-        disc[root] = low[root] = clock
-        clock += 1
-        open_ = [root]  # visited vertices whose last block is not closed yet
-        path = [root]
-        cursor = [starts[root]]  # next adjacency slot of each path vertex
-        while path:
-            v = path[-1]
-            i = cursor[-1]
-            if i < starts[v + 1]:
-                cursor[-1] = i + 1
-                w = tails[i]
-                if disc[w] < 0:
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    at[w] = len(open_)
-                    open_.append(w)
-                    path.append(w)
-                    cursor.append(starts[w])
-                elif disc[w] < low[v]:
-                    low[v] = disc[w]
-                continue
-            path.pop()
-            cursor.pop()
-            if not path:
-                break
-            p = path[-1]
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if low[v] >= disc[p]:
-                # nothing below v reaches above p: p and v's open subtree
-                # form one block
-                blocks.append(np.sort(np.array(open_[at[v] :] + [p], dtype=np.int64)))
-                del open_[at[v] :]
+        path.pop()
+        cursor.pop()
+        if not path:
+            break
+        p = path[-1]
+        if low[v] < low[p]:
+            low[p] = low[v]
+        if low[v] >= disc[p]:
+            # nothing below v reaches above p: p and v's open subtree form
+            # one block
+            blocks.append(np.sort(np.array(open_[at[v] :] + [p], dtype=np.int64)))
+            del open_[at[v] :]
     return blocks
 
 
@@ -265,7 +250,7 @@ def _block_scans(
             four_point = False
         if not (four_point and diam > best or thinness and diam > nu):
             break
-        pairs = _FarApart(g, blk, sub.d, diam)
+        pairs = _FarApart(sub.d, diam)
         if four_point:
             val, q, budget, rest = _four_point_scan(sub, pairs, best, budget)
             if val > best:

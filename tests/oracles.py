@@ -28,6 +28,15 @@ from hypercore.graphs import (
 from hypercore.halfint import HalfInt
 
 
+def neighbours(g, v) -> list[int]:
+    """The neighbours of v in increasing order: a row of a ``Graph``'s CSR,
+    or of the ``adjacency`` lists of a stand-in that carries them (the
+    benchmark's checker passes one)."""
+    if hasattr(g, "adjacency"):
+        return g.adjacency[v]
+    return g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()
+
+
 def distances_avoiding(g, blocked, source):
     """One-source BFS hop distances in g with the ``blocked`` vertices
     deleted; -1 marks unreachable and blocked vertices.  The reference for
@@ -42,7 +51,7 @@ def distances_avoiding(g, blocked, source):
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.adjacency[u]:
+        for w in neighbours(g, u):
             if dist[w] < 0 and w not in blocked:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -89,7 +98,7 @@ def all_geodesics(g, dm, s, t):
             out.append(tuple(path))
             return
         step = int(d[cur, t]) - 1
-        for w in g.adjacency[cur]:
+        for w in neighbours(g, cur):
             if d[w, t] == step:
                 extend(path + [w])
 

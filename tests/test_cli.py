@@ -285,6 +285,17 @@ def test_multicore_cli(tmp_path, capsys):
     assert rep["size"] == 2
 
 
+@pytest.mark.parametrize("command, flag", [("traffic", "--demand"), ("multicore", "--commodity")])
+def test_pair_with_equal_endpoints_names_its_line(tmp_path, capsys, command, flag):
+    path = write_graph(tmp_path, path_graph(6))
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("v0 v3\n# comment\nv2 v2\n", encoding="utf-8")
+    argv = [command, "--edges", str(path), flag, str(pairs)]
+    argv += ["--set", "v1"] if command == "traffic" else ["--radius", "0"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: {pairs}:3: pair with equal endpoints 'v2'\n"
+
+
 def _delta_command_argv(tmp_path, command, radius=0, graph=None):
     """argv for one delta-using subcommand on ``graph``, by default the
     9-vertex path; ``radius`` is the kappa --r and the multicore --radius."""

@@ -10,7 +10,7 @@ from hypercore.generators import (
     star_path_graph,
     star_path_hub,
 )
-from oracles import validate_metric
+from oracles import neighbours, validate_metric
 
 
 def test_path_cycle_grid_shapes():
@@ -29,8 +29,8 @@ def test_star_path_structure():
     assert g.n == 25
     hub = star_path_hub(25)
     assert hub == 14
-    assert len(g.adjacency[hub]) == 1 + 10  # path neighbor + 10 leaves
-    assert all(g.adjacency[leaf] == [hub] for leaf in range(15, 25))
+    assert len(neighbours(g, hub)) == 1 + 10  # path neighbor + 10 leaves
+    assert all(neighbours(g, leaf) == [hub] for leaf in range(15, 25))
     assert g.is_tree()
 
 

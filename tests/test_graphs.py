@@ -19,7 +19,14 @@ from hypercore import (
     set_distance,
 )
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
-from hypercore.graphs import DistanceMatrix, _distance_dtype, _fold_rows, _tree_distances, tree_walk
+from hypercore.graphs import (
+    DistanceMatrix,
+    DuplicateEdgeError,
+    _distance_dtype,
+    _fold_rows,
+    _tree_distances,
+    tree_walk,
+)
 from hypercore.hyperbolicity import four_point_defect
 from hypercore.quasiconvex import check_hit_pack
 from oracles import (
@@ -27,9 +34,10 @@ from oracles import (
     distances_avoiding,
     naive_intercepts,
     naive_interval,
+    neighbours,
     validate_metric,
 )
-from strategies import connected_graphs, glued_blocks
+from strategies import connected_graphs
 
 
 def star_k13():
@@ -222,17 +230,81 @@ def test_ids_that_would_wrap_are_rejected(call):
         call(distance_matrix(path_graph(5)))
 
 
+@st.composite
+def edge_lists(draw, max_n=30):
+    """(n, edges) of a connected simple graph: a random spanning tree plus
+    random chords, each edge in either orientation, in any order."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 2:
+        chord = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+        edges |= set(draw(st.lists(chord, max_size=2 * n)))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in sorted(edges)]
+    return n, draw(st.permutations(edges))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(connected_graphs(), glued_blocks()))
-def test_stored_csr_reproduces_adjacency(g):
+@given(edge_lists())
+def test_csr_rows_are_the_sorted_input_neighbours(case):
+    n, edges = case
+    g = Graph(n, edges)
+    want = [[] for _ in range(n)]
+    for u, v in edges:
+        want[u].append(v)
+        want[v].append(u)
     assert g.indptr.dtype == g.indices.dtype == np.intp
-    assert len(g.indptr) == g.n + 1 and g.indptr[-1] == len(g.indices) == 2 * g.m
-    rows = [g.indices[g.indptr[v] : g.indptr[v + 1]].tolist() for v in range(g.n)]
-    assert rows == g.adjacency
+    assert len(g.indptr) == n + 1 and g.indptr[-1] == len(g.indices) == 2 * g.m == 2 * len(edges)
+    rows = [g.indices[g.indptr[v] : g.indptr[v + 1]].tolist() for v in range(n)]
+    assert rows == [sorted(nbrs) for nbrs in want]
+    # write_edge_list and the benchmark's inputs keep this order
+    assert list(g.edges()) == sorted((min(e), max(e)) for e in edges)
     for a in (g.indptr, g.indices):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[:1] = 0
+
+
+def unpack_error(edge):
+    """The error Python gives for unpacking ``edge`` into two names."""
+    try:
+        _, _ = edge
+    except (TypeError, ValueError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "n, edges, error, message",
+    [
+        (3, [(0, 1), (1, 2.0)], TypeError, None),
+        (3, [(0, 1), (0.5, 2)], TypeError, None),
+        (3, [(0, 1), ("1", 2)], TypeError, None),
+        (3, [(0, 1), (1, 2**70)], ValueError, f"edge (1,{2**70}) out of range for n=3"),
+        (3, [(0, 1), (-1, 2)], ValueError, "edge (-1,2) out of range for n=3"),
+        (3, [(0, 1), (1, 2, 0)], ValueError, str(unpack_error((1, 2, 0)))),
+        (3, [(0, 1), (2,)], ValueError, str(unpack_error((2,)))),
+        (3, [(0, 1), (2, 2)], ValueError, "self-loop at vertex 2"),
+        (3, [(0, 1), (1, 2), (0, 1)], DuplicateEdgeError, "duplicate edge (0,1)"),
+        (3, [(0, 1), (1, 2), (2, 1)], DuplicateEdgeError, "duplicate edge (1,2)"),
+        # a repeat listed before a fault decides the message, a float does not
+        (3, [(0, 1), (1, 0), (1, 7)], DuplicateEdgeError, "duplicate edge (0,1)"),
+        (3, [(0, 1), (1, 0), (1, 2.0)], TypeError, None),
+        (4, [(0, 1), (2, 3)], ValueError, "graph is disconnected: vertex 2 unreachable from 0"),
+        (0, [], ValueError, "graph needs at least one vertex, got n=0"),
+    ],
+    ids=[
+        "float", "half", "string", "huge", "negative", "triple", "single", "self-loop",
+        "repeat", "reversed-repeat", "repeat-then-range", "repeat-then-float",
+        "disconnected", "no-vertex",
+    ],
+)
+def test_malformed_edge_lists_are_refused(n, edges, error, message):
+    # no id is converted: a float or a string is refused, never truncated
+    # or parsed, and an id past the machine integers is out of range
+    with pytest.raises(Exception) as err:
+        Graph(n, edges)
+    assert type(err.value) is error
+    if message is not None:
+        assert str(err.value) == message
 
 
 def test_descend_geodesic_is_shortest_and_deterministic():
@@ -242,7 +314,7 @@ def test_descend_geodesic_is_shortest_and_deterministic():
     assert len(path) - 1 == dm.dist(0, 15)
     assert path == descend_geodesic(g, dm, 0, 15)
     for a, b in zip(path, path[1:]):
-        assert b in g.adjacency[a]
+        assert b in neighbours(g, a)
 
 
 # Sizes around the 64-source word boundaries of the kernel's bitsets.
@@ -336,7 +408,7 @@ def test_tree_walk_is_a_preorder_from_0(g):
     assert order[0] == 0 and sorted(order) == list(range(g.n))
     assert depth == bfs_distances(g, 0)
     for v in order[1:]:
-        assert v in g.adjacency[parent[v]]
+        assert v in neighbours(g, parent[v])
     at = {v: i for i, v in enumerate(order)}
     for v in range(g.n):
         subtree = set()
@@ -353,7 +425,7 @@ def test_tree_walk_is_kept_from_the_constructor():
     g = random_tree(60, 5)
     walk = tree_walk(g)
     assert all(type(lists) is list for lists in walk)
-    g.adjacency = None  # a second traversal would fail here
+    g.indptr = g.indices = None  # a second traversal would fail here
     assert all(again is kept for again, kept in zip(tree_walk(g), walk))
 
 

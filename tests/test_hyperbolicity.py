@@ -37,6 +37,7 @@ from oracles import (
     furthest_set,
     naive_four_point_delta_doubled,
     naive_interval_thinness,
+    neighbours,
     thinness_scan_by_pair,
 )
 from strategies import connected_graphs, glued_blocks
@@ -186,18 +187,18 @@ def naive_far_apart_pairs(g, dm):
         (a, b)
         for a in range(g.n)
         for b in range(a + 1, g.n)
-        if all(d[w, b] <= d[a, b] for w in g.adjacency[a])
-        and all(d[w, a] <= d[a, b] for w in g.adjacency[b])
+        if all(d[w, b] <= d[a, b] for w in neighbours(g, a))
+        and all(d[w, a] <= d[a, b] for w in neighbours(g, b))
     ]
 
 
-def whole_graph_pairs(g, dm):
-    """The scans' far-apart pairs of all of g, as one block."""
-    return hyperbolicity._FarApart(g, np.arange(g.n), dm.d, int(dm.d.max()))
+def whole_graph_pairs(dm):
+    """The scans' far-apart pairs of the whole graph, as one block."""
+    return hyperbolicity._FarApart(dm.d, int(dm.d.max()))
 
 
 def check_far_apart_pairs(g, dm):
-    got = far_apart_pairs(g, dm)
+    got = far_apart_pairs(dm)
     assert got.dtype == np.int32
     pairs = got.tolist()
     assert pairs == far_apart_pairs_by_vertex(dm).tolist()
@@ -230,7 +231,7 @@ def test_pruned_scan_matches_bruteforce_beyond_one_block():
     for seed in range(6):
         g = gnp_connected(30, 1.5 * math.log(30) / 30, seed)
         dm = distance_matrix(g)
-        assert len(far_apart_pairs(g, dm)) > 64
+        assert len(far_apart_pairs(dm)) > 64
         res = four_point_delta(g, dm)
         assert res.delta.doubled == naive_four_point_delta_doubled(dm)
         assert four_point_defect(dm, res.witness) == res.delta
@@ -239,7 +240,7 @@ def test_pruned_scan_matches_bruteforce_beyond_one_block():
 def test_far_apart_single_vertex_and_edge():
     for g, want in ((Graph(1, []), []), (Graph(2, [(0, 1)]), [[0, 1]])):
         dm = distance_matrix(g)
-        got = far_apart_pairs(g, dm)
+        got = far_apart_pairs(dm)
         assert got.shape == (len(want), 2) and got.tolist() == want
         assert four_point_delta(g, dm) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
         assert interval_thinness(g, dm) == 0
@@ -249,7 +250,7 @@ def test_far_apart_complete_graphs():
     for n in range(2, 12):
         g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
         dm = distance_matrix(g)
-        assert len(far_apart_pairs(g, dm)) == n * (n - 1) // 2
+        assert len(far_apart_pairs(dm)) == n * (n - 1) // 2
         assert four_point_delta(g, dm).delta == 0
         assert interval_thinness(g, dm) == 0
 
@@ -259,7 +260,7 @@ def test_far_apart_stars():
         g = Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
         dm = distance_matrix(g)
         want = [[a, b] for a in range(1, leaves + 1) for b in range(a + 1, leaves + 1)]
-        assert far_apart_pairs(g, dm).tolist() == want
+        assert far_apart_pairs(dm).tolist() == want
         assert four_point_delta(g, dm).delta == 0
         assert interval_thinness(g, dm) == 0
 
@@ -282,7 +283,7 @@ def test_far_apart_beyond_one_neighbour_chunk():
     g = Graph(72, edges)
     dm = distance_matrix(g)
     check_far_apart_pairs(g, dm)
-    assert [0, 71] not in far_apart_pairs(g, dm).tolist()
+    assert [0, 71] not in far_apart_pairs(dm).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,16 +298,17 @@ def test_blocks_match_networkx(g):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(connected_graphs(), glued_blocks()))
 def test_block_arcs_are_the_unit_entries(g):
-    # the arcs _lower_layers reads, against the unit entries of the block's
-    # submatrix, order included: the whole graph, every block and the
-    # scanned blocks as the scans see them
+    # _lower_layers reads a block's arcs as the unit entries of its
+    # submatrix, in row-major order: check them against the arcs of g with
+    # both ends in the block, relabelled by position, for the whole graph,
+    # every block and the scanned blocks as the scans see them
     dm = distance_matrix(g)
     scanned = [blk for blk, _, _ in hyperbolicity._scanned_blocks(g, dm)]
     for blk in (np.arange(g.n), *biconnected_blocks(g), *scanned):
-        heads, tails = hyperbolicity._block_arcs(g, blk)
-        want = np.divmod(np.flatnonzero(dm.d[np.ix_(blk, blk)] == 1), len(blk))
-        assert heads.tolist() == want[0].tolist()
-        assert tails.tolist() == want[1].tolist()
+        at = {v: i for i, v in enumerate(blk.tolist())}
+        want = [(at[a], at[b]) for a in at for b in neighbours(g, a) if b in at]
+        heads, tails = np.nonzero(dm.d[np.ix_(blk, blk)] == 1)
+        assert list(zip(heads.tolist(), tails.tolist())) == want
 
 
 def test_large_tree_is_exact_at_default_cap():
@@ -379,10 +381,9 @@ def test_far_apart_layers_match_oracles(g):
     want = far_apart_pairs_by_vertex(dm)
     diam = int(dm.d.max())
     dist = dm.d[want[:, 0], want[:, 1]]
-    whole = np.arange(g.n)
-    pairs = hyperbolicity._FarApart(g, whole, dm.d, diam)
+    pairs = hyperbolicity._FarApart(dm.d, diam)
     assert pairs.pairs.tolist() == want[dist == diam].tolist()
-    lower = hyperbolicity._lower_layers(g, whole, dm.d, diam)
+    lower = hyperbolicity._lower_layers(dm.d, diam)
     assert lower.tolist() == want[dist < diam].tolist()
     pairs.reach(0, len(pairs.dist) + 1, -1)
     assert pairs.pairs.tolist() == want.tolist()
@@ -394,11 +395,11 @@ def test_far_apart_layers_match_oracles(g):
 def test_thinness_scan_matches_pair_by_pair(g, nu):
     dm = distance_matrix(g)
     want = thinness_scan_by_pair(dm, far_apart_pairs_by_vertex(dm), nu)
-    pairs = whole_graph_pairs(g, dm)
+    pairs = whole_graph_pairs(dm)
     assert hyperbolicity._thinness_scan(dm, pairs, nu, pairs.diam) == want
     for blk, sub, diam in hyperbolicity._scanned_blocks(g, dm):
         want = thinness_scan_by_pair(sub, far_apart_pairs_by_vertex(sub), nu)
-        pairs = hyperbolicity._FarApart(g, blk, sub.d, diam)
+        pairs = hyperbolicity._FarApart(sub.d, diam)
         assert hyperbolicity._thinness_scan(sub, pairs, nu, diam) == want
 
 
@@ -410,7 +411,7 @@ def test_thinness_batches_past_the_stop_and_chunk_their_mates(monkeypatch):
         want = thinness_scan_by_pair(dm, far_apart_pairs_by_vertex(dm), 0)
         for elems in (2**14, 64):
             monkeypatch.setattr(hyperbolicity, "_BLOCK_ELEMS", elems)
-            pairs = whole_graph_pairs(g, dm)
+            pairs = whole_graph_pairs(dm)
             assert hyperbolicity._thinness_scan(dm, pairs, 0, pairs.diam) == want
             assert interval_thinness(g, dm) == naive_interval_thinness(dm) == want
 
@@ -462,7 +463,7 @@ def test_budget_matches_complete_lists_past_the_top_layer(monkeypatch):
     sparse = gnp_connected(n, 2 * math.log(n) / n, 1)
     for g in (gnp_connected(200, 0.5, 1), cycle_graph(200), cycle_graph(201), sparse):
         dm = distance_matrix(g)
-        t = len(whole_graph_pairs(g, dm).pairs)
+        t = len(whole_graph_pairs(dm).pairs)
         for budget in (0, 1, 7, t * t, 64 * 64 - 1, 64 * 64, 10**5, 2**26):
             monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
             res = four_point_delta(g, dm)
@@ -474,7 +475,7 @@ def test_scans_that_stop_in_the_diameter_layer_build_no_lower_layers(monkeypatch
     # the doubled delta and the thinness both reach the diameter inside the
     # diameter layer, so neither scan goes past it
 
-    def no_lower_layers(g, blk, d, diam):
+    def no_lower_layers(d, diam):
         raise AssertionError("lower layers built")
 
     n = 20
