@@ -31,8 +31,8 @@ _EXPORTS = {
         "hyperbolicity_report", "interval_thinness", "mutually_distant_pair", "thin_delta_bound",
     ),
     "lpkappa": (
-        "KappaHitPackResult", "KappaQSet", "build_hitting_lp", "build_packing_lp", "gamma_sets",
-        "kappa_hit_pack", "round_hitting", "round_packing",
+        "KappaHitPackResult", "KappaQSet", "build_packing_lp", "gamma_sets", "kappa_hit_pack",
+        "round_hitting", "round_packing",
     ),
     "multicore": ("MultiCoreResult", "interval_family", "multicore_construct"),
     "quasiconvex": (

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -298,7 +299,8 @@ def min_core(g: Graph, X: Sequence[int], alpha: Fraction = HALF) -> CoreResult:
     at every radius.  The first radius at which some center reaches the
     threshold wins; ties prefer the largest count, then the smallest center
     id.  For alpha = 1/2 the threshold is the ceil(|X|^2/4) pair count that
-    the core existence bound guarantees within radius 4*delta4.
+    the core existence bound guarantees within radius 4*delta4.  alpha is an
+    int or a Fraction, so the threshold is exact; a float is refused.
 
     On trees, radius 0 is checked first from subtree profile sizes in
     O(n + |X|), and the same pass gives every vertex's profile distance sum
@@ -309,6 +311,8 @@ def min_core(g: Graph, X: Sequence[int], alpha: Fraction = HALF) -> CoreResult:
     the matrix is built (with no cap: bounding n is the caller's choice),
     the DP runs and the median is read off the same matrix.
     """
+    if not isinstance(alpha, Rational):
+        raise TypeError(f"alpha must be an int or a Fraction, got {type(alpha).__name__}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     profile = check_vertices(g.n, X, "profile")
@@ -316,7 +320,7 @@ def min_core(g: Graph, X: Sequence[int], alpha: Fraction = HALF) -> CoreResult:
     if nX < 2:
         raise ValueError(f"profile needs at least two vertices, got {nX}")
     total = nX * (nX - 1) // 2
-    need = alpha * nX * nX / 2
+    need = Fraction(alpha) * nX * nX / 2
     if need > total:
         raise ValueError(
             f"threshold alpha*|X|^2/2 = {need} exceeds the {total} available pairs"

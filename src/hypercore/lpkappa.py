@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, _min_rows
+from .graphs import DistanceMatrix, Graph, _min_rows, check_vertices
 from .halfint import HalfInt
 from .quasiconvex import QSet, QSetFamily, check_hit_pack, covering_radius, greedy_hit_pack
 from .simplex import LPInstance, solve_lp
@@ -96,17 +96,17 @@ def _witness_vertices(near: np.ndarray) -> list[int]:
     return sorted(first[~dominated].tolist())
 
 
-def _unit_lp(direction: str, a: np.ndarray) -> LPInstance:
-    """max 1.x subject to a x <= 1, or min 1.x subject to a x >= 1, x >= 0."""
+def _unit_lp(a: np.ndarray) -> LPInstance:
+    """max 1.x subject to a x <= 1, x >= 0."""
     num_rows, num_vars = a.shape
     triplets = tuple((int(i), int(j), ONE) for i, j in zip(*np.nonzero(a)))
     return LPInstance(
-        direction=direction,
+        direction="max",
         num_vars=num_vars,
         num_rows=num_rows,
         objective=(ONE,) * num_vars,
         triplets=triplets,
-        senses=("<=" if direction == "max" else ">=",) * num_rows,
+        senses=("<=",) * num_rows,
         rhs=(ONE,) * num_rows,
     )
 
@@ -131,21 +131,7 @@ def build_packing_lp(family: Sequence[KappaQSet], dm: DistanceMatrix, r: int) ->
     """
     if r < 0:
         raise ValueError(f"negative packing radius {r}")
-    return _unit_lp("max", _witness_incidence(_member_distances(dm, family), r)[1].T)
-
-
-def build_hitting_lp(family: Sequence[KappaQSet], dm: DistanceMatrix, r: int) -> LPInstance:
-    """min sum y_v over witness vertices v subject to, per member, sum of y_v
-    over its r-neighborhood >= 1.
-
-    Column k is the k-th witness vertex in increasing id.  The LP over every
-    vertex has the same optimum: a vertex near no member covers nothing, and
-    the weight of a vertex whose member set lies inside a witness's set can
-    move onto that witness at equal cost without uncovering any member.
-    """
-    if r < 0:
-        raise ValueError(f"negative hitting radius {r}")
-    return _unit_lp("min", _witness_incidence(_member_distances(dm, family), r)[1])
+    return _unit_lp(_witness_incidence(_member_distances(dm, family), r)[1].T)
 
 
 def round_packing(
@@ -230,20 +216,22 @@ def kappa_hit_pack(
     r >= eps + 2*delta, under which the two classical forms of the
     intermediate radius coincide.
 
-    Both LPs are built over the witness vertices only (``build_packing_lp``
-    and ``build_hitting_lp`` state why their optima equal those of the LPs
-    over every vertex), from one member-distance matrix that also gives the
-    Gamma incidence at r.  Over the witnesses the two LPs are exact duals:
-    max 1.x subject to A^T x <= 1 and min 1.y subject to A y >= 1, with A
-    the members x witnesses incidence.  So only the packing LP is solved,
-    and its duals y are checked exactly to be a feasible hitting vector
-    (y >= 0, A y >= 1 row by row) of the same value as the packing optimum;
-    weak duality then proves both optima, and a failed check raises
-    ``RuntimeError``.  The hitting vector is expanded back to every vertex,
-    zero off the witnesses, before rounding.
+    Both LPs are taken over the witness vertices only, from one
+    member-distance matrix that also gives the Gamma incidence at r.
+    ``build_packing_lp`` states why the packing optimum equals that of the
+    LP over every vertex; by LP duality, so does the hitting optimum.  Over
+    the witnesses the two LPs are exact duals: max 1.x subject to A^T x <= 1
+    and min 1.y subject to A y >= 1, with A the members x witnesses
+    incidence.  So only the packing LP is solved, and its duals y are checked
+    exactly to be a feasible hitting vector (y >= 0, A y >= 1 row by row) of
+    the same value as the packing optimum; weak duality then proves both
+    optima, and a failed check raises ``RuntimeError``.  The hitting vector
+    is expanded back to every vertex, zero off the witnesses, before
+    rounding.
     """
     if not family:
         raise ValueError("empty family")
+    check_vertices(dm.n, [z], "base vertex")
     kappa = max(len(kq.parts) for kq in family)
     measured = max(kq.epsilon for kq in family)
     if measured > epsilon:
@@ -263,7 +251,7 @@ def kappa_hit_pack(
     gamma_r = _gamma_index(member_dist, r)
     witnesses, incidence = _witness_incidence(member_dist, r_star)
 
-    pack_sol = solve_lp(_unit_lp("max", incidence.T))
+    pack_sol = solve_lp(_unit_lp(incidence.T))
     if pack_sol.status != "optimal":
         raise RuntimeError(f"packing LP solve failed: {pack_sol.status}")
     hit = pack_sol.duals

@@ -174,6 +174,8 @@ def project_toward(g: Graph, dm: DistanceMatrix, z: int, Q: Sequence[int], r: in
     """
     if not Q:
         raise ValueError("cannot project toward an empty set")
+    if r < 0:
+        raise ValueError(f"negative projection offset {r}")
     check_vertices(dm.n, [z], "base vertex")
     check_vertices(dm.n, Q, "Q")
     d = dm.d
@@ -216,6 +218,7 @@ def helly_center(
     """
     if r < 0:
         raise ValueError(f"negative closeness radius {r}")
+    check_vertices(dm.n, [z], "base vertex")
     near, gaps = _set_block(dm, [s.members for s in family.sets])
     _require_pairwise_close(family, gaps, r)
     dists = near[:, z].tolist()
@@ -244,6 +247,7 @@ def greedy_hit_pack(
     """
     if r < 0:
         raise ValueError(f"negative packing gap {r}")
+    check_vertices(dm.n, [z], "base vertex")
     d = dm.d
     sets = family.sets
     pad = _padded([s.members for s in sets], dm.n)

@@ -1,31 +1,33 @@
-"""Dense two-phase simplex over exact integers, with the dual read off the
+"""Dense one-phase simplex over exact integers, with the dual read off the
 final reduced costs.
 
-The covering/packing programs solved here are tiny.  The kappa LPs have one
-row or column per family member and per witness vertex (a vertex with an
-inclusion-maximal set of nearby members), so their size follows the family,
-not the graph: on 150-250 vertex trees with 12-member families they are at
-most 12 x 12.  Exact arithmetic with Bland's pivoting rule is therefore both
-fast enough and free of tolerance disputes: reported optima are exact and
-the primal/dual pair must agree to the digit.
+Every LP the package poses is a packing LP, max 1.x subject to A x <= 1,
+x >= 0, so ``solve_lp`` solves exactly the LPs whose origin is feasible
+(every row ``<=`` with rhs >= 0): the slack basis starts the simplex, no
+phase 1 is needed, and any other LP is refused.  The kappa LPs have one row
+per witness vertex (a vertex with an inclusion-maximal set of nearby
+members) and one column per member, so on 150-250 vertex trees with
+12-member families they are at most 12 x 12.  Exact arithmetic with
+Bland's pivoting rule is therefore both fast enough and free of tolerance
+disputes: reported optima are exact and the primal/dual pair must agree to
+the digit.
 
 The tableau is fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968).  Each row, and
-each phase's objective, is scaled by the lcm of its denominators; the
-slack, surplus and artificial columns keep their unit entries, which only
-measures those variables in units of 1/scale.  The real tableau is the
-integer one over a single common denominator ``det`` (kept positive), and a
-pivot on p = T[r][c] replaces every other row i by the exact quotient
-(T[i][j]*p - T[i][c]*T[r][j]) // det, after which p is the new ``det``.
-Bland's ratio test compares rhs/entry by cross-multiplication.  Positive
-row and column scalings change neither the sign of a reduced cost nor the
-order of the ratios, so the pivots, values and optimum are those of the
-plain rational tableau; only ``Fraction`` objects are built at the end.
+the objective, is scaled by the lcm of its denominators; the slack columns
+keep their unit entries, which only measures the slacks in units of
+1/scale.  The real tableau is the integer one over a single common
+denominator ``det``, and a pivot on p = T[r][c] > 0 replaces every other
+row i by the exact quotient (T[i][j]*p - T[i][c]*T[r][j]) // det, after
+which p is the new ``det``.  Bland's ratio test compares rhs/entry by
+cross-multiplication.  Positive row and column scalings change neither the
+sign of a reduced cost nor the order of the ratios, so the pivots, values
+and optimum are those of the plain rational tableau; only ``Fraction``
+objects are built at the end.
 
 Each solve also returns the duals: the dual of row r is minus the final
-reduced cost of the row's identity column (its slack for ``<=``, its
-artificial for ``>=`` and ``=``), scaled back to the row as given.  They
-satisfy ``objective == sum(rhs[r] * duals[r])``; see ``LPSolution``.
+reduced cost of the row's slack column, scaled back to the row as given.
+They satisfy ``objective == sum(rhs[r] * duals[r])``; see ``LPSolution``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class LPInstance:
     """max/min of objective . x subject to rows of (coeffs, sense, rhs), x >= 0.
 
     The constraint matrix is given in sparse triplet form (row, col, value);
-    repeated triplets accumulate.
+    repeated triplets accumulate.  ``solve_lp`` takes only ``<=`` rows with
+    rhs >= 0.
     """
 
     direction: str
@@ -63,6 +66,12 @@ class LPInstance:
         for s in self.senses:
             if s not in ("<=", ">=", "="):
                 raise ValueError(f"unknown constraint sense {s!r}")
+        for r, c, val in self.triplets:
+            if not (0 <= r < self.num_rows and 0 <= c < self.num_vars):
+                raise ValueError(
+                    f"triplet ({r}, {c}, {val}) out of range for "
+                    f"{self.num_rows} rows and {self.num_vars} variables"
+                )
 
     def dense_rows(self) -> list[list[Fraction]]:
         rows = [[ZERO] * self.num_vars for _ in range(self.num_rows)]
@@ -77,13 +86,11 @@ class LPSolution:
     one dual per row of the instance (all empty otherwise).
 
     The duals certify the optimum: ``objective == sum(rhs[r] * duals[r])``,
-    and for a max (min) problem each dual is >= 0 (<= 0) on a ``<=`` row,
-    <= 0 (>= 0) on a ``>=`` row and free on a ``=`` row, with
+    and for a max (min) problem every dual is >= 0 (<= 0), with
     sum(duals[r] * a[r][j]) >= objective[j] (<= for min) in every column.
-    A row dropped as redundant gets dual 0.
     """
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"; the origin is feasible
     values: tuple[Fraction, ...]
     objective: Fraction | None
     duals: tuple[Fraction, ...]
@@ -106,32 +113,19 @@ def _pivot(rows, basis, row, col, det):
                 rows[i] = [(a * p - f * b) // det for a, b in zip(cur, prow)]
             else:
                 rows[i] = [a * p // det for a in cur]
-    if p < 0:
-        rows[:] = [[-a for a in cur] for cur in rows]
-        p = -p
     basis[row] = col
     return p
 
 
-def _priced(rows, basis, det, costs):
-    """Cost row det * (costs - c_B . tableau / det), over every column and the
-    rhs: positive entries are improving columns, and the last entry is
-    -det * objective (both in the units of the integer costs)."""
-    cost = [det * c for c in costs] + [0]
-    for r, bv in enumerate(basis):
-        cb = costs[bv]
-        if cb:
-            cost = [a - cb * b for a, b in zip(cost, rows[r])]
-    return cost
-
-
-def _run(rows, basis, det, allowed):
-    """Maximize with Bland's rule; rows[-1] is the priced-out cost row.
+def _run(rows, basis):
+    """Maximize with Bland's rule from ``det`` 1; rows[-1] is the priced-out
+    cost row, whose last entry (the objective) never enters.
 
     Returns (status, det)."""
+    det = 1
     while True:
         cost = rows[-1]
-        enter = next((j for j in allowed if cost[j] > 0), -1)
+        enter = next((j for j in range(len(cost) - 1) if cost[j] > 0), -1)
         if enter < 0:
             return "optimal", det
         leave = -1
@@ -152,84 +146,34 @@ def _run(rows, basis, det, allowed):
 
 
 def solve_lp(inst: LPInstance) -> LPSolution:
-    """Solve exactly by two-phase integer pivoting; the reported optimum and
-    duals are the true ones, with no tolerance involved."""
+    """Solve exactly by integer pivoting from the slack basis; the reported
+    optimum and duals are the true ones, with no tolerance involved.
+
+    The origin must be feasible: a row that is not ``<=``, or whose rhs is
+    negative, raises ValueError.
+    """
     n = inst.num_vars
     m = inst.num_rows
-    dense = inst.dense_rows()
-    rhs = list(inst.rhs)
-    senses = list(inst.senses)
-    flip = [1] * m
-    for r in range(m):
-        if rhs[r] < 0:
-            dense[r] = [-a for a in dense[r]]
-            rhs[r] = -rhs[r]
-            senses[r] = {"<=": ">=", ">=": "<=", "=": "="}[senses[r]]
-            flip[r] = -1
+    for r, (sense, b) in enumerate(zip(inst.senses, inst.rhs)):
+        if sense != "<=" or b < 0:
+            raise ValueError(
+                f"row {r} is '{sense} {b}': solve_lp needs a feasible origin, "
+                "every row '<=' with rhs >= 0"
+            )
 
-    # column layout: structural | slack/surplus | artificial | rhs
-    slack_of = {}
-    art_of = {}
-    col = n
-    for r, s in enumerate(senses):
-        if s in ("<=", ">="):
-            slack_of[r] = col
-            col += 1
-    for r, s in enumerate(senses):
-        if s == ">=" or s == "=":
-            art_of[r] = col
-            col += 1
-    width = col
-    # the identity column of each row, basic at the start
-    unit = [slack_of[r] if senses[r] == "<=" else art_of[r] for r in range(m)]
-
-    rows = []
-    row_scale = []
-    for r in range(m):
-        ints, scale = _scaled(dense[r] + [rhs[r]])
-        row = ints[:n] + [0] * (width - n) + ints[n:]
-        if senses[r] == ">=":
-            row[slack_of[r]] = -1
-        row[unit[r]] = 1
-        rows.append(row)
+    # column layout: structural | slack (row r's is column n + r) | rhs
+    rows, row_scale = [], []
+    for r, coeffs in enumerate(inst.dense_rows()):
+        ints, scale = _scaled(coeffs + [inst.rhs[r]])
+        rows.append(ints[:n] + [0] * r + [1] + [0] * (m - 1 - r) + ints[n:])
         row_scale.append(scale)
-    basis = unit[:]
-    det = 1
-
-    if art_of:
-        # max -sum of artificials; artificial r is measured in units of 1/scale_r
-        art_scale = lcm(*(row_scale[r] for r in art_of))
-        phase1 = [0] * width
-        for r, c in art_of.items():
-            phase1[c] = -(art_scale // row_scale[r])
-        rows.append(_priced(rows, basis, det, phase1))
-        status, det = _run(rows, basis, det, range(width))
-        if status != "optimal" or rows[-1][-1] != 0:
-            return LPSolution("infeasible", (), None, ())
-        artificial_cols = set(art_of.values())
-        # drive leftover artificials out of the basis; drop redundant rows
-        r = 0
-        while r < len(rows) - 1:
-            if basis[r] in artificial_cols:
-                pivot_col = next(
-                    (j for j in range(width) if j not in artificial_cols and rows[r][j] != 0),
-                    None,
-                )
-                if pivot_col is None:
-                    del rows[r]
-                    del basis[r]
-                    continue
-                det = _pivot(rows, basis, r, pivot_col, det)
-            r += 1
-        rows.pop()
-        allowed = [j for j in range(width) if j not in artificial_cols]
-    else:
-        allowed = list(range(width))
+    basis = list(range(n, n + m))
 
     sign = 1 if inst.direction == "max" else -1
     structural, obj_scale = _scaled(inst.objective)
-    rows.append(_priced(rows, basis, det, [sign * c for c in structural] + [0] * (width - n)))
-    status, det = _run(rows, basis, det, allowed)
+    # the basic slacks cost nothing, so the cost row starts priced out
+    rows.append([sign * c for c in structural] + [0] * (m + 1))
+    status, det = _run(rows, basis)
     if status != "optimal":
         return LPSolution(status, (), None, ())
     cost = rows.pop()
@@ -238,7 +182,5 @@ def solve_lp(inst: LPInstance) -> LPSolution:
         if bv < n:
             values[bv] = Fraction(rows[r][-1], det)
     denom = det * obj_scale
-    duals = tuple(
-        Fraction(-sign * flip[r] * row_scale[r] * cost[unit[r]], denom) for r in range(m)
-    )
+    duals = tuple(Fraction(-sign * row_scale[r] * cost[n + r], denom) for r in range(m))
     return LPSolution("optimal", tuple(values), Fraction(-sign * cost[-1], denom), duals)

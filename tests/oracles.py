@@ -16,7 +16,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from hypercore import CoreResult, LPInstance
+from hypercore import CoreResult, LPInstance, build_packing_lp
 from hypercore.graphs import (
     Ball,
     _min_rows,
@@ -757,4 +757,22 @@ def full_hitting_lp(family, dm, r):
         triplets=tuple(triplets),
         senses=(">=",) * len(family),
         rhs=(one,) * len(family),
+    )
+
+
+def witness_hitting_lp(family, dm, r):
+    """The kappa hitting LP over the witness vertices, as the transpose of
+    ``build_packing_lp``: min sum y_v subject to, per member, sum of y_v
+    over the witnesses within r of it >= 1.  Column k is the k-th witness
+    vertex in increasing id."""
+    one = Fraction(1)
+    pack = build_packing_lp(family, dm, r)
+    return LPInstance(
+        direction="min",
+        num_vars=pack.num_rows,
+        num_rows=pack.num_vars,
+        objective=(one,) * pack.num_rows,
+        triplets=tuple((col, row, a) for row, col, a in pack.triplets),
+        senses=(">=",) * pack.num_vars,
+        rhs=(one,) * pack.num_vars,
     )

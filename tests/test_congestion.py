@@ -158,6 +158,16 @@ def test_min_core_respects_alpha_and_errors():
         min_core(g, range(6), Fraction(99, 100))
 
 
+def test_min_core_refuses_float_alpha():
+    # a float would make the threshold inexact; an int stays exact
+    g = path_graph(6)
+    with pytest.raises(TypeError, match="^alpha must be an int or a Fraction, got float$"):
+        min_core(g, range(6), 0.5)
+    with pytest.raises(ValueError, match=r"^threshold alpha\*\|X\|\^2/2 = 18 exceeds"):
+        min_core(g, range(6), 1)
+    assert min_core(g, range(6), Fraction(1, 2)).intercepted_pairs >= 9
+
+
 def test_tree_fast_path_matches_generic_counts():
     for seed in (1, 9):
         g = random_tree(16, seed)

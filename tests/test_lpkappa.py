@@ -12,7 +12,6 @@ from hypercore import (
     KappaQSet,
     QSet,
     QSetFamily,
-    build_hitting_lp,
     build_packing_lp,
     distance_matrix,
     four_point_delta,
@@ -29,7 +28,12 @@ from hypercore import (
 from hypercore import lpkappa
 from hypercore.generators import gnp_connected, path_graph, random_tree
 from hypercore.lpkappa import _witness_vertices
-from oracles import full_hitting_lp, full_packing_lp
+from oracles import (
+    fraction_tableau_solve_lp,
+    full_hitting_lp,
+    full_packing_lp,
+    witness_hitting_lp,
+)
 from strategies import connected_graphs
 
 
@@ -85,11 +89,10 @@ def test_hitting_lp_extremes():
     g = path_graph(12)
     dm = distance_matrix(g)
     single = [member(dm, [3, 4])]
-    sol = solve_lp(build_hitting_lp(single, dm, 0))
-    assert sol.objective == 1
+    status, _, optimum = fraction_tableau_solve_lp(witness_hitting_lp(single, dm, 0))
+    assert status == "optimal" and optimum == 1
     far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
-    sol2 = solve_lp(build_hitting_lp(far, dm, 1))
-    assert sol2.objective == 3
+    assert fraction_tableau_solve_lp(witness_hitting_lp(far, dm, 1))[2] == 3
 
 
 def test_lp_duality_zero_gap():
@@ -102,9 +105,9 @@ def test_lp_duality_zero_gap():
     ]
     for r in (0, 1, 2):
         p = solve_lp(build_packing_lp(fam, dm, r))
-        h = solve_lp(build_hitting_lp(fam, dm, r))
-        assert p.status == h.status == "optimal"
-        assert p.objective == h.objective  # exact strong duality
+        status, _, hitting_optimum = fraction_tableau_solve_lp(witness_hitting_lp(fam, dm, r))
+        assert p.status == status == "optimal"
+        assert p.objective == hitting_optimum  # exact strong duality
 
 
 def test_round_packing_trivial_cases():
@@ -239,8 +242,9 @@ def test_hitting_lp_columns_are_witnesses():
     g = path_graph(12)
     dm = distance_matrix(g)
     far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
-    # at radius 1 the maximal vertex sets are those of 0, 4 and 10
-    lp = build_hitting_lp(far, dm, 1)
+    # at radius 1 the maximal vertex sets are those of 0, 4 and 10; the
+    # hitting LP is the transpose of the packing LP over them
+    lp = witness_hitting_lp(far, dm, 1)
     assert lp.num_vars == 3 and lp.num_rows == 3
     assert sorted(lp.triplets) == [(0, 0, 1), (1, 1, 1), (2, 2, 1)]
 
@@ -269,19 +273,18 @@ def test_witness_lps_match_full_lps(case):
 
     def optima(r):
         pack = solve_lp(build_packing_lp(fam, dm, r)).objective
-        hit = solve_lp(build_hitting_lp(fam, dm, r)).objective
+        hit = fraction_tableau_solve_lp(witness_hitting_lp(fam, dm, r))[2]
         assert pack == solve_lp(full_packing_lp(fam, dm, r)).objective
-        assert hit == solve_lp(full_hitting_lp(fam, dm, r)).objective
+        assert hit == fraction_tableau_solve_lp(full_hitting_lp(fam, dm, r))[2]
         return pack, hit
 
     optima(radius)
     delta = thin_delta_bound(four_point_delta(g, dm).delta)
     eps = max(kq.epsilon for kq in fam)
     res = kappa_hit_pack(g, dm, fam, eps + (delta * 2).ceil() + radius, eps, delta)
+    # the hitting optimum is read off the packing duals; optima() solves the
+    # hitting LP itself on the Fraction tableau of tests/oracles.py
     assert (res.packing_optimum, res.hitting_optimum) == optima(res.r_star)
-    # the hitting optimum is read off the packing duals; compare it with an
-    # independent phase-1 solve of the hitting LP
-    assert res.hitting_optimum == solve_lp(build_hitting_lp(fam, dm, res.r_star)).objective
     if g.is_tree():
         # four times the four-point constant certifies thin triangles on
         # trees, but not on graphs with cliques (README Notes): on K6 the
@@ -299,6 +302,20 @@ def test_kappa_hitting_mass_lands_on_witness_vertices():
     assert res.hitting_optimum == 1
     assert res.hitting_set == (20,)
     assert res.hitting_ok and res.packing_ok and res.bound_ok
+
+
+@pytest.mark.parametrize("z", [12, -1])
+def test_kappa_hit_pack_checks_base_vertex_before_solving(monkeypatch, z):
+    g = path_graph(12)
+    dm = distance_matrix(g)
+    fam = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
+
+    def unreachable(inst):
+        raise AssertionError("solve_lp ran before the base vertex was checked")
+
+    monkeypatch.setattr(lpkappa, "solve_lp", unreachable)
+    with pytest.raises(ValueError, match=f"^base vertex contains vertex {z}, out of range for n=12$"):
+        kappa_hit_pack(g, dm, fam, 0, 0, HalfInt(0), z=z)
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,18 @@ def test_project_toward():
     assert project_toward(g, dm, 6, [0, 1], 2) == 3
     assert project_toward(g, dm, 3, [0, 3, 5], 4) == 3  # z inside Q
     assert project_toward(g, dm, 6, [0], 99) == 6  # walk caps at z
+    with pytest.raises(ValueError, match="^negative projection offset -1$"):
+        project_toward(g, dm, 6, [0, 1], -1)
+
+
+@pytest.mark.parametrize("z", [6, -1])
+@pytest.mark.parametrize("solve", [helly_center, greedy_hit_pack])
+def test_base_vertex_out_of_range_is_refused(solve, z):
+    g = path_graph(6)
+    dm = distance_matrix(g)
+    fam = QSetFamily.measure(dm, [[0, 1], [2]])
+    with pytest.raises(ValueError, match=f"^base vertex contains vertex {z}, out of range for n=6$"):
+        solve(g, dm, fam, 1, HalfInt(0), z=z)
 
 
 def test_covering_radius_formula():

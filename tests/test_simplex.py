@@ -30,33 +30,36 @@ def test_one_variable_box():
     assert sol.values == (F(1),)
 
 
-def test_min_with_surplus_constraints():
-    # min 2a + b subject to a + b >= 2, a >= 1/2
-    inst = lp("min", 2, 2, [2, 1], [(0, 0, 1), (0, 1, 1), (1, 0, 1)], [">=", ">="], [2, F(1, 2)])
-    sol = solve_lp(inst)
-    assert sol.status == "optimal"
-    assert sol.objective == F(5, 2)
-    assert sol.values == (F(1, 2), F(3, 2))
-
-
-def test_equality_constraint():
-    inst = lp("max", 2, 2, [1, 1], [(0, 0, 1), (0, 1, 1), (1, 0, 1)], ["=", "<="], [3, 2])
-    sol = solve_lp(inst)
-    assert sol.status == "optimal"
-    assert sol.objective == 3
+@pytest.mark.parametrize(
+    "sense, rhs, row",
+    [(">=", 2, "'>= 2'"), ("=", 3, "'= 3'"), ("<=", -2, "'<= -2'")],
+    ids=["surplus", "equality", "negative_rhs"],
+)
+def test_lp_without_a_feasible_origin_is_refused(sense, rhs, row):
+    # row 0 is fine; row 1 puts the origin outside the feasible region
+    inst = lp("min", 2, 2, [2, 1], [(0, 0, 1), (1, 0, 1), (1, 1, 1)], ["<=", sense], [1, rhs])
+    with pytest.raises(ValueError, match=f"row 1 is {row}: solve_lp needs a feasible origin"):
+        solve_lp(inst)
 
 
 def test_unbounded_and_infeasible():
-    assert solve_lp(lp("max", 1, 1, [1], [(0, 0, 1)], [">="], [1])).status == "unbounded"
+    assert solve_lp(lp("max", 1, 1, [1], [(0, 0, -1)], ["<="], [1])).status == "unbounded"
+    # an infeasible LP has no feasible origin, so it is refused, not solved
     inst = lp("max", 1, 2, [1], [(0, 0, 1), (1, 0, 1)], ["<=", ">="], [1, 2])
-    assert solve_lp(inst).status == "infeasible"
+    with pytest.raises(ValueError, match="row 1 is '>= 2'"):
+        solve_lp(inst)
 
 
-def test_negative_rhs_normalization():
-    # -x <= -2 is x >= 2
-    inst = lp("min", 1, 1, [1], [(0, 0, -1)], ["<="], [-2])
-    sol = solve_lp(inst)
-    assert sol.status == "optimal" and sol.objective == 2
+@pytest.mark.parametrize(
+    "triplet",
+    [(-1, 0, 1), (0, -1, 1), (2, 0, 1), (0, 2, 1)],
+    ids=["negative_row", "negative_col", "row_past_end", "col_past_end"],
+)
+def test_triplet_out_of_range_is_refused(triplet):
+    # a negative index used to wrap to the last row or column
+    r, c, _ = triplet
+    with pytest.raises(ValueError, match=rf"triplet \({r}, {c}, 1\) out of range for 2 rows"):
+        lp("max", 2, 2, [1, 1], [(0, 0, 1), triplet], ["<=", "<="], [1, 1])
 
 
 def test_degenerate_instance_terminates():
@@ -107,6 +110,7 @@ def test_matches_vertex_enumeration_on_random_instances():
 
 
 def test_matches_scipy_on_random_covering_instances():
+    # the duals of max 1.x, A^T x <= 1 are a covering vector of A y >= 1
     scipy = pytest.importorskip("scipy.optimize")
     rng = random.Random(13)
     for _ in range(15):
@@ -114,17 +118,21 @@ def test_matches_scipy_on_random_covering_instances():
         rows = rng.randint(2, 5)
         dense = [[rng.choice([0, 0, 1, 1, 2]) for _ in range(nvars)] for _ in range(rows)]
         dense = [row if any(row) else [1] * nvars for row in dense]
-        inst = lp(
-            "min",
-            nvars,
+        packing = lp(
+            "max",
             rows,
-            [1] * nvars,
-            [(r, c, dense[r][c]) for r in range(rows) for c in range(nvars)],
-            [">="] * rows,
+            nvars,
             [1] * rows,
+            [(c, r, dense[r][c]) for r in range(rows) for c in range(nvars)],
+            ["<="] * nvars,
+            [1] * nvars,
         )
-        sol = solve_lp(inst)
+        sol = solve_lp(packing)
         assert sol.status == "optimal"
+        y = sol.duals
+        assert len(y) == nvars and min(y) >= 0
+        assert all(sum(a * yc for a, yc in zip(row, y)) >= 1 for row in dense)
+        assert sum(y) == sol.objective
         res = scipy.linprog(
             c=[1.0] * nvars,
             A_ub=[[-v for v in row] for row in dense],
@@ -133,7 +141,7 @@ def test_matches_scipy_on_random_covering_instances():
             method="highs",
         )
         assert res.success
-        assert abs(float(sol.objective) - res.fun) < 1e-9
+        assert abs(float(sum(y)) - res.fun) < 1e-9
 
 
 small_fractions = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
@@ -141,23 +149,16 @@ small_fractions = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
 
 @st.composite
 def lp_instances(draw):
-    """Tiny LPs over all three senses, with Fraction data, negative rhs and
-    sometimes a redundant equality (a nonzero multiple of an equality row)."""
+    """Tiny LPs with a feasible origin: ``<=`` rows with Fraction data of
+    either sign and rhs >= 0, so unbounded LPs occur as well as optimal
+    ones."""
     nvars = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     dense = [[draw(small_fractions) for _ in range(nvars)] for _ in range(m)]
-    senses = [draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)]
-    rhs = [draw(small_fractions) for _ in range(m)]
-    if draw(st.booleans()):
-        i = draw(st.integers(0, m - 1))
-        k = draw(small_fractions.filter(bool))
-        senses[i] = "="
-        dense.append([k * a for a in dense[i]])
-        senses.append("=")
-        rhs.append(k * rhs[i])
+    rhs = [abs(draw(small_fractions)) for _ in range(m)]
     obj = [draw(small_fractions) for _ in range(nvars)]
     triplets = [(r, c, a) for r, row in enumerate(dense) for c, a in enumerate(row) if a]
-    return lp(draw(st.sampled_from(["max", "min"])), nvars, len(dense), obj, triplets, senses, rhs)
+    return lp(draw(st.sampled_from(["max", "min"])), nvars, m, obj, triplets, ["<="] * m, rhs)
 
 
 def _improving_ray(inst):
@@ -181,9 +182,7 @@ def _improving_ray(inst):
 def test_status_optimum_and_dual_certificate(inst):
     sol = solve_lp(inst)
     best = lp_optimum_by_vertex_enumeration(inst)
-    if best is None:
-        assert sol.status == "infeasible"
-        return
+    assert best is not None  # the origin is feasible
     if _improving_ray(inst):
         assert sol.status == "unbounded"
         return
@@ -192,16 +191,12 @@ def test_status_optimum_and_dual_certificate(inst):
     rows = inst.dense_rows()
     assert all(v >= 0 for v in sol.values)
     assert sum(c * v for c, v in zip(inst.objective, sol.values)) == best
-    # the duals prove the optimum: signs per sense, dual feasibility in
-    # every column, and rhs . duals == objective
+    # the duals prove the optimum: signs, dual feasibility in every column,
+    # and rhs . duals == objective
     y = sol.duals
     assert len(y) == inst.num_rows
     flip = 1 if inst.direction == "max" else -1
-    for yr, sense in zip(y, inst.senses):
-        if sense == "<=":
-            assert flip * yr >= 0
-        elif sense == ">=":
-            assert flip * yr <= 0
+    assert all(flip * yr >= 0 for yr in y)
     for j, c in enumerate(inst.objective):
         assert flip * (sum(yr * row[j] for yr, row in zip(y, rows)) - c) >= 0
     assert sum(b * yr for b, yr in zip(inst.rhs, y)) == sol.objective
