@@ -309,6 +309,7 @@ def _four_point_scan(
     the scan finished, else the distance of the first row it did not scan.
     """
     best_quad = (0, 0, 0, 0)
+    tried = None  # a failed trial's block, folded into its whole block
     i = 0
     while True:
         # rows i..j-1 against pairs 0..j-1, about 2**14 elements a block; j
@@ -328,25 +329,49 @@ def _four_point_scan(
         if (j - i) * j > budget:
             return best, best_quad, budget, int(dist[i])
         budget -= 0 if trial else (j - i) * j
-        ar, br = a[i:j, None], b[i:j, None]
-        ac, bc = a[None, :j], b[None, :j]
-        s2 = dm.d[ar, ac]
-        s2 += dm.d[br, bc]
-        s3 = dm.d[ar, bc]
-        s3 += dm.d[br, ac]
-        np.maximum(s2, s3, out=s2)
-        diff = dist[i:j, None] + dist[None, :j]
-        diff -= s2
-        flat = int(diff.argmax())
+        if tried is None:
+            diff = _defects(dm.d, a, b, dist, slice(i, j), slice(0, j))
+        else:
+            # the trial compared rows i..t-1 with pairs 0..t-1, the first t
+            # of the list that the lower layers extend.  Only rows t..j-1
+            # are compared now: a defect is symmetric in its two pairs, so
+            # rows i..t-1 against pairs t..j-1 are their transpose
+            t = tried.shape[1]
+            rest = _defects(dm.d, a, b, dist, slice(t, j), slice(0, j))
+            diff = np.empty((j - i, j), dtype=rest.dtype)
+            diff[: t - i, :t] = tried
+            diff[: t - i, t:] = rest[:, i:t].T
+            diff[t - i :] = rest
+            tried = None
+        flat = int(diff.argmax())  # the row-major first maximum
         val = int(diff.flat[flat])
         if trial and val < pairs.diam:
             pairs.reach(i, i + step, best)
+            tried = diff
             continue
         if val > best:
             r, k = divmod(flat, j)
             best = val
             best_quad = (int(a[i + r]), int(b[i + r]), int(a[k]), int(b[k]))
         i = j
+
+
+def _defects(
+    d: np.ndarray, a: np.ndarray, b: np.ndarray, dist: np.ndarray, rows: slice, cols: slice
+) -> np.ndarray:
+    """Doubled defects D_p + D_q - max(S2, S3) of the far-apart pairs
+    p = (a[p], b[p]) in ``rows`` against q in ``cols``, in the distance
+    type, as a (rows x cols) block."""
+    ar, br = a[rows, None], b[rows, None]
+    ac, bc = a[None, cols], b[None, cols]
+    s2 = d[ar, ac]
+    s2 += d[br, bc]
+    s3 = d[ar, bc]
+    s3 += d[br, ac]
+    np.maximum(s2, s3, out=s2)
+    diff = dist[rows, None] + dist[None, cols]
+    diff -= s2
+    return diff
 
 
 def thin_delta_bound(delta4: HalfInt) -> HalfInt:

@@ -16,9 +16,7 @@ import numpy as np
 from .graphs import DistanceMatrix, Graph, _min_rows, check_vertices
 from .halfint import HalfInt
 from .quasiconvex import QSet, QSetFamily, check_hit_pack, covering_radius, greedy_hit_pack
-from .simplex import LPInstance, solve_lp
-
-ONE = Fraction(1)
+from .simplex import LPInstance, _scaled, solve_lp
 
 
 @dataclass(frozen=True)
@@ -84,30 +82,44 @@ def _witness_vertices(near: np.ndarray) -> list[int]:
     Among vertices with equal sets only the smallest id is kept, so each
     maximal set appears once.  Every nonempty set is contained in some
     witness's set, which is what makes the LPs below exact over witnesses.
+
+    Each vertex's set is packed into a byte key (``np.packbits`` over the
+    members), and the keys are deduplicated by one 1-D ``np.unique`` over a
+    void view, whose first index of each key is its smallest id.  The
+    subset test counts |S_a & S_b| as one float64 product, which BLAS runs:
+    every term is 0 or 1 and every partial sum an integer at most m, the
+    member count, far below 2**53, so each count is exact in any summation
+    order and the test compares integers.
     """
-    cols = near.T
-    _, first = np.unique(cols, axis=0, return_index=True)
-    first = first[cols[first].any(axis=1)]
-    sets = cols[first].astype(np.int64)
+    keys = np.ascontiguousarray(np.packbits(near.T, axis=1))
+    _, first = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True)
+    first = first[keys[first].any(axis=1)]
+    sets = near[:, first].T.astype(np.float64)
     inter = sets @ sets.T  # |S_a & S_b|
-    size = np.diag(inter)
-    # distinct sets, so S_a inside a larger S_b means strictly contained
-    dominated = ((inter == size[:, None]) & (size[None, :] > size[:, None])).any(axis=1)
+    # S_a lies inside S_b iff |S_a & S_b| = |S_a|; a row matches its own
+    # column, and the sets are distinct, so another match is a strict superset
+    dominated = (inter == np.diag(inter)[:, None]).sum(axis=1) > 1
     return sorted(first[~dominated].tolist())
 
 
+def _weighted_rows(mask: np.ndarray, weights: Sequence[int]) -> list[int]:
+    """Row sums of a boolean matrix with column j weighted by the integer
+    weights[j], as one product over Python ints, exact at any size."""
+    return (mask.astype(object) @ np.array(weights, dtype=object)).tolist()
+
+
 def _unit_lp(a: np.ndarray) -> LPInstance:
-    """max 1.x subject to a x <= 1, x >= 0."""
+    """max 1.x subject to a x <= 1, x >= 0, with int coefficients."""
     num_rows, num_vars = a.shape
-    triplets = tuple((int(i), int(j), ONE) for i, j in zip(*np.nonzero(a)))
+    triplets = tuple((i, j, 1) for i, j in np.argwhere(a).tolist())
     return LPInstance(
         direction="max",
         num_vars=num_vars,
         num_rows=num_rows,
-        objective=(ONE,) * num_vars,
+        objective=(1,) * num_vars,
         triplets=triplets,
         senses=("<=",) * num_rows,
-        rhs=(ONE,) * num_rows,
+        rhs=(1,) * num_rows,
     )
 
 
@@ -145,13 +157,15 @@ def round_packing(
     of ``gamma`` (``gamma_sets``) of size at least sum(x) / (2*kappa).
     """
     kappa = max(len(kq.parts) for kq in family)
+    # sum(x) over a neighborhood <= 2*kappa, in integer numerators over scale
+    xs, scale = _scaled(x)
+    cap = 2 * kappa * scale
     remaining = set(range(len(family)))
     packing: list[int] = []
     while remaining:
         pick = -1
         for i in sorted(remaining):
-            mass = sum((x[j] for j in gamma[i] if j in remaining), Fraction(0))
-            if mass <= 2 * kappa:
+            if sum(xs[j] for j in gamma[i] if j in remaining) <= cap:
                 pick = i
                 break
         if pick < 0:
@@ -174,18 +188,39 @@ def round_hitting(
     *,
     z: int = 0,
 ) -> list[int]:
-    """Integral hitting set from a fractional cover at radius r.
+    """Integral hitting set from a fractional cover at radius r, one entry
+    of y per vertex.
 
     Each member is represented by the part whose r-neighborhood carries the
     most fractional mass (first part on ties); the greedy hitting/packing
-    pass over the representatives yields the vertices.  Masses are summed
-    over the support of y only.
+    pass over the representatives yields the vertices.  Masses are taken
+    over the support of y only, as integer numerators over one common
+    denominator (``_round_support``).
     """
     support = [v for v, yv in enumerate(y) if yv]
+    weights, _ = _scaled([y[v] for v in support])
+    return _round_support(support, weights, family, dm, g, r, delta, z)
+
+
+def _round_support(
+    support: Sequence[int],
+    weights: Sequence[int],
+    family: Sequence[KappaQSet],
+    dm: DistanceMatrix,
+    g: Graph,
+    r: int,
+    delta: HalfInt,
+    z: int,
+) -> list[int]:
+    """``round_hitting`` for the cover with weight weights[k] on vertex
+    support[k] and 0 elsewhere.  The weights are integers, the cover's
+    entries times one positive denominator, which scales every part mass
+    alike and so changes no comparison; the masses of all parts are one
+    integer product of the parts x support incidence with the weights."""
     # row k: which support vertices lie within r of the k-th part
     parts = [part for kq in family for part in kq.parts]
-    near = (_min_rows(dm.d[:, support], [p.members for p in parts]) <= r).tolist()
-    masses = (sum((y[v] for v, hit in zip(support, row) if hit), Fraction(0)) for row in near)
+    near = _min_rows(dm.d[:, support], [p.members for p in parts]) <= r
+    masses = iter(_weighted_rows(near, weights))
     reps: list[QSet] = []
     for kq in family:
         mass = [next(masses) for _ in kq.parts]
@@ -222,12 +257,13 @@ def kappa_hit_pack(
     LP over every vertex; by LP duality, so does the hitting optimum.  Over
     the witnesses the two LPs are exact duals: max 1.x subject to A^T x <= 1
     and min 1.y subject to A y >= 1, with A the members x witnesses
-    incidence.  So only the packing LP is solved, and its duals y are checked
-    exactly to be a feasible hitting vector (y >= 0, A y >= 1 row by row) of
-    the same value as the packing optimum; weak duality then proves both
-    optima, and a failed check raises ``RuntimeError``.  The hitting vector
-    is expanded back to every vertex, zero off the witnesses, before
-    rounding.
+    incidence.  So only the packing LP is solved, and its duals y are
+    checked exactly to be a feasible hitting vector of the same value as
+    the packing optimum: over their common denominator L, as integer
+    numerators h = L*y, h >= 0, A h >= L row by row and sum(h) = L times
+    the packing optimum.  Weak duality then proves both optima, and a
+    failed check raises ``RuntimeError``.  The hitting vector is rounded as
+    it stands, nonzero on the witnesses only.
     """
     if not family:
         raise ValueError("empty family")
@@ -254,20 +290,17 @@ def kappa_hit_pack(
     pack_sol = solve_lp(_unit_lp(incidence.T))
     if pack_sol.status != "optimal":
         raise RuntimeError(f"packing LP solve failed: {pack_sol.status}")
-    hit = pack_sol.duals
-    hitting_optimum = sum(hit, Fraction(0))
-    cover = [sum((v for v, on in zip(hit, row) if on), Fraction(0)) for row in incidence.tolist()]
-    if min(hit) < 0 or min(cover) < 1 or hitting_optimum != pack_sol.objective:
+    hit, scale = _scaled(pack_sol.duals)  # the duals are hit / scale
+    total = sum(hit)
+    cover = _weighted_rows(incidence, hit)
+    if min(hit) < 0 or min(cover) < scale or total != scale * pack_sol.objective:
         raise RuntimeError(
             "the packing LP's duals are not a hitting vector of equal value: "
-            f"duals {hit}, packing optimum {pack_sol.objective}"
+            f"duals {pack_sol.duals}, packing optimum {pack_sol.objective}"
         )
 
-    y = [Fraction(0)] * dm.n
-    for w, value in zip(witnesses, hit):
-        y[w] = value
     packing = round_packing(pack_sol.values, gamma_r, family)
-    hitting = round_hitting(y, family, dm, g, r_star, delta, z=z)
+    hitting = _round_support(witnesses, hit, family, dm, g, r_star, delta, z)
 
     hitting_ok, packing_ok = check_hit_pack(
         dm, [kq.union for kq in family], hitting, r_prime, packing, r
@@ -282,7 +315,7 @@ def kappa_hit_pack(
         r_star=r_star,
         r_prime=r_prime,
         packing_optimum=pack_sol.objective,
-        hitting_optimum=hitting_optimum,
+        hitting_optimum=Fraction(total, scale),
         hitting_ok=hitting_ok,
         packing_ok=packing_ok,
         bound_ok=bound_ok,

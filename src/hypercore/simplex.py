@@ -13,17 +13,19 @@ disputes: reported optima are exact and the primal/dual pair must agree to
 the digit.
 
 The tableau is fraction-free (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968).  Each row, and
-the objective, is scaled by the lcm of its denominators; the slack columns
-keep their unit entries, which only measures the slacks in units of
-1/scale.  The real tableau is the integer one over a single common
-denominator ``det``, and a pivot on p = T[r][c] > 0 replaces every other
-row i by the exact quotient (T[i][j]*p - T[i][c]*T[r][j]) // det, after
-which p is the new ``det``.  Bland's ratio test compares rhs/entry by
-cross-multiplication.  Positive row and column scalings change neither the
-sign of a reduced cost nor the order of the ratios, so the pivots, values
-and optimum are those of the plain rational tableau; only ``Fraction``
-objects are built at the end.
+integer-preserving Gaussian elimination", Math. Comp. 1968).  Coefficients
+may be ints or ``Fraction``s.  Each row, and the objective, is scaled by
+the lcm of its denominators (1 for an int row, as every row of the kappa
+LPs is); the slack columns keep their unit entries, which only measures the
+slacks in units of 1/scale.  The real tableau is the integer one over a
+single common denominator ``det``, and a pivot on p = T[r][c] > 0 replaces
+every other row i by the exact quotient (T[i][j]*p - T[i][c]*T[r][j]) //
+det, after which p is the new ``det``.  Bland's ratio test compares
+rhs/entry by cross-multiplication.  Positive row and column scalings change
+neither the sign of a reduced cost nor the order of the ratios, so the
+pivots, values and optimum are those of the plain rational tableau.  The
+values, the optimum and the duals are returned as ``Fraction``s, the only
+ones a solve builds.
 
 Each solve also returns the duals: the dual of row r is minus the final
 reduced cost of the row's slack column, scaled back to the row as given.
@@ -44,17 +46,18 @@ class LPInstance:
     """max/min of objective . x subject to rows of (coeffs, sense, rhs), x >= 0.
 
     The constraint matrix is given in sparse triplet form (row, col, value);
-    repeated triplets accumulate.  ``solve_lp`` takes only ``<=`` rows with
-    rhs >= 0.
+    repeated triplets accumulate.  Coefficients and right-hand sides may be
+    ints or ``Fraction``s, mixed freely.  ``solve_lp`` takes only ``<=``
+    rows with rhs >= 0.
     """
 
     direction: str
     num_vars: int
     num_rows: int
-    objective: tuple[Fraction, ...]
-    triplets: tuple[tuple[int, int, Fraction], ...]
+    objective: tuple[int | Fraction, ...]
+    triplets: tuple[tuple[int, int, int | Fraction], ...]
     senses: tuple[str, ...]
-    rhs: tuple[Fraction, ...]
+    rhs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if self.direction not in ("max", "min"):
@@ -73,8 +76,9 @@ class LPInstance:
                     f"{self.num_rows} rows and {self.num_vars} variables"
                 )
 
-    def dense_rows(self) -> list[list[Fraction]]:
-        rows = [[ZERO] * self.num_vars for _ in range(self.num_rows)]
+    def dense_rows(self) -> list[list[int | Fraction]]:
+        """The constraint rows as lists, the int 0 where no triplet falls."""
+        rows = [[0] * self.num_vars for _ in range(self.num_rows)]
         for r, c, val in self.triplets:
             rows[r][c] += val
         return rows
@@ -97,7 +101,8 @@ class LPSolution:
 
 
 def _scaled(values) -> tuple[list[int], int]:
-    """The values times the lcm of their denominators, as ints, and that lcm."""
+    """Ints or ``Fraction``s times the lcm of their denominators, as ints,
+    and that lcm: the values over one common denominator."""
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 

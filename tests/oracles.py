@@ -505,6 +505,12 @@ def radius_scan_min_core(g, dm, X, alpha=Fraction(1, 2)):
     raise AssertionError("no ball up to the diameter met the threshold")
 
 
+def _fraction_rows(inst):
+    """The instance's dense rows as ``Fraction``s (its coefficients may be
+    ints), so that every division below is exact."""
+    return [[Fraction(a) for a in row] for row in inst.dense_rows()]
+
+
 def _solve_square(A, b):
     """Gaussian elimination over Fractions; None when singular."""
     n = len(A)
@@ -530,7 +536,7 @@ def lp_optimum_by_vertex_enumeration(inst):
     instances under test are bounded, so the optimum sits at a vertex.
     """
     n = inst.num_vars
-    rows = inst.dense_rows()
+    rows = _fraction_rows(inst)
     planes = [(row, rhs) for row, rhs in zip(rows, inst.rhs)]
     for j in range(n):
         axis = [Fraction(0)] * n
@@ -635,8 +641,8 @@ def fraction_tableau_solve_lp(inst):
     integer tableau of ``solve_lp`` must take the same pivots."""
     n = inst.num_vars
     m = inst.num_rows
-    rows = inst.dense_rows()
-    rhs = list(inst.rhs)
+    rows = _fraction_rows(inst)
+    rhs = [Fraction(b) for b in inst.rhs]
     senses = list(inst.senses)
     for r in range(m):
         if rhs[r] < 0:
@@ -675,7 +681,7 @@ def fraction_tableau_solve_lp(inst):
         tableau.append(row)
 
     sign = _ONE if inst.direction == "max" else -_ONE
-    structural = [sign * c for c in inst.objective]
+    structural = [sign * Fraction(c) for c in inst.objective]
 
     if art_of:
         phase1 = [_ZERO] * width
@@ -712,6 +718,18 @@ def fraction_tableau_solve_lp(inst):
         if bv < n:
             values[bv] = tableau[r][-1]
     return "optimal", tuple(values), sign * z
+
+
+def witness_vertices_by_sets(near) -> list[int]:
+    """The witness rule on Python sets: the vertices v whose member set
+    {i : near[i][v]} is nonempty and strictly inside no other vertex's
+    set, one vertex (the smallest id) per distinct set, in increasing id."""
+    sets = [frozenset(i for i, row in enumerate(near) if row[v]) for v in range(len(near[0]))]
+    first = {}
+    for v, s in enumerate(sets):
+        if s and not any(s < other for other in sets):
+            first.setdefault(s, v)
+    return sorted(first.values())
 
 
 def full_packing_lp(family, dm, r):

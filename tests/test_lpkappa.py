@@ -1,10 +1,11 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
@@ -33,6 +34,7 @@ from oracles import (
     full_hitting_lp,
     full_packing_lp,
     witness_hitting_lp,
+    witness_vertices_by_sets,
 )
 from strategies import connected_graphs
 
@@ -226,6 +228,40 @@ def test_witness_vertices_rule():
     assert _witness_vertices(np.zeros((2, 3), dtype=bool)) == []
 
 
+def _columns(m, *sets):
+    """The m-member incidence whose vertex v has member set sets[v]."""
+    near = np.zeros((m, len(sets)), dtype=bool)
+    for v, s in enumerate(sets):
+        near[sorted(s), v] = True
+    return near
+
+
+@st.composite
+def incidences(draw):
+    """A members x vertices incidence with 1-130 members, so that a
+    vertex's packed key takes 1 to 17 bytes, whose columns mix empty sets,
+    repeats of a few drawn sets, subsets of those and free sets."""
+    m = draw(st.integers(1, 130))
+    mask = st.integers(0, 2**m - 1)
+    pool = draw(st.lists(mask, min_size=1, max_size=5))
+    column = st.one_of(
+        st.just(0),
+        st.sampled_from(pool),
+        st.tuples(st.sampled_from(pool), mask).map(lambda t: t[0] & t[1]),
+        mask,
+    )
+    cols = draw(st.lists(column, min_size=1, max_size=24))
+    return np.array([[c >> i & 1 for c in cols] for i in range(m)], dtype=bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(incidences())
+@example(np.ones((130, 3), dtype=bool))
+@example(_columns(129, {127, 128}, {128}, {127}, set(), {127, 128}))  # 17-byte keys
+def test_witness_vertices_match_set_oracle(near):
+    assert _witness_vertices(near) == witness_vertices_by_sets(near.tolist())
+
+
 def test_packing_lp_rows_are_witnesses():
     dm = distance_matrix(path_graph(7))
     fam = [member(dm, [1, 2, 3]), member(dm, [1, 2], [4]), member(dm, [4, 5])]
@@ -338,5 +374,51 @@ def test_kappa_hit_pack_rejects_bad_duals(monkeypatch, corrupt):
         return dataclasses.replace(sol, duals=corrupt(sol.duals))
 
     monkeypatch.setattr(lpkappa, "solve_lp", corrupted)
+    with pytest.raises(RuntimeError, match="duals"):
+        kappa_hit_pack(g, dm, fam, 0, 0, HalfInt(0))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("mutate", ["lower", "negate"])
+def test_integer_dual_check_catches_one_changed_dual(monkeypatch, mutate, k):
+    # at radius 0 the witnesses 0, 4 and 8 carry the member sets {0, 1},
+    # {1, 2} and {0, 2}: the packing optimum is 3/2 and every dual is 1/2
+    g = path_graph(9)
+    dm = distance_matrix(g)
+    fam = [member(dm, [0], [8]), member(dm, [0], [4]), member(dm, [4], [8])]
+    assert kappa_hit_pack(g, dm, fam, 0, 0, HalfInt(0)).hitting_optimum == F(3, 2)
+    solve = lpkappa.solve_lp
+
+    def mutated(inst):
+        sol = solve(inst)
+        duals = list(sol.duals)
+        scale = lcm(*(y.denominator for y in duals))
+        assert scale == 2
+        duals[k] = duals[k] - F(1, scale) if mutate == "lower" else -duals[k]
+        return dataclasses.replace(sol, duals=tuple(duals))
+
+    monkeypatch.setattr(lpkappa, "solve_lp", mutated)
+    with pytest.raises(RuntimeError, match="duals"):
+        kappa_hit_pack(g, dm, fam, 0, 0, HalfInt(0))
+
+
+def test_integer_dual_check_refuses_a_negative_dual(monkeypatch):
+    # at radius 0 the witnesses 0, 4, 8 and 12 carry {0, 1}, {2, 3}, {0, 2}
+    # and {1, 3}: each member lies in one of the first two and one of the
+    # last two, so adding t * (1, 1, -1, -1) to the duals keeps every cover
+    # and the sum; only h >= 0 refuses them
+    g = path_graph(13)
+    dm = distance_matrix(g)
+    fam = [member(dm, [a], [b]) for a in (0, 4) for b in (8, 12)]
+    assert kappa_hit_pack(g, dm, fam, 0, 0, HalfInt(0)).hitting_optimum == 2
+    solve = lpkappa.solve_lp
+
+    def shifted(inst):
+        sol = solve(inst)
+        t = max(sol.duals) + 1
+        duals = tuple(y + s * t for y, s in zip(sol.duals, (1, 1, -1, -1)))
+        return dataclasses.replace(sol, duals=duals)
+
+    monkeypatch.setattr(lpkappa, "solve_lp", shifted)
     with pytest.raises(RuntimeError, match="duals"):
         kappa_hit_pack(g, dm, fam, 0, 0, HalfInt(0))

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercore import (
     Ball,
@@ -16,6 +18,7 @@ from hypercore import (
 )
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
 from oracles import brute_pi, brute_sigma, brute_tau, inflate_family
+from strategies import connected_graphs
 
 
 def test_commodity_validation():
@@ -41,6 +44,40 @@ def test_interval_family_examples():
     assert len(fam_dup) == 2  # duplicates retained
     with pytest.raises(ValueError):
         interval_family(dm4, [])
+
+
+@st.composite
+def graphs_with_pairs(draw):
+    """A connected graph or a tree and demand pairs among which some repeat
+    and some are reversed."""
+    g = draw(connected_graphs(max_n=12, min_n=2, tree=draw(st.booleans())))
+    vertex = st.integers(0, g.n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, min_size=1, max_size=8))
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=4))
+    pairs += [draw(st.sampled_from([(x, y), (y, x)])) for x, y in extra]
+    return g, draw(st.permutations(pairs))
+
+
+def _assert_interval_sets(dm, pairs):
+    fam = interval_family(dm, pairs)
+    assert [list(s.members) for s in fam.sets] == [interval(dm, x, y) for x, y in pairs]
+    assert fam.names == tuple(f"I({x},{y})" for x, y in pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_pairs())
+def test_interval_family_sets_are_the_pair_intervals(case):
+    g, pairs = case
+    _assert_interval_sets(distance_matrix(g), pairs)
+
+
+def test_interval_family_spans_row_blocks():
+    # 2**16 // 300 = 218 pairs a row block: 500 pairs take three
+    g = gnp_connected(300, 0.02, 4)
+    rng = random.Random(2)
+    pairs = [tuple(rng.sample(range(300), 2)) for _ in range(500)]
+    _assert_interval_sets(distance_matrix(g), pairs)
 
 
 def test_multicore_single_pair_and_far_pairs():

@@ -1,8 +1,11 @@
 """The README's "Library quick start" block runs as shown, so an export it
-uses cannot be removed or renamed without the README following."""
+uses cannot be removed or renamed without the README following; nor can
+the count of exported names that it states drift."""
 
 import re
 from pathlib import Path
+
+import hypercore
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +17,8 @@ def test_library_quick_start_runs():
     namespace = {}
     exec(compile(block.group(1), "README.md (Library quick start)", "exec"), namespace)
     assert namespace["beams"].all_beams_intercepted
+
+
+def test_stated_export_count_matches_all():
+    stated = re.findall(r"one of its (\d+)\s+names", README.read_text(encoding="utf-8"))
+    assert stated == [str(len(hypercore.__all__))]
