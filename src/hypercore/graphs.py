@@ -372,11 +372,13 @@ def set_distance(dm: DistanceMatrix, X: Sequence[int], Y: Sequence[int]) -> int:
     return int(dm.d[np.ix_(xs, ys)].min())
 
 
-def _padded(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """The vertex lists ``sets`` as the rows of one index array, each padded
-    to the largest size by repeating its first member, so that a min over a
-    row of a gathered array is the min over the set.  An empty set, or a
-    vertex outside 0..n-1, raises, where a negative one would wrap."""
+def _layout(sets: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, ...]:
+    """A family of vertex lists laid out for ``_fold_rows``, unpadded:
+    (order, flat, first, sizes), with ``flat`` every member in input order,
+    ``order`` sorting the sets by decreasing size (ties in any order), and
+    set order[k]'s members flat[first[k] : first[k] + sizes[k]].  An empty
+    set raises, and then the smallest vertex outside 0..n-1, where a
+    negative one would wrap."""
     if not all(map(len, sets)):
         raise ValueError("cannot take the distance to an empty set")
     sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
@@ -384,18 +386,9 @@ def _padded(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
     if len(flat) and (flat.min() < 0 or flat.max() >= n):
         bad = min(v for v in flat.tolist() if not 0 <= v < n)
         raise ValueError(f"set contains vertex {bad}, out of range for n={n}")
-    starts = np.cumsum(sizes) - sizes
-    cols = np.arange(sizes.max(initial=1))
-    return flat[starts[:, None] + np.where(cols < sizes[:, None], cols, 0)]
-
-
-def _by_size(sets: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``_padded`` rows largest first: (order, idx, sizes) with idx =
-    _padded(sets, n)[order], ``order`` sorting by decreasing size (ties in
-    any order), and sizes the set sizes in that order."""
-    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
     order = np.argsort(-sizes)
-    return order, _padded(sets, n)[order], sizes[order]
+    first = np.cumsum(sizes) - sizes
+    return order, flat, first[order], sizes[order]
 
 
 def _longer(sizes: np.ndarray) -> list[int]:
@@ -408,13 +401,13 @@ def _fold_rows(
     ufunc: np.ufunc, a: np.ndarray, flat: np.ndarray, first: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
     """Row k is ``ufunc`` folded over the rows a[flat[first[k] + j]], j <
-    sizes[k], of nonempty groups in non-increasing size; a row may be a
-    scalar (a 1-D ``a``) and of any dtype, object too.  Slot j is one
-    gather and one binary ``ufunc`` call over whole rows, for the leading
-    groups longer than j (``_longer``).  ``ufunc.reduceat`` over the same
-    gathered rows gives the same result, but it gathers every row at once
-    and runs one short inner loop per group and column, down the group,
-    which is tens of times slower on distance rows."""
+    sizes[k], of nonempty groups in non-increasing size (``_layout``); a
+    row may be a scalar (a 1-D ``a``) and of any dtype, object too.  Slot j
+    is one gather and one binary ``ufunc`` call over whole rows, for the
+    leading groups longer than j (``_longer``).  ``ufunc.reduceat`` over
+    the same gathered rows gives the same result, but it gathers every row
+    at once and runs one short inner loop per group and column, down the
+    group, which is tens of times slower on distance rows."""
     out = a[flat[first]]
     for j, c in enumerate(_longer(sizes)[1:], 1):
         ufunc(out[:c], a[flat[first[:c] + j]], out=out[:c])
@@ -423,21 +416,23 @@ def _fold_rows(
 
 def _min_rows(a: np.ndarray, sets: Sequence[Sequence[int]]) -> np.ndarray:
     """Row i is the elementwise minimum of the rows a[v], v in sets[i]; with
-    ``a = dm.d`` entry (i, v) is d(v, sets[i]).  Sets are checked as by
-    ``_padded``, with n = len(a)."""
-    order, idx, sizes = _by_size(sets, len(a))
-    starts = np.arange(0, idx.size, idx.shape[1])
-    return _fold_rows(np.minimum, a, idx.ravel(), starts, sizes)[np.argsort(order)]
+    ``a = dm.d`` entry (i, v) is d(v, sets[i]), and with a 1-D ``a`` entry
+    i is min a[sets[i]].  One ``_layout`` with n = len(a), one fold."""
+    order, *rows = _layout(sets, len(a))
+    return _fold_rows(np.minimum, a, *rows)[np.argsort(order)]
 
 
 def _set_block(
     dm: DistanceMatrix, sets: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(near, gaps) of a family of vertex lists, checked as by ``_padded``:
+    """(near, gaps) of a family of vertex lists, checked by ``_layout``:
     near[i, v] = d(v, sets[i]) as an S x n block, and gaps[i, j] =
-    d(sets[i], sets[j]) = min of near[i] over sets[j], as an S x S block."""
-    near = _min_rows(dm.d, sets)
-    return near, _min_rows(near.T, sets)
+    d(sets[i], sets[j]) = min of near[i] over sets[j], as an S x S block:
+    one layout, folded over the rows of d and then of near.T."""
+    order, *rows = _layout(sets, dm.n)
+    back = np.argsort(order)
+    near = _fold_rows(np.minimum, dm.d, *rows)[back]
+    return near, _fold_rows(np.minimum, near.T, *rows)[back]
 
 
 def intercepted_pairs(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -29,8 +30,9 @@ class KappaQSet:
         if not self.parts:
             raise ValueError("a member needs at least one part")
 
-    @property
+    @cached_property
     def union(self) -> tuple[int, ...]:
+        """Sorted without repeats; kept from the first read, outside == and hash."""
         return tuple(sorted({v for p in self.parts for v in p.members}))
 
     @property
@@ -197,6 +199,8 @@ def round_hitting(
     over the support of y only, as integer numerators over one common
     denominator (``_round_support``).
     """
+    if len(y) != dm.n:
+        raise ValueError(f"cover has {len(y)} entries, but the graph has n={dm.n} vertices")
     support = [v for v, yv in enumerate(y) if yv]
     weights, _ = _scaled([y[v] for v in support])
     return _round_support(support, weights, family, dm, g, r, delta, z)

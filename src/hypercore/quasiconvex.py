@@ -20,11 +20,11 @@ from .graphs import (
     Ball,
     DistanceMatrix,
     Graph,
-    _by_size,
     _descent,
     _fold_rows,
+    _layout,
     _longer,
-    _padded,
+    _min_rows,
     _set_block,
     check_vertices,
     interval,
@@ -126,30 +126,31 @@ def _set_epsilons(dm: DistanceMatrix, sets: Sequence[Sequence[int]]) -> list[int
     the pairwise intervals, over the pairs of the pair loop
     (``tests/oracles.py``), so the values are the same.
 
-    The sets are laid out largest first (``graphs._by_size``).  For each
-    member position b, every set with more than b members tests the pairs
-    (a, b), a < b, at once: a (sets x a x n) block of d(x, .) + d(y, .)
-    compared with d(x, y) and OR-ed over a into the set's union mask.  A
-    block holds at most 2**16 elements (``graphs.row_chunks``): whole sets
-    while b*n fits, otherwise one set and a run of its earlier members.
+    The sets are laid out largest first and unpadded (``graphs._layout``).
+    For each member position b, the m sets with more than b members come
+    first: their member b is flat[first[:m] + b] and their earlier members
+    are flat[first[:m, None] + arange(b)].  They test the pairs (a, b),
+    a < b, at once: a (sets x a x n) block of d(x, .) + d(y, .) compared
+    with d(x, y) and OR-ed over a into the set's union mask.  A block holds
+    at most 2**16 elements (``graphs.row_chunks``): whole sets while b*n
+    fits, otherwise one set and a run of its earlier members.
     The matrix's distance type holds a sum of two distances, so the sums
     are formed in place (int16 below 16,384 vertices: a block takes 128 KB).
     """
     d, n = dm.d, dm.n
-    order, idx, sizes = _by_size(sets, n)
-    starts = np.arange(0, idx.size, idx.shape[1])
-    near = _fold_rows(np.minimum, d, idx.ravel(), starts, sizes)  # d(v, S), layout order
+    order, flat, first, sizes = _layout(sets, n)
+    near = _fold_rows(np.minimum, d, flat, first, sizes)  # d(v, S), layout order
     between = np.zeros(near.shape, dtype=bool)  # union of the set's intervals
     for b, m in enumerate(_longer(sizes)[1:], 1):
         # the sets with more than b members: earlier members x, member b as y
-        xs, y, mask = idx[:m, :b], idx[:m, b, None], between[:m]
-        y_rows = d[idx[:m, b]][:, None, :]
+        xs, ys, mask = flat[first[:m, None] + np.arange(b)], flat[first[:m] + b], between[:m]
+        y_rows = d[ys][:, None, :]
         for s in row_chunks(m, b * n):
             for a in row_chunks(b, n * (s.stop - s.start)):
                 x = xs[s, a]
                 block = d[x]
                 block += y_rows[s]
-                mask[s] |= (block == d[x, y[s]][:, :, None]).any(axis=1)
+                mask[s] |= (block == d[x, ys[s, None]][:, :, None]).any(axis=1)
     eps = np.empty(len(sets), dtype=np.int64)
     eps[order] = np.where(between, near, 0).max(axis=1)
     return eps.tolist()
@@ -243,15 +244,16 @@ def greedy_hit_pack(
     offset r, then discard every remaining set within 2r of the pick.
     Discarded sets are guaranteed to lie within the covering radius of the
     projection point, so the hitting set and the packing come out the same
-    size.
+    size.  The distances d(z, S) and d(S, T) come from one
+    ``graphs._set_block`` call, as in ``helly_center``; a pick discards the
+    sets its row of the set-to-set block puts within 2r.
     """
     if r < 0:
         raise ValueError(f"negative packing gap {r}")
     check_vertices(dm.n, [z], "base vertex")
-    d = dm.d
     sets = family.sets
-    pad = _padded([s.members for s in sets], dm.n)
-    dists = d[z][pad].min(axis=1).tolist()  # d(z, S) per set
+    near, gaps = _set_block(dm, [s.members for s in sets])
+    dists = near[:, z].tolist()  # d(z, S) per set
     remaining = list(range(len(sets)))
     hitting: list[int] = []
     packing: list[int] = []
@@ -259,9 +261,7 @@ def greedy_hit_pack(
         pick = max(remaining, key=lambda i: (dists[i], -i))
         hitting.append(project_toward(g, dm, z, sets[pick].members, r))
         packing.append(pick)
-        near = d[list(sets[pick].members)].min(axis=0)  # d(v, pick) for every v
-        # the pick's row of the set-to-set distances; the pick itself is at 0
-        apart = (near[pad].min(axis=1) > 2 * r).tolist()
+        apart = (gaps[pick] > 2 * r).tolist()  # the pick itself is at 0
         remaining = [j for j in remaining if apart[j]]
     hit_radius = covering_radius(r, family.family_epsilon, delta).floor()
     return HitPackResult(
@@ -296,7 +296,7 @@ def check_hit_pack(
     d = dm.d
     # d(v, hitting set); an empty hitting set is infinitely far
     to_hitting = d[list(hitting)].min(axis=0, initial=np.iinfo(d.dtype).max)
-    hit_ok = bool((to_hitting[_padded(members, dm.n)].min(axis=1) <= hit_radius).all())
+    hit_ok = bool((_min_rows(to_hitting, members) <= hit_radius).all())
     _, gaps = _set_block(dm, [members[a] for a in packing])
     pack_ok = not np.triu(gaps <= 2 * pack_gap, 1).any()
     return hit_ok, pack_ok
@@ -308,14 +308,13 @@ def is_interval_like(dm: DistanceMatrix, members: Sequence[int]) -> bool:
     Such sets behave like geodesics in the covering bounds; callers report
     the tighter geodesic constants for them without asserting those.
     """
-    ms = sorted(set(members))
-    if len(ms) == 1:
-        return True
-    d = dm.d
-    sub = d[np.ix_(ms, ms)]
+    ms = check_vertices(dm.n, members, "set")
+    if not ms:
+        raise ValueError("an empty set is not interval-like")
+    sub = dm.d[np.ix_(ms, ms)]
     flat = int(sub.argmax())
     u, v = ms[flat // len(ms)], ms[flat % len(ms)]
-    return set(ms) == set(interval(dm, u, v))
+    return ms == interval(dm, u, v)
 
 
 def geodesic_covering_radius(r: int, delta: HalfInt) -> HalfInt:

@@ -1,4 +1,5 @@
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +25,8 @@ from hypercore.graphs import (
     DuplicateEdgeError,
     _distance_dtype,
     _fold_rows,
+    _min_rows,
+    _set_block,
     _tree_distances,
     tree_walk,
 )
@@ -605,3 +608,58 @@ def test_fold_rows_reduces_each_group(case):
         out = _fold_rows(ufunc, a, flat, first, sizes)
         assert out.dtype == a.dtype
         assert out.tolist() == [ufunc.reduce(a[grp], axis=0).tolist() for grp in groups]
+
+
+@st.composite
+def set_families(draw):
+    """A graph and a family of vertex lists with repeated members: of mixed
+    sizes, all of one size, all singletons, or no set at all."""
+    g = draw(connected_graphs(max_n=10))
+    kind = draw(st.sampled_from(["ragged", "equal", "singletons", "empty"]))
+    if kind == "empty":
+        return g, []
+    sizes = {
+        "ragged": st.integers(1, g.n + 2),
+        "equal": st.just(draw(st.integers(1, 4))),
+        "singletons": st.just(1),
+    }[kind]
+    vertex = st.integers(0, g.n - 1)
+    lists = st.builds(lambda k, vs: vs[:k], sizes, st.lists(vertex, min_size=g.n + 2))
+    return g, draw(st.lists(lists, min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_families())
+@example((path_graph(3), []))
+@example((path_graph(4), [[3], [0], [2, 2], [1, 3, 0], [0]]))
+def test_set_rows_equal_set_loops(case):
+    g, sets = case
+    dm = distance_matrix(g)
+    want = [dm.d[S].min(axis=0).tolist() for S in sets]
+    assert _min_rows(dm.d, sets).tolist() == want
+    row = dm.d[g.n - 1]
+    assert _min_rows(row, sets).tolist() == [int(row[S].min()) for S in sets]
+    near, gaps = _set_block(dm, sets)
+    assert near.shape == (len(sets), g.n) and near.dtype == dm.d.dtype
+    assert near.tolist() == want
+    assert gaps.shape == (len(sets), len(sets))
+    assert gaps.tolist() == [[int(dm.d[np.ix_(S, T)].min()) for T in sets] for S in sets]
+
+
+@pytest.mark.parametrize(
+    "sets, msg",
+    [
+        ([[5, -3], [], [9]], "cannot take the distance to an empty set"),
+        ([[1, 9], [-2, 0], [4]], "set contains vertex -2, out of range for n=4"),
+        ([[3, 7], [2], [5]], "set contains vertex 5, out of range for n=4"),
+    ],
+)
+def test_set_rows_refuse_an_empty_set_then_the_smallest_bad_vertex(sets, msg):
+    dm = distance_matrix(path_graph(4))
+    for rows in (
+        lambda: _min_rows(dm.d, sets),
+        lambda: _min_rows(dm.d[0], sets),
+        lambda: _set_block(dm, sets),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            rows()

@@ -136,6 +136,27 @@ def test_round_hitting_kappa1_reduces_to_greedy():
     assert tuple(got) == expected
 
 
+@pytest.mark.parametrize("entries", [7, 2])
+def test_round_hitting_refuses_cover_of_wrong_length(entries):
+    # 7 entries used to index past the vertices; 2 were read as a cover
+    # that is zero on the three missing vertices
+    g = path_graph(5)
+    dm = distance_matrix(g)
+    fam = [member(dm, [0, 1]), member(dm, [4])]
+    msg = f"^cover has {entries} entries, but the graph has n=5 vertices$"
+    with pytest.raises(ValueError, match=msg):
+        round_hitting([F(1)] * entries, fam, dm, g, 0, HalfInt(0))
+
+
+def test_kappa_member_union_is_kept_and_not_compared():
+    dm = distance_matrix(path_graph(8))
+    a, b = member(dm, [5, 3, 4], [1, 3]), member(dm, [5, 3, 4], [1, 3])
+    assert a.union == (1, 3, 4, 5)
+    assert a.union is a.union  # computed once, on the first read
+    assert a == b and hash(a) == hash(b)  # b's union is still unread
+    assert "union" not in {f.name for f in dataclasses.fields(KappaQSet)}
+
+
 def test_kappa_hit_pack_single_member():
     g = path_graph(10)
     dm = distance_matrix(g)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,21 @@ def test_is_interval_like():
     assert not is_interval_like(dm, [0, 3])  # interval of (0,3) is all of C_6
 
 
+@pytest.mark.parametrize(
+    "members, msg",
+    [
+        ([9], "set contains vertex 9, out of range for n=4"),
+        ([], "an empty set is not interval-like"),
+        ([1, 7], "set contains vertex 7, out of range for n=4"),
+        ([-1, 1], "set contains vertex -1, out of range for n=4"),
+    ],
+)
+def test_is_interval_like_refuses_bad_sets(members, msg):
+    dm = distance_matrix(path_graph(4))
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        is_interval_like(dm, members)
+
+
 def test_qset_measures_epsilon_itself():
     dm = distance_matrix(cycle_graph(4))
     q = QSet.measure(dm, [2, 0])
@@ -350,3 +366,31 @@ def test_greedy_and_check_hit_pack_equal_set_loops(case, data):
     packing = data.draw(st.lists(st.integers(0, len(sets) - 1), max_size=len(sets) + 1))
     args = (dm, members, hitting, data.draw(st.integers(0, 4)), packing, r)
     assert check_hit_pack(*args) == check_hit_pack_by_sets(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_families(), st.data())
+def test_helly_center_is_the_first_greedy_hit(case, data):
+    g, sets = case
+    dm = distance_matrix(g)
+    fam = QSetFamily.measure(dm, sets)
+    r = data.draw(st.integers(0, 4))
+    delta = HalfInt.from_doubled(data.draw(st.integers(0, 4)))
+    z = data.draw(st.integers(0, g.n - 1))
+    far = [
+        (i, j, gap)
+        for i in range(len(sets))
+        for j in range(i + 1, len(sets))
+        if (gap := set_distance(dm, sets[i], sets[j])) > 2 * r
+    ]
+    if far:
+        i, j, gap = far[0]
+        msg = (
+            f"set[{i}] and set[{j}] are {gap} apart, more than 2r = {2 * r}: "
+            "family is not pairwise 2r-close"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            helly_center(g, dm, fam, r, delta, z=z)
+    else:
+        h = greedy_hit_pack_by_sets(g, dm, fam, r, delta, z=z)
+        assert helly_center(g, dm, fam, r, delta, z=z) == Ball(h.hitting_set[0], h.hit_radius)
