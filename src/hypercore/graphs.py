@@ -428,11 +428,11 @@ def _set_block(
     """(near, gaps) of a family of vertex lists, checked by ``_layout``:
     near[i, v] = d(v, sets[i]) as an S x n block, and gaps[i, j] =
     d(sets[i], sets[j]) = min of near[i] over sets[j], as an S x S block:
-    one layout, folded over the rows of d and then of near.T."""
+    one layout, folded over the rows of d and then of near.T, copied."""
     order, *rows = _layout(sets, dm.n)
     back = np.argsort(order)
     near = _fold_rows(np.minimum, dm.d, *rows)[back]
-    return near, _fold_rows(np.minimum, near.T, *rows)[back]
+    return near, _fold_rows(np.minimum, np.ascontiguousarray(near.T), *rows)[back]
 
 
 def intercepted_pairs(

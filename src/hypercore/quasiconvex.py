@@ -244,16 +244,16 @@ def greedy_hit_pack(
     offset r, then discard every remaining set within 2r of the pick.
     Discarded sets are guaranteed to lie within the covering radius of the
     projection point, so the hitting set and the packing come out the same
-    size.  The distances d(z, S) and d(S, T) come from one
-    ``graphs._set_block`` call, as in ``helly_center``; a pick discards the
-    sets its row of the set-to-set block puts within 2r.
+    size.  d(z, S) and each pick's row d(pick, S) are one ``reduceat``
+    each over one ``graphs._layout``: linear in the total set size.
     """
     if r < 0:
         raise ValueError(f"negative packing gap {r}")
     check_vertices(dm.n, [z], "base vertex")
-    sets = family.sets
-    near, gaps = _set_block(dm, [s.members for s in sets])
-    dists = near[:, z].tolist()  # d(z, S) per set
+    d, sets = dm.d, family.sets
+    _, flat, first, _ = _layout([s.members for s in sets], dm.n)
+    starts = np.sort(first)  # flat holds the nonempty sets in input order
+    dists = np.minimum.reduceat(d[z, flat], starts).tolist()  # d(z, S) per set
     remaining = list(range(len(sets)))
     hitting: list[int] = []
     packing: list[int] = []
@@ -261,7 +261,8 @@ def greedy_hit_pack(
         pick = max(remaining, key=lambda i: (dists[i], -i))
         hitting.append(project_toward(g, dm, z, sets[pick].members, r))
         packing.append(pick)
-        apart = (gaps[pick] > 2 * r).tolist()  # the pick itself is at 0
+        near = d[list(sets[pick].members)].min(axis=0)  # d(v, pick) for every v
+        apart = (np.minimum.reduceat(near[flat], starts) > 2 * r).tolist()  # the pick is at 0
         remaining = [j for j in remaining if apart[j]]
     hit_radius = covering_radius(r, family.family_epsilon, delta).floor()
     return HitPackResult(

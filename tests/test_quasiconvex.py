@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,28 @@ def test_greedy_hit_pack_random_certificates():
         for i, a in enumerate(hp.packing):
             for b in hp.packing[i + 1 :]:
                 assert set_distance(dm, fam.sets[a].members, fam.sets[b].members) > 2 * r
+
+
+def test_greedy_hit_pack_many_sets_stays_linear():
+    # one set per demand pair, as the multi-core passes it, with far more
+    # sets than vertices: no S x S block may be built, however few rounds
+    n = 60
+    g = gnp_connected(n, 0.08, 5)
+    dm = distance_matrix(g)
+    rng = random.Random(11)
+    fam = QSetFamily.measure(
+        dm, [interval(dm, rng.randrange(n), rng.randrange(n)) for _ in range(50 * n)]
+    )
+    s = len(fam.sets)
+    for r in (0, 1, 2):
+        tracemalloc.start()
+        try:
+            hp = greedy_hit_pack(g, dm, fam, r, HalfInt(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hp == greedy_hit_pack_by_sets(g, dm, fam, r, HalfInt(0))
+        assert peak < s * s // 4  # an S x S int16 block alone takes 2 * s * s bytes
 
 
 def test_helly_balls_check_tree_and_cycle():
