@@ -24,7 +24,7 @@ from .fileio import (
     write_edge_list,
 )
 from .generators import PRNG_ID
-from .graphs import DEFAULT_MATRIX_CAP, distance_matrix
+from .graphs import DEFAULT_MATRIX_CAP, _min_rows, distance_matrix
 from .halfint import HalfInt
 
 # Each handler imports the analysis modules it runs, so a command loads
@@ -258,8 +258,8 @@ def _cmd_helly(args):
     ball = helly_center(g, dm, family, args.r, delta, z=z)
     # d(B(c, rho), S) = max(d(c, S) - rho, 0): a geodesic from c to a nearest
     # s in S passes a ball vertex at distance d(c, s) - rho from s
-    row = dm.d[ball.center]
-    gaps = [max(int(row[list(s.members)].min()) - ball.radius, 0) for s in family.sets]
+    near = _min_rows(dm.d[ball.center], [s.members for s in family.sets])
+    gaps = [max(d - ball.radius, 0) for d in near.tolist()]
     all_hit = all(gap == 0 for gap in gaps)
     report = {
         "sets": len(family),
@@ -312,15 +312,13 @@ def _cmd_kappa(args):
     qsets = iter(QSetFamily.measure(dm, parts).sets)  # every part in one pass
     family = [KappaQSet(tuple(next(qsets) for _ in e["parts"])) for e in entries]
     delta = _thin_delta(args, g, dm)
-    measured = max(kq.epsilon for kq in family)
-    epsilon = measured if args.epsilon is None else args.epsilon
     z = _base_vertex(args, table)
-    res = kappa_hit_pack(g, dm, family, args.r, epsilon, delta, z=z)
+    res = kappa_hit_pack(g, dm, family, args.r, delta, z=z)
     ok = res.hitting_ok and res.packing_ok and res.bound_ok
     report = {
         "members": len(family),
         "kappa": res.kappa,
-        "epsilon": epsilon,
+        "epsilon": max(kq.epsilon for kq in family),
         "delta": _halfint_json(delta),
         "r": res.r,
         "r_star": res.r_star,
@@ -417,7 +415,6 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("kappa", help="covering/packing for unions of quasiconvex sets")
     _add_graph_flags(p)
     _add_family_flags(p, "JSON kappa-family file", r_required=True)
-    p.add_argument("--epsilon", type=int, default=None, help="override measured epsilon upward")
     _add_delta_flag(p)
 
     return parser

@@ -11,13 +11,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, _min_rows, check_vertices
 from .halfint import HalfInt
 from .quasiconvex import QSet, QSetFamily, check_hit_pack, covering_radius, greedy_hit_pack
-from .simplex import LPInstance, _scaled, solve_lp
+from .simplex import LPInstance, solve_lp
 
 
 @dataclass(frozen=True)
@@ -111,18 +112,16 @@ def _weighted_rows(mask: np.ndarray, weights: Sequence[int]) -> list[int]:
 
 
 def _unit_lp(a: np.ndarray) -> LPInstance:
-    """max 1.x subject to a x <= 1, x >= 0, with int coefficients."""
-    num_rows, num_vars = a.shape
+    """max 1.x subject to a x <= 1, x >= 0, for a 0/1 matrix a."""
     triplets = tuple((i, j, 1) for i, j in np.argwhere(a).tolist())
-    return LPInstance(
-        direction="max",
-        num_vars=num_vars,
-        num_rows=num_rows,
-        objective=(1,) * num_vars,
-        triplets=triplets,
-        senses=("<=",) * num_rows,
-        rhs=(1,) * num_rows,
-    )
+    return LPInstance(a.shape[1], a.shape[0], triplets)
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """Ints or ``Fraction``s times the lcm of their denominators, as ints,
+    and that lcm: the values over one common denominator."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _witness_incidence(member_dist: np.ndarray, r: int) -> tuple[list[int], np.ndarray]:
@@ -239,20 +238,20 @@ def kappa_hit_pack(
     dm: DistanceMatrix,
     family: Sequence[KappaQSet],
     r: int,
-    epsilon: int,
     delta: HalfInt,
     *,
     z: int = 0,
 ) -> KappaHitPackResult:
     """End-to-end covering/packing with verified certificates.
 
-    With r_star = r + eps + 3*delta and r_prime = r_star + eps + 3*delta
-    (both floored), solves the fractional packing LP at r_star and rounds it
-    to an r-packing P, takes the fractional hitting vector at r_star from
-    the packing LP's duals and rounds it to an r_prime-hitting set T, then
-    checks exhaustively that P is pairwise 2r-apart, that T reaches every
-    member within r_prime, and that |T| <= 2*kappa^2*|P|.  Requires
-    r >= eps + 2*delta, under which the two classical forms of the
+    With eps the family's measured quasiconvexity defect (the largest over
+    every part), r_star = r + eps + 3*delta and r_prime = r_star + eps +
+    3*delta (both floored), solves the fractional packing LP at r_star and
+    rounds it to an r-packing P, takes the fractional hitting vector at
+    r_star from the packing LP's duals and rounds it to an r_prime-hitting
+    set T, then checks exhaustively that P is pairwise 2r-apart, that T
+    reaches every member within r_prime, and that |T| <= 2*kappa^2*|P|.
+    Requires r >= eps + 2*delta, under which the two classical forms of the
     intermediate radius coincide.
 
     Both LPs are taken over the witness vertices only, from one
@@ -273,12 +272,7 @@ def kappa_hit_pack(
         raise ValueError("empty family")
     check_vertices(dm.n, [z], "base vertex")
     kappa = max(len(kq.parts) for kq in family)
-    measured = max(kq.epsilon for kq in family)
-    if measured > epsilon:
-        raise ValueError(
-            f"family has measured quasiconvexity defect {measured}, larger than "
-            f"the stated epsilon {epsilon}"
-        )
+    epsilon = max(kq.epsilon for kq in family)
     if HalfInt(r) < epsilon + delta * 2:
         raise ValueError(
             f"r={r} violates the hypothesis r >= epsilon + 2*delta "

@@ -2,85 +2,72 @@
 final reduced costs.
 
 Every LP the package poses is a packing LP, max 1.x subject to A x <= 1,
-x >= 0, so ``solve_lp`` solves exactly the LPs whose origin is feasible
-(every row ``<=`` with rhs >= 0): the slack basis starts the simplex, no
-phase 1 is needed, and any other LP is refused.  The kappa LPs have one row
-per witness vertex (a vertex with an inclusion-maximal set of nearby
-members) and one column per member, so on 150-250 vertex trees with
-12-member families they are at most 12 x 12.  Exact arithmetic with
-Bland's pivoting rule is therefore both fast enough and free of tolerance
-disputes: reported optima are exact and the primal/dual pair must agree to
-the digit.
+x >= 0, with A an int matrix, and ``LPInstance`` describes exactly that
+form.  Its origin is feasible, so the slack basis starts the simplex and
+no phase 1 is needed.  The kappa LPs have one row per witness vertex (a
+vertex with an inclusion-maximal set of nearby members) and one column per
+member, so on 150-250 vertex trees with 12-member families they are at
+most 12 x 12.  Exact arithmetic with Bland's pivoting rule is therefore
+both fast enough and free of tolerance disputes: reported optima are exact
+and the primal/dual pair must agree to the digit.
 
 The tableau is fraction-free (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968).  Coefficients
-may be ints or ``Fraction``s.  Each row, and the objective, is scaled by
-the lcm of its denominators (1 for an int row, as every row of the kappa
-LPs is); the slack columns keep their unit entries, which only measures the
-slacks in units of 1/scale.  The real tableau is the integer one over a
-single common denominator ``det``, and a pivot on p = T[r][c] > 0 replaces
-every other row i by the exact quotient (T[i][j]*p - T[i][c]*T[r][j]) //
-det, after which p is the new ``det``.  Bland's ratio test compares
-rhs/entry by cross-multiplication.  Positive row and column scalings change
-neither the sign of a reduced cost nor the order of the ratios, so the
-pivots, values and optimum are those of the plain rational tableau.  The
-values, the optimum and the duals are returned as ``Fraction``s, the only
-ones a solve builds.
+integer-preserving Gaussian elimination", Math. Comp. 1968).  Every entry
+of A, the objective and the rhs is an int, so the starting tableau is the
+plain one.  The real tableau is the integer one over a single common
+denominator ``det``, and a pivot on p = T[r][c] > 0 replaces every other
+row i by the exact quotient (T[i][j]*p - T[i][c]*T[r][j]) // det, after
+which p is the new ``det``.  Bland's ratio test compares rhs/entry by
+cross-multiplication, so the pivots, values and optimum are those of the
+plain rational tableau.  The values, the optimum and the duals are
+returned as ``Fraction``s, the only ones a solve builds.
 
 Each solve also returns the duals: the dual of row r is minus the final
-reduced cost of the row's slack column, scaled back to the row as given.
-They satisfy ``objective == sum(rhs[r] * duals[r])``; see ``LPSolution``.
+reduced cost of the row's slack column.  Every rhs is 1, so they satisfy
+``objective == sum(duals)``; see ``LPSolution``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import index
 
 ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class LPInstance:
-    """max/min of objective . x subject to rows of (coeffs, sense, rhs), x >= 0.
+    """The packing LP max 1.x subject to A x <= 1, x >= 0.
 
-    The constraint matrix is given in sparse triplet form (row, col, value);
-    repeated triplets accumulate.  Coefficients and right-hand sides may be
-    ints or ``Fraction``s, mixed freely.  ``solve_lp`` takes only ``<=``
-    rows with rhs >= 0.
+    A is given in sparse triplet form (row, col, value) with int values;
+    repeated triplets accumulate.
     """
 
-    direction: str
     num_vars: int
     num_rows: int
-    objective: tuple[int | Fraction, ...]
-    triplets: tuple[tuple[int, int, int | Fraction], ...]
-    senses: tuple[str, ...]
-    rhs: tuple[int | Fraction, ...]
+    triplets: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.direction not in ("max", "min"):
-            raise ValueError(f"direction must be 'max' or 'min', got {self.direction!r}")
-        if len(self.objective) != self.num_vars:
-            raise ValueError("objective length does not match num_vars")
-        if len(self.senses) != self.num_rows or len(self.rhs) != self.num_rows:
-            raise ValueError("senses/rhs length does not match num_rows")
-        for s in self.senses:
-            if s not in ("<=", ">=", "="):
-                raise ValueError(f"unknown constraint sense {s!r}")
         for r, c, val in self.triplets:
             if not (0 <= r < self.num_rows and 0 <= c < self.num_vars):
                 raise ValueError(
                     f"triplet ({r}, {c}, {val}) out of range for "
                     f"{self.num_rows} rows and {self.num_vars} variables"
                 )
+            try:
+                index(val)
+            except TypeError:
+                # the integer tableau would floor-divide it without a word
+                raise ValueError(
+                    f"triplet ({r}, {c}, {val!r}) has a coefficient that is not an int"
+                ) from None
 
-    def dense_rows(self) -> list[list[int | Fraction]]:
-        """The constraint rows as lists, the int 0 where no triplet falls."""
+    def dense_rows(self) -> list[list[int]]:
+        """The rows of A as lists of Python ints, 0 where no triplet falls."""
         rows = [[0] * self.num_vars for _ in range(self.num_rows)]
         for r, c, val in self.triplets:
-            rows[r][c] += val
+            rows[r][c] += index(val)
         return rows
 
 
@@ -89,22 +76,14 @@ class LPSolution:
     """Status, and for an optimal solve the primal values, the optimum and
     one dual per row of the instance (all empty otherwise).
 
-    The duals certify the optimum: ``objective == sum(rhs[r] * duals[r])``,
-    and for a max (min) problem every dual is >= 0 (<= 0), with
-    sum(duals[r] * a[r][j]) >= objective[j] (<= for min) in every column.
+    The duals certify the optimum: ``objective == sum(duals)``, every dual
+    is >= 0, and sum(duals[r] * a[r][j]) >= 1 in every column j.
     """
 
     status: str  # "optimal" | "unbounded"; the origin is feasible
     values: tuple[Fraction, ...]
     objective: Fraction | None
     duals: tuple[Fraction, ...]
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """Ints or ``Fraction``s times the lcm of their denominators, as ints,
-    and that lcm: the values over one common denominator."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _pivot(rows, basis, row, col, det):
@@ -152,32 +131,14 @@ def _run(rows, basis):
 
 def solve_lp(inst: LPInstance) -> LPSolution:
     """Solve exactly by integer pivoting from the slack basis; the reported
-    optimum and duals are the true ones, with no tolerance involved.
-
-    The origin must be feasible: a row that is not ``<=``, or whose rhs is
-    negative, raises ValueError.
-    """
+    optimum and duals are the true ones, with no tolerance involved."""
     n = inst.num_vars
     m = inst.num_rows
-    for r, (sense, b) in enumerate(zip(inst.senses, inst.rhs)):
-        if sense != "<=" or b < 0:
-            raise ValueError(
-                f"row {r} is '{sense} {b}': solve_lp needs a feasible origin, "
-                "every row '<=' with rhs >= 0"
-            )
-
     # column layout: structural | slack (row r's is column n + r) | rhs
-    rows, row_scale = [], []
-    for r, coeffs in enumerate(inst.dense_rows()):
-        ints, scale = _scaled(coeffs + [inst.rhs[r]])
-        rows.append(ints[:n] + [0] * r + [1] + [0] * (m - 1 - r) + ints[n:])
-        row_scale.append(scale)
+    rows = [a + [0] * r + [1] + [0] * (m - 1 - r) + [1] for r, a in enumerate(inst.dense_rows())]
     basis = list(range(n, n + m))
-
-    sign = 1 if inst.direction == "max" else -1
-    structural, obj_scale = _scaled(inst.objective)
     # the basic slacks cost nothing, so the cost row starts priced out
-    rows.append([sign * c for c in structural] + [0] * (m + 1))
+    rows.append([1] * n + [0] * (m + 1))
     status, det = _run(rows, basis)
     if status != "optimal":
         return LPSolution(status, (), None, ())
@@ -186,6 +147,5 @@ def solve_lp(inst: LPInstance) -> LPSolution:
     for r, bv in enumerate(basis):
         if bv < n:
             values[bv] = Fraction(rows[r][-1], det)
-    denom = det * obj_scale
-    duals = tuple(Fraction(-sign * row_scale[r] * cost[n + r], denom) for r in range(m))
-    return LPSolution("optimal", tuple(values), Fraction(-sign * cost[-1], denom), duals)
+    duals = tuple(Fraction(-cost[n + r], det) for r in range(m))
+    return LPSolution("optimal", tuple(values), Fraction(-cost[-1], det), duals)

@@ -505,6 +505,39 @@ def radius_scan_min_core(g, dm, X, alpha=Fraction(1, 2)):
     raise AssertionError("no ball up to the diameter met the threshold")
 
 
+class GeneralLP(
+    namedtuple("GeneralLP", "direction num_vars num_rows objective triplets senses rhs")
+):
+    """max or min of objective . x subject to rows of (coeffs, sense, rhs),
+    x >= 0, with the constraint matrix in sparse triplets (row, col, value)
+    that accumulate.  ``LPInstance`` poses only the packing LP max 1.x
+    subject to A x <= 1; this form also holds the min / >= hitting LPs, and
+    the LP oracles below read it.  (A named tuple, not a dataclass: the
+    bench loads this file by path, outside ``sys.modules``.)"""
+
+    __slots__ = ()
+
+    @classmethod
+    def packing(cls, inst):
+        """The packing LP of an ``LPInstance``, in this form."""
+        ones = (Fraction(1),)
+        return cls(
+            "max",
+            inst.num_vars,
+            inst.num_rows,
+            ones * inst.num_vars,
+            inst.triplets,
+            ("<=",) * inst.num_rows,
+            ones * inst.num_rows,
+        )
+
+    def dense_rows(self):
+        rows = [[0] * self.num_vars for _ in range(self.num_rows)]
+        for r, c, val in self.triplets:
+            rows[r][c] += val
+        return rows
+
+
 def _fraction_rows(inst):
     """The instance's dense rows as ``Fraction``s (its coefficients may be
     ints), so that every division below is exact."""
@@ -736,24 +769,13 @@ def full_packing_lp(family, dm, r):
     """The kappa packing LP with one <= 1 row per vertex, empty and
     dominated rows included: max sum x_i, and for each vertex, sum of x_i
     over the members whose union lies within r of it <= 1."""
-    one = Fraction(1)
-    n = dm.n
-    m = len(family)
     triplets = [
-        (v, i, one)
-        for v in range(n)
+        (v, i, 1)
+        for v in range(dm.n)
         for i, kq in enumerate(family)
         if min(int(dm.d[v, u]) for u in kq.union) <= r
     ]
-    return LPInstance(
-        direction="max",
-        num_vars=m,
-        num_rows=n,
-        objective=(one,) * m,
-        triplets=tuple(triplets),
-        senses=("<=",) * n,
-        rhs=(one,) * n,
-    )
+    return LPInstance(len(family), dm.n, tuple(triplets))
 
 
 def full_hitting_lp(family, dm, r):
@@ -767,7 +789,7 @@ def full_hitting_lp(family, dm, r):
         for v in range(n)
         if min(int(dm.d[v, u]) for u in kq.union) <= r
     ]
-    return LPInstance(
+    return GeneralLP(
         direction="min",
         num_vars=n,
         num_rows=len(family),
@@ -785,7 +807,7 @@ def witness_hitting_lp(family, dm, r):
     vertex in increasing id."""
     one = Fraction(1)
     pack = build_packing_lp(family, dm, r)
-    return LPInstance(
+    return GeneralLP(
         direction="min",
         num_vars=pack.num_rows,
         num_rows=pack.num_vars,

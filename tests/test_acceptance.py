@@ -253,7 +253,7 @@ def test_criterion_7_kappa_lp_guarantee(corpus):
             fam.append(KappaQSet(tuple(parts)))
         eps = max(kq.epsilon for kq in fam)
         r = eps + (item.thin_delta * 2).floor() + i % 3
-        res = kappa_hit_pack(item.g, item.dm, fam, r, eps, item.thin_delta)
+        res = kappa_hit_pack(item.g, item.dm, fam, r, item.thin_delta)
         k = res.kappa
         if not res.hitting_ok:
             failures.append(f"{item.name}: hitting cert")
