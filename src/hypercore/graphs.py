@@ -18,11 +18,13 @@ import numpy as np
 from .halfint import HalfInt
 
 DEFAULT_MATRIX_CAP = 2000
-# Elements in one block of gathered distance rows or arc temporaries: the
-# escape-radius DP's sources per pass and ``traffic_load``'s k x 2m arc
-# entries (congestion), and one gather of the far-apart mask or batch of
-# the thinness scan (hyperbolicity).  Bounds the temporaries whatever the
-# layer widths, instead of one n x n block at n = 2000.
+# Elements in one block of gathered distance rows or arc temporaries:
+# ``min_core``'s _BLOCK_ELEMS // n^2 sources per pass, whose interception
+# bits take at most _BLOCK_ELEMS / 8 bytes per radius, and the bytes of the
+# rows it folds or counts at once; ``traffic_load``'s k x 2m arc entries
+# (congestion); one gather of the far-apart mask or batch of the thinness
+# scan (hyperbolicity).  Bounds the temporaries whatever the layer widths,
+# instead of one n x n block at n = 2000.
 _BLOCK_ELEMS = 1 << 20
 # Sources per bit-parallel BFS pass: its scratch is about five bytes per
 # vertex and source besides the result, 5 MB at n = 2000.
@@ -193,7 +195,8 @@ def row_chunks(count: int, n: int) -> Iterator[slice]:
     """Consecutive slices of range(count), each short enough that its rows
     of an n-column array hold about 2**16 elements, so a gather such as
     d[rows[chunk]] stays small however many rows there are.  Its users are
-    ``congestion.median_vertex``, ``congestion.centroid_vertex`` and the
+    ``congestion.median_vertex``, ``congestion.centroid_vertex``, the ball
+    table of ``congestion.min_core``, ``multicore.interval_family`` and the
     interval blocks of ``quasiconvex._set_epsilons``."""
     step = max(1, 2**16 // n)
     return (slice(lo, lo + step) for lo in range(0, count, step))

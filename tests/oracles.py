@@ -6,6 +6,8 @@ implementations it checks.  The checks of the paper's statements
 (``brute_sigma``, ``brute_tau``, ``brute_pi``, ``helly_balls_check``,
 ``beams_pairwise_close``) read intervals and interceptions from the package:
 they test the theorems built on those, which the package does not compute.
+``escape_histogram`` reuses the package's geodesic DAG and row fold: it is
+the reference for ``min_core``'s threshold search, not for those.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from itertools import chain, combinations
 import numpy as np
 
 from hypercore import CoreResult, LPInstance, build_packing_lp
+from hypercore.congestion import _geodesic_dag
 from hypercore.graphs import (
     Ball,
+    _fold_rows,
     _min_rows,
     check_vertices,
     intercepted_pairs,
@@ -503,6 +507,55 @@ def radius_scan_min_core(g, dm, X, alpha=Fraction(1, 2)):
         if best is not None:
             return CoreResult(best, rho, counts[best], total, median)
     raise AssertionError("no ball up to the diameter met the threshold")
+
+
+def escape_histogram(g, dm, X):
+    """H[c, r] = number of profile pairs whose escape radius from c is r.
+
+    esc_c(x, y), the largest over (x,y)-geodesics of the closest approach to
+    c, is at most rho exactly when B(c, rho) intercepts the pair.  For each
+    profile vertex x but the last, one pass over the BFS layers of its
+    geodesic DAG (``congestion._geodesic_dag``, stopping at its farthest
+    later profile vertex) gives esc_c(x, v) for every vertex v and center c:
+    the source row is d[x], and each later row is min(d[v], elementwise max
+    of its predecessor rows), the max one ``graphs._fold_rows`` per layer.
+    The rows of the later profile vertices go into the histogram.  This is
+    the every-radius count that ``min_core`` replaced with its threshold
+    search, kept as that search's reference."""
+    profile = sorted(set(X))
+    n, d = g.n, dm.d
+    width = int(d.max()) + 1
+    hist = np.zeros((n, width), dtype=np.int64)
+    esc = np.empty((n, n), dtype=np.int64)
+    for i, x in enumerate(profile[:-1]):
+        targets = profile[i + 1 :]
+        dx = d[[x]]
+        preds, starts, vertices, degree, bounds = _geodesic_dag(g, dx, dx[:, targets].max(axis=1))
+        esc[x] = d[x]
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            best = _fold_rows(np.maximum, esc, preds, starts[lo:hi], degree[lo:hi])
+            np.minimum(best, d[vertices[lo:hi]], out=best)
+            esc[vertices[lo:hi]] = best
+        for y in targets:
+            hist[np.arange(n), esc[y]] += 1
+    return hist
+
+
+def histogram_min_core(g, dm, X, alpha=Fraction(1, 2)):
+    """``min_core`` read off ``escape_histogram``: its cumulative sum gives
+    every center's count at every radius, the first radius at which some
+    center reaches ceil(alpha * |X|^2 / 2) wins, ties prefer the largest
+    count, then the smallest center id, and the median is the smallest id
+    of least distance sum."""
+    profile = sorted(set(X))
+    nX = len(profile)
+    need = alpha * nX * nX / 2
+    threshold = -(-need.numerator // need.denominator)
+    curve = np.cumsum(escape_histogram(g, dm, profile), axis=1)
+    rho = int(np.argmax(curve.max(axis=0) >= threshold))
+    best = int(np.argmax(curve[:, rho]))
+    median = int(dm.d[profile].sum(axis=0, dtype=np.int64).argmin())
+    return CoreResult(best, rho, int(curve[best, rho]), nX * (nX - 1) // 2, median)
 
 
 class GeneralLP(

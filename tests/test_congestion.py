@@ -1,8 +1,10 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, log
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,10 +27,12 @@ from oracles import (
     _intercepted_count,
     all_geodesics,
     bfs_distances,
+    escape_histogram,
+    histogram_min_core,
     naive_traffic_load,
     radius_scan_min_core,
 )
-from strategies import connected_graphs
+from strategies import connected_graphs, glued_blocks
 
 ALPHAS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
 
@@ -235,23 +239,144 @@ def test_geodesic_count_matches_enumeration_on_random_graphs(g, data):
         assert geodesic_count(g, s, t) == len(all_geodesics(g, dm, s, t))
 
 
+def _alphas(nX):
+    """The ALPHAS within reach of nX profile vertices, and the largest
+    alpha there is, (nX - 1) / nX, whose threshold is every pair."""
+    top = Fraction(nX - 1, nX)
+    return [a for a in ALPHAS if a < top] + [top]
+
+
 @st.composite
 def core_instances(draw):
-    g = draw(connected_graphs(min_n=2))
-    X = draw(st.lists(st.integers(0, g.n - 1), min_size=2, unique=True))
-    nX = len(X)
-    alpha = draw(
-        st.sampled_from([a for a in ALPHAS if a * nX * nX / 2 <= nX * (nX - 1) // 2])
+    g = draw(
+        st.one_of(
+            connected_graphs(min_n=2),
+            connected_graphs(min_n=2, tree=True),
+            glued_blocks(),
+            st.builds(cycle_graph, st.integers(3, 16)),
+            st.builds(grid_graph, st.integers(2, 4), st.integers(2, 5)),
+        )
     )
-    return g, X, alpha
+    everyone = st.just(list(range(g.n)))
+    X = draw(st.one_of(everyone, st.lists(st.integers(0, g.n - 1), min_size=2, unique=True)))
+    return g, X, draw(st.sampled_from(_alphas(len(X))))
+
+
+def _third(n, seed):
+    return sorted(random.Random(seed).sample(range(n), n // 3))
+
+
+# partial profiles of cycles whose median reaches the threshold at least two
+# radii above the answer (median radius in the comment), so the search
+# passes below its first window
+BELOW_THE_MEDIAN = [
+    (cycle_graph(12), _third(12, 3), Fraction(1, 3)),  # r* = 0, median 2
+    (cycle_graph(22), _third(22, 1), Fraction(2, 3)),  # r* = 3, median 6
+    (cycle_graph(29), _third(29, 1), Fraction(2, 3)),  # r* = 4, median 7
+    (cycle_graph(33), _third(33, 3), Fraction(2, 3)),  # r* = 6, median 9
+]
+
+
+def _median_radius(g, dm, X, alpha):
+    need = alpha * len(X) ** 2 / 2
+    curve = np.cumsum(escape_histogram(g, dm, X), axis=1)
+    median = radius_scan_min_core(g, dm, X, alpha).median
+    return int(np.argmax(curve[median] >= -(-need.numerator // need.denominator)))
+
+
+def _counting_passes(mp):
+    """Record the window of radii of each ``_window_pass`` call."""
+    windows = []
+    real = congestion._window_pass
+
+    def recorded(*args):
+        windows.append(args[4])
+        return real(*args)
+
+    mp.setattr(congestion, "_window_pass", recorded)
+    return windows
 
 
 @settings(max_examples=300, deadline=None)
 @given(core_instances())
+@example((path_graph(9), list(range(9)), Fraction(8, 9)))
+@example((cycle_graph(7), [0, 3], Fraction(1, 2)))
 def test_min_core_matches_radius_scan(case):
     g, X, alpha = case
     dm = distance_matrix(g)
-    assert min_core(g, X, alpha) == radius_scan_min_core(g, dm, X, alpha)
+    res = min_core(g, X, alpha)
+    assert res == radius_scan_min_core(g, dm, X, alpha)
+    assert res == histogram_min_core(g, dm, X, alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(core_instances(), st.sampled_from([1, 2, 3]))
+@example((gnp_connected(30, 0.3, 4), list(range(30)), Fraction(1, 2)), 1)
+@example((gnp_connected(30, 0.3, 4), [0, 3, 4, 9, 17, 22, 29], Fraction(3, 4)), 2)
+@example((gnp_connected(30, 0.3, 4), [5, 21], Fraction(1, 2)), 3)
+def test_min_core_in_small_blocks(case, per_block):
+    # _BLOCK_ELEMS = k n^2 gives passes over k sources whose DAGs stop at
+    # different depths, a short last pass, and several windows of radii,
+    # each building its blocks anew
+    g, X, alpha = case
+    dm = distance_matrix(g)
+    expected = histogram_min_core(g, dm, X, alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(congestion, "_BLOCK_ELEMS", per_block * g.n * g.n)
+        assert min_core(g, X, alpha) == expected
+    assert expected == radius_scan_min_core(g, dm, X, alpha)
+
+
+@pytest.mark.parametrize("case", BELOW_THE_MEDIAN, ids=lambda c: f"cycle{c[0].n}")
+def test_min_core_below_the_median_radius(case):
+    g, X, alpha = case
+    dm = distance_matrix(g)
+    expected = histogram_min_core(g, dm, X, alpha)
+    assert expected == radius_scan_min_core(g, dm, X, alpha)
+    assert _median_radius(g, dm, X, alpha) >= expected.radius + 2
+    for per_block in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(congestion, "_BLOCK_ELEMS", per_block * g.n * g.n)
+            windows = _counting_passes(mp)
+            assert min_core(g, X, alpha) == expected
+        assert len(windows) >= 2  # the first window {median - 1, median} passes
+
+
+def test_min_core_far_below_the_containment_bound():
+    # two 8-cliques joined by a 40-edge path, the profile both cliques and
+    # the path's middle vertex 27: that vertex cuts every pair of the two
+    # cliques, so r* = 0, but its ball holds enough of the profile to pass
+    # only from radius 21 on, more than one window of 8 radii over the one
+    # block of sources
+    edges = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+    edges += [(a + 47, b + 47) for a, b in edges]
+    edges += [(v, v + 1) for v in range(7, 47)]
+    g = Graph(55, edges)
+    dm = distance_matrix(g)
+    X = [*range(8), 27, *range(47, 55)]
+    expected = histogram_min_core(g, dm, X)
+    assert expected == radius_scan_min_core(g, dm, X)
+    assert (expected.center, expected.radius, expected.median) == (27, 0, 27)
+    with pytest.MonkeyPatch.context() as mp:
+        windows = _counting_passes(mp)
+        assert min_core(g, X) == expected
+    assert [(w[0], w[-1]) for w in windows] == [(14, 21), (0, 13)]
+
+
+def test_min_core_full_profile_memory_stays_small():
+    # int16 escape radii for a block of sources took 2n bytes a row, and
+    # their histogram's intp rows 8n; one bit per center and radius keeps
+    # the peak under 3 MB at n = 300
+    n = 300
+    g = gnp_connected(n, 2 * log(n) / n, 1)
+    tracemalloc.start()
+    try:
+        res = min_core(g, range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == histogram_min_core(g, distance_matrix(g), range(n))
+    assert peak < 3_000_000
 
 
 def test_min_core_cycle_ties_to_smallest_center():
@@ -265,7 +390,7 @@ def test_min_core_cycle_ties_to_smallest_center():
 
 
 def test_min_core_tree_past_radius_zero():
-    # alpha = 3/4 is out of reach at radius 0, so the escape-radius DP runs on a tree
+    # alpha = 3/4 is out of reach at radius 0, so the threshold search runs on a tree
     for seed in (2, 5):
         g = random_tree(40, seed)
         dm = distance_matrix(g)
@@ -281,24 +406,6 @@ def test_min_core_tree_past_radius_zero():
 def test_min_core_benchmark_sized_full_profile(g):
     dm = distance_matrix(g)
     assert min_core(g, range(g.n)) == radius_scan_min_core(g, dm, range(g.n))
-
-
-def test_min_core_in_small_blocks(monkeypatch):
-    # 2n elements: one source per pass, two rows per block, so layers split
-    # between chunks of heads and the target rows span several blocks;
-    # 2n^2 and 3n^2: passes over two and three sources whose DAGs stop at
-    # different depths, and a short last pass
-    g = gnp_connected(30, 0.3, 4)
-    dm = distance_matrix(g)
-    n = g.n
-    for X in (range(30), [0, 3, 4, 9, 17, 22, 29], [5, 21]):
-        for alpha in (Fraction(1, 2), Fraction(3, 4)):
-            if alpha * len(X) ** 2 / 2 > len(X) * (len(X) - 1) // 2:
-                continue
-            expected = radius_scan_min_core(g, dm, X, alpha)
-            for elems in (2 * n, 2 * n * n, 3 * n * n):
-                monkeypatch.setattr(congestion, "_BLOCK_ELEMS", elems)
-                assert min_core(g, X, alpha) == expected
 
 
 def test_traffic_load_in_small_blocks(monkeypatch):
