@@ -234,11 +234,7 @@ def _column_counts(words: np.ndarray) -> np.ndarray:
     byte i of a row being column 8i + b.  For each bit position b,
     (words >> b) & 0x0101..01 leaves that bit of every byte in its own byte
     lane; summing up to 255 such rows as uint64 adds every lane without a
-    carry into the next, and the lanes are then added up as int64.  That
-    takes 32 numpy calls, so up to 1024 words are unpacked instead."""
-    if words.size <= 1024:
-        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-        return bits.sum(axis=0, dtype=np.int64)
+    carry into the next, and the lanes are then added up as int64."""
     out = np.zeros((8 * words.shape[1], 8), dtype=np.int64)
     groups = np.arange(0, len(words), 255)
     lanes = np.empty_like(words)
@@ -366,9 +362,9 @@ def _window_pass(
         passing = np.flatnonzero(lead >= threshold)
         hi = int(passing[0]) + 1 if len(passing) else len(radii)
         live = alive[lo:hi].any(axis=0)
-        if lo or hi < len(radii) or 4 * (hi - lo) * -(-int(live.sum()) // 8) <= 3 * 8 * words:
+        if lo or hi < len(radii) or 4 * -(-int(live.sum()) // 8) <= 3 * -(-len(cols) // 8):
             # fewer radii, or live centers that fit three quarters of the
-            # table: rebuild it narrower
+            # bytes the table gives each radius: rebuild it narrower
             radii, cnt, alive = radii[lo:hi], cnt[lo:hi, live], alive[lo:hi, live]
             cols = cols[live]
             if radii and i0 < nX - 1:
@@ -394,8 +390,11 @@ def _threshold_search(
     hi = int(np.partition(d[median, prof], nX - outside - 1)[nX - outside - 1])
     nb = max(1, _BLOCK_ELEMS // (n * n))
     if nb >= nX - 1:
+        # one block: a pass over its cached DAG costs less than the
+        # ball-deleted counts of a bisection, so a wide window starts at hi
         cached, width = _block_dag(g, d, prof, 0, nX - 1), 8
     else:
+        # every pass rebuilds the DAGs: lower hi first, then pass 2 radii
         cached, width = None, 2
         lo = -1
         while hi - lo > 1:  # the median's own radius, by bisection
@@ -449,22 +448,24 @@ def min_core(g: Graph, X: Sequence[int], alpha: Fraction = HALF) -> CoreResult:
     C(j, 2) <= |X|(|X| - 1)/2 - threshold, passes: every pair with an end
     inside is intercepted.
     When one block holds every source, its geodesic DAG is built once and
-    the first window is the 8 radii up to hi.  Otherwise hi is first
-    lowered to the median's own radius by bisection, each step one count of
-    B(m, rho) with the ball deleted (``_ball_count``), and the first window
-    is {hi - 1, hi}.  Within a pass, after each block, with R pairs not yet
-    counted, a center drops out of radius rho once count_c + R is below the
-    threshold or below the leader's count at rho: it can then neither pass
-    nor win at rho, and every center that could still tie keeps an exact
-    count.  A radius left with no center fails, and by monotonicity so does
-    every smaller one; a radius whose leader has reached the threshold
-    passes, and every larger one is dropped, since r* is no larger.  The
-    rows are rebuilt narrower when a radius goes or the live centers fit in
-    three quarters of them.  If the window's smallest radius passes and the
-    radius below it is not known to fail, the next window, twice as wide up
-    to 16 radii, ends just below it.  The search stops at a passing radius
-    r whose r - 1 fails (or r = 0), and after the last block the centers
-    left at r are exactly its leaders.
+    the first window is the 8 radii up to hi: a pass over the cached DAG
+    costs less than the bisection below.  Otherwise every pass rebuilds the
+    DAGs, so hi is first lowered to the median's own radius by bisection,
+    each step one count of B(m, rho) with the ball deleted
+    (``_ball_count``), and the first window is {hi - 1, hi}.  Within a pass,
+    after each block, with R pairs not yet counted, a center drops out of
+    radius rho once count_c + R is below the threshold or below the leader's
+    count at rho: it can then neither pass nor win at rho, and every center
+    that could still tie keeps an exact count.  A radius left with no center
+    fails, and by monotonicity so does every smaller one; a radius whose
+    leader has reached the threshold passes, and every larger one is
+    dropped, since r* is no larger.  The rows are rebuilt narrower when a
+    radius goes or the live centers fit in three quarters of the bytes each
+    radius has.  If the window's smallest radius passes and the radius below
+    it is not known to fail, the next window, twice as wide up to 16 radii,
+    ends just below it.  The search stops at a passing radius r whose r - 1
+    fails (or r = 0), and after the last block the centers left at r are
+    exactly its leaders.
 
     The paper proves that when geodesic triangles are delta-thin, some ball
     B(m, 4 delta) intercepts at least half of the total flow between the

@@ -309,20 +309,33 @@ def test_min_core_matches_radius_scan(case):
     assert res == histogram_min_core(g, dm, X, alpha)
 
 
+# _BLOCK_ELEMS = k n^e as (k, e).  2n: one source per pass, and a few rows
+# per chunk, so the heads of a BFS layer are folded in several chunks, the
+# target rows are counted in several chunks and the ball-deleted counts of
+# the bisection take one source per call; k n^2: passes over k sources
+# whose DAGs stop at different depths, a short last pass, and several
+# windows of radii, each building its blocks anew
+BLOCK_ELEMS = [(2, 1), (1, 2), (2, 2), (3, 2)]
+GNP30 = gnp_connected(30, 0.3, 4)
+
+
 @settings(max_examples=150, deadline=None)
-@given(core_instances(), st.sampled_from([1, 2, 3]))
-@example((gnp_connected(30, 0.3, 4), list(range(30)), Fraction(1, 2)), 1)
-@example((gnp_connected(30, 0.3, 4), [0, 3, 4, 9, 17, 22, 29], Fraction(3, 4)), 2)
-@example((gnp_connected(30, 0.3, 4), [5, 21], Fraction(1, 2)), 3)
-def test_min_core_in_small_blocks(case, per_block):
-    # _BLOCK_ELEMS = k n^2 gives passes over k sources whose DAGs stop at
-    # different depths, a short last pass, and several windows of radii,
-    # each building its blocks anew
+@given(core_instances(), st.sampled_from(BLOCK_ELEMS))
+@example((GNP30, list(range(30)), Fraction(1, 2)), (2, 1))
+@example((GNP30, list(range(30)), Fraction(3, 4)), (2, 1))
+@example((GNP30, [0, 3, 4, 9, 17, 22, 29], Fraction(1, 2)), (2, 1))
+@example((GNP30, [0, 3, 4, 9, 17, 22, 29], Fraction(3, 4)), (2, 1))
+@example((GNP30, [5, 21], Fraction(1, 2)), (2, 1))
+@example((GNP30, list(range(30)), Fraction(1, 2)), (1, 2))
+@example((GNP30, [0, 3, 4, 9, 17, 22, 29], Fraction(3, 4)), (2, 2))
+@example((GNP30, [5, 21], Fraction(1, 2)), (3, 2))
+def test_min_core_in_small_blocks(case, elems):
     g, X, alpha = case
+    k, e = elems
     dm = distance_matrix(g)
     expected = histogram_min_core(g, dm, X, alpha)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(congestion, "_BLOCK_ELEMS", per_block * g.n * g.n)
+        mp.setattr(congestion, "_BLOCK_ELEMS", k * g.n**e)
         assert min_core(g, X, alpha) == expected
     assert expected == radius_scan_min_core(g, dm, X, alpha)
 
@@ -334,9 +347,9 @@ def test_min_core_below_the_median_radius(case):
     expected = histogram_min_core(g, dm, X, alpha)
     assert expected == radius_scan_min_core(g, dm, X, alpha)
     assert _median_radius(g, dm, X, alpha) >= expected.radius + 2
-    for per_block in (1, 2):
+    for k, e in BLOCK_ELEMS[:3]:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(congestion, "_BLOCK_ELEMS", per_block * g.n * g.n)
+            mp.setattr(congestion, "_BLOCK_ELEMS", k * g.n**e)
             windows = _counting_passes(mp)
             assert min_core(g, X, alpha) == expected
         assert len(windows) >= 2  # the first window {median - 1, median} passes
