@@ -45,7 +45,7 @@ def beam_pairs(dm: DistanceMatrix) -> np.ndarray:
     """All ordered pairs (x, y) with y a furthest vertex from x, as the rows
     of a (k, 2) array in row-major order."""
     d = dm.d
-    return np.argwhere(d == d.max(axis=1)[:, None])
+    return np.stack(np.divmod(np.flatnonzero(d == d.max(axis=1)[:, None]), len(d)), axis=1)
 
 
 def _midpoint(g: Graph, dm: DistanceMatrix, u: int, v: int) -> int:

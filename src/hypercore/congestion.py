@@ -50,33 +50,43 @@ def _geodesic_dag(g: Graph, dx: np.ndarray, last: np.ndarray) -> tuple[np.ndarra
     layer and then by falling in-degree, so that head vertices[h] has the
     degree[h] predecessor rows preds[starts[h]:], the heads at distance l
     are bounds[l - 1]:bounds[l], and a layer is one ``graphs._fold_rows``.
-    The arc temporaries hold k x 2m entries."""
+
+    Each arc u -> w is listed under its head w, in CSR order (a row of the
+    CSR is a head and its tails), so the flat true positions of the k x 2m
+    arc mask come grouped by head row i*n + w and preds stays in that order:
+    only the head rows are sorted.  The order of a head's predecessors is
+    immaterial to the folds (AND, max and exact integer add).  The rows of
+    dx are distances in a connected graph, with no -1, and the arc
+    temporaries hold k x 2m entries."""
     n = g.n
-    # every arc u -> w of the symmetric adjacency
-    tail, head = np.repeat(np.arange(n), np.diff(g.indptr)), g.indices
-    dh = dx[:, head]
-    dag = dx[:, tail] + 1 == dh
-    dag &= dh <= last[:, None]
-    src, arc = np.nonzero(dag)
-    layer = dh[src, arc]
+    deg = np.diff(g.indptr)
+    head, tail = np.repeat(np.arange(n), deg), g.indices
+    # d - 1 at the heads within reach, and -2, which no distance equals, past it
+    below = np.where(dx <= last[:, None], dx - 1, -2)
+    dag = np.repeat(below, deg, axis=1) == dx.take(tail, axis=1)
+    # flat positions, split by source at the row starts: no 2-D nonzero or
+    # division, each several times slower on this mask
+    arc = np.flatnonzero(dag)
+    del dag  # free the mask before the arc arrays
+    cuts = np.searchsorted(arc, np.arange(len(dx) + 1) * len(tail))
+    src = np.repeat(np.arange(len(dx)), np.diff(cuts))
+    arc -= src * len(tail)
     src *= n
-    heads = src + head[arc]
     preds = src + tail[arc]
-    del dh, dag, src, arc  # free the arc temporaries before the next ones
-    indeg = np.bincount(heads, minlength=dx.size)
-    # sort key (layer, -indegree, head row) as one int64, built in place
-    key = np.multiply(layer, int(indeg.max()) + 1, dtype=np.int64)
-    key -= indeg[heads]
-    key *= dx.size
-    key += heads
-    order = np.argsort(key)
-    del key
-    preds, heads, layer = preds[order], heads[order], layer[order]
-    del order
-    starts = np.flatnonzero(np.diff(heads, prepend=-1))
-    vertices = heads[starts]
-    bounds = np.searchsorted(layer[starts], np.arange(1, int(last.max()) + 2))
-    return preds, starts, vertices, indeg[vertices], bounds
+    src += head[arc]  # the head row of every arc, nondecreasing
+    indeg = np.bincount(src, minlength=dx.size)
+    rows = np.flatnonzero(indeg)
+    indeg = indeg[rows]
+    first = np.cumsum(indeg) - indeg
+    # the rows by (layer, -indegree) as one key; a stable sort keeps them in
+    # increasing order within a key, and on keys below 2^16 it is a radix sort
+    layer = dx.ravel()[rows]
+    top = int(indeg.max(initial=0))
+    key = np.multiply(layer, top + 1, dtype=np.int64)
+    key += top - indeg
+    order = np.argsort(key.astype(np.min_scalar_type(int(key.max(initial=0)))), kind="stable")
+    bounds = np.searchsorted(layer[order], np.arange(1, int(last.max()) + 2))
+    return preds, first[order], rows[order], indeg[order], bounds
 
 
 def _path_counts(g: Graph, dx: np.ndarray, last: np.ndarray, blocked: np.ndarray) -> np.ndarray:

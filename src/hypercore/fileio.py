@@ -7,8 +7,11 @@ report so outputs can be mapped back.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 from pathlib import Path
+
+import numpy as np
 
 from .graphs import DuplicateEdgeError, Graph
 
@@ -41,22 +44,68 @@ class LabelTable:
         return len(self.labels)
 
 
-def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+# The start of a line that is not two labels between spaces and tabs, the
+# first of them no '#' comment.  In a text without one, every line is a
+# record and ``str.split`` gives the labels two by two: ``\s`` and
+# ``str.split`` take the same characters for whitespace, so no label holds
+# one, and a line break of ``str.splitlines`` other than '\n' (such as '\r'
+# or '\x85') is whitespace that fails its line.  The text is searched for
+# such a line, not matched whole: a match of every line in one pattern keeps
+# backtracking state per line, 0.37 GB for a million lines.
+_NOT_TWO_LABELS = re.compile(r"^(?![ \t]*[^\s#]\S*[ \t]+\S+[ \t]*$)", re.MULTILINE)
+
+
+def _read_text(path: str | Path) -> str:
+    """The text of a file.  A leading byte-order mark is dropped
+    (``utf-8-sig``), so it never joins a label or breaks a JSON document."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
+def _two_label_tokens(text: str) -> list[str] | None:
+    """The labels of a text in which every line, the last one with or
+    without its '\\n', holds exactly two labels and no comment, in order, so
+    line i holds tokens 2i and 2i + 1; None for any other text, the empty
+    text and blank or comment lines included."""
+    if _NOT_TWO_LABELS.search(text, 0, len(text) - text.endswith("\n")):
+        return None
+    return text.split()
+
+
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, whitespace-separated fields) of every line that is
-    neither blank nor a '#' comment.  A leading byte-order mark is dropped
-    (``utf-8-sig``), as by both JSON readers, so it never joins a label."""
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
         fields = raw.split()
         if fields and not fields[0].startswith("#"):
             yield lineno, fields
 
 
 def read_edge_list(path: str | Path) -> tuple[Graph, LabelTable]:
-    """One edge per line, two whitespace-separated labels; '#' starts a comment."""
+    """One edge per line, two whitespace-separated labels; '#' starts a comment.
+
+    A text of two labels on every line (``_two_label_tokens``) is read in
+    whole-file passes: labels in first-appearance order by ``dict.fromkeys``,
+    and the ids as one integer array for ``Graph``.  Any other text, and any
+    text ``Graph`` refuses, is read line by line (``_read_edge_lines``),
+    which gives the same graph or raises the error message."""
+    text = _read_text(path)
+    tokens = _two_label_tokens(text)
+    if tokens is not None:
+        table = LabelTable(list(dict.fromkeys(tokens)))
+        ids = np.fromiter(map(table.index.__getitem__, tokens), np.intp, len(tokens))
+        try:
+            return Graph(len(table), ids.reshape(-1, 2)), table
+        except ValueError:  # the line reader names the lines in its message
+            pass
+    return _read_edge_lines(path, text)
+
+
+def _read_edge_lines(path: str | Path, text: str) -> tuple[Graph, LabelTable]:
+    """``read_edge_list`` of the text of ``path``, one line at a time."""
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     lines: list[int] = []  # the line of each edge
-    for lineno, fields in _records(path):
+    for lineno, fields in _records(text):
         if len(fields) != 2:
             raise ValueError(f"{path}:{lineno}: expected two labels, got {len(fields)}")
         a, b = fields
@@ -87,13 +136,27 @@ def write_edge_list(g: Graph, table: LabelTable, path: str | Path) -> None:
 
 def read_tokens(path: str | Path) -> list[str]:
     """Whitespace-separated tokens, '#' comments allowed: used for profiles."""
-    return [token for _, fields in _records(path) for token in fields]
+    return [token for _, fields in _records(_read_text(path)) for token in fields]
 
 
 def read_pairs(path: str | Path) -> list[tuple[str, str]]:
-    """One labeled pair of distinct labels per line: demand and commodity files."""
+    """One labeled pair of distinct labels per line: demand and commodity
+    files.  A text of two labels on every line (``_two_label_tokens``)
+    without a pair of equal labels is split once; any other text is read
+    line by line (``_read_pair_lines``), which raises the error message."""
+    text = _read_text(path)
+    tokens = _two_label_tokens(text)
+    if tokens is not None:
+        pairs = list(zip(tokens[::2], tokens[1::2]))
+        if all(a != b for a, b in pairs):
+            return pairs
+    return _read_pair_lines(path, text)
+
+
+def _read_pair_lines(path: str | Path, text: str) -> list[tuple[str, str]]:
+    """``read_pairs`` of the text of ``path``, one line at a time."""
     pairs: list[tuple[str, str]] = []
-    for lineno, fields in _records(path):
+    for lineno, fields in _records(text):
         if len(fields) != 2:
             raise ValueError(f"{path}:{lineno}: expected two labels, got {len(fields)}")
         if fields[0] == fields[1]:
@@ -116,7 +179,7 @@ def _check_strings(path: str | Path, i: int, entry: dict, labels: list) -> None:
 
 def read_family_json(path: str | Path) -> list[dict]:
     """[{"name": str, "vertices": [labels]}, ...]; epsilon is never read."""
-    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    data = json.loads(_read_text(path))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a nonempty JSON list of sets")
     for i, entry in enumerate(data):
@@ -131,7 +194,7 @@ def read_family_json(path: str | Path) -> list[dict]:
 
 def read_kappa_family_json(path: str | Path) -> list[dict]:
     """[{"name": str, "parts": [[labels], ...]}, ...]."""
-    data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    data = json.loads(_read_text(path))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a nonempty JSON list of members")
     for i, entry in enumerate(data):

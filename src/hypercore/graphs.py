@@ -41,13 +41,22 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        edges = list(edges)
-        try:  # an id passes operator.index: a float or a string is refused, not converted
-            pairs = max(map(len, edges), default=2) == 2
-            ids = map(operator.index, chain.from_iterable(edges))
-            ends = np.fromiter(ids, np.intp, 2 * len(edges)).reshape(-1, 2)
-        except (TypeError, ValueError, OverflowError):  # no integer, too large, or too few
-            pairs = False
+        if (
+            isinstance(edges, np.ndarray)
+            and edges.dtype.kind in "iu"
+            and np.can_cast(edges.dtype, np.intp)
+            and edges.shape[1:] == (2,)
+        ):  # an (m, 2) integer array, such as ``fileio.read_edge_list`` builds
+            ends = edges.astype(np.intp, copy=False)
+            pairs = True
+        else:
+            edges = list(edges)
+            try:  # an id passes operator.index: a float or a string is refused, not converted
+                pairs = max(map(len, edges), default=2) == 2
+                ids = map(operator.index, chain.from_iterable(edges))
+                ends = np.fromiter(ids, np.intp, 2 * len(edges)).reshape(-1, 2)
+            except (TypeError, ValueError, OverflowError):  # no integer, too large, or too few
+                pairs = False
         if not pairs or ends.min(initial=0) < 0 or ends.max(initial=0) >= n:
             raise _first_bad_edge(n, edges)
         # the keys u * n + v of both arcs of every edge, sorted: row u is the

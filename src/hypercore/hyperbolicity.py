@@ -106,7 +106,7 @@ def _lower_layers(d: np.ndarray, diam: int) -> np.ndarray:
     n = len(d)
     if diam < 2:
         return np.empty((0, 2), dtype=np.int32)
-    heads, tails = np.nonzero(d == 1)
+    heads, tails = np.divmod(np.flatnonzero(d == 1), n)
     deg = np.bincount(heads, minlength=n)
     by_degree = np.argsort(-deg, kind="stable")
     local = np.empty((n, n), dtype=bool)
@@ -407,12 +407,12 @@ def interval_thinness(g: Graph, dm: DistanceMatrix) -> int:
 def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> int:
     """The scan of ``interval_thinness`` over a block's far-apart pairs from a
     thinness ``nu`` already found, in batches of 4, 16, ... up to
-    _BLOCK_ELEMS // n pairs: one np.nonzero marks a batch's intervals, one sort
-    groups their members by (pair, layer), and each group's widest distance
-    counts.  A batched pair past the stop (distance <= nu) cannot raise nu,
-    and the scan returns as soon as nu reaches ``cap``, a known upper bound
-    on the block's thinness (its diameter, or the doubled four-point upper
-    end in ``_block_scans``)."""
+    _BLOCK_ELEMS // n pairs: one np.flatnonzero marks a batch's intervals,
+    one sort groups their members by (pair, layer), and each group's widest
+    distance counts.  A batched pair past the stop (distance <= nu) cannot
+    raise nu, and the scan returns as soon as nu reaches ``cap``, a known
+    upper bound on the block's thinness (its diameter, or the doubled
+    four-point upper end in ``_block_scans``)."""
     width = pairs.diam + 1
     i, rows = 0, 4
     while nu < cap:
@@ -422,7 +422,8 @@ def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> i
             return nu
         e = min(i + rows, stop)
         du = dm.d[pairs.pairs[i:e, 0]]
-        p, x = np.nonzero(du + dm.d[pairs.pairs[i:e, 1]] == pairs.dist[i:e, None])
+        between = du + dm.d[pairs.pairs[i:e, 1]] == pairs.dist[i:e, None]
+        p, x = np.divmod(np.flatnonzero(between), dm.n)
         key = p * width + du[p, x]
         order = np.argsort(key)
         key, x = key[order], x[order]

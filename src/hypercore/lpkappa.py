@@ -113,7 +113,8 @@ def _weighted_rows(mask: np.ndarray, weights: Sequence[int]) -> list[int]:
 
 def _unit_lp(a: np.ndarray) -> LPInstance:
     """max 1.x subject to a x <= 1, x >= 0, for a 0/1 matrix a."""
-    triplets = tuple((i, j, 1) for i, j in np.argwhere(a).tolist())
+    rows, cols = np.divmod(np.flatnonzero(a), a.shape[1])
+    triplets = tuple((i, j, 1) for i, j in zip(rows.tolist(), cols.tolist()))
     return LPInstance(a.shape[1], a.shape[0], triplets)
 
 

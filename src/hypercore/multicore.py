@@ -43,7 +43,7 @@ def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> QSe
         between += d[y]
         mask = between == d[x, y][:, None]
         ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
-        members = np.nonzero(mask)[1].tolist()  # row by row, each row sorted
+        members = (np.flatnonzero(mask) % dm.n).tolist()  # row by row, each row sorted
         sets += [members[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
     return QSetFamily.measure(dm, sets, names=[f"I({x},{y})" for x, y in pairs])
 

@@ -193,9 +193,9 @@ def covering_radius(r: int, epsilon: int, delta: HalfInt) -> HalfInt:
 def _require_pairwise_close(family: QSetFamily, gaps: np.ndarray, r: int) -> None:
     """Raise for the first pair i < j, in row order, of sets more than 2r
     apart; ``gaps`` is the family's set-to-set block."""
-    far = np.argwhere(np.triu(gaps > 2 * r, 1))
+    far = np.flatnonzero(np.triu(gaps > 2 * r, 1))
     if len(far):
-        i, j = far[0].tolist()
+        i, j = divmod(int(far[0]), len(gaps))
         raise ValueError(
             f"{family.name_of(i)} and {family.name_of(j)} are {int(gaps[i, j])} apart, "
             f"more than 2r = {2 * r}: family is not pairwise 2r-close"

@@ -6,8 +6,6 @@ implementations it checks.  The checks of the paper's statements
 (``brute_sigma``, ``brute_tau``, ``brute_pi``, ``helly_balls_check``,
 ``beams_pairwise_close``) read intervals and interceptions from the package:
 they test the theorems built on those, which the package does not compute.
-``escape_histogram`` reuses the package's geodesic DAG and row fold: it is
-the reference for ``min_core``'s threshold search, not for those.
 """
 
 from __future__ import annotations
@@ -19,10 +17,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from hypercore import CoreResult, LPInstance, build_packing_lp
-from hypercore.congestion import _geodesic_dag
 from hypercore.graphs import (
     Ball,
-    _fold_rows,
     _min_rows,
     check_vertices,
     intercepted_pairs,
@@ -509,19 +505,34 @@ def radius_scan_min_core(g, dm, X, alpha=Fraction(1, 2)):
     raise AssertionError("no ball up to the diameter met the threshold")
 
 
+def geodesic_dag(g, dx, last):
+    """The geodesic DAGs of the sources whose distance rows are dx, each
+    stopping at distance last[i], vertex by vertex: {i*n + v: sorted
+    predecessor rows} over the v with 1 <= dx[i][v] <= last[i], the
+    predecessors of v being its neighbours u (a CSR row) with dx[i][u] =
+    dx[i][v] - 1.  The reference for ``congestion._geodesic_dag``."""
+    n = g.n
+    dag = {}
+    for i, row in enumerate(np.asarray(dx).tolist()):
+        for v in range(n):
+            if 1 <= row[v] <= last[i]:
+                dag[i * n + v] = [i * n + u for u in neighbours(g, v) if row[u] == row[v] - 1]
+    return dag
+
+
 def escape_histogram(g, dm, X):
     """H[c, r] = number of profile pairs whose escape radius from c is r.
 
     esc_c(x, y), the largest over (x,y)-geodesics of the closest approach to
     c, is at most rho exactly when B(c, rho) intercepts the pair.  For each
-    profile vertex x but the last, one pass over the BFS layers of its
-    geodesic DAG (``congestion._geodesic_dag``, stopping at its farthest
-    later profile vertex) gives esc_c(x, v) for every vertex v and center c:
-    the source row is d[x], and each later row is min(d[v], elementwise max
-    of its predecessor rows), the max one ``graphs._fold_rows`` per layer.
-    The rows of the later profile vertices go into the histogram.  This is
-    the every-radius count that ``min_core`` replaced with its threshold
-    search, kept as that search's reference."""
+    profile vertex x but the last, one pass over its geodesic DAG
+    (``geodesic_dag``, stopping at its farthest later profile vertex) in
+    order of distance from x gives esc_c(x, v) for every vertex v and
+    center c: the source row is d[x], and each later row is min(d[v],
+    elementwise max of its predecessor rows).  The rows of the later
+    profile vertices go into the histogram.  This is the every-radius count
+    that ``min_core`` replaced with its threshold search, kept as that
+    search's reference."""
     profile = sorted(set(X))
     n, d = g.n, dm.d
     width = int(d.max()) + 1
@@ -529,13 +540,10 @@ def escape_histogram(g, dm, X):
     esc = np.empty((n, n), dtype=np.int64)
     for i, x in enumerate(profile[:-1]):
         targets = profile[i + 1 :]
-        dx = d[[x]]
-        preds, starts, vertices, degree, bounds = _geodesic_dag(g, dx, dx[:, targets].max(axis=1))
+        dag = geodesic_dag(g, d[[x]], [int(d[x, targets].max())])
         esc[x] = d[x]
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            best = _fold_rows(np.maximum, esc, preds, starts[lo:hi], degree[lo:hi])
-            np.minimum(best, d[vertices[lo:hi]], out=best)
-            esc[vertices[lo:hi]] = best
+        for v in sorted(dag, key=lambda v: d[x, v]):
+            esc[v] = np.minimum(d[v], esc[dag[v]].max(axis=0))
         for y in targets:
             hist[np.arange(n), esc[y]] += 1
     return hist

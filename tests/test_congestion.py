@@ -18,16 +18,18 @@ from hypercore import (
     intercepted_pairs,
     median_vertex,
     min_core,
+    multi_source_distances,
     traffic_load,
 )
 from hypercore import congestion
-from hypercore.congestion import _tree_profile_pass
+from hypercore.congestion import _geodesic_dag, _tree_profile_pass
 from hypercore.generators import cycle_graph, gnp_connected, grid_graph, path_graph, random_tree
 from oracles import (
     _intercepted_count,
     all_geodesics,
     bfs_distances,
     escape_histogram,
+    geodesic_dag,
     histogram_min_core,
     naive_traffic_load,
     radius_scan_min_core,
@@ -237,6 +239,40 @@ def test_geodesic_count_matches_enumeration_on_random_graphs(g, data):
     s = data.draw(st.integers(0, g.n - 1))
     for t in range(g.n):
         assert geodesic_count(g, s, t) == len(all_geodesics(g, dm, s, t))
+
+
+@st.composite
+def dag_instances(draw):
+    """A graph, the distance rows of a random set of sources and a random
+    stopping distance per source, -1 (no heads) included."""
+    g = draw(
+        st.one_of(
+            connected_graphs(),
+            glued_blocks(),
+            st.builds(cycle_graph, st.integers(3, 16)),
+            st.builds(grid_graph, st.integers(2, 4), st.integers(2, 5)),
+        )
+    )
+    xs = draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True))
+    dx = multi_source_distances(g, xs)
+    last = draw(st.lists(st.integers(-1, int(dx.max())), min_size=len(xs), max_size=len(xs)))
+    return g, dx, np.array(last)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag_instances())
+def test_geodesic_dag_matches_the_vertex_by_vertex_dag(case):
+    g, dx, last = case
+    preds, starts, vertices, degree, bounds = _geodesic_dag(g, dx, last)
+    dag = geodesic_dag(g, dx, last.tolist())
+    layer = dx.ravel()
+    heads = sorted(dag, key=lambda h: (layer[h], -len(dag[h]), h))
+    assert vertices.tolist() == heads
+    assert degree.tolist() == [len(dag[h]) for h in heads]
+    top = int(last.max())
+    assert bounds.tolist() == [sum(layer[h] < k for h in heads) for k in range(1, top + 2)]
+    for h, s, k in zip(heads, starts.tolist(), degree.tolist()):
+        assert sorted(preds[s : s + k].tolist()) == dag[h]
 
 
 def _alphas(nX):

@@ -1,0 +1,124 @@
+"""The whole-file readers of edge and pair lists against the line-by-line
+readers, which they fall back to for every other text and every error."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hypercore.fileio import (
+    _read_edge_lines,
+    _read_pair_lines,
+    _read_text,
+    _two_label_tokens,
+    read_edge_list,
+    read_pairs,
+)
+
+SEPARATORS = [" ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u2028"]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fileio") / "input.txt"
+
+
+@st.composite
+def label_texts(draw):
+    """An optional byte-order mark, then lines of two short labels padded
+    and separated by spaces and tabs, each ended by '\\n' but perhaps the
+    last, with up to two insertions of a separator, a '#' or a label
+    anywhere."""
+    label = st.sampled_from(["a", "b", "c", "d", "ab", "#a"])
+    blank, gap = st.text(" \t", max_size=2), st.text(" \t", min_size=1, max_size=2)
+    text = ""
+    for _ in range(draw(st.integers(0, 6))):
+        text += draw(blank) + draw(label) + draw(gap) + draw(label) + draw(blank)
+        text += "\n"
+    if draw(st.booleans()):
+        text = text[:-1]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(SEPARATORS + ["#", "a"])) + text[at:]
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def edge_outcome(read, path):
+    """The CSR, tree walk and labels read from ``path``, or the error text."""
+    try:
+        g, table = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return g.indptr.tolist(), g.indices.tolist(), g._walk, table.labels
+
+
+def pair_outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def by_line(read):
+    return lambda path: read(path, _read_text(path))
+
+
+def check_readers(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    assert edge_outcome(read_edge_list, path) == edge_outcome(by_line(_read_edge_lines), path)
+    assert pair_outcome(read_pairs, path) == pair_outcome(by_line(_read_pair_lines), path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(label_texts())
+@example("a b\nb c\n")
+@example("a b\n\rb c")
+@example("a b\x85b c\n")
+@example("a\xa0b\nb c\n")
+def test_whole_file_readers_match_the_line_readers(scratch, text):
+    check_readers(scratch, text)
+
+
+SELF_LOOP = "{path}:2: self-loop at 'b'"
+
+
+@pytest.mark.parametrize(
+    "text, fast, outcome",
+    [
+        ("a b\nb c", True, (["a", "b", "c"], [("a", "b"), ("b", "c")])),
+        ("a b\r\nb c\r\n", True, (["a", "b", "c"], [("a", "b"), ("b", "c")])),
+        (" a\tb \n\tb  c\t\n", True, (["a", "b", "c"], [("a", "b"), ("b", "c")])),
+        ("a #b\nc #b\n", True, (["a", "#b", "c"], [("a", "#b"), ("c", "#b")])),
+        ("\ufeffa b\nb c\n", True, (["a", "b", "c"], [("a", "b"), ("b", "c")])),
+        ("# edges\na b\nb c\n", False, (["a", "b", "c"], [("a", "b"), ("b", "c")])),
+        ("a b\n\nb c\n", False, (["a", "b", "c"], [("a", "b"), ("b", "c")])),
+        ("a b # note\n", False, "{path}:1: expected two labels, got 4"),
+        ("a b\nb b\n", True, (SELF_LOOP, "{path}:2: pair with equal endpoints 'b'")),
+        ("a b\nb c\nb a\n", True, ("{path}:3: duplicate edge 'b' 'a', first on line 1", None)),
+        ("a b\nc d\n", True, ("{path}: graph is disconnected: vertex 2 unreachable from 0", None)),
+        ("\ufeff", False, ("{path}: no edges found", "{path}: no pairs found")),
+    ],
+    ids=[
+        "no-final-newline", "crlf", "tabs-and-padding", "label-starting-with-hash", "bom",
+        "comment-line", "blank-line", "trailing-comment", "self-loop", "duplicate-edge",
+        "disconnected", "only-a-bom",
+    ],
+)
+def test_reader_cases(scratch, text, fast, outcome):
+    scratch.write_bytes(text.encode("utf-8"))
+    assert (_two_label_tokens(_read_text(scratch)) is not None) is fast
+    check_readers(scratch, text)
+    if isinstance(outcome, str):
+        outcome = (outcome, outcome)
+    edges, pairs = outcome
+    if isinstance(edges, str):
+        with pytest.raises(ValueError) as err:
+            read_edge_list(scratch)
+        assert str(err.value) == edges.format(path=scratch)
+    else:
+        assert read_edge_list(scratch)[1].labels == edges
+    if isinstance(pairs, str):
+        with pytest.raises(ValueError) as err:
+            read_pairs(scratch)
+        assert str(err.value) == pairs.format(path=scratch)
+    elif pairs is not None:
+        assert read_pairs(scratch) == pairs

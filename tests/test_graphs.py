@@ -310,6 +310,40 @@ def test_malformed_edge_lists_are_refused(n, edges, error, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (4, [(0, 1), (2, 1), (3, 2)]),
+        (3, [(0, 1), (1, 3)]),
+        (3, [(0, 1), (-1, 2)]),
+        (3, [(0, 1), (2, 2)]),
+        (3, [(0, 1), (1, 2), (2, 1)]),
+        (4, [(0, 1), (2, 3)]),
+        (1, []),
+    ],
+    ids=["graph", "range", "negative", "self-loop", "repeat", "disconnected", "no-edge"],
+)
+@pytest.mark.parametrize("dtype", [np.intp, np.int16, np.uint64, float, str])
+def test_an_edge_array_reads_as_its_list(n, edges, dtype):
+    # an integer array is taken whole: the same graph or the same error as
+    # the list of its pairs; a float or string array is refused as such
+    if dtype is np.uint64 and any(min(e) < 0 for e in edges):
+        edges = [(u % 2**64, v % 2**64) for u, v in edges]  # past the machine integers
+    array = np.array(edges, dtype=dtype).reshape(-1, 2)
+
+    def outcome(edges):
+        try:
+            g = Graph(n, edges)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+        return g.m, g.indptr.tolist(), g.indices.tolist(), g._walk
+
+    if array.dtype.kind in "iu" or not edges:
+        assert outcome(array) == outcome(edges)
+    else:
+        assert outcome(array)[0] is TypeError
+
+
 def test_descend_geodesic_is_shortest_and_deterministic():
     g = grid_graph(4, 4)
     dm = distance_matrix(g)
