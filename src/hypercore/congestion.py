@@ -286,7 +286,7 @@ def _ball_count(g: Graph, d: np.ndarray, prof: np.ndarray, center: int, rho: int
     for lo in range(0, len(out), step):
         xs = out[lo : lo + step]
         dist = multi_source_distances(g, xs.tolist(), deleted)
-        kept += np.count_nonzero(dist[:, out] == d[xs][:, out])
+        kept += np.count_nonzero(dist.take(out, axis=1) == d[xs].take(out, axis=1))
     nX = len(prof)
     return nX * (nX - 1) // 2 - (kept - len(out)) // 2
 
@@ -318,7 +318,7 @@ def _block_dag(g: Graph, d: np.ndarray, prof: np.ndarray, i0: int, k: int) -> tu
     of each source's targets."""
     dx = d[prof[i0 : i0 + k]]
     later = np.arange(len(prof)) > np.arange(i0, i0 + k)[:, None]
-    return _geodesic_dag(g, dx, np.where(later, dx[:, prof], -1).max(axis=1)), later
+    return _geodesic_dag(g, dx, np.where(later, dx.take(prof, axis=1), -1).max(axis=1)), later
 
 
 def _window_pass(

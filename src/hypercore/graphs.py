@@ -150,13 +150,15 @@ def _distance_dtype(n: int) -> type[np.signedinteger]:
 
 
 class DistanceMatrix:
-    """All-pairs hop distances as an n x n array of the distance type
-    (``_distance_dtype``): int16 below 16,384 vertices, int32 above."""
+    """All-pairs hop distances as a C-contiguous n x n array of the distance
+    type (``_distance_dtype``): int16 below 16,384 vertices, int32 above.
+    Contiguous, so ``d.ravel()`` is a view and a paired read d[xs, ys] is
+    one ``d.ravel().take(xs * n + ys)``."""
 
     __slots__ = ("d",)
 
     def __init__(self, d: np.ndarray):
-        self.d = np.asarray(d, dtype=_distance_dtype(len(d)))
+        self.d = np.ascontiguousarray(d, dtype=_distance_dtype(len(d)))
 
     @property
     def n(self) -> int:
@@ -381,7 +383,7 @@ def set_distance(dm: DistanceMatrix, X: Sequence[int], Y: Sequence[int]) -> int:
     ys = check_vertices(dm.n, Y, "Y")
     if not xs or not ys:
         raise ValueError("set_distance needs two nonempty vertex sets")
-    return int(dm.d[np.ix_(xs, ys)].min())
+    return int(dm.d.take(xs, axis=0).take(ys, axis=1).min())
 
 
 def _layout(sets: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, ...]:
@@ -470,7 +472,7 @@ def intercepted_pairs(
     d = dm.d
     xs, ys = p[:, 0], p[:, 1]
     if g.is_tree():
-        return d[b.center, xs] + d[b.center, ys] - d[xs, ys] <= 2 * b.radius
+        return d[b.center, xs] + d[b.center, ys] - d.ravel().take(xs * dm.n + ys) <= 2 * b.radius
     inside = d[b.center] <= b.radius
     hit = inside[xs] | inside[ys]
     rest = np.flatnonzero(~hit)
@@ -486,7 +488,7 @@ def intercepted_pairs(
         sources = np.flatnonzero(row)
         row[sources] = np.arange(len(sources))
         dist = multi_source_distances(g, sources.tolist(), np.flatnonzero(inside).tolist())
-        hit[rest] = dist[row[xs], ys] != d[xs, ys]
+        hit[rest] = dist.ravel().take(row[xs] * g.n + ys) != d.ravel().take(xs * dm.n + ys)
     return hit
 
 
@@ -504,7 +506,7 @@ def descend_geodesic(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> lis
 def _descent(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> Iterator[int]:
     """The vertices of ``descend_geodesic``, lazily, so a caller that needs
     only the first steps does not walk the rest."""
-    to_goal, rows = dm.d[:, goal].tolist(), memoryview(g.indices)
+    to_goal, rows = dm.d[goal].tolist(), memoryview(g.indices)  # d is symmetric
     cur = start
     yield cur
     while cur != goal:

@@ -93,19 +93,20 @@ def far_apart_pairs(dm: DistanceMatrix) -> np.ndarray:
     no neighbour of b farther from a, as an (m, 2) int32 array by
     decreasing d(a, b), ties row-major: the diameter layer, then ``_lower_layers``."""
     diam = int(dm.d.max())
-    return np.concatenate([_upper_pairs(dm.d == diam), _lower_layers(dm.d, diam)])
+    return np.concatenate([_upper_pairs(dm.d == diam), _lower_layers(dm.d, diam)[0]])
 
 
-def _lower_layers(d: np.ndarray, diam: int) -> np.ndarray:
+def _lower_layers(d: np.ndarray, diam: int) -> tuple[np.ndarray, np.ndarray]:
     """The far-apart pairs closer than diam of the graph or block whose
-    distances are d, in the order of ``far_apart_pairs``.  A block is
-    isometric (module docstring), so its arcs are the unit entries of d.
-    local[a, b] (no neighbour of a is farther from b) compares row a with
-    the elementwise max of a's neighbour rows, one ``graphs._fold_rows``
-    over the vertices by falling degree, about _BLOCK_ELEMS // n at a time."""
+    distances are d, in the order of ``far_apart_pairs``, and their
+    distances.  A block is isometric (module docstring), so its arcs are the
+    unit entries of d.  local[a, b] (no neighbour of a is farther from b)
+    compares row a with the elementwise max of a's neighbour rows, one
+    ``graphs._fold_rows`` over the vertices by falling degree, about
+    _BLOCK_ELEMS // n at a time."""
     n = len(d)
     if diam < 2:
-        return np.empty((0, 2), dtype=np.int32)
+        return np.empty((0, 2), dtype=np.int32), np.empty(0, dtype=d.dtype)
     heads, tails = np.divmod(np.flatnonzero(d == 1), n)
     deg = np.bincount(heads, minlength=n)
     by_degree = np.argsort(-deg, kind="stable")
@@ -115,7 +116,9 @@ def _lower_layers(d: np.ndarray, diam: int) -> np.ndarray:
         local[vs] = far <= d[vs]
     local &= local.T & (d < diam)
     pairs = _upper_pairs(local)
-    return pairs[np.argsort(-d[pairs[:, 0], pairs[:, 1]], kind="stable")]
+    dist = d.ravel().take(pairs[:, 0].astype(np.intp) * n + pairs[:, 1])
+    order = np.argsort(-dist, kind="stable")
+    return pairs[order], dist[order]
 
 
 def _upper_pairs(mask: np.ndarray) -> np.ndarray:
@@ -142,9 +145,9 @@ class _FarApart:
         goes_on = self.dist[i] > best if i < built else best < self.diam - 1
         if self.whole or j <= built or not goes_on:
             return
-        lower = _lower_layers(self.d, self.diam)
+        lower, dist = _lower_layers(self.d, self.diam)
         self.pairs = np.concatenate([self.pairs, lower])
-        self.dist = self.d[self.pairs[:, 0], self.pairs[:, 1]]
+        self.dist = np.concatenate([self.dist, dist])
         self.whole = True
 
 
@@ -207,7 +210,7 @@ def _scanned_blocks(g: Graph, dm: DistanceMatrix) -> list[tuple[np.ndarray, Dist
     for blk in [] if g.is_tree() else biconnected_blocks(g):  # a tree's blocks are its edges
         if len(blk) < 4:
             continue
-        sub = dm if len(blk) == dm.n else DistanceMatrix(dm.d[np.ix_(blk, blk)])
+        sub = dm if len(blk) == dm.n else DistanceMatrix(dm.d.take(blk, axis=0).take(blk, axis=1))
         diam = int(sub.d.max())
         if diam > 1:
             out.append((blk, sub, diam))
@@ -309,7 +312,6 @@ def _four_point_scan(
     the scan finished, else the distance of the first row it did not scan.
     """
     best_quad = (0, 0, 0, 0)
-    tried = None  # a failed trial's block, folded into its whole block
     i = 0
     while True:
         # rows i..j-1 against pairs 0..j-1, about 2**14 elements a block; j
@@ -317,7 +319,8 @@ def _four_point_scan(
         # all.  A block that fits the budget whatever the list's length tries
         # its built rows first: if they reach the diameter, no lower pair
         # (defect below it) ties and nothing later raises best, so the lower
-        # layers stay unbuilt and the block's charge is never needed
+        # layers stay unbuilt and the block's charge is never needed.  A
+        # trial that falls short builds them, and the block is compared again
         step = max(1, min(64, 2**14 // (i + 1)))
         trial = not pairs.whole and i < len(pairs.dist) < i + step <= budget // step
         if not trial:
@@ -329,25 +332,11 @@ def _four_point_scan(
         if (j - i) * j > budget:
             return best, best_quad, budget, int(dist[i])
         budget -= 0 if trial else (j - i) * j
-        if tried is None:
-            diff = _defects(dm.d, a, b, dist, slice(i, j), slice(0, j))
-        else:
-            # the trial compared rows i..t-1 with pairs 0..t-1, the first t
-            # of the list that the lower layers extend.  Only rows t..j-1
-            # are compared now: a defect is symmetric in its two pairs, so
-            # rows i..t-1 against pairs t..j-1 are their transpose
-            t = tried.shape[1]
-            rest = _defects(dm.d, a, b, dist, slice(t, j), slice(0, j))
-            diff = np.empty((j - i, j), dtype=rest.dtype)
-            diff[: t - i, :t] = tried
-            diff[: t - i, t:] = rest[:, i:t].T
-            diff[t - i :] = rest
-            tried = None
+        diff = _defects(dm.d, a, b, dist, slice(i, j), slice(0, j))
         flat = int(diff.argmax())  # the row-major first maximum
         val = int(diff.flat[flat])
         if trial and val < pairs.diam:
             pairs.reach(i, i + step, best)
-            tried = diff
             continue
         if val > best:
             r, k = divmod(flat, j)
@@ -361,13 +350,14 @@ def _defects(
 ) -> np.ndarray:
     """Doubled defects D_p + D_q - max(S2, S3) of the far-apart pairs
     p = (a[p], b[p]) in ``rows`` against q in ``cols``, in the distance
-    type, as a (rows x cols) block."""
-    ar, br = a[rows, None], b[rows, None]
-    ac, bc = a[None, cols], b[None, cols]
-    s2 = d[ar, ac]
-    s2 += d[br, bc]
-    s3 = d[ar, bc]
-    s3 += d[br, ac]
+    type, as a (rows x cols) block: the distance rows of the ``rows`` pairs'
+    ends are gathered once, and their columns read by ``take``."""
+    da, db = d[a[rows]], d[b[rows]]
+    ac, bc = a[cols], b[cols]
+    s2 = da.take(ac, axis=1)
+    s2 += db.take(bc, axis=1)
+    s3 = da.take(bc, axis=1)
+    s3 += db.take(ac, axis=1)
     np.maximum(s2, s3, out=s2)
     diff = dist[rows, None] + dist[None, cols]
     diff -= s2
@@ -438,7 +428,8 @@ def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> i
             hi = max(lo + 1, int(np.searchsorted(ends, start[lo] + _BLOCK_ELEMS, "right")))
             sz = size[lo:hi]
             mate = np.arange(start[lo], ends[hi - 1]) - np.repeat(start[lo:hi] - first[lo:hi], sz)
-            nu = max(nu, int(dm.d[np.repeat(x[lo:hi], sz), x[mate]].max()))
+            at = np.repeat(x[lo:hi] * dm.n, sz) + x[mate]
+            nu = max(nu, int(dm.d.ravel().take(at).max()))
             lo = hi
         i, rows = e, min(4 * rows, max(1, _BLOCK_ELEMS // dm.n))
     return nu

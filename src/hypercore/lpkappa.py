@@ -223,7 +223,7 @@ def _round_support(
     integer product of the parts x support incidence with the weights."""
     # row k: which support vertices lie within r of the k-th part
     parts = [part for kq in family for part in kq.parts]
-    near = _min_rows(dm.d[:, support], [p.members for p in parts]) <= r
+    near = _min_rows(dm.d[support].T, [p.members for p in parts]) <= r  # d is symmetric
     masses = iter(_weighted_rows(near, weights))
     reps: list[QSet] = []
     for kq in family:

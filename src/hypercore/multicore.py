@@ -41,7 +41,7 @@ def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> QSe
         x, y = xs[rows], ys[rows]
         between = d[x]
         between += d[y]
-        mask = between == d[x, y][:, None]
+        mask = between == d.ravel().take(x * dm.n + y)[:, None]
         ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
         members = (np.flatnonzero(mask) % dm.n).tolist()  # row by row, each row sorted
         sets += [members[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]

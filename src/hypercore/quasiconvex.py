@@ -163,7 +163,7 @@ def neighborhood(dm: DistanceMatrix, S: Sequence[int], r: int) -> list[int]:
         raise ValueError("neighborhood of an empty set")
     if r < 0:
         raise ValueError(f"negative neighborhood radius {r}")
-    return np.flatnonzero(dm.d[:, members].min(axis=1) <= r).tolist()
+    return np.flatnonzero(dm.d[members].min(axis=0) <= r).tolist()  # d is symmetric
 
 
 def project_toward(g: Graph, dm: DistanceMatrix, z: int, Q: Sequence[int], r: int) -> int:
@@ -312,7 +312,7 @@ def is_interval_like(dm: DistanceMatrix, members: Sequence[int]) -> bool:
     ms = check_vertices(dm.n, members, "set")
     if not ms:
         raise ValueError("an empty set is not interval-like")
-    sub = dm.d[np.ix_(ms, ms)]
+    sub = dm.d.take(ms, axis=0).take(ms, axis=1)
     flat = int(sub.argmax())
     u, v = ms[flat // len(ms)], ms[flat % len(ms)]
     return ms == interval(dm, u, v)

@@ -226,9 +226,7 @@ def budgeted_four_point(g, dm, budget) -> tuple[int, tuple[int, int, int, int], 
                 rest = int(dist[i])
                 break
             budget -= (j - i) * j
-            ar, br, ac, bc = a[i:j, None], b[i:j, None], a[None, :j], b[None, :j]
-            diff = dist[i:j, None] + dist[None, :j]
-            diff -= np.maximum(d[ar, ac] + d[br, bc], d[ar, bc] + d[br, ac])
+            diff = broadcast_defects(d, a, b, dist, slice(i, j), slice(0, j))
             flat = int(diff.argmax())
             if diff.flat[flat] > best:
                 r, k = divmod(flat, j)
@@ -236,6 +234,16 @@ def budgeted_four_point(g, dm, budget) -> tuple[int, tuple[int, int, int, int], 
                 quad = tuple(int(blk[x]) for x in (a[i + r], b[i + r], a[k], b[k]))
             i = j
     return best, quad, max(best, rest)
+
+
+def broadcast_defects(d, a, b, dist, rows, cols):
+    """Doubled defects D_p + D_q - max(S2, S3) of the pairs p = (a[p], b[p])
+    in ``rows`` against q in ``cols``, with distances dist, as a (rows x
+    cols) block of broadcast 2-D fancy indexes into d."""
+    ar, br, ac, bc = a[rows, None], b[rows, None], a[None, cols], b[None, cols]
+    diff = dist[rows, None] + dist[None, cols]
+    diff -= np.maximum(d[ar, ac] + d[br, bc], d[ar, bc] + d[br, ac])
+    return diff
 
 
 def naive_interval(g, dm, u, v):

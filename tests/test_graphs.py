@@ -175,6 +175,15 @@ def test_set_distance():
         set_distance(dm, [], [0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.data())
+def test_set_distance_is_the_least_pair_distance(g, data):
+    dm = distance_matrix(g)
+    vertices = st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6)
+    X, Y = data.draw(vertices), data.draw(vertices)
+    assert set_distance(dm, X, Y) == min(dm.dist(x, y) for x in X for y in Y)
+
+
 def test_intercepts_pair_examples():
     g = path_graph(5)
     dm = distance_matrix(g)
@@ -405,6 +414,15 @@ def test_distance_dtype_switches_at_16384_vertices(n, dtype):
     star = Graph(n, [(0, v) for v in range(1, n)])
     assert multi_source_distances(star, [1]).dtype == dtype
     assert DistanceMatrix([[0, 1], [1, 0]]).d.dtype == np.int16
+
+
+def test_distance_matrix_is_stored_c_contiguous():
+    # so d.ravel() is a view, and a paired read is one take on it
+    d = distance_matrix(grid_graph(3, 4)).d
+    for other in (np.asfortranarray(d), d[::-1, ::-1][::-1, ::-1], d.astype(np.int64)):
+        dm = DistanceMatrix(other)
+        assert dm.d.flags.c_contiguous and dm.d.dtype == np.int16
+        assert dm.d.tolist() == d.tolist()
 
 
 def assert_tree_path_matches_kernel(g):

@@ -32,6 +32,7 @@ from hypercore.generators import (
     star_path_graph,
 )
 from oracles import (
+    broadcast_defects,
     budgeted_four_point,
     far_apart_pairs_by_vertex,
     furthest_set,
@@ -383,8 +384,10 @@ def test_far_apart_layers_match_oracles(g):
     dist = dm.d[want[:, 0], want[:, 1]]
     pairs = hyperbolicity._FarApart(dm.d, diam)
     assert pairs.pairs.tolist() == want[dist == diam].tolist()
-    lower = hyperbolicity._lower_layers(dm.d, diam)
+    lower, lower_dist = hyperbolicity._lower_layers(dm.d, diam)
     assert lower.tolist() == want[dist < diam].tolist()
+    assert lower_dist.tolist() == dm.d[lower[:, 0], lower[:, 1]].tolist()
+    assert lower_dist.dtype == dm.d.dtype
     pairs.reach(0, len(pairs.dist) + 1, -1)
     assert pairs.pairs.tolist() == want.tolist()
     assert pairs.dist.tolist() == dist.tolist()
@@ -414,6 +417,31 @@ def test_thinness_batches_past_the_stop_and_chunk_their_mates(monkeypatch):
             pairs = whole_graph_pairs(dm)
             assert hyperbolicity._thinness_scan(dm, pairs, 0, pairs.diam) == want
             assert interval_thinness(g, dm) == naive_interval_thinness(dm) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(connected_graphs(min_n=2), glued_blocks(), gnp_half()), st.data())
+def test_defects_match_the_broadcast_formula(g, data):
+    # a random list of far-apart pairs against random row and column
+    # slices, a one-row slice and the whole list
+    dm = distance_matrix(g)
+    want = far_apart_pairs_by_vertex(dm)
+    order = data.draw(st.permutations(range(len(want))))
+    pairs = want[order[: data.draw(st.integers(1, len(want)))]]
+    a, b = pairs[:, 0], pairs[:, 1]
+    dist = dm.d[a, b]
+    m = len(pairs)
+    lo, c0 = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    hi, c1 = data.draw(st.integers(lo + 1, m)), data.draw(st.integers(c0 + 1, m))
+    d32, dist32 = dm.d.astype(np.int32), dist.astype(np.int32)
+    for rows, cols in ((slice(lo, hi), slice(c0, c1)), (slice(lo, lo + 1), slice(0, m))):
+        got = hyperbolicity._defects(dm.d, a, b, dist, rows, cols)
+        assert got.dtype == dm.d.dtype
+        assert got.tolist() == broadcast_defects(d32, a, b, dist32, rows, cols).tolist()
+    whole = slice(0, m)
+    got = hyperbolicity._defects(dm.d, a, b, dist, whole, whole)
+    assert (got == got.T).all()
+    assert got.tolist() == broadcast_defects(d32, a, b, dist32, whole, whole).tolist()
 
 
 BUDGETS = st.one_of(st.sampled_from([0, 1, 7, 64 * 64]), st.integers(0, 5000))
@@ -461,7 +489,10 @@ def test_budget_matches_complete_lists_past_the_top_layer(monkeypatch):
     # which counts the lower layers
     n = 120
     sparse = gnp_connected(n, 2 * math.log(n) / n, 1)
-    for g in (gnp_connected(200, 0.5, 1), cycle_graph(200), cycle_graph(201), sparse):
+    # the 4k + 2 cycle's and the 9 x 14 grid's diameter rows stay below
+    # the diameter, so their trials fail and the block is compared again
+    graphs = (gnp_connected(200, 0.5, 1), cycle_graph(200), cycle_graph(201), cycle_graph(202))
+    for g in (*graphs, grid_graph(9, 14), sparse):
         dm = distance_matrix(g)
         t = len(whole_graph_pairs(dm).pairs)
         for budget in (0, 1, 7, t * t, 64 * 64 - 1, 64 * 64, 10**5, 2**26):

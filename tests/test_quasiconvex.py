@@ -33,6 +33,7 @@ from oracles import (
     epsilon_by_pairs,
     greedy_hit_pack_by_sets,
     helly_balls_check,
+    naive_interval,
 )
 from strategies import connected_graphs, glued_blocks
 
@@ -253,6 +254,27 @@ def test_helly_balls_check_rejects_disjoint():
     dm = distance_matrix(path_graph(8))
     with pytest.raises(ValueError, match="do not intersect"):
         helly_balls_check(dm, [Ball(0, 1), Ball(7, 1)], HalfInt(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(connected_graphs(), glued_blocks()), st.data())
+def test_neighborhood_and_interval_likeness_match_the_naive_code(g, data):
+    # random sets and intervals; the diametral pair is the first farthest
+    # one in row-major order over the sorted members
+    dm = distance_matrix(g)
+    vertex = st.integers(0, g.n - 1)
+    S = data.draw(
+        st.one_of(
+            st.lists(vertex, min_size=1, max_size=6),
+            st.tuples(vertex, vertex).map(lambda p: naive_interval(g, dm, *p)),
+        )
+    )
+    r = data.draw(st.integers(0, 3))
+    near = [v for v in range(g.n) if min(dm.dist(v, s) for s in S) <= r]
+    assert neighborhood(dm, S, r) == near
+    ms = sorted(set(S))
+    u, v = max(((x, y) for x in ms for y in ms), key=lambda p: dm.dist(*p))
+    assert is_interval_like(dm, S) == (ms == naive_interval(g, dm, u, v))
 
 
 def test_is_interval_like():
