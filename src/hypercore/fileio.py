@@ -7,6 +7,7 @@ report so outputs can be mapped back.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from collections.abc import Iterator
 from pathlib import Path
@@ -80,53 +81,53 @@ def _records(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, fields
 
 
-def read_edge_list(path: str | Path) -> tuple[Graph, LabelTable]:
-    """One edge per line, two whitespace-separated labels; '#' starts a comment.
-
-    A text of two labels on every line (``_two_label_tokens``) is read in
-    whole-file passes: labels in first-appearance order by ``dict.fromkeys``,
-    and the ids as one integer array for ``Graph``.  Any other text, and any
-    text ``Graph`` refuses, is read line by line (``_read_edge_lines``),
-    which gives the same graph or raises the error message."""
-    text = _read_text(path)
-    tokens = _two_label_tokens(text)
-    if tokens is not None:
-        table = LabelTable(list(dict.fromkeys(tokens)))
-        ids = np.fromiter(map(table.index.__getitem__, tokens), np.intp, len(tokens))
-        try:
-            return Graph(len(table), ids.reshape(-1, 2)), table
-        except ValueError:  # the line reader names the lines in its message
-            pass
-    return _read_edge_lines(path, text)
-
-
-def _read_edge_lines(path: str | Path, text: str) -> tuple[Graph, LabelTable]:
-    """``read_edge_list`` of the text of ``path``, one line at a time."""
-    index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    lines: list[int] = []  # the line of each edge
+def _label_lines(path: str | Path, text: str, what: str, same: str) -> tuple[list[str], list[int]]:
+    """The labels of the text of ``path``, read line by line, two per record,
+    and the line of each record.  A record that is not two labels, or is two
+    equal ones (``same`` names the fault), and a text without one (``what``
+    names the records) raise the error message, with its line."""
+    labels: list[str] = []
+    lines: list[int] = []
     for lineno, fields in _records(text):
         if len(fields) != 2:
             raise ValueError(f"{path}:{lineno}: expected two labels, got {len(fields)}")
-        a, b = fields
-        if a == b:
-            raise ValueError(f"{path}:{lineno}: self-loop at {a!r}")
-        edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+        if fields[0] == fields[1]:
+            raise ValueError(f"{path}:{lineno}: {same} {fields[0]!r}")
+        labels += fields
         lines.append(lineno)
-    if not index:
-        raise ValueError(f"{path}: no edges found")
-    labels = list(index)
+    if not lines:
+        raise ValueError(f"{path}: no {what} found")
+    return labels, lines
+
+
+def read_edge_list(path: str | Path) -> tuple[Graph, LabelTable]:
+    """One edge per line, two whitespace-separated labels; '#' starts a comment.
+
+    A text of two labels on every line (``_two_label_tokens``) is split
+    once; any other text is read line by line (``_label_lines``).  Either
+    way the labels are numbered in first-appearance order by
+    ``dict.fromkeys`` and ``Graph`` is built once, from one integer id
+    array.  When it refuses a split text, the text is read line by line
+    only to name the faulty line: a self-loop first, then a repeat from
+    the positions ``Graph`` reports."""
+    text = _read_text(path)
+    tokens, lines = _two_label_tokens(text), None
+    if tokens is None:
+        tokens, lines = _label_lines(path, text, "edges", "self-loop at")
+    table = LabelTable(list(dict.fromkeys(tokens)))
+    ids = np.fromiter(map(table.index.__getitem__, tokens), np.intp, len(tokens))
     try:
-        g = Graph(len(labels), edges)
-    except DuplicateEdgeError as exc:
+        return Graph(len(table), ids.reshape(-1, 2)), table
+    except ValueError as exc:
+        if lines is None:
+            lines = _label_lines(path, text, "edges", "self-loop at")[1]
+        if not isinstance(exc, DuplicateEdgeError):
+            raise ValueError(f"{path}: {exc}") from None
         first, repeat = exc.positions
-        a, b = (labels[v] for v in edges[repeat])
+        a, b = tokens[2 * repeat : 2 * repeat + 2]
         raise ValueError(
             f"{path}:{lines[repeat]}: duplicate edge {a!r} {b!r}, first on line {lines[first]}"
         ) from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return g, LabelTable(labels)
 
 
 def write_edge_list(g: Graph, table: LabelTable, path: str | Path) -> None:
@@ -143,28 +144,12 @@ def read_pairs(path: str | Path) -> list[tuple[str, str]]:
     """One labeled pair of distinct labels per line: demand and commodity
     files.  A text of two labels on every line (``_two_label_tokens``)
     without a pair of equal labels is split once; any other text is read
-    line by line (``_read_pair_lines``), which raises the error message."""
+    line by line (``_label_lines``), which raises the error message."""
     text = _read_text(path)
     tokens = _two_label_tokens(text)
-    if tokens is not None:
-        pairs = list(zip(tokens[::2], tokens[1::2]))
-        if all(a != b for a, b in pairs):
-            return pairs
-    return _read_pair_lines(path, text)
-
-
-def _read_pair_lines(path: str | Path, text: str) -> list[tuple[str, str]]:
-    """``read_pairs`` of the text of ``path``, one line at a time."""
-    pairs: list[tuple[str, str]] = []
-    for lineno, fields in _records(text):
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected two labels, got {len(fields)}")
-        if fields[0] == fields[1]:
-            raise ValueError(f"{path}:{lineno}: pair with equal endpoints {fields[0]!r}")
-        pairs.append((fields[0], fields[1]))
-    if not pairs:
-        raise ValueError(f"{path}: no pairs found")
-    return pairs
+    if tokens is None or any(map(operator.eq, tokens[::2], tokens[1::2])):
+        tokens = _label_lines(path, text, "pairs", "pair with equal endpoints")[0]
+    return list(zip(tokens[::2], tokens[1::2]))
 
 
 def _check_strings(path: str | Path, i: int, entry: dict, labels: list) -> None:

@@ -1,18 +1,13 @@
-"""The whole-file readers of edge and pair lists against the line-by-line
-readers, which they fall back to for every other text and every error."""
+"""The whole-file readers of edge and pair lists against themselves on
+the line-by-line path, which they take for every other text and every
+error."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercore.fileio import (
-    _read_edge_lines,
-    _read_pair_lines,
-    _read_text,
-    _two_label_tokens,
-    read_edge_list,
-    read_pairs,
-)
+from hypercore import fileio
+from hypercore.fileio import _read_text, _two_label_tokens, read_edge_list, read_pairs
 
 SEPARATORS = [" ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u2028"]
 
@@ -58,14 +53,13 @@ def pair_outcome(read, path):
         return str(exc)
 
 
-def by_line(read):
-    return lambda path: read(path, _read_text(path))
-
-
 def check_readers(path, text):
     path.write_bytes(text.encode("utf-8"))
-    assert edge_outcome(read_edge_list, path) == edge_outcome(by_line(_read_edge_lines), path)
-    assert pair_outcome(read_pairs, path) == pair_outcome(by_line(_read_pair_lines), path)
+    edges, pairs = edge_outcome(read_edge_list, path), pair_outcome(read_pairs, path)
+    with pytest.MonkeyPatch.context() as mp:  # every text read line by line
+        mp.setattr(fileio, "_two_label_tokens", lambda text: None)
+        assert edge_outcome(read_edge_list, path) == edges
+        assert pair_outcome(read_pairs, path) == pairs
 
 
 @settings(max_examples=400, deadline=None)
@@ -79,6 +73,7 @@ def test_whole_file_readers_match_the_line_readers(scratch, text):
 
 
 SELF_LOOP = "{path}:2: self-loop at 'b'"
+EQUAL_C = "{path}:3: pair with equal endpoints 'c'"
 
 
 @pytest.mark.parametrize(
@@ -95,12 +90,16 @@ SELF_LOOP = "{path}:2: self-loop at 'b'"
         ("a b\nb b\n", True, (SELF_LOOP, "{path}:2: pair with equal endpoints 'b'")),
         ("a b\nb c\nb a\n", True, ("{path}:3: duplicate edge 'b' 'a', first on line 1", None)),
         ("a b\nc d\n", True, ("{path}: graph is disconnected: vertex 2 unreachable from 0", None)),
+        ("a b\nb a\nc c\n", True, ("{path}:3: self-loop at 'c'", EQUAL_C)),
+        ("# c\na b\nb c\nb a\n", False, ("{path}:4: duplicate edge 'b' 'a', first on line 2", None)),
+        ("# c\na b\nc d\n", False, ("{path}: graph is disconnected: vertex 2 unreachable from 0", None)),
         ("\ufeff", False, ("{path}: no edges found", "{path}: no pairs found")),
     ],
     ids=[
         "no-final-newline", "crlf", "tabs-and-padding", "label-starting-with-hash", "bom",
         "comment-line", "blank-line", "trailing-comment", "self-loop", "duplicate-edge",
-        "disconnected", "only-a-bom",
+        "disconnected", "self-loop-after-a-repeat", "commented-duplicate-edge",
+        "commented-disconnected", "only-a-bom",
     ],
 )
 def test_reader_cases(scratch, text, fast, outcome):
