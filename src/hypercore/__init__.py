@@ -28,7 +28,7 @@ _EXPORTS = {
     "hyperbolicity": (
         "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
         "eccentricity_profile", "far_apart_pairs", "four_point_defect", "four_point_delta",
-        "hyperbolicity_report", "interval_thinness", "mutually_distant_pair", "thin_delta_bound",
+        "hyperbolicity_report", "mutually_distant_pair", "thin_delta_bound",
     ),
     "lpkappa": (
         "KappaHitPackResult", "KappaQSet", "build_packing_lp", "gamma_sets", "kappa_hit_pack",

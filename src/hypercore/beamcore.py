@@ -6,6 +6,7 @@ together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .graphs import (
     DistanceMatrix,
     Graph,
     _check_vertex,
-    descend_geodesic,
+    _descent,
     intercepted_pairs,
 )
 from .halfint import HalfInt
@@ -49,9 +50,9 @@ def beam_pairs(dm: DistanceMatrix) -> np.ndarray:
 
 
 def _midpoint(g: Graph, dm: DistanceMatrix, u: int, v: int) -> int:
-    # middle vertex of the deterministic (u,v)-geodesic, nearer u on ties
-    path = descend_geodesic(g, dm, u, v)
-    return path[(len(path) - 1) // 2]
+    # middle vertex of the deterministic (u,v)-geodesic (``descend_geodesic``),
+    # nearer u on ties; the walk stops there
+    return next(islice(_descent(g, dm, u, v), int(dm.d[u, v]) // 2, None))
 
 
 def total_beam_core(g: Graph, dm: DistanceMatrix, delta: HalfInt) -> BeamCoreResult:

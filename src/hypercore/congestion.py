@@ -301,14 +301,14 @@ def _interception_bits(
     layer in chunks of heads, ORed with its ball row."""
     n = g.n
     preds, starts, vertices, degree, bounds = dag
-    bits[np.arange(len(xs)) * n + xs] = table[xs]
+    bits[np.arange(len(xs)) * n + xs] = table.take(xs, axis=0)
     rows = max(1, _BLOCK_ELEMS // (8 * table.shape[1]))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         for g0 in range(lo, hi, rows):
             g1 = min(g0 + rows, hi)
             layer = _fold_rows(np.bitwise_and, bits, preds, starts[g0:g1], degree[g0:g1])
             vs = vertices[g0:g1]
-            layer |= table[vs % n]
+            layer |= table.take(vs % n, axis=0)
             bits[vs] = layer
 
 
@@ -354,7 +354,7 @@ def _window_pass(
         targets = (np.arange(k)[:, None] * n + prof)[later]
         step = max(1, _BLOCK_ELEMS // (8 * words))
         for j in range(0, len(targets), step):
-            got = _column_counts(buf[targets[j : j + step]])
+            got = _column_counts(buf.take(targets[j : j + step], axis=0))
             cnt += got[: len(radii) * run].reshape(len(radii), run)[:, : len(cols)]
         remaining -= len(targets)
         i0 += k

@@ -245,13 +245,13 @@ def multi_source_distances(
     out = np.empty((len(sources), n), dtype=acc_type)
     for lo in range(0, len(sources), _SOURCE_BLOCK):
         block = sources[lo : lo + _SOURCE_BLOCK]
-        bits = np.zeros((n, -(-len(block) // 64) * 64), dtype=np.uint8)
-        bits[block, np.arange(len(block))] = 1
-        start = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-        front = np.zeros((n + 1, start.shape[1]), dtype="<u8")
-        front[:n] = start
+        front = np.zeros((n + 1, -(-len(block) // 64)), dtype="<u8")
+        # source i is bit i % 64 of word i // 64, ORed in: a source listed
+        # twice keeps both its bits
+        i = np.arange(len(block), dtype=np.uint64)
+        np.bitwise_or.at(front, (block, i // 64), np.uint64(1) << i % 64)
         # deleted rows count as seen, so no layer ever enters them
-        unseen = ~start
+        unseen = ~front[:n]
         unseen[gone] = 0
         # planes[j] holds bit j of the distance of every vertex reached
         planes: list[np.ndarray] = []
@@ -269,7 +269,7 @@ def multi_source_distances(
             for j, plane in enumerate(planes):
                 if depth >> j & 1:
                     plane |= layer
-        acc = np.zeros(bits.shape, dtype=acc_type)
+        acc = np.zeros((n, 64 * front.shape[1]), dtype=acc_type)
         for j, plane in enumerate(planes):
             acc += np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little").astype(acc_type) << j
         unseen[gone] = ~np.uint64(0)  # a deleted row is unreached
@@ -422,9 +422,9 @@ def _fold_rows(
     the same gathered rows gives the same result, but it gathers every row
     at once and runs one short inner loop per group and column, down the
     group, which is tens of times slower on distance rows."""
-    out = a[flat[first]]
+    out = a.take(flat[first], axis=0)
     for j, c in enumerate(_longer(sizes)[1:], 1):
-        ufunc(out[:c], a[flat[first[:c] + j]], out=out[:c])
+        ufunc(out[:c], a.take(flat[first[:c] + j], axis=0), out=out[:c])
     return out
 
 

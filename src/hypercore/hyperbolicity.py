@@ -219,10 +219,10 @@ def _scanned_blocks(g: Graph, dm: DistanceMatrix) -> list[tuple[np.ndarray, Dist
 
 
 def _block_scans(
-    g: Graph, dm: DistanceMatrix, *, four_point: bool = True, thinness: bool = True
+    g: Graph, dm: DistanceMatrix, *, thinness: bool = True
 ) -> tuple[FourPointResult, int]:
     """Four-point bracket (witness in G's ids) and exact interval thinness,
-    as maxima over ``_scanned_blocks``; either can be left out, and then
+    as maxima over ``_scanned_blocks``; thinness can be left out, and then
     reads 0.
 
     Each block's scans start from the best values so far, so their stop
@@ -234,32 +234,29 @@ def _block_scans(
     of its first unscanned row, and every later block by its diameter, of
     which the next block's is the largest.
 
-    When both are scanned, a block's thinness scan stops once nu reaches
-    max(best, rest), the doubled upper end so far.  Take x, y in the layer
-    at distance r from u of I(u, v), with D = d(u, v): then d(u, x) =
-    d(u, y) = r and d(v, x) = d(v, y) = D - r, so the quadruple (u, v, x,
-    y) has S2 = S3 = D and S1 = D + d(x, y), and its doubled defect is
-    d(x, y).  So the block's thinness is at most its doubled four-point
-    constant, which its own scan (or, once the budget ran out, ``rest``)
-    bounds by max(best, rest).  Thinness alone has no such cap.
+    A block's thinness scan stops once nu reaches max(best, rest), the
+    doubled upper end so far.  Take x, y in the layer at distance r from u
+    of I(u, v), with D = d(u, v): then d(u, x) = d(u, y) = r and d(v, x) =
+    d(v, y) = D - r, so the quadruple (u, v, x, y) has S2 = S3 = D and S1 =
+    D + d(x, y), and its doubled defect is d(x, y).  So the block's thinness
+    is at most its doubled four-point constant, which its own scan (or, once
+    the budget ran out, ``rest``) bounds by max(best, rest).
     """
-    capped = four_point
     best, quad, nu = 0, (0, 0, 0, 0), 0
     rest = 0  # doubled-defect bound on what the budget left unscanned, or 0
     budget = FOUR_POINT_BUDGET
     for blk, sub, diam in _scanned_blocks(g, dm):
         if rest:
             rest = max(rest, diam)
-            four_point = False
-        if not (four_point and diam > best or thinness and diam > nu):
+        if (rest or diam <= best) and not (thinness and diam > nu):
             break
         pairs = _FarApart(sub.d, diam)
-        if four_point:
+        if not rest:
             val, q, budget, rest = _four_point_scan(sub, pairs, best, budget)
             if val > best:
                 best, quad = val, tuple(int(blk[x]) for x in q)
         if thinness:
-            nu = _thinness_scan(sub, pairs, nu, max(best, rest) if capped else diam)
+            nu = _thinness_scan(sub, pairs, nu, max(best, rest))
     fp = FourPointResult(HalfInt.from_doubled(best), quad, HalfInt.from_doubled(max(best, rest)))
     return fp, nu
 
@@ -352,7 +349,7 @@ def _defects(
     p = (a[p], b[p]) in ``rows`` against q in ``cols``, in the distance
     type, as a (rows x cols) block: the distance rows of the ``rows`` pairs'
     ends are gathered once, and their columns read by ``take``."""
-    da, db = d[a[rows]], d[b[rows]]
+    da, db = d.take(a[rows], axis=0), d.take(b[rows], axis=0)
     ac, bc = a[cols], b[cols]
     s2 = da.take(ac, axis=1)
     s2 += db.take(bc, axis=1)
@@ -373,36 +370,28 @@ def thin_delta_bound(delta4: HalfInt) -> HalfInt:
     return delta4 * 4
 
 
-def interval_thinness(g: Graph, dm: DistanceMatrix) -> int:
-    """Largest d(x,y) over x,y in I(u,v) equidistant from u, over all u,v.
-
-    Each such layer of an interval lies in one block's interval (module
-    docstring), so the thinness is the maximum over the biconnected blocks,
-    and only blocks with at least four vertices that are not complete are
-    scanned; it is always exact.  Within a block only far-apart pairs
-    (u, v) are visited (``far_apart_pairs``), in decreasing distance, as in
-    the four-point scan of Cohen, Coudert and Lancin (ACM JEA 2015).  Both
-    reductions are exact:
+def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> int:
+    """The interval thinness of a block, the largest d(x,y) over x,y in
+    I(u,v) equidistant from u, over all u,v, scanned from a thinness ``nu``
+    already found.  Each such layer of an interval of G lies in one block's
+    interval (module docstring), so the thinness of G is the maximum over
+    the blocks.  Only far-apart pairs (u, v) are visited
+    (``far_apart_pairs``), in decreasing distance, as in the four-point scan
+    of Cohen, Coudert and Lancin (ACM JEA 2015).  Both reductions are exact:
 
     - If v has a neighbour v' farther from u, then I(u,v) is contained in
       I(u,v') with the same distance layers from u; symmetrically for u,
       since equidistance from u within I(u,v) is equidistance from v.
     - x, y at distance r from u in I(u,v) have d(x,y) <= 2 * min(r,
-      d(u,v) - r) <= d(u,v), so a scan stops once d(u,v) <= the best
-      value found, in its own block or an earlier one.
-    """
-    return _block_scans(g, dm, four_point=False)[1]
+      d(u,v) - r) <= d(u,v), so the scan stops once d(u,v) <= nu, the best
+      value found in this block or an earlier one.
 
-
-def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> int:
-    """The scan of ``interval_thinness`` over a block's far-apart pairs from a
-    thinness ``nu`` already found, in batches of 4, 16, ... up to
-    _BLOCK_ELEMS // n pairs: one np.flatnonzero marks a batch's intervals,
-    one sort groups their members by (pair, layer), and each group's widest
-    distance counts.  A batched pair past the stop (distance <= nu) cannot
-    raise nu, and the scan returns as soon as nu reaches ``cap``, a known
-    upper bound on the block's thinness (its diameter, or the doubled
-    four-point upper end in ``_block_scans``)."""
+    The pairs go in batches of 4, 16, ... up to _BLOCK_ELEMS // n: one
+    np.flatnonzero marks a batch's intervals, one sort groups their members
+    by (pair, layer), and each group's widest distance counts.  A batched
+    pair past the stop cannot raise nu, and the scan returns as soon as nu
+    reaches ``cap``, a known upper bound on the block's thinness (the
+    doubled four-point upper end in ``_block_scans``)."""
     width = pairs.diam + 1
     i, rows = 0, 4
     while nu < cap:
@@ -411,8 +400,8 @@ def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> i
         if i >= stop:
             return nu
         e = min(i + rows, stop)
-        du = dm.d[pairs.pairs[i:e, 0]]
-        between = du + dm.d[pairs.pairs[i:e, 1]] == pairs.dist[i:e, None]
+        du = dm.d.take(pairs.pairs[i:e, 0], axis=0)
+        between = du + dm.d.take(pairs.pairs[i:e, 1], axis=0) == pairs.dist[i:e, None]
         p, x = np.divmod(np.flatnonzero(between), dm.n)
         key = p * width + du[p, x]
         order = np.argsort(key)
@@ -479,10 +468,11 @@ def mutually_distant_pair(dm: DistanceMatrix, delta: HalfInt) -> tuple[int, int]
 def hyperbolicity_report(g: Graph, dm: DistanceMatrix) -> HyperbolicityReport:
     """Bundle the four-point bracket with thinness and eccentricity data.
 
-    Both scans run block by block over the same blocks, sharing each
-    block's far-apart pair list.  The four-point constant is bracketed
-    under the budget as in ``four_point_delta``; the thinness is always
-    exact.
+    ``interval_thinness`` is the largest d(x,y) over x,y in I(u,v)
+    equidistant from u, over all u,v (``_thinness_scan``).  Both scans run
+    block by block over the same blocks, sharing each block's far-apart
+    pair list.  The four-point constant is bracketed under the budget as
+    in ``four_point_delta``; the thinness is always exact.
     """
     fp, nu = _block_scans(g, dm)
     p = eccentricity_profile(dm)

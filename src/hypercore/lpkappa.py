@@ -221,9 +221,9 @@ def _round_support(
     entries times one positive denominator, which scales every part mass
     alike and so changes no comparison; the masses of all parts are one
     integer product of the parts x support incidence with the weights."""
-    # row k: which support vertices lie within r of the k-th part
+    # row k: which support vertices lie within r of the k-th part (d is symmetric)
     parts = [part for kq in family for part in kq.parts]
-    near = _min_rows(dm.d[support].T, [p.members for p in parts]) <= r  # d is symmetric
+    near = _min_rows(dm.d.take(support, axis=0).T, [p.members for p in parts]) <= r
     masses = iter(_weighted_rows(near, weights))
     reps: list[QSet] = []
     for kq in family:

@@ -39,8 +39,8 @@ def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> QSe
     sets: list[list[int]] = []
     for rows in row_chunks(len(pairs), dm.n):
         x, y = xs[rows], ys[rows]
-        between = d[x]
-        between += d[y]
+        between = d.take(x, axis=0)
+        between += d.take(y, axis=0)
         mask = between == d.ravel().take(x * dm.n + y)[:, None]
         ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
         members = (np.flatnonzero(mask) % dm.n).tolist()  # row by row, each row sorted

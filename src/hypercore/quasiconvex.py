@@ -144,11 +144,11 @@ def _set_epsilons(dm: DistanceMatrix, sets: Sequence[Sequence[int]]) -> list[int
     for b, m in enumerate(_longer(sizes)[1:], 1):
         # the sets with more than b members: earlier members x, member b as y
         xs, ys, mask = flat[first[:m, None] + np.arange(b)], flat[first[:m] + b], between[:m]
-        y_rows = d[ys][:, None, :]
+        y_rows = d.take(ys, axis=0)[:, None, :]
         for s in row_chunks(m, b * n):
             for a in row_chunks(b, n * (s.stop - s.start)):
                 x = xs[s, a]
-                block = d[x]
+                block = d.take(x, axis=0)
                 block += y_rows[s]
                 mask[s] |= (block == d[x, ys[s, None]][:, :, None]).any(axis=1)
     eps = np.empty(len(sets), dtype=np.int64)
@@ -261,7 +261,7 @@ def greedy_hit_pack(
         pick = max(remaining, key=lambda i: (dists[i], -i))
         hitting.append(project_toward(g, dm, z, sets[pick].members, r))
         packing.append(pick)
-        near = d[list(sets[pick].members)].min(axis=0)  # d(v, pick) for every v
+        near = d.take(sets[pick].members, axis=0).min(axis=0)  # d(v, pick) for every v
         apart = (np.minimum.reduceat(near[flat], starts) > 2 * r).tolist()  # the pick is at 0
         remaining = [j for j in remaining if apart[j]]
     hit_radius = covering_radius(r, family.family_epsilon, delta).floor()

@@ -18,7 +18,6 @@ from hypercore import (
     four_point_defect,
     four_point_delta,
     hyperbolicity_report,
-    interval_thinness,
     mutually_distant_pair,
     thin_delta_bound,
 )
@@ -90,15 +89,19 @@ def test_delta_invariant_under_relabeling():
     assert four_point_delta(relabeled, distance_matrix(relabeled)).delta == want
 
 
+def thinness(g, dm):
+    return hyperbolicity_report(g, dm).interval_thinness
+
+
 def test_interval_thinness_values():
     for g, want in ((random_tree(12, 2), 0), (cycle_graph(4), 2), (cycle_graph(6), 2)):
-        assert interval_thinness(g, distance_matrix(g)) == want
+        assert thinness(g, distance_matrix(g)) == want
 
 
 def test_thinness_at_most_twice_delta():
     for g in (cycle_graph(5), grid_graph(3, 3), gnp_connected(14, 0.3, 3), random_tree(15, 1)):
         dm = distance_matrix(g)
-        assert interval_thinness(g, dm) <= (four_point_delta(g, dm).delta * 2)
+        assert thinness(g, dm) <= (four_point_delta(g, dm).delta * 2)
 
 
 def test_eccentricity_profile_examples():
@@ -219,9 +222,8 @@ def test_far_apart_scans_match_oracles(g):
     assert four_point_defect(dm, res.witness) == res.delta
     if res.delta == 0:
         assert res.witness == (0, 0, 0, 0)
-    thin = naive_interval_thinness(dm)
-    assert interval_thinness(g, dm) == thin
     rep = hyperbolicity_report(g, dm)
+    thin = naive_interval_thinness(dm)
     assert (rep.delta, rep.exact, rep.interval_thinness) == (res.delta, True, thin)
     assert four_point_defect(dm, rep.witness) == rep.delta
 
@@ -244,7 +246,7 @@ def test_far_apart_single_vertex_and_edge():
         got = far_apart_pairs(dm)
         assert got.shape == (len(want), 2) and got.tolist() == want
         assert four_point_delta(g, dm) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
-        assert interval_thinness(g, dm) == 0
+        assert thinness(g, dm) == 0
 
 
 def test_far_apart_complete_graphs():
@@ -253,7 +255,7 @@ def test_far_apart_complete_graphs():
         dm = distance_matrix(g)
         assert len(far_apart_pairs(dm)) == n * (n - 1) // 2
         assert four_point_delta(g, dm).delta == 0
-        assert interval_thinness(g, dm) == 0
+        assert thinness(g, dm) == 0
 
 
 def test_far_apart_stars():
@@ -263,7 +265,7 @@ def test_far_apart_stars():
         want = [[a, b] for a in range(1, leaves + 1) for b in range(a + 1, leaves + 1)]
         assert far_apart_pairs(dm).tolist() == want
         assert four_point_delta(g, dm).delta == 0
-        assert interval_thinness(g, dm) == 0
+        assert thinness(g, dm) == 0
 
 
 def test_far_apart_grids():
@@ -274,7 +276,7 @@ def test_far_apart_grids():
         res = four_point_delta(g, dm)
         assert res.delta.doubled == naive_four_point_delta_doubled(dm)
         assert four_point_defect(dm, res.witness) == res.delta
-        assert interval_thinness(g, dm) == naive_interval_thinness(dm)
+        assert thinness(g, dm) == naive_interval_thinness(dm)
 
 
 def test_far_apart_beyond_one_neighbour_chunk():
@@ -332,7 +334,7 @@ def test_budget_bounds_unscanned_blocks_by_diameter(monkeypatch):
     assert not bracket.exact
     rep = hyperbolicity_report(g, dm)
     assert not rep.exact and (rep.delta, rep.upper) == (bracket.delta, bracket.upper)
-    assert rep.interval_thinness == interval_thinness(g, dm) == naive_interval_thinness(dm)
+    assert rep.interval_thinness == naive_interval_thinness(dm)
     # an 8-cycle glued at vertex 0 of a 30-vertex G(n,p) block, both of
     # diameter 4: the budget covers the first 64 rows of the G(n,p) block,
     # which find doubled defect 2 and stop at a row of distance 3, so only
@@ -416,7 +418,7 @@ def test_thinness_batches_past_the_stop_and_chunk_their_mates(monkeypatch):
             monkeypatch.setattr(hyperbolicity, "_BLOCK_ELEMS", elems)
             pairs = whole_graph_pairs(dm)
             assert hyperbolicity._thinness_scan(dm, pairs, 0, pairs.diam) == want
-            assert interval_thinness(g, dm) == naive_interval_thinness(dm) == want
+            assert thinness(g, dm) == naive_interval_thinness(dm) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -479,8 +481,29 @@ def test_report_thinness_stops_at_the_doubled_upper_end(g, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
         rep = hyperbolicity_report(g, dm)
-    assert rep.interval_thinness == interval_thinness(g, dm) == naive_interval_thinness(dm)
+    assert rep.interval_thinness == naive_interval_thinness(dm)
     assert rep.interval_thinness <= rep.upper.doubled
+
+
+@settings(max_examples=100, deadline=None)
+@given(glued_blocks(), BUDGETS)
+@example(cycle_graph(9), 2**26)
+@example(grid_graph(4, 5), 2**26)
+@example(grid_graph(4, 5), 7)
+def test_four_point_delta_scans_no_thinness(g, budget):
+    # thinness is off in four_point_delta alone: the CLI's thin-triangle
+    # bound needs only the bracket, and the thinness scan has no budget
+
+    def no_thinness(dm, pairs, nu, cap):
+        raise AssertionError("thinness scanned")
+
+    dm = distance_matrix(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
+        rep = hyperbolicity_report(g, dm)
+        mp.setattr(hyperbolicity, "_thinness_scan", no_thinness)
+        res = four_point_delta(g, dm)
+    assert res == FourPointResult(rep.delta, rep.witness, rep.upper)
 
 
 def test_budget_matches_complete_lists_past_the_top_layer(monkeypatch):
@@ -518,7 +541,6 @@ def test_scans_that_stop_in_the_diameter_layer_build_no_lower_layers(monkeypatch
         dm = distance_matrix(g)
         assert hyperbolicity_report(g, dm) == rep
         assert four_point_delta(g, dm) == FourPointResult(rep.delta, rep.witness, rep.upper)
-        assert interval_thinness(g, dm) == rep.interval_thinness
 
 
 def test_tree_skips_the_block_split(monkeypatch):
@@ -533,4 +555,3 @@ def test_tree_skips_the_block_split(monkeypatch):
     assert hyperbolicity._scanned_blocks(g, dm) == []
     assert hyperbolicity_report(g, dm) == want
     assert four_point_delta(g, dm) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
-    assert interval_thinness(g, dm) == 0

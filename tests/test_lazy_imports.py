@@ -32,7 +32,7 @@ EXPORTS = {
     "hyperbolicity": [
         "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
         "eccentricity_profile", "far_apart_pairs", "four_point_defect", "four_point_delta",
-        "hyperbolicity_report", "interval_thinness", "mutually_distant_pair", "thin_delta_bound",
+        "hyperbolicity_report", "mutually_distant_pair", "thin_delta_bound",
     ],
     "lpkappa": [
         "KappaHitPackResult", "KappaQSet", "build_packing_lp", "gamma_sets", "kappa_hit_pack",
@@ -67,7 +67,7 @@ print(json.dumps([code, loaded()]))
 
 def test_all_lists_the_exported_names():
     assert hypercore.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(hypercore.__all__) == 61
+    assert len(hypercore.__all__) == 60
 
 
 def test_each_name_is_the_object_of_its_submodule():

@@ -18,8 +18,8 @@ from hypercore import (
     four_point_delta,
     greedy_hit_pack,
     helly_center,
+    hyperbolicity_report,
     interval,
-    interval_thinness,
     is_interval_like,
     measure_epsilon,
     neighborhood,
@@ -53,7 +53,7 @@ def test_intervals_are_thinness_quasiconvex():
     rng = random.Random(5)
     for g in (gnp_connected(16, 0.25, 2), cycle_graph(9)):
         dm = distance_matrix(g)
-        nu = interval_thinness(g, dm)
+        nu = hyperbolicity_report(g, dm).interval_thinness
         for _ in range(12):
             u, v = rng.randrange(g.n), rng.randrange(g.n)
             assert measure_epsilon(dm, interval(dm, u, v)) <= nu
