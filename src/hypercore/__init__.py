@@ -24,7 +24,6 @@ _EXPORTS = {
         "distance_matrix", "gromov_product", "intercepted_pairs", "interval",
         "multi_source_distances", "set_distance",
     ),
-    "halfint": ("HalfInt",),
     "hyperbolicity": (
         "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
         "eccentricity_profile", "far_apart_pairs", "four_point_defect", "four_point_delta",

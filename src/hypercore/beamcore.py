@@ -5,7 +5,9 @@ together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -16,9 +18,9 @@ from .graphs import (
     Graph,
     _check_vertex,
     _descent,
+    check_rational,
     intercepted_pairs,
 )
-from .halfint import HalfInt
 from .hyperbolicity import eccentricity_profile, mutually_distant_pair
 
 
@@ -36,7 +38,7 @@ class StructuralReport:
     radius: int
     center: tuple[int, ...]
     midpoint: int
-    delta: HalfInt
+    delta: Fraction
     diam_rad_holds: bool
     max_center_distance: int
     close_to_center_holds: bool
@@ -55,7 +57,7 @@ def _midpoint(g: Graph, dm: DistanceMatrix, u: int, v: int) -> int:
     return next(islice(_descent(g, dm, u, v), int(dm.d[u, v]) // 2, None))
 
 
-def total_beam_core(g: Graph, dm: DistanceMatrix, delta: HalfInt) -> BeamCoreResult:
+def total_beam_core(g: Graph, dm: DistanceMatrix, delta: Fraction) -> BeamCoreResult:
     """Ball of radius floor(2*delta) around the middle of a geodesic between
     mutually distant vertices, verified against every beam pair.
 
@@ -65,15 +67,16 @@ def total_beam_core(g: Graph, dm: DistanceMatrix, delta: HalfInt) -> BeamCoreRes
     """
     u, v = mutually_distant_pair(dm, delta)
     mid = _midpoint(g, dm, u, v)
-    radius = max((delta * 2).floor(), 0)
+    radius = max(math.floor(delta * 2), 0)
     ok = bool(intercepted_pairs(g, dm, Ball(mid, radius), beam_pairs(dm)).all())
     return BeamCoreResult(pair=(u, v), midpoint=mid, radius=radius, all_beams_intercepted=ok)
 
 
-def structural_checks(dm: DistanceMatrix, delta: HalfInt, midpoint: int) -> StructuralReport:
+def structural_checks(dm: DistanceMatrix, delta: Fraction, midpoint: int) -> StructuralReport:
     """Evaluate diam >= 2*rad - 2*delta - 1 and C(G) inside B(m, 4*delta + 1)
     with the supplied thin-triangle constant, m being the beam-core midpoint
     (``total_beam_core(g, dm, delta).midpoint``)."""
+    check_rational(delta, "delta")
     _check_vertex(dm.n, midpoint, "midpoint")
     prof = eccentricity_profile(dm)
     diam_rad_holds = prof.diameter >= 2 * prof.radius - delta * 2 - 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,6 @@ from .fileio import (
 )
 from .generators import PRNG_ID
 from .graphs import DEFAULT_MATRIX_CAP, _min_rows, distance_matrix
-from .halfint import HalfInt
 
 # Each handler imports the analysis modules it runs, so a command loads
 # only its own (see README Notes).
@@ -58,11 +58,11 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"{text!r} has a zero denominator") from None
 
 
-def _parse_halfint(text: str) -> HalfInt:
+def _parse_half_integer(text: str) -> Fraction:
     frac = _parse_fraction(text)
     if frac.denominator not in (1, 2):
         raise ValueError(f"{text!r} is not an integer or half-integer")
-    return HalfInt.from_doubled(frac.numerator * (2 // frac.denominator))
+    return frac
 
 
 def _read_graph(args):
@@ -77,15 +77,15 @@ def _load_graph(args):
     return g, distance_matrix(g, cap=args.max_n), table
 
 
-def _thin_delta(args, g, dm) -> HalfInt:
+def _thin_delta(args, g, dm) -> Fraction:
     """Thin-triangle constant to certify with.
 
     Without --delta it is certified from the upper end of the four-point
     bracket, which is recorded in ``args.four_point`` for the report.
     """
     if args.delta is not None:
-        delta = _parse_halfint(args.delta)
-        if delta.doubled < 0:
+        delta = _parse_half_integer(args.delta)
+        if delta < 0:
             raise ValueError(f"--delta {args.delta} is negative: a thin-triangle constant is >= 0")
         try:
             float(delta)  # the report gives it as a float too
@@ -103,8 +103,9 @@ def _base_vertex(args, table) -> int:
     return table.id_of(args.base) if args.base is not None else 0
 
 
-def _halfint_json(h: HalfInt) -> dict:
-    return {"value": float(h), "doubled": h.doubled}
+def _half_integer_json(h: Fraction) -> dict:
+    # h is a four-point bracket end, four times one, or a checked --delta: a half-integer
+    return {"value": float(h), "doubled": h.numerator * (2 // h.denominator)}
 
 
 def _fraction_json(f: Fraction) -> dict:
@@ -140,11 +141,11 @@ def _cmd_hyperbolicity(args):
         f"|center| = {len(rep.center)}",
         file=sys.stderr,
     )
-    upper = {} if rep.exact else {"delta_upper": _halfint_json(rep.upper)}
+    upper = {} if rep.exact else {"delta_upper": _half_integer_json(rep.upper)}
     return {
         "n": g.n,
         "m": g.m,
-        "delta": _halfint_json(rep.delta),
+        "delta": _half_integer_json(rep.delta),
         "exact": rep.exact,
         **upper,
         "witness": table.labels_of(rep.witness),
@@ -204,7 +205,7 @@ def _cmd_multicore(args):
     report = {
         "pairs": len(pairs),
         "radius": res.radius,
-        "delta": _halfint_json(delta),
+        "delta": _half_integer_json(delta),
         "centers": table.labels_of(res.centers),
         "size": len(res.centers),
         "covered": res.covered,
@@ -221,7 +222,7 @@ def _cmd_beamcore(args):
     sc = structural_checks(dm, delta, bc.midpoint)
     ok = bc.all_beams_intercepted and sc.diam_rad_holds and sc.close_to_center_holds
     report = {
-        "delta": _halfint_json(delta),
+        "delta": _half_integer_json(delta),
         "mutually_distant_pair": table.labels_of(bc.pair),
         "midpoint": table.label_of(bc.midpoint),
         "radius": bc.radius,
@@ -264,14 +265,14 @@ def _cmd_helly(args):
     report = {
         "sets": len(family),
         "epsilon": family.family_epsilon,
-        "delta": _halfint_json(delta),
+        "delta": _half_integer_json(delta),
         "r": args.r,
         "ball": {"center": table.label_of(ball.center), "radius": ball.radius},
         "set_gaps": gaps,
         "all_hit": all_hit,
     }
     if all(is_interval_like(dm, s.members) for s in family.sets):
-        report["geodesic_case_radius"] = geodesic_covering_radius(args.r, delta).floor()
+        report["geodesic_case_radius"] = math.floor(geodesic_covering_radius(args.r, delta))
     return report, all_hit
 
 
@@ -291,7 +292,7 @@ def _cmd_hitpack(args):
     report = {
         "sets": len(family),
         "epsilon": family.family_epsilon,
-        "delta": _halfint_json(delta),
+        "delta": _half_integer_json(delta),
         "r": args.r,
         "hitting_set": table.labels_of(hp.hitting_set),
         "packing": [family.name_of(i) for i in hp.packing],
@@ -319,7 +320,7 @@ def _cmd_kappa(args):
         "members": len(family),
         "kappa": res.kappa,
         "epsilon": max(kq.epsilon for kq in family),
-        "delta": _halfint_json(delta),
+        "delta": _half_integer_json(delta),
         "r": res.r,
         "r_star": res.r_star,
         "r_prime": res.r_prime,
@@ -463,7 +464,7 @@ def run_cli(argv=None) -> int:
         **payload,
     }
     if args.four_point is not None:
-        report["delta_four_point"] = _halfint_json(args.four_point.delta)
+        report["delta_four_point"] = _half_integer_json(args.four_point.delta)
         if not args.four_point.exact:
             report["delta_exact"] = False
     text = json.dumps(report, indent=2, sort_keys=False)

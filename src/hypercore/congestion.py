@@ -12,7 +12,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from numbers import Rational
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .graphs import (
     Graph,
     _fold_rows,
     check_pairs,
+    check_rational,
     check_vertices,
     distance_matrix,
     multi_source_distances,
@@ -494,8 +494,7 @@ def min_core(g: Graph, X: Sequence[int], alpha: Fraction = HALF) -> CoreResult:
     the matrix is built (with no cap: bounding n is the caller's choice),
     the search runs and the median is read off the same matrix.
     """
-    if not isinstance(alpha, Rational):
-        raise TypeError(f"alpha must be an int or a Fraction, got {type(alpha).__name__}")
+    check_rational(alpha, "alpha")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     profile = check_vertices(g.n, X, "profile")

@@ -11,11 +11,11 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
+from numbers import Rational
 
 import numpy as np
-
-from .halfint import HalfInt
 
 DEFAULT_MATRIX_CAP = 2000
 # Elements in one block of gathered distance rows or arc temporaries:
@@ -187,6 +187,12 @@ def check_vertices(n: int, vs: Iterable[int], name: str = "vertex set") -> list[
         if not (0 <= v < n):
             raise ValueError(f"{name} contains vertex {v}, out of range for n={n}")
     return out
+
+
+def check_rational(x, name: str) -> None:
+    """Refuse an inexact constant: only an int or a Fraction keeps formulas exact."""
+    if not isinstance(x, Rational):
+        raise TypeError(f"{name} must be an int or a Fraction, got {type(x).__name__}")
 
 
 def check_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -369,12 +375,12 @@ def ball_members(dm: DistanceMatrix, b: Ball) -> list[int]:
     return np.flatnonzero(dm.d[b.center] <= b.radius).tolist()
 
 
-def gromov_product(dm: DistanceMatrix, y: int, z: int, w: int) -> HalfInt:
+def gromov_product(dm: DistanceMatrix, y: int, z: int, w: int) -> Fraction:
     """(y|z)_w = (d(y,w) + d(z,w) - d(y,z)) / 2, exactly."""
     for name, x in (("y", y), ("z", z), ("w", w)):
         _check_vertex(dm.n, x, name)
     d = dm.d
-    return HalfInt.from_doubled(int(d[y, w]) + int(d[z, w]) - int(d[y, z]))
+    return Fraction(int(d[y, w]) + int(d[z, w]) - int(d[y, z]), 2)
 
 
 def set_distance(dm: DistanceMatrix, X: Sequence[int], Y: Sequence[int]) -> int:

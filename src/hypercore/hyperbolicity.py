@@ -31,12 +31,13 @@ exact (the same paper states the reduction for the four-point constant):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .graphs import _BLOCK_ELEMS, DistanceMatrix, Graph, _fold_rows, check_vertices
-from .halfint import HalfInt
+from .graphs import _BLOCK_ELEMS, DistanceMatrix, Graph, _fold_rows, check_rational, check_vertices
 
 # pair comparisons one four-point measurement may spend, summed over blocks
 FOUR_POINT_BUDGET = 2**26
@@ -47,9 +48,9 @@ class FourPointResult:
     """delta is the lower end of the bracket, reached by the witness
     quadruple; upper bounds the four-point constant from above."""
 
-    delta: HalfInt
+    delta: Fraction
     witness: tuple[int, int, int, int]
-    upper: HalfInt
+    upper: Fraction
 
     @property
     def exact(self) -> bool:
@@ -66,9 +67,9 @@ class EccentricityProfile:
 
 @dataclass(frozen=True)
 class HyperbolicityReport:
-    delta: HalfInt
+    delta: Fraction
     witness: tuple[int, int, int, int]
-    upper: HalfInt
+    upper: Fraction
     interval_thinness: int
     diameter: int
     radius: int
@@ -79,13 +80,13 @@ class HyperbolicityReport:
         return self.delta == self.upper
 
 
-def four_point_defect(dm: DistanceMatrix, quad: tuple[int, int, int, int]) -> HalfInt:
+def four_point_defect(dm: DistanceMatrix, quad: tuple[int, int, int, int]) -> Fraction:
     """Half the gap between the two largest distance sums of one quadruple."""
     check_vertices(dm.n, quad, "quadruple")
     u, v, x, y = quad
     d = dm.d
     sums = sorted((int(d[u, v] + d[x, y]), int(d[u, x] + d[v, y]), int(d[u, y] + d[v, x])))
-    return HalfInt.from_doubled(sums[2] - sums[1])
+    return Fraction(sums[2] - sums[1], 2)
 
 
 def far_apart_pairs(dm: DistanceMatrix) -> np.ndarray:
@@ -257,8 +258,7 @@ def _block_scans(
                 best, quad = val, tuple(int(blk[x]) for x in q)
         if thinness:
             nu = _thinness_scan(sub, pairs, nu, max(best, rest))
-    fp = FourPointResult(HalfInt.from_doubled(best), quad, HalfInt.from_doubled(max(best, rest)))
-    return fp, nu
+    return FourPointResult(Fraction(best, 2), quad, Fraction(max(best, rest), 2)), nu
 
 
 def four_point_delta(g: Graph, dm: DistanceMatrix) -> FourPointResult:
@@ -361,12 +361,13 @@ def _defects(
     return diff
 
 
-def thin_delta_bound(delta4: HalfInt) -> HalfInt:
+def thin_delta_bound(delta4: Fraction) -> Fraction:
     """Thin-triangle constant certified by a four-point constant.
 
     Geodesic triangles of a graph with four-point constant d are 4d-thin, so
     every bound stated for thin triangles is asserted with this value.
     """
+    check_rational(delta4, "delta4")
     return delta4 * 4
 
 
@@ -435,7 +436,7 @@ def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
     )
 
 
-def mutually_distant_pair(dm: DistanceMatrix, delta: HalfInt) -> tuple[int, int]:
+def mutually_distant_pair(dm: DistanceMatrix, delta: Fraction) -> tuple[int, int]:
     """A pair u, v, each at maximum distance from the other, by iterated
     furthest-vertex search from vertex 0 over the rows of the distance matrix.
 
@@ -445,8 +446,9 @@ def mutually_distant_pair(dm: DistanceMatrix, delta: HalfInt) -> tuple[int, int]
     at most floor(2*delta) + 2 rounds.  The budget is capped at n as a
     safety net; exhausting it means delta was underestimated.
     """
+    check_rational(delta, "delta")
     d = dm.d
-    budget = (2 * delta).floor() + 2
+    budget = math.floor(2 * delta) + 2
     budget = max(2, min(budget, dm.n))
     prev = 0
     cur = int(d[prev].argmax())  # argmax takes the first, smallest-id maximum

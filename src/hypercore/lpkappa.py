@@ -11,12 +11,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import floor, lcm
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, _min_rows, check_vertices
-from .halfint import HalfInt
+from .graphs import DistanceMatrix, Graph, _min_rows, check_rational, check_vertices
 from .quasiconvex import QSet, QSetFamily, check_hit_pack, covering_radius, greedy_hit_pack
 from .simplex import LPInstance, solve_lp
 
@@ -186,7 +185,7 @@ def round_hitting(
     dm: DistanceMatrix,
     g: Graph,
     r: int,
-    delta: HalfInt,
+    delta: Fraction,
     *,
     z: int = 0,
 ) -> list[int]:
@@ -213,7 +212,7 @@ def _round_support(
     dm: DistanceMatrix,
     g: Graph,
     r: int,
-    delta: HalfInt,
+    delta: Fraction,
     z: int,
 ) -> list[int]:
     """``round_hitting`` for the cover with weight weights[k] on vertex
@@ -239,7 +238,7 @@ def kappa_hit_pack(
     dm: DistanceMatrix,
     family: Sequence[KappaQSet],
     r: int,
-    delta: HalfInt,
+    delta: Fraction,
     *,
     z: int = 0,
 ) -> KappaHitPackResult:
@@ -274,13 +273,14 @@ def kappa_hit_pack(
     check_vertices(dm.n, [z], "base vertex")
     kappa = max(len(kq.parts) for kq in family)
     epsilon = max(kq.epsilon for kq in family)
-    if HalfInt(r) < epsilon + delta * 2:
+    check_rational(delta, "delta")
+    if r < epsilon + delta * 2:
         raise ValueError(
             f"r={r} violates the hypothesis r >= epsilon + 2*delta "
             f"= {epsilon + delta * 2}"
         )
-    r_star = covering_radius(r, epsilon, delta).floor()
-    r_prime = (r_star + epsilon + delta * 3).floor()
+    r_star = floor(covering_radius(r, epsilon, delta))
+    r_prime = floor(r_star + epsilon + delta * 3)
 
     member_dist = _member_distances(dm, family)
     gamma_r = _gamma_index(member_dist, r)

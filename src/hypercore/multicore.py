@@ -4,13 +4,22 @@ pairs and the constructive hitting-set route.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Ball, DistanceMatrix, Graph, check_pairs, intercepted_pairs, row_chunks
-from .halfint import HalfInt
+from .graphs import (
+    Ball,
+    DistanceMatrix,
+    Graph,
+    check_pairs,
+    check_rational,
+    intercepted_pairs,
+    row_chunks,
+)
 from .quasiconvex import QSetFamily, greedy_hit_pack
 
 
@@ -49,7 +58,7 @@ def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> QSe
 
 
 def multicore_construct(
-    g: Graph, dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int, delta: HalfInt
+    g: Graph, dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int, delta: Fraction
 ) -> MultiCoreResult:
     """Centers of radius-r balls jointly intercepting every demand pair.
 
@@ -67,13 +76,14 @@ def multicore_construct(
     collapses below r - delta.
     """
     fam = interval_family(dm, pairs)
-    floor8 = (delta * 8).floor()
+    check_rational(delta, "delta")
+    floor8 = math.floor(delta * 8)
     if r < floor8:
         raise ValueError(
             f"radius r={r} below 8*delta={delta * 8}: the multi-core construction "
             f"requires r >= 8*delta"
         )
-    gap = max((HalfInt(r) - delta * 5).floor(), 0)
+    gap = max(math.floor(r - delta * 5), 0)
     hp = greedy_hit_pack(g, dm, fam, gap, delta)
     centers = hp.hitting_set
     pending = np.array(pairs, dtype=np.intp)

@@ -4,14 +4,16 @@ families, and the greedy primal-dual hitting/packing construction.
 
 Every quasiconvexity defect is measured from the distance matrix, never
 trusted from input.  Radius formulas take the thin-triangle constant as a
-caller-supplied HalfInt (usually 4x the measured four-point constant) and
-floor to an integer only when a concrete ball is built.
+caller-supplied int or Fraction (usually 4x the measured four-point
+constant) and floor to an integer only when a concrete ball is built.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, islice
 
 import numpy as np
@@ -26,11 +28,11 @@ from .graphs import (
     _longer,
     _min_rows,
     _set_block,
+    check_rational,
     check_vertices,
     interval,
     row_chunks,
 )
-from .halfint import HalfInt, half_max
 
 
 @dataclass(frozen=True)
@@ -185,9 +187,10 @@ def project_toward(g: Graph, dm: DistanceMatrix, z: int, Q: Sequence[int], r: in
     return next(islice(_descent(g, dm, x, z), steps, None))
 
 
-def covering_radius(r: int, epsilon: int, delta: HalfInt) -> HalfInt:
+def covering_radius(r: int, epsilon: int, delta: Fraction) -> Fraction:
     """max(2*eps + 5*delta, r + eps + 3*delta), exactly."""
-    return half_max(2 * epsilon + delta * 5, r + epsilon + delta * 3)
+    check_rational(delta, "delta")
+    return max(2 * epsilon + delta * 5, r + epsilon + delta * 3)
 
 
 def _require_pairwise_close(family: QSetFamily, gaps: np.ndarray, r: int) -> None:
@@ -207,7 +210,7 @@ def helly_center(
     dm: DistanceMatrix,
     family: QSetFamily,
     r: int,
-    delta: HalfInt,
+    delta: Fraction,
     *,
     z: int = 0,
 ) -> Ball:
@@ -225,7 +228,7 @@ def helly_center(
     dists = near[:, z].tolist()
     farthest = max(range(len(family)), key=lambda i: (dists[i], -i))
     c = project_toward(g, dm, z, family.sets[farthest].members, r)
-    radius = covering_radius(r, family.family_epsilon, delta).floor()
+    radius = math.floor(covering_radius(r, family.family_epsilon, delta))
     return Ball(c, max(radius, 0))
 
 
@@ -234,7 +237,7 @@ def greedy_hit_pack(
     dm: DistanceMatrix,
     family: QSetFamily,
     r: int,
-    delta: HalfInt,
+    delta: Fraction,
     *,
     z: int = 0,
 ) -> HitPackResult:
@@ -264,7 +267,7 @@ def greedy_hit_pack(
         near = d.take(sets[pick].members, axis=0).min(axis=0)  # d(v, pick) for every v
         apart = (np.minimum.reduceat(near[flat], starts) > 2 * r).tolist()  # the pick is at 0
         remaining = [j for j in remaining if apart[j]]
-    hit_radius = covering_radius(r, family.family_epsilon, delta).floor()
+    hit_radius = math.floor(covering_radius(r, family.family_epsilon, delta))
     return HitPackResult(
         hitting_set=tuple(hitting),
         packing=tuple(packing),
@@ -318,9 +321,10 @@ def is_interval_like(dm: DistanceMatrix, members: Sequence[int]) -> bool:
     return ms == interval(dm, u, v)
 
 
-def geodesic_covering_radius(r: int, delta: HalfInt) -> HalfInt:
+def geodesic_covering_radius(r: int, delta: Fraction) -> Fraction:
     """Tighter covering radius applicable when all members are geodesic-like:
     2*delta for intersecting families, max(r + 3*delta, 4*delta) otherwise."""
+    check_rational(delta, "delta")
     if r == 0:
         return delta * 2
-    return half_max(r + delta * 3, delta * 4)
+    return max(r + delta * 3, delta * 4)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from hypercore import (
     CoreResult,
     DistanceMatrix,
     Graph,
-    HalfInt,
     distance_matrix,
     four_point_delta,
     min_core,
@@ -29,11 +29,11 @@ class CorpusGraph:
     kind: str
     g: Graph
     dm: DistanceMatrix
-    delta4: HalfInt
+    delta4: Fraction
     _core: CoreResult | None = field(default=None, repr=False)
 
     @property
-    def thin_delta(self) -> HalfInt:
+    def thin_delta(self) -> Fraction:
         return self.delta4 * 4
 
     def full_profile_core(self) -> CoreResult:

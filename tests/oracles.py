@@ -10,6 +10,7 @@ they test the theorems built on those, which the package does not compute.
 
 from __future__ import annotations
 
+import math
 from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
@@ -25,7 +26,6 @@ from hypercore.graphs import (
     interval,
     row_chunks,
 )
-from hypercore.halfint import HalfInt
 
 
 def neighbours(g, v) -> list[int]:
@@ -299,7 +299,7 @@ def greedy_hit_pack_by_sets(g, dm, family, r, delta, *, z=0):
         packing.append(pick)
         near = d[members[pick]].min(axis=0)  # distance of every vertex to the pick
         remaining = [j for j in remaining if j != pick and int(near[members[j]].min()) > 2 * r]
-    hit_radius = covering_radius(r, family.family_epsilon, delta).floor()
+    hit_radius = math.floor(covering_radius(r, family.family_epsilon, delta))
     return HitPackResult(
         hitting_set=tuple(hitting),
         packing=tuple(packing),
@@ -346,7 +346,7 @@ def helly_balls_check(dm, balls, delta):
                     f"balls {i} and {j} do not intersect "
                     f"(d={int(d[bi.center, bj.center])} > {bi.radius}+{bj.radius})"
                 )
-    inflate = delta.ceil() if isinstance(delta, HalfInt) else int(delta)
+    inflate = math.ceil(delta)
     ok = np.ones(dm.n, dtype=bool)
     for b in balls:
         ok &= d[b.center] <= b.radius + inflate
@@ -383,7 +383,7 @@ def beams_pairwise_close(dm, delta) -> BeamSeparationReport:
     for rows in row_chunks(len(intervals), dm.n):
         near = _min_rows(dm.d, intervals[rows])
         worst = max(worst, int(_min_rows(near.T, intervals).max()))
-    bound = (delta * 2).floor()
+    bound = math.floor(delta * 2)
     return BeamSeparationReport(max_distance=worst, bound=bound, within_bound=worst <= bound)
 
 

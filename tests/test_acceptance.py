@@ -95,7 +95,7 @@ def test_criterion_1_core_bound(corpus):
     failures = []
     for item in corpus:
         res = item.full_profile_core()
-        bound = (item.delta4 * 4).floor()
+        bound = math.floor(item.delta4 * 4)
         need = ceil_quarter_square(item.g.n)
         if res.radius > bound:
             failures.append(f"{item.name}: rho={res.radius} > {bound}")
@@ -147,7 +147,7 @@ def test_criterion_3_hitting_packing_equality(corpus):
         )
         built += 1
         hp = greedy_hit_pack(item.g, item.dm, fam, 0, item.thin_delta)
-        expected_radius = (2 * fam.family_epsilon + item.thin_delta * 5).floor()
+        expected_radius = math.floor(2 * fam.family_epsilon + item.thin_delta * 5)
         if len(hp.hitting_set) != len(hp.packing):
             failures.append(f"{item.name}: |T| != |P|")
         if hp.hit_radius != expected_radius:
@@ -187,10 +187,10 @@ def test_criterion_4_multicore_chain():
                 pairs.append((a, b))
         diam = int(dm.d.max())
         kmax = len(pairs)
-        for r in range((thin * 8).floor(), diam + 1):
+        for r in range(math.floor(thin * 8), diam + 1):
             exercised += 1
-            r_d = max((r - thin).floor(), 0)
-            r_5d = max((r - thin * 5).floor(), 0)
+            r_d = max(math.floor(r - thin), 0)
+            r_5d = max(math.floor(r - thin * 5), 0)
             pi_r = brute_pi(inflate_family(dm, pairs, r))
             tau_r = brute_tau(g.n, inflate_family(dm, pairs, r), kmax)
             sigma_r = brute_sigma(g, dm, pairs, r, kmax)
@@ -212,7 +212,7 @@ def test_criterion_5_total_beam_core(corpus):
     failures = []
     for item in corpus:
         bc = total_beam_core(item.g, item.dm, item.thin_delta)
-        if bc.radius != (item.thin_delta * 2).floor():
+        if bc.radius != math.floor(item.thin_delta * 2):
             failures.append(f"{item.name}: radius {bc.radius}")
         if not bc.all_beams_intercepted:
             failures.append(f"{item.name}: beam escaped")
@@ -252,7 +252,7 @@ def test_criterion_7_kappa_lp_guarantee(corpus):
             ]
             fam.append(KappaQSet(tuple(parts)))
         eps = max(kq.epsilon for kq in fam)
-        r = eps + (item.thin_delta * 2).floor() + i % 3
+        r = eps + math.floor(item.thin_delta * 2) + i % 3
         res = kappa_hit_pack(item.g, item.dm, fam, r, item.thin_delta)
         k = res.kappa
         if not res.hitting_ok:

@@ -1,7 +1,9 @@
+import math
+from fractions import Fraction
+
 from hypercore import (
     Ball,
     Graph,
-    HalfInt,
     beam_pairs,
     distance_matrix,
     four_point_delta,
@@ -30,7 +32,7 @@ def test_beam_pairs_complete_and_star():
 def test_total_beam_core_path9():
     g = path_graph(9)
     dm = distance_matrix(g)
-    res = total_beam_core(g, dm, HalfInt(0))
+    res = total_beam_core(g, dm, Fraction(0))
     assert res.midpoint == 4
     assert res.radius == 0
     assert res.all_beams_intercepted
@@ -41,7 +43,7 @@ def test_total_beam_core_trees():
     for seed in range(5):
         g = random_tree(22, seed + 30)
         dm = distance_matrix(g)
-        res = total_beam_core(g, dm, HalfInt(0))
+        res = total_beam_core(g, dm, Fraction(0))
         assert res.radius == 0
         assert res.all_beams_intercepted
 
@@ -52,26 +54,26 @@ def test_total_beam_core_random_graphs_thin_delta():
         dm = distance_matrix(g)
         delta = thin_delta_bound(four_point_delta(g, dm).delta)
         res = total_beam_core(g, dm, delta)
-        assert res.radius == (delta * 2).floor()
+        assert res.radius == math.floor(delta * 2)
         assert res.all_beams_intercepted
         assert intercepted_pairs(g, dm, Ball(res.midpoint, res.radius), beam_pairs(dm)).all()
 
 
 def test_beams_pairwise_close():
     dm = distance_matrix(random_tree(16, 2))
-    rep = beams_pairwise_close(dm, HalfInt(0))
+    rep = beams_pairwise_close(dm, Fraction(0))
     assert rep.max_distance == 0 and rep.within_bound
     # K_4: disjoint edges are beams at distance 1, and the vertex-measured
     # four-point constant is 0, so the derived bound cannot cover them
     k4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    k4_rep = beams_pairwise_close(distance_matrix(k4), HalfInt(0))
+    k4_rep = beams_pairwise_close(distance_matrix(k4), Fraction(0))
     assert k4_rep.max_distance == 1
     assert not k4_rep.within_bound
     g = cycle_graph(6)
     dm6 = distance_matrix(g)
     delta = thin_delta_bound(four_point_delta(g, dm6).delta)
     rep = beams_pairwise_close(dm6, delta)
-    assert rep.bound == (delta * 2).floor()
+    assert rep.bound == math.floor(delta * 2)
     assert rep.within_bound
 
 
@@ -86,7 +88,7 @@ def test_beams_pairwise_close_random():
 def test_structural_checks_tree():
     g = random_tree(25, 8)
     dm = distance_matrix(g)
-    rep = structural_checks(dm, HalfInt(0), total_beam_core(g, dm, HalfInt(0)).midpoint)
+    rep = structural_checks(dm, Fraction(0), total_beam_core(g, dm, Fraction(0)).midpoint)
     assert rep.diameter >= 2 * rep.radius - 1
     assert rep.diam_rad_holds
     assert rep.max_center_distance <= 1

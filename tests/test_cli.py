@@ -506,6 +506,10 @@ def test_input_errors_exit_1(tmp_path, capsys):
     ):
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
+    # the report's "doubled" field needs a half-integer
+    for delta in ("1/3", "0.25"):
+        assert run_cli(["beamcore", "--edges", edges, "--delta", delta]) == 1
+        assert capsys.readouterr().err == f"error: {delta!r} is not an integer or half-integer\n"
     # a flag with no value before the next flag keeps argparse's message
     for command, flag in (("core", "--alpha"), ("beamcore", "--delta")):
         assert run_cli([command, flag, "--edges", edges]) == 1

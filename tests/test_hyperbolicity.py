@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from hypercore import (
     FourPointResult,
     Graph,
-    HalfInt,
     biconnected_blocks,
     distance_matrix,
     eccentricity_profile,
@@ -60,7 +60,7 @@ def test_grid_3x3_delta_matches_bruteforce():
     g = grid_graph(3, 3)
     dm = distance_matrix(g)
     res = four_point_delta(g, dm)
-    assert res.delta.doubled == naive_four_point_delta_doubled(dm) == 4
+    assert 2 * res.delta == naive_four_point_delta_doubled(dm) == 4
     assert res.delta == 2
 
 
@@ -68,7 +68,7 @@ def test_delta_matches_bruteforce_on_random_graphs():
     for seed in (1, 2, 3):
         g = gnp_connected(12, 0.3, seed)
         dm = distance_matrix(g)
-        assert four_point_delta(g, dm).delta.doubled == naive_four_point_delta_doubled(dm)
+        assert 2 * four_point_delta(g, dm).delta == naive_four_point_delta_doubled(dm)
 
 
 def test_witness_reproduces_delta():
@@ -134,11 +134,11 @@ def test_furthest_set_examples():
 
 
 def test_mutually_distant_pair_path_and_tree():
-    assert mutually_distant_pair(distance_matrix(path_graph(5)), HalfInt(0)) == (0, 4)
+    assert mutually_distant_pair(distance_matrix(path_graph(5)), Fraction(0)) == (0, 4)
     for seed in range(4):
         g = random_tree(20, seed)
         dm = distance_matrix(g)
-        u, v = mutually_distant_pair(dm, HalfInt(0))
+        u, v = mutually_distant_pair(dm, Fraction(0))
         assert dm.dist(u, v) == int(dm.d.max())  # double BFS finds tree diameter
 
 
@@ -158,7 +158,7 @@ def test_mutually_distant_pair_cap_error():
     g = gnp_connected(25, 0.1, 1)
     dm = distance_matrix(g)
     with pytest.raises(ValueError, match="stabilize"):
-        mutually_distant_pair(dm, HalfInt(0))
+        mutually_distant_pair(dm, Fraction(0))
     u, v = mutually_distant_pair(dm, four_point_delta(g, dm).delta)
     assert v in furthest_set(dm, u) and u in furthest_set(dm, v)
 
@@ -167,11 +167,11 @@ def test_single_vertex_graph():
     g = Graph(1, [])
     dm = distance_matrix(g)
     assert four_point_delta(g, dm).delta == 0
-    assert mutually_distant_pair(dm, HalfInt(0)) == (0, 0)
+    assert mutually_distant_pair(dm, Fraction(0)) == (0, 0)
 
 
 def test_thin_delta_bound():
-    assert thin_delta_bound(HalfInt.from_doubled(3)) == 6
+    assert thin_delta_bound(Fraction(3, 2)) == 6
 
 
 def test_report_bundles_consistently():
@@ -218,7 +218,7 @@ def test_far_apart_scans_match_oracles(g):
     check_far_apart_pairs(g, dm)
     res = four_point_delta(g, dm)
     assert res.exact
-    assert res.delta.doubled == naive_four_point_delta_doubled(dm)
+    assert 2 * res.delta == naive_four_point_delta_doubled(dm)
     assert four_point_defect(dm, res.witness) == res.delta
     if res.delta == 0:
         assert res.witness == (0, 0, 0, 0)
@@ -236,7 +236,7 @@ def test_pruned_scan_matches_bruteforce_beyond_one_block():
         dm = distance_matrix(g)
         assert len(far_apart_pairs(dm)) > 64
         res = four_point_delta(g, dm)
-        assert res.delta.doubled == naive_four_point_delta_doubled(dm)
+        assert 2 * res.delta == naive_four_point_delta_doubled(dm)
         assert four_point_defect(dm, res.witness) == res.delta
 
 
@@ -245,7 +245,7 @@ def test_far_apart_single_vertex_and_edge():
         dm = distance_matrix(g)
         got = far_apart_pairs(dm)
         assert got.shape == (len(want), 2) and got.tolist() == want
-        assert four_point_delta(g, dm) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
+        assert four_point_delta(g, dm) == FourPointResult(Fraction(0), (0, 0, 0, 0), Fraction(0))
         assert thinness(g, dm) == 0
 
 
@@ -274,7 +274,7 @@ def test_far_apart_grids():
         dm = distance_matrix(g)
         check_far_apart_pairs(g, dm)
         res = four_point_delta(g, dm)
-        assert res.delta.doubled == naive_four_point_delta_doubled(dm)
+        assert 2 * res.delta == naive_four_point_delta_doubled(dm)
         assert four_point_defect(dm, res.witness) == res.delta
         assert thinness(g, dm) == naive_interval_thinness(dm)
 
@@ -327,7 +327,7 @@ def test_budget_bounds_unscanned_blocks_by_diameter(monkeypatch):
     g = Graph(38, [*cycle_graph(8).edges(), (0, 8), *((v, v + 1) for v in range(8, 37))])
     dm = distance_matrix(g)
     exact = four_point_delta(g, dm)
-    assert exact.exact and exact.delta.doubled == naive_four_point_delta_doubled(dm) == 4
+    assert exact.exact and 2 * exact.delta == naive_four_point_delta_doubled(dm) == 4
     monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", 0)
     bracket = four_point_delta(g, dm)
     assert (bracket.delta, bracket.witness, bracket.upper) == (0, (0, 0, 0, 0), 2)
@@ -344,7 +344,7 @@ def test_budget_bounds_unscanned_blocks_by_diameter(monkeypatch):
     dm = distance_matrix(g)
     monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", 64 * 64)
     bracket = four_point_delta(g, dm)
-    assert (bracket.delta.doubled, bracket.upper.doubled) == (2, 4)
+    assert (2 * bracket.delta, 2 * bracket.upper) == (2, 4)
     assert naive_four_point_delta_doubled(dm) == 4
 
 
@@ -356,7 +356,7 @@ def test_budgeted_bracket_holds(g, budget):
         mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
         res = four_point_delta(g, dm)
         rep = hyperbolicity_report(g, dm)
-    assert res.delta.doubled <= naive_four_point_delta_doubled(dm) <= res.upper.doubled
+    assert 2 * res.delta <= naive_four_point_delta_doubled(dm) <= 2 * res.upper
     assert four_point_defect(dm, res.witness) == res.delta
     assert res.exact == (res.delta == res.upper)
     assert (rep.delta, rep.witness, rep.upper) == (res.delta, res.witness, res.upper)
@@ -468,8 +468,8 @@ def test_budget_matches_a_scan_over_complete_lists(g, budget):
         res = four_point_delta(g, dm)
         rep = hyperbolicity_report(g, dm)
     want = budgeted_four_point(g, dm, budget)
-    assert (res.delta.doubled, res.witness, res.upper.doubled) == want
-    assert (rep.delta.doubled, rep.witness, rep.upper.doubled) == want
+    assert (2 * res.delta, res.witness, 2 * res.upper) == want
+    assert (2 * rep.delta, rep.witness, 2 * rep.upper) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -482,7 +482,7 @@ def test_report_thinness_stops_at_the_doubled_upper_end(g, budget):
         mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
         rep = hyperbolicity_report(g, dm)
     assert rep.interval_thinness == naive_interval_thinness(dm)
-    assert rep.interval_thinness <= rep.upper.doubled
+    assert rep.interval_thinness <= 2 * rep.upper
 
 
 @settings(max_examples=100, deadline=None)
@@ -522,7 +522,7 @@ def test_budget_matches_complete_lists_past_the_top_layer(monkeypatch):
             monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
             res = four_point_delta(g, dm)
             want = budgeted_four_point(g, dm, budget)
-            assert (res.delta.doubled, res.witness, res.upper.doubled) == want
+            assert (2 * res.delta, res.witness, 2 * res.upper) == want
 
 
 def test_scans_that_stop_in_the_diameter_layer_build_no_lower_layers(monkeypatch):
@@ -554,4 +554,4 @@ def test_tree_skips_the_block_split(monkeypatch):
     monkeypatch.setattr(hyperbolicity, "biconnected_blocks", no_split)
     assert hyperbolicity._scanned_blocks(g, dm) == []
     assert hyperbolicity_report(g, dm) == want
-    assert four_point_delta(g, dm) == FourPointResult(HalfInt(0), (0, 0, 0, 0), HalfInt(0))
+    assert four_point_delta(g, dm) == FourPointResult(Fraction(0), (0, 0, 0, 0), Fraction(0))

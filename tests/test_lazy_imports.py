@@ -28,7 +28,6 @@ EXPORTS = {
         "distance_matrix", "gromov_product", "intercepted_pairs", "interval",
         "multi_source_distances", "set_distance",
     ],
-    "halfint": ["HalfInt"],
     "hyperbolicity": [
         "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
         "eccentricity_profile", "far_apart_pairs", "four_point_defect", "four_point_delta",
@@ -49,7 +48,7 @@ EXPORTS = {
 
 STARTUP = {
     "hypercore", "hypercore.cli", "hypercore.fileio", "hypercore.generators",
-    "hypercore.graphs", "hypercore.halfint",
+    "hypercore.graphs",
 }
 
 # Run in a fresh interpreter: prints the hypercore modules loaded by
@@ -67,7 +66,7 @@ print(json.dumps([code, loaded()]))
 
 def test_all_lists_the_exported_names():
     assert hypercore.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(hypercore.__all__) == 60
+    assert len(hypercore.__all__) == 59
 
 
 def test_each_name_is_the_object_of_its_submodule():

@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import ceil, floor, lcm
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
-    HalfInt,
     KappaQSet,
     QSet,
     QSetFamily,
@@ -145,7 +144,7 @@ def test_round_hitting_refuses_cover_of_wrong_length(entries):
     fam = [member(dm, [0, 1]), member(dm, [4])]
     msg = f"^cover has {entries} entries, but the graph has n=5 vertices$"
     with pytest.raises(ValueError, match=msg):
-        round_hitting([F(1)] * entries, fam, dm, g, 0, HalfInt(0))
+        round_hitting([F(1)] * entries, fam, dm, g, 0, F(0))
 
 
 def test_kappa_member_union_is_kept_and_not_compared():
@@ -161,7 +160,7 @@ def test_kappa_hit_pack_single_member():
     g = path_graph(10)
     dm = distance_matrix(g)
     fam = [member(dm, [2, 3], [7])]
-    res = kappa_hit_pack(g, dm, fam, 0, HalfInt(0))
+    res = kappa_hit_pack(g, dm, fam, 0, F(0))
     assert len(res.hitting_set) == len(res.packing) == 1
     assert res.hitting_ok and res.packing_ok and res.bound_ok
 
@@ -176,7 +175,7 @@ def test_kappa1_tree_subtrees_pack_cover_bound():
             member(dm, interval(dm, rng.randrange(20), rng.randrange(20)))
             for _ in range(6)
         ]
-        res = kappa_hit_pack(g, dm, fam, 0, HalfInt(0))
+        res = kappa_hit_pack(g, dm, fam, 0, F(0))
         assert res.kappa == 1
         assert res.hitting_ok and res.packing_ok and res.bound_ok
         assert len(res.hitting_set) <= 2 * len(res.packing)
@@ -195,7 +194,7 @@ def test_kappa_hit_pack_tree_unions_of_subtrees():
                 interval(dm, rng.randrange(24), rng.randrange(24)),
             ]
             fam.append(member(dm, *parts))
-        res = kappa_hit_pack(g, dm, fam, 0, HalfInt(0))
+        res = kappa_hit_pack(g, dm, fam, 0, F(0))
         assert res.kappa == 2
         assert res.hitting_ok and res.packing_ok and res.bound_ok
         assert len(res.hitting_set) <= 8 * len(res.packing)
@@ -214,7 +213,7 @@ def test_kappa_hit_pack_random_graph():
         ]
         fam.append(member(dm, *parts))
     eps = max(kq.epsilon for kq in fam)
-    r = eps + (delta * 2).floor() + 1
+    r = eps + floor(delta * 2) + 1
     res = kappa_hit_pack(g, dm, fam, r, delta)
     assert res.hitting_ok and res.packing_ok and res.bound_ok
     assert res.packing_optimum == res.hitting_optimum
@@ -227,7 +226,7 @@ def test_kappa_hit_pack_preconditions():
     dm = distance_matrix(g)
     fam = [member(dm, [0, 1])]
     with pytest.raises(ValueError, match="r >= epsilon"):
-        kappa_hit_pack(g, dm, fam, 0, HalfInt(2))
+        kappa_hit_pack(g, dm, fam, 0, F(2))
 
 
 def test_witness_vertices_rule():
@@ -335,7 +334,7 @@ def test_witness_lps_match_full_lps(case):
     optima(radius)
     delta = thin_delta_bound(four_point_delta(g, dm).delta)
     eps = max(kq.epsilon for kq in fam)
-    res = kappa_hit_pack(g, dm, fam, eps + (delta * 2).ceil() + radius, delta)
+    res = kappa_hit_pack(g, dm, fam, eps + ceil(delta * 2) + radius, delta)
     # the hitting optimum is read off the packing duals; optima() solves the
     # hitting LP itself on the Fraction tableau of tests/oracles.py
     assert (res.packing_optimum, res.hitting_optimum) == optima(res.r_star)
@@ -352,7 +351,7 @@ def test_kappa_hitting_mass_lands_on_witness_vertices():
     g = path_graph(21)
     dm = distance_matrix(g)
     fam = [member(dm, [0], [20]), member(dm, [20])]
-    res = kappa_hit_pack(g, dm, fam, 0, HalfInt(0))
+    res = kappa_hit_pack(g, dm, fam, 0, F(0))
     assert res.hitting_optimum == 1
     assert res.hitting_set == (20,)
     assert res.hitting_ok and res.packing_ok and res.bound_ok
@@ -369,7 +368,7 @@ def test_kappa_hit_pack_checks_base_vertex_before_solving(monkeypatch, z):
 
     monkeypatch.setattr(lpkappa, "solve_lp", unreachable)
     with pytest.raises(ValueError, match=f"^base vertex contains vertex {z}, out of range for n=12$"):
-        kappa_hit_pack(g, dm, fam, 0, HalfInt(0), z=z)
+        kappa_hit_pack(g, dm, fam, 0, F(0), z=z)
 
 
 @pytest.mark.parametrize(
@@ -385,7 +384,7 @@ def test_kappa_hit_pack_rejects_bad_duals(monkeypatch, corrupt):
     dm = distance_matrix(g)
     fam = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
     solve = lpkappa.solve_lp
-    assert kappa_hit_pack(g, dm, fam, 0, HalfInt(0)).hitting_optimum == 3
+    assert kappa_hit_pack(g, dm, fam, 0, F(0)).hitting_optimum == 3
 
     def corrupted(inst):
         sol = solve(inst)
@@ -393,7 +392,7 @@ def test_kappa_hit_pack_rejects_bad_duals(monkeypatch, corrupt):
 
     monkeypatch.setattr(lpkappa, "solve_lp", corrupted)
     with pytest.raises(RuntimeError, match="duals"):
-        kappa_hit_pack(g, dm, fam, 0, HalfInt(0))
+        kappa_hit_pack(g, dm, fam, 0, F(0))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -404,7 +403,7 @@ def test_integer_dual_check_catches_one_changed_dual(monkeypatch, mutate, k):
     g = path_graph(9)
     dm = distance_matrix(g)
     fam = [member(dm, [0], [8]), member(dm, [0], [4]), member(dm, [4], [8])]
-    assert kappa_hit_pack(g, dm, fam, 0, HalfInt(0)).hitting_optimum == F(3, 2)
+    assert kappa_hit_pack(g, dm, fam, 0, F(0)).hitting_optimum == F(3, 2)
     solve = lpkappa.solve_lp
 
     def mutated(inst):
@@ -417,7 +416,7 @@ def test_integer_dual_check_catches_one_changed_dual(monkeypatch, mutate, k):
 
     monkeypatch.setattr(lpkappa, "solve_lp", mutated)
     with pytest.raises(RuntimeError, match="duals"):
-        kappa_hit_pack(g, dm, fam, 0, HalfInt(0))
+        kappa_hit_pack(g, dm, fam, 0, F(0))
 
 
 def test_integer_dual_check_refuses_a_negative_dual(monkeypatch):
@@ -428,7 +427,7 @@ def test_integer_dual_check_refuses_a_negative_dual(monkeypatch):
     g = path_graph(13)
     dm = distance_matrix(g)
     fam = [member(dm, [a], [b]) for a in (0, 4) for b in (8, 12)]
-    assert kappa_hit_pack(g, dm, fam, 0, HalfInt(0)).hitting_optimum == 2
+    assert kappa_hit_pack(g, dm, fam, 0, F(0)).hitting_optimum == 2
     solve = lpkappa.solve_lp
 
     def shifted(inst):
@@ -439,4 +438,4 @@ def test_integer_dual_check_refuses_a_negative_dual(monkeypatch):
 
     monkeypatch.setattr(lpkappa, "solve_lp", shifted)
     with pytest.raises(RuntimeError, match="duals"):
-        kappa_hit_pack(g, dm, fam, 0, HalfInt(0))
+        kappa_hit_pack(g, dm, fam, 0, F(0))

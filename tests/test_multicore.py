@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from hypercore import (
     Ball,
-    HalfInt,
     distance_matrix,
     four_point_delta,
     intercepted_pairs,
@@ -25,11 +26,11 @@ def test_commodity_validation():
     for g in (path_graph(6), cycle_graph(6)):
         dm = distance_matrix(g)
         with pytest.raises(ValueError, match=r"^demand pair \(2,2\) has equal endpoints$"):
-            multicore_construct(g, dm, [(0, 3), (2, 2)], 0, HalfInt(0))
+            multicore_construct(g, dm, [(0, 3), (2, 2)], 0, Fraction(0))
         for bad in ((-1, 0), (0, 6), (9, 3)):
             message = rf"^demand pair \({bad[0]},{bad[1]}\) out of range for n=6$"
             with pytest.raises(ValueError, match=message):
-                multicore_construct(g, dm, [(0, 3), bad], 0, HalfInt(0))
+                multicore_construct(g, dm, [(0, 3), bad], 0, Fraction(0))
 
 
 def test_interval_family_examples():
@@ -83,10 +84,10 @@ def test_interval_family_spans_row_blocks():
 def test_multicore_single_pair_and_far_pairs():
     g = path_graph(15)
     dm = distance_matrix(g)
-    single = multicore_construct(g, dm, [(2, 9)], 0, HalfInt(0))
+    single = multicore_construct(g, dm, [(2, 9)], 0, Fraction(0))
     assert len(single.centers) == 1 and single.covered
     far = [(0, 1), (6, 7), (12, 13)]
-    res = multicore_construct(g, dm, far, 1, HalfInt(0))
+    res = multicore_construct(g, dm, far, 1, Fraction(0))
     assert len(res.centers) == 3 and res.covered
 
 
@@ -101,7 +102,7 @@ def test_multicore_tree_matches_brute_sigma():
             if a != b:
                 pairs.append((a, b))
         for r in (0, 1):
-            res = multicore_construct(g, dm, pairs, r, HalfInt(0))
+            res = multicore_construct(g, dm, pairs, r, Fraction(0))
             assert res.covered
             sigma = brute_sigma(g, dm, pairs, r, len(pairs))
             assert len(res.centers) == sigma  # delta=0 collapses the chain
@@ -114,7 +115,7 @@ def test_multicore_every_pair_intercepted_nontree():
     rng = random.Random(0)
     pairs = [(rng.randrange(14), rng.randrange(14)) for _ in range(4)]
     pairs = [(a, b) for a, b in pairs if a != b] or [(0, 1)]
-    r = (delta * 8).floor()
+    r = math.floor(delta * 8)
     res = multicore_construct(g, dm, pairs, r, delta)
     assert res.covered
     hit = [intercepted_pairs(g, dm, Ball(c, r), pairs) for c in res.centers]

@@ -1,6 +1,8 @@
+import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from hypercore import (
     Ball,
-    HalfInt,
     QSet,
     QSetFamily,
     ball_members,
@@ -27,7 +28,9 @@ from hypercore import (
     set_distance,
     thin_delta_bound,
 )
+import hypercore as hc
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
+from hypercore.quasiconvex import geodesic_covering_radius
 from oracles import (
     check_hit_pack_by_sets,
     epsilon_by_pairs,
@@ -87,13 +90,60 @@ def test_base_vertex_out_of_range_is_refused(solve, z):
     dm = distance_matrix(g)
     fam = QSetFamily.measure(dm, [[0, 1], [2]])
     with pytest.raises(ValueError, match=f"^base vertex contains vertex {z}, out of range for n=6$"):
-        solve(g, dm, fam, 1, HalfInt(0), z=z)
+        solve(g, dm, fam, 1, Fraction(0), z=z)
 
 
 def test_covering_radius_formula():
-    assert covering_radius(0, 2, HalfInt(1)) == 9  # max(2*2+5, 0+2+3)
-    assert covering_radius(4, 0, HalfInt(0)) == 4
-    assert covering_radius(0, 0, HalfInt.from_doubled(1)) == HalfInt.from_doubled(5)
+    assert covering_radius(0, 2, Fraction(1)) == 9  # max(2*2+5, 0+2+3)
+    assert covering_radius(4, 0, Fraction(0)) == 4
+    assert covering_radius(0, 0, Fraction(1, 2)) == Fraction(5, 2)
+
+
+@pytest.mark.parametrize(
+    "r, delta, want",
+    [
+        # 2*delta at r = 0, else max(r + 3*delta, 4*delta)
+        (0, 0, 0), (1, 0, 1), (3, 0, 3),
+        (0, Fraction(1, 2), 1), (1, Fraction(1, 2), Fraction(5, 2)),
+        (3, Fraction(1, 2), Fraction(9, 2)),
+        (0, Fraction(3, 2), 3), (1, Fraction(3, 2), 6), (3, Fraction(3, 2), Fraction(15, 2)),
+    ],
+)
+def test_geodesic_covering_radius_formula(r, delta, want):
+    got = geodesic_covering_radius(r, delta)
+    assert got == want
+    assert isinstance(got, (int, Fraction))
+
+
+# every public entry that takes a four-point or thin-triangle constant, on
+# arguments that are valid but for the constant
+_G = path_graph(6)
+_DM = distance_matrix(_G)
+_FAM = QSetFamily.measure(_DM, [[0, 1], [2, 3]])
+_KFAM = [hc.KappaQSet((s,)) for s in _FAM.sets]
+_CONSTANT_TAKERS = {
+    "thin_delta_bound": lambda delta: hc.thin_delta_bound(delta),
+    "covering_radius": lambda delta: hc.covering_radius(0, 0, delta),
+    "geodesic_covering_radius": lambda delta: geodesic_covering_radius(1, delta),
+    "multicore_construct": lambda delta: hc.multicore_construct(_G, _DM, [(0, 5)], 8, delta),
+    "total_beam_core": lambda delta: hc.total_beam_core(_G, _DM, delta),
+    "structural_checks": lambda delta: hc.structural_checks(_DM, delta, 0),
+    "mutually_distant_pair": lambda delta: hc.mutually_distant_pair(_DM, delta),
+    "kappa_hit_pack": lambda delta: hc.kappa_hit_pack(_G, _DM, _KFAM, 2, delta),
+    "helly_center": lambda delta: hc.helly_center(_G, _DM, _FAM, 2, delta),
+    "greedy_hit_pack": lambda delta: hc.greedy_hit_pack(_G, _DM, _FAM, 2, delta),
+    "round_hitting": lambda delta: hc.round_hitting(
+        [Fraction(1)] * _DM.n, _KFAM, _DM, _G, 2, delta
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSTANT_TAKERS))
+def test_a_float_constant_is_refused(name):
+    call = _CONSTANT_TAKERS[name]
+    call(Fraction(1, 2))  # the same call with an exact constant runs
+    with pytest.raises(TypeError, match=r"^delta4? must be an int or a Fraction, got float$"):
+        call(0.5)
 
 
 def _tree_ball_family(dm, tree, hub, picks):
@@ -107,7 +157,7 @@ def test_helly_center_subtrees_of_tree():
     dm = distance_matrix(tree)
     fam = _tree_ball_family(dm, tree, hub=4, picks=[0, 7, 13, 19])
     assert fam.family_epsilon == 0
-    ball = helly_center(tree, dm, fam, 0, HalfInt(0))
+    ball = helly_center(tree, dm, fam, 0, Fraction(0))
     assert ball.radius == 0
     for s in fam.sets:
         assert set_distance(dm, [ball.center], s.members) == 0
@@ -122,7 +172,7 @@ def test_helly_center_cycle_intervals():
     )
     ball = helly_center(g, dm, fam, 0, delta)
     members = ball_members(dm, ball)
-    assert ball.radius <= covering_radius(0, fam.family_epsilon, delta).floor()
+    assert ball.radius <= math.floor(covering_radius(0, fam.family_epsilon, delta))
     for s in fam.sets:
         assert set_distance(dm, members, s.members) == 0
 
@@ -131,7 +181,7 @@ def test_helly_center_single_set():
     g = path_graph(6)
     dm = distance_matrix(g)
     fam = QSetFamily.measure(dm, [[4, 5]])
-    ball = helly_center(g, dm, fam, 0, HalfInt(0))
+    ball = helly_center(g, dm, fam, 0, Fraction(0))
     assert set_distance(dm, [ball.center], fam.sets[0].members) == 0
 
 
@@ -140,7 +190,7 @@ def test_helly_center_rejects_far_family():
     dm = distance_matrix(g)
     fam = QSetFamily.measure(dm, [[0], [8]], names=["left", "right"])
     with pytest.raises(ValueError, match="left.*right"):
-        helly_center(g, dm, fam, 1, HalfInt(0))
+        helly_center(g, dm, fam, 1, Fraction(0))
 
 
 def test_family_passes_reject_unmeasured_bad_sets():
@@ -151,9 +201,9 @@ def test_family_passes_reject_unmeasured_bad_sets():
     empty = QSetFamily(sets=(QSet((4, 5), 0), QSet((), 0)))
     for run in (helly_center, greedy_hit_pack):
         with pytest.raises(ValueError, match="^set contains vertex -6, out of range for n=6$"):
-            run(g, dm, fam, 3, HalfInt(0))
+            run(g, dm, fam, 3, Fraction(0))
         with pytest.raises(ValueError, match="^cannot take the distance to an empty set$"):
-            run(g, dm, empty, 3, HalfInt(0))
+            run(g, dm, empty, 3, Fraction(0))
     with pytest.raises(ValueError, match="^cannot take the distance to an empty set$"):
         check_hit_pack(dm, [[4, 5], []], [4], 1, [0], 0)
 
@@ -162,7 +212,7 @@ def test_greedy_hit_pack_far_singletons():
     tree = path_graph(15)
     dm = distance_matrix(tree)
     fam = QSetFamily.measure(dm, [[0], [5], [10], [14]])
-    hp = greedy_hit_pack(tree, dm, fam, 1, HalfInt(0))
+    hp = greedy_hit_pack(tree, dm, fam, 1, Fraction(0))
     assert len(hp.hitting_set) == len(hp.packing) == 4
     assert hp.pack_gap == 1
 
@@ -188,7 +238,7 @@ def test_greedy_hit_pack_random_certificates():
     for r in (0, 1, 2):
         hp = greedy_hit_pack(g, dm, fam, r, delta)
         assert len(hp.hitting_set) == len(hp.packing)
-        assert hp.hit_radius == covering_radius(r, fam.family_epsilon, delta).floor()
+        assert hp.hit_radius == math.floor(covering_radius(r, fam.family_epsilon, delta))
         for s in fam.sets:
             assert min(
                 set_distance(dm, [t], s.members) for t in hp.hitting_set
@@ -212,11 +262,11 @@ def test_greedy_hit_pack_many_sets_stays_linear():
     for r in (0, 1, 2):
         tracemalloc.start()
         try:
-            hp = greedy_hit_pack(g, dm, fam, r, HalfInt(0))
+            hp = greedy_hit_pack(g, dm, fam, r, Fraction(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert hp == greedy_hit_pack_by_sets(g, dm, fam, r, HalfInt(0))
+        assert hp == greedy_hit_pack_by_sets(g, dm, fam, r, Fraction(0))
         assert peak < s * s // 4  # an S x S int16 block alone takes 2 * s * s bytes
 
 
@@ -224,9 +274,9 @@ def test_helly_balls_check_tree_and_cycle():
     tree = random_tree(18, 6)
     dm = distance_matrix(tree)
     balls = [Ball(v, dm.dist(v, 3)) for v in (0, 8, 12, 17)]  # all meet vertex 3
-    assert helly_balls_check(dm, balls, HalfInt(0)) is not None
+    assert helly_balls_check(dm, balls, Fraction(0)) is not None
     dm4 = distance_matrix(cycle_graph(4))
-    got = helly_balls_check(dm4, [Ball(0, 1), Ball(1, 1), Ball(2, 1)], HalfInt(0))
+    got = helly_balls_check(dm4, [Ball(0, 1), Ball(1, 1), Ball(2, 1)], Fraction(0))
     assert got == 1  # vertex 1 lies in all three already
 
 
@@ -253,7 +303,7 @@ def test_helly_balls_check_random_with_thin_inflation():
 def test_helly_balls_check_rejects_disjoint():
     dm = distance_matrix(path_graph(8))
     with pytest.raises(ValueError, match="do not intersect"):
-        helly_balls_check(dm, [Ball(0, 1), Ball(7, 1)], HalfInt(0))
+        helly_balls_check(dm, [Ball(0, 1), Ball(7, 1)], Fraction(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,7 +393,7 @@ def test_check_hit_pack_catches_mutants():
     dm = distance_matrix(g)
     fam = QSetFamily.measure(dm, [[0], [4], [8, 9]])
     members = [s.members for s in fam.sets]
-    hp = greedy_hit_pack(g, dm, fam, 1, HalfInt(0))
+    hp = greedy_hit_pack(g, dm, fam, 1, Fraction(0))
     assert (hp.hitting_set, hp.packing, hp.hit_radius) == ((7, 3, 0), (2, 1, 0), 1)
     assert check_hit_pack(dm, members, hp.hitting_set, 1, hp.packing, 1) == (True, True)
     # [0] and [4] are 4 apart: packed at gap 1, within 2*gap at gap 2
@@ -398,7 +448,7 @@ def test_greedy_and_check_hit_pack_equal_set_loops(case, data):
     fam = QSetFamily.measure(dm, sets)
     members = [q.members for q in fam.sets]
     r = data.draw(st.integers(0, 3))
-    delta = HalfInt.from_doubled(data.draw(st.integers(0, 4)))
+    delta = Fraction(data.draw(st.integers(0, 4)), 2)
     z = data.draw(st.integers(0, g.n - 1))
     hp = greedy_hit_pack(g, dm, fam, r, delta, z=z)
     assert hp == greedy_hit_pack_by_sets(g, dm, fam, r, delta, z=z)
@@ -420,7 +470,7 @@ def test_helly_center_is_the_first_greedy_hit(case, data):
     dm = distance_matrix(g)
     fam = QSetFamily.measure(dm, sets)
     r = data.draw(st.integers(0, 4))
-    delta = HalfInt.from_doubled(data.draw(st.integers(0, 4)))
+    delta = Fraction(data.draw(st.integers(0, 4)), 2)
     z = data.draw(st.integers(0, g.n - 1))
     far = [
         (i, j, gap)
