@@ -14,20 +14,17 @@ _EXPORTS = {
         "BeamCoreResult", "StructuralReport", "beam_pairs", "structural_checks",
         "total_beam_core",
     ),
-    "congestion": (
-        "CoreResult", "centroid_vertex", "geodesic_count", "median_vertex", "min_core",
-        "traffic_load",
-    ),
+    "check": ("ball_members", "check_hit_pack", "four_point_defect", "set_distance"),
+    "congestion": ("CoreResult", "centroid_vertex", "median_vertex", "min_core", "traffic_load"),
     "generators": ("GeneratorSpec", "generate"),
     "graphs": (
-        "Ball", "DistanceMatrix", "Graph", "ball_members", "descend_geodesic",
-        "distance_matrix", "gromov_product", "intercepted_pairs", "interval",
-        "multi_source_distances", "set_distance",
+        "Ball", "DistanceMatrix", "Graph", "descend_geodesic", "distance_matrix",
+        "intercepted_pairs", "interval", "multi_source_distances",
     ),
     "hyperbolicity": (
         "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
-        "eccentricity_profile", "far_apart_pairs", "four_point_defect", "four_point_delta",
-        "hyperbolicity_report", "mutually_distant_pair", "thin_delta_bound",
+        "eccentricity_profile", "far_apart_pairs", "four_point_delta", "hyperbolicity_report",
+        "mutually_distant_pair", "thin_delta_bound",
     ),
     "lpkappa": (
         "KappaHitPackResult", "KappaQSet", "build_packing_lp", "gamma_sets", "kappa_hit_pack",
@@ -35,9 +32,9 @@ _EXPORTS = {
     ),
     "multicore": ("MultiCoreResult", "interval_family", "multicore_construct"),
     "quasiconvex": (
-        "HitPackResult", "QSet", "QSetFamily", "check_hit_pack", "covering_radius",
-        "greedy_hit_pack", "helly_center", "is_interval_like", "measure_epsilon",
-        "neighborhood", "project_toward",
+        "HitPackResult", "QSet", "QSetFamily", "covering_radius", "greedy_hit_pack",
+        "helly_center", "is_interval_like", "measure_epsilon", "neighborhood",
+        "project_toward",
     ),
     "simplex": ("LPInstance", "LPSolution", "solve_lp"),
 }

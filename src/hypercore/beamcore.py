@@ -12,15 +12,8 @@ from itertools import islice
 
 import numpy as np
 
-from .graphs import (
-    Ball,
-    DistanceMatrix,
-    Graph,
-    _check_vertex,
-    _descent,
-    check_rational,
-    intercepted_pairs,
-)
+from .check import balls_intercept
+from .graphs import DistanceMatrix, Graph, _check_vertex, _descent, check_rational
 from .hyperbolicity import eccentricity_profile, mutually_distant_pair
 
 
@@ -59,16 +52,12 @@ def _midpoint(g: Graph, dm: DistanceMatrix, u: int, v: int) -> int:
 
 def total_beam_core(g: Graph, dm: DistanceMatrix, delta: Fraction) -> BeamCoreResult:
     """Ball of radius floor(2*delta) around the middle of a geodesic between
-    mutually distant vertices, verified against every beam pair.
-
-    The verification is one ``intercepted_pairs`` call: the ball is deleted
-    once and a single multi-source BFS runs from the beam sources outside
-    it, which is equivalent to the per-pair interception test.
-    """
+    mutually distant vertices, verified against every beam pair by
+    ``check.balls_intercept``: one ball, so one ball-deleted BFS."""
     u, v = mutually_distant_pair(dm, delta)
     mid = _midpoint(g, dm, u, v)
     radius = max(math.floor(delta * 2), 0)
-    ok = bool(intercepted_pairs(g, dm, Ball(mid, radius), beam_pairs(dm)).all())
+    ok = balls_intercept(g, dm, [mid], radius, beam_pairs(dm))
     return BeamCoreResult(pair=(u, v), midpoint=mid, radius=radius, all_beams_intercepted=ok)
 
 

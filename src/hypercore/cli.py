@@ -2,7 +2,7 @@
 emit versioned JSON reports.
 
 Exit codes: 0 on success, 1 on input errors, 2 when a verified certificate
-or structural check fails.
+or structural check fails, with one stderr line naming each failed claim.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from .fileio import (
     write_edge_list,
 )
 from .generators import PRNG_ID
-from .graphs import DEFAULT_MATRIX_CAP, _min_rows, distance_matrix
+from .graphs import DEFAULT_MATRIX_CAP, distance_matrix
 
 # Each handler imports the analysis modules it runs, so a command loads
-# only its own (see README Notes).
+# only its own (see README Notes).  It returns its report and the claims it
+# checked, each named by its report field, with whether it holds.
 
 
 def __getattr__(name):
@@ -126,7 +127,7 @@ def _cmd_generate(args):
         "n": g.n,
         "m": g.m,
         "edges_out": str(args.edges_out),
-    }, True
+    }, {}
 
 
 def _cmd_hyperbolicity(args):
@@ -153,7 +154,7 @@ def _cmd_hyperbolicity(args):
         "diameter": rep.diameter,
         "radius": rep.radius,
         "center": table.labels_of(rep.center),
-    }, True
+    }, {}
 
 
 def _cmd_core(args):
@@ -176,7 +177,7 @@ def _cmd_core(args):
         "total_pairs": res.total_pairs,
         "pair_fraction": _fraction_json(frac_of_pairs),
         "median_vertex": table.label_of(res.median),
-    }, True
+    }, {}
 
 
 def _cmd_traffic(args):
@@ -192,7 +193,7 @@ def _cmd_traffic(args):
         "demand_pairs": g.n * (g.n - 1) if demand is None else len(demand),
         "set": table.labels_of(sorted(set(subset))),
         "mu": _fraction_json(mu),
-    }, True
+    }, {}
 
 
 def _cmd_multicore(args):
@@ -210,7 +211,7 @@ def _cmd_multicore(args):
         "size": len(res.centers),
         "covered": res.covered,
     }
-    return report, res.covered
+    return report, {"covered": res.covered}
 
 
 def _cmd_beamcore(args):
@@ -220,7 +221,6 @@ def _cmd_beamcore(args):
     delta = _thin_delta(args, g, dm)
     bc = total_beam_core(g, dm, delta)
     sc = structural_checks(dm, delta, bc.midpoint)
-    ok = bc.all_beams_intercepted and sc.diam_rad_holds and sc.close_to_center_holds
     report = {
         "delta": _half_integer_json(delta),
         "mutually_distant_pair": table.labels_of(bc.pair),
@@ -236,7 +236,11 @@ def _cmd_beamcore(args):
             "close_to_center_holds": sc.close_to_center_holds,
         },
     }
-    return report, ok
+    return report, {
+        "all_beams_intercepted": bc.all_beams_intercepted,
+        "structural.diam_rad_holds": sc.diam_rad_holds,
+        "structural.close_to_center_holds": sc.close_to_center_holds,
+    }
 
 
 def _family_from_json(dm, table, entries):
@@ -250,6 +254,7 @@ def _family_from_json(dm, table, entries):
 
 
 def _cmd_helly(args):
+    from .check import set_gaps
     from .quasiconvex import geodesic_covering_radius, helly_center, is_interval_like
 
     g, dm, table = _load_graph(args)
@@ -257,11 +262,8 @@ def _cmd_helly(args):
     delta = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
     ball = helly_center(g, dm, family, args.r, delta, z=z)
-    # d(B(c, rho), S) = max(d(c, S) - rho, 0): a geodesic from c to a nearest
-    # s in S passes a ball vertex at distance d(c, s) - rho from s
-    near = _min_rows(dm.d[ball.center], [s.members for s in family.sets])
-    gaps = [max(d - ball.radius, 0) for d in near.tolist()]
-    all_hit = all(gap == 0 for gap in gaps)
+    gaps = set_gaps(dm, [ball.center], ball.radius, [s.members for s in family.sets])
+    all_hit = not any(gaps)
     report = {
         "sets": len(family),
         "epsilon": family.family_epsilon,
@@ -273,11 +275,12 @@ def _cmd_helly(args):
     }
     if all(is_interval_like(dm, s.members) for s in family.sets):
         report["geodesic_case_radius"] = math.floor(geodesic_covering_radius(args.r, delta))
-    return report, all_hit
+    return report, {"all_hit": all_hit}
 
 
 def _cmd_hitpack(args):
-    from .quasiconvex import check_hit_pack, greedy_hit_pack
+    from .check import check_hit_pack
+    from .quasiconvex import greedy_hit_pack
 
     g, dm, table = _load_graph(args)
     family = _family_from_json(dm, table, read_family_json(args.family))
@@ -288,7 +291,6 @@ def _cmd_hitpack(args):
     hit_ok, pack_ok = check_hit_pack(
         dm, members, hp.hitting_set, hp.hit_radius, hp.packing, hp.pack_gap
     )
-    ok = hit_ok and pack_ok and len(hp.hitting_set) == len(hp.packing)
     report = {
         "sets": len(family),
         "epsilon": family.family_epsilon,
@@ -300,7 +302,11 @@ def _cmd_hitpack(args):
         "pack_gap": hp.pack_gap,
         "certificates": {"hitting": hit_ok, "packing": pack_ok},
     }
-    return report, ok
+    return report, {
+        "certificates.hitting": hit_ok,
+        "certificates.packing": pack_ok,
+        "len(hitting_set) == len(packing)": len(hp.hitting_set) == len(hp.packing),
+    }
 
 
 def _cmd_kappa(args):
@@ -315,7 +321,6 @@ def _cmd_kappa(args):
     delta = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
     res = kappa_hit_pack(g, dm, family, args.r, delta, z=z)
-    ok = res.hitting_ok and res.packing_ok and res.bound_ok
     report = {
         "members": len(family),
         "kappa": res.kappa,
@@ -337,7 +342,11 @@ def _cmd_kappa(args):
             "size_bound": res.bound_ok,
         },
     }
-    return report, ok
+    return report, {
+        "certificates.hitting": res.hitting_ok,
+        "certificates.packing": res.packing_ok,
+        "certificates.size_bound": res.bound_ok,
+    }
 
 
 def _add_graph_flags(sub):
@@ -452,7 +461,7 @@ def run_cli(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        payload, ok = _HANDLERS[args.command](args)
+        payload, claims = _HANDLERS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -476,7 +485,10 @@ def run_cli(argv=None) -> int:
     except OSError as exc:  # such as an --out in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0 if ok else 2
+    failed = [claim for claim, holds in claims.items() if not holds]
+    for claim in failed:
+        print(f"error: check failed: {claim}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def main() -> None:

@@ -111,14 +111,6 @@ def _path_counts(g: Graph, dx: np.ndarray, last: np.ndarray, blocked: np.ndarray
     return counts
 
 
-def geodesic_count(g: Graph, s: int, t: int) -> int:
-    """Number of distinct (s,t)-geodesics, exact."""
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"pair ({s},{t}) out of range for n={g.n}")
-    dx = multi_source_distances(g, [s])
-    return int(_path_counts(g, dx, dx[:, t], np.zeros(g.n, dtype=bool))[t, 0])
-
-
 def traffic_load(g: Graph, demand: Sequence[tuple[int, int]] | None, S: Sequence[int]) -> Fraction:
     """mu(S): summed fraction of each demand pair's geodesics that meet S.
 

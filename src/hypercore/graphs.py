@@ -1,5 +1,5 @@
 """Graph substrate: CSR adjacency, the rooted walk of a tree, BFS, all-pairs
-distances, intervals, balls, Gromov products, set distances, and the ball
+distances, intervals, balls, the row folds over vertex sets, and the ball
 interception test.
 
 Graphs and distance matrices are immutable after construction and safe to
@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from numbers import Rational
 
@@ -368,28 +367,6 @@ def interval(dm: DistanceMatrix, u: int, v: int) -> list[int]:
     _check_vertex(dm.n, v, "v")
     d = dm.d
     return np.flatnonzero(d[u] + d[v] == d[u, v]).tolist()
-
-
-def ball_members(dm: DistanceMatrix, b: Ball) -> list[int]:
-    _check_vertex(dm.n, b.center, "ball center")
-    return np.flatnonzero(dm.d[b.center] <= b.radius).tolist()
-
-
-def gromov_product(dm: DistanceMatrix, y: int, z: int, w: int) -> Fraction:
-    """(y|z)_w = (d(y,w) + d(z,w) - d(y,z)) / 2, exactly."""
-    for name, x in (("y", y), ("z", z), ("w", w)):
-        _check_vertex(dm.n, x, name)
-    d = dm.d
-    return Fraction(int(d[y, w]) + int(d[z, w]) - int(d[y, z]), 2)
-
-
-def set_distance(dm: DistanceMatrix, X: Sequence[int], Y: Sequence[int]) -> int:
-    """min d(x,y) over x in X, y in Y; 0 iff the sets intersect."""
-    xs = check_vertices(dm.n, X, "X")
-    ys = check_vertices(dm.n, Y, "Y")
-    if not xs or not ys:
-        raise ValueError("set_distance needs two nonempty vertex sets")
-    return int(dm.d.take(xs, axis=0).take(ys, axis=1).min())
 
 
 def _layout(sets: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, ...]:

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import _BLOCK_ELEMS, DistanceMatrix, Graph, _fold_rows, check_rational, check_vertices
+from .graphs import _BLOCK_ELEMS, DistanceMatrix, Graph, _fold_rows, check_rational
 
 # pair comparisons one four-point measurement may spend, summed over blocks
 FOUR_POINT_BUDGET = 2**26
@@ -78,15 +78,6 @@ class HyperbolicityReport:
     @property
     def exact(self) -> bool:
         return self.delta == self.upper
-
-
-def four_point_defect(dm: DistanceMatrix, quad: tuple[int, int, int, int]) -> Fraction:
-    """Half the gap between the two largest distance sums of one quadruple."""
-    check_vertices(dm.n, quad, "quadruple")
-    u, v, x, y = quad
-    d = dm.d
-    sums = sorted((int(d[u, v] + d[x, y]), int(d[u, x] + d[v, y]), int(d[u, y] + d[v, x])))
-    return Fraction(sums[2] - sums[1], 2)
 
 
 def far_apart_pairs(dm: DistanceMatrix) -> np.ndarray:

@@ -15,8 +15,9 @@ from math import floor, lcm
 
 import numpy as np
 
+from .check import check_hit_pack
 from .graphs import DistanceMatrix, Graph, _min_rows, check_rational, check_vertices
-from .quasiconvex import QSet, QSetFamily, check_hit_pack, covering_radius, greedy_hit_pack
+from .quasiconvex import QSet, QSetFamily, covering_radius, greedy_hit_pack
 from .simplex import LPInstance, solve_lp
 
 

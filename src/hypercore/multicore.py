@@ -11,15 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (
-    Ball,
-    DistanceMatrix,
-    Graph,
-    check_pairs,
-    check_rational,
-    intercepted_pairs,
-    row_chunks,
-)
+from .check import balls_intercept
+from .graphs import DistanceMatrix, Graph, check_pairs, check_rational, row_chunks
 from .quasiconvex import QSetFamily, greedy_hit_pack
 
 
@@ -70,8 +63,7 @@ def multicore_construct(
     r - 5*delta (clamped at 0); hitting the (r - delta)-inflation of an
     interval is enough to intercept every geodesic of its pair at radius r.
     The returned flag records the exhaustive per-pair interception check,
-    one ``intercepted_pairs`` call per center over the pairs not yet
-    intercepted.
+    ``check.balls_intercept``.
     Requires r >= 8*delta, the hypothesis under which the covering radius
     collapses below r - delta.
     """
@@ -85,12 +77,6 @@ def multicore_construct(
         )
     gap = max(math.floor(r - delta * 5), 0)
     hp = greedy_hit_pack(g, dm, fam, gap, delta)
-    centers = hp.hitting_set
-    pending = np.array(pairs, dtype=np.intp)
-    for c in centers:
-        if not len(pending):
-            break
-        hit = intercepted_pairs(g, dm, Ball(c, r), pending)
-        pending = pending[~hit]
-    return MultiCoreResult(centers=centers, radius=r, covered=not len(pending))
+    covered = balls_intercept(g, dm, hp.hitting_set, r, pairs)
+    return MultiCoreResult(centers=hp.hitting_set, radius=r, covered=covered)
 

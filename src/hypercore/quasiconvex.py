@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .graphs import (
     _fold_rows,
     _layout,
     _longer,
-    _min_rows,
     _set_block,
     check_rational,
     check_vertices,
@@ -274,36 +273,6 @@ def greedy_hit_pack(
         hit_radius=max(hit_radius, 0),
         pack_gap=r,
     )
-
-
-def check_hit_pack(
-    dm: DistanceMatrix,
-    members: Sequence[Sequence[int]],
-    hitting: Sequence[int],
-    hit_radius: int,
-    packing: Sequence[int],
-    pack_gap: int,
-) -> tuple[bool, bool]:
-    """Exhaustive (hitting, packing) certificates for a family of vertex sets.
-
-    Hitting holds when every member lies within ``hit_radius`` of some vertex
-    of ``hitting``; packing holds when the members indexed by ``packing`` are
-    pairwise more than 2*pack_gap apart.  Both are read off row blocks built
-    here from ``dm`` and the member lists, never from the pass that made the
-    certificate, so the check stays independent of it.
-    """
-    check_vertices(dm.n, hitting, "hitting set")
-    check_vertices(dm.n, chain.from_iterable(members), "members")
-    for a in packing:
-        if not (0 <= a < len(members)):
-            raise ValueError(f"packing index {a} out of range for {len(members)} members")
-    d = dm.d
-    # d(v, hitting set); an empty hitting set is infinitely far
-    to_hitting = d[list(hitting)].min(axis=0, initial=np.iinfo(d.dtype).max)
-    hit_ok = bool((_min_rows(to_hitting, members) <= hit_radius).all())
-    _, gaps = _set_block(dm, [members[a] for a in packing])
-    pack_ok = not np.triu(gaps <= 2 * pack_gap, 1).any()
-    return hit_ok, pack_ok
 
 
 def is_interval_like(dm: DistanceMatrix, members: Sequence[int]) -> bool:

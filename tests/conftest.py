@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -17,7 +18,9 @@ from hypercore import (
     distance_matrix,
     four_point_delta,
     min_core,
+    multi_source_distances,
 )
+from hypercore import congestion
 from hypercore.generators import cycle_graph, gnp_connected, grid_graph, random_tree
 
 MASTER_SEED = 20260809
@@ -79,3 +82,11 @@ def corpus() -> list[CorpusGraph]:
 
 def acceptance_line(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
+
+
+def path_count(g: Graph, s: int, t: int) -> int:
+    """The number of (s,t)-geodesics as the package counts them for
+    ``traffic_load``: ``congestion._path_counts`` from s up to d(s, t),
+    with no vertex blocked."""
+    dx = multi_source_distances(g, [s])
+    return int(congestion._path_counts(g, dx, dx[:, t], np.zeros(g.n, dtype=bool))[t, 0])

@@ -258,6 +258,23 @@ def naive_intercepts(g, dm, members, x, y) -> bool:
     return all(inside & set(path) for path in all_geodesics(g, dm, x, y))
 
 
+def set_gaps_by_loops(dm, centers, radius, members) -> list:
+    """``check.set_gaps`` one center, set and vertex at a time: max(d(c, s)
+    - radius, 0) at the nearest c and s, infinite with no center."""
+    gaps = []
+    for S in members:
+        near = min((dm.dist(c, s) for c in centers for s in S), default=math.inf)
+        gaps.append(max(near - radius, 0))
+    return gaps
+
+
+def balls_intercept_by_paths(g, dm, centers, radius, pairs) -> bool:
+    """``check.balls_intercept`` by path enumeration: every pair has one
+    ball B(c, radius) that meets each of its geodesics."""
+    balls = [[v for v in range(dm.n) if dm.dist(c, v) <= radius] for c in centers]
+    return all(any(naive_intercepts(g, dm, ball, x, y) for ball in balls) for x, y in pairs)
+
+
 def epsilon_by_pairs(dm, C) -> int:
     """The pair loop for ``measure_epsilon``: the largest d(z, C) over the
     interval of each pair x < y of C, one pair at a time."""

@@ -27,7 +27,6 @@ from hypercore import (
     centroid_vertex,
     distance_matrix,
     four_point_delta,
-    geodesic_count,
     greedy_hit_pack,
     helly_center,
     intercepted_pairs,
@@ -46,7 +45,7 @@ from hypercore.generators import (
     star_path_graph,
     star_path_hub,
 )
-from conftest import acceptance_line
+from conftest import acceptance_line, path_count
 from oracles import (
     all_geodesics,
     brute_pi,
@@ -389,7 +388,7 @@ def test_criterion_10_oracle_equivalence(corpus):
             for v in range(u, g.n):
                 if interval(dm, u, v) != naive_interval(g, dm, u, v):
                     failures.append(f"{item.name}: interval({u},{v})")
-                if geodesic_count(g, u, v) != len(all_geodesics(g, dm, u, v)) and u != v:
+                if path_count(g, u, v) != len(all_geodesics(g, dm, u, v)) and u != v:
                     failures.append(f"{item.name}: count({u},{v})")
         for _ in range(20):
             x, y = rng.randrange(g.n), rng.randrange(g.n)

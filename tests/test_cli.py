@@ -208,6 +208,15 @@ def test_beamcore_forced_delta_failure_exits_2(tmp_path, capsys):
     code, rep, err = run_json(capsys, ["beamcore", "--edges", str(path), "--delta", "0"])
     assert code == 2
     assert rep["all_beams_intercepted"] is False
+    # C6 at delta 0: diameter 3 < 2 * radius 3 - 1, and every vertex is central,
+    # some 3 > 4 * delta + 1 from the midpoint
+    assert rep["structural"]["diam_rad_holds"] is False
+    assert rep["structural"]["close_to_center_holds"] is False
+    assert err.splitlines() == [
+        "error: check failed: all_beams_intercepted",
+        "error: check failed: structural.diam_rad_holds",
+        "error: check failed: structural.close_to_center_holds",
+    ]
 
 
 def test_helly_and_hitpack_cli(tmp_path, capsys):
@@ -250,6 +259,7 @@ def test_helly_gaps_are_ball_to_set_distances(tmp_path, capsys, monkeypatch):
             gaps = [set_distance(dm, members, [int(v[1:]) for v in s]) for s in sets]
             assert rep["set_gaps"] == gaps and max(gaps) > 0
             assert code == 2
+            assert err == "error: check failed: all_hit\n"
 
 
 def test_kappa_cli(tmp_path, capsys):
@@ -271,6 +281,22 @@ def test_kappa_cli(tmp_path, capsys):
     assert rep["kappa"] == 2
     assert rep["lp_optima"]["gap_zero"] is True
     assert all(rep["certificates"].values())
+
+
+def test_kappa_failed_certificate_names_its_field(tmp_path, capsys):
+    # four times the four-point constant is no thin-triangle constant on a
+    # clique (README Notes): on K6 at delta 0 the hitting set misses a member
+    path = write_graph(tmp_path, Graph(6, [(a, b) for a in range(6) for b in range(a + 1, 6)]))
+    fam = tmp_path / "kfam.json"
+    fam.write_text(
+        json.dumps([{"name": "a", "parts": [["v1", "v2"]]}, {"name": "b", "parts": [["v2"]]}]),
+        encoding="utf-8",
+    )
+    argv = ["kappa", "--edges", str(path), "--family", str(fam), "--r", "0", "--delta", "0"]
+    code, rep, err = run_json(capsys, argv)
+    assert code == 2
+    assert rep["certificates"] == {"hitting": False, "packing": True, "size_bound": True}
+    assert err == "error: check failed: certificates.hitting\n"
 
 
 def test_multicore_cli(tmp_path, capsys):

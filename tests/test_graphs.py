@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from hypercore import (
     Ball,
     Graph,
-    ball_members,
     descend_geodesic,
     distance_matrix,
-    gromov_product,
     intercepted_pairs,
     interval,
     multi_source_distances,
-    set_distance,
 )
+from hypercore.check import ball_members, check_hit_pack, four_point_defect, set_distance
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
 from hypercore.graphs import (
     DistanceMatrix,
@@ -30,8 +28,6 @@ from hypercore.graphs import (
     _tree_distances,
     tree_walk,
 )
-from hypercore.hyperbolicity import four_point_defect
-from hypercore.quasiconvex import check_hit_pack
 from oracles import (
     bfs_distances,
     distances_avoiding,
@@ -142,27 +138,6 @@ def test_ball_members():
     assert ball_members(dm_star, Ball(0, 1)) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         Ball(0, -1)
-
-
-def test_gromov_product_cases():
-    g = path_graph(3)  # w=0, y=1, z=2 collinear
-    dm = distance_matrix(g)
-    assert gromov_product(dm, 1, 2, 0) == 1
-    assert gromov_product(dm, 1, 1, 0) == dm.dist(1, 0)
-    dm4 = distance_matrix(cycle_graph(4))
-    assert gromov_product(dm4, 1, 3, 0) == 0
-
-
-def test_gromov_product_symmetry_and_bound():
-    rng = random.Random(2)
-    g = random_tree(12, 9)
-    dm = distance_matrix(g)
-    for _ in range(50):
-        y, z, w = (rng.randrange(12) for _ in range(3))
-        p = gromov_product(dm, y, z, w)
-        assert p == gromov_product(dm, z, y, w)
-        assert p >= 0
-        assert p <= min(dm.dist(y, w), dm.dist(z, w))
 
 
 def test_set_distance():

@@ -18,20 +18,19 @@ EXPORTS = {
         "BeamCoreResult", "StructuralReport", "beam_pairs", "structural_checks",
         "total_beam_core",
     ],
+    "check": ["ball_members", "check_hit_pack", "four_point_defect", "set_distance"],
     "congestion": [
-        "CoreResult", "centroid_vertex", "geodesic_count", "median_vertex", "min_core",
-        "traffic_load",
+        "CoreResult", "centroid_vertex", "median_vertex", "min_core", "traffic_load",
     ],
     "generators": ["GeneratorSpec", "generate"],
     "graphs": [
-        "Ball", "DistanceMatrix", "Graph", "ball_members", "descend_geodesic",
-        "distance_matrix", "gromov_product", "intercepted_pairs", "interval",
-        "multi_source_distances", "set_distance",
+        "Ball", "DistanceMatrix", "Graph", "descend_geodesic", "distance_matrix",
+        "intercepted_pairs", "interval", "multi_source_distances",
     ],
     "hyperbolicity": [
         "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
-        "eccentricity_profile", "far_apart_pairs", "four_point_defect", "four_point_delta",
-        "hyperbolicity_report", "mutually_distant_pair", "thin_delta_bound",
+        "eccentricity_profile", "far_apart_pairs", "four_point_delta", "hyperbolicity_report",
+        "mutually_distant_pair", "thin_delta_bound",
     ],
     "lpkappa": [
         "KappaHitPackResult", "KappaQSet", "build_packing_lp", "gamma_sets", "kappa_hit_pack",
@@ -39,9 +38,9 @@ EXPORTS = {
     ],
     "multicore": ["MultiCoreResult", "interval_family", "multicore_construct"],
     "quasiconvex": [
-        "HitPackResult", "QSet", "QSetFamily", "check_hit_pack", "covering_radius",
-        "greedy_hit_pack", "helly_center", "is_interval_like", "measure_epsilon",
-        "neighborhood", "project_toward",
+        "HitPackResult", "QSet", "QSetFamily", "covering_radius", "greedy_hit_pack",
+        "helly_center", "is_interval_like", "measure_epsilon", "neighborhood",
+        "project_toward",
     ],
     "simplex": ["LPInstance", "LPSolution", "solve_lp"],
 }
@@ -66,7 +65,7 @@ print(json.dumps([code, loaded()]))
 
 def test_all_lists_the_exported_names():
     assert hypercore.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(hypercore.__all__) == 59
+    assert len(hypercore.__all__) == 57
 
 
 def test_each_name_is_the_object_of_its_submodule():
@@ -110,20 +109,36 @@ def test_a_name_follows_a_rebinding_in_its_submodule(monkeypatch):
     assert hypercore.four_point_delta is hyperbolicity.four_point_delta is not fake
 
 
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this package's
+    sources; returns its stdout lines, each read as JSON."""
+    src = str(Path(hypercore.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return list(map(json.loads, proc.stdout.splitlines()))
+
+
 def test_cli_start_up_loads_only_what_every_command_needs(tmp_path):
     edges = tmp_path / "g.txt"
     edges.write_text("a b\nb c\nc a\n", encoding="utf-8")
     out = tmp_path / "report.json"
-    src = str(Path(hypercore.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(edges), str(out)],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    at_start, after_run = map(json.loads, proc.stdout.splitlines())
+    at_start, after_run = run_fresh(PROBE, edges, out)
     assert set(at_start) == STARTUP
     code, modules = after_run
     assert code == 0
     assert set(modules) == STARTUP | {"hypercore.hyperbolicity"}
     assert json.loads(out.read_text(encoding="utf-8"))["diameter"] == 1
+
+
+def test_the_checks_load_only_the_graph_substrate():
+    # the checks share no code with the builders: no analysis module loads
+    probe = (
+        "import json, sys\n"
+        "import hypercore.check\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'hypercore')))\n"
+    )
+    assert run_fresh(probe) == [["hypercore", "hypercore.check", "hypercore.graphs"]]
