@@ -18,23 +18,19 @@ _EXPORTS = {
     "congestion": ("CoreResult", "centroid_vertex", "median_vertex", "min_core", "traffic_load"),
     "generators": ("GeneratorSpec", "generate"),
     "graphs": (
-        "Ball", "DistanceMatrix", "Graph", "descend_geodesic", "distance_matrix",
-        "intercepted_pairs", "interval", "multi_source_distances",
+        "Ball", "DistanceMatrix", "Graph", "distance_matrix", "intercepted_pairs", "interval",
+        "multi_source_distances",
     ),
     "hyperbolicity": (
         "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
-        "eccentricity_profile", "far_apart_pairs", "four_point_delta", "hyperbolicity_report",
-        "mutually_distant_pair", "thin_delta_bound",
+        "eccentricity_profile", "four_point_delta", "hyperbolicity_report", "mutually_distant_pair",
+        "thin_delta_bound",
     ),
-    "lpkappa": (
-        "KappaHitPackResult", "KappaQSet", "build_packing_lp", "gamma_sets", "kappa_hit_pack",
-        "round_hitting", "round_packing",
-    ),
+    "lpkappa": ("KappaHitPackResult", "KappaQSet", "kappa_hit_pack", "round_packing"),
     "multicore": ("MultiCoreResult", "interval_family", "multicore_construct"),
     "quasiconvex": (
         "HitPackResult", "QSet", "QSetFamily", "covering_radius", "greedy_hit_pack",
-        "helly_center", "is_interval_like", "measure_epsilon", "neighborhood",
-        "project_toward",
+        "helly_center", "is_interval_like", "project_toward",
     ),
     "simplex": ("LPInstance", "LPSolution", "solve_lp"),
 }

@@ -45,7 +45,7 @@ def beam_pairs(dm: DistanceMatrix) -> np.ndarray:
 
 
 def _midpoint(g: Graph, dm: DistanceMatrix, u: int, v: int) -> int:
-    # middle vertex of the deterministic (u,v)-geodesic (``descend_geodesic``),
+    # middle vertex of the deterministic (u,v)-geodesic (``graphs._descent``),
     # nearer u on ties; the walk stops there
     return next(islice(_descent(g, dm, u, v), int(dm.d[u, v]) // 2, None))
 

@@ -475,20 +475,13 @@ def intercepted_pairs(
     return hit
 
 
-def descend_geodesic(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> list[int]:
-    """One concrete geodesic from start to goal.
+def _descent(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> Iterator[int]:
+    """One concrete geodesic from start to goal, lazily, so a caller that
+    needs only the first steps does not walk the rest.
 
     Greedy descent on the distance-to-goal field, taking the smallest-id
     neighbor at every step, so the result is deterministic.
     """
-    _check_vertex(g.n, start, "start")
-    _check_vertex(g.n, goal, "goal")
-    return list(_descent(g, dm, start, goal))
-
-
-def _descent(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> Iterator[int]:
-    """The vertices of ``descend_geodesic``, lazily, so a caller that needs
-    only the first steps does not walk the rest."""
     to_goal, rows = dm.d[goal].tolist(), memoryview(g.indices)  # d is symmetric
     cur = start
     yield cur

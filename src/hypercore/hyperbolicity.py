@@ -59,7 +59,6 @@ class FourPointResult:
 
 @dataclass(frozen=True)
 class EccentricityProfile:
-    ecc: tuple[int, ...]
     diameter: int
     radius: int
     center: tuple[int, ...]
@@ -80,17 +79,9 @@ class HyperbolicityReport:
         return self.delta == self.upper
 
 
-def far_apart_pairs(dm: DistanceMatrix) -> np.ndarray:
-    """Every pair (a, b), a < b, with no neighbour of a farther from b and
-    no neighbour of b farther from a, as an (m, 2) int32 array by
-    decreasing d(a, b), ties row-major: the diameter layer, then ``_lower_layers``."""
-    diam = int(dm.d.max())
-    return np.concatenate([_upper_pairs(dm.d == diam), _lower_layers(dm.d, diam)[0]])
-
-
 def _lower_layers(d: np.ndarray, diam: int) -> tuple[np.ndarray, np.ndarray]:
     """The far-apart pairs closer than diam of the graph or block whose
-    distances are d, in the order of ``far_apart_pairs``, and their
+    distances are d, in the scan order of ``_FarApart``, and their
     distances.  A block is isometric (module docstring), so its arcs are the
     unit entries of d.  local[a, b] (no neighbour of a is farther from b)
     compares row a with the elementwise max of a's neighbour rows, one
@@ -121,9 +112,14 @@ def _upper_pairs(mask: np.ndarray) -> np.ndarray:
 
 
 class _FarApart:
-    """A block's far-apart pairs in scan order and their distances,
-    shared by both scans: the diameter layer, all far-apart since no vertex
-    is farther, then ``_lower_layers`` once a scan needs them."""
+    """A block's far-apart pairs in scan order and their distances, shared
+    by both scans.
+
+    A pair (a, b), a < b, is far-apart when no neighbour of a is farther
+    from b and no neighbour of b is farther from a.  The scan order is by
+    decreasing d(a, b), ties row-major, and ``pairs`` is an (m, 2) int32
+    array: the diameter layer, all far-apart since no vertex is farther,
+    then ``_lower_layers`` once a scan needs them."""
 
     def __init__(self, d: np.ndarray, diam: int):
         self.d, self.diam, self.whole = d, diam, False
@@ -262,7 +258,7 @@ def four_point_delta(g: Graph, dm: DistanceMatrix) -> FourPointResult:
     complete are scanned, in decreasing diameter.  The lower end ``delta``
     comes with a quadruple reaching it in G's ids ((0, 0, 0, 0) when it is
     0).  Within a block the scan pairs up far-apart pairs only
-    (``far_apart_pairs``), taken in decreasing distance, and evaluates each
+    (``_FarApart``), taken in decreasing distance, and evaluates each
     pair p against every earlier pair q as D_p + D_q - max(S2, S3), in the
     matrix's distance type (Cohen, Coudert and Lancin, ACM JEA 2015).  Both
     reductions are exact:
@@ -368,7 +364,7 @@ def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> i
     already found.  Each such layer of an interval of G lies in one block's
     interval (module docstring), so the thinness of G is the maximum over
     the blocks.  Only far-apart pairs (u, v) are visited
-    (``far_apart_pairs``), in decreasing distance, as in the four-point scan
+    (``_FarApart``), in decreasing distance, as in the four-point scan
     of Cohen, Coudert and Lancin (ACM JEA 2015).  Both reductions are exact:
 
     - If v has a neighbour v' farther from u, then I(u,v) is contained in
@@ -420,7 +416,6 @@ def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
     ecc = dm.eccentricities()
     radius = int(ecc.min())
     return EccentricityProfile(
-        ecc=tuple(ecc.tolist()),
         diameter=int(ecc.max()),
         radius=radius,
         center=tuple(np.flatnonzero(ecc == radius).tolist()),

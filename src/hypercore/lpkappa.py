@@ -61,17 +61,11 @@ def _member_distances(dm: DistanceMatrix, family: Sequence[KappaQSet]) -> np.nda
     return _min_rows(dm.d, [kq.union for kq in family])
 
 
-def gamma_sets(
-    dm: DistanceMatrix, family: Sequence[KappaQSet], r: int
-) -> tuple[frozenset[int], ...]:
-    """Incidence between members at radius r: entry i holds every member
+def _gamma_index(member_dist: np.ndarray, r: int) -> tuple[frozenset[int], ...]:
+    """The Gamma incidence at radius r of the members whose distances are
+    ``member_dist`` (``_member_distances``): entry i holds every member
     sharing with member i a vertex within r of both (a symmetric relation
     containing i itself)."""
-    return _gamma_index(_member_distances(dm, family), r)
-
-
-def _gamma_index(member_dist: np.ndarray, r: int) -> tuple[frozenset[int], ...]:
-    """The Gamma incidence of ``_member_distances`` thresholded at r."""
     if r < 0:
         raise ValueError(f"negative gamma radius {r}")
     near = member_dist <= r  # m x n
@@ -128,24 +122,17 @@ def _scaled(values) -> tuple[list[int], int]:
 def _witness_incidence(member_dist: np.ndarray, r: int) -> tuple[list[int], np.ndarray]:
     """The witness vertices at radius r, in increasing id, and the members x
     witnesses incidence: entry (i, k) is whether member i lies within r of
-    the k-th witness.  ``member_dist`` is ``_member_distances``."""
+    the k-th witness.  ``member_dist`` is ``_member_distances``.
+
+    The packing LP over the witnesses, max sum x_i subject to, per witness
+    v, sum of x_i over the members within r of v <= 1, has the optimum of
+    the LP with one such row per vertex: a vertex near no member gives the
+    row 0 <= 1, and one whose member set lies inside a witness's set gives
+    a row implied by the witness's row, because x >= 0.
+    """
     near = member_dist <= r
     witnesses = _witness_vertices(near)
     return witnesses, near[:, witnesses]
-
-
-def build_packing_lp(family: Sequence[KappaQSet], dm: DistanceMatrix, r: int) -> LPInstance:
-    """max sum x_i subject to, per witness vertex v, sum of x_i over the
-    members within r of v <= 1.
-
-    Row k is the k-th witness vertex in increasing id.  The LP over every
-    vertex has the same optimum: a vertex near no member gives the row
-    0 <= 1, and one whose member set lies inside a witness's set gives a
-    row implied by the witness's row, because x >= 0.
-    """
-    if r < 0:
-        raise ValueError(f"negative packing radius {r}")
-    return _unit_lp(_witness_incidence(_member_distances(dm, family), r)[1].T)
 
 
 def round_packing(
@@ -156,7 +143,7 @@ def round_packing(
     Repeatedly selects a member whose remaining Gamma-neighborhood carries
     fractional mass at most 2*kappa (one always exists for a feasible input)
     and discards that neighborhood.  The result is a packing at the radius
-    of ``gamma`` (``gamma_sets``) of size at least sum(x) / (2*kappa).
+    of ``gamma`` (``_gamma_index``) of size at least sum(x) / (2*kappa).
     """
     kappa = max(len(kq.parts) for kq in family)
     # sum(x) over a neighborhood <= 2*kappa, in integer numerators over scale
@@ -180,32 +167,6 @@ def round_packing(
     return packing
 
 
-def round_hitting(
-    y: Sequence[Fraction],
-    family: Sequence[KappaQSet],
-    dm: DistanceMatrix,
-    g: Graph,
-    r: int,
-    delta: Fraction,
-    *,
-    z: int = 0,
-) -> list[int]:
-    """Integral hitting set from a fractional cover at radius r, one entry
-    of y per vertex.
-
-    Each member is represented by the part whose r-neighborhood carries the
-    most fractional mass (first part on ties); the greedy hitting/packing
-    pass over the representatives yields the vertices.  Masses are taken
-    over the support of y only, as integer numerators over one common
-    denominator (``_round_support``).
-    """
-    if len(y) != dm.n:
-        raise ValueError(f"cover has {len(y)} entries, but the graph has n={dm.n} vertices")
-    support = [v for v, yv in enumerate(y) if yv]
-    weights, _ = _scaled([y[v] for v in support])
-    return _round_support(support, weights, family, dm, g, r, delta, z)
-
-
 def _round_support(
     support: Sequence[int],
     weights: Sequence[int],
@@ -216,11 +177,16 @@ def _round_support(
     delta: Fraction,
     z: int,
 ) -> list[int]:
-    """``round_hitting`` for the cover with weight weights[k] on vertex
-    support[k] and 0 elsewhere.  The weights are integers, the cover's
-    entries times one positive denominator, which scales every part mass
-    alike and so changes no comparison; the masses of all parts are one
-    integer product of the parts x support incidence with the weights."""
+    """Integral hitting set from a fractional cover at radius r with weight
+    weights[k] on vertex support[k] and 0 elsewhere.
+
+    Each member is represented by the part whose r-neighborhood carries the
+    most fractional mass (first part on ties); the greedy hitting/packing
+    pass over the representatives yields the vertices.  The weights are
+    integers, the cover's entries times one positive denominator, which
+    scales every part mass alike and so changes no comparison; the masses
+    of all parts are one integer product of the parts x support incidence
+    with the weights."""
     # row k: which support vertices lie within r of the k-th part (d is symmetric)
     parts = [part for kq in family for part in kq.parts]
     near = _min_rows(dm.d.take(support, axis=0).T, [p.members for p in parts]) <= r
@@ -257,8 +223,8 @@ def kappa_hit_pack(
 
     Both LPs are taken over the witness vertices only, from one
     member-distance matrix that also gives the Gamma incidence at r.
-    ``build_packing_lp`` states why the packing optimum equals that of the
-    LP over every vertex; by LP duality, so does the hitting optimum.  Over
+    ``_witness_incidence`` states why the packing optimum equals that of
+    the LP over every vertex; by LP duality, so does the hitting optimum.  Over
     the witnesses the two LPs are exact duals: max 1.x subject to A^T x <= 1
     and min 1.y subject to A y >= 1, with A the members x witnesses
     incidence.  So only the packing LP is solved, and its duals y are

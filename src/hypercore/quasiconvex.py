@@ -93,23 +93,17 @@ class HitPackResult:
     pack_gap: int
 
 
-def measure_epsilon(dm: DistanceMatrix, C: Sequence[int]) -> int:
-    """Least eps such that every geodesic between members of C stays within
-    distance eps of C.
-
-    Every geodesic between x and y lies in the interval I(x, y), and every
-    interval vertex lies on one, so eps is the largest d(z, C) over z in the
-    union of the intervals I(x, y), x < y in C, and 0 for a singleton.  It
-    is computed by ``_set_epsilons`` (interval blocks of at most 2**16
-    elements).
-    """
-    return _measure_sets(dm, [C])[0].epsilon
-
-
 def _measure_sets(dm: DistanceMatrix, vertex_sets: Sequence[Sequence[int]]) -> list[QSet]:
     """One measured ``QSet`` per vertex collection, from one ``_set_epsilons``
     pass.  Each collection is checked in input order, its range before its
-    emptiness, so the first bad one raises as ``measure_epsilon`` would."""
+    emptiness, so the first bad one raises.
+
+    A set C's defect is the least eps such that every geodesic between
+    members of C stays within distance eps of C.  Every geodesic between x
+    and y lies in the interval I(x, y), and every interval vertex lies on
+    one, so eps is the largest d(z, C) over z in the union of the intervals
+    I(x, y), x < y in C, and 0 for a singleton.
+    """
     sets = []
     for C in vertex_sets:
         members = check_vertices(dm.n, C, "set")
@@ -157,21 +151,11 @@ def _set_epsilons(dm: DistanceMatrix, sets: Sequence[Sequence[int]]) -> list[int
     return eps.tolist()
 
 
-def neighborhood(dm: DistanceMatrix, S: Sequence[int], r: int) -> list[int]:
-    """N_r(S): all vertices within distance r of S."""
-    members = check_vertices(dm.n, S, "set")
-    if not members:
-        raise ValueError("neighborhood of an empty set")
-    if r < 0:
-        raise ValueError(f"negative neighborhood radius {r}")
-    return np.flatnonzero(dm.d[members].min(axis=0) <= r).tolist()  # d is symmetric
-
-
 def project_toward(g: Graph, dm: DistanceMatrix, z: int, Q: Sequence[int], r: int) -> int:
     """Walk r steps from the closest vertex of Q toward z along one geodesic.
 
     x is the member of Q closest to z (smallest id on ties); the geodesic is
-    the smallest-id descent of ``descend_geodesic`` from x to z.  When r
+    the smallest-id descent of ``graphs._descent`` from x to z.  When r
     exceeds d(z, Q) the walk stops at z itself.
     """
     if not Q:

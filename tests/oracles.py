@@ -17,7 +17,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from hypercore import CoreResult, LPInstance, build_packing_lp
+from hypercore import CoreResult, LPInstance
 from hypercore.graphs import (
     Ball,
     _min_rows,
@@ -276,7 +276,7 @@ def balls_intercept_by_paths(g, dm, centers, radius, pairs) -> bool:
 
 
 def epsilon_by_pairs(dm, C) -> int:
-    """The pair loop for ``measure_epsilon``: the largest d(z, C) over the
+    """The pair loop for ``QSet.measure``: the largest d(z, C) over the
     interval of each pair x < y of C, one pair at a time."""
     members = check_vertices(dm.n, C, "set")
     if not members:
@@ -461,11 +461,14 @@ def brute_pi(vertex_sets) -> int:
 
 
 def inflate_family(dm, pairs, r) -> list[list[int]]:
-    """r-inflations of the demand intervals, as plain vertex lists."""
-    # imported here, so that loading the oracles loads no family code
-    from hypercore.quasiconvex import neighborhood
-
-    return [neighborhood(dm, interval(dm, x, y), r) for x, y in pairs]
+    """r-inflations N_r(I(x, y)) of the demand intervals, as plain vertex
+    lists: every vertex within r of some interval member."""
+    d = dm.d.tolist()
+    out = []
+    for x, y in pairs:
+        members = interval(dm, x, y)
+        out.append([v for v in range(dm.n) if any(d[v][u] <= r for u in members)])
+    return out
 
 
 def naive_traffic_load(g, dm, pairs, S) -> Fraction:
@@ -885,20 +888,3 @@ def full_hitting_lp(family, dm, r):
         rhs=(one,) * len(family),
     )
 
-
-def witness_hitting_lp(family, dm, r):
-    """The kappa hitting LP over the witness vertices, as the transpose of
-    ``build_packing_lp``: min sum y_v subject to, per member, sum of y_v
-    over the witnesses within r of it >= 1.  Column k is the k-th witness
-    vertex in increasing id."""
-    one = Fraction(1)
-    pack = build_packing_lp(family, dm, r)
-    return GeneralLP(
-        direction="min",
-        num_vars=pack.num_rows,
-        num_rows=pack.num_vars,
-        objective=(one,) * pack.num_rows,
-        triplets=tuple((col, row, a) for row, col, a in pack.triplets),
-        senses=(">=",) * pack.num_vars,
-        rhs=(one,) * pack.num_vars,
-    )

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypercore import (
     Ball,
     Graph,
-    descend_geodesic,
     distance_matrix,
     intercepted_pairs,
     interval,
@@ -21,6 +20,7 @@ from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tre
 from hypercore.graphs import (
     DistanceMatrix,
     DuplicateEdgeError,
+    _descent,
     _distance_dtype,
     _fold_rows,
     _min_rows,
@@ -331,9 +331,9 @@ def test_an_edge_array_reads_as_its_list(n, edges, dtype):
 def test_descend_geodesic_is_shortest_and_deterministic():
     g = grid_graph(4, 4)
     dm = distance_matrix(g)
-    path = descend_geodesic(g, dm, 0, 15)
+    path = list(_descent(g, dm, 0, 15))
     assert len(path) - 1 == dm.dist(0, 15)
-    assert path == descend_geodesic(g, dm, 0, 15)
+    assert path == list(_descent(g, dm, 0, 15))
     for a, b in zip(path, path[1:]):
         assert b in neighbours(g, a)
 

@@ -14,7 +14,6 @@ from hypercore import (
     biconnected_blocks,
     distance_matrix,
     eccentricity_profile,
-    far_apart_pairs,
     four_point_defect,
     four_point_delta,
     hyperbolicity_report,
@@ -116,11 +115,12 @@ def test_eccentricity_profile_examples():
 def test_eccentricity_profile_star_path_25():
     # path 0..14 with 10 leaves on vertex 14: the diametral path has length
     # 15, so the center sits at its middle, not at the junction
-    prof = eccentricity_profile(distance_matrix(star_path_graph(25)))
+    dm = distance_matrix(star_path_graph(25))
+    prof = eccentricity_profile(dm)
     assert prof.diameter == 15
     assert prof.radius == 8
     assert prof.center == (7, 8)
-    assert prof.ecc[14] == 14
+    assert dm.eccentricities()[14] == 14
 
 
 def test_furthest_set_examples():
@@ -199,6 +199,13 @@ def naive_far_apart_pairs(g, dm):
 def whole_graph_pairs(dm):
     """The scans' far-apart pairs of the whole graph, as one block."""
     return hyperbolicity._FarApart(dm.d, int(dm.d.max()))
+
+
+def far_apart_pairs(dm):
+    """The whole graph's far-apart pairs in scan order, every layer built."""
+    pairs = whole_graph_pairs(dm)
+    pairs.reach(0, len(pairs.dist) + 1, -1)
+    return pairs.pairs
 
 
 def check_far_apart_pairs(g, dm):

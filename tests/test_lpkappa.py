@@ -12,14 +12,11 @@ from hypercore import (
     KappaQSet,
     QSet,
     QSetFamily,
-    build_packing_lp,
     distance_matrix,
     four_point_delta,
-    gamma_sets,
     greedy_hit_pack,
     interval,
     kappa_hit_pack,
-    round_hitting,
     round_packing,
     set_distance,
     solve_lp,
@@ -27,12 +24,18 @@ from hypercore import (
 )
 from hypercore import lpkappa
 from hypercore.generators import gnp_connected, path_graph, random_tree
-from hypercore.lpkappa import _witness_vertices
+from hypercore.lpkappa import (
+    _gamma_index,
+    _member_distances,
+    _round_support,
+    _unit_lp,
+    _witness_incidence,
+    _witness_vertices,
+)
 from oracles import (
     fraction_tableau_solve_lp,
     full_hitting_lp,
     full_packing_lp,
-    witness_hitting_lp,
     witness_vertices_by_sets,
 )
 from strategies import connected_graphs
@@ -40,6 +43,16 @@ from strategies import connected_graphs
 
 def member(dm, *vertex_sets):
     return KappaQSet(tuple(QSet.measure(dm, vs) for vs in vertex_sets))
+
+
+def gamma_sets(dm, fam, r):
+    """The Gamma incidence at radius r that ``kappa_hit_pack`` rounds with."""
+    return _gamma_index(_member_distances(dm, fam), r)
+
+
+def packing_lp(fam, dm, r):
+    """The witness packing LP at radius r that ``kappa_hit_pack`` solves."""
+    return _unit_lp(_witness_incidence(_member_distances(dm, fam), r)[1].T)
 
 
 def test_gamma_far_and_shared():
@@ -78,11 +91,11 @@ def test_packing_lp_extremes():
     g = path_graph(12)
     dm = distance_matrix(g)
     far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
-    sol = solve_lp(build_packing_lp(far, dm, 0))
+    sol = solve_lp(packing_lp(far, dm, 0))
     assert sol.status == "optimal" and sol.objective == 3
     near = [member(dm, [4]), member(dm, [5]), member(dm, [4, 5])]
     # vertex 4 or 5 is within 1 of all three
-    sol2 = solve_lp(build_packing_lp(near, dm, 1))
+    sol2 = solve_lp(packing_lp(near, dm, 1))
     assert sol2.objective <= 1
 
 
@@ -90,10 +103,10 @@ def test_hitting_lp_extremes():
     g = path_graph(12)
     dm = distance_matrix(g)
     single = [member(dm, [3, 4])]
-    status, _, optimum = fraction_tableau_solve_lp(witness_hitting_lp(single, dm, 0))
+    status, _, optimum = fraction_tableau_solve_lp(full_hitting_lp(single, dm, 0))
     assert status == "optimal" and optimum == 1
     far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
-    assert fraction_tableau_solve_lp(witness_hitting_lp(far, dm, 1))[2] == 3
+    assert fraction_tableau_solve_lp(full_hitting_lp(far, dm, 1))[2] == 3
 
 
 def test_lp_duality_zero_gap():
@@ -105,8 +118,8 @@ def test_lp_duality_zero_gap():
         for _ in range(5)
     ]
     for r in (0, 1, 2):
-        p = solve_lp(build_packing_lp(fam, dm, r))
-        status, _, hitting_optimum = fraction_tableau_solve_lp(witness_hitting_lp(fam, dm, r))
+        p = solve_lp(packing_lp(fam, dm, r))
+        status, _, hitting_optimum = fraction_tableau_solve_lp(full_hitting_lp(fam, dm, r))
         assert p.status == status == "optimal"
         assert p.objective == hitting_optimum  # exact strong duality
 
@@ -129,22 +142,10 @@ def test_round_hitting_kappa1_reduces_to_greedy():
     rng = random.Random(4)
     parts = [interval(dm, rng.randrange(16), rng.randrange(16)) for _ in range(5)]
     fam = [member(dm, p) for p in parts]
-    y = [F(1, 16)] * 16
-    got = round_hitting(y, fam, dm, g, 1, delta)
+    # the cover 1/16 on every vertex, as integer weights over one denominator
+    got = _round_support(range(16), [1] * 16, fam, dm, g, 1, delta, 0)
     expected = greedy_hit_pack(g, dm, QSetFamily.measure(dm, parts), 1, delta).hitting_set
     assert tuple(got) == expected
-
-
-@pytest.mark.parametrize("entries", [7, 2])
-def test_round_hitting_refuses_cover_of_wrong_length(entries):
-    # 7 entries used to index past the vertices; 2 were read as a cover
-    # that is zero on the three missing vertices
-    g = path_graph(5)
-    dm = distance_matrix(g)
-    fam = [member(dm, [0, 1]), member(dm, [4])]
-    msg = f"^cover has {entries} entries, but the graph has n=5 vertices$"
-    with pytest.raises(ValueError, match=msg):
-        round_hitting([F(1)] * entries, fam, dm, g, 0, F(0))
 
 
 def test_kappa_member_union_is_kept_and_not_compared():
@@ -284,7 +285,7 @@ def test_packing_lp_rows_are_witnesses():
     fam = [member(dm, [1, 2, 3]), member(dm, [1, 2], [4]), member(dm, [4, 5])]
     # at radius 0 the member sets of vertices 0..6 are {}, {0, 1}, {0, 1},
     # {0}, {1, 2}, {2}, {}: empty, duplicate and dominated rows
-    lp = build_packing_lp(fam, dm, 0)
+    lp = packing_lp(fam, dm, 0)
     assert lp.num_rows == 2 and lp.num_vars == 3
     assert sorted(lp.triplets) == [(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 1)]
     full = full_packing_lp(fam, dm, 0)
@@ -296,10 +297,11 @@ def test_hitting_lp_columns_are_witnesses():
     dm = distance_matrix(g)
     far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
     # at radius 1 the maximal vertex sets are those of 0, 4 and 10; the
-    # hitting LP is the transpose of the packing LP over them
-    lp = witness_hitting_lp(far, dm, 1)
-    assert lp.num_vars == 3 and lp.num_rows == 3
-    assert sorted(lp.triplets) == [(0, 0, 1), (1, 1, 1), (2, 2, 1)]
+    # hitting LP's columns are the columns of the members x witnesses
+    # incidence, the transpose of the packing LP over them
+    witnesses, incidence = _witness_incidence(_member_distances(dm, far), 1)
+    assert witnesses == [0, 4, 10]
+    assert np.array_equal(incidence, np.eye(3, dtype=bool))
 
 
 @st.composite
@@ -325,10 +327,9 @@ def test_witness_lps_match_full_lps(case):
     fam = [member(dm, *parts) for parts in members]
 
     def optima(r):
-        pack = solve_lp(build_packing_lp(fam, dm, r)).objective
-        hit = fraction_tableau_solve_lp(witness_hitting_lp(fam, dm, r))[2]
-        assert pack == solve_lp(full_packing_lp(fam, dm, r)).objective
-        assert hit == fraction_tableau_solve_lp(full_hitting_lp(fam, dm, r))[2]
+        pack = solve_lp(packing_lp(fam, dm, r)).objective
+        hit = fraction_tableau_solve_lp(full_hitting_lp(fam, dm, r))[2]
+        assert pack == solve_lp(full_packing_lp(fam, dm, r)).objective == hit
         return pack, hit
 
     optima(radius)
@@ -336,7 +337,7 @@ def test_witness_lps_match_full_lps(case):
     eps = max(kq.epsilon for kq in fam)
     res = kappa_hit_pack(g, dm, fam, eps + ceil(delta * 2) + radius, delta)
     # the hitting optimum is read off the packing duals; optima() solves the
-    # hitting LP itself on the Fraction tableau of tests/oracles.py
+    # every-vertex hitting LP itself on the Fraction tableau of tests/oracles.py
     assert (res.packing_optimum, res.hitting_optimum) == optima(res.r_star)
     if g.is_tree():
         # four times the four-point constant certifies thin triangles on

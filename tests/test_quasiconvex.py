@@ -22,14 +22,13 @@ from hypercore import (
     hyperbolicity_report,
     interval,
     is_interval_like,
-    measure_epsilon,
-    neighborhood,
     project_toward,
     set_distance,
     thin_delta_bound,
 )
 import hypercore as hc
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
+from hypercore.lpkappa import _round_support
 from hypercore.quasiconvex import geodesic_covering_radius
 from oracles import (
     check_hit_pack_by_sets,
@@ -45,11 +44,11 @@ def test_measure_epsilon_examples():
     tree = random_tree(15, 3)
     dm = distance_matrix(tree)
     sub = interval(dm, 0, 9)  # a path in the tree: convex
-    assert measure_epsilon(dm, sub) == 0
+    assert QSet.measure(dm, sub).epsilon == 0
     dm4 = distance_matrix(cycle_graph(4))
-    assert measure_epsilon(dm4, [0, 2]) == 1
+    assert QSet.measure(dm4, [0, 2]).epsilon == 1
     with pytest.raises(ValueError):
-        measure_epsilon(dm4, [])
+        QSet.measure(dm4, [])
 
 
 def test_intervals_are_thinness_quasiconvex():
@@ -59,17 +58,7 @@ def test_intervals_are_thinness_quasiconvex():
         nu = hyperbolicity_report(g, dm).interval_thinness
         for _ in range(12):
             u, v = rng.randrange(g.n), rng.randrange(g.n)
-            assert measure_epsilon(dm, interval(dm, u, v)) <= nu
-
-
-def test_neighborhood():
-    dm = distance_matrix(path_graph(5))
-    assert neighborhood(dm, [2], 0) == [2]
-    assert neighborhood(dm, [2], 1) == [1, 2, 3]
-    dm6 = distance_matrix(cycle_graph(6))
-    assert neighborhood(dm6, [0, 3], 1) == [0, 1, 2, 3, 4, 5]
-    with pytest.raises(ValueError):
-        neighborhood(dm, [2], -1)
+            assert QSet.measure(dm, interval(dm, u, v)).epsilon <= nu
 
 
 def test_project_toward():
@@ -115,8 +104,8 @@ def test_geodesic_covering_radius_formula(r, delta, want):
     assert isinstance(got, (int, Fraction))
 
 
-# every public entry that takes a four-point or thin-triangle constant, on
-# arguments that are valid but for the constant
+# every public entry that takes a four-point or thin-triangle constant, and
+# the kappa hitting rounding, on arguments that are valid but for the constant
 _G = path_graph(6)
 _DM = distance_matrix(_G)
 _FAM = QSetFamily.measure(_DM, [[0, 1], [2, 3]])
@@ -132,8 +121,8 @@ _CONSTANT_TAKERS = {
     "kappa_hit_pack": lambda delta: hc.kappa_hit_pack(_G, _DM, _KFAM, 2, delta),
     "helly_center": lambda delta: hc.helly_center(_G, _DM, _FAM, 2, delta),
     "greedy_hit_pack": lambda delta: hc.greedy_hit_pack(_G, _DM, _FAM, 2, delta),
-    "round_hitting": lambda delta: hc.round_hitting(
-        [Fraction(1)] * _DM.n, _KFAM, _DM, _G, 2, delta
+    "_round_support": lambda delta: _round_support(
+        range(_DM.n), [1] * _DM.n, _KFAM, _DM, _G, 2, delta, 0
     ),
 }
 
@@ -148,7 +137,7 @@ def test_a_float_constant_is_refused(name):
 
 def _tree_ball_family(dm, tree, hub, picks):
     # balls of a tree are subtrees; radius reaches the hub so they all meet it
-    sets = [sorted(neighborhood(dm, [v], dm.dist(v, hub))) for v in picks]
+    sets = [[u for u in range(dm.n) if dm.dist(u, v) <= dm.dist(v, hub)] for v in picks]
     return QSetFamily.measure(dm, sets)
 
 
@@ -308,7 +297,7 @@ def test_helly_balls_check_rejects_disjoint():
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(connected_graphs(), glued_blocks()), st.data())
-def test_neighborhood_and_interval_likeness_match_the_naive_code(g, data):
+def test_interval_likeness_matches_the_naive_code(g, data):
     # random sets and intervals; the diametral pair is the first farthest
     # one in row-major order over the sorted members
     dm = distance_matrix(g)
@@ -319,9 +308,6 @@ def test_neighborhood_and_interval_likeness_match_the_naive_code(g, data):
             st.tuples(vertex, vertex).map(lambda p: naive_interval(g, dm, *p)),
         )
     )
-    r = data.draw(st.integers(0, 3))
-    near = [v for v in range(g.n) if min(dm.dist(v, s) for s in S) <= r]
-    assert neighborhood(dm, S, r) == near
     ms = sorted(set(S))
     u, v = max(((x, y) for x in ms for y in ms), key=lambda p: dm.dist(*p))
     assert is_interval_like(dm, S) == (ms == naive_interval(g, dm, u, v))
@@ -437,7 +423,7 @@ def test_family_epsilons_equal_pair_loop(case):
     want = [epsilon_by_pairs(dm, s) for s in sets]
     assert [q.epsilon for q in fam.sets] == want
     assert [q.members for q in fam.sets] == [tuple(sorted(set(s))) for s in sets]
-    assert [measure_epsilon(dm, s) for s in sets] == want
+    assert [QSet.measure(dm, s).epsilon for s in sets] == want
 
 
 @settings(max_examples=200, deadline=None)
