@@ -280,17 +280,17 @@ def _cmd_helly(args):
 
 def _cmd_hitpack(args):
     from .check import check_hit_pack
-    from .quasiconvex import greedy_hit_pack
+    from .quasiconvex import covering_radius, greedy_hit_pack
 
     g, dm, table = _load_graph(args)
     family = _family_from_json(dm, table, read_family_json(args.family))
     delta = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
-    hp = greedy_hit_pack(g, dm, family, args.r, delta, z=z)
     members = [s.members for s in family.sets]
-    hit_ok, pack_ok = check_hit_pack(
-        dm, members, hp.hitting_set, hp.hit_radius, hp.packing, hp.pack_gap
-    )
+    hp = greedy_hit_pack(g, dm, members, args.r, z=z)
+    # never negative: r >= 0 (greedy_hit_pack refused it), eps >= 0 and delta >= 0 (_thin_delta)
+    hit_radius = math.floor(covering_radius(args.r, family.family_epsilon, delta))
+    hit_ok, pack_ok = check_hit_pack(dm, members, hp.hitting_set, hit_radius, hp.packing, args.r)
     report = {
         "sets": len(family),
         "epsilon": family.family_epsilon,
@@ -298,8 +298,8 @@ def _cmd_hitpack(args):
         "r": args.r,
         "hitting_set": table.labels_of(hp.hitting_set),
         "packing": [family.name_of(i) for i in hp.packing],
-        "hit_radius": hp.hit_radius,
-        "pack_gap": hp.pack_gap,
+        "hit_radius": hit_radius,
+        "pack_gap": args.r,
         "certificates": {"hitting": hit_ok, "packing": pack_ok},
     }
     return report, {

@@ -16,7 +16,11 @@ from .graphs import Graph
 
 PRNG_ID = "python-random-mt19937"
 
-KINDS = ("tree", "path", "cycle", "grid", "star_path_Tn", "gnp_connected")
+# each kind and the parameters it reads; the seed is global, so not listed
+KINDS = {
+    "tree": ("n",), "path": ("n",), "cycle": ("n",),
+    "grid": ("rows", "cols"), "star_path_Tn": ("n",), "gnp_connected": ("n", "p"),
+}
 
 
 @dataclass(frozen=True)
@@ -103,25 +107,27 @@ def gnp_connected(n: int, p: float, seed: int) -> Graph:
 
 
 def generate(spec: GeneratorSpec) -> Graph:
-    """Dispatch on the spec kind; deterministic given the seed."""
+    """Dispatch on the spec kind, refusing a parameter it does not read."""
     kind = spec.kind
+    if kind not in KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}; known: {', '.join(KINDS)}")
+    for name in ("n", "p", "rows", "cols"):
+        if getattr(spec, name) is not None and name not in KINDS[kind]:
+            raise ValueError(f"generator {kind!r} takes no parameter {name}")
     if kind == "path":
         return path_graph(_need(spec.n, "n", kind))
     if kind == "cycle":
         return cycle_graph(_need(spec.n, "n", kind))
     if kind == "grid":
         rows = _need(spec.rows, "rows", kind)
-        cols = spec.cols if spec.cols is not None else rows
-        return grid_graph(rows, cols)
+        return grid_graph(rows, spec.cols if spec.cols is not None else rows)
     if kind == "tree":
         return random_tree(_need(spec.n, "n", kind), spec.seed or 0)
     if kind == "star_path_Tn":
         return star_path_graph(_need(spec.n, "n", kind))
-    if kind == "gnp_connected":
-        if spec.p is None:
-            raise ValueError("gnp_connected needs p")
-        return gnp_connected(_need(spec.n, "n", kind), spec.p, spec.seed or 0)
-    raise ValueError(f"unknown generator kind {kind!r}; known: {', '.join(KINDS)}")
+    if spec.p is None:  # gnp_connected, the one kind left
+        raise ValueError("gnp_connected needs p")
+    return gnp_connected(_need(spec.n, "n", kind), spec.p, spec.seed or 0)
 
 
 def _need(value, name, kind):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .check import check_hit_pack
 from .graphs import DistanceMatrix, Graph, _min_rows, check_rational, check_vertices
-from .quasiconvex import QSet, QSetFamily, covering_radius, greedy_hit_pack
+from .quasiconvex import QSet, covering_radius, greedy_hit_pack
 from .simplex import LPInstance, solve_lp
 
 
@@ -174,7 +174,6 @@ def _round_support(
     dm: DistanceMatrix,
     g: Graph,
     r: int,
-    delta: Fraction,
     z: int,
 ) -> list[int]:
     """Integral hitting set from a fractional cover at radius r with weight
@@ -191,13 +190,11 @@ def _round_support(
     parts = [part for kq in family for part in kq.parts]
     near = _min_rows(dm.d.take(support, axis=0).T, [p.members for p in parts]) <= r
     masses = iter(_weighted_rows(near, weights))
-    reps: list[QSet] = []
+    reps: list[tuple[int, ...]] = []
     for kq in family:
         mass = [next(masses) for _ in kq.parts]
-        reps.append(kq.parts[mass.index(max(mass))])  # first part on ties
-    rep_family = QSetFamily(sets=tuple(reps))
-    hp = greedy_hit_pack(g, dm, rep_family, r, delta, z=z)
-    return list(hp.hitting_set)
+        reps.append(kq.parts[mass.index(max(mass))].members)  # first part on ties
+    return list(greedy_hit_pack(g, dm, reps, r, z=z).hitting_set)
 
 
 def kappa_hit_pack(
@@ -266,7 +263,7 @@ def kappa_hit_pack(
         )
 
     packing = round_packing(pack_sol.values, gamma_r, family)
-    hitting = _round_support(witnesses, hit, family, dm, g, r_star, delta, z)
+    hitting = _round_support(witnesses, hit, family, dm, g, r_star, z)
 
     hitting_ok, packing_ok = check_hit_pack(
         dm, [kq.union for kq in family], hitting, r_prime, packing, r

@@ -13,7 +13,7 @@ import numpy as np
 
 from .check import balls_intercept
 from .graphs import DistanceMatrix, Graph, check_pairs, check_rational, row_chunks
-from .quasiconvex import QSetFamily, greedy_hit_pack
+from .quasiconvex import greedy_hit_pack
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,9 @@ class MultiCoreResult:
     covered: bool
 
 
-def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> QSetFamily:
-    """One measured quasiconvex set per demand pair: its interval.  Duplicate
-    demand pairs keep duplicate sets (multiset semantics).
+def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """One sorted vertex list per demand pair, its interval, unmeasured.
+    Duplicate demand pairs keep duplicate sets (multiset semantics).
 
     The intervals come from one (pairs x n) comparison d(x, .) + d(y, .) ==
     d(x, y), in the distance type, which holds a sum of two distances.  It
@@ -47,7 +47,7 @@ def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> QSe
         ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
         members = (np.flatnonzero(mask) % dm.n).tolist()  # row by row, each row sorted
         sets += [members[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
-    return QSetFamily.measure(dm, sets, names=[f"I({x},{y})" for x, y in pairs])
+    return sets
 
 
 def multicore_construct(
@@ -67,7 +67,7 @@ def multicore_construct(
     Requires r >= 8*delta, the hypothesis under which the covering radius
     collapses below r - delta.
     """
-    fam = interval_family(dm, pairs)
+    sets = interval_family(dm, pairs)
     check_rational(delta, "delta")
     floor8 = math.floor(delta * 8)
     if r < floor8:
@@ -76,7 +76,7 @@ def multicore_construct(
             f"requires r >= 8*delta"
         )
     gap = max(math.floor(r - delta * 5), 0)
-    hp = greedy_hit_pack(g, dm, fam, gap, delta)
+    hp = greedy_hit_pack(g, dm, sets, gap)
     covered = balls_intercept(g, dm, hp.hitting_set, r, pairs)
     return MultiCoreResult(centers=hp.hitting_set, radius=r, covered=covered)
 

@@ -80,17 +80,16 @@ class QSetFamily:
 
 @dataclass(frozen=True)
 class HitPackResult:
-    """A hitting set and a packing of equal size, with their radii.
+    """A hitting set and a packing of equal size.
 
-    Every family member lies within ``hit_radius`` of some vertex of
-    ``hitting_set``; the members indexed by ``packing`` are pairwise more
-    than 2*pack_gap apart.
+    The sets indexed by ``packing`` are pairwise more than 2r apart, r the
+    pass's gap.  Every set lies within floor(covering_radius(r, eps, delta))
+    of the hitting set, for eps the sets' quasiconvexity defect and delta a
+    sound thin-triangle constant; the pass itself reads neither.
     """
 
     hitting_set: tuple[int, ...]
     packing: tuple[int, ...]
-    hit_radius: int
-    pack_gap: int
 
 
 def _measure_sets(dm: DistanceMatrix, vertex_sets: Sequence[Sequence[int]]) -> list[QSet]:
@@ -218,26 +217,26 @@ def helly_center(
 def greedy_hit_pack(
     g: Graph,
     dm: DistanceMatrix,
-    family: QSetFamily,
+    sets: Sequence[Sequence[int]],
     r: int,
-    delta: Fraction,
     *,
     z: int = 0,
 ) -> HitPackResult:
-    """Primal-dual greedy: one hitting vertex and one packed set per round.
+    """Primal-dual greedy over vertex sets at gap r: one hitting vertex and
+    one packed set per round.
 
     Rounds pick the remaining set farthest from z, project z onto it at
     offset r, then discard every remaining set within 2r of the pick.
-    Discarded sets are guaranteed to lie within the covering radius of the
-    projection point, so the hitting set and the packing come out the same
-    size.  d(z, S) and each pick's row d(pick, S) are one ``reduceat``
+    Discarded sets lie within the covering radius of the projection point
+    (``covering_radius``), so the hitting set and the packing come out the
+    same size.  d(z, S) and each pick's row d(pick, S) are one ``reduceat``
     each over one ``graphs._layout``: linear in the total set size.
     """
     if r < 0:
         raise ValueError(f"negative packing gap {r}")
     check_vertices(dm.n, [z], "base vertex")
-    d, sets = dm.d, family.sets
-    _, flat, first, _ = _layout([s.members for s in sets], dm.n)
+    d = dm.d
+    _, flat, first, _ = _layout(sets, dm.n)
     starts = np.sort(first)  # flat holds the nonempty sets in input order
     dists = np.minimum.reduceat(d[z, flat], starts).tolist()  # d(z, S) per set
     remaining = list(range(len(sets)))
@@ -245,18 +244,12 @@ def greedy_hit_pack(
     packing: list[int] = []
     while remaining:
         pick = max(remaining, key=lambda i: (dists[i], -i))
-        hitting.append(project_toward(g, dm, z, sets[pick].members, r))
+        hitting.append(project_toward(g, dm, z, sets[pick], r))
         packing.append(pick)
-        near = d.take(sets[pick].members, axis=0).min(axis=0)  # d(v, pick) for every v
+        near = d.take(sets[pick], axis=0).min(axis=0)  # d(v, pick) for every v
         apart = (np.minimum.reduceat(near[flat], starts) > 2 * r).tolist()  # the pick is at 0
         remaining = [j for j in remaining if apart[j]]
-    hit_radius = math.floor(covering_radius(r, family.family_epsilon, delta))
-    return HitPackResult(
-        hitting_set=tuple(hitting),
-        packing=tuple(packing),
-        hit_radius=max(hit_radius, 0),
-        pack_gap=r,
-    )
+    return HitPackResult(hitting_set=tuple(hitting), packing=tuple(packing))
 
 
 def is_interval_like(dm: DistanceMatrix, members: Sequence[int]) -> bool:

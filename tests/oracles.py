@@ -151,9 +151,9 @@ def furthest_set(dm, x) -> list[int]:
 
 
 def far_apart_pairs_by_vertex(dm) -> np.ndarray:
-    """Reference for ``far_apart_pairs``: the local mask one vertex at a time
-    (its neighbour rows 64 at a time), the pairs 64 rows at a time, then one
-    stable sort by decreasing distance."""
+    """Reference for ``hyperbolicity._lower_layers`` / ``_FarApart``: the
+    local mask one vertex at a time (its neighbour rows 64 at a time), the
+    pairs 64 rows at a time, then one stable sort by decreasing distance."""
     d = dm.d
     n = dm.n
     # local[a, b]: no neighbour of a is farther from b
@@ -294,35 +294,28 @@ def epsilon_by_pairs(dm, C) -> int:
     return eps
 
 
-def greedy_hit_pack_by_sets(g, dm, family, r, delta, *, z=0):
+def greedy_hit_pack_by_sets(g, dm, sets, r, *, z=0):
     """``greedy_hit_pack`` one set at a time: each round recomputes the
     pick's distance row and tests every remaining set against it."""
     # imported here, so that loading the oracles loads no family code
-    from hypercore.quasiconvex import HitPackResult, covering_radius, project_toward
+    from hypercore.quasiconvex import HitPackResult, project_toward
 
     if r < 0:
         raise ValueError(f"negative packing gap {r}")
     d = dm.d
-    sets = family.sets
-    members = [list(s.members) for s in sets]
+    members = [list(s) for s in sets]
     dists = [int(d[z, ms].min()) for ms in members]
     remaining = list(range(len(sets)))
     hitting: list[int] = []
     packing: list[int] = []
     while remaining:
         pick = max(remaining, key=lambda i: (dists[i], -i))
-        c = project_toward(g, dm, z, sets[pick].members, r)
+        c = project_toward(g, dm, z, members[pick], r)
         hitting.append(c)
         packing.append(pick)
         near = d[members[pick]].min(axis=0)  # distance of every vertex to the pick
         remaining = [j for j in remaining if j != pick and int(near[members[j]].min()) > 2 * r]
-    hit_radius = math.floor(covering_radius(r, family.family_epsilon, delta))
-    return HitPackResult(
-        hitting_set=tuple(hitting),
-        packing=tuple(packing),
-        hit_radius=max(hit_radius, 0),
-        pack_gap=r,
-    )
+    return HitPackResult(hitting_set=tuple(hitting), packing=tuple(packing))
 
 
 def check_hit_pack_by_sets(dm, members, hitting, hit_radius, packing, pack_gap):

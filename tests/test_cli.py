@@ -1,10 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypercore
 import hypercore.cli
@@ -17,8 +22,10 @@ from hypercore.fileio import (
     read_pairs,
     write_edge_list,
 )
-from hypercore.generators import cycle_graph, path_graph, random_tree
+from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
 from hypercore.graphs import DEFAULT_MATRIX_CAP
+from hypercore.quasiconvex import covering_radius
+from test_golden import CASES as GOLDEN_CASES, GOLDEN
 
 
 def run_json(capsys, argv):
@@ -54,6 +61,22 @@ def test_generate_and_roundtrip(tmp_path, capsys):
     labeled = {frozenset((table.label_of(u), table.label_of(v))) for u, v in g.edges()}
     labeled2 = {frozenset((table2.label_of(u), table2.label_of(v))) for u, v in g2.edges()}
     assert labeled == labeled2
+
+
+@pytest.mark.parametrize(
+    "flags, kind, name",
+    [
+        (["--kind", "path", "--n", "3", "--p", "nan"], "path", "p"),
+        (["--kind", "tree", "--n", "5", "--rows", "2"], "tree", "rows"),
+        (["--kind", "grid", "--rows", "2", "--n", "4"], "grid", "n"),
+    ],
+)
+def test_generate_refuses_a_parameter_its_kind_does_not_read(tmp_path, capsys, flags, kind, name):
+    out = tmp_path / "g.txt"
+    assert run_cli(["generate", *flags, "--edges-out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: generator {kind!r} takes no parameter {name}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_hyperbolicity_report(tmp_path, capsys):
@@ -240,6 +263,42 @@ def test_helly_and_hitpack_cli(tmp_path, capsys):
     assert code == 0
     assert len(rep["hitting_set"]) == len(rep["packing"])
     assert rep["certificates"] == {"hitting": True, "packing": True}
+
+
+def _assert_hitpack_radii(report):
+    """hit_radius is floor(covering_radius(r, epsilon, delta)) and pack_gap
+    is r, from the report's own r, epsilon and delta fields."""
+    r, delta = report["r"], Fraction(report["delta"]["value"])
+    assert 2 * delta == report["delta"]["doubled"]
+    assert report["hit_radius"] == math.floor(covering_radius(r, report["epsilon"], delta))
+    assert report["pack_gap"] == r
+
+
+@pytest.mark.parametrize("name", [name for name in GOLDEN_CASES if name.startswith("hitpack_")])
+def test_hitpack_golden_radii_come_from_the_report(name, tmp_path):
+    out = tmp_path / "report.json"
+    argv = [a.format(g=GOLDEN) for a in GOLDEN_CASES[name]]
+    assert run_cli(["--out", str(out), *argv]) == 0
+    _assert_hitpack_radii(json.loads(out.read_text(encoding="utf-8")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hitpack_radii_come_from_the_report(data):
+    n, seed = data.draw(st.integers(2, 12)), data.draw(st.integers(0, 99))
+    g = random_tree(n, seed) if data.draw(st.booleans()) else gnp_connected(n, 0.3, seed)
+    label = st.integers(0, n - 1).map(lambda v: f"v{v}")
+    family = data.draw(st.lists(st.lists(label, min_size=1, max_size=4), min_size=1, max_size=5))
+    r = data.draw(st.integers(0, 3))
+    delta = data.draw(st.one_of(st.none(), st.integers(0, 4).map(lambda k: str(Fraction(k, 2)))))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        fam, out = tmp / "fam.json", tmp / "report.json"
+        fam.write_text(json.dumps([{"vertices": vs} for vs in family]), encoding="utf-8")
+        argv = ["hitpack", "--edges", str(write_graph(tmp, g)), "--family", str(fam)]
+        argv += ["--r", str(r)] + (["--delta", delta] if delta is not None else [])
+        assert run_cli(["--out", str(out), *argv]) in (0, 2)  # 2: a given delta too small
+        _assert_hitpack_radii(json.loads(out.read_text(encoding="utf-8")))
 
 
 def test_helly_gaps_are_ball_to_set_distances(tmp_path, capsys, monkeypatch):

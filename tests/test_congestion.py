@@ -39,7 +39,7 @@ from strategies import connected_graphs, glued_blocks
 ALPHAS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
 
 
-def test_geodesic_count_examples():
+def test_path_counts_examples():
     tree = random_tree(12, 4)
     dm = distance_matrix(tree)
     for s in range(12):
@@ -51,7 +51,7 @@ def test_geodesic_count_examples():
     assert path_count(g23, 0, 5) == 3
 
 
-def test_geodesic_count_symmetric_and_matches_enumeration():
+def test_path_counts_symmetric_and_match_enumeration():
     g = gnp_connected(11, 0.3, 8)
     dm = distance_matrix(g)
     for s in range(g.n):
@@ -144,7 +144,7 @@ def test_min_core_path10():
     assert res.median == 4  # vertices 4 and 5 tie on distance sum 25; smallest id
 
 
-def test_min_core_count_is_rechekable_via_intercepts_pair():
+def test_min_core_count_is_recheckable_via_intercepted_pairs():
     g = gnp_connected(12, 0.3, 21)
     dm = distance_matrix(g)
     X = list(range(g.n))
@@ -234,7 +234,7 @@ def test_median_and_centroid_over_several_row_chunks():
 
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs(max_n=10), st.data())
-def test_geodesic_count_matches_enumeration_on_random_graphs(g, data):
+def test_path_counts_match_enumeration_on_random_graphs(g, data):
     dm = distance_matrix(g)
     s = data.draw(st.integers(0, g.n - 1))
     for t in range(g.n):

@@ -73,6 +73,28 @@ def test_generator_outputs_satisfy_metric_invariants():
         validate_metric(distance_matrix(g), g)
 
 
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        (GeneratorSpec(kind="path", n=3, p=float("nan")), "p"),
+        (GeneratorSpec(kind="tree", n=5, rows=2), "rows"),
+        (GeneratorSpec(kind="grid", rows=2, n=4), "n"),
+        (GeneratorSpec(kind="grid", rows=2, cols=3, p=0.5), "p"),
+        (GeneratorSpec(kind="gnp_connected", n=10, p=0.5, cols=2), "cols"),
+        (GeneratorSpec(kind="star_path_Tn", n=16, cols=4), "cols"),
+        (GeneratorSpec(kind="cycle", n=5, rows=1), "rows"),
+    ],
+)
+def test_a_parameter_the_kind_does_not_read_is_refused(spec, name):
+    with pytest.raises(ValueError, match=f"^generator {spec.kind!r} takes no parameter {name}$"):
+        generate(spec)
+
+
+def test_the_seed_is_never_refused():
+    # the seed is a global flag recorded in every report, read or not
+    assert generate(GeneratorSpec(kind="path", n=3, seed=4)).n == 3
+
+
 def test_generate_errors():
     with pytest.raises(ValueError, match="unknown generator"):
         generate(GeneratorSpec(kind="torus", n=5))

@@ -159,7 +159,7 @@ def test_set_distance_is_the_least_pair_distance(g, data):
     assert set_distance(dm, X, Y) == min(dm.dist(x, y) for x in X for y in Y)
 
 
-def test_intercepts_pair_examples():
+def test_intercepted_pairs_examples():
     g = path_graph(5)
     dm = distance_matrix(g)
     assert intercepted_pairs(g, dm, Ball(2, 0), [(0, 4)])[0]
@@ -328,7 +328,7 @@ def test_an_edge_array_reads_as_its_list(n, edges, dtype):
         assert outcome(array)[0] is TypeError
 
 
-def test_descend_geodesic_is_shortest_and_deterministic():
+def test_descent_is_shortest_and_deterministic():
     g = grid_graph(4, 4)
     dm = distance_matrix(g)
     path = list(_descent(g, dm, 0, 15))

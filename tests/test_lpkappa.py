@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypercore import (
     KappaQSet,
     QSet,
-    QSetFamily,
     distance_matrix,
     four_point_delta,
     greedy_hit_pack,
@@ -138,13 +137,12 @@ def test_round_packing_trivial_cases():
 def test_round_hitting_kappa1_reduces_to_greedy():
     g = gnp_connected(16, 0.25, 2)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(g, dm).delta)
     rng = random.Random(4)
     parts = [interval(dm, rng.randrange(16), rng.randrange(16)) for _ in range(5)]
     fam = [member(dm, p) for p in parts]
     # the cover 1/16 on every vertex, as integer weights over one denominator
-    got = _round_support(range(16), [1] * 16, fam, dm, g, 1, delta, 0)
-    expected = greedy_hit_pack(g, dm, QSetFamily.measure(dm, parts), 1, delta).hitting_set
+    got = _round_support(range(16), [1] * 16, fam, dm, g, 1, 0)
+    expected = greedy_hit_pack(g, dm, parts, 1).hitting_set
     assert tuple(got) == expected
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypercore import (
     Ball,
+    QSetFamily,
     distance_matrix,
     four_point_delta,
     intercepted_pairs,
@@ -36,11 +37,10 @@ def test_commodity_validation():
 def test_interval_family_examples():
     tree = random_tree(12, 7)
     dm = distance_matrix(tree)
-    fam = interval_family(dm, [(0, 5), (2, 9)])
-    assert all(s.epsilon == 0 for s in fam.sets)
+    fam = QSetFamily.measure(dm, interval_family(dm, [(0, 5), (2, 9)]))
+    assert all(s.epsilon == 0 for s in fam.sets)  # tree intervals are geodesics
     dm4 = distance_matrix(cycle_graph(4))
-    fam4 = interval_family(dm4, [(0, 2)])
-    assert fam4.sets[0].members == (0, 1, 2, 3)
+    assert interval_family(dm4, [(0, 2)]) == [[0, 1, 2, 3]]
     fam_dup = interval_family(dm4, [(0, 2), (0, 2)])
     assert len(fam_dup) == 2  # duplicates retained
     with pytest.raises(ValueError):
@@ -61,9 +61,7 @@ def graphs_with_pairs(draw):
 
 
 def _assert_interval_sets(dm, pairs):
-    fam = interval_family(dm, pairs)
-    assert [list(s.members) for s in fam.sets] == [interval(dm, x, y) for x, y in pairs]
-    assert fam.names == tuple(f"I({x},{y})" for x, y in pairs)
+    assert interval_family(dm, pairs) == [interval(dm, x, y) for x, y in pairs]
 
 
 @settings(max_examples=150, deadline=None)
@@ -79,6 +77,25 @@ def test_interval_family_spans_row_blocks():
     rng = random.Random(2)
     pairs = [tuple(rng.sample(range(300), 2)) for _ in range(500)]
     _assert_interval_sets(distance_matrix(g), pairs)
+
+
+def test_multicore_measures_no_interval(monkeypatch):
+    # the construction reads only the hitting set, so no interval's
+    # quasiconvexity is measured: a measurement here would raise
+    cases = []
+    for g in (random_tree(40, 3), gnp_connected(40, 0.08, 6)):
+        rng = random.Random(g.n)
+        pairs = [tuple(rng.sample(range(g.n), 2)) for _ in range(12)]
+        cases.append((g, distance_matrix(g), pairs, 1, Fraction(0)))
+    want = [multicore_construct(*case) for case in cases]
+    assert [len(r.centers) for r in want] == [2, 2]
+
+    def refuse(*args):
+        raise AssertionError("an interval was measured")
+
+    monkeypatch.setattr("hypercore.quasiconvex._set_epsilons", refuse)
+    got = [multicore_construct(*case) for case in cases]
+    assert [(r.centers, r.covered) for r in got] == [(r.centers, r.covered) for r in want]
 
 
 def test_multicore_single_pair_and_far_pairs():

@@ -28,7 +28,6 @@ from hypercore import (
 )
 import hypercore as hc
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
-from hypercore.lpkappa import _round_support
 from hypercore.quasiconvex import geodesic_covering_radius
 from oracles import (
     check_hit_pack_by_sets,
@@ -73,13 +72,21 @@ def test_project_toward():
 
 
 @pytest.mark.parametrize("z", [6, -1])
-@pytest.mark.parametrize("solve", [helly_center, greedy_hit_pack])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda g, dm, sets, z: helly_center(
+            g, dm, QSetFamily.measure(dm, sets), 1, Fraction(0), z=z
+        ),
+        lambda g, dm, sets, z: greedy_hit_pack(g, dm, sets, 1, z=z),
+    ],
+    ids=["helly_center", "greedy_hit_pack"],
+)
 def test_base_vertex_out_of_range_is_refused(solve, z):
     g = path_graph(6)
     dm = distance_matrix(g)
-    fam = QSetFamily.measure(dm, [[0, 1], [2]])
     with pytest.raises(ValueError, match=f"^base vertex contains vertex {z}, out of range for n=6$"):
-        solve(g, dm, fam, 1, Fraction(0), z=z)
+        solve(g, dm, [[0, 1], [2]], z)
 
 
 def test_covering_radius_formula():
@@ -104,8 +111,8 @@ def test_geodesic_covering_radius_formula(r, delta, want):
     assert isinstance(got, (int, Fraction))
 
 
-# every public entry that takes a four-point or thin-triangle constant, and
-# the kappa hitting rounding, on arguments that are valid but for the constant
+# every public entry that takes a four-point or thin-triangle constant, on
+# arguments that are valid but for the constant
 _G = path_graph(6)
 _DM = distance_matrix(_G)
 _FAM = QSetFamily.measure(_DM, [[0, 1], [2, 3]])
@@ -120,10 +127,6 @@ _CONSTANT_TAKERS = {
     "mutually_distant_pair": lambda delta: hc.mutually_distant_pair(_DM, delta),
     "kappa_hit_pack": lambda delta: hc.kappa_hit_pack(_G, _DM, _KFAM, 2, delta),
     "helly_center": lambda delta: hc.helly_center(_G, _DM, _FAM, 2, delta),
-    "greedy_hit_pack": lambda delta: hc.greedy_hit_pack(_G, _DM, _FAM, 2, delta),
-    "_round_support": lambda delta: _round_support(
-        range(_DM.n), [1] * _DM.n, _KFAM, _DM, _G, 2, delta, 0
-    ),
 }
 
 
@@ -188,11 +191,14 @@ def test_family_passes_reject_unmeasured_bad_sets():
     dm = distance_matrix(g)
     fam = QSetFamily(sets=(QSet((4, 5), 0), QSet((-6,), 0)))
     empty = QSetFamily(sets=(QSet((4, 5), 0), QSet((), 0)))
-    for run in (helly_center, greedy_hit_pack):
-        with pytest.raises(ValueError, match="^set contains vertex -6, out of range for n=6$"):
-            run(g, dm, fam, 3, Fraction(0))
-        with pytest.raises(ValueError, match="^cannot take the distance to an empty set$"):
-            run(g, dm, empty, 3, Fraction(0))
+    for bad, msg in (
+        (fam, "set contains vertex -6, out of range for n=6"),
+        (empty, "cannot take the distance to an empty set"),
+    ):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            helly_center(g, dm, bad, 3, Fraction(0))
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            greedy_hit_pack(g, dm, [s.members for s in bad.sets], 3)
     with pytest.raises(ValueError, match="^cannot take the distance to an empty set$"):
         check_hit_pack(dm, [[4, 5], []], [4], 1, [0], 0)
 
@@ -200,17 +206,17 @@ def test_family_passes_reject_unmeasured_bad_sets():
 def test_greedy_hit_pack_far_singletons():
     tree = path_graph(15)
     dm = distance_matrix(tree)
-    fam = QSetFamily.measure(dm, [[0], [5], [10], [14]])
-    hp = greedy_hit_pack(tree, dm, fam, 1, Fraction(0))
+    sets = [[0], [5], [10], [14]]
+    hp = greedy_hit_pack(tree, dm, sets, 1)
     assert len(hp.hitting_set) == len(hp.packing) == 4
-    assert hp.pack_gap == 1
+    # each pick is hit one step toward z = 0, and the packing is 2-apart
+    assert check_hit_pack(dm, sets, hp.hitting_set, 1, hp.packing, 1) == (True, True)
 
 
 def test_greedy_hit_pack_intersecting_collapses():
     g = cycle_graph(6)
     dm = distance_matrix(g)
-    fam = QSetFamily.measure(dm, [interval(dm, 0, 3), interval(dm, 1, 4), interval(dm, 2, 5)])
-    hp = greedy_hit_pack(g, dm, fam, 0, thin_delta_bound(four_point_delta(g, dm).delta))
+    hp = greedy_hit_pack(g, dm, [interval(dm, 0, 3), interval(dm, 1, 4), interval(dm, 2, 5)], 0)
     assert len(hp.hitting_set) == len(hp.packing) == 1
 
 
@@ -225,13 +231,11 @@ def test_greedy_hit_pack_random_certificates():
         sets.append(interval(dm, a, b))
     fam = QSetFamily.measure(dm, sets)
     for r in (0, 1, 2):
-        hp = greedy_hit_pack(g, dm, fam, r, delta)
+        hp = greedy_hit_pack(g, dm, sets, r)
         assert len(hp.hitting_set) == len(hp.packing)
-        assert hp.hit_radius == math.floor(covering_radius(r, fam.family_epsilon, delta))
+        radius = math.floor(covering_radius(r, fam.family_epsilon, delta))
         for s in fam.sets:
-            assert min(
-                set_distance(dm, [t], s.members) for t in hp.hitting_set
-            ) <= hp.hit_radius
+            assert min(set_distance(dm, [t], s.members) for t in hp.hitting_set) <= radius
         for i, a in enumerate(hp.packing):
             for b in hp.packing[i + 1 :]:
                 assert set_distance(dm, fam.sets[a].members, fam.sets[b].members) > 2 * r
@@ -244,18 +248,16 @@ def test_greedy_hit_pack_many_sets_stays_linear():
     g = gnp_connected(n, 0.08, 5)
     dm = distance_matrix(g)
     rng = random.Random(11)
-    fam = QSetFamily.measure(
-        dm, [interval(dm, rng.randrange(n), rng.randrange(n)) for _ in range(50 * n)]
-    )
-    s = len(fam.sets)
+    sets = [interval(dm, rng.randrange(n), rng.randrange(n)) for _ in range(50 * n)]
+    s = len(sets)
     for r in (0, 1, 2):
         tracemalloc.start()
         try:
-            hp = greedy_hit_pack(g, dm, fam, r, Fraction(0))
+            hp = greedy_hit_pack(g, dm, sets, r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert hp == greedy_hit_pack_by_sets(g, dm, fam, r, Fraction(0))
+        assert hp == greedy_hit_pack_by_sets(g, dm, sets, r)
         assert peak < s * s // 4  # an S x S int16 block alone takes 2 * s * s bytes
 
 
@@ -379,8 +381,9 @@ def test_check_hit_pack_catches_mutants():
     dm = distance_matrix(g)
     fam = QSetFamily.measure(dm, [[0], [4], [8, 9]])
     members = [s.members for s in fam.sets]
-    hp = greedy_hit_pack(g, dm, fam, 1, Fraction(0))
-    assert (hp.hitting_set, hp.packing, hp.hit_radius) == ((7, 3, 0), (2, 1, 0), 1)
+    hp = greedy_hit_pack(g, dm, members, 1)
+    assert (hp.hitting_set, hp.packing) == ((7, 3, 0), (2, 1, 0))
+    assert math.floor(covering_radius(1, fam.family_epsilon, Fraction(0))) == 1
     assert check_hit_pack(dm, members, hp.hitting_set, 1, hp.packing, 1) == (True, True)
     # [0] and [4] are 4 apart: packed at gap 1, within 2*gap at gap 2
     assert check_hit_pack(dm, members, hp.hitting_set, 1, (0, 1), 2) == (True, False)
@@ -436,9 +439,10 @@ def test_greedy_and_check_hit_pack_equal_set_loops(case, data):
     r = data.draw(st.integers(0, 3))
     delta = Fraction(data.draw(st.integers(0, 4)), 2)
     z = data.draw(st.integers(0, g.n - 1))
-    hp = greedy_hit_pack(g, dm, fam, r, delta, z=z)
-    assert hp == greedy_hit_pack_by_sets(g, dm, fam, r, delta, z=z)
-    args = (dm, members, hp.hitting_set, hp.hit_radius, hp.packing, hp.pack_gap)
+    hp = greedy_hit_pack(g, dm, sets, r, z=z)  # unsorted lists with repeats, as drawn
+    assert hp == greedy_hit_pack_by_sets(g, dm, sets, r, z=z)
+    radius = math.floor(covering_radius(r, fam.family_epsilon, delta))
+    args = (dm, members, hp.hitting_set, radius, hp.packing, r)
     hit_ok, pack_ok = check_hit_pack(*args)
     assert (hit_ok, pack_ok) == check_hit_pack_by_sets(*args)
     assert pack_ok  # greedy drops every set within 2r of a pick; hit_ok needs a sound delta
@@ -473,5 +477,6 @@ def test_helly_center_is_the_first_greedy_hit(case, data):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             helly_center(g, dm, fam, r, delta, z=z)
     else:
-        h = greedy_hit_pack_by_sets(g, dm, fam, r, delta, z=z)
-        assert helly_center(g, dm, fam, r, delta, z=z) == Ball(h.hitting_set[0], h.hit_radius)
+        h = greedy_hit_pack_by_sets(g, dm, sets, r, z=z)
+        radius = math.floor(covering_radius(r, fam.family_epsilon, delta))
+        assert helly_center(g, dm, fam, r, delta, z=z) == Ball(h.hitting_set[0], radius)
