@@ -27,7 +27,7 @@ _EXPORTS = {
         "thin_delta_bound",
     ),
     "lpkappa": ("KappaHitPackResult", "KappaQSet", "kappa_hit_pack", "round_packing"),
-    "multicore": ("MultiCoreResult", "interval_family", "multicore_construct"),
+    "multicore": ("interval_family", "multicore_construct"),
     "quasiconvex": (
         "HitPackResult", "QSet", "QSetFamily", "covering_radius", "greedy_hit_pack",
         "helly_center", "is_interval_like", "project_toward",

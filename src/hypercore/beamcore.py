@@ -12,7 +12,6 @@ from itertools import islice
 
 import numpy as np
 
-from .check import balls_intercept
 from .graphs import DistanceMatrix, Graph, _check_vertex, _descent, check_rational
 from .hyperbolicity import eccentricity_profile, mutually_distant_pair
 
@@ -22,7 +21,6 @@ class BeamCoreResult:
     pair: tuple[int, int]
     midpoint: int
     radius: int
-    all_beams_intercepted: bool
 
 
 @dataclass(frozen=True)
@@ -30,8 +28,6 @@ class StructuralReport:
     diameter: int
     radius: int
     center: tuple[int, ...]
-    midpoint: int
-    delta: Fraction
     diam_rad_holds: bool
     max_center_distance: int
     close_to_center_holds: bool
@@ -52,13 +48,12 @@ def _midpoint(g: Graph, dm: DistanceMatrix, u: int, v: int) -> int:
 
 def total_beam_core(g: Graph, dm: DistanceMatrix, delta: Fraction) -> BeamCoreResult:
     """Ball of radius floor(2*delta) around the middle of a geodesic between
-    mutually distant vertices, verified against every beam pair by
-    ``check.balls_intercept``: one ball, so one ball-deleted BFS."""
+    mutually distant vertices.  That it intercepts every beam pair
+    (``beam_pairs``) is checked by the caller (``check.balls_intercept``),
+    not here."""
     u, v = mutually_distant_pair(dm, delta)
     mid = _midpoint(g, dm, u, v)
-    radius = max(math.floor(delta * 2), 0)
-    ok = balls_intercept(g, dm, [mid], radius, beam_pairs(dm))
-    return BeamCoreResult(pair=(u, v), midpoint=mid, radius=radius, all_beams_intercepted=ok)
+    return BeamCoreResult(pair=(u, v), midpoint=mid, radius=max(math.floor(delta * 2), 0))
 
 
 def structural_checks(dm: DistanceMatrix, delta: Fraction, midpoint: int) -> StructuralReport:
@@ -75,8 +70,6 @@ def structural_checks(dm: DistanceMatrix, delta: Fraction, midpoint: int) -> Str
         diameter=prof.diameter,
         radius=prof.radius,
         center=prof.center,
-        midpoint=midpoint,
-        delta=delta,
         diam_rad_holds=bool(diam_rad_holds),
         max_center_distance=max_center_distance,
         close_to_center_holds=bool(close_holds),

@@ -131,6 +131,7 @@ def _cmd_generate(args):
 
 
 def _cmd_hyperbolicity(args):
+    from .check import four_point_defect
     from .hyperbolicity import hyperbolicity_report
 
     g, dm, table = _load_graph(args)
@@ -154,7 +155,7 @@ def _cmd_hyperbolicity(args):
         "diameter": rep.diameter,
         "radius": rep.radius,
         "center": table.labels_of(rep.center),
-    }, {}
+    }, {"witness": four_point_defect(dm, rep.witness) == rep.delta}
 
 
 def _cmd_core(args):
@@ -197,36 +198,40 @@ def _cmd_traffic(args):
 
 
 def _cmd_multicore(args):
+    from .check import balls_intercept
     from .multicore import multicore_construct
 
     g, dm, table = _load_graph(args)
     pairs = [(table.id_of(a), table.id_of(b)) for a, b in read_pairs(args.commodity)]
     delta = _thin_delta(args, g, dm)
-    res = multicore_construct(g, dm, pairs, args.radius, delta)
+    centers = multicore_construct(g, dm, pairs, args.radius, delta).hitting_set
+    covered = balls_intercept(g, dm, centers, args.radius, pairs)
     report = {
         "pairs": len(pairs),
-        "radius": res.radius,
+        "radius": args.radius,
         "delta": _half_integer_json(delta),
-        "centers": table.labels_of(res.centers),
-        "size": len(res.centers),
-        "covered": res.covered,
+        "centers": table.labels_of(centers),
+        "size": len(centers),
+        "covered": covered,
     }
-    return report, {"covered": res.covered}
+    return report, {"covered": covered}
 
 
 def _cmd_beamcore(args):
-    from .beamcore import structural_checks, total_beam_core
+    from .beamcore import beam_pairs, structural_checks, total_beam_core
+    from .check import balls_intercept
 
     g, dm, table = _load_graph(args)
     delta = _thin_delta(args, g, dm)
     bc = total_beam_core(g, dm, delta)
+    all_beams = balls_intercept(g, dm, [bc.midpoint], bc.radius, beam_pairs(dm))
     sc = structural_checks(dm, delta, bc.midpoint)
     report = {
         "delta": _half_integer_json(delta),
         "mutually_distant_pair": table.labels_of(bc.pair),
         "midpoint": table.label_of(bc.midpoint),
         "radius": bc.radius,
-        "all_beams_intercepted": bc.all_beams_intercepted,
+        "all_beams_intercepted": all_beams,
         "structural": {
             "diameter": sc.diameter,
             "radius": sc.radius,
@@ -237,7 +242,7 @@ def _cmd_beamcore(args):
         },
     }
     return report, {
-        "all_beams_intercepted": bc.all_beams_intercepted,
+        "all_beams_intercepted": all_beams,
         "structural.diam_rad_holds": sc.diam_rad_holds,
         "structural.close_to_center_holds": sc.close_to_center_holds,
     }
@@ -310,6 +315,7 @@ def _cmd_hitpack(args):
 
 
 def _cmd_kappa(args):
+    from .check import check_hit_pack
     from .lpkappa import KappaQSet, kappa_hit_pack
     from .quasiconvex import QSetFamily
 
@@ -321,12 +327,15 @@ def _cmd_kappa(args):
     delta = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
     res = kappa_hit_pack(g, dm, family, args.r, delta, z=z)
+    unions = [kq.union for kq in family]
+    hit_ok, pack_ok = check_hit_pack(dm, unions, res.hitting_set, res.r_prime, res.packing, args.r)
+    bound_ok = len(res.hitting_set) <= 2 * res.kappa**2 * len(res.packing)
     report = {
         "members": len(family),
         "kappa": res.kappa,
         "epsilon": max(kq.epsilon for kq in family),
         "delta": _half_integer_json(delta),
-        "r": res.r,
+        "r": args.r,
         "r_star": res.r_star,
         "r_prime": res.r_prime,
         "hitting_set": table.labels_of(res.hitting_set),
@@ -336,16 +345,12 @@ def _cmd_kappa(args):
             "hitting": str(res.hitting_optimum),
             "gap_zero": res.packing_optimum == res.hitting_optimum,
         },
-        "certificates": {
-            "hitting": res.hitting_ok,
-            "packing": res.packing_ok,
-            "size_bound": res.bound_ok,
-        },
+        "certificates": {"hitting": hit_ok, "packing": pack_ok, "size_bound": bound_ok},
     }
     return report, {
-        "certificates.hitting": res.hitting_ok,
-        "certificates.packing": res.packing_ok,
-        "certificates.size_bound": res.bound_ok,
+        "certificates.hitting": hit_ok,
+        "certificates.packing": pack_ok,
+        "certificates.size_bound": bound_ok,
     }
 
 

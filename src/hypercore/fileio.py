@@ -152,45 +152,42 @@ def read_pairs(path: str | Path) -> list[tuple[str, str]]:
     return list(zip(tokens[::2], tokens[1::2]))
 
 
-def _check_strings(path: str | Path, i: int, entry: dict, labels: list) -> None:
-    """Raise unless the entry's name, if given, and every label are strings:
-    a list or object label would otherwise fail as an unhashable key."""
-    if not isinstance(entry.get("name", ""), str):
-        raise ValueError(f"{path}: entry {i} has a name that is not a string")
-    for label in labels:
-        if not isinstance(label, str):
-            raise ValueError(f"{path}: entry {i} has a label that is not a string: {label!r}")
+def _read_family(path: str | Path, key: str, noun: str, labels_of) -> list[dict]:
+    """The entries of a JSON family file: a nonempty list of objects, each
+    with a nonempty list under ``key``, whose labels ``labels_of(path, i,
+    value)`` checks and returns, and an optional name, ``noun[i]`` when not
+    given.  The name and every label must be strings: a list or object
+    label would otherwise fail as an unhashable key."""
+    data = json.loads(_read_text(path))
+    if not isinstance(data, list) or not data:
+        raise ValueError(f"{path}: expected a nonempty JSON list of {noun}s")
+    for i, entry in enumerate(data):
+        if not isinstance(entry, dict) or key not in entry:
+            raise ValueError(f"{path}: entry {i} must be an object with {key!r}")
+        if not isinstance(entry[key], list) or not entry[key]:
+            raise ValueError(f"{path}: entry {i} has no {key}")
+        labels = labels_of(path, i, entry[key])
+        if not isinstance(entry.get("name", ""), str):
+            raise ValueError(f"{path}: entry {i} has a name that is not a string")
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"{path}: entry {i} has a label that is not a string: {label!r}")
+        entry.setdefault("name", f"{noun}[{i}]")
+    return data
 
 
 def read_family_json(path: str | Path) -> list[dict]:
     """[{"name": str, "vertices": [labels]}, ...]; epsilon is never read."""
-    data = json.loads(_read_text(path))
-    if not isinstance(data, list) or not data:
-        raise ValueError(f"{path}: expected a nonempty JSON list of sets")
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict) or "vertices" not in entry:
-            raise ValueError(f"{path}: entry {i} must be an object with 'vertices'")
-        if not isinstance(entry["vertices"], list) or not entry["vertices"]:
-            raise ValueError(f"{path}: entry {i} has no vertices")
-        _check_strings(path, i, entry, entry["vertices"])
-        entry.setdefault("name", f"set[{i}]")
-    return data
+    return _read_family(path, "vertices", "set", lambda path, i, vertices: vertices)
+
+
+def _part_labels(path: str | Path, i: int, parts: list) -> list:
+    for j, part in enumerate(parts):
+        if not isinstance(part, list) or not part:
+            raise ValueError(f"{path}: entry {i} part {j} is empty")
+    return [label for part in parts for label in part]
 
 
 def read_kappa_family_json(path: str | Path) -> list[dict]:
     """[{"name": str, "parts": [[labels], ...]}, ...]."""
-    data = json.loads(_read_text(path))
-    if not isinstance(data, list) or not data:
-        raise ValueError(f"{path}: expected a nonempty JSON list of members")
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict) or "parts" not in entry:
-            raise ValueError(f"{path}: entry {i} must be an object with 'parts'")
-        parts = entry["parts"]
-        if not isinstance(parts, list) or not parts:
-            raise ValueError(f"{path}: entry {i} has no parts")
-        for j, part in enumerate(parts):
-            if not isinstance(part, list) or not part:
-                raise ValueError(f"{path}: entry {i} part {j} is empty")
-        _check_strings(path, i, entry, [label for part in parts for label in part])
-        entry.setdefault("name", f"member[{i}]")
-    return data
+    return _read_family(path, "parts", "member", _part_labels)

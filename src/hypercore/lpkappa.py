@@ -1,8 +1,7 @@
 """Covering and packing for families whose members are unions of at most
 kappa quasiconvex sets: the Gamma incidence structure, the fractional
 packing/hitting linear programs, their roundings, and the end-to-end
-procedure whose certificates bound the hitting set by 2*kappa^2 times the
-packing.
+procedure, whose hitting set is at most 2*kappa^2 times its packing.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from math import floor, lcm
 
 import numpy as np
 
-from .check import check_hit_pack
 from .graphs import DistanceMatrix, Graph, _min_rows, check_rational, check_vertices
 from .quasiconvex import QSet, covering_radius, greedy_hit_pack
 from .simplex import LPInstance, solve_lp
@@ -46,14 +44,10 @@ class KappaHitPackResult:
     hitting_set: tuple[int, ...]
     packing: tuple[int, ...]
     kappa: int
-    r: int
     r_star: int
     r_prime: int
     packing_optimum: Fraction
     hitting_optimum: Fraction
-    hitting_ok: bool
-    packing_ok: bool
-    bound_ok: bool
 
 
 def _member_distances(dm: DistanceMatrix, family: Sequence[KappaQSet]) -> np.ndarray:
@@ -206,17 +200,18 @@ def kappa_hit_pack(
     *,
     z: int = 0,
 ) -> KappaHitPackResult:
-    """End-to-end covering/packing with verified certificates.
+    """End-to-end covering/packing: an r-packing and an r_prime-hitting set.
 
     With eps the family's measured quasiconvexity defect (the largest over
     every part), r_star = r + eps + 3*delta and r_prime = r_star + eps +
     3*delta (both floored), solves the fractional packing LP at r_star and
     rounds it to an r-packing P, takes the fractional hitting vector at
     r_star from the packing LP's duals and rounds it to an r_prime-hitting
-    set T, then checks exhaustively that P is pairwise 2r-apart, that T
-    reaches every member within r_prime, and that |T| <= 2*kappa^2*|P|.
-    Requires r >= eps + 2*delta, under which the two classical forms of the
-    intermediate radius coincide.
+    set T.  The claims that P is pairwise 2r-apart, that T reaches every
+    member within r_prime, and that |T| <= 2*kappa^2*|P| are checked by
+    the caller (``check.check_hit_pack``), not here.  Requires r >= eps +
+    2*delta, under which the two classical forms of the intermediate
+    radius coincide.
 
     Both LPs are taken over the witness vertices only, from one
     member-distance matrix that also gives the Gamma incidence at r.
@@ -264,22 +259,12 @@ def kappa_hit_pack(
 
     packing = round_packing(pack_sol.values, gamma_r, family)
     hitting = _round_support(witnesses, hit, family, dm, g, r_star, z)
-
-    hitting_ok, packing_ok = check_hit_pack(
-        dm, [kq.union for kq in family], hitting, r_prime, packing, r
-    )
-    bound_ok = len(hitting) <= 2 * kappa * kappa * len(packing)
-
     return KappaHitPackResult(
         hitting_set=tuple(hitting),
         packing=tuple(packing),
         kappa=kappa,
-        r=r,
         r_star=r_star,
         r_prime=r_prime,
         packing_optimum=pack_sol.objective,
         hitting_optimum=Fraction(total, scale),
-        hitting_ok=hitting_ok,
-        packing_ok=packing_ok,
-        bound_ok=bound_ok,
     )

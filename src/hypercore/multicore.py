@@ -6,21 +6,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .check import balls_intercept
 from .graphs import DistanceMatrix, Graph, check_pairs, check_rational, row_chunks
-from .quasiconvex import greedy_hit_pack
-
-
-@dataclass(frozen=True)
-class MultiCoreResult:
-    centers: tuple[int, ...]
-    radius: int
-    covered: bool
+from .quasiconvex import HitPackResult, greedy_hit_pack
 
 
 def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -52,8 +43,10 @@ def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> lis
 
 def multicore_construct(
     g: Graph, dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int, delta: Fraction
-) -> MultiCoreResult:
-    """Centers of radius-r balls jointly intercepting every demand pair.
+) -> HitPackResult:
+    """Centers of radius-r balls meant to intercept every demand pair
+    jointly: the greedy pass's ``hitting_set``, beside its ``packing`` of
+    interval indices.
 
     pairs lists the demand pairs (x, y) of vertex ids, repeats kept; an
     empty list, or a pair that ``check_pairs`` rejects, raises ValueError
@@ -62,8 +55,8 @@ def multicore_construct(
     Runs the greedy hitting/packing pass on the demand intervals with gap
     r - 5*delta (clamped at 0); hitting the (r - delta)-inflation of an
     interval is enough to intercept every geodesic of its pair at radius r.
-    The returned flag records the exhaustive per-pair interception check,
-    ``check.balls_intercept``.
+    That claim is checked by the caller (``check.balls_intercept``), not
+    here.
     Requires r >= 8*delta, the hypothesis under which the covering radius
     collapses below r - delta.
     """
@@ -76,7 +69,5 @@ def multicore_construct(
             f"requires r >= 8*delta"
         )
     gap = max(math.floor(r - delta * 5), 0)
-    hp = greedy_hit_pack(g, dm, sets, gap)
-    covered = balls_intercept(g, dm, hp.hitting_set, r, pairs)
-    return MultiCoreResult(centers=hp.hitting_set, radius=r, covered=covered)
+    return greedy_hit_pack(g, dm, sets, gap)
 

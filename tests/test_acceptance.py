@@ -24,7 +24,9 @@ from hypercore import (
     QSet,
     QSetFamily,
     ball_members,
+    beam_pairs,
     centroid_vertex,
+    check_hit_pack,
     distance_matrix,
     four_point_delta,
     greedy_hit_pack,
@@ -38,6 +40,7 @@ from hypercore import (
     total_beam_core,
     traffic_load,
 )
+from hypercore.check import balls_intercept
 from hypercore.generators import (
     cycle_graph,
     gnp_connected,
@@ -210,7 +213,7 @@ def test_criterion_5_total_beam_core(corpus):
         bc = total_beam_core(item.g, item.dm, item.thin_delta)
         if bc.radius != math.floor(item.thin_delta * 2):
             failures.append(f"{item.name}: radius {bc.radius}")
-        if not bc.all_beams_intercepted:
+        if not balls_intercept(item.g, item.dm, [bc.midpoint], bc.radius, beam_pairs(item.dm)):
             failures.append(f"{item.name}: beam escaped")
         if item.kind == "tree" and bc.radius != 0:
             failures.append(f"{item.name}: tree beam radius {bc.radius}")
@@ -251,9 +254,13 @@ def test_criterion_7_kappa_lp_guarantee(corpus):
         r = eps + math.floor(item.thin_delta * 2) + i % 3
         res = kappa_hit_pack(item.g, item.dm, fam, r, item.thin_delta)
         k = res.kappa
-        if not res.hitting_ok:
+        unions = [kq.union for kq in fam]
+        hit_ok, pack_ok = check_hit_pack(
+            item.dm, unions, res.hitting_set, res.r_prime, res.packing, r
+        )
+        if not hit_ok:
             failures.append(f"{item.name}: hitting cert")
-        if not res.packing_ok:
+        if not pack_ok:
             failures.append(f"{item.name}: packing cert")
         if len(res.hitting_set) > 2 * k * k * len(res.packing):
             failures.append(f"{item.name}: size bound")

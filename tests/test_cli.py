@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -88,6 +89,23 @@ def test_hyperbolicity_report(tmp_path, capsys):
     assert rep["diameter"] == 5 and rep["radius"] == 3
     assert rep["interval_thinness"] == 0
     assert "delta" in err  # human-readable summary emitted
+
+
+def test_hyperbolicity_checks_its_witness(tmp_path, capsys, monkeypatch):
+    # C4 has delta 1, and the quadruple (v0, v0, v0, v0) has defect 0
+    path = write_graph(tmp_path, cycle_graph(4))
+    code, want, err = run_json(capsys, ["hyperbolicity", "--edges", str(path)])
+    assert (code, want["delta"]["value"], len(err.splitlines())) == (0, 1.0, 1)
+    report = hypercore.hyperbolicity.hyperbolicity_report
+    monkeypatch.setattr(
+        hypercore.hyperbolicity,
+        "hyperbolicity_report",
+        lambda g, dm: dataclasses.replace(report(g, dm), witness=(0, 0, 0, 0)),
+    )
+    code, rep, err = run_json(capsys, ["hyperbolicity", "--edges", str(path)])
+    assert code == 2
+    assert rep == {**want, "witness": ["v0"] * 4}
+    assert err.splitlines()[1:] == ["error: check failed: witness"]
 
 
 def test_core_and_traffic(tmp_path, capsys):

@@ -1,13 +1,23 @@
 """The whole-file readers of edge and pair lists against themselves on
 the line-by-line path, which they take for every other text and every
-error."""
+error; and every message and default name of the two JSON family
+readers."""
+
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercore import fileio
-from hypercore.fileio import _read_text, _two_label_tokens, read_edge_list, read_pairs
+from hypercore.fileio import (
+    _read_text,
+    _two_label_tokens,
+    read_edge_list,
+    read_family_json,
+    read_kappa_family_json,
+    read_pairs,
+)
 
 SEPARATORS = [" ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u2028"]
 
@@ -121,3 +131,73 @@ def test_reader_cases(scratch, text, fast, outcome):
         assert str(err.value) == pairs.format(path=scratch)
     elif pairs is not None:
         assert read_pairs(scratch) == pairs
+
+
+NOT_A_STRING = "{path}: entry 1 has a label that is not a string: "
+
+
+@pytest.mark.parametrize(
+    "read, data, outcome",
+    [
+        (read_family_json, [], "{path}: expected a nonempty JSON list of sets"),
+        (read_family_json, {"a": ["x"]}, "{path}: expected a nonempty JSON list of sets"),
+        (read_family_json, [["x"]], "{path}: entry 0 must be an object with 'vertices'"),
+        (
+            read_family_json,
+            [{"vertices": ["x"]}, {"parts": [["x"]]}],
+            "{path}: entry 1 must be an object with 'vertices'",
+        ),
+        (read_family_json, [{"vertices": []}], "{path}: entry 0 has no vertices"),
+        (read_family_json, [{"vertices": "x"}], "{path}: entry 0 has no vertices"),
+        (
+            read_family_json,
+            [{"vertices": ["x"]}, {"name": 1, "vertices": ["x"]}],
+            "{path}: entry 1 has a name that is not a string",
+        ),
+        (
+            read_family_json,
+            [{"vertices": ["x"]}, {"vertices": ["x", 2]}],
+            NOT_A_STRING + "2",
+        ),
+        (
+            read_family_json,
+            [{"name": "a", "vertices": ["x"]}, {"vertices": ["y", "x"]}],
+            [{"name": "a", "vertices": ["x"]}, {"vertices": ["y", "x"], "name": "set[1]"}],
+        ),
+        (read_kappa_family_json, [], "{path}: expected a nonempty JSON list of members"),
+        (read_kappa_family_json, "x", "{path}: expected a nonempty JSON list of members"),
+        (read_kappa_family_json, [None], "{path}: entry 0 must be an object with 'parts'"),
+        (
+            read_kappa_family_json,
+            [{"parts": [["x"]]}, {"vertices": ["x"]}],
+            "{path}: entry 1 must be an object with 'parts'",
+        ),
+        (read_kappa_family_json, [{"parts": []}], "{path}: entry 0 has no parts"),
+        (read_kappa_family_json, [{"parts": {"x": 1}}], "{path}: entry 0 has no parts"),
+        (read_kappa_family_json, [{"parts": [["x"], []]}], "{path}: entry 0 part 1 is empty"),
+        (read_kappa_family_json, [{"parts": [["x"], "y"]}], "{path}: entry 0 part 1 is empty"),
+        (
+            read_kappa_family_json,
+            [{"parts": [["x"]]}, {"name": ["m"], "parts": [["x"]]}],
+            "{path}: entry 1 has a name that is not a string",
+        ),
+        (
+            read_kappa_family_json,
+            [{"parts": [["x"]]}, {"parts": [["x"], ["y", None]]}],
+            NOT_A_STRING + "None",
+        ),
+        (
+            read_kappa_family_json,
+            [{"parts": [["x"], ["y"]]}, {"name": "b", "parts": [["y"]]}],
+            [{"parts": [["x"], ["y"]], "name": "member[0]"}, {"name": "b", "parts": [["y"]]}],
+        ),
+    ],
+)
+def test_family_reader_cases(scratch, read, data, outcome):
+    scratch.write_text(json.dumps(data), encoding="utf-8")
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as err:
+            read(scratch)
+        assert str(err.value) == outcome.format(path=scratch)
+    else:
+        assert read(scratch) == outcome

@@ -33,7 +33,7 @@ EXPORTS = {
         "thin_delta_bound",
     ],
     "lpkappa": ["KappaHitPackResult", "KappaQSet", "kappa_hit_pack", "round_packing"],
-    "multicore": ["MultiCoreResult", "interval_family", "multicore_construct"],
+    "multicore": ["interval_family", "multicore_construct"],
     "quasiconvex": [
         "HitPackResult", "QSet", "QSetFamily", "covering_radius", "greedy_hit_pack",
         "helly_center", "is_interval_like", "project_toward",
@@ -47,7 +47,8 @@ STARTUP = {
 }
 
 # Run in a fresh interpreter: prints the hypercore modules loaded by
-# `import hypercore.cli`, then those loaded after one hyperbolicity command.
+# `import hypercore.cli`, then those loaded after one hyperbolicity command,
+# which checks its witness with `hypercore.check`.
 PROBE = """
 import json, sys
 def loaded():
@@ -61,7 +62,7 @@ print(json.dumps([code, loaded()]))
 
 def test_all_lists_the_exported_names():
     assert hypercore.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(hypercore.__all__) == 50
+    assert len(hypercore.__all__) == 49
 
 
 def test_each_name_is_the_object_of_its_submodule():
@@ -126,7 +127,7 @@ def test_cli_start_up_loads_only_what_every_command_needs(tmp_path):
     assert set(at_start) == STARTUP
     code, modules = after_run
     assert code == 0
-    assert set(modules) == STARTUP | {"hypercore.hyperbolicity"}
+    assert set(modules) == STARTUP | {"hypercore.hyperbolicity", "hypercore.check"}
     assert json.loads(out.read_text(encoding="utf-8"))["diameter"] == 1
 
 
@@ -138,3 +139,15 @@ def test_the_checks_load_only_the_graph_substrate():
         "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'hypercore')))\n"
     )
     assert run_fresh(probe) == [["hypercore", "hypercore.check", "hypercore.graphs"]]
+
+
+@pytest.mark.parametrize("module", ["lpkappa", "multicore", "beamcore"])
+def test_the_builders_load_no_checks(module):
+    # a builder returns its witness and the command checks it: no builder
+    # imports the checks
+    probe = (
+        "import importlib, json, sys\n"
+        "importlib.import_module(sys.argv[1])\n"
+        "print(json.dumps('hypercore.check' in sys.modules))\n"
+    )
+    assert run_fresh(probe, f"hypercore.{module}") == [False]

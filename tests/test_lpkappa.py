@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypercore import (
     KappaQSet,
     QSet,
+    check_hit_pack,
     distance_matrix,
     four_point_delta,
     greedy_hit_pack,
@@ -42,6 +43,16 @@ from strategies import connected_graphs
 
 def member(dm, *vertex_sets):
     return KappaQSet(tuple(QSet.measure(dm, vs) for vs in vertex_sets))
+
+
+def certificates(dm, fam, res, r):
+    """The three claims the ``kappa`` command checks on a ``kappa_hit_pack``
+    result at radius r: the hitting set reaches every member within
+    r_prime, the packing is pairwise more than 2r apart, and |T| <=
+    2*kappa^2*|P|."""
+    unions = [kq.union for kq in fam]
+    hit_ok, pack_ok = check_hit_pack(dm, unions, res.hitting_set, res.r_prime, res.packing, r)
+    return hit_ok, pack_ok, len(res.hitting_set) <= 2 * res.kappa**2 * len(res.packing)
 
 
 def gamma_sets(dm, fam, r):
@@ -161,7 +172,7 @@ def test_kappa_hit_pack_single_member():
     fam = [member(dm, [2, 3], [7])]
     res = kappa_hit_pack(g, dm, fam, 0, F(0))
     assert len(res.hitting_set) == len(res.packing) == 1
-    assert res.hitting_ok and res.packing_ok and res.bound_ok
+    assert certificates(dm, fam, res, 0) == (True, True, True)
 
 
 def test_kappa1_tree_subtrees_pack_cover_bound():
@@ -176,7 +187,7 @@ def test_kappa1_tree_subtrees_pack_cover_bound():
         ]
         res = kappa_hit_pack(g, dm, fam, 0, F(0))
         assert res.kappa == 1
-        assert res.hitting_ok and res.packing_ok and res.bound_ok
+        assert certificates(dm, fam, res, 0) == (True, True, True)
         assert len(res.hitting_set) <= 2 * len(res.packing)
 
 
@@ -195,7 +206,7 @@ def test_kappa_hit_pack_tree_unions_of_subtrees():
             fam.append(member(dm, *parts))
         res = kappa_hit_pack(g, dm, fam, 0, F(0))
         assert res.kappa == 2
-        assert res.hitting_ok and res.packing_ok and res.bound_ok
+        assert certificates(dm, fam, res, 0) == (True, True, True)
         assert len(res.hitting_set) <= 8 * len(res.packing)
         assert res.packing_optimum == res.hitting_optimum
 
@@ -214,7 +225,7 @@ def test_kappa_hit_pack_random_graph():
     eps = max(kq.epsilon for kq in fam)
     r = eps + floor(delta * 2) + 1
     res = kappa_hit_pack(g, dm, fam, r, delta)
-    assert res.hitting_ok and res.packing_ok and res.bound_ok
+    assert certificates(dm, fam, res, r) == (True, True, True)
     assert res.packing_optimum == res.hitting_optimum
     kappa = max(len(kq.parts) for kq in fam)
     assert len(res.hitting_set) <= 2 * kappa * kappa * len(res.packing)
@@ -333,7 +344,8 @@ def test_witness_lps_match_full_lps(case):
     optima(radius)
     delta = thin_delta_bound(four_point_delta(g, dm).delta)
     eps = max(kq.epsilon for kq in fam)
-    res = kappa_hit_pack(g, dm, fam, eps + ceil(delta * 2) + radius, delta)
+    r = eps + ceil(delta * 2) + radius
+    res = kappa_hit_pack(g, dm, fam, r, delta)
     # the hitting optimum is read off the packing duals; optima() solves the
     # every-vertex hitting LP itself on the Fraction tableau of tests/oracles.py
     assert (res.packing_optimum, res.hitting_optimum) == optima(res.r_star)
@@ -341,7 +353,7 @@ def test_witness_lps_match_full_lps(case):
         # four times the four-point constant certifies thin triangles on
         # trees, but not on graphs with cliques (README Notes): on K6 the
         # members {1, 2} and {2} at r = 0 get the hitting set {1}
-        assert res.hitting_ok and res.packing_ok and res.bound_ok
+        assert certificates(dm, fam, res, r) == (True, True, True)
 
 
 def test_kappa_hitting_mass_lands_on_witness_vertices():
@@ -353,7 +365,7 @@ def test_kappa_hitting_mass_lands_on_witness_vertices():
     res = kappa_hit_pack(g, dm, fam, 0, F(0))
     assert res.hitting_optimum == 1
     assert res.hitting_set == (20,)
-    assert res.hitting_ok and res.packing_ok and res.bound_ok
+    assert certificates(dm, fam, res, 0) == (True, True, True)
 
 
 @pytest.mark.parametrize("z", [12, -1])

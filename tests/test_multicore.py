@@ -18,9 +18,18 @@ from hypercore import (
     multicore_construct,
     thin_delta_bound,
 )
+from hypercore.check import balls_intercept
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
 from oracles import brute_pi, brute_sigma, brute_tau, inflate_family
 from strategies import connected_graphs
+
+
+def construct(g, dm, pairs, r, delta):
+    """The centers ``multicore_construct`` returns, and the claim that the
+    ``multicore`` command checks on them: their radius-r balls intercept
+    every demand pair (``check.balls_intercept``)."""
+    centers = multicore_construct(g, dm, pairs, r, delta).hitting_set
+    return centers, balls_intercept(g, dm, centers, r, pairs)
 
 
 def test_commodity_validation():
@@ -87,25 +96,25 @@ def test_multicore_measures_no_interval(monkeypatch):
         rng = random.Random(g.n)
         pairs = [tuple(rng.sample(range(g.n), 2)) for _ in range(12)]
         cases.append((g, distance_matrix(g), pairs, 1, Fraction(0)))
-    want = [multicore_construct(*case) for case in cases]
-    assert [len(r.centers) for r in want] == [2, 2]
+    want = [construct(*case) for case in cases]
+    assert [len(centers) for centers, _ in want] == [2, 2]
 
     def refuse(*args):
         raise AssertionError("an interval was measured")
 
     monkeypatch.setattr("hypercore.quasiconvex._set_epsilons", refuse)
-    got = [multicore_construct(*case) for case in cases]
-    assert [(r.centers, r.covered) for r in got] == [(r.centers, r.covered) for r in want]
+    got = [construct(*case) for case in cases]
+    assert got == want
 
 
 def test_multicore_single_pair_and_far_pairs():
     g = path_graph(15)
     dm = distance_matrix(g)
-    single = multicore_construct(g, dm, [(2, 9)], 0, Fraction(0))
-    assert len(single.centers) == 1 and single.covered
+    centers, covered = construct(g, dm, [(2, 9)], 0, Fraction(0))
+    assert len(centers) == 1 and covered
     far = [(0, 1), (6, 7), (12, 13)]
-    res = multicore_construct(g, dm, far, 1, Fraction(0))
-    assert len(res.centers) == 3 and res.covered
+    centers, covered = construct(g, dm, far, 1, Fraction(0))
+    assert len(centers) == 3 and covered
 
 
 def test_multicore_tree_matches_brute_sigma():
@@ -119,10 +128,10 @@ def test_multicore_tree_matches_brute_sigma():
             if a != b:
                 pairs.append((a, b))
         for r in (0, 1):
-            res = multicore_construct(g, dm, pairs, r, Fraction(0))
-            assert res.covered
+            centers, covered = construct(g, dm, pairs, r, Fraction(0))
+            assert covered
             sigma = brute_sigma(g, dm, pairs, r, len(pairs))
-            assert len(res.centers) == sigma  # delta=0 collapses the chain
+            assert len(centers) == sigma  # delta=0 collapses the chain
 
 
 def test_multicore_every_pair_intercepted_nontree():
@@ -133,9 +142,9 @@ def test_multicore_every_pair_intercepted_nontree():
     pairs = [(rng.randrange(14), rng.randrange(14)) for _ in range(4)]
     pairs = [(a, b) for a, b in pairs if a != b] or [(0, 1)]
     r = math.floor(delta * 8)
-    res = multicore_construct(g, dm, pairs, r, delta)
-    assert res.covered
-    hit = [intercepted_pairs(g, dm, Ball(c, r), pairs) for c in res.centers]
+    centers, covered = construct(g, dm, pairs, r, delta)
+    assert covered
+    hit = [intercepted_pairs(g, dm, Ball(c, r), pairs) for c in centers]
     assert np.any(hit, axis=0).all()
 
 

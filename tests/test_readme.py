@@ -16,7 +16,7 @@ def test_library_quick_start_runs():
     assert block, "no python block opens the 'Library quick start' section"
     namespace = {}
     exec(compile(block.group(1), "README.md (Library quick start)", "exec"), namespace)
-    assert namespace["beams"].all_beams_intercepted
+    assert namespace["all_beams"] is True
 
 
 def test_stated_export_count_matches_all():
