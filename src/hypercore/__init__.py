@@ -10,10 +10,7 @@ import importlib
 
 # Exported names, by the submodule that defines them.
 _EXPORTS = {
-    "beamcore": (
-        "BeamCoreResult", "StructuralReport", "beam_pairs", "structural_checks",
-        "total_beam_core",
-    ),
+    "beamcore": ("BeamCoreResult", "beam_pairs", "total_beam_core"),
     "check": ("ball_members", "check_hit_pack", "four_point_defect", "set_distance"),
     "congestion": ("CoreResult", "centroid_vertex", "median_vertex", "min_core", "traffic_load"),
     "generators": ("GeneratorSpec", "generate"),

@@ -1,6 +1,6 @@
-"""Beam enumeration and the single-ball total beam core, plus the structural
-inequalities tying diameter, radius, center, and the beam-core midpoint
-together.
+"""Beam enumeration and the single-ball total beam core.  The structural
+inequalities tying diameter, radius, center and the beam-core midpoint
+together are judged by the ``beamcore`` command, not here.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from itertools import islice
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, _check_vertex, _descent, check_rational
-from .hyperbolicity import eccentricity_profile, mutually_distant_pair
+from .graphs import DistanceMatrix, Graph, _descent
+from .hyperbolicity import mutually_distant_pair
 
 
 @dataclass(frozen=True)
@@ -21,16 +21,6 @@ class BeamCoreResult:
     pair: tuple[int, int]
     midpoint: int
     radius: int
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    diameter: int
-    radius: int
-    center: tuple[int, ...]
-    diam_rad_holds: bool
-    max_center_distance: int
-    close_to_center_holds: bool
 
 
 def beam_pairs(dm: DistanceMatrix) -> np.ndarray:
@@ -55,22 +45,3 @@ def total_beam_core(g: Graph, dm: DistanceMatrix, delta: Fraction) -> BeamCoreRe
     mid = _midpoint(g, dm, u, v)
     return BeamCoreResult(pair=(u, v), midpoint=mid, radius=max(math.floor(delta * 2), 0))
 
-
-def structural_checks(dm: DistanceMatrix, delta: Fraction, midpoint: int) -> StructuralReport:
-    """Evaluate diam >= 2*rad - 2*delta - 1 and C(G) inside B(m, 4*delta + 1)
-    with the supplied thin-triangle constant, m being the beam-core midpoint
-    (``total_beam_core(g, dm, delta).midpoint``)."""
-    check_rational(delta, "delta")
-    _check_vertex(dm.n, midpoint, "midpoint")
-    prof = eccentricity_profile(dm)
-    diam_rad_holds = prof.diameter >= 2 * prof.radius - delta * 2 - 1
-    max_center_distance = max(int(dm.d[midpoint, c]) for c in prof.center)
-    close_holds = max_center_distance <= delta * 4 + 1
-    return StructuralReport(
-        diameter=prof.diameter,
-        radius=prof.radius,
-        center=prof.center,
-        diam_rad_holds=bool(diam_rad_holds),
-        max_center_distance=max_center_distance,
-        close_to_center_holds=bool(close_holds),
-    )

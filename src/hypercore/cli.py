@@ -218,14 +218,20 @@ def _cmd_multicore(args):
 
 
 def _cmd_beamcore(args):
-    from .beamcore import beam_pairs, structural_checks, total_beam_core
+    from .beamcore import beam_pairs, total_beam_core
     from .check import balls_intercept
+    from .hyperbolicity import eccentricity_profile
 
     g, dm, table = _load_graph(args)
     delta = _thin_delta(args, g, dm)
     bc = total_beam_core(g, dm, delta)
     all_beams = balls_intercept(g, dm, [bc.midpoint], bc.radius, beam_pairs(dm))
-    sc = structural_checks(dm, delta, bc.midpoint)
+    # diam >= 2*rad - 2*delta - 1, and C(G) inside B(m, 4*delta + 1) for the
+    # midpoint m; delta is an exact Fraction, so no float is compared
+    prof = eccentricity_profile(dm)
+    diam_rad_holds = prof.diameter >= 2 * prof.radius - delta * 2 - 1
+    max_center_distance = max(int(dm.d[bc.midpoint, c]) for c in prof.center)
+    close_to_center_holds = max_center_distance <= delta * 4 + 1
     report = {
         "delta": _half_integer_json(delta),
         "mutually_distant_pair": table.labels_of(bc.pair),
@@ -233,18 +239,18 @@ def _cmd_beamcore(args):
         "radius": bc.radius,
         "all_beams_intercepted": all_beams,
         "structural": {
-            "diameter": sc.diameter,
-            "radius": sc.radius,
-            "center": table.labels_of(sc.center),
-            "diam_rad_holds": sc.diam_rad_holds,
-            "max_center_distance": sc.max_center_distance,
-            "close_to_center_holds": sc.close_to_center_holds,
+            "diameter": prof.diameter,
+            "radius": prof.radius,
+            "center": table.labels_of(prof.center),
+            "diam_rad_holds": diam_rad_holds,
+            "max_center_distance": max_center_distance,
+            "close_to_center_holds": close_to_center_holds,
         },
     }
     return report, {
         "all_beams_intercepted": all_beams,
-        "structural.diam_rad_holds": sc.diam_rad_holds,
-        "structural.close_to_center_holds": sc.close_to_center_holds,
+        "structural.diam_rad_holds": diam_rad_holds,
+        "structural.close_to_center_holds": close_to_center_holds,
     }
 
 

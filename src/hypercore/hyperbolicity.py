@@ -8,8 +8,13 @@ Gromov hyperbolicity*, ACM JEA 2015) under a fixed work budget,
 every quadruple it has not reached, so wherever the budget runs out the
 result is a certified bracket [delta, upper], exact when the two meet.
 Statements proved for graphs whose geodesic triangles are d-thin are
-asserted downstream with the substitution d := 4 * upper, which is always
-valid; the measured delta4 itself is reported alongside.
+asserted downstream with the substitution d := 4 * upper, and the measured
+delta4 itself is reported alongside.  The substitution is not valid on
+every graph: a non-tree block graph (every block a clique, one of them of
+three or more vertices, K3 the smallest) has delta4 = 0, but its geodesic
+triangles are not 0-thin, so a certificate asserted with d = 0 can fail
+its check (``hypercore beamcore`` on K3 without --delta exits 2).  ROADMAP
+item 1 is the constant that is sound on every graph.
 
 Both scans run block by block over the biconnected components, which is
 exact (the same paper states the reduction for the four-point constant):
@@ -349,10 +354,13 @@ def _defects(
 
 
 def thin_delta_bound(delta4: Fraction) -> Fraction:
-    """Thin-triangle constant certified by a four-point constant.
+    """The thin-triangle constant 4 * delta4 that every bound stated for
+    thin triangles is asserted with.
 
-    Geodesic triangles of a graph with four-point constant d are 4d-thin, so
-    every bound stated for thin triangles is asserted with this value.
+    It is not a thinness proved for every graph: on a non-tree block graph
+    (a clique of three or more vertices as a block) delta4 is 0 while the
+    geodesic triangles are not 0-thin, and a certificate asserted with it
+    can fail its check (module docstring; ROADMAP item 1).
     """
     check_rational(delta4, "delta4")
     return delta4 * 4

@@ -28,6 +28,7 @@ from hypercore import (
     centroid_vertex,
     check_hit_pack,
     distance_matrix,
+    eccentricity_profile,
     four_point_delta,
     greedy_hit_pack,
     helly_center,
@@ -36,7 +37,6 @@ from hypercore import (
     kappa_hit_pack,
     min_core,
     set_distance,
-    structural_checks,
     total_beam_core,
     traffic_load,
 )
@@ -226,11 +226,12 @@ def test_criterion_6_structural_inequalities(corpus):
     failures = []
     for item in corpus:
         mid = total_beam_core(item.g, item.dm, item.thin_delta).midpoint
-        rep = structural_checks(item.dm, item.thin_delta, mid)
-        if not rep.diam_rad_holds:
+        prof = eccentricity_profile(item.dm)
+        if not prof.diameter >= 2 * prof.radius - item.thin_delta * 2 - 1:
             failures.append(f"{item.name}: diam/rad")
-        if not rep.close_to_center_holds:
-            failures.append(f"{item.name}: center distance {rep.max_center_distance}")
+        far = max(item.dm.dist(mid, c) for c in prof.center)
+        if not far <= item.thin_delta * 4 + 1:
+            failures.append(f"{item.name}: center distance {far}")
     ok = not failures
     acceptance_line(6, ok, f"200 graphs, {len(failures)} violations")
     assert not failures, failures[:5]

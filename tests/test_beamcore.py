@@ -8,7 +8,6 @@ from hypercore import (
     distance_matrix,
     four_point_delta,
     intercepted_pairs,
-    structural_checks,
     thin_delta_bound,
     total_beam_core,
 )
@@ -90,34 +89,6 @@ def test_beams_pairwise_close_random():
         dm = distance_matrix(g)
         delta = thin_delta_bound(four_point_delta(g, dm).delta)
         assert beams_pairwise_close(dm, delta).within_bound
-
-
-def test_structural_checks_tree():
-    g = random_tree(25, 8)
-    dm = distance_matrix(g)
-    rep = structural_checks(dm, Fraction(0), total_beam_core(g, dm, Fraction(0)).midpoint)
-    assert rep.diameter >= 2 * rep.radius - 1
-    assert rep.diam_rad_holds
-    assert rep.max_center_distance <= 1
-    assert rep.close_to_center_holds
-
-
-def test_structural_checks_cycle4():
-    g = cycle_graph(4)
-    dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(g, dm).delta)  # 4 * 1
-    rep = structural_checks(dm, delta, total_beam_core(g, dm, delta).midpoint)
-    assert (rep.diameter, rep.radius) == (2, 2)
-    assert rep.diam_rad_holds and rep.close_to_center_holds
-
-
-def test_structural_checks_random():
-    for seed in (3, 9, 15):
-        g = gnp_connected(24, 0.15, seed)
-        dm = distance_matrix(g)
-        delta = thin_delta_bound(four_point_delta(g, dm).delta)
-        rep = structural_checks(dm, delta, total_beam_core(g, dm, delta).midpoint)
-        assert rep.diam_rad_holds and rep.close_to_center_holds
 
 
 def test_grid_beam_core():

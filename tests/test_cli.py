@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from hypercore.fileio import (
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
 from hypercore.graphs import DEFAULT_MATRIX_CAP
 from hypercore.quasiconvex import covering_radius
+from strategies import connected_graphs
 from test_golden import CASES as GOLDEN_CASES, GOLDEN
 
 
@@ -258,6 +262,50 @@ def test_beamcore_forced_delta_failure_exits_2(tmp_path, capsys):
         "error: check failed: structural.diam_rad_holds",
         "error: check failed: structural.close_to_center_holds",
     ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_beamcore_structural_block_matches_networkx(data):
+    if data.draw(st.booleans()):
+        g = data.draw(connected_graphs(max_n=12, min_n=2))
+    else:
+        g = random_tree(data.draw(st.integers(2, 30)), data.draw(st.integers(0, 99)))
+    delta = data.draw(st.sampled_from(["0", "1/2", "1", "2"]))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["beamcore", "--edges", str(write_graph(Path(tmp), g)), "--delta", delta]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    if code == 1:
+        # a --delta below the graph's constant may exhaust the furthest-vertex search
+        assert err.getvalue().startswith(
+            "error: furthest-vertex iteration did not stabilize within "
+        ), err.getvalue()
+        return
+    rep = json.loads(out.getvalue())
+    nxg = nx.Graph((f"v{u}", f"v{v}") for u, v in g.edges())
+    diameter, radius, center = nx.diameter(nxg), nx.radius(nxg), nx.center(nxg)
+    d = Fraction(delta)
+    to_mid = nx.single_source_shortest_path_length(nxg, rep["midpoint"])
+    far = max(to_mid[c] for c in center)
+    structural = rep["structural"]
+    assert sorted(structural.pop("center")) == sorted(center)
+    assert structural == {
+        "diameter": diameter,
+        "radius": radius,
+        "diam_rad_holds": diameter >= 2 * radius - 2 * d - 1,
+        "max_center_distance": far,
+        "close_to_center_holds": far <= 4 * d + 1,
+    }
+    claims = {
+        "all_beams_intercepted": rep["all_beams_intercepted"],
+        "structural.diam_rad_holds": structural["diam_rad_holds"],
+        "structural.close_to_center_holds": structural["close_to_center_holds"],
+    }
+    failed = [name for name, holds in claims.items() if not holds]
+    assert code == (2 if failed else 0)
+    assert err.getvalue().splitlines() == [f"error: check failed: {name}" for name in failed]
 
 
 def test_helly_and_hitpack_cli(tmp_path, capsys):

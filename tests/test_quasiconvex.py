@@ -123,7 +123,6 @@ _CONSTANT_TAKERS = {
     "geodesic_covering_radius": lambda delta: geodesic_covering_radius(1, delta),
     "multicore_construct": lambda delta: hc.multicore_construct(_G, _DM, [(0, 5)], 8, delta),
     "total_beam_core": lambda delta: hc.total_beam_core(_G, _DM, delta),
-    "structural_checks": lambda delta: hc.structural_checks(_DM, delta, 0),
     "mutually_distant_pair": lambda delta: hc.mutually_distant_pair(_DM, delta),
     "kappa_hit_pack": lambda delta: hc.kappa_hit_pack(_G, _DM, _KFAM, 2, delta),
     "helly_center": lambda delta: hc.helly_center(_G, _DM, _FAM, 2, delta),
