@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from hypercore import (
     total_beam_core,
 )
 from hypercore.check import balls_intercept
+from hypercore.cli import run_cli
+from hypercore.fileio import LabelTable, write_edge_list
 from hypercore.generators import cycle_graph, gnp_connected, grid_graph, path_graph, random_tree
 from oracles import beams_pairwise_close
 
@@ -89,6 +92,42 @@ def test_beams_pairwise_close_random():
         dm = distance_matrix(g)
         delta = thin_delta_bound(four_point_delta(g, dm).delta)
         assert beams_pairwise_close(dm, delta).within_bound
+
+
+def beamcore_structural(tmp_path, capsys, g, delta):
+    """Run the ``beamcore`` command at ``delta``; return its exit code and
+    the structural block of its report."""
+    path = tmp_path / "g.txt"
+    write_edge_list(g, LabelTable([f"v{i}" for i in range(g.n)]), path)
+    code = run_cli(["beamcore", "--edges", str(path), "--delta", str(delta)])
+    return code, json.loads(capsys.readouterr().out)["structural"]
+
+
+def test_structural_checks_tree(tmp_path, capsys):
+    code, rep = beamcore_structural(tmp_path, capsys, random_tree(25, 8), Fraction(0))
+    assert code == 0
+    assert rep["diameter"] >= 2 * rep["radius"] - 1
+    assert rep["diam_rad_holds"]
+    assert rep["max_center_distance"] <= 1
+    assert rep["close_to_center_holds"]
+
+
+def test_structural_checks_cycle4(tmp_path, capsys):
+    g = cycle_graph(4)
+    delta = thin_delta_bound(four_point_delta(g, distance_matrix(g)).delta)  # 4 * 1
+    code, rep = beamcore_structural(tmp_path, capsys, g, delta)
+    assert code == 0
+    assert (rep["diameter"], rep["radius"]) == (2, 2)
+    assert rep["diam_rad_holds"] and rep["close_to_center_holds"]
+
+
+def test_structural_checks_random(tmp_path, capsys):
+    for seed in (3, 9, 15):
+        g = gnp_connected(24, 0.15, seed)
+        delta = thin_delta_bound(four_point_delta(g, distance_matrix(g)).delta)
+        code, rep = beamcore_structural(tmp_path, capsys, g, delta)
+        assert code == 0
+        assert rep["diam_rad_holds"] and rep["close_to_center_holds"]
 
 
 def test_grid_beam_core():
