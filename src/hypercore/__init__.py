@@ -11,8 +11,8 @@ import importlib
 # Exported names, by the submodule that defines them.
 _EXPORTS = {
     "beamcore": ("BeamCoreResult", "beam_pairs", "total_beam_core"),
-    "check": ("ball_members", "check_hit_pack", "four_point_defect", "set_distance"),
-    "congestion": ("CoreResult", "centroid_vertex", "median_vertex", "min_core", "traffic_load"),
+    "check": ("check_hit_pack", "four_point_defect"),
+    "congestion": ("CoreResult", "median_vertex", "min_core", "traffic_load"),
     "generators": ("GeneratorSpec", "generate"),
     "graphs": (
         "Ball", "DistanceMatrix", "Graph", "distance_matrix", "intercepted_pairs", "interval",
@@ -23,11 +23,11 @@ _EXPORTS = {
         "eccentricity_profile", "four_point_delta", "hyperbolicity_report", "mutually_distant_pair",
         "thin_delta_bound",
     ),
-    "lpkappa": ("KappaHitPackResult", "KappaQSet", "kappa_hit_pack", "round_packing"),
+    "lpkappa": ("KappaHitPackResult", "kappa_hit_pack", "round_packing"),
     "multicore": ("interval_family", "multicore_construct"),
     "quasiconvex": (
-        "HitPackResult", "QSet", "QSetFamily", "covering_radius", "greedy_hit_pack",
-        "helly_center", "is_interval_like", "project_toward",
+        "HitPackResult", "covering_radius", "greedy_hit_pack", "helly_center", "is_interval_like",
+        "project_toward", "set_epsilons",
     ),
     "simplex": ("LPInstance", "LPSolution", "solve_lp"),
 }

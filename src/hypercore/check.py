@@ -16,7 +16,6 @@ from .graphs import (
     Ball,
     DistanceMatrix,
     Graph,
-    _check_vertex,
     _min_rows,
     _set_block,
     check_vertices,
@@ -31,20 +30,6 @@ def four_point_defect(dm: DistanceMatrix, quad: tuple[int, int, int, int]) -> Fr
     d = dm.d
     sums = sorted((int(d[u, v] + d[x, y]), int(d[u, x] + d[v, y]), int(d[u, y] + d[v, x])))
     return Fraction(sums[2] - sums[1], 2)
-
-
-def ball_members(dm: DistanceMatrix, b: Ball) -> list[int]:
-    _check_vertex(dm.n, b.center, "ball center")
-    return np.flatnonzero(dm.d[b.center] <= b.radius).tolist()
-
-
-def set_distance(dm: DistanceMatrix, X: Sequence[int], Y: Sequence[int]) -> int:
-    """min d(x,y) over x in X, y in Y; 0 iff the sets intersect."""
-    xs = check_vertices(dm.n, X, "X")
-    ys = check_vertices(dm.n, Y, "Y")
-    if not xs or not ys:
-        raise ValueError("set_distance needs two nonempty vertex sets")
-    return int(dm.d.take(xs, axis=0).take(ys, axis=1).min())
 
 
 def set_gaps(

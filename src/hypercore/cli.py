@@ -254,61 +254,58 @@ def _cmd_beamcore(args):
     }
 
 
-def _family_from_json(dm, table, entries):
-    from .quasiconvex import QSetFamily
-
-    return QSetFamily.measure(
-        dm,
-        [table.ids_of(e["vertices"]) for e in entries],
-        names=[e["name"] for e in entries],
-    )
-
-
 def _cmd_helly(args):
     from .check import set_gaps
-    from .quasiconvex import geodesic_covering_radius, helly_center, is_interval_like
+    from .quasiconvex import (
+        covering_radius, geodesic_covering_radius, helly_center, is_interval_like, set_epsilons,
+    )
 
     g, dm, table = _load_graph(args)
-    family = _family_from_json(dm, table, read_family_json(args.family))
+    entries = read_family_json(args.family)
+    sets = [table.ids_of(e["vertices"]) for e in entries]
+    epsilon = max(set_epsilons(dm, sets))
     delta = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
-    ball = helly_center(g, dm, family, args.r, delta, z=z)
-    gaps = set_gaps(dm, [ball.center], ball.radius, [s.members for s in family.sets])
+    center = helly_center(g, dm, sets, args.r, z=z, names=[e["name"] for e in entries])
+    # never negative: r >= 0 (helly_center refused it), eps >= 0 and delta >= 0 (_thin_delta)
+    radius = math.floor(covering_radius(args.r, epsilon, delta))
+    gaps = set_gaps(dm, [center], radius, sets)
     all_hit = not any(gaps)
     report = {
-        "sets": len(family),
-        "epsilon": family.family_epsilon,
+        "sets": len(sets),
+        "epsilon": epsilon,
         "delta": _half_integer_json(delta),
         "r": args.r,
-        "ball": {"center": table.label_of(ball.center), "radius": ball.radius},
+        "ball": {"center": table.label_of(center), "radius": radius},
         "set_gaps": gaps,
         "all_hit": all_hit,
     }
-    if all(is_interval_like(dm, s.members) for s in family.sets):
+    if all(is_interval_like(dm, s) for s in sets):
         report["geodesic_case_radius"] = math.floor(geodesic_covering_radius(args.r, delta))
     return report, {"all_hit": all_hit}
 
 
 def _cmd_hitpack(args):
     from .check import check_hit_pack
-    from .quasiconvex import covering_radius, greedy_hit_pack
+    from .quasiconvex import covering_radius, greedy_hit_pack, set_epsilons
 
     g, dm, table = _load_graph(args)
-    family = _family_from_json(dm, table, read_family_json(args.family))
+    entries = read_family_json(args.family)
+    sets = [table.ids_of(e["vertices"]) for e in entries]
+    epsilon = max(set_epsilons(dm, sets))
     delta = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
-    members = [s.members for s in family.sets]
-    hp = greedy_hit_pack(g, dm, members, args.r, z=z)
+    hp = greedy_hit_pack(g, dm, sets, args.r, z=z)
     # never negative: r >= 0 (greedy_hit_pack refused it), eps >= 0 and delta >= 0 (_thin_delta)
-    hit_radius = math.floor(covering_radius(args.r, family.family_epsilon, delta))
-    hit_ok, pack_ok = check_hit_pack(dm, members, hp.hitting_set, hit_radius, hp.packing, args.r)
+    hit_radius = math.floor(covering_radius(args.r, epsilon, delta))
+    hit_ok, pack_ok = check_hit_pack(dm, sets, hp.hitting_set, hit_radius, hp.packing, args.r)
     report = {
-        "sets": len(family),
-        "epsilon": family.family_epsilon,
+        "sets": len(sets),
+        "epsilon": epsilon,
         "delta": _half_integer_json(delta),
         "r": args.r,
         "hitting_set": table.labels_of(hp.hitting_set),
-        "packing": [family.name_of(i) for i in hp.packing],
+        "packing": [entries[i]["name"] for i in hp.packing],
         "hit_radius": hit_radius,
         "pack_gap": args.r,
         "certificates": {"hitting": hit_ok, "packing": pack_ok},
@@ -322,24 +319,21 @@ def _cmd_hitpack(args):
 
 def _cmd_kappa(args):
     from .check import check_hit_pack
-    from .lpkappa import KappaQSet, kappa_hit_pack
-    from .quasiconvex import QSetFamily
+    from .lpkappa import kappa_hit_pack
 
     g, dm, table = _load_graph(args)
     entries = read_kappa_family_json(args.family)
-    parts = [table.ids_of(part) for e in entries for part in e["parts"]]
-    qsets = iter(QSetFamily.measure(dm, parts).sets)  # every part in one pass
-    family = [KappaQSet(tuple(next(qsets) for _ in e["parts"])) for e in entries]
+    members = [[table.ids_of(part) for part in e["parts"]] for e in entries]
     delta = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
-    res = kappa_hit_pack(g, dm, family, args.r, delta, z=z)
-    unions = [kq.union for kq in family]
+    res = kappa_hit_pack(g, dm, members, args.r, delta, z=z)
+    unions = [[v for part in parts for v in part] for parts in members]
     hit_ok, pack_ok = check_hit_pack(dm, unions, res.hitting_set, res.r_prime, res.packing, args.r)
     bound_ok = len(res.hitting_set) <= 2 * res.kappa**2 * len(res.packing)
     report = {
-        "members": len(family),
+        "members": len(members),
         "kappa": res.kappa,
-        "epsilon": max(kq.epsilon for kq in family),
+        "epsilon": res.epsilon,
         "delta": _half_integer_json(delta),
         "r": args.r,
         "r_star": res.r_star,

@@ -1,5 +1,5 @@
 """Minimum-radius traffic cores, exact geodesic counting, traffic load of a
-vertex set under a demand profile, and median/centroid vertices.
+vertex set under a demand profile, and the median vertex.
 
 Geodesic counts are int64, promoted to Python ints where they could
 overflow, and traffic fractions are exact rationals, so none of the
@@ -519,15 +519,4 @@ def median_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:
     # d is symmetric, so the profile's rows give the sums; they are gathered
     # in row chunks, not as one |X| x n copy, and summed in the platform integer
     sums = sum(dm.d[profile[c]].sum(axis=0) for c in row_chunks(len(profile), dm.n))
-    return int(sums.argmin())
-
-
-def centroid_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:
-    """Vertex minimizing the squared-distance sum, smallest id on ties."""
-    profile = check_vertices(dm.n, X, "profile")
-    if not profile:
-        raise ValueError("centroid of an empty profile")
-    rows = (dm.d[profile[c]] for c in row_chunks(len(profile), dm.n))
-    # a square leaves the distance type, so it is taken in int64
-    sums = sum(np.square(r, dtype=np.int64).sum(axis=0) for r in rows)
     return int(sums.argmin())

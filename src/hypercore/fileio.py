@@ -157,10 +157,12 @@ def _read_family(path: str | Path, key: str, noun: str, labels_of) -> list[dict]
     with a nonempty list under ``key``, whose labels ``labels_of(path, i,
     value)`` checks and returns, and an optional name, ``noun[i]`` when not
     given.  The name and every label must be strings: a list or object
-    label would otherwise fail as an unhashable key."""
+    label would otherwise fail as an unhashable key.  Names must be unique
+    once the defaults are filled in, so that a report's name is one entry."""
     data = json.loads(_read_text(path))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a nonempty JSON list of {noun}s")
+    first: dict[str, int] = {}  # the entry of each name so far
     for i, entry in enumerate(data):
         if not isinstance(entry, dict) or key not in entry:
             raise ValueError(f"{path}: entry {i} must be an object with {key!r}")
@@ -172,7 +174,10 @@ def _read_family(path: str | Path, key: str, noun: str, labels_of) -> list[dict]
         for label in labels:
             if not isinstance(label, str):
                 raise ValueError(f"{path}: entry {i} has a label that is not a string: {label!r}")
-        entry.setdefault("name", f"{noun}[{i}]")
+        name = entry.setdefault("name", f"{noun}[{i}]")
+        if name in first:
+            raise ValueError(f"{path}: entries {first[name]} and {i} have the same name {name!r}")
+        first[name] = i
     return data
 
 

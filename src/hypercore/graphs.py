@@ -211,9 +211,10 @@ def row_chunks(count: int, n: int) -> Iterator[slice]:
     """Consecutive slices of range(count), each short enough that its rows
     of an n-column array hold about 2**16 elements, so a gather such as
     d[rows[chunk]] stays small however many rows there are.  Its users are
-    ``congestion.median_vertex``, ``congestion.centroid_vertex``, the ball
-    table of ``congestion.min_core``, ``multicore.interval_family`` and the
-    interval blocks of ``quasiconvex._set_epsilons``."""
+    ``congestion.median_vertex``, the ball table of ``congestion.min_core``,
+    ``multicore.interval_family``, the interval blocks of
+    ``quasiconvex._set_epsilons`` and the test oracle ``centroid_vertex``
+    (``tests/oracles.py``)."""
     step = max(1, 2**16 // n)
     return (slice(lo, lo + step) for lo in range(0, count, step))
 

@@ -2,6 +2,10 @@
 kappa quasiconvex sets: the Gamma incidence structure, the fractional
 packing/hitting linear programs, their roundings, and the end-to-end
 procedure, whose hitting set is at most 2*kappa^2 times its packing.
+
+A member is a list of its parts, each a list of vertex ids in any order and
+with repeats; kappa is the most parts of a member.  ``kappa_hit_pack``
+measures every part's quasiconvexity defect itself (``set_epsilons``).
 """
 
 from __future__ import annotations
@@ -9,34 +13,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from math import floor, lcm
 
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, _min_rows, check_rational, check_vertices
-from .quasiconvex import QSet, covering_radius, greedy_hit_pack
+from .quasiconvex import covering_radius, greedy_hit_pack, set_epsilons
 from .simplex import LPInstance, solve_lp
-
-
-@dataclass(frozen=True)
-class KappaQSet:
-    """A family member: the union of at most kappa measured quasiconvex parts."""
-
-    parts: tuple[QSet, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("a member needs at least one part")
-
-    @cached_property
-    def union(self) -> tuple[int, ...]:
-        """Sorted without repeats; kept from the first read, outside == and hash."""
-        return tuple(sorted({v for p in self.parts for v in p.members}))
-
-    @property
-    def epsilon(self) -> int:
-        return max(p.epsilon for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -44,22 +28,18 @@ class KappaHitPackResult:
     hitting_set: tuple[int, ...]
     packing: tuple[int, ...]
     kappa: int
+    epsilon: int
     r_star: int
     r_prime: int
     packing_optimum: Fraction
     hitting_optimum: Fraction
 
 
-def _member_distances(dm: DistanceMatrix, family: Sequence[KappaQSet]) -> np.ndarray:
-    """m x n matrix of d(v, member union), as one row block."""
-    return _min_rows(dm.d, [kq.union for kq in family])
-
-
 def _gamma_index(member_dist: np.ndarray, r: int) -> tuple[frozenset[int], ...]:
     """The Gamma incidence at radius r of the members whose distances are
-    ``member_dist`` (``_member_distances``): entry i holds every member
-    sharing with member i a vertex within r of both (a symmetric relation
-    containing i itself)."""
+    ``member_dist``, row i d(., member i's union) (``graphs._min_rows``):
+    entry i holds every member sharing with member i a vertex within r of
+    both (a symmetric relation containing i itself)."""
     if r < 0:
         raise ValueError(f"negative gamma radius {r}")
     near = member_dist <= r  # m x n
@@ -116,7 +96,7 @@ def _scaled(values) -> tuple[list[int], int]:
 def _witness_incidence(member_dist: np.ndarray, r: int) -> tuple[list[int], np.ndarray]:
     """The witness vertices at radius r, in increasing id, and the members x
     witnesses incidence: entry (i, k) is whether member i lies within r of
-    the k-th witness.  ``member_dist`` is ``_member_distances``.
+    the k-th witness.  ``member_dist`` is as in ``_gamma_index``.
 
     The packing LP over the witnesses, max sum x_i subject to, per witness
     v, sum of x_i over the members within r of v <= 1, has the optimum of
@@ -130,7 +110,7 @@ def _witness_incidence(member_dist: np.ndarray, r: int) -> tuple[list[int], np.n
 
 
 def round_packing(
-    x: Sequence[Fraction], gamma: Sequence[frozenset[int]], family: Sequence[KappaQSet]
+    x: Sequence[Fraction], gamma: Sequence[frozenset[int]], kappa: int
 ) -> list[int]:
     """Integral packing from a fractional solution of the wider-radius LP.
 
@@ -139,11 +119,10 @@ def round_packing(
     and discards that neighborhood.  The result is a packing at the radius
     of ``gamma`` (``_gamma_index``) of size at least sum(x) / (2*kappa).
     """
-    kappa = max(len(kq.parts) for kq in family)
     # sum(x) over a neighborhood <= 2*kappa, in integer numerators over scale
     xs, scale = _scaled(x)
     cap = 2 * kappa * scale
-    remaining = set(range(len(family)))
+    remaining = set(range(len(x)))
     packing: list[int] = []
     while remaining:
         pick = -1
@@ -164,7 +143,7 @@ def round_packing(
 def _round_support(
     support: Sequence[int],
     weights: Sequence[int],
-    family: Sequence[KappaQSet],
+    members: Sequence[Sequence[Sequence[int]]],
     dm: DistanceMatrix,
     g: Graph,
     r: int,
@@ -181,20 +160,19 @@ def _round_support(
     of all parts are one integer product of the parts x support incidence
     with the weights."""
     # row k: which support vertices lie within r of the k-th part (d is symmetric)
-    parts = [part for kq in family for part in kq.parts]
-    near = _min_rows(dm.d.take(support, axis=0).T, [p.members for p in parts]) <= r
+    near = _min_rows(dm.d.take(support, axis=0).T, list(chain.from_iterable(members))) <= r
     masses = iter(_weighted_rows(near, weights))
-    reps: list[tuple[int, ...]] = []
-    for kq in family:
-        mass = [next(masses) for _ in kq.parts]
-        reps.append(kq.parts[mass.index(max(mass))].members)  # first part on ties
+    reps = []
+    for parts in members:
+        mass = [next(masses) for _ in parts]
+        reps.append(parts[mass.index(max(mass))])  # first part on ties
     return list(greedy_hit_pack(g, dm, reps, r, z=z).hitting_set)
 
 
 def kappa_hit_pack(
     g: Graph,
     dm: DistanceMatrix,
-    family: Sequence[KappaQSet],
+    members: Sequence[Sequence[Sequence[int]]],
     r: int,
     delta: Fraction,
     *,
@@ -202,16 +180,16 @@ def kappa_hit_pack(
 ) -> KappaHitPackResult:
     """End-to-end covering/packing: an r-packing and an r_prime-hitting set.
 
-    With eps the family's measured quasiconvexity defect (the largest over
-    every part), r_star = r + eps + 3*delta and r_prime = r_star + eps +
-    3*delta (both floored), solves the fractional packing LP at r_star and
-    rounds it to an r-packing P, takes the fractional hitting vector at
-    r_star from the packing LP's duals and rounds it to an r_prime-hitting
-    set T.  The claims that P is pairwise 2r-apart, that T reaches every
-    member within r_prime, and that |T| <= 2*kappa^2*|P| are checked by
-    the caller (``check.check_hit_pack``), not here.  Requires r >= eps +
-    2*delta, under which the two classical forms of the intermediate
-    radius coincide.
+    With eps the family's quasiconvexity defect, the largest over every
+    part, measured in one ``set_epsilons`` call and returned, r_star = r +
+    eps + 3*delta and r_prime = r_star + eps + 3*delta (both floored),
+    solves the fractional packing LP at r_star and rounds it to an r-packing
+    P, takes the fractional hitting vector at r_star from the packing LP's
+    duals and rounds it to an r_prime-hitting set T.  The claims that P is
+    pairwise 2r-apart, that T reaches every member within r_prime, and that
+    |T| <= 2*kappa^2*|P| are checked by the caller
+    (``check.check_hit_pack``), not here.  Requires r >= eps + 2*delta,
+    under which the two classical forms of the intermediate radius coincide.
 
     Both LPs are taken over the witness vertices only, from one
     member-distance matrix that also gives the Gamma incidence at r.
@@ -227,11 +205,13 @@ def kappa_hit_pack(
     failed check raises ``RuntimeError``.  The hitting vector is rounded as
     it stands, nonzero on the witnesses only.
     """
-    if not family:
+    if not members:
         raise ValueError("empty family")
+    if not all(members):
+        raise ValueError("a member needs at least one part")
     check_vertices(dm.n, [z], "base vertex")
-    kappa = max(len(kq.parts) for kq in family)
-    epsilon = max(kq.epsilon for kq in family)
+    kappa = max(map(len, members))
+    epsilon = max(set_epsilons(dm, list(chain.from_iterable(members))))
     check_rational(delta, "delta")
     if r < epsilon + delta * 2:
         raise ValueError(
@@ -241,7 +221,7 @@ def kappa_hit_pack(
     r_star = floor(covering_radius(r, epsilon, delta))
     r_prime = floor(r_star + epsilon + delta * 3)
 
-    member_dist = _member_distances(dm, family)
+    member_dist = _min_rows(dm.d, [list(chain.from_iterable(parts)) for parts in members])
     gamma_r = _gamma_index(member_dist, r)
     witnesses, incidence = _witness_incidence(member_dist, r_star)
 
@@ -257,12 +237,13 @@ def kappa_hit_pack(
             f"duals {pack_sol.duals}, packing optimum {pack_sol.objective}"
         )
 
-    packing = round_packing(pack_sol.values, gamma_r, family)
-    hitting = _round_support(witnesses, hit, family, dm, g, r_star, z)
+    packing = round_packing(pack_sol.values, gamma_r, kappa)
+    hitting = _round_support(witnesses, hit, members, dm, g, r_star, z)
     return KappaHitPackResult(
         hitting_set=tuple(hitting),
         packing=tuple(packing),
         kappa=kappa,
+        epsilon=epsilon,
         r_star=r_star,
         r_prime=r_prime,
         packing_optimum=pack_sol.objective,

@@ -2,15 +2,17 @@
 projections toward a base vertex, the common-ball center for 2r-close
 families, and the greedy primal-dual hitting/packing construction.
 
-Every quasiconvexity defect is measured from the distance matrix, never
-trusted from input.  Radius formulas take the thin-triangle constant as a
-caller-supplied int or Fraction (usually 4x the measured four-point
-constant) and floor to an integer only when a concrete ball is built.
+A family is a list of vertex-id lists, in any order and with repeats.
+Its quasiconvexity defects are measured from the distance matrix by
+``set_epsilons``, never trusted from input.  ``helly_center`` and
+``greedy_hit_pack`` read neither a defect nor a thin-triangle constant:
+the caller takes the radius from ``covering_radius``, exactly, with the
+constant an int or Fraction (usually 4x the measured four-point
+constant), and floors it to an integer only when a concrete ball is built.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +21,6 @@ from itertools import islice
 import numpy as np
 
 from .graphs import (
-    Ball,
     DistanceMatrix,
     Graph,
     _descent,
@@ -32,50 +33,6 @@ from .graphs import (
     interval,
     row_chunks,
 )
-
-
-@dataclass(frozen=True)
-class QSet:
-    """A nonempty vertex set together with its measured quasiconvexity defect."""
-
-    members: tuple[int, ...]
-    epsilon: int
-
-    @classmethod
-    def measure(cls, dm: DistanceMatrix, members: Sequence[int]) -> "QSet":
-        return _measure_sets(dm, [members])[0]
-
-
-@dataclass(frozen=True)
-class QSetFamily:
-    sets: tuple[QSet, ...]
-    names: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if not self.sets:
-            raise ValueError("family must contain at least one set")
-        if self.names is not None and len(self.names) != len(self.sets):
-            raise ValueError("names and sets lengths differ")
-
-    @classmethod
-    def measure(
-        cls,
-        dm: DistanceMatrix,
-        vertex_sets: Sequence[Sequence[int]],
-        names: Sequence[str] | None = None,
-    ) -> "QSetFamily":
-        sets = tuple(_measure_sets(dm, vertex_sets))
-        return cls(sets=sets, names=tuple(names) if names is not None else None)
-
-    @property
-    def family_epsilon(self) -> int:
-        return max(s.epsilon for s in self.sets)
-
-    def name_of(self, i: int) -> str:
-        return self.names[i] if self.names is not None else f"set[{i}]"
-
-    def __len__(self):
-        return len(self.sets)
 
 
 @dataclass(frozen=True)
@@ -92,16 +49,17 @@ class HitPackResult:
     packing: tuple[int, ...]
 
 
-def _measure_sets(dm: DistanceMatrix, vertex_sets: Sequence[Sequence[int]]) -> list[QSet]:
-    """One measured ``QSet`` per vertex collection, from one ``_set_epsilons``
-    pass.  Each collection is checked in input order, its range before its
+def set_epsilons(dm: DistanceMatrix, vertex_sets: Sequence[Sequence[int]]) -> list[int]:
+    """The quasiconvexity defect of each vertex set, from one ``_set_epsilons``
+    pass.  Each set is checked in input order, its range before its
     emptiness, so the first bad one raises.
 
     A set C's defect is the least eps such that every geodesic between
     members of C stays within distance eps of C.  Every geodesic between x
     and y lies in the interval I(x, y), and every interval vertex lies on
     one, so eps is the largest d(z, C) over z in the union of the intervals
-    I(x, y), x < y in C, and 0 for a singleton.
+    I(x, y), x < y in C, and 0 for a singleton.  The order and repeats of a
+    set's vertices change nothing.
     """
     sets = []
     for C in vertex_sets:
@@ -109,7 +67,7 @@ def _measure_sets(dm: DistanceMatrix, vertex_sets: Sequence[Sequence[int]]) -> l
         if not members:
             raise ValueError("cannot measure quasiconvexity of an empty set")
         sets.append(members)
-    return [QSet(tuple(ms), eps) for ms, eps in zip(sets, _set_epsilons(dm, sets))]
+    return _set_epsilons(dm, sets)
 
 
 def _set_epsilons(dm: DistanceMatrix, sets: Sequence[Sequence[int]]) -> list[int]:
@@ -175,43 +133,41 @@ def covering_radius(r: int, epsilon: int, delta: Fraction) -> Fraction:
     return max(2 * epsilon + delta * 5, r + epsilon + delta * 3)
 
 
-def _require_pairwise_close(family: QSetFamily, gaps: np.ndarray, r: int) -> None:
-    """Raise for the first pair i < j, in row order, of sets more than 2r
-    apart; ``gaps`` is the family's set-to-set block."""
-    far = np.flatnonzero(np.triu(gaps > 2 * r, 1))
-    if len(far):
-        i, j = divmod(int(far[0]), len(gaps))
-        raise ValueError(
-            f"{family.name_of(i)} and {family.name_of(j)} are {int(gaps[i, j])} apart, "
-            f"more than 2r = {2 * r}: family is not pairwise 2r-close"
-        )
-
-
 def helly_center(
     g: Graph,
     dm: DistanceMatrix,
-    family: QSetFamily,
+    sets: Sequence[Sequence[int]],
     r: int,
-    delta: Fraction,
     *,
     z: int = 0,
-) -> Ball:
-    """A single ball meeting every member of a pairwise 2r-close family.
+    names: Sequence[str] | None = None,
+) -> int:
+    """The center of a single ball meeting every set of a pairwise 2r-close
+    family: the base vertex z projected onto the farthest set at offset r.
 
-    Projects the base vertex z onto the farthest member and returns the ball
-    of radius floor(max(2*eps + 5*delta, r + eps + 3*delta)) around the
-    projection point.  Pairwise 2r-closeness is checked up front.
+    With eps the sets' quasiconvexity defect and delta a sound thin-triangle
+    constant, the ball of radius floor(covering_radius(r, eps, delta))
+    around it meets every set; this pass reads neither.  Pairwise
+    2r-closeness is checked up front, and a refusal names the sets by
+    ``names``, ``set[i]`` when not given.
     """
     if r < 0:
         raise ValueError(f"negative closeness radius {r}")
+    if not sets:
+        raise ValueError("family must contain at least one set")
     check_vertices(dm.n, [z], "base vertex")
-    near, gaps = _set_block(dm, [s.members for s in family.sets])
-    _require_pairwise_close(family, gaps, r)
+    near, gaps = _set_block(dm, sets)
+    far = np.flatnonzero(np.triu(gaps > 2 * r, 1))  # the first pair i < j in row order
+    if len(far):
+        i, j = divmod(int(far[0]), len(gaps))
+        name_i, name_j = (names[i], names[j]) if names is not None else (f"set[{i}]", f"set[{j}]")
+        raise ValueError(
+            f"{name_i} and {name_j} are {int(gaps[i, j])} apart, "
+            f"more than 2r = {2 * r}: family is not pairwise 2r-close"
+        )
     dists = near[:, z].tolist()
-    farthest = max(range(len(family)), key=lambda i: (dists[i], -i))
-    c = project_toward(g, dm, z, family.sets[farthest].members, r)
-    radius = math.floor(covering_radius(r, family.family_epsilon, delta))
-    return Ball(c, max(radius, 0))
+    farthest = max(range(len(sets)), key=lambda i: (dists[i], -i))
+    return project_toward(g, dm, z, sets[farthest], r)
 
 
 def greedy_hit_pack(

@@ -20,6 +20,7 @@ import numpy as np
 from hypercore import CoreResult, LPInstance
 from hypercore.graphs import (
     Ball,
+    _check_vertex,
     _min_rows,
     check_vertices,
     intercepted_pairs,
@@ -253,6 +254,32 @@ def naive_interval(g, dm, u, v):
     return sorted(verts)
 
 
+def ball_members(dm, b) -> list[int]:
+    """The vertices of the ball b, in increasing id."""
+    _check_vertex(dm.n, b.center, "ball center")
+    return np.flatnonzero(dm.d[b.center] <= b.radius).tolist()
+
+
+def set_distance(dm, X, Y) -> int:
+    """min d(x,y) over x in X, y in Y; 0 iff the sets intersect."""
+    xs = check_vertices(dm.n, X, "X")
+    ys = check_vertices(dm.n, Y, "Y")
+    if not xs or not ys:
+        raise ValueError("set_distance needs two nonempty vertex sets")
+    return int(dm.d.take(xs, axis=0).take(ys, axis=1).min())
+
+
+def centroid_vertex(dm, X) -> int:
+    """Vertex minimizing the squared-distance sum, smallest id on ties."""
+    profile = check_vertices(dm.n, X, "profile")
+    if not profile:
+        raise ValueError("centroid of an empty profile")
+    rows = (dm.d[profile[c]] for c in row_chunks(len(profile), dm.n))
+    # a square leaves the distance type, so it is taken in int64
+    sums = sum(np.square(r, dtype=np.int64).sum(axis=0) for r in rows)
+    return int(sums.argmin())
+
+
 def naive_intercepts(g, dm, members, x, y) -> bool:
     inside = set(members)
     return all(inside & set(path) for path in all_geodesics(g, dm, x, y))
@@ -276,7 +303,7 @@ def balls_intercept_by_paths(g, dm, centers, radius, pairs) -> bool:
 
 
 def epsilon_by_pairs(dm, C) -> int:
-    """The pair loop for ``QSet.measure``: the largest d(z, C) over the
+    """The pair loop for ``set_epsilons``: the largest d(z, C) over the
     interval of each pair x < y of C, one pair at a time."""
     members = check_vertices(dm.n, C, "set")
     if not members:
@@ -850,26 +877,27 @@ def witness_vertices_by_sets(near) -> list[int]:
 def full_packing_lp(family, dm, r):
     """The kappa packing LP with one <= 1 row per vertex, empty and
     dominated rows included: max sum x_i, and for each vertex, sum of x_i
-    over the members whose union lies within r of it <= 1."""
+    over the members (lists of parts) whose union lies within r of it <= 1."""
     triplets = [
         (v, i, 1)
         for v in range(dm.n)
-        for i, kq in enumerate(family)
-        if min(int(dm.d[v, u]) for u in kq.union) <= r
+        for i, parts in enumerate(family)
+        if min(int(dm.d[v, u]) for part in parts for u in part) <= r
     ]
     return LPInstance(len(family), dm.n, tuple(triplets))
 
 
 def full_hitting_lp(family, dm, r):
     """The kappa hitting LP with one column per vertex: min sum y_v, and for
-    each member, sum of y_v over vertices within r of its union >= 1."""
+    each member (a list of parts), sum of y_v over vertices within r of its
+    union >= 1."""
     one = Fraction(1)
     n = dm.n
     triplets = [
         (i, v, one)
-        for i, kq in enumerate(family)
+        for i, parts in enumerate(family)
         for v in range(n)
-        if min(int(dm.d[v, u]) for u in kq.union) <= r
+        if min(int(dm.d[v, u]) for part in parts for u in part) <= r
     ]
     return GeneralLP(
         direction="min",

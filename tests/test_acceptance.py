@@ -20,13 +20,9 @@ import time
 
 from hypercore import (
     Ball,
-    KappaQSet,
-    QSet,
-    QSetFamily,
-    ball_members,
     beam_pairs,
-    centroid_vertex,
     check_hit_pack,
+    covering_radius,
     distance_matrix,
     eccentricity_profile,
     four_point_delta,
@@ -36,7 +32,7 @@ from hypercore import (
     interval,
     kappa_hit_pack,
     min_core,
-    set_distance,
+    set_epsilons,
     total_beam_core,
     traffic_load,
 )
@@ -51,13 +47,16 @@ from hypercore.generators import (
 from conftest import acceptance_line, path_count
 from oracles import (
     all_geodesics,
+    ball_members,
     brute_pi,
     brute_sigma,
     brute_tau,
+    centroid_vertex,
     inflate_family,
     naive_intercepts,
     naive_interval,
     naive_traffic_load,
+    set_distance,
 )
 
 CORE_TIME_BUDGET_S = 300.0
@@ -121,14 +120,14 @@ def test_criterion_2_helly_quasiconvex(corpus):
     while built < 100:
         item = eligible[i % len(eligible)]
         i += 1
-        fam = QSetFamily.measure(
-            item.dm, intersecting_interval_sets(item.dm, rng, rng.randint(3, 6))
-        )
+        sets = intersecting_interval_sets(item.dm, rng, rng.randint(3, 6))
         built += 1
-        ball = helly_center(item.g, item.dm, fam, 0, item.thin_delta)
-        members = ball_members(item.dm, ball)
-        for s in fam.sets:
-            if set_distance(item.dm, members, s.members) != 0:
+        center = helly_center(item.g, item.dm, sets, 0)
+        epsilon = max(set_epsilons(item.dm, sets))
+        radius = math.floor(covering_radius(0, epsilon, item.thin_delta))
+        members = ball_members(item.dm, Ball(center, radius))
+        for s in sets:
+            if set_distance(item.dm, members, s) != 0:
                 failures.append(f"{item.name}: ball misses a member")
     ok = not failures
     acceptance_line(2, ok, f"{built} families, {len(failures)} misses")
@@ -145,18 +144,18 @@ def test_criterion_3_hitting_packing_equality(corpus):
         item = eligible[i % len(eligible)]
         i += 1
         sets = random_interval_sets(item.dm, rng, rng.randint(3, 7))
-        fam = QSetFamily.measure(item.dm, sets)
+        epsilon = max(set_epsilons(item.dm, sets))
         built += 1
         hp = greedy_hit_pack(item.g, item.dm, sets, 0)
-        expected_radius = math.floor(2 * fam.family_epsilon + item.thin_delta * 5)
+        expected_radius = math.floor(2 * epsilon + item.thin_delta * 5)
         if len(hp.hitting_set) != len(hp.packing):
             failures.append(f"{item.name}: |T| != |P|")
-        for s in fam.sets:
-            if min(set_distance(item.dm, [t], s.members) for t in hp.hitting_set) > expected_radius:
+        for s in sets:
+            if min(set_distance(item.dm, [t], s) for t in hp.hitting_set) > expected_radius:
                 failures.append(f"{item.name}: unhit member")
         for a_idx, a in enumerate(hp.packing):
             for b in hp.packing[a_idx + 1 :]:
-                if set_distance(item.dm, fam.sets[a].members, fam.sets[b].members) == 0:
+                if set_distance(item.dm, sets[a], sets[b]) == 0:
                     failures.append(f"{item.name}: packing not disjoint")
     ok = not failures
     acceptance_line(3, ok, f"{built} families, {len(failures)} violations")
@@ -247,15 +246,15 @@ def test_criterion_7_kappa_lp_guarantee(corpus):
         fam = []
         for _ in range(rng.randint(3, 6)):
             parts = [
-                QSet.measure(item.dm, interval(item.dm, rng.randrange(item.g.n), rng.randrange(item.g.n)))
+                interval(item.dm, rng.randrange(item.g.n), rng.randrange(item.g.n))
                 for _ in range(rng.randint(1, kappa))
             ]
-            fam.append(KappaQSet(tuple(parts)))
-        eps = max(kq.epsilon for kq in fam)
+            fam.append(parts)
+        eps = max(set_epsilons(item.dm, [part for parts in fam for part in parts]))
         r = eps + math.floor(item.thin_delta * 2) + i % 3
         res = kappa_hit_pack(item.g, item.dm, fam, r, item.thin_delta)
         k = res.kappa
-        unions = [kq.union for kq in fam]
+        unions = [sorted({v for part in parts for v in part}) for parts in fam]
         hit_ok, pack_ok = check_hit_pack(
             item.dm, unions, res.hitting_set, res.r_prime, res.packing, r
         )

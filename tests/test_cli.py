@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import hypercore
 import hypercore.cli
 
-from hypercore import Ball, Graph, ball_members, distance_matrix, intercepted_pairs, set_distance
+from hypercore import Ball, Graph, distance_matrix, intercepted_pairs
 from hypercore.cli import run_cli
 from hypercore.fileio import (
     read_edge_list,
@@ -29,6 +30,7 @@ from hypercore.fileio import (
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
 from hypercore.graphs import DEFAULT_MATRIX_CAP
 from hypercore.quasiconvex import covering_radius
+from oracles import ball_members, set_distance
 from strategies import connected_graphs
 from test_golden import CASES as GOLDEN_CASES, GOLDEN
 
@@ -378,13 +380,83 @@ def test_helly_gaps_are_ball_to_set_distances(tmp_path, capsys, monkeypatch):
         path = write_graph(tmp_path, g)
         dm = distance_matrix(g)
         for radius in (0, 1, 2):
-            monkeypatch.setattr(quasiconvex, "helly_center", lambda *a, z, r=radius: Ball(0, r))
+            monkeypatch.setattr(quasiconvex, "helly_center", lambda *a, **k: 0)
+            monkeypatch.setattr(quasiconvex, "covering_radius", lambda *a, r=radius: r)
             code, rep, err = run_json(capsys, ["helly", "--edges", str(path), "--family", str(fam)])
             members = ball_members(dm, Ball(0, radius))
             gaps = [set_distance(dm, members, [int(v[1:]) for v in s]) for s in sets]
             assert rep["set_gaps"] == gaps and max(gaps) > 0
             assert code == 2
             assert err == "error: check failed: all_hit\n"
+
+
+def _family_entries(command, sets, names):
+    """Family-file entries for ``command``: ``sets`` holds each entry's
+    labels, or for kappa its parts' labels; a name of None is left out."""
+    key = "parts" if command == "kappa" else "vertices"
+    entries = [{key: vs} for vs in sets]
+    for entry, name in zip(entries, names):
+        if name is not None:
+            entry["name"] = name
+    return entries
+
+
+@pytest.mark.parametrize("command", ["helly", "hitpack", "kappa"])
+def test_label_order_and_repeats_change_no_report(tmp_path, capsys, command):
+    # each set (kappa: each part) in increasing id without repeats, then with
+    # its labels shuffled and some repeated: the same bytes and exit code
+    rng = random.Random(command)
+    parts = 2 if command == "kappa" else 1
+    graphs = [random_tree(12, 3), cycle_graph(9), gnp_connected(12, 0.3, 4), path_graph(10)]
+    codes = set()
+    for i in range(8):
+        g = graphs[i % len(graphs)]
+        path = write_graph(tmp_path, g)
+        fam = tmp_path / "fam.json"
+        sets = [sorted(rng.sample(range(g.n), rng.randint(1, 4))) for _ in range(4 * parts)]
+        mixed = [rng.sample(vs, len(vs)) + rng.choices(vs, k=rng.randint(1, 3)) for vs in sets]
+        argv = [command, "--edges", str(path), "--family", str(fam), "--r", str(i % 3 + 2)]
+        argv += ["--delta", "0"] if i % 2 else []
+        outputs = []
+        for family in (sets, mixed):
+            labels = [[f"v{v}" for v in vs] for vs in family]
+            if command == "kappa":  # two parts a member
+                labels = [labels[j : j + parts] for j in range(0, len(labels), parts)]
+            entries = _family_entries(command, labels, [None] * len(labels))
+            fam.write_text(json.dumps(entries), encoding="utf-8")
+            code = run_cli(argv)
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        codes.add(outputs[0][0])
+    assert codes - {1}, "every run was refused"
+
+
+@pytest.mark.parametrize(
+    "command, noun", [("helly", "set"), ("hitpack", "set"), ("kappa", "member")]
+)
+@pytest.mark.parametrize(
+    "names, repeat",
+    [
+        (["a", "b", "a"], ("a", 0, 2)),  # a plain repeat
+        ([None, "{noun}[0]"], ("{noun}[0]", 0, 1)),  # a name given as an earlier default
+        (["{noun}[2]", "b", None], ("{noun}[2]", 0, 2)),  # a default given earlier as a name
+    ],
+)
+def test_repeated_family_names_are_refused(tmp_path, capsys, command, noun, names, repeat):
+    # a report names its packed sets, so a name must pick one entry
+    argv = _delta_command_argv(tmp_path, command, 8)
+    fam = tmp_path / "fam.json"
+    names = [None if name is None else name.format(noun=noun) for name in names]
+    sets = [["v0"], ["v4"], ["v8"]][: len(names)]
+    sets = [[vs] for vs in sets] if command == "kappa" else sets
+    fam.write_text(json.dumps(_family_entries(command, sets, names)), encoding="utf-8")
+    code, rep, err = run_json(capsys, argv)
+    name, first, again = repeat
+    assert (code, rep) == (1, None)
+    assert err == (
+        f"error: {fam}: entries {first} and {again} have the same name "
+        f"{name.format(noun=noun)!r}\n"
+    )
 
 
 def test_kappa_cli(tmp_path, capsys):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypercore import (
     Ball,
     Graph,
-    centroid_vertex,
     distance_matrix,
     intercepted_pairs,
     median_vertex,
@@ -26,6 +25,7 @@ from hypercore.generators import cycle_graph, gnp_connected, grid_graph, path_gr
 from conftest import path_count
 from oracles import (
     _intercepted_count,
+    centroid_vertex,
     all_geodesics,
     bfs_distances,
     escape_histogram,

@@ -191,6 +191,16 @@ NOT_A_STRING = "{path}: entry 1 has a label that is not a string: "
             [{"parts": [["x"], ["y"]]}, {"name": "b", "parts": [["y"]]}],
             [{"parts": [["x"], ["y"]], "name": "member[0]"}, {"name": "b", "parts": [["y"]]}],
         ),
+        (
+            read_family_json,
+            [{"name": "set[1]", "vertices": ["x"]}, {"vertices": ["y"]}],
+            "{path}: entries 0 and 1 have the same name 'set[1]'",
+        ),
+        (
+            read_kappa_family_json,
+            [{"name": "a", "parts": [["x"]]}, {"parts": [["y"]]}, {"name": "a", "parts": [["x"]]}],
+            "{path}: entries 0 and 2 have the same name 'a'",
+        ),
     ],
 )
 def test_family_reader_cases(scratch, read, data, outcome):

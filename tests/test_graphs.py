@@ -15,7 +15,7 @@ from hypercore import (
     interval,
     multi_source_distances,
 )
-from hypercore.check import ball_members, check_hit_pack, four_point_defect, set_distance
+from hypercore.check import check_hit_pack, four_point_defect
 from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tree, star_path_graph
 from hypercore.graphs import (
     DistanceMatrix,
@@ -29,11 +29,13 @@ from hypercore.graphs import (
     tree_walk,
 )
 from oracles import (
+    ball_members,
     bfs_distances,
     distances_avoiding,
     naive_intercepts,
     naive_interval,
     neighbours,
+    set_distance,
     validate_metric,
 )
 from strategies import connected_graphs

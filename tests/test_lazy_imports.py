@@ -15,10 +15,8 @@ import hypercore.cli
 
 EXPORTS = {
     "beamcore": ["BeamCoreResult", "beam_pairs", "total_beam_core"],
-    "check": ["ball_members", "check_hit_pack", "four_point_defect", "set_distance"],
-    "congestion": [
-        "CoreResult", "centroid_vertex", "median_vertex", "min_core", "traffic_load",
-    ],
+    "check": ["check_hit_pack", "four_point_defect"],
+    "congestion": ["CoreResult", "median_vertex", "min_core", "traffic_load"],
     "generators": ["GeneratorSpec", "generate"],
     "graphs": [
         "Ball", "DistanceMatrix", "Graph", "distance_matrix", "intercepted_pairs", "interval",
@@ -29,11 +27,11 @@ EXPORTS = {
         "eccentricity_profile", "four_point_delta", "hyperbolicity_report", "mutually_distant_pair",
         "thin_delta_bound",
     ],
-    "lpkappa": ["KappaHitPackResult", "KappaQSet", "kappa_hit_pack", "round_packing"],
+    "lpkappa": ["KappaHitPackResult", "kappa_hit_pack", "round_packing"],
     "multicore": ["interval_family", "multicore_construct"],
     "quasiconvex": [
-        "HitPackResult", "QSet", "QSetFamily", "covering_radius", "greedy_hit_pack",
-        "helly_center", "is_interval_like", "project_toward",
+        "HitPackResult", "covering_radius", "greedy_hit_pack", "helly_center", "is_interval_like",
+        "project_toward", "set_epsilons",
     ],
     "simplex": ["LPInstance", "LPSolution", "solve_lp"],
 }
@@ -59,7 +57,7 @@ print(json.dumps([code, loaded()]))
 
 def test_all_lists_the_exported_names():
     assert hypercore.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(hypercore.__all__) == 47
+    assert len(hypercore.__all__) == 42
 
 
 def test_each_name_is_the_object_of_its_submodule():

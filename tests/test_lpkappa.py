@@ -9,8 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
-    KappaQSet,
-    QSet,
     check_hit_pack,
     distance_matrix,
     four_point_delta,
@@ -18,15 +16,15 @@ from hypercore import (
     interval,
     kappa_hit_pack,
     round_packing,
-    set_distance,
+    set_epsilons,
     solve_lp,
     thin_delta_bound,
 )
 from hypercore import lpkappa
 from hypercore.generators import gnp_connected, path_graph, random_tree
+from hypercore.graphs import _min_rows
 from hypercore.lpkappa import (
     _gamma_index,
-    _member_distances,
     _round_support,
     _unit_lp,
     _witness_incidence,
@@ -36,13 +34,28 @@ from oracles import (
     fraction_tableau_solve_lp,
     full_hitting_lp,
     full_packing_lp,
+    set_distance,
     witness_vertices_by_sets,
 )
 from strategies import connected_graphs
 
 
-def member(dm, *vertex_sets):
-    return KappaQSet(tuple(QSet.measure(dm, vs) for vs in vertex_sets))
+def member(*vertex_sets):
+    """A family member: the list of its parts."""
+    return [list(vs) for vs in vertex_sets]
+
+
+def union(parts):
+    return sorted({v for part in parts for v in part})
+
+
+def family_epsilon(dm, fam):
+    return max(set_epsilons(dm, [part for parts in fam for part in parts]))
+
+
+def member_distances(dm, fam):
+    """d(v, member union) for every member and vertex, as ``kappa_hit_pack`` reads it."""
+    return _min_rows(dm.d, [union(parts) for parts in fam])
 
 
 def certificates(dm, fam, res, r):
@@ -50,28 +63,28 @@ def certificates(dm, fam, res, r):
     result at radius r: the hitting set reaches every member within
     r_prime, the packing is pairwise more than 2r apart, and |T| <=
     2*kappa^2*|P|."""
-    unions = [kq.union for kq in fam]
+    unions = [union(parts) for parts in fam]
     hit_ok, pack_ok = check_hit_pack(dm, unions, res.hitting_set, res.r_prime, res.packing, r)
     return hit_ok, pack_ok, len(res.hitting_set) <= 2 * res.kappa**2 * len(res.packing)
 
 
 def gamma_sets(dm, fam, r):
     """The Gamma incidence at radius r that ``kappa_hit_pack`` rounds with."""
-    return _gamma_index(_member_distances(dm, fam), r)
+    return _gamma_index(member_distances(dm, fam), r)
 
 
 def packing_lp(fam, dm, r):
     """The witness packing LP at radius r that ``kappa_hit_pack`` solves."""
-    return _unit_lp(_witness_incidence(_member_distances(dm, fam), r)[1].T)
+    return _unit_lp(_witness_incidence(member_distances(dm, fam), r)[1].T)
 
 
 def test_gamma_far_and_shared():
     g = path_graph(9)
     dm = distance_matrix(g)
-    fam = [member(dm, [0]), member(dm, [8])]
+    fam = [member([0]), member([8])]
     gi = gamma_sets(dm, fam, 0)
     assert gi == (frozenset({0}), frozenset({1}))
-    fam2 = [member(dm, [0, 4]), member(dm, [4, 8])]
+    fam2 = [member([0, 4]), member([4, 8])]
     gi2 = gamma_sets(dm, fam2, 0)
     assert gi2 == (frozenset({0, 1}), frozenset({0, 1}))
 
@@ -81,7 +94,7 @@ def test_gamma_structural_properties():
     g = gnp_connected(18, 0.2, 5)
     dm = distance_matrix(g)
     fam = [
-        member(dm, interval(dm, rng.randrange(18), rng.randrange(18)))
+        member(interval(dm, rng.randrange(18), rng.randrange(18)))
         for _ in range(6)
     ]
     gi = gamma_sets(dm, fam, 1)
@@ -90,7 +103,7 @@ def test_gamma_structural_properties():
         for j in gi[i]:
             assert i in gi[j]
     near = [
-        {v for v in range(18) if set_distance(dm, [v], list(kq.union)) <= 1} for kq in fam
+        {v for v in range(18) if set_distance(dm, [v], union(parts)) <= 1} for parts in fam
     ]
     for i in range(6):
         for j in range(6):
@@ -100,10 +113,10 @@ def test_gamma_structural_properties():
 def test_packing_lp_extremes():
     g = path_graph(12)
     dm = distance_matrix(g)
-    far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
+    far = [member([0]), member([5]), member([11])]
     sol = solve_lp(packing_lp(far, dm, 0))
     assert sol.status == "optimal" and sol.objective == 3
-    near = [member(dm, [4]), member(dm, [5]), member(dm, [4, 5])]
+    near = [member([4]), member([5]), member([4, 5])]
     # vertex 4 or 5 is within 1 of all three
     sol2 = solve_lp(packing_lp(near, dm, 1))
     assert sol2.objective <= 1
@@ -112,10 +125,10 @@ def test_packing_lp_extremes():
 def test_hitting_lp_extremes():
     g = path_graph(12)
     dm = distance_matrix(g)
-    single = [member(dm, [3, 4])]
+    single = [member([3, 4])]
     status, _, optimum = fraction_tableau_solve_lp(full_hitting_lp(single, dm, 0))
     assert status == "optimal" and optimum == 1
-    far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
+    far = [member([0]), member([5]), member([11])]
     assert fraction_tableau_solve_lp(full_hitting_lp(far, dm, 1))[2] == 3
 
 
@@ -124,7 +137,7 @@ def test_lp_duality_zero_gap():
     g = gnp_connected(20, 0.2, 9)
     dm = distance_matrix(g)
     fam = [
-        member(dm, interval(dm, rng.randrange(20), rng.randrange(20)), [rng.randrange(20)])
+        member(interval(dm, rng.randrange(20), rng.randrange(20)), [rng.randrange(20)])
         for _ in range(5)
     ]
     for r in (0, 1, 2):
@@ -137,12 +150,12 @@ def test_lp_duality_zero_gap():
 def test_round_packing_trivial_cases():
     g = path_graph(12)
     dm = distance_matrix(g)
-    far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
+    far = [member([0]), member([5]), member([11])]
     gi = gamma_sets(dm, far, 0)
-    assert round_packing([F(1)] * 3, gi, far) == [0, 1, 2]
-    near = [member(dm, [4]), member(dm, [4, 5]), member(dm, [5])]
+    assert round_packing([F(1)] * 3, gi, 1) == [0, 1, 2]
+    near = [member([4]), member([4, 5]), member([5])]
     gi2 = gamma_sets(dm, near, 1)
-    assert round_packing([F(1, 3)] * 3, gi2, near) == [0]
+    assert round_packing([F(1, 3)] * 3, gi2, 1) == [0]
 
 
 def test_round_hitting_kappa1_reduces_to_greedy():
@@ -150,26 +163,17 @@ def test_round_hitting_kappa1_reduces_to_greedy():
     dm = distance_matrix(g)
     rng = random.Random(4)
     parts = [interval(dm, rng.randrange(16), rng.randrange(16)) for _ in range(5)]
-    fam = [member(dm, p) for p in parts]
+    fam = [member(p) for p in parts]
     # the cover 1/16 on every vertex, as integer weights over one denominator
     got = _round_support(range(16), [1] * 16, fam, dm, g, 1, 0)
     expected = greedy_hit_pack(g, dm, parts, 1).hitting_set
     assert tuple(got) == expected
 
 
-def test_kappa_member_union_is_kept_and_not_compared():
-    dm = distance_matrix(path_graph(8))
-    a, b = member(dm, [5, 3, 4], [1, 3]), member(dm, [5, 3, 4], [1, 3])
-    assert a.union == (1, 3, 4, 5)
-    assert a.union is a.union  # computed once, on the first read
-    assert a == b and hash(a) == hash(b)  # b's union is still unread
-    assert "union" not in {f.name for f in dataclasses.fields(KappaQSet)}
-
-
 def test_kappa_hit_pack_single_member():
     g = path_graph(10)
     dm = distance_matrix(g)
-    fam = [member(dm, [2, 3], [7])]
+    fam = [member([2, 3], [7])]
     res = kappa_hit_pack(g, dm, fam, 0, F(0))
     assert len(res.hitting_set) == len(res.packing) == 1
     assert certificates(dm, fam, res, 0) == (True, True, True)
@@ -182,7 +186,7 @@ def test_kappa1_tree_subtrees_pack_cover_bound():
         dm = distance_matrix(g)
         rng = random.Random(seed)
         fam = [
-            member(dm, interval(dm, rng.randrange(20), rng.randrange(20)))
+            member(interval(dm, rng.randrange(20), rng.randrange(20)))
             for _ in range(6)
         ]
         res = kappa_hit_pack(g, dm, fam, 0, F(0))
@@ -203,7 +207,7 @@ def test_kappa_hit_pack_tree_unions_of_subtrees():
                 interval(dm, rng.randrange(24), rng.randrange(24)),
                 interval(dm, rng.randrange(24), rng.randrange(24)),
             ]
-            fam.append(member(dm, *parts))
+            fam.append(member(*parts))
         res = kappa_hit_pack(g, dm, fam, 0, F(0))
         assert res.kappa == 2
         assert certificates(dm, fam, res, 0) == (True, True, True)
@@ -221,22 +225,29 @@ def test_kappa_hit_pack_random_graph():
         parts = [
             interval(dm, rng.randrange(25), rng.randrange(25)) for _ in range(rng.randint(1, 3))
         ]
-        fam.append(member(dm, *parts))
-    eps = max(kq.epsilon for kq in fam)
+        fam.append(member(*parts))
+    eps = family_epsilon(dm, fam)
     r = eps + floor(delta * 2) + 1
     res = kappa_hit_pack(g, dm, fam, r, delta)
+    assert res.epsilon == eps
     assert certificates(dm, fam, res, r) == (True, True, True)
     assert res.packing_optimum == res.hitting_optimum
-    kappa = max(len(kq.parts) for kq in fam)
+    kappa = max(map(len, fam))
     assert len(res.hitting_set) <= 2 * kappa * kappa * len(res.packing)
 
 
 def test_kappa_hit_pack_preconditions():
     g = path_graph(8)
     dm = distance_matrix(g)
-    fam = [member(dm, [0, 1])]
+    fam = [member([0, 1])]
     with pytest.raises(ValueError, match="r >= epsilon"):
         kappa_hit_pack(g, dm, fam, 0, F(2))
+    with pytest.raises(ValueError, match="^empty family$"):
+        kappa_hit_pack(g, dm, [], 0, F(0))
+    with pytest.raises(ValueError, match="^a member needs at least one part$"):
+        kappa_hit_pack(g, dm, [member([0]), member()], 0, F(0))
+    with pytest.raises(ValueError, match="^cannot measure quasiconvexity of an empty set$"):
+        kappa_hit_pack(g, dm, [member([0], [])], 0, F(0))
 
 
 def test_witness_vertices_rule():
@@ -291,7 +302,7 @@ def test_witness_vertices_match_set_oracle(near):
 
 def test_packing_lp_rows_are_witnesses():
     dm = distance_matrix(path_graph(7))
-    fam = [member(dm, [1, 2, 3]), member(dm, [1, 2], [4]), member(dm, [4, 5])]
+    fam = [member([1, 2, 3]), member([1, 2], [4]), member([4, 5])]
     # at radius 0 the member sets of vertices 0..6 are {}, {0, 1}, {0, 1},
     # {0}, {1, 2}, {2}, {}: empty, duplicate and dominated rows
     lp = packing_lp(fam, dm, 0)
@@ -304,11 +315,11 @@ def test_packing_lp_rows_are_witnesses():
 def test_hitting_lp_columns_are_witnesses():
     g = path_graph(12)
     dm = distance_matrix(g)
-    far = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
+    far = [member([0]), member([5]), member([11])]
     # at radius 1 the maximal vertex sets are those of 0, 4 and 10; the
     # hitting LP's columns are the columns of the members x witnesses
     # incidence, the transpose of the packing LP over them
-    witnesses, incidence = _witness_incidence(_member_distances(dm, far), 1)
+    witnesses, incidence = _witness_incidence(member_distances(dm, far), 1)
     assert witnesses == [0, 4, 10]
     assert np.array_equal(incidence, np.eye(3, dtype=bool))
 
@@ -333,7 +344,7 @@ def kappa_families(draw):
 def test_witness_lps_match_full_lps(case):
     g, members, radius = case
     dm = distance_matrix(g)
-    fam = [member(dm, *parts) for parts in members]
+    fam = [member(*parts) for parts in members]
 
     def optima(r):
         pack = solve_lp(packing_lp(fam, dm, r)).objective
@@ -343,7 +354,7 @@ def test_witness_lps_match_full_lps(case):
 
     optima(radius)
     delta = thin_delta_bound(four_point_delta(g, dm).delta)
-    eps = max(kq.epsilon for kq in fam)
+    eps = family_epsilon(dm, fam)
     r = eps + ceil(delta * 2) + radius
     res = kappa_hit_pack(g, dm, fam, r, delta)
     # the hitting optimum is read off the packing duals; optima() solves the
@@ -361,7 +372,7 @@ def test_kappa_hitting_mass_lands_on_witness_vertices():
     # witness; rounding must then represent m0 by its part at 20, not at 0
     g = path_graph(21)
     dm = distance_matrix(g)
-    fam = [member(dm, [0], [20]), member(dm, [20])]
+    fam = [member([0], [20]), member([20])]
     res = kappa_hit_pack(g, dm, fam, 0, F(0))
     assert res.hitting_optimum == 1
     assert res.hitting_set == (20,)
@@ -372,7 +383,7 @@ def test_kappa_hitting_mass_lands_on_witness_vertices():
 def test_kappa_hit_pack_checks_base_vertex_before_solving(monkeypatch, z):
     g = path_graph(12)
     dm = distance_matrix(g)
-    fam = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
+    fam = [member([0]), member([5]), member([11])]
 
     def unreachable(inst):
         raise AssertionError("solve_lp ran before the base vertex was checked")
@@ -393,7 +404,7 @@ def test_kappa_hit_pack_checks_base_vertex_before_solving(monkeypatch, z):
 def test_kappa_hit_pack_rejects_bad_duals(monkeypatch, corrupt):
     g = path_graph(12)
     dm = distance_matrix(g)
-    fam = [member(dm, [0]), member(dm, [5]), member(dm, [11])]
+    fam = [member([0]), member([5]), member([11])]
     solve = lpkappa.solve_lp
     assert kappa_hit_pack(g, dm, fam, 0, F(0)).hitting_optimum == 3
 
@@ -413,7 +424,7 @@ def test_integer_dual_check_catches_one_changed_dual(monkeypatch, mutate, k):
     # {1, 2} and {0, 2}: the packing optimum is 3/2 and every dual is 1/2
     g = path_graph(9)
     dm = distance_matrix(g)
-    fam = [member(dm, [0], [8]), member(dm, [0], [4]), member(dm, [4], [8])]
+    fam = [member([0], [8]), member([0], [4]), member([4], [8])]
     assert kappa_hit_pack(g, dm, fam, 0, F(0)).hitting_optimum == F(3, 2)
     solve = lpkappa.solve_lp
 
@@ -437,7 +448,7 @@ def test_integer_dual_check_refuses_a_negative_dual(monkeypatch):
     # and the sum; only h >= 0 refuses them
     g = path_graph(13)
     dm = distance_matrix(g)
-    fam = [member(dm, [a], [b]) for a in (0, 4) for b in (8, 12)]
+    fam = [member([a], [b]) for a in (0, 4) for b in (8, 12)]
     assert kappa_hit_pack(g, dm, fam, 0, F(0)).hitting_optimum == 2
     solve = lpkappa.solve_lp
 

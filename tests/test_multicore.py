@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from hypercore import (
     Ball,
-    QSetFamily,
     distance_matrix,
     four_point_delta,
     intercepted_pairs,
     interval,
     interval_family,
     multicore_construct,
+    set_epsilons,
     thin_delta_bound,
 )
 from hypercore.check import balls_intercept
@@ -46,8 +46,8 @@ def test_commodity_validation():
 def test_interval_family_examples():
     tree = random_tree(12, 7)
     dm = distance_matrix(tree)
-    fam = QSetFamily.measure(dm, interval_family(dm, [(0, 5), (2, 9)]))
-    assert all(s.epsilon == 0 for s in fam.sets)  # tree intervals are geodesics
+    # tree intervals are geodesics
+    assert set_epsilons(dm, interval_family(dm, [(0, 5), (2, 9)])) == [0, 0]
     dm4 = distance_matrix(cycle_graph(4))
     assert interval_family(dm4, [(0, 2)]) == [[0, 1, 2, 3]]
     fam_dup = interval_family(dm4, [(0, 2), (0, 2)])

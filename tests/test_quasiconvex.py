@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 
 from hypercore import (
     Ball,
-    QSet,
-    QSetFamily,
-    ball_members,
     check_hit_pack,
     covering_radius,
     distance_matrix,
@@ -23,18 +20,20 @@ from hypercore import (
     interval,
     is_interval_like,
     project_toward,
-    set_distance,
+    set_epsilons,
     thin_delta_bound,
 )
 import hypercore as hc
 from hypercore.generators import cycle_graph, gnp_connected, path_graph, random_tree
 from hypercore.quasiconvex import geodesic_covering_radius
 from oracles import (
+    ball_members,
     check_hit_pack_by_sets,
     epsilon_by_pairs,
     greedy_hit_pack_by_sets,
     helly_balls_check,
     naive_interval,
+    set_distance,
 )
 from strategies import connected_graphs, glued_blocks
 
@@ -43,11 +42,11 @@ def test_measure_epsilon_examples():
     tree = random_tree(15, 3)
     dm = distance_matrix(tree)
     sub = interval(dm, 0, 9)  # a path in the tree: convex
-    assert QSet.measure(dm, sub).epsilon == 0
+    assert set_epsilons(dm, [sub]) == [0]
     dm4 = distance_matrix(cycle_graph(4))
-    assert QSet.measure(dm4, [0, 2]).epsilon == 1
+    assert set_epsilons(dm4, [[0, 2]]) == [1]
     with pytest.raises(ValueError):
-        QSet.measure(dm4, [])
+        set_epsilons(dm4, [[]])
 
 
 def test_intervals_are_thinness_quasiconvex():
@@ -57,7 +56,7 @@ def test_intervals_are_thinness_quasiconvex():
         nu = hyperbolicity_report(g, dm).interval_thinness
         for _ in range(12):
             u, v = rng.randrange(g.n), rng.randrange(g.n)
-            assert QSet.measure(dm, interval(dm, u, v)).epsilon <= nu
+            assert set_epsilons(dm, [interval(dm, u, v)])[0] <= nu
 
 
 def test_project_toward():
@@ -75,9 +74,7 @@ def test_project_toward():
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda g, dm, sets, z: helly_center(
-            g, dm, QSetFamily.measure(dm, sets), 1, Fraction(0), z=z
-        ),
+        lambda g, dm, sets, z: helly_center(g, dm, sets, 1, z=z),
         lambda g, dm, sets, z: greedy_hit_pack(g, dm, sets, 1, z=z),
     ],
     ids=["helly_center", "greedy_hit_pack"],
@@ -115,8 +112,6 @@ def test_geodesic_covering_radius_formula(r, delta, want):
 # arguments that are valid but for the constant
 _G = path_graph(6)
 _DM = distance_matrix(_G)
-_FAM = QSetFamily.measure(_DM, [[0, 1], [2, 3]])
-_KFAM = [hc.KappaQSet((s,)) for s in _FAM.sets]
 _CONSTANT_TAKERS = {
     "thin_delta_bound": lambda delta: hc.thin_delta_bound(delta),
     "covering_radius": lambda delta: hc.covering_radius(0, 0, delta),
@@ -124,8 +119,7 @@ _CONSTANT_TAKERS = {
     "multicore_construct": lambda delta: hc.multicore_construct(_G, _DM, [(0, 5)], 8, delta),
     "total_beam_core": lambda delta: hc.total_beam_core(_G, _DM, delta),
     "mutually_distant_pair": lambda delta: hc.mutually_distant_pair(_DM, delta),
-    "kappa_hit_pack": lambda delta: hc.kappa_hit_pack(_G, _DM, _KFAM, 2, delta),
-    "helly_center": lambda delta: hc.helly_center(_G, _DM, _FAM, 2, delta),
+    "kappa_hit_pack": lambda delta: hc.kappa_hit_pack(_G, _DM, [[[0, 1]], [[2, 3]]], 2, delta),
 }
 
 
@@ -139,65 +133,62 @@ def test_a_float_constant_is_refused(name):
 
 def _tree_ball_family(dm, tree, hub, picks):
     # balls of a tree are subtrees; radius reaches the hub so they all meet it
-    sets = [[u for u in range(dm.n) if dm.dist(u, v) <= dm.dist(v, hub)] for v in picks]
-    return QSetFamily.measure(dm, sets)
+    return [[u for u in range(dm.n) if dm.dist(u, v) <= dm.dist(v, hub)] for v in picks]
 
 
 def test_helly_center_subtrees_of_tree():
     tree = random_tree(20, 11)
     dm = distance_matrix(tree)
-    fam = _tree_ball_family(dm, tree, hub=4, picks=[0, 7, 13, 19])
-    assert fam.family_epsilon == 0
-    ball = helly_center(tree, dm, fam, 0, Fraction(0))
-    assert ball.radius == 0
-    for s in fam.sets:
-        assert set_distance(dm, [ball.center], s.members) == 0
+    sets = _tree_ball_family(dm, tree, hub=4, picks=[0, 7, 13, 19])
+    epsilons = set_epsilons(dm, sets)
+    assert epsilons == [0] * 4
+    assert math.floor(covering_radius(0, max(epsilons), Fraction(0))) == 0  # the ball's radius
+    center = helly_center(tree, dm, sets, 0)
+    for s in sets:
+        assert set_distance(dm, [center], s) == 0
 
 
 def test_helly_center_cycle_intervals():
     g = cycle_graph(6)
     dm = distance_matrix(g)
     delta = thin_delta_bound(four_point_delta(g, dm).delta)
-    fam = QSetFamily.measure(
-        dm, [interval(dm, 0, x) for x in (2, 3, 4)]  # all contain vertex 0
-    )
-    ball = helly_center(g, dm, fam, 0, delta)
-    members = ball_members(dm, ball)
-    assert ball.radius <= math.floor(covering_radius(0, fam.family_epsilon, delta))
-    for s in fam.sets:
-        assert set_distance(dm, members, s.members) == 0
+    sets = [interval(dm, 0, x) for x in (2, 3, 4)]  # all contain vertex 0
+    radius = math.floor(covering_radius(0, max(set_epsilons(dm, sets)), delta))
+    members = ball_members(dm, Ball(helly_center(g, dm, sets, 0), radius))
+    for s in sets:
+        assert set_distance(dm, members, s) == 0
 
 
 def test_helly_center_single_set():
     g = path_graph(6)
     dm = distance_matrix(g)
-    fam = QSetFamily.measure(dm, [[4, 5]])
-    ball = helly_center(g, dm, fam, 0, Fraction(0))
-    assert set_distance(dm, [ball.center], fam.sets[0].members) == 0
+    center = helly_center(g, dm, [[5, 4]], 0)
+    assert set_distance(dm, [center], [4, 5]) == 0
 
 
 def test_helly_center_rejects_far_family():
     g = path_graph(9)
     dm = distance_matrix(g)
-    fam = QSetFamily.measure(dm, [[0], [8]], names=["left", "right"])
     with pytest.raises(ValueError, match="left.*right"):
-        helly_center(g, dm, fam, 1, Fraction(0))
+        helly_center(g, dm, [[0], [8]], 1, names=["left", "right"])
+    with pytest.raises(ValueError, match="^family must contain at least one set$"):
+        helly_center(g, dm, [], 1)
 
 
 def test_family_passes_reject_unmeasured_bad_sets():
-    # a QSet built without measure(): -6 would wrap to vertex 0 and pass
+    # sets that set_epsilons never saw: -6 would wrap to vertex 0 and pass
     g = path_graph(6)
     dm = distance_matrix(g)
-    fam = QSetFamily(sets=(QSet((4, 5), 0), QSet((-6,), 0)))
-    empty = QSetFamily(sets=(QSet((4, 5), 0), QSet((), 0)))
+    fam = [[4, 5], [-6]]
+    empty = [[4, 5], []]
     for bad, msg in (
         (fam, "set contains vertex -6, out of range for n=6"),
         (empty, "cannot take the distance to an empty set"),
     ):
         with pytest.raises(ValueError, match=f"^{msg}$"):
-            helly_center(g, dm, bad, 3, Fraction(0))
+            helly_center(g, dm, bad, 3)
         with pytest.raises(ValueError, match=f"^{msg}$"):
-            greedy_hit_pack(g, dm, [s.members for s in bad.sets], 3)
+            greedy_hit_pack(g, dm, bad, 3)
     with pytest.raises(ValueError, match="^cannot take the distance to an empty set$"):
         check_hit_pack(dm, [[4, 5], []], [4], 1, [0], 0)
 
@@ -228,16 +219,16 @@ def test_greedy_hit_pack_random_certificates():
     for _ in range(10):
         a, b = rng.randrange(30), rng.randrange(30)
         sets.append(interval(dm, a, b))
-    fam = QSetFamily.measure(dm, sets)
+    epsilon = max(set_epsilons(dm, sets))
     for r in (0, 1, 2):
         hp = greedy_hit_pack(g, dm, sets, r)
         assert len(hp.hitting_set) == len(hp.packing)
-        radius = math.floor(covering_radius(r, fam.family_epsilon, delta))
-        for s in fam.sets:
-            assert min(set_distance(dm, [t], s.members) for t in hp.hitting_set) <= radius
+        radius = math.floor(covering_radius(r, epsilon, delta))
+        for s in sets:
+            assert min(set_distance(dm, [t], s) for t in hp.hitting_set) <= radius
         for i, a in enumerate(hp.packing):
             for b in hp.packing[i + 1 :]:
-                assert set_distance(dm, fam.sets[a].members, fam.sets[b].members) > 2 * r
+                assert set_distance(dm, sets[a], sets[b]) > 2 * r
 
 
 def test_greedy_hit_pack_many_sets_stays_linear():
@@ -338,9 +329,7 @@ def test_is_interval_like_refuses_bad_sets(members, msg):
 
 def test_qset_measures_epsilon_itself():
     dm = distance_matrix(cycle_graph(4))
-    q = QSet.measure(dm, [2, 0])
-    assert q.members == (0, 2)
-    assert q.epsilon == 1
+    assert set_epsilons(dm, [[2, 0, 2]]) == set_epsilons(dm, [[0, 2]]) == [1]
 
 
 def test_check_hit_pack_radius_boundaries():
@@ -370,19 +359,18 @@ def test_family_errors_in_input_order():
     # each set is checked in turn, its range before its emptiness
     dm = distance_matrix(path_graph(4))
     with pytest.raises(ValueError, match="^cannot measure quasiconvexity of an empty set$"):
-        QSetFamily.measure(dm, [[0, 1], [], [9]])
+        set_epsilons(dm, [[0, 1], [], [9]])
     with pytest.raises(ValueError, match="^set contains vertex 9, out of range for n=4$"):
-        QSetFamily.measure(dm, [[0, 1], [9], []])
+        set_epsilons(dm, [[0, 1], [9], []])
 
 
 def test_check_hit_pack_catches_mutants():
     g = path_graph(12)
     dm = distance_matrix(g)
-    fam = QSetFamily.measure(dm, [[0], [4], [8, 9]])
-    members = [s.members for s in fam.sets]
+    members = [[0], [4], [8, 9]]
     hp = greedy_hit_pack(g, dm, members, 1)
     assert (hp.hitting_set, hp.packing) == ((7, 3, 0), (2, 1, 0))
-    assert math.floor(covering_radius(1, fam.family_epsilon, Fraction(0))) == 1
+    assert math.floor(covering_radius(1, max(set_epsilons(dm, members)), Fraction(0))) == 1
     assert check_hit_pack(dm, members, hp.hitting_set, 1, hp.packing, 1) == (True, True)
     # [0] and [4] are 4 apart: packed at gap 1, within 2*gap at gap 2
     assert check_hit_pack(dm, members, hp.hitting_set, 1, (0, 1), 2) == (True, False)
@@ -421,11 +409,9 @@ def graphs_and_families(draw):
 def test_family_epsilons_equal_pair_loop(case):
     g, sets = case
     dm = distance_matrix(g)
-    fam = QSetFamily.measure(dm, sets)
     want = [epsilon_by_pairs(dm, s) for s in sets]
-    assert [q.epsilon for q in fam.sets] == want
-    assert [q.members for q in fam.sets] == [tuple(sorted(set(s))) for s in sets]
-    assert [QSet.measure(dm, s).epsilon for s in sets] == want
+    assert set_epsilons(dm, sets) == want
+    assert [set_epsilons(dm, [s])[0] for s in sets] == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -433,22 +419,20 @@ def test_family_epsilons_equal_pair_loop(case):
 def test_greedy_and_check_hit_pack_equal_set_loops(case, data):
     g, sets = case
     dm = distance_matrix(g)
-    fam = QSetFamily.measure(dm, sets)
-    members = [q.members for q in fam.sets]
     r = data.draw(st.integers(0, 3))
     delta = Fraction(data.draw(st.integers(0, 4)), 2)
     z = data.draw(st.integers(0, g.n - 1))
     hp = greedy_hit_pack(g, dm, sets, r, z=z)  # unsorted lists with repeats, as drawn
     assert hp == greedy_hit_pack_by_sets(g, dm, sets, r, z=z)
-    radius = math.floor(covering_radius(r, fam.family_epsilon, delta))
-    args = (dm, members, hp.hitting_set, radius, hp.packing, r)
+    radius = math.floor(covering_radius(r, max(set_epsilons(dm, sets)), delta))
+    args = (dm, sets, hp.hitting_set, radius, hp.packing, r)
     hit_ok, pack_ok = check_hit_pack(*args)
     assert (hit_ok, pack_ok) == check_hit_pack_by_sets(*args)
     assert pack_ok  # greedy drops every set within 2r of a pick; hit_ok needs a sound delta
     # arbitrary certificates, repeated packing indices included
     hitting = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
     packing = data.draw(st.lists(st.integers(0, len(sets) - 1), max_size=len(sets) + 1))
-    args = (dm, members, hitting, data.draw(st.integers(0, 4)), packing, r)
+    args = (dm, sets, hitting, data.draw(st.integers(0, 4)), packing, r)
     assert check_hit_pack(*args) == check_hit_pack_by_sets(*args)
 
 
@@ -457,9 +441,7 @@ def test_greedy_and_check_hit_pack_equal_set_loops(case, data):
 def test_helly_center_is_the_first_greedy_hit(case, data):
     g, sets = case
     dm = distance_matrix(g)
-    fam = QSetFamily.measure(dm, sets)
     r = data.draw(st.integers(0, 4))
-    delta = Fraction(data.draw(st.integers(0, 4)), 2)
     z = data.draw(st.integers(0, g.n - 1))
     far = [
         (i, j, gap)
@@ -474,8 +456,7 @@ def test_helly_center_is_the_first_greedy_hit(case, data):
             "family is not pairwise 2r-close"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            helly_center(g, dm, fam, r, delta, z=z)
+            helly_center(g, dm, sets, r, z=z)
     else:
         h = greedy_hit_pack_by_sets(g, dm, sets, r, z=z)
-        radius = math.floor(covering_radius(r, fam.family_epsilon, delta))
-        assert helly_center(g, dm, fam, r, delta, z=z) == Ball(h.hitting_set[0], radius)
+        assert helly_center(g, dm, sets, r, z=z) == h.hitting_set[0]
