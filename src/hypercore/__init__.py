@@ -13,15 +13,14 @@ _EXPORTS = {
     "beamcore": ("BeamCoreResult", "beam_pairs", "total_beam_core"),
     "check": ("check_hit_pack", "four_point_defect"),
     "congestion": ("CoreResult", "median_vertex", "min_core", "traffic_load"),
-    "generators": ("GeneratorSpec", "generate"),
+    "generators": ("generate",),
     "graphs": (
-        "Ball", "DistanceMatrix", "Graph", "distance_matrix", "intercepted_pairs", "interval",
+        "DistanceMatrix", "Graph", "distance_matrix", "intercepted_pairs", "interval",
         "multi_source_distances",
     ),
     "hyperbolicity": (
-        "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
-        "eccentricity_profile", "four_point_delta", "hyperbolicity_report", "mutually_distant_pair",
-        "thin_delta_bound",
+        "EccentricityProfile", "FourPointResult", "biconnected_blocks", "eccentricity_profile",
+        "four_point_delta", "hyperbolicity_report", "mutually_distant_pair", "thin_delta_bound",
     ),
     "lpkappa": ("KappaHitPackResult", "kappa_hit_pack", "round_packing"),
     "multicore": ("interval_family", "multicore_construct"),

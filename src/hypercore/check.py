@@ -13,7 +13,6 @@ from itertools import chain
 import numpy as np
 
 from .graphs import (
-    Ball,
     DistanceMatrix,
     Graph,
     _min_rows,
@@ -81,5 +80,5 @@ def balls_intercept(
     for c in centers:
         if not len(pending):
             break
-        pending = pending[~intercepted_pairs(g, dm, Ball(c, radius), pending)]
+        pending = pending[~intercepted_pairs(g, dm, c, radius, pending)]
     return not len(pending)

@@ -114,12 +114,9 @@ def _fraction_json(f: Fraction) -> dict:
 
 
 def _cmd_generate(args):
-    from .generators import GeneratorSpec, generate
+    from .generators import generate
 
-    spec = GeneratorSpec(
-        kind=args.kind, n=args.n, p=args.p, seed=args.seed, rows=args.rows, cols=args.cols
-    )
-    g = generate(spec)
+    g = generate(args.kind, n=args.n, p=args.p, rows=args.rows, cols=args.cols, seed=args.seed)
     table = LabelTable([str(i) for i in range(g.n)])
     write_edge_list(g, table, args.edges_out)
     return {
@@ -132,30 +129,31 @@ def _cmd_generate(args):
 
 def _cmd_hyperbolicity(args):
     from .check import four_point_defect
-    from .hyperbolicity import hyperbolicity_report
+    from .hyperbolicity import eccentricity_profile, hyperbolicity_report
 
     g, dm, table = _load_graph(args)
-    rep = hyperbolicity_report(g, dm)
-    delta = f"delta = {rep.delta} (exact)" if rep.exact else f"delta in [{rep.delta}, {rep.upper}]"
+    fp, thinness = hyperbolicity_report(g, dm)
+    prof = eccentricity_profile(dm)
+    delta = f"delta = {fp.delta} (exact)" if fp.exact else f"delta in [{fp.delta}, {fp.upper}]"
     print(
-        f"{delta}, interval thinness = {rep.interval_thinness}, "
-        f"diameter = {rep.diameter}, radius = {rep.radius}, "
-        f"|center| = {len(rep.center)}",
+        f"{delta}, interval thinness = {thinness}, "
+        f"diameter = {prof.diameter}, radius = {prof.radius}, "
+        f"|center| = {len(prof.center)}",
         file=sys.stderr,
     )
-    upper = {} if rep.exact else {"delta_upper": _half_integer_json(rep.upper)}
+    upper = {} if fp.exact else {"delta_upper": _half_integer_json(fp.upper)}
     return {
         "n": g.n,
         "m": g.m,
-        "delta": _half_integer_json(rep.delta),
-        "exact": rep.exact,
+        "delta": _half_integer_json(fp.delta),
+        "exact": fp.exact,
         **upper,
-        "witness": table.labels_of(rep.witness),
-        "interval_thinness": rep.interval_thinness,
-        "diameter": rep.diameter,
-        "radius": rep.radius,
-        "center": table.labels_of(rep.center),
-    }, {"witness": four_point_defect(dm, rep.witness) == rep.delta}
+        "witness": table.labels_of(fp.witness),
+        "interval_thinness": thinness,
+        "diameter": prof.diameter,
+        "radius": prof.radius,
+        "center": table.labels_of(prof.center),
+    }, {"witness": four_point_defect(dm, fp.witness) == fp.delta}
 
 
 def _cmd_core(args):

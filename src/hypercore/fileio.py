@@ -41,9 +41,6 @@ class LabelTable:
     def labels_of(self, ids) -> list[str]:
         return [self.labels[v] for v in ids]
 
-    def __len__(self):
-        return len(self.labels)
-
 
 # The start of a line that is not two labels between spaces and tabs, the
 # first of them no '#' comment.  In a text without one, every line is a
@@ -117,7 +114,7 @@ def read_edge_list(path: str | Path) -> tuple[Graph, LabelTable]:
     table = LabelTable(list(dict.fromkeys(tokens)))
     ids = np.fromiter(map(table.index.__getitem__, tokens), np.intp, len(tokens))
     try:
-        return Graph(len(table), ids.reshape(-1, 2)), table
+        return Graph(len(table.labels), ids.reshape(-1, 2)), table
     except ValueError as exc:
         if lines is None:
             lines = _label_lines(path, text, "edges", "self-loop at")[1]

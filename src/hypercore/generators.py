@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .graphs import Graph
 
@@ -21,16 +20,6 @@ KINDS = {
     "tree": ("n",), "path": ("n",), "cycle": ("n",),
     "grid": ("rows", "cols"), "star_path_Tn": ("n",), "gnp_connected": ("n", "p"),
 }
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    kind: str
-    n: int | None = None
-    p: float | None = None
-    seed: int | None = None
-    rows: int | None = None
-    cols: int | None = None
 
 
 def path_graph(n: int) -> Graph:
@@ -83,11 +72,6 @@ def star_path_graph(n: int) -> Graph:
     return Graph(n, edges)
 
 
-def star_path_hub(n: int) -> int:
-    """Vertex id of the star center in star_path_graph(n)."""
-    return 3 * math.isqrt(n) - 1
-
-
 def gnp_connected(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n,p), resampled until connected."""
     if n < 2:
@@ -106,28 +90,30 @@ def gnp_connected(n: int, p: float, seed: int) -> Graph:
     raise ValueError(f"no connected G({n},{p}) sample within 1000 attempts; raise p")
 
 
-def generate(spec: GeneratorSpec) -> Graph:
-    """Dispatch on the spec kind, refusing a parameter it does not read."""
-    kind = spec.kind
+def generate(
+    kind: str, *, n: int | None = None, p: float | None = None, rows: int | None = None,
+    cols: int | None = None, seed: int = 0,
+) -> Graph:
+    """Dispatch on the kind, refusing a parameter it does not read."""
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; known: {', '.join(KINDS)}")
-    for name in ("n", "p", "rows", "cols"):
-        if getattr(spec, name) is not None and name not in KINDS[kind]:
+    for name, value in (("n", n), ("p", p), ("rows", rows), ("cols", cols)):
+        if value is not None and name not in KINDS[kind]:
             raise ValueError(f"generator {kind!r} takes no parameter {name}")
     if kind == "path":
-        return path_graph(_need(spec.n, "n", kind))
+        return path_graph(_need(n, "n", kind))
     if kind == "cycle":
-        return cycle_graph(_need(spec.n, "n", kind))
+        return cycle_graph(_need(n, "n", kind))
     if kind == "grid":
-        rows = _need(spec.rows, "rows", kind)
-        return grid_graph(rows, spec.cols if spec.cols is not None else rows)
+        rows = _need(rows, "rows", kind)
+        return grid_graph(rows, cols if cols is not None else rows)
     if kind == "tree":
-        return random_tree(_need(spec.n, "n", kind), spec.seed or 0)
+        return random_tree(_need(n, "n", kind), seed)
     if kind == "star_path_Tn":
-        return star_path_graph(_need(spec.n, "n", kind))
-    if spec.p is None:  # gnp_connected, the one kind left
+        return star_path_graph(_need(n, "n", kind))
+    if p is None:  # gnp_connected, the one kind left
         raise ValueError("gnp_connected needs p")
-    return gnp_connected(_need(spec.n, "n", kind), spec.p, spec.seed or 0)
+    return gnp_connected(_need(n, "n", kind), p, seed)
 
 
 def _need(value, name, kind):

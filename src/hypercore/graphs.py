@@ -1,5 +1,5 @@
 """Graph substrate: CSR adjacency, the rooted walk of a tree, BFS, all-pairs
-distances, intervals, balls, the row folds over vertex sets, and the ball
+distances, intervals, the row folds over vertex sets, and the ball
 interception test.
 
 Graphs and distance matrices are immutable after construction and safe to
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain
 from numbers import Rational
 
@@ -130,18 +129,6 @@ def _first_bad_edge(n: int, edges: Sequence[tuple[int, int]]) -> Exception:
     return repeat or TypeError("every edge must be a pair with a length")
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Closed ball B(center, radius) = all vertices within the radius."""
-
-    center: int
-    radius: int
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"ball radius must be nonnegative, got {self.radius}")
-
-
 def _distance_dtype(n: int) -> type[np.signedinteger]:
     """The type of every distance array on n vertices, int16 while 2n < 2^15,
     int32 above: it holds every sum or difference of two distances (< n)."""
@@ -162,12 +149,6 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return self.d.shape[0]
-
-    def dist(self, u: int, v: int) -> int:
-        return int(self.d[u, v])
-
-    def eccentricities(self) -> np.ndarray:
-        return self.d.max(axis=1)
 
 
 def _check_vertex(n: int, v: int, name: str = "vertex") -> None:
@@ -284,24 +265,18 @@ def multi_source_distances(
     return out
 
 
-def check_matrix_cap(n: int, cap: int) -> None:
-    """Refuse an all-pairs matrix above ``cap`` vertices rather than
-    allocating n^2 integers silently."""
-    if n > cap:
-        raise ValueError(
-            f"graph has {n} vertices, above the all-pairs cap of {cap}; "
-            f"pass cap= explicitly to materialize the matrix anyway"
-        )
-
-
 def distance_matrix(g: Graph, *, cap: int = DEFAULT_MATRIX_CAP) -> DistanceMatrix:
     """All-pairs hop distances.  Refuses graphs above ``cap`` vertices
-    (``check_matrix_cap``).
+    rather than allocating n^2 integers silently.
 
     A tree is filled from one prefix count over its preorder
     (``_tree_distances``); any other graph gets one bit-parallel BFS from
     every vertex (``multi_source_distances``)."""
-    check_matrix_cap(g.n, cap)
+    if g.n > cap:
+        raise ValueError(
+            f"graph has {g.n} vertices, above the all-pairs cap of {cap}; "
+            f"pass cap= explicitly to materialize the matrix anyway"
+        )
     d = _tree_distances(g) if g.is_tree() else multi_source_distances(g, range(g.n))
     return DistanceMatrix(d)
 
@@ -434,11 +409,12 @@ def _set_block(
 
 
 def intercepted_pairs(
-    g: Graph, dm: DistanceMatrix, b: Ball, pairs: Sequence[tuple[int, int]]
+    g: Graph, dm: DistanceMatrix, center: int, radius: int, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
-    """For each pair (x, y), whether every (x,y)-geodesic meets the ball, as
-    a boolean array.  A pair with x or y inside the ball counts as
-    intercepted: the degenerate geodesic endpoint is trivially hit.
+    """For each pair (x, y), whether every (x,y)-geodesic meets the closed
+    ball B(center, radius), as a boolean array.  A pair with x or y inside
+    the ball counts as intercepted: the degenerate geodesic endpoint is
+    trivially hit.  A negative radius is refused.
 
     On a tree each pair has one geodesic, and the Gromov product (x|y)_c is
     its distance from the center c, so the answer is one exact integer
@@ -449,15 +425,17 @@ def intercepted_pairs(
     each pair's distance strictly increases (or x and y fall apart) once
     the ball is deleted.
     """
+    if radius < 0:
+        raise ValueError(f"ball radius must be nonnegative, got {radius}")
     p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if p.size and (p.min() < 0 or p.max() >= g.n):
         raise ValueError(f"pairs contain a vertex out of range for n={g.n}")
-    _check_vertex(dm.n, b.center, "ball center")
+    _check_vertex(dm.n, center, "ball center")
     d = dm.d
     xs, ys = p[:, 0], p[:, 1]
     if g.is_tree():
-        return d[b.center, xs] + d[b.center, ys] - d.ravel().take(xs * dm.n + ys) <= 2 * b.radius
-    inside = d[b.center] <= b.radius
+        return d[center, xs] + d[center, ys] - d.ravel().take(xs * dm.n + ys) <= 2 * radius
+    inside = d[center] <= radius
     hit = inside[xs] | inside[ys]
     rest = np.flatnonzero(~hit)
     if rest.size:

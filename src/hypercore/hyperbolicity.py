@@ -10,11 +10,13 @@ result is a certified bracket [delta, upper], exact when the two meet.
 Statements proved for graphs whose geodesic triangles are d-thin are
 asserted downstream with the substitution d := 4 * upper, and the measured
 delta4 itself is reported alongside.  The substitution is not valid on
-every graph: a non-tree block graph (every block a clique, one of them of
-three or more vertices, K3 the smallest) has delta4 = 0, but its geodesic
-triangles are not 0-thin, so a certificate asserted with d = 0 can fail
-its check (``hypercore beamcore`` on K3 without --delta exits 2).  ROADMAP
-item 1 is the constant that is sound on every graph.
+every graph.  C5 has delta4 = 1/2, but the two geodesics from a vertex to
+the midpoint of the opposite edge form a bigon that is only 5/2-thin, more
+than 4 * delta4 = 2.  A non-tree block graph (every block a clique, one of
+them of three or more vertices, K3 the smallest) has delta4 = 0, but its
+geodesic triangles are not 0-thin, so a certificate asserted with d = 0
+can fail its check (``hypercore beamcore`` on K3 without --delta exits 2).
+ROADMAP item 1 is the constant that is sound on every graph.
 
 Both scans run block by block over the biconnected components, which is
 exact (the same paper states the reduction for the four-point constant):
@@ -67,21 +69,6 @@ class EccentricityProfile:
     diameter: int
     radius: int
     center: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class HyperbolicityReport:
-    delta: Fraction
-    witness: tuple[int, int, int, int]
-    upper: Fraction
-    interval_thinness: int
-    diameter: int
-    radius: int
-    center: tuple[int, ...]
-
-    @property
-    def exact(self) -> bool:
-        return self.delta == self.upper
 
 
 def _lower_layers(d: np.ndarray, diam: int) -> tuple[np.ndarray, np.ndarray]:
@@ -357,10 +344,11 @@ def thin_delta_bound(delta4: Fraction) -> Fraction:
     """The thin-triangle constant 4 * delta4 that every bound stated for
     thin triangles is asserted with.
 
-    It is not a thinness proved for every graph: on a non-tree block graph
-    (a clique of three or more vertices as a block) delta4 is 0 while the
-    geodesic triangles are not 0-thin, and a certificate asserted with it
-    can fail its check (module docstring; ROADMAP item 1).
+    It is not a thinness proved for every graph: on C5 delta4 is 1/2 while
+    a geodesic bigon is 5/2-thin, and on a non-tree block graph (a clique
+    of three or more vertices as a block) delta4 is 0 while the geodesic
+    triangles are not 0-thin.  A certificate asserted with it can fail its
+    check (module docstring; ROADMAP item 1).
     """
     check_rational(delta4, "delta4")
     return delta4 * 4
@@ -421,7 +409,7 @@ def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> i
 
 
 def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
-    ecc = dm.eccentricities()
+    ecc = dm.d.max(axis=1)
     radius = int(ecc.min())
     return EccentricityProfile(
         diameter=int(ecc.max()),
@@ -461,15 +449,13 @@ def mutually_distant_pair(dm: DistanceMatrix, delta: Fraction) -> tuple[int, int
         prev, cur = cur, nxt
 
 
-def hyperbolicity_report(g: Graph, dm: DistanceMatrix) -> HyperbolicityReport:
-    """Bundle the four-point bracket with thinness and eccentricity data.
+def hyperbolicity_report(g: Graph, dm: DistanceMatrix) -> tuple[FourPointResult, int]:
+    """The four-point bracket and the interval thinness, the largest d(x,y)
+    over x,y in I(u,v) equidistant from u, over all u,v (``_thinness_scan``).
 
-    ``interval_thinness`` is the largest d(x,y) over x,y in I(u,v)
-    equidistant from u, over all u,v (``_thinness_scan``).  Both scans run
-    block by block over the same blocks, sharing each block's far-apart
-    pair list.  The four-point constant is bracketed under the budget as
-    in ``four_point_delta``; the thinness is always exact.
+    Both scans run block by block over the same blocks, sharing each
+    block's far-apart pair list.  The four-point constant is bracketed
+    under the budget as in ``four_point_delta``; the thinness is always
+    exact.
     """
-    fp, nu = _block_scans(g, dm)
-    p = eccentricity_profile(dm)
-    return HyperbolicityReport(fp.delta, fp.witness, fp.upper, nu, p.diameter, p.radius, p.center)
+    return _block_scans(g, dm)

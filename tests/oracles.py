@@ -19,7 +19,6 @@ import numpy as np
 
 from hypercore import CoreResult, LPInstance
 from hypercore.graphs import (
-    Ball,
     _check_vertex,
     _min_rows,
     check_vertices,
@@ -254,10 +253,16 @@ def naive_interval(g, dm, u, v):
     return sorted(verts)
 
 
-def ball_members(dm, b) -> list[int]:
-    """The vertices of the ball b, in increasing id."""
-    _check_vertex(dm.n, b.center, "ball center")
-    return np.flatnonzero(dm.d[b.center] <= b.radius).tolist()
+def star_path_hub(n) -> int:
+    """Vertex id of the star center in ``generators.star_path_graph(n)``:
+    the last of the path's 3*sqrt(n) vertices."""
+    return 3 * math.isqrt(n) - 1
+
+
+def ball_members(dm, center, radius) -> list[int]:
+    """The vertices of the ball B(center, radius), in increasing id."""
+    _check_vertex(dm.n, center, "ball center")
+    return np.flatnonzero(dm.d[center] <= radius).tolist()
 
 
 def set_distance(dm, X, Y) -> int:
@@ -290,7 +295,7 @@ def set_gaps_by_loops(dm, centers, radius, members) -> list:
     - radius, 0) at the nearest c and s, infinite with no center."""
     gaps = []
     for S in members:
-        near = min((dm.dist(c, s) for c in centers for s in S), default=math.inf)
+        near = min((int(dm.d[c, s]) for c in centers for s in S), default=math.inf)
         gaps.append(max(near - radius, 0))
     return gaps
 
@@ -298,7 +303,7 @@ def set_gaps_by_loops(dm, centers, radius, members) -> list:
 def balls_intercept_by_paths(g, dm, centers, radius, pairs) -> bool:
     """``check.balls_intercept`` by path enumeration: every pair has one
     ball B(c, radius) that meets each of its geodesics."""
-    balls = [[v for v in range(dm.n) if dm.dist(c, v) <= radius] for c in centers]
+    balls = [[v for v in range(dm.n) if dm.d[c, v] <= radius] for c in centers]
     return all(any(naive_intercepts(g, dm, ball, x, y) for ball in balls) for x, y in pairs)
 
 
@@ -365,28 +370,28 @@ def check_hit_pack_by_sets(dm, members, hitting, hit_radius, packing, pack_gap):
 
 
 def helly_balls_check(dm, balls, delta):
-    """Common vertex of the delta-inflated balls of a pairwise intersecting
-    collection, or None if no such vertex exists.
+    """Common vertex of the delta-inflated balls, each a (center, radius)
+    pair, of a pairwise intersecting collection, or None if no such vertex
+    exists.
 
     Pairwise intersection of the input balls is a precondition and is
     verified; the inflation applied is ceil(delta).
     """
     if not balls:
         raise ValueError("empty ball collection")
-    check_vertices(dm.n, [b.center for b in balls], "ball centers")
+    check_vertices(dm.n, [c for c, _ in balls], "ball centers")
     d = dm.d
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
-            bi, bj = balls[i], balls[j]
-            if int(d[bi.center, bj.center]) > bi.radius + bj.radius:
+            (ci, ri), (cj, rj) = balls[i], balls[j]
+            if int(d[ci, cj]) > ri + rj:
                 raise ValueError(
-                    f"balls {i} and {j} do not intersect "
-                    f"(d={int(d[bi.center, bj.center])} > {bi.radius}+{bj.radius})"
+                    f"balls {i} and {j} do not intersect (d={int(d[ci, cj])} > {ri}+{rj})"
                 )
     inflate = math.ceil(delta)
     ok = np.ones(dm.n, dtype=bool)
-    for b in balls:
-        ok &= d[b.center] <= b.radius + inflate
+    for c, radius in balls:
+        ok &= d[c] <= radius + inflate
     hits = np.flatnonzero(ok)
     return int(hits[0]) if len(hits) else None
 
@@ -428,7 +433,7 @@ def _interception_masks(g, dm, pairs, r) -> list[int]:
     """Per-vertex bitmask of demand pairs intercepted by a radius-r ball."""
     masks = []
     for v in range(g.n):
-        hit = intercepted_pairs(g, dm, Ball(v, r), pairs)
+        hit = intercepted_pairs(g, dm, v, r, pairs)
         masks.append(sum(1 << i for i in np.flatnonzero(hit).tolist()))
     return masks
 

@@ -19,7 +19,6 @@ import random
 import time
 
 from hypercore import (
-    Ball,
     beam_pairs,
     check_hit_pack,
     covering_radius,
@@ -42,7 +41,6 @@ from hypercore.generators import (
     gnp_connected,
     random_tree,
     star_path_graph,
-    star_path_hub,
 )
 from conftest import acceptance_line, path_count
 from oracles import (
@@ -57,6 +55,7 @@ from oracles import (
     naive_interval,
     naive_traffic_load,
     set_distance,
+    star_path_hub,
 )
 
 CORE_TIME_BUDGET_S = 300.0
@@ -125,7 +124,7 @@ def test_criterion_2_helly_quasiconvex(corpus):
         center = helly_center(item.g, item.dm, sets, 0)
         epsilon = max(set_epsilons(item.dm, sets))
         radius = math.floor(covering_radius(0, epsilon, item.thin_delta))
-        members = ball_members(item.dm, Ball(center, radius))
+        members = ball_members(item.dm, center, radius)
         for s in sets:
             if set_distance(item.dm, members, s) != 0:
                 failures.append(f"{item.name}: ball misses a member")
@@ -228,7 +227,7 @@ def test_criterion_6_structural_inequalities(corpus):
         prof = eccentricity_profile(item.dm)
         if not prof.diameter >= 2 * prof.radius - item.thin_delta * 2 - 1:
             failures.append(f"{item.name}: diam/rad")
-        far = max(item.dm.dist(mid, c) for c in prof.center)
+        far = max(int(item.dm.d[mid, c]) for c in prof.center)
         if not far <= item.thin_delta * 4 + 1:
             failures.append(f"{item.name}: center distance {far}")
     ok = not failures
@@ -281,7 +280,7 @@ def test_criterion_8_traffic_consistency(corpus):
         if res.intercepted_pairs < ceil_quarter_square(n):
             failures.append(f"{item.name}: pair count")
             continue
-        members = ball_members(item.dm, Ball(res.center, res.radius))
+        members = ball_members(item.dm, res.center, res.radius)
         mu = traffic_load(item.g, None, members)
         if n <= 12:
             pairs = list(itertools.permutations(range(n), 2))
@@ -341,7 +340,7 @@ def test_criterion_9_centroid_divergence():
         centroid = centroid_vertex(dm, range(n))
         t = star_path_centroid_offset(n)
         radii.append(core.radius)
-        distances.append(dm.dist(centroid, core.center))
+        distances.append(int(dm.d[centroid, core.center]))
         short_counts.append(star_path_intercepted(n, t, t - 1))
         if core.center != hub:
             failures.append(f"n={n}: core center {core.center} != hub {hub}")
@@ -361,8 +360,7 @@ def test_criterion_9_centroid_divergence():
     centroid = star_path_hub(n) - t
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
     for r, want in ((t - 1, 2234), (t, 4740)):
-        ball = Ball(centroid, r)
-        got = int(intercepted_pairs(g, dm, ball, pairs).sum())
+        got = int(intercepted_pairs(g, dm, centroid, r, pairs).sum())
         closed = star_path_intercepted(n, t, r)
         if not got == closed == want:
             failures.append(
@@ -398,11 +396,11 @@ def test_criterion_10_oracle_equivalence(corpus):
             x, y = rng.randrange(g.n), rng.randrange(g.n)
             if x == y:
                 continue
-            b = Ball(rng.randrange(g.n), rng.randrange(3))
-            got = intercepted_pairs(g, dm, b, [(x, y)])[0]
-            want = naive_intercepts(g, dm, ball_members(dm, b), x, y)
+            c, r = rng.randrange(g.n), rng.randrange(3)
+            got = intercepted_pairs(g, dm, c, r, [(x, y)])[0]
+            want = naive_intercepts(g, dm, ball_members(dm, c, r), x, y)
             if got != want:
-                failures.append(f"{item.name}: intercepts({b},{x},{y})")
+                failures.append(f"{item.name}: intercepts(B({c},{r}),{x},{y})")
     ok = not failures
     acceptance_line(10, ok, f"{len(small)} graphs n<=12, {len(failures)} mismatches")
     assert not failures, failures[:5]

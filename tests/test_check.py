@@ -97,9 +97,9 @@ def test_balls_intercept_stops_once_every_pair_is_intercepted(monkeypatch):
     calls = []
     real = check.intercepted_pairs
 
-    def counted(g, dm, b, pairs):
+    def counted(g, dm, center, radius, pairs):
         calls.append(len(pairs))
-        return real(g, dm, b, pairs)
+        return real(g, dm, center, radius, pairs)
 
     monkeypatch.setattr(check, "intercepted_pairs", counted)
     # B(0, 1) holds 1, so it intercepts (1, 7) and (1, 2); B(4, 1) holds 3 and 5

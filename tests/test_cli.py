@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hypercore
 import hypercore.cli
 
-from hypercore import Ball, Graph, distance_matrix, intercepted_pairs
+from hypercore import Graph, distance_matrix, intercepted_pairs
 from hypercore.cli import run_cli
 from hypercore.fileio import (
     read_edge_list,
@@ -103,11 +103,12 @@ def test_hyperbolicity_checks_its_witness(tmp_path, capsys, monkeypatch):
     code, want, err = run_json(capsys, ["hyperbolicity", "--edges", str(path)])
     assert (code, want["delta"]["value"], len(err.splitlines())) == (0, 1.0, 1)
     report = hypercore.hyperbolicity.hyperbolicity_report
-    monkeypatch.setattr(
-        hypercore.hyperbolicity,
-        "hyperbolicity_report",
-        lambda g, dm: dataclasses.replace(report(g, dm), witness=(0, 0, 0, 0)),
-    )
+
+    def wrong_witness(g, dm):
+        fp, thinness = report(g, dm)
+        return dataclasses.replace(fp, witness=(0, 0, 0, 0)), thinness
+
+    monkeypatch.setattr(hypercore.hyperbolicity, "hyperbolicity_report", wrong_witness)
     code, rep, err = run_json(capsys, ["hyperbolicity", "--edges", str(path)])
     assert code == 2
     assert rep == {**want, "witness": ["v0"] * 4}
@@ -225,7 +226,7 @@ def test_core_on_a_tree_builds_no_matrix(tmp_path, capsys, monkeypatch):
     assert rep["median_vertex"] == f"v{int(dm.d.sum(axis=0).argmin())}"
     center = int(rep["center"][1:])
     pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
-    assert rep["intercepted_pairs"] == int(intercepted_pairs(g, dm, Ball(center, 0), pairs).sum())
+    assert rep["intercepted_pairs"] == int(intercepted_pairs(g, dm, center, 0, pairs).sum())
 
 
 def test_traffic_with_demand_file(tmp_path, capsys):
@@ -383,7 +384,7 @@ def test_helly_gaps_are_ball_to_set_distances(tmp_path, capsys, monkeypatch):
             monkeypatch.setattr(quasiconvex, "helly_center", lambda *a, **k: 0)
             monkeypatch.setattr(quasiconvex, "covering_radius", lambda *a, r=radius: r)
             code, rep, err = run_json(capsys, ["helly", "--edges", str(path), "--family", str(fam)])
-            members = ball_members(dm, Ball(0, radius))
+            members = ball_members(dm, 0, radius)
             gaps = [set_distance(dm, members, [int(v[1:]) for v in s]) for s in sets]
             assert rep["set_gaps"] == gaps and max(gaps) > 0
             assert code == 2

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
-    Ball,
     Graph,
     distance_matrix,
     intercepted_pairs,
@@ -150,7 +149,7 @@ def test_min_core_count_is_recheckable_via_intercepted_pairs():
     X = list(range(g.n))
     res = min_core(g, X)
     pairs = [(x, y) for i, x in enumerate(X) for y in X[i + 1 :]]
-    recount = int(intercepted_pairs(g, dm, Ball(res.center, res.radius), pairs).sum())
+    recount = int(intercepted_pairs(g, dm, res.center, res.radius, pairs).sum())
     assert recount == res.intercepted_pairs
 
 
@@ -185,7 +184,7 @@ def test_tree_fast_path_matches_generic_counts():
         for v in range(g.n):
             generic = _intercepted_count(g, dm, frozenset([v]), X, total)
             assert generic == counts[v]
-            assert sum(dm.dist(v, x) for x in X) == sums[v]
+            assert sum(int(dm.d[v, x]) for x in X) == sums[v]
 
 
 def test_median_and_centroid_examples():
@@ -202,9 +201,9 @@ def test_median_matches_bruteforce():
     dm = distance_matrix(g)
     rng = random.Random(1)
     X = sorted(rng.sample(range(18), 7))
-    brute = min(range(18), key=lambda v: (sum(dm.dist(v, x) for x in X), v))
+    brute = min(range(18), key=lambda v: (sum(int(dm.d[v, x]) for x in X), v))
     assert median_vertex(dm, X) == brute
-    brute2 = min(range(18), key=lambda v: (sum(dm.dist(v, x) ** 2 for x in X), v))
+    brute2 = min(range(18), key=lambda v: (sum(int(dm.d[v, x]) ** 2 for x in X), v))
     assert centroid_vertex(dm, X) == brute2
 
 

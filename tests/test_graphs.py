@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
-    Ball,
     Graph,
     distance_matrix,
     intercepted_pairs,
@@ -103,13 +102,13 @@ def test_distance_matrix_single_edge_and_star():
     assert dm.d.tolist() == [[0, 1], [1, 0]]
     dm = distance_matrix(star_k13())
     for leaf in (1, 2, 3):
-        assert dm.dist(0, leaf) == 1
-    assert dm.dist(1, 2) == dm.dist(2, 3) == 2
+        assert dm.d[0, leaf] == 1
+    assert dm.d[1, 2] == dm.d[2, 3] == 2
 
 
 def test_distance_matrix_grid_corner():
     dm = distance_matrix(grid_graph(3, 3))
-    assert dm.dist(0, 8) == 4
+    assert dm.d[0, 8] == 4
 
 
 def test_distance_matrix_cap_and_disconnected():
@@ -134,12 +133,12 @@ def test_interval_examples():
 
 def test_ball_members():
     dm = distance_matrix(path_graph(5))
-    assert ball_members(dm, Ball(2, 0)) == [2]
-    assert ball_members(dm, Ball(2, 1)) == [1, 2, 3]
+    assert ball_members(dm, 2, 0) == [2]
+    assert ball_members(dm, 2, 1) == [1, 2, 3]
     dm_star = distance_matrix(star_k13())
-    assert ball_members(dm_star, Ball(0, 1)) == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        Ball(0, -1)
+    assert ball_members(dm_star, 0, 1) == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="^ball radius must be nonnegative, got -1$"):
+        intercepted_pairs(path_graph(5), dm, 0, -1, [(0, 4)])
 
 
 def test_set_distance():
@@ -158,19 +157,19 @@ def test_set_distance_is_the_least_pair_distance(g, data):
     dm = distance_matrix(g)
     vertices = st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6)
     X, Y = data.draw(vertices), data.draw(vertices)
-    assert set_distance(dm, X, Y) == min(dm.dist(x, y) for x in X for y in Y)
+    assert set_distance(dm, X, Y) == min(dm.d[x, y] for x in X for y in Y)
 
 
 def test_intercepted_pairs_examples():
     g = path_graph(5)
     dm = distance_matrix(g)
-    assert intercepted_pairs(g, dm, Ball(2, 0), [(0, 4)])[0]
+    assert intercepted_pairs(g, dm, 2, 0, [(0, 4)])[0]
     g4 = cycle_graph(4)
     dm4 = distance_matrix(g4)
-    assert not intercepted_pairs(g4, dm4, Ball(1, 0), [(0, 2)])[0]
+    assert not intercepted_pairs(g4, dm4, 1, 0, [(0, 2)])[0]
     # endpoint inside the ball counts as intercepted by convention
-    assert intercepted_pairs(g4, dm4, Ball(1, 1), [(0, 2)])[0]
-    assert intercepted_pairs(g, dm, Ball(0, 0), [(0, 4)])[0]
+    assert intercepted_pairs(g4, dm4, 1, 1, [(0, 2)])[0]
+    assert intercepted_pairs(g, dm, 0, 0, [(0, 4)])[0]
 
 
 def test_interval_and_interception_match_enumeration():
@@ -190,9 +189,9 @@ def test_interval_and_interception_match_enumeration():
             x, y = rng.randrange(g.n), rng.randrange(g.n)
             if x == y:
                 continue
-            b = Ball(rng.randrange(g.n), rng.randrange(3))
-            assert intercepted_pairs(g, dm, b, [(x, y)])[0] == naive_intercepts(
-                g, dm, ball_members(dm, b), x, y
+            c, r = rng.randrange(g.n), rng.randrange(3)
+            assert intercepted_pairs(g, dm, c, r, [(x, y)])[0] == naive_intercepts(
+                g, dm, ball_members(dm, c, r), x, y
             )
 
 
@@ -334,7 +333,7 @@ def test_descent_is_shortest_and_deterministic():
     g = grid_graph(4, 4)
     dm = distance_matrix(g)
     path = list(_descent(g, dm, 0, 15))
-    assert len(path) - 1 == dm.dist(0, 15)
+    assert len(path) - 1 == dm.d[0, 15]
     assert path == list(_descent(g, dm, 0, 15))
     for a, b in zip(path, path[1:]):
         assert b in neighbours(g, a)
@@ -566,7 +565,7 @@ def test_disconnected_isolated_vertices_messages():
 def interception_instances(draw, tree=False):
     g = draw(connected_graphs(min_n=2, max_n=12, tree=tree))
     vertex = st.integers(0, g.n - 1)
-    ball = Ball(draw(vertex), draw(st.integers(0, 3)))
+    ball = (draw(vertex), draw(st.integers(0, 3)))
     pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=12))
     return g, ball, pairs
 
@@ -576,22 +575,22 @@ def interception_instances(draw, tree=False):
 def test_interception_matches_geodesic_enumeration(case):
     g, ball, pairs = case
     dm = distance_matrix(g)
-    members = ball_members(dm, ball)
-    batch = intercepted_pairs(g, dm, ball, pairs).tolist()
+    members = ball_members(dm, *ball)
+    batch = intercepted_pairs(g, dm, *ball, pairs).tolist()
     for (x, y), got in zip(pairs, batch):
         want = naive_intercepts(g, dm, members, x, y)
-        assert intercepted_pairs(g, dm, ball, [(x, y)])[0] == got == want
+        assert intercepted_pairs(g, dm, *ball, [(x, y)])[0] == got == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(interception_instances(tree=True))
-@example((path_graph(5), Ball(2, 0), [(0, 4), (2, 2), (1, 1), (2, 4), (3, 4), (4, 3)]))
-@example((star_k13(), Ball(1, 0), [(1, 2), (2, 3), (1, 1), (3, 3)]))
+@example((path_graph(5), (2, 0), [(0, 4), (2, 2), (1, 1), (2, 4), (3, 4), (4, 3)]))
+@example((star_k13(), (1, 0), [(1, 2), (2, 3), (1, 1), (3, 3)]))
 def test_tree_interception_is_the_gromov_product_test(case):
     g, ball, pairs = case
     dm = distance_matrix(g)
-    members = ball_members(dm, ball)
-    got = intercepted_pairs(g, dm, ball, pairs)
+    members = ball_members(dm, *ball)
+    got = intercepted_pairs(g, dm, *ball, pairs)
     assert got.dtype == bool
     assert got.tolist() == [naive_intercepts(g, dm, members, x, y) for x, y in pairs]
 
@@ -603,10 +602,10 @@ def test_many_pairs_skip_the_interval_mask():
     dm = distance_matrix(g)
     every = [(x, y) for x in range(g.n) for y in range(g.n)]
     few = [(0, 47), (7, 40), (12, 15), (3, 3), (1, 46), (47, 0)]
-    for ball in (Ball(20, 0), Ball(0, 1), Ball(27, 1), Ball(22, 2)):
-        members = ball_members(dm, ball)
+    for ball in ((20, 0), (0, 1), (27, 1), (22, 2)):
+        members = ball_members(dm, *ball)
         for pairs in (every, few):
-            got = intercepted_pairs(g, dm, ball, pairs).tolist()
+            got = intercepted_pairs(g, dm, *ball, pairs).tolist()
             assert got == [naive_intercepts(g, dm, members, x, y) for x, y in pairs]
 
 

@@ -17,15 +17,14 @@ EXPORTS = {
     "beamcore": ["BeamCoreResult", "beam_pairs", "total_beam_core"],
     "check": ["check_hit_pack", "four_point_defect"],
     "congestion": ["CoreResult", "median_vertex", "min_core", "traffic_load"],
-    "generators": ["GeneratorSpec", "generate"],
+    "generators": ["generate"],
     "graphs": [
-        "Ball", "DistanceMatrix", "Graph", "distance_matrix", "intercepted_pairs", "interval",
+        "DistanceMatrix", "Graph", "distance_matrix", "intercepted_pairs", "interval",
         "multi_source_distances",
     ],
     "hyperbolicity": [
-        "EccentricityProfile", "FourPointResult", "HyperbolicityReport", "biconnected_blocks",
-        "eccentricity_profile", "four_point_delta", "hyperbolicity_report", "mutually_distant_pair",
-        "thin_delta_bound",
+        "EccentricityProfile", "FourPointResult", "biconnected_blocks", "eccentricity_profile",
+        "four_point_delta", "hyperbolicity_report", "mutually_distant_pair", "thin_delta_bound",
     ],
     "lpkappa": ["KappaHitPackResult", "kappa_hit_pack", "round_packing"],
     "multicore": ["interval_family", "multicore_construct"],
@@ -57,7 +56,7 @@ print(json.dumps([code, loaded()]))
 
 def test_all_lists_the_exported_names():
     assert hypercore.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(hypercore.__all__) == 42
+    assert len(hypercore.__all__) == 39
 
 
 def test_each_name_is_the_object_of_its_submodule():
@@ -81,7 +80,7 @@ def test_star_import_and_submodule_import():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         hypercore.no_such_name
-    assert not hasattr(hypercore, "check_matrix_cap")  # public in graphs, not exported
+    assert not hasattr(hypercore, "check_vertices")  # public in graphs, not exported
     with pytest.raises(ImportError):
         exec("from hypercore import no_such_name", {})
     with pytest.raises(AttributeError):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
-    Ball,
     distance_matrix,
     four_point_delta,
     intercepted_pairs,
@@ -144,7 +143,7 @@ def test_multicore_every_pair_intercepted_nontree():
     r = math.floor(delta * 8)
     centers, covered = construct(g, dm, pairs, r, delta)
     assert covered
-    hit = [intercepted_pairs(g, dm, Ball(c, r), pairs) for c in centers]
+    hit = [intercepted_pairs(g, dm, c, r, pairs) for c in centers]
     assert np.any(hit, axis=0).all()
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
-    Ball,
     check_hit_pack,
     covering_radius,
     distance_matrix,
@@ -53,7 +52,7 @@ def test_intervals_are_thinness_quasiconvex():
     rng = random.Random(5)
     for g in (gnp_connected(16, 0.25, 2), cycle_graph(9)):
         dm = distance_matrix(g)
-        nu = hyperbolicity_report(g, dm).interval_thinness
+        nu = hyperbolicity_report(g, dm)[1]
         for _ in range(12):
             u, v = rng.randrange(g.n), rng.randrange(g.n)
             assert set_epsilons(dm, [interval(dm, u, v)])[0] <= nu
@@ -133,7 +132,7 @@ def test_a_float_constant_is_refused(name):
 
 def _tree_ball_family(dm, tree, hub, picks):
     # balls of a tree are subtrees; radius reaches the hub so they all meet it
-    return [[u for u in range(dm.n) if dm.dist(u, v) <= dm.dist(v, hub)] for v in picks]
+    return [[u for u in range(dm.n) if dm.d[u, v] <= dm.d[v, hub]] for v in picks]
 
 
 def test_helly_center_subtrees_of_tree():
@@ -154,7 +153,7 @@ def test_helly_center_cycle_intervals():
     delta = thin_delta_bound(four_point_delta(g, dm).delta)
     sets = [interval(dm, 0, x) for x in (2, 3, 4)]  # all contain vertex 0
     radius = math.floor(covering_radius(0, max(set_epsilons(dm, sets)), delta))
-    members = ball_members(dm, Ball(helly_center(g, dm, sets, 0), radius))
+    members = ball_members(dm, helly_center(g, dm, sets, 0), radius)
     for s in sets:
         assert set_distance(dm, members, s) == 0
 
@@ -254,10 +253,10 @@ def test_greedy_hit_pack_many_sets_stays_linear():
 def test_helly_balls_check_tree_and_cycle():
     tree = random_tree(18, 6)
     dm = distance_matrix(tree)
-    balls = [Ball(v, dm.dist(v, 3)) for v in (0, 8, 12, 17)]  # all meet vertex 3
+    balls = [(v, int(dm.d[v, 3])) for v in (0, 8, 12, 17)]  # all meet vertex 3
     assert helly_balls_check(dm, balls, Fraction(0)) is not None
     dm4 = distance_matrix(cycle_graph(4))
-    got = helly_balls_check(dm4, [Ball(0, 1), Ball(1, 1), Ball(2, 1)], Fraction(0))
+    got = helly_balls_check(dm4, [(0, 1), (1, 1), (2, 1)], Fraction(0))
     assert got == 1  # vertex 1 lies in all three already
 
 
@@ -268,11 +267,11 @@ def test_helly_balls_check_random_with_thin_inflation():
         g = gnp_connected(18, 0.2, seed + 40)
         dm = distance_matrix(g)
         delta = thin_delta_bound(four_point_delta(g, dm).delta)
-        balls = [Ball(rng.randrange(18), rng.randrange(0, 3)) for _ in range(5)]
+        balls = [(rng.randrange(18), rng.randrange(0, 3)) for _ in range(5)]
         ok = all(
-            dm.dist(a.center, b.center) <= a.radius + b.radius
-            for i, a in enumerate(balls)
-            for b in balls[i + 1 :]
+            dm.d[a, b] <= ra + rb
+            for i, (a, ra) in enumerate(balls)
+            for b, rb in balls[i + 1 :]
         )
         if not ok:
             continue
@@ -284,7 +283,7 @@ def test_helly_balls_check_random_with_thin_inflation():
 def test_helly_balls_check_rejects_disjoint():
     dm = distance_matrix(path_graph(8))
     with pytest.raises(ValueError, match="do not intersect"):
-        helly_balls_check(dm, [Ball(0, 1), Ball(7, 1)], Fraction(0))
+        helly_balls_check(dm, [(0, 1), (7, 1)], Fraction(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,7 +300,7 @@ def test_interval_likeness_matches_the_naive_code(g, data):
         )
     )
     ms = sorted(set(S))
-    u, v = max(((x, y) for x in ms for y in ms), key=lambda p: dm.dist(*p))
+    u, v = max(((x, y) for x in ms for y in ms), key=lambda p: dm.d[p])
     assert is_interval_like(dm, S) == (ms == naive_interval(g, dm, u, v))
 
 
