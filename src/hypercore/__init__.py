@@ -26,7 +26,7 @@ _EXPORTS = {
     "multicore": ("interval_family", "multicore_construct"),
     "quasiconvex": (
         "HitPackResult", "covering_radius", "greedy_hit_pack", "helly_center", "is_interval_like",
-        "project_toward", "set_epsilons",
+        "set_epsilons",
     ),
     "simplex": ("LPInstance", "LPSolution", "solve_lp"),
 }

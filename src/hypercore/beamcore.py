@@ -1,6 +1,8 @@
-"""Beam enumeration and the single-ball total beam core.  The structural
-inequalities tying diameter, radius, center and the beam-core midpoint
-together are judged by the ``beamcore`` command, not here.
+"""Beam enumeration and the single-ball total beam core, centered on the
+middle of a geodesic walked by ``graphs._descend``, the package's one
+geodesic walk.  The structural inequalities tying diameter, radius, center
+and the beam-core midpoint together are judged by the ``beamcore``
+command, not here.
 """
 
 from __future__ import annotations
@@ -8,11 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, _descent
+from .graphs import DistanceMatrix, Graph, _descend
 from .hyperbolicity import mutually_distant_pair
 
 
@@ -30,18 +31,13 @@ def beam_pairs(dm: DistanceMatrix) -> np.ndarray:
     return np.stack(np.divmod(np.flatnonzero(d == d.max(axis=1)[:, None]), len(d)), axis=1)
 
 
-def _midpoint(g: Graph, dm: DistanceMatrix, u: int, v: int) -> int:
-    # middle vertex of the deterministic (u,v)-geodesic (``graphs._descent``),
-    # nearer u on ties; the walk stops there
-    return next(islice(_descent(g, dm, u, v), int(dm.d[u, v]) // 2, None))
-
-
 def total_beam_core(g: Graph, dm: DistanceMatrix, delta: Fraction) -> BeamCoreResult:
     """Ball of radius floor(2*delta) around the middle of a geodesic between
-    mutually distant vertices.  That it intercepts every beam pair
-    (``beam_pairs``) is checked by the caller (``check.balls_intercept``),
-    not here."""
+    mutually distant vertices u, v: d(u, v) // 2 hops from u along the
+    smallest-id descent, nearer u on ties.  That it intercepts every beam
+    pair (``beam_pairs``) is checked by the caller
+    (``check.balls_intercept``), not here."""
     u, v = mutually_distant_pair(dm, delta)
-    mid = _midpoint(g, dm, u, v)
+    mid = _descend(g, dm, u, v, int(dm.d[u, v]) // 2)
     return BeamCoreResult(pair=(u, v), midpoint=mid, radius=max(math.floor(delta * 2), 0))
 

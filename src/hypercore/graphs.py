@@ -454,18 +454,17 @@ def intercepted_pairs(
     return hit
 
 
-def _descent(g: Graph, dm: DistanceMatrix, start: int, goal: int) -> Iterator[int]:
-    """One concrete geodesic from start to goal, lazily, so a caller that
-    needs only the first steps does not walk the rest.
+def _descend(g: Graph, dm: DistanceMatrix, start: int, goal: int, steps: int) -> int:
+    """The vertex ``steps`` hops from start along one concrete geodesic to
+    goal, for 0 <= steps <= d(start, goal); the walk stops there.
 
     Greedy descent on the distance-to-goal field, taking the smallest-id
     neighbor at every step, so the result is deterministic.
     """
     to_goal, rows = dm.d[goal].tolist(), memoryview(g.indices)  # d is symmetric
     cur = start
-    yield cur
-    while cur != goal:
+    for _ in range(steps):
         target = to_goal[cur] - 1
         row = rows[g.indptr[cur] : g.indptr[cur + 1]]
         cur = next(w for w in row if to_goal[w] == target)  # rows increase
-        yield cur
+    return cur

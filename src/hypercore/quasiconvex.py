@@ -1,6 +1,8 @@
 """Quasiconvexity measurement and the Helly-type machinery built on it:
-projections toward a base vertex, the common-ball center for 2r-close
-families, and the greedy primal-dual hitting/packing construction.
+the greedy primal-dual hitting/packing construction, and the common-ball
+center of a 2r-close family, which is its first round.  Every center is
+placed one way: the base vertex projected at offset r onto the farthest
+remaining set, along the smallest-id descent of ``graphs._descend``.
 
 A family is a list of vertex-id lists, in any order and with repeats.
 Its quasiconvexity defects are measured from the distance matrix by
@@ -16,14 +18,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
 from .graphs import (
     DistanceMatrix,
     Graph,
-    _descent,
+    _descend,
     _fold_rows,
     _layout,
     _longer,
@@ -108,25 +109,6 @@ def _set_epsilons(dm: DistanceMatrix, sets: Sequence[Sequence[int]]) -> list[int
     return eps.tolist()
 
 
-def project_toward(g: Graph, dm: DistanceMatrix, z: int, Q: Sequence[int], r: int) -> int:
-    """Walk r steps from the closest vertex of Q toward z along one geodesic.
-
-    x is the member of Q closest to z (smallest id on ties); the geodesic is
-    the smallest-id descent of ``graphs._descent`` from x to z.  When r
-    exceeds d(z, Q) the walk stops at z itself.
-    """
-    if not Q:
-        raise ValueError("cannot project toward an empty set")
-    if r < 0:
-        raise ValueError(f"negative projection offset {r}")
-    check_vertices(dm.n, [z], "base vertex")
-    check_vertices(dm.n, Q, "Q")
-    d = dm.d
-    x = min(Q, key=lambda q: (int(d[z, q]), q))
-    steps = min(r, int(d[x, z]))
-    return next(islice(_descent(g, dm, x, z), steps, None))
-
-
 def covering_radius(r: int, epsilon: int, delta: Fraction) -> Fraction:
     """max(2*eps + 5*delta, r + eps + 3*delta), exactly."""
     check_rational(delta, "delta")
@@ -143,7 +125,8 @@ def helly_center(
     names: Sequence[str] | None = None,
 ) -> int:
     """The center of a single ball meeting every set of a pairwise 2r-close
-    family: the base vertex z projected onto the farthest set at offset r.
+    family: the base vertex z projected onto the farthest set at offset r,
+    which is ``greedy_hit_pack``'s one round on such a family.
 
     With eps the sets' quasiconvexity defect and delta a sound thin-triangle
     constant, the ball of radius floor(covering_radius(r, eps, delta))
@@ -156,7 +139,7 @@ def helly_center(
     if not sets:
         raise ValueError("family must contain at least one set")
     check_vertices(dm.n, [z], "base vertex")
-    near, gaps = _set_block(dm, sets)
+    _, gaps = _set_block(dm, sets)
     far = np.flatnonzero(np.triu(gaps > 2 * r, 1))  # the first pair i < j in row order
     if len(far):
         i, j = divmod(int(far[0]), len(gaps))
@@ -165,9 +148,7 @@ def helly_center(
             f"{name_i} and {name_j} are {int(gaps[i, j])} apart, "
             f"more than 2r = {2 * r}: family is not pairwise 2r-close"
         )
-    dists = near[:, z].tolist()
-    farthest = max(range(len(sets)), key=lambda i: (dists[i], -i))
-    return project_toward(g, dm, z, sets[farthest], r)
+    return greedy_hit_pack(g, dm, sets, r, z=z).hitting_set[0]
 
 
 def greedy_hit_pack(
@@ -181,12 +162,15 @@ def greedy_hit_pack(
     """Primal-dual greedy over vertex sets at gap r: one hitting vertex and
     one packed set per round.
 
-    Rounds pick the remaining set farthest from z, project z onto it at
-    offset r, then discard every remaining set within 2r of the pick.
-    Discarded sets lie within the covering radius of the projection point
-    (``covering_radius``), so the hitting set and the packing come out the
-    same size.  d(z, S) and each pick's row d(pick, S) are one ``reduceat``
-    each over one ``graphs._layout``: linear in the total set size.
+    Rounds pick the remaining set farthest from z (smallest index on ties),
+    project z onto it at offset r, then discard every remaining set within
+    2r of the pick.  The projection starts at the pick's smallest-id member
+    nearest z and walks min(r, d(z, pick)) hops toward z (``_descend``), so
+    it stops at z when r reaches past it.  Discarded sets lie within the
+    covering radius of the projection point (``covering_radius``), so the
+    hitting set and the packing come out the same size.  d(z, S) and each
+    pick's row d(pick, S) are one ``reduceat`` each over one
+    ``graphs._layout``: linear in the total set size.
     """
     if r < 0:
         raise ValueError(f"negative packing gap {r}")
@@ -194,15 +178,19 @@ def greedy_hit_pack(
     d = dm.d
     _, flat, first, _ = _layout(sets, dm.n)
     starts = np.sort(first)  # flat holds the nonempty sets in input order
-    dists = np.minimum.reduceat(d[z, flat], starts).tolist()  # d(z, S) per set
+    to_z = d[z, flat]
+    dists = np.minimum.reduceat(to_z, starts).tolist()  # d(z, S) per set
     remaining = list(range(len(sets)))
     hitting: list[int] = []
     packing: list[int] = []
     while remaining:
         pick = max(remaining, key=lambda i: (dists[i], -i))
-        hitting.append(project_toward(g, dm, z, sets[pick], r))
+        span = slice(starts[pick], starts[pick] + len(sets[pick]))
+        members = flat[span]
+        nearest = int(members[to_z[span] == dists[pick]].min())
+        hitting.append(_descend(g, dm, nearest, z, min(r, dists[pick])))
         packing.append(pick)
-        near = d.take(sets[pick], axis=0).min(axis=0)  # d(v, pick) for every v
+        near = d.take(members, axis=0).min(axis=0)  # d(v, pick) for every v
         apart = (np.minimum.reduceat(near[flat], starts) > 2 * r).tolist()  # the pick is at 0
         remaining = [j for j in remaining if apart[j]]
     return HitPackResult(hitting_set=tuple(hitting), packing=tuple(packing))

@@ -327,11 +327,9 @@ def epsilon_by_pairs(dm, C) -> int:
 
 
 def greedy_hit_pack_by_sets(g, dm, sets, r, *, z=0):
-    """``greedy_hit_pack`` one set at a time: each round recomputes the
-    pick's distance row and tests every remaining set against it."""
-    # imported here, so that loading the oracles loads no family code
-    from hypercore.quasiconvex import HitPackResult, project_toward
-
+    """``greedy_hit_pack`` one set at a time, as a (hitting, packing) pair of
+    tuples: each round recomputes the pick's distance row, tests every
+    remaining set against it, and walks its own projection toward z."""
     if r < 0:
         raise ValueError(f"negative packing gap {r}")
     d = dm.d
@@ -342,12 +340,14 @@ def greedy_hit_pack_by_sets(g, dm, sets, r, *, z=0):
     packing: list[int] = []
     while remaining:
         pick = max(remaining, key=lambda i: (dists[i], -i))
-        c = project_toward(g, dm, z, members[pick], r)
+        c = min(members[pick], key=lambda q: (int(d[z, q]), q))  # nearest, smallest id
+        for _ in range(min(r, dists[pick])):
+            c = min(w for w in neighbours(g, c) if d[z, w] == d[z, c] - 1)
         hitting.append(c)
         packing.append(pick)
         near = d[members[pick]].min(axis=0)  # distance of every vertex to the pick
         remaining = [j for j in remaining if j != pick and int(near[members[j]].min()) > 2 * r]
-    return HitPackResult(hitting_set=tuple(hitting), packing=tuple(packing))
+    return tuple(hitting), tuple(packing)
 
 
 def check_hit_pack_by_sets(dm, members, hitting, hit_radius, packing, pack_gap):

@@ -86,6 +86,24 @@ def test_generate_refuses_a_parameter_its_kind_does_not_read(tmp_path, capsys, f
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kind", "cycle", "--n", "2"], "cycle needs n >= 3, got 2"),
+        (["--kind", "tree", "--n", "1"], "tree needs n >= 2, got 1"),
+        (["--kind", "gnp_connected", "--n", "1", "--p", "0.5"], "gnp needs n >= 2, got 1"),
+        (["--kind", "gnp_connected", "--n", "10", "--p", "0"], "gnp needs 0 < p <= 1, got 0.0"),
+        (["--kind", "gnp_connected", "--n", "10", "--p", "1.5"], "gnp needs 0 < p <= 1, got 1.5"),
+    ],
+)
+def test_generate_refuses_a_size_or_probability_out_of_range(tmp_path, capsys, flags, message):
+    out = tmp_path / "g.txt"
+    assert run_cli(["generate", *flags, "--edges-out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_hyperbolicity_report(tmp_path, capsys):
     path = write_graph(tmp_path, path_graph(6))
     code, rep, err = run_json(capsys, ["hyperbolicity", "--edges", str(path)])

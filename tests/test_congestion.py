@@ -105,6 +105,8 @@ def test_demand_validation():
             message = rf"^demand pair \({bad[0]},{bad[1]}\) out of range for n=9$"
             with pytest.raises(ValueError, match=message):
                 traffic_load(g, [(1, 2), bad], [4])
+        with pytest.raises(ValueError, match="^traffic_load needs a nonempty vertex set$"):
+            traffic_load(g, None, [])
 
 
 def test_min_core_star():
@@ -194,6 +196,8 @@ def test_median_and_centroid_examples():
     assert centroid_vertex(dm, [3]) == 3
     star = Graph(5, [(0, i) for i in range(1, 5)])
     assert median_vertex(distance_matrix(star), [1, 2, 3, 4]) == 0
+    with pytest.raises(ValueError, match="^median of an empty profile$"):
+        median_vertex(dm, [])
 
 
 def test_median_matches_bruteforce():
@@ -320,16 +324,17 @@ def _median_radius(g, dm, X, alpha):
 
 
 def _counting_passes(mp):
-    """Record the window of radii of each ``_window_pass`` call."""
-    windows = []
+    """Record the window of radii and the (failed, passed) result of each
+    ``_window_pass`` call."""
+    passes = []
     real = congestion._window_pass
 
     def recorded(*args):
-        windows.append(args[4])
-        return real(*args)
+        passes.append((args[4], real(*args)))
+        return passes[-1][1]
 
     mp.setattr(congestion, "_window_pass", recorded)
-    return windows
+    return passes
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,6 +357,9 @@ def test_min_core_matches_radius_scan(case):
 # windows of radii, each building its blocks anew
 BLOCK_ELEMS = [(2, 1), (1, 2), (2, 2), (3, 2)]
 GNP30 = gnp_connected(30, 0.3, 4)
+# full profile at alpha 2/3: the window {1, 2} passes at 1, and the window
+# {0} below it then loses every center, so that pass finds no passing radius
+GNP17_WHOLE_FAIL = (gnp_connected(17, 0.12, 0), list(range(17)), Fraction(2, 3))
 
 
 @settings(max_examples=150, deadline=None)
@@ -364,6 +372,7 @@ GNP30 = gnp_connected(30, 0.3, 4)
 @example((GNP30, list(range(30)), Fraction(1, 2)), (1, 2))
 @example((GNP30, [0, 3, 4, 9, 17, 22, 29], Fraction(3, 4)), (2, 2))
 @example((GNP30, [5, 21], Fraction(1, 2)), (3, 2))
+@example(GNP17_WHOLE_FAIL, (2, 1))
 def test_min_core_in_small_blocks(case, elems):
     g, X, alpha = case
     k, e = elems
@@ -371,8 +380,11 @@ def test_min_core_in_small_blocks(case, elems):
     expected = histogram_min_core(g, dm, X, alpha)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(congestion, "_BLOCK_ELEMS", k * g.n**e)
+        passes = _counting_passes(mp)
         assert min_core(g, X, alpha) == expected
     assert expected == radius_scan_min_core(g, dm, X, alpha)
+    if case is GNP17_WHOLE_FAIL:
+        assert any(passed is None for _, (_, passed) in passes)
 
 
 @pytest.mark.parametrize("case", BELOW_THE_MEDIAN, ids=lambda c: f"cycle{c[0].n}")
@@ -385,9 +397,9 @@ def test_min_core_below_the_median_radius(case):
     for k, e in BLOCK_ELEMS[:3]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(congestion, "_BLOCK_ELEMS", k * g.n**e)
-            windows = _counting_passes(mp)
+            passes = _counting_passes(mp)
             assert min_core(g, X, alpha) == expected
-        assert len(windows) >= 2  # the first window {median - 1, median} passes
+        assert len(passes) >= 2  # the first window {median - 1, median} passes
 
 
 def test_min_core_far_below_the_containment_bound():
@@ -406,9 +418,9 @@ def test_min_core_far_below_the_containment_bound():
     assert expected == radius_scan_min_core(g, dm, X)
     assert (expected.center, expected.radius, expected.median) == (27, 0, 27)
     with pytest.MonkeyPatch.context() as mp:
-        windows = _counting_passes(mp)
+        passes = _counting_passes(mp)
         assert min_core(g, X) == expected
-    assert [(w[0], w[-1]) for w in windows] == [(14, 21), (0, 13)]
+    assert [(w[0], w[-1]) for w, _ in passes] == [(14, 21), (0, 13)]
 
 
 def test_min_core_full_profile_memory_stays_small():

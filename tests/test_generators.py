@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hypercore import distance_matrix, generate
@@ -106,3 +108,12 @@ def test_generate_errors():
         path_graph(1)
     with pytest.raises(ValueError):
         grid_graph(1, 1)
+    for build, message in (
+        (lambda: cycle_graph(2), "cycle needs n >= 3, got 2"),
+        (lambda: random_tree(1, 0), "tree needs n >= 2, got 1"),
+        (lambda: gnp_connected(1, 0.5, 0), "gnp needs n >= 2, got 1"),
+        (lambda: gnp_connected(10, 0, 0), "gnp needs 0 < p <= 1, got 0"),
+        (lambda: gnp_connected(10, 1.5, 0), "gnp needs 0 < p <= 1, got 1.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

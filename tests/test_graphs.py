@@ -19,7 +19,7 @@ from hypercore.generators import cycle_graph, grid_graph, path_graph, random_tre
 from hypercore.graphs import (
     DistanceMatrix,
     DuplicateEdgeError,
-    _descent,
+    _descend,
     _distance_dtype,
     _fold_rows,
     _min_rows,
@@ -139,6 +139,8 @@ def test_ball_members():
     assert ball_members(dm_star, 0, 1) == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="^ball radius must be nonnegative, got -1$"):
         intercepted_pairs(path_graph(5), dm, 0, -1, [(0, 4)])
+    with pytest.raises(ValueError, match="^pairs contain a vertex out of range for n=5$"):
+        intercepted_pairs(path_graph(5), dm, 0, 1, [(0, 4), (1, 5)])
 
 
 def test_set_distance():
@@ -329,14 +331,16 @@ def test_an_edge_array_reads_as_its_list(n, edges, dtype):
         assert outcome(array)[0] is TypeError
 
 
-def test_descent_is_shortest_and_deterministic():
+def test_descend_walks_the_smallest_id_geodesic():
     g = grid_graph(4, 4)
     dm = distance_matrix(g)
-    path = list(_descent(g, dm, 0, 15))
-    assert len(path) - 1 == dm.d[0, 15]
-    assert path == list(_descent(g, dm, 0, 15))
+    path = [_descend(g, dm, 0, 15, k) for k in range(int(dm.d[0, 15]) + 1)]
+    assert path == [0, 1, 2, 3, 7, 11, 15]  # the smallest-id nearer neighbour at each step
     for a, b in zip(path, path[1:]):
         assert b in neighbours(g, a)
+    c6 = cycle_graph(6)
+    assert _descend(c6, distance_matrix(c6), 3, 0, 1) == 2  # 2 and 4 are both 2 from 0
+    assert _descend(g, dm, 5, 5, 0) == 5
 
 
 # Sizes around the 64-source word boundaries of the kernel's bitsets.

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction as F
 from math import ceil, floor, lcm
 
@@ -156,6 +157,20 @@ def test_round_packing_trivial_cases():
     near = [member([4]), member([4, 5]), member([5])]
     gi2 = gamma_sets(dm, near, 1)
     assert round_packing([F(1, 3)] * 3, gi2, 1) == [0]
+
+
+def test_round_packing_refuses_an_infeasible_x():
+    # the three members are pairwise within the gamma radius, so each Gamma
+    # neighbourhood carries mass 3 > 2*kappa = 2
+    dm = distance_matrix(path_graph(12))
+    gamma = gamma_sets(dm, [member([4]), member([4, 5]), member([5])], 1)
+    assert all(len(nbhd) == 3 for nbhd in gamma)
+    message = (
+        "no member with Gamma mass <= 2*kappa: input was not a feasible "
+        "fractional packing (or the family's epsilon/delta were mismeasured)"
+    )
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        round_packing([F(1)] * 3, gamma, 1)
 
 
 def test_round_hitting_kappa1_reduces_to_greedy():

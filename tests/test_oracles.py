@@ -12,12 +12,19 @@ import hypercore
 ORACLES = Path(__file__).resolve().with_name("oracles.py")
 
 # Run in a fresh interpreter: loads the oracles as the benchmark's checker
-# does, then prints the hypercore modules that loading pulled in.
+# does, runs the greedy oracle on a 6-cycle, then prints its result and the
+# hypercore modules that loading and running pulled in.
 PROBE = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("hypercore_test_oracles", sys.argv[1])
-spec.loader.exec_module(importlib.util.module_from_spec(spec))
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "hypercore")))
+oracles = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(oracles)
+from hypercore.graphs import distance_matrix
+from hypercore.generators import cycle_graph
+g = cycle_graph(6)
+result = oracles.greedy_hit_pack_by_sets(g, distance_matrix(g), [[3], [4, 2], [0]], 1)
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "hypercore")
+print(json.dumps([result, loaded]))
 """
 
 
@@ -38,7 +45,8 @@ def test_oracles_load_as_a_module_outside_sys_modules():
 
 def test_loading_the_oracles_loads_none_of_the_code_they_check():
     # the oracles share no code with the builders and checkers they test:
-    # loading them imports no family, kappa or checker module
+    # loading them, or running the greedy oracle, imports no family, kappa
+    # or checker module
     src = str(Path(hypercore.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -46,6 +54,9 @@ def test_loading_the_oracles_loads_none_of_the_code_they_check():
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    result, loaded = json.loads(proc.stdout)
+    # z = 0: the set {3} first, hit 1 step toward 0 at 2, which drops {4, 2}
+    # within 2; then {0}, hit at 0
+    assert result == [[2, 0], [0, 2]]
     assert "hypercore.graphs" in loaded
-    assert not loaded & {"hypercore.lpkappa", "hypercore.quasiconvex", "hypercore.check"}
+    assert not set(loaded) & {"hypercore.lpkappa", "hypercore.quasiconvex", "hypercore.check"}

@@ -18,7 +18,6 @@ from hypercore import (
     hyperbolicity_report,
     interval,
     is_interval_like,
-    project_toward,
     set_epsilons,
     thin_delta_bound,
 )
@@ -58,15 +57,19 @@ def test_intervals_are_thinness_quasiconvex():
             assert set_epsilons(dm, [interval(dm, u, v)])[0] <= nu
 
 
-def test_project_toward():
+def test_greedy_hit_pack_projects_toward_z():
+    # one set, so one round: its member nearest z walked r hops toward z
     g = path_graph(7)
     dm = distance_matrix(g)
-    assert project_toward(g, dm, 6, [0, 1], 0) == 1
-    assert project_toward(g, dm, 6, [0, 1], 2) == 3
-    assert project_toward(g, dm, 3, [0, 3, 5], 4) == 3  # z inside Q
-    assert project_toward(g, dm, 6, [0], 99) == 6  # walk caps at z
-    with pytest.raises(ValueError, match="^negative projection offset -1$"):
-        project_toward(g, dm, 6, [0, 1], -1)
+    assert greedy_hit_pack(g, dm, [[0, 1]], 0, z=6).hitting_set == (1,)
+    assert greedy_hit_pack(g, dm, [[0, 1]], 2, z=6).hitting_set == (3,)
+    assert greedy_hit_pack(g, dm, [[0, 3, 5]], 4, z=3).hitting_set == (3,)  # z inside the set
+    assert greedy_hit_pack(g, dm, [[0]], 99, z=6).hitting_set == (6,)  # the walk stops at z
+    # on the 6-cycle 2 and 4 are both 2 from z = 0: the walk starts at 2
+    c6 = cycle_graph(6)
+    assert greedy_hit_pack(c6, distance_matrix(c6), [[4, 2]], 1).hitting_set == (1,)
+    with pytest.raises(ValueError, match="^negative packing gap -1$"):
+        greedy_hit_pack(g, dm, [[0, 1]], -1, z=6)
 
 
 @pytest.mark.parametrize("z", [6, -1])
@@ -172,6 +175,8 @@ def test_helly_center_rejects_far_family():
         helly_center(g, dm, [[0], [8]], 1, names=["left", "right"])
     with pytest.raises(ValueError, match="^family must contain at least one set$"):
         helly_center(g, dm, [], 1)
+    with pytest.raises(ValueError, match="^negative closeness radius -1$"):
+        helly_center(g, dm, [[0]], -1)
 
 
 def test_family_passes_reject_unmeasured_bad_sets():
@@ -246,7 +251,7 @@ def test_greedy_hit_pack_many_sets_stays_linear():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert hp == greedy_hit_pack_by_sets(g, dm, sets, r)
+        assert (hp.hitting_set, hp.packing) == greedy_hit_pack_by_sets(g, dm, sets, r)
         assert peak < s * s // 4  # an S x S int16 block alone takes 2 * s * s bytes
 
 
@@ -422,7 +427,7 @@ def test_greedy_and_check_hit_pack_equal_set_loops(case, data):
     delta = Fraction(data.draw(st.integers(0, 4)), 2)
     z = data.draw(st.integers(0, g.n - 1))
     hp = greedy_hit_pack(g, dm, sets, r, z=z)  # unsorted lists with repeats, as drawn
-    assert hp == greedy_hit_pack_by_sets(g, dm, sets, r, z=z)
+    assert (hp.hitting_set, hp.packing) == greedy_hit_pack_by_sets(g, dm, sets, r, z=z)
     radius = math.floor(covering_radius(r, max(set_epsilons(dm, sets)), delta))
     args = (dm, sets, hp.hitting_set, radius, hp.packing, r)
     hit_ok, pack_ok = check_hit_pack(*args)
@@ -457,5 +462,5 @@ def test_helly_center_is_the_first_greedy_hit(case, data):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             helly_center(g, dm, sets, r, z=z)
     else:
-        h = greedy_hit_pack_by_sets(g, dm, sets, r, z=z)
-        assert helly_center(g, dm, sets, r, z=z) == h.hitting_set[0]
+        hitting, _ = greedy_hit_pack_by_sets(g, dm, sets, r, z=z)
+        assert helly_center(g, dm, sets, r, z=z) == hitting[0]
