@@ -10,7 +10,7 @@ import importlib
 
 # Exported names, by the submodule that defines them.
 _EXPORTS = {
-    "beamcore": ("BeamCoreResult", "beam_pairs", "total_beam_core"),
+    "beamcore": ("beam_pairs", "total_beam_core"),
     "check": ("check_hit_pack", "four_point_defect"),
     "congestion": ("CoreResult", "median_vertex", "min_core", "traffic_load"),
     "generators": ("generate",),
@@ -19,14 +19,13 @@ _EXPORTS = {
         "multi_source_distances",
     ),
     "hyperbolicity": (
-        "EccentricityProfile", "FourPointResult", "biconnected_blocks", "eccentricity_profile",
-        "four_point_delta", "hyperbolicity_report", "mutually_distant_pair", "thin_delta_bound",
+        "biconnected_blocks", "eccentricity_profile", "four_point_delta", "hyperbolicity_report",
+        "mutually_distant_pair", "thin_delta_bound",
     ),
     "lpkappa": ("KappaHitPackResult", "kappa_hit_pack", "round_packing"),
     "multicore": ("interval_family", "multicore_construct"),
     "quasiconvex": (
-        "HitPackResult", "covering_radius", "greedy_hit_pack", "helly_center", "is_interval_like",
-        "set_epsilons",
+        "covering_radius", "greedy_hit_pack", "helly_center", "is_interval_like", "set_epsilons",
     ),
     "simplex": ("LPInstance", "LPSolution", "solve_lp"),
 }

@@ -78,11 +78,13 @@ def _load_graph(args):
     return g, distance_matrix(g, cap=args.max_n), table
 
 
-def _thin_delta(args, g, dm) -> Fraction:
-    """Thin-triangle constant to certify with.
+def _thin_delta(args, g, dm) -> tuple[Fraction, dict]:
+    """Thin-triangle constant to certify with, and the report fields of the
+    four-point bracket it was taken from, which a report puts last.
 
-    Without --delta it is certified from the upper end of the four-point
-    bracket, which is recorded in ``args.four_point`` for the report.
+    Without --delta it is certified from the upper end of the measured
+    bracket; the fields give its lower end as ``delta_four_point``, and
+    ``delta_exact: false`` when the ends differ.  With --delta there are none.
     """
     if args.delta is not None:
         delta = _parse_half_integer(args.delta)
@@ -92,12 +94,14 @@ def _thin_delta(args, g, dm) -> Fraction:
             float(delta)  # the report gives it as a float too
         except OverflowError:
             raise ValueError(f"--delta {args.delta} is too large for a float") from None
-        return delta
+        return delta, {}
     from .hyperbolicity import four_point_delta, thin_delta_bound
 
-    fp = four_point_delta(g, dm)
-    args.four_point = fp
-    return thin_delta_bound(fp.upper)
+    lower, _, upper = four_point_delta(g, dm)
+    fields = {"delta_four_point": _half_integer_json(lower)}
+    if lower != upper:
+        fields["delta_exact"] = False
+    return thin_delta_bound(upper), fields
 
 
 def _base_vertex(args, table) -> int:
@@ -132,28 +136,27 @@ def _cmd_hyperbolicity(args):
     from .hyperbolicity import eccentricity_profile, hyperbolicity_report
 
     g, dm, table = _load_graph(args)
-    fp, thinness = hyperbolicity_report(g, dm)
-    prof = eccentricity_profile(dm)
-    delta = f"delta = {fp.delta} (exact)" if fp.exact else f"delta in [{fp.delta}, {fp.upper}]"
+    (delta, witness, upper), thinness = hyperbolicity_report(g, dm)
+    diameter, radius, center = eccentricity_profile(dm)
+    exact = delta == upper
+    bracket = f"delta = {delta} (exact)" if exact else f"delta in [{delta}, {upper}]"
     print(
-        f"{delta}, interval thinness = {thinness}, "
-        f"diameter = {prof.diameter}, radius = {prof.radius}, "
-        f"|center| = {len(prof.center)}",
+        f"{bracket}, interval thinness = {thinness}, "
+        f"diameter = {diameter}, radius = {radius}, |center| = {len(center)}",
         file=sys.stderr,
     )
-    upper = {} if fp.exact else {"delta_upper": _half_integer_json(fp.upper)}
     return {
         "n": g.n,
         "m": g.m,
-        "delta": _half_integer_json(fp.delta),
-        "exact": fp.exact,
-        **upper,
-        "witness": table.labels_of(fp.witness),
+        "delta": _half_integer_json(delta),
+        "exact": exact,
+        **({} if exact else {"delta_upper": _half_integer_json(upper)}),
+        "witness": table.labels_of(witness),
         "interval_thinness": thinness,
-        "diameter": prof.diameter,
-        "radius": prof.radius,
-        "center": table.labels_of(prof.center),
-    }, {"witness": four_point_defect(dm, fp.witness) == fp.delta}
+        "diameter": diameter,
+        "radius": radius,
+        "center": table.labels_of(center),
+    }, {"witness": four_point_defect(dm, witness) == delta}
 
 
 def _cmd_core(args):
@@ -201,8 +204,8 @@ def _cmd_multicore(args):
 
     g, dm, table = _load_graph(args)
     pairs = [(table.id_of(a), table.id_of(b)) for a, b in read_pairs(args.commodity)]
-    delta = _thin_delta(args, g, dm)
-    centers = multicore_construct(g, dm, pairs, args.radius, delta).hitting_set
+    delta, four_point = _thin_delta(args, g, dm)
+    centers, _ = multicore_construct(g, dm, pairs, args.radius, delta)
     covered = balls_intercept(g, dm, centers, args.radius, pairs)
     report = {
         "pairs": len(pairs),
@@ -211,6 +214,7 @@ def _cmd_multicore(args):
         "centers": table.labels_of(centers),
         "size": len(centers),
         "covered": covered,
+        **four_point,
     }
     return report, {"covered": covered}
 
@@ -221,29 +225,30 @@ def _cmd_beamcore(args):
     from .hyperbolicity import eccentricity_profile
 
     g, dm, table = _load_graph(args)
-    delta = _thin_delta(args, g, dm)
-    bc = total_beam_core(g, dm, delta)
-    all_beams = balls_intercept(g, dm, [bc.midpoint], bc.radius, beam_pairs(dm))
+    delta, four_point = _thin_delta(args, g, dm)
+    pair, midpoint, ball_radius = total_beam_core(g, dm, delta)
+    all_beams = balls_intercept(g, dm, [midpoint], ball_radius, beam_pairs(dm))
     # diam >= 2*rad - 2*delta - 1, and C(G) inside B(m, 4*delta + 1) for the
     # midpoint m; delta is an exact Fraction, so no float is compared
-    prof = eccentricity_profile(dm)
-    diam_rad_holds = prof.diameter >= 2 * prof.radius - delta * 2 - 1
-    max_center_distance = max(int(dm.d[bc.midpoint, c]) for c in prof.center)
+    diameter, radius, center = eccentricity_profile(dm)
+    diam_rad_holds = diameter >= 2 * radius - delta * 2 - 1
+    max_center_distance = max(int(dm.d[midpoint, c]) for c in center)
     close_to_center_holds = max_center_distance <= delta * 4 + 1
     report = {
         "delta": _half_integer_json(delta),
-        "mutually_distant_pair": table.labels_of(bc.pair),
-        "midpoint": table.label_of(bc.midpoint),
-        "radius": bc.radius,
+        "mutually_distant_pair": table.labels_of(pair),
+        "midpoint": table.label_of(midpoint),
+        "radius": ball_radius,
         "all_beams_intercepted": all_beams,
         "structural": {
-            "diameter": prof.diameter,
-            "radius": prof.radius,
-            "center": table.labels_of(prof.center),
+            "diameter": diameter,
+            "radius": radius,
+            "center": table.labels_of(center),
             "diam_rad_holds": diam_rad_holds,
             "max_center_distance": max_center_distance,
             "close_to_center_holds": close_to_center_holds,
         },
+        **four_point,
     }
     return report, {
         "all_beams_intercepted": all_beams,
@@ -262,7 +267,7 @@ def _cmd_helly(args):
     entries = read_family_json(args.family)
     sets = [table.ids_of(e["vertices"]) for e in entries]
     epsilon = max(set_epsilons(dm, sets))
-    delta = _thin_delta(args, g, dm)
+    delta, four_point = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
     center = helly_center(g, dm, sets, args.r, z=z, names=[e["name"] for e in entries])
     # never negative: r >= 0 (helly_center refused it), eps >= 0 and delta >= 0 (_thin_delta)
@@ -280,7 +285,7 @@ def _cmd_helly(args):
     }
     if all(is_interval_like(dm, s) for s in sets):
         report["geodesic_case_radius"] = math.floor(geodesic_covering_radius(args.r, delta))
-    return report, {"all_hit": all_hit}
+    return {**report, **four_point}, {"all_hit": all_hit}
 
 
 def _cmd_hitpack(args):
@@ -291,27 +296,28 @@ def _cmd_hitpack(args):
     entries = read_family_json(args.family)
     sets = [table.ids_of(e["vertices"]) for e in entries]
     epsilon = max(set_epsilons(dm, sets))
-    delta = _thin_delta(args, g, dm)
+    delta, four_point = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
-    hp = greedy_hit_pack(g, dm, sets, args.r, z=z)
+    hitting, packing = greedy_hit_pack(g, dm, sets, args.r, z=z)
     # never negative: r >= 0 (greedy_hit_pack refused it), eps >= 0 and delta >= 0 (_thin_delta)
     hit_radius = math.floor(covering_radius(args.r, epsilon, delta))
-    hit_ok, pack_ok = check_hit_pack(dm, sets, hp.hitting_set, hit_radius, hp.packing, args.r)
+    hit_ok, pack_ok = check_hit_pack(dm, sets, hitting, hit_radius, packing, args.r)
     report = {
         "sets": len(sets),
         "epsilon": epsilon,
         "delta": _half_integer_json(delta),
         "r": args.r,
-        "hitting_set": table.labels_of(hp.hitting_set),
-        "packing": [entries[i]["name"] for i in hp.packing],
+        "hitting_set": table.labels_of(hitting),
+        "packing": [entries[i]["name"] for i in packing],
         "hit_radius": hit_radius,
         "pack_gap": args.r,
         "certificates": {"hitting": hit_ok, "packing": pack_ok},
+        **four_point,
     }
     return report, {
         "certificates.hitting": hit_ok,
         "certificates.packing": pack_ok,
-        "len(hitting_set) == len(packing)": len(hp.hitting_set) == len(hp.packing),
+        "len(hitting_set) == len(packing)": len(hitting) == len(packing),
     }
 
 
@@ -322,7 +328,7 @@ def _cmd_kappa(args):
     g, dm, table = _load_graph(args)
     entries = read_kappa_family_json(args.family)
     members = [[table.ids_of(part) for part in e["parts"]] for e in entries]
-    delta = _thin_delta(args, g, dm)
+    delta, four_point = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
     res = kappa_hit_pack(g, dm, members, args.r, delta, z=z)
     unions = [[v for part in parts for v in part] for parts in members]
@@ -344,6 +350,7 @@ def _cmd_kappa(args):
             "gap_zero": res.packing_optimum == res.hitting_optimum,
         },
         "certificates": {"hitting": hit_ok, "packing": pack_ok, "size_bound": bound_ok},
+        **four_point,
     }
     return report, {
         "certificates.hitting": hit_ok,
@@ -381,7 +388,6 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--max-n", type=int, default=DEFAULT_MATRIX_CAP, help="all-pairs distance matrix cap"
     )
-    parser.set_defaults(four_point=None)
     subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("generate", help="emit a synthetic graph as an edge list")
@@ -475,10 +481,6 @@ def run_cli(argv=None) -> int:
         "seed": args.seed,
         **payload,
     }
-    if args.four_point is not None:
-        report["delta_four_point"] = _half_integer_json(args.four_point.delta)
-        if not args.four_point.exact:
-            report["delta_exact"] = False
     text = json.dumps(report, indent=2, sort_keys=False)
     try:
         if args.out:

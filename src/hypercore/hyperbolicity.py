@@ -6,7 +6,7 @@ decreasing-distance order (Cohen, Coudert and Lancin, *On computing the
 Gromov hyperbolicity*, ACM JEA 2015) under a fixed work budget,
 ``FOUR_POINT_BUDGET`` pair comparisons per call.  The scan's stop rule bounds
 every quadruple it has not reached, so wherever the budget runs out the
-result is a certified bracket [delta, upper], exact when the two meet.
+result is a certified bracket (delta, witness, upper), exact when delta == upper.
 Statements proved for graphs whose geodesic triangles are d-thin are
 asserted downstream with the substitution d := 4 * upper, and the measured
 delta4 itself is reported alongside.  The substitution is not valid on
@@ -39,7 +39,6 @@ exact (the same paper states the reduction for the four-point constant):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -48,27 +47,6 @@ from .graphs import _BLOCK_ELEMS, DistanceMatrix, Graph, _fold_rows, check_ratio
 
 # pair comparisons one four-point measurement may spend, summed over blocks
 FOUR_POINT_BUDGET = 2**26
-
-
-@dataclass(frozen=True)
-class FourPointResult:
-    """delta is the lower end of the bracket, reached by the witness
-    quadruple; upper bounds the four-point constant from above."""
-
-    delta: Fraction
-    witness: tuple[int, int, int, int]
-    upper: Fraction
-
-    @property
-    def exact(self) -> bool:
-        return self.delta == self.upper
-
-
-@dataclass(frozen=True)
-class EccentricityProfile:
-    diameter: int
-    radius: int
-    center: tuple[int, ...]
 
 
 def _lower_layers(d: np.ndarray, diam: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +178,7 @@ def _scanned_blocks(g: Graph, dm: DistanceMatrix) -> list[tuple[np.ndarray, Dist
 
 def _block_scans(
     g: Graph, dm: DistanceMatrix, *, thinness: bool = True
-) -> tuple[FourPointResult, int]:
+) -> tuple[tuple[Fraction, tuple[int, int, int, int], Fraction], int]:
     """Four-point bracket (witness in G's ids) and exact interval thinness,
     as maxima over ``_scanned_blocks``; thinness can be left out, and then
     reads 0.
@@ -237,19 +215,19 @@ def _block_scans(
                 best, quad = val, tuple(int(blk[x]) for x in q)
         if thinness:
             nu = _thinness_scan(sub, pairs, nu, max(best, rest))
-    return FourPointResult(Fraction(best, 2), quad, Fraction(max(best, rest), 2)), nu
+    return (Fraction(best, 2), quad, Fraction(max(best, rest), 2)), nu
 
 
-def four_point_delta(g: Graph, dm: DistanceMatrix) -> FourPointResult:
-    """Bracket on the smallest delta such that, over every vertex quadruple,
-    the two largest of the three pairwise distance sums differ by at most
-    2*delta.
+def four_point_delta(g: Graph, dm: DistanceMatrix) -> tuple[Fraction, tuple[int, ...], Fraction]:
+    """Bracket (delta, witness, upper) on the smallest delta such that, over
+    every vertex quadruple, the two largest of the three pairwise distance
+    sums differ by at most 2*delta.
 
     The constant is the maximum over the biconnected blocks (module
     docstring), and only blocks with at least four vertices that are not
-    complete are scanned, in decreasing diameter.  The lower end ``delta``
-    comes with a quadruple reaching it in G's ids ((0, 0, 0, 0) when it is
-    0).  Within a block the scan pairs up far-apart pairs only
+    complete are scanned, in decreasing diameter.  The lower end delta
+    comes with a witness quadruple reaching it in G's ids ((0, 0, 0, 0) when
+    it is 0).  Within a block the scan pairs up far-apart pairs only
     (``_FarApart``), taken in decreasing distance, and evaluates each
     pair p against every earlier pair q as D_p + D_q - max(S2, S3), in the
     matrix's distance type (Cohen, Coudert and Lancin, ACM JEA 2015).  Both
@@ -268,10 +246,10 @@ def four_point_delta(g: Graph, dm: DistanceMatrix) -> FourPointResult:
     comparisons, counted as (j - i) * j for a block of rows i..j-1.  If the
     next block of rows would exceed it, the scan stops before row i, and by
     the same two facts every quadruple not yet compared has doubled defect
-    at most max(D_i, the diameter of the next block).  ``upper`` is that
-    bound or the lower end, whichever is larger, and ``exact`` holds when
-    the two ends meet, as they do whenever the scan finishes; a tree of
-    any size needs no scan and is exact.
+    at most max(D_i, the diameter of the next block).  upper is that bound
+    or the lower end, whichever is larger.  The bracket is exact when
+    delta == upper, as it is whenever the scan finishes; a tree of any size
+    needs no scan and is exact.
     """
     return _block_scans(g, dm, thinness=False)[0]
 
@@ -408,14 +386,12 @@ def _thinness_scan(dm: DistanceMatrix, pairs: _FarApart, nu: int, cap: int) -> i
     return nu
 
 
-def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
+def eccentricity_profile(dm: DistanceMatrix) -> tuple[int, int, tuple[int, ...]]:
+    """(diameter, radius, center): the largest and smallest eccentricity,
+    and the sorted ids of the vertices whose eccentricity is the radius."""
     ecc = dm.d.max(axis=1)
     radius = int(ecc.min())
-    return EccentricityProfile(
-        diameter=int(ecc.max()),
-        radius=radius,
-        center=tuple(np.flatnonzero(ecc == radius).tolist()),
-    )
+    return int(ecc.max()), radius, tuple(np.flatnonzero(ecc == radius).tolist())
 
 
 def mutually_distant_pair(dm: DistanceMatrix, delta: Fraction) -> tuple[int, int]:
@@ -449,9 +425,12 @@ def mutually_distant_pair(dm: DistanceMatrix, delta: Fraction) -> tuple[int, int
         prev, cur = cur, nxt
 
 
-def hyperbolicity_report(g: Graph, dm: DistanceMatrix) -> tuple[FourPointResult, int]:
-    """The four-point bracket and the interval thinness, the largest d(x,y)
-    over x,y in I(u,v) equidistant from u, over all u,v (``_thinness_scan``).
+def hyperbolicity_report(
+    g: Graph, dm: DistanceMatrix
+) -> tuple[tuple[Fraction, tuple[int, int, int, int], Fraction], int]:
+    """((delta, witness, upper), thinness): the four-point bracket of
+    ``four_point_delta`` and the interval thinness, the largest d(x,y) over
+    x,y in I(u,v) equidistant from u, over all u,v (``_thinness_scan``).
 
     Both scans run block by block over the same blocks, sharing each
     block's far-apart pair list.  The four-point constant is bracketed

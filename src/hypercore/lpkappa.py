@@ -148,7 +148,7 @@ def _round_support(
     g: Graph,
     r: int,
     z: int,
-) -> list[int]:
+) -> tuple[int, ...]:
     """Integral hitting set from a fractional cover at radius r with weight
     weights[k] on vertex support[k] and 0 elsewhere.
 
@@ -166,7 +166,7 @@ def _round_support(
     for parts in members:
         mass = [next(masses) for _ in parts]
         reps.append(parts[mass.index(max(mass))])  # first part on ties
-    return list(greedy_hit_pack(g, dm, reps, r, z=z).hitting_set)
+    return greedy_hit_pack(g, dm, reps, r, z=z)[0]
 
 
 def kappa_hit_pack(
@@ -240,7 +240,7 @@ def kappa_hit_pack(
     packing = round_packing(pack_sol.values, gamma_r, kappa)
     hitting = _round_support(witnesses, hit, members, dm, g, r_star, z)
     return KappaHitPackResult(
-        hitting_set=tuple(hitting),
+        hitting_set=hitting,
         packing=tuple(packing),
         kappa=kappa,
         epsilon=epsilon,

@@ -1,5 +1,5 @@
 """Total multi-cores for commodity graphs: the interval family of the demand
-pairs and the constructive hitting-set route.
+pairs and the constructive hitting-set route, a plain (centers, packing).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, check_pairs, check_rational, row_chunks
-from .quasiconvex import HitPackResult, greedy_hit_pack
+from .quasiconvex import greedy_hit_pack
 
 
 def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -43,10 +43,10 @@ def interval_family(dm: DistanceMatrix, pairs: Sequence[tuple[int, int]]) -> lis
 
 def multicore_construct(
     g: Graph, dm: DistanceMatrix, pairs: Sequence[tuple[int, int]], r: int, delta: Fraction
-) -> HitPackResult:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Centers of radius-r balls meant to intercept every demand pair
-    jointly: the greedy pass's ``hitting_set``, beside its ``packing`` of
-    interval indices.
+    jointly, returned as (centers, packing): the greedy pass's hitting set
+    of vertex ids, beside its packing of interval indices, of equal length.
 
     pairs lists the demand pairs (x, y) of vertex ids, repeats kept; an
     empty list, or a pair that ``check_pairs`` rejects, raises ValueError

@@ -11,12 +11,13 @@ Its quasiconvexity defects are measured from the distance matrix by
 the caller takes the radius from ``covering_radius``, exactly, with the
 constant an int or Fraction (usually 4x the measured four-point
 constant), and floors it to an integer only when a concrete ball is built.
+Results are plain values: ``greedy_hit_pack`` returns the pair (hitting,
+packing) of tuples, and ``helly_center`` its first hit, one vertex id.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,20 +35,6 @@ from .graphs import (
     interval,
     row_chunks,
 )
-
-
-@dataclass(frozen=True)
-class HitPackResult:
-    """A hitting set and a packing of equal size.
-
-    The sets indexed by ``packing`` are pairwise more than 2r apart, r the
-    pass's gap.  Every set lies within floor(covering_radius(r, eps, delta))
-    of the hitting set, for eps the sets' quasiconvexity defect and delta a
-    sound thin-triangle constant; the pass itself reads neither.
-    """
-
-    hitting_set: tuple[int, ...]
-    packing: tuple[int, ...]
 
 
 def set_epsilons(dm: DistanceMatrix, vertex_sets: Sequence[Sequence[int]]) -> list[int]:
@@ -148,7 +135,7 @@ def helly_center(
             f"{name_i} and {name_j} are {int(gaps[i, j])} apart, "
             f"more than 2r = {2 * r}: family is not pairwise 2r-close"
         )
-    return greedy_hit_pack(g, dm, sets, r, z=z).hitting_set[0]
+    return greedy_hit_pack(g, dm, sets, r, z=z)[0][0]
 
 
 def greedy_hit_pack(
@@ -158,9 +145,9 @@ def greedy_hit_pack(
     r: int,
     *,
     z: int = 0,
-) -> HitPackResult:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Primal-dual greedy over vertex sets at gap r: one hitting vertex and
-    one packed set per round.
+    one packed set per round, returned as (hitting, packing) tuples.
 
     Rounds pick the remaining set farthest from z (smallest index on ties),
     project z onto it at offset r, then discard every remaining set within
@@ -168,7 +155,11 @@ def greedy_hit_pack(
     nearest z and walks min(r, d(z, pick)) hops toward z (``_descend``), so
     it stops at z when r reaches past it.  Discarded sets lie within the
     covering radius of the projection point (``covering_radius``), so the
-    hitting set and the packing come out the same size.  d(z, S) and each
+    hitting set and the packing come out the same size.
+    The sets indexed by the packing are pairwise more than 2r apart.  Every
+    set lies within floor(covering_radius(r, eps, delta)) of the hitting
+    set, for eps the sets' quasiconvexity defect and delta a sound
+    thin-triangle constant; the pass itself reads neither.  d(z, S) and each
     pick's row d(pick, S) are one ``reduceat`` each over one
     ``graphs._layout``: linear in the total set size.
     """
@@ -193,7 +184,7 @@ def greedy_hit_pack(
         near = d.take(members, axis=0).min(axis=0)  # d(v, pick) for every v
         apart = (np.minimum.reduceat(near[flat], starts) > 2 * r).tolist()  # the pick is at 0
         remaining = [j for j in remaining if apart[j]]
-    return HitPackResult(hitting_set=tuple(hitting), packing=tuple(packing))
+    return tuple(hitting), tuple(packing)
 
 
 def is_interval_like(dm: DistanceMatrix, members: Sequence[int]) -> bool:

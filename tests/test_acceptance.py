@@ -145,15 +145,15 @@ def test_criterion_3_hitting_packing_equality(corpus):
         sets = random_interval_sets(item.dm, rng, rng.randint(3, 7))
         epsilon = max(set_epsilons(item.dm, sets))
         built += 1
-        hp = greedy_hit_pack(item.g, item.dm, sets, 0)
+        hitting, packing = greedy_hit_pack(item.g, item.dm, sets, 0)
         expected_radius = math.floor(2 * epsilon + item.thin_delta * 5)
-        if len(hp.hitting_set) != len(hp.packing):
+        if len(hitting) != len(packing):
             failures.append(f"{item.name}: |T| != |P|")
         for s in sets:
-            if min(set_distance(item.dm, [t], s) for t in hp.hitting_set) > expected_radius:
+            if min(set_distance(item.dm, [t], s) for t in hitting) > expected_radius:
                 failures.append(f"{item.name}: unhit member")
-        for a_idx, a in enumerate(hp.packing):
-            for b in hp.packing[a_idx + 1 :]:
+        for a_idx, a in enumerate(packing):
+            for b in packing[a_idx + 1 :]:
                 if set_distance(item.dm, sets[a], sets[b]) == 0:
                     failures.append(f"{item.name}: packing not disjoint")
     ok = not failures
@@ -175,7 +175,7 @@ def test_criterion_4_multicore_chain():
     exercised = 0
     for g in instances:
         dm = distance_matrix(g)
-        thin = four_point_delta(g, dm).delta * 4
+        thin = four_point_delta(g, dm)[0] * 4
         pairs = []
         want = rng.randint(3, 6)
         while len(pairs) < want:
@@ -208,13 +208,13 @@ def test_criterion_4_multicore_chain():
 def test_criterion_5_total_beam_core(corpus):
     failures = []
     for item in corpus:
-        bc = total_beam_core(item.g, item.dm, item.thin_delta)
-        if bc.radius != math.floor(item.thin_delta * 2):
-            failures.append(f"{item.name}: radius {bc.radius}")
-        if not balls_intercept(item.g, item.dm, [bc.midpoint], bc.radius, beam_pairs(item.dm)):
+        _, midpoint, radius = total_beam_core(item.g, item.dm, item.thin_delta)
+        if radius != math.floor(item.thin_delta * 2):
+            failures.append(f"{item.name}: radius {radius}")
+        if not balls_intercept(item.g, item.dm, [midpoint], radius, beam_pairs(item.dm)):
             failures.append(f"{item.name}: beam escaped")
-        if item.kind == "tree" and bc.radius != 0:
-            failures.append(f"{item.name}: tree beam radius {bc.radius}")
+        if item.kind == "tree" and radius != 0:
+            failures.append(f"{item.name}: tree beam radius {radius}")
     ok = not failures
     acceptance_line(5, ok, f"200 graphs, {len(failures)} failures")
     assert not failures, failures[:5]
@@ -223,11 +223,11 @@ def test_criterion_5_total_beam_core(corpus):
 def test_criterion_6_structural_inequalities(corpus):
     failures = []
     for item in corpus:
-        mid = total_beam_core(item.g, item.dm, item.thin_delta).midpoint
-        prof = eccentricity_profile(item.dm)
-        if not prof.diameter >= 2 * prof.radius - item.thin_delta * 2 - 1:
+        mid = total_beam_core(item.g, item.dm, item.thin_delta)[1]
+        diameter, radius, center = eccentricity_profile(item.dm)
+        if not diameter >= 2 * radius - item.thin_delta * 2 - 1:
             failures.append(f"{item.name}: diam/rad")
-        far = max(int(item.dm.d[mid, c]) for c in prof.center)
+        far = max(int(item.dm.d[mid, c]) for c in center)
         if not far <= item.thin_delta * 4 + 1:
             failures.append(f"{item.name}: center distance {far}")
     ok = not failures

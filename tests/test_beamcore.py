@@ -31,40 +31,40 @@ def test_beam_pairs_complete_and_star():
     assert {(0, 1), (0, 2), (0, 3)} <= set(map(tuple, pairs.tolist()))
 
 
-def intercepts_every_beam(g, dm, res):
+def intercepts_every_beam(g, dm, midpoint, radius):
     """The claim the ``beamcore`` command checks on a ``total_beam_core``
     result: its one ball intercepts every beam pair."""
-    return balls_intercept(g, dm, [res.midpoint], res.radius, beam_pairs(dm))
+    return balls_intercept(g, dm, [midpoint], radius, beam_pairs(dm))
 
 
 def test_total_beam_core_path9():
     g = path_graph(9)
     dm = distance_matrix(g)
-    res = total_beam_core(g, dm, Fraction(0))
-    assert res.midpoint == 4
-    assert res.radius == 0
-    assert intercepts_every_beam(g, dm, res)
-    assert abs(int(dm.d[res.pair[0], res.midpoint]) - int(dm.d[res.pair[1], res.midpoint])) <= 1
+    (u, v), midpoint, radius = total_beam_core(g, dm, Fraction(0))
+    assert midpoint == 4
+    assert radius == 0
+    assert intercepts_every_beam(g, dm, midpoint, radius)
+    assert abs(int(dm.d[u, midpoint]) - int(dm.d[v, midpoint])) <= 1
 
 
 def test_total_beam_core_trees():
     for seed in range(5):
         g = random_tree(22, seed + 30)
         dm = distance_matrix(g)
-        res = total_beam_core(g, dm, Fraction(0))
-        assert res.radius == 0
-        assert intercepts_every_beam(g, dm, res)
+        _, midpoint, radius = total_beam_core(g, dm, Fraction(0))
+        assert radius == 0
+        assert intercepts_every_beam(g, dm, midpoint, radius)
 
 
 def test_total_beam_core_random_graphs_thin_delta():
     for seed in (1, 4, 6):
         g = gnp_connected(30, 0.12, seed)
         dm = distance_matrix(g)
-        delta = thin_delta_bound(four_point_delta(g, dm).delta)
-        res = total_beam_core(g, dm, delta)
-        assert res.radius == math.floor(delta * 2)
-        assert intercepts_every_beam(g, dm, res)
-        assert intercepted_pairs(g, dm, res.midpoint, res.radius, beam_pairs(dm)).all()
+        delta = thin_delta_bound(four_point_delta(g, dm)[0])
+        _, midpoint, radius = total_beam_core(g, dm, delta)
+        assert radius == math.floor(delta * 2)
+        assert intercepts_every_beam(g, dm, midpoint, radius)
+        assert intercepted_pairs(g, dm, midpoint, radius, beam_pairs(dm)).all()
 
 
 def test_beams_pairwise_close():
@@ -79,7 +79,7 @@ def test_beams_pairwise_close():
     assert not k4_rep.within_bound
     g = cycle_graph(6)
     dm6 = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(g, dm6).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm6)[0])
     rep = beams_pairwise_close(dm6, delta)
     assert rep.bound == math.floor(delta * 2)
     assert rep.within_bound
@@ -89,7 +89,7 @@ def test_beams_pairwise_close_random():
     for seed in (2, 7):
         g = gnp_connected(18, 0.2, seed)
         dm = distance_matrix(g)
-        delta = thin_delta_bound(four_point_delta(g, dm).delta)
+        delta = thin_delta_bound(four_point_delta(g, dm)[0])
         assert beams_pairwise_close(dm, delta).within_bound
 
 
@@ -113,7 +113,7 @@ def test_structural_checks_tree(tmp_path, capsys):
 
 def test_structural_checks_cycle4(tmp_path, capsys):
     g = cycle_graph(4)
-    delta = thin_delta_bound(four_point_delta(g, distance_matrix(g)).delta)  # 4 * 1
+    delta = thin_delta_bound(four_point_delta(g, distance_matrix(g))[0])  # 4 * 1
     code, rep = beamcore_structural(tmp_path, capsys, g, delta)
     assert code == 0
     assert (rep["diameter"], rep["radius"]) == (2, 2)
@@ -123,7 +123,7 @@ def test_structural_checks_cycle4(tmp_path, capsys):
 def test_structural_checks_random(tmp_path, capsys):
     for seed in (3, 9, 15):
         g = gnp_connected(24, 0.15, seed)
-        delta = thin_delta_bound(four_point_delta(g, distance_matrix(g)).delta)
+        delta = thin_delta_bound(four_point_delta(g, distance_matrix(g))[0])
         code, rep = beamcore_structural(tmp_path, capsys, g, delta)
         assert code == 0
         assert rep["diam_rad_holds"] and rep["close_to_center_holds"]
@@ -132,6 +132,6 @@ def test_structural_checks_random(tmp_path, capsys):
 def test_grid_beam_core():
     g = grid_graph(4, 4)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(g, dm).delta)
-    res = total_beam_core(g, dm, delta)
-    assert intercepts_every_beam(g, dm, res)
+    delta = thin_delta_bound(four_point_delta(g, dm)[0])
+    _, midpoint, radius = total_beam_core(g, dm, delta)
+    assert intercepts_every_beam(g, dm, midpoint, radius)

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -22,6 +21,7 @@ import hypercore.cli
 from hypercore import Graph, distance_matrix, intercepted_pairs
 from hypercore.cli import run_cli
 from hypercore.fileio import (
+    LabelTable,
     read_edge_list,
     read_family_json,
     read_pairs,
@@ -42,8 +42,6 @@ def run_json(capsys, argv):
 
 
 def write_graph(tmp_path, g, name="g.txt"):
-    from hypercore.fileio import LabelTable
-
     path = tmp_path / name
     write_edge_list(g, LabelTable([f"v{i}" for i in range(g.n)]), path)
     return path
@@ -123,8 +121,8 @@ def test_hyperbolicity_checks_its_witness(tmp_path, capsys, monkeypatch):
     report = hypercore.hyperbolicity.hyperbolicity_report
 
     def wrong_witness(g, dm):
-        fp, thinness = report(g, dm)
-        return dataclasses.replace(fp, witness=(0, 0, 0, 0)), thinness
+        (delta, _, upper), thinness = report(g, dm)
+        return (delta, (0, 0, 0, 0), upper), thinness
 
     monkeypatch.setattr(hypercore.hyperbolicity, "hyperbolicity_report", wrong_witness)
     code, rep, err = run_json(capsys, ["hyperbolicity", "--edges", str(path)])
@@ -161,7 +159,8 @@ def test_core_nonpositive_alpha_exits_1(tmp_path, capsys, alpha):
         assert captured.err == f"error: alpha must be positive, got {alpha}\n"
 
 
-def test_module_entry_point_without_subcommand_exits_1():
+def test_module_entry_point_without_subcommand_exits_1(capsys, monkeypatch):
+    usage = hypercore.cli._build_parser().format_usage()
     src = str(Path(hypercore.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -169,7 +168,13 @@ def test_module_entry_point_without_subcommand_exits_1():
         [sys.executable, "-m", "hypercore.cli"], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 1
-    assert "usage" in proc.stderr
+    assert proc.stderr == usage
+    # the console script's entry point, in process
+    monkeypatch.setattr(sys, "argv", ["hypercore"])
+    with pytest.raises(SystemExit) as exit_:
+        hypercore.cli.main()
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err == usage
 
 
 def test_traffic_refuses_a_tree_above_max_n(tmp_path, capsys):
@@ -790,4 +795,6 @@ def test_unknown_label_errors(tmp_path, capsys):
     path = write_graph(tmp_path, path_graph(4))
     code = run_cli(["traffic", "--edges", str(path), "--set", "nope"])
     assert code == 1
-    assert "unknown vertex label" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown vertex label 'nope'\n"
+    with pytest.raises(ValueError, match="^duplicate labels in table$"):
+        LabelTable(["a", "b", "a"])

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercore import (
-    FourPointResult,
     Graph,
     biconnected_blocks,
     distance_matrix,
@@ -45,36 +44,36 @@ from strategies import connected_graphs, glued_blocks
 def test_trees_are_zero_hyperbolic():
     for seed in range(5):
         g = random_tree(14, seed)
-        assert four_point_delta(g, distance_matrix(g)).delta == 0
+        assert four_point_delta(g, distance_matrix(g))[0] == 0
 
 
 def test_cycle4_delta_one():
     g = cycle_graph(4)
-    res = four_point_delta(g, distance_matrix(g))
-    assert res.delta == 1
-    assert res.exact
+    delta, _, upper = four_point_delta(g, distance_matrix(g))
+    assert delta == 1
+    assert delta == upper
 
 
 def test_grid_3x3_delta_matches_bruteforce():
     g = grid_graph(3, 3)
     dm = distance_matrix(g)
-    res = four_point_delta(g, dm)
-    assert 2 * res.delta == naive_four_point_delta_doubled(dm) == 4
-    assert res.delta == 2
+    delta = four_point_delta(g, dm)[0]
+    assert 2 * delta == naive_four_point_delta_doubled(dm) == 4
+    assert delta == 2
 
 
 def test_delta_matches_bruteforce_on_random_graphs():
     for seed in (1, 2, 3):
         g = gnp_connected(12, 0.3, seed)
         dm = distance_matrix(g)
-        assert 2 * four_point_delta(g, dm).delta == naive_four_point_delta_doubled(dm)
+        assert 2 * four_point_delta(g, dm)[0] == naive_four_point_delta_doubled(dm)
 
 
 def test_witness_reproduces_delta():
     for g in (cycle_graph(7), grid_graph(3, 4), gnp_connected(15, 0.25, 11)):
         dm = distance_matrix(g)
-        res = four_point_delta(g, dm)
-        assert four_point_defect(dm, res.witness) == res.delta
+        delta, witness, _ = four_point_delta(g, dm)
+        assert four_point_defect(dm, witness) == delta
 
 
 def test_delta_invariant_under_relabeling():
@@ -84,8 +83,8 @@ def test_delta_invariant_under_relabeling():
     perm = list(range(g.n))
     rng.shuffle(perm)
     relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    want = four_point_delta(g, dm).delta
-    assert four_point_delta(relabeled, distance_matrix(relabeled)).delta == want
+    want = four_point_delta(g, dm)[0]
+    assert four_point_delta(relabeled, distance_matrix(relabeled))[0] == want
 
 
 def thinness(g, dm):
@@ -100,26 +99,26 @@ def test_interval_thinness_values():
 def test_thinness_at_most_twice_delta():
     for g in (cycle_graph(5), grid_graph(3, 3), gnp_connected(14, 0.3, 3), random_tree(15, 1)):
         dm = distance_matrix(g)
-        assert thinness(g, dm) <= (four_point_delta(g, dm).delta * 2)
+        assert thinness(g, dm) <= (four_point_delta(g, dm)[0] * 2)
 
 
 def test_eccentricity_profile_examples():
-    prof = eccentricity_profile(distance_matrix(path_graph(5)))
-    assert (prof.radius, prof.diameter, prof.center) == (2, 4, (2,))
+    diameter, radius, center = eccentricity_profile(distance_matrix(path_graph(5)))
+    assert (radius, diameter, center) == (2, 4, (2,))
     k4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    prof = eccentricity_profile(distance_matrix(k4))
-    assert prof.radius == prof.diameter == 1
-    assert prof.center == (0, 1, 2, 3)
+    diameter, radius, center = eccentricity_profile(distance_matrix(k4))
+    assert radius == diameter == 1
+    assert center == (0, 1, 2, 3)
 
 
 def test_eccentricity_profile_star_path_25():
     # path 0..14 with 10 leaves on vertex 14: the diametral path has length
     # 15, so the center sits at its middle, not at the junction
     dm = distance_matrix(star_path_graph(25))
-    prof = eccentricity_profile(dm)
-    assert prof.diameter == 15
-    assert prof.radius == 8
-    assert prof.center == (7, 8)
+    diameter, radius, center = eccentricity_profile(dm)
+    assert diameter == 15
+    assert radius == 8
+    assert center == (7, 8)
     assert dm.d[14].max() == 14
 
 
@@ -145,7 +144,7 @@ def test_mutually_distant_pair_path_and_tree():
 def test_mutually_distant_pair_contract_on_random_graph():
     g = gnp_connected(30, 0.15, 7)
     dm = distance_matrix(g)
-    delta = four_point_delta(g, dm).delta
+    delta = four_point_delta(g, dm)[0]
     u, v = mutually_distant_pair(dm, delta)
     assert v in furthest_set(dm, u)
     assert u in furthest_set(dm, v)
@@ -159,14 +158,14 @@ def test_mutually_distant_pair_cap_error():
     dm = distance_matrix(g)
     with pytest.raises(ValueError, match="stabilize"):
         mutually_distant_pair(dm, Fraction(0))
-    u, v = mutually_distant_pair(dm, four_point_delta(g, dm).delta)
+    u, v = mutually_distant_pair(dm, four_point_delta(g, dm)[0])
     assert v in furthest_set(dm, u) and u in furthest_set(dm, v)
 
 
 def test_single_vertex_graph():
     g = Graph(1, [])
     dm = distance_matrix(g)
-    assert four_point_delta(g, dm).delta == 0
+    assert four_point_delta(g, dm)[0] == 0
     assert mutually_distant_pair(dm, Fraction(0)) == (0, 0)
 
 
@@ -177,13 +176,13 @@ def test_thin_delta_bound():
 def test_report_bundles_consistently():
     g = cycle_graph(6)
     dm = distance_matrix(g)
-    rep, nu = hyperbolicity_report(g, dm)
-    prof = eccentricity_profile(dm)
-    assert rep.delta == 1
+    (delta, witness, _), nu = hyperbolicity_report(g, dm)
+    diameter, radius, _ = eccentricity_profile(dm)
+    assert delta == 1
     assert nu == 2
-    assert prof.diameter == 3 and prof.radius == 3
-    assert four_point_defect(dm, rep.witness) == rep.delta
-    assert nu <= rep.delta * 2
+    assert diameter == 3 and radius == 3
+    assert four_point_defect(dm, witness) == delta
+    assert nu <= delta * 2
 
 
 def naive_far_apart_pairs(g, dm):
@@ -224,16 +223,16 @@ def check_far_apart_pairs(g, dm):
 def test_far_apart_scans_match_oracles(g):
     dm = distance_matrix(g)
     check_far_apart_pairs(g, dm)
-    res = four_point_delta(g, dm)
-    assert res.exact
-    assert 2 * res.delta == naive_four_point_delta_doubled(dm)
-    assert four_point_defect(dm, res.witness) == res.delta
-    if res.delta == 0:
-        assert res.witness == (0, 0, 0, 0)
-    rep, nu = hyperbolicity_report(g, dm)
+    delta, witness, upper = four_point_delta(g, dm)
+    assert delta == upper
+    assert 2 * delta == naive_four_point_delta_doubled(dm)
+    assert four_point_defect(dm, witness) == delta
+    if delta == 0:
+        assert witness == (0, 0, 0, 0)
+    (rep_delta, rep_witness, rep_upper), nu = hyperbolicity_report(g, dm)
     thin = naive_interval_thinness(dm)
-    assert (rep.delta, rep.exact, nu) == (res.delta, True, thin)
-    assert four_point_defect(dm, rep.witness) == rep.delta
+    assert (rep_delta, rep_delta == rep_upper, nu) == (delta, True, thin)
+    assert four_point_defect(dm, rep_witness) == rep_delta
 
 
 def test_pruned_scan_matches_bruteforce_beyond_one_block():
@@ -243,9 +242,9 @@ def test_pruned_scan_matches_bruteforce_beyond_one_block():
         g = gnp_connected(30, 1.5 * math.log(30) / 30, seed)
         dm = distance_matrix(g)
         assert len(far_apart_pairs(dm)) > 64
-        res = four_point_delta(g, dm)
-        assert 2 * res.delta == naive_four_point_delta_doubled(dm)
-        assert four_point_defect(dm, res.witness) == res.delta
+        delta, witness, _ = four_point_delta(g, dm)
+        assert 2 * delta == naive_four_point_delta_doubled(dm)
+        assert four_point_defect(dm, witness) == delta
 
 
 def test_far_apart_single_vertex_and_edge():
@@ -253,7 +252,7 @@ def test_far_apart_single_vertex_and_edge():
         dm = distance_matrix(g)
         got = far_apart_pairs(dm)
         assert got.shape == (len(want), 2) and got.tolist() == want
-        assert four_point_delta(g, dm) == FourPointResult(Fraction(0), (0, 0, 0, 0), Fraction(0))
+        assert four_point_delta(g, dm) == (Fraction(0), (0, 0, 0, 0), Fraction(0))
         assert thinness(g, dm) == 0
 
 
@@ -262,7 +261,7 @@ def test_far_apart_complete_graphs():
         g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
         dm = distance_matrix(g)
         assert len(far_apart_pairs(dm)) == n * (n - 1) // 2
-        assert four_point_delta(g, dm).delta == 0
+        assert four_point_delta(g, dm)[0] == 0
         assert thinness(g, dm) == 0
 
 
@@ -272,7 +271,7 @@ def test_far_apart_stars():
         dm = distance_matrix(g)
         want = [[a, b] for a in range(1, leaves + 1) for b in range(a + 1, leaves + 1)]
         assert far_apart_pairs(dm).tolist() == want
-        assert four_point_delta(g, dm).delta == 0
+        assert four_point_delta(g, dm)[0] == 0
         assert thinness(g, dm) == 0
 
 
@@ -281,9 +280,9 @@ def test_far_apart_grids():
         g = grid_graph(rows, cols)
         dm = distance_matrix(g)
         check_far_apart_pairs(g, dm)
-        res = four_point_delta(g, dm)
-        assert 2 * res.delta == naive_four_point_delta_doubled(dm)
-        assert four_point_defect(dm, res.witness) == res.delta
+        delta, witness, _ = four_point_delta(g, dm)
+        assert 2 * delta == naive_four_point_delta_doubled(dm)
+        assert four_point_defect(dm, witness) == delta
         assert thinness(g, dm) == naive_interval_thinness(dm)
 
 
@@ -324,9 +323,9 @@ def test_block_arcs_are_the_unit_entries(g):
 
 def test_large_tree_is_exact_at_default_cap():
     g = random_tree(1000, 3)
-    rep, nu = hyperbolicity_report(g, distance_matrix(g))
-    assert rep.exact and rep.delta == 0 and nu == 0
-    assert rep.witness == (0, 0, 0, 0)
+    (delta, witness, upper), nu = hyperbolicity_report(g, distance_matrix(g))
+    assert delta == upper and delta == 0 and nu == 0
+    assert witness == (0, 0, 0, 0)
 
 
 def test_budget_bounds_unscanned_blocks_by_diameter(monkeypatch):
@@ -334,14 +333,14 @@ def test_budget_bounds_unscanned_blocks_by_diameter(monkeypatch):
     # diam 34, and the only block that is scanned is the cycle, diam 4
     g = Graph(38, [*cycle_graph(8).edges(), (0, 8), *((v, v + 1) for v in range(8, 37))])
     dm = distance_matrix(g)
-    exact = four_point_delta(g, dm)
-    assert exact.exact and 2 * exact.delta == naive_four_point_delta_doubled(dm) == 4
+    delta, _, upper = four_point_delta(g, dm)
+    assert delta == upper and 2 * delta == naive_four_point_delta_doubled(dm) == 4
     monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", 0)
-    bracket = four_point_delta(g, dm)
-    assert (bracket.delta, bracket.witness, bracket.upper) == (0, (0, 0, 0, 0), 2)
-    assert not bracket.exact
-    rep, nu = hyperbolicity_report(g, dm)
-    assert not rep.exact and (rep.delta, rep.upper) == (bracket.delta, bracket.upper)
+    delta, witness, upper = four_point_delta(g, dm)
+    assert (delta, witness, upper) == (0, (0, 0, 0, 0), 2)
+    assert delta != upper
+    (rep_delta, _, rep_upper), nu = hyperbolicity_report(g, dm)
+    assert rep_delta != rep_upper and (rep_delta, rep_upper) == (delta, upper)
     assert nu == naive_interval_thinness(dm)
     # an 8-cycle glued at vertex 0 of a 30-vertex G(n,p) block, both of
     # diameter 4: the budget covers the first 64 rows of the G(n,p) block,
@@ -351,8 +350,8 @@ def test_budget_bounds_unscanned_blocks_by_diameter(monkeypatch):
     g = Graph(37, [*base.edges(), (0, 30), *((v, v + 1) for v in range(30, 36)), (36, 0)])
     dm = distance_matrix(g)
     monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", 64 * 64)
-    bracket = four_point_delta(g, dm)
-    assert (2 * bracket.delta, 2 * bracket.upper) == (2, 4)
+    delta, _, upper = four_point_delta(g, dm)
+    assert (2 * delta, 2 * upper) == (2, 4)
     assert naive_four_point_delta_doubled(dm) == 4
 
 
@@ -362,20 +361,19 @@ def test_budgeted_bracket_holds(g, budget):
     dm = distance_matrix(g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
-        res = four_point_delta(g, dm)
+        delta, witness, upper = four_point_delta(g, dm)
         rep, nu = hyperbolicity_report(g, dm)
-    assert 2 * res.delta <= naive_four_point_delta_doubled(dm) <= 2 * res.upper
-    assert four_point_defect(dm, res.witness) == res.delta
-    assert res.exact == (res.delta == res.upper)
-    assert (rep.delta, rep.witness, rep.upper) == (res.delta, res.witness, res.upper)
+    assert 2 * delta <= naive_four_point_delta_doubled(dm) <= 2 * upper
+    assert four_point_defect(dm, witness) == delta
+    assert rep == (delta, witness, upper)
     assert nu == naive_interval_thinness(dm)
 
 
 def test_sparse_random_graph_is_exact_at_default_budget():
     n = 2000
     g = gnp_connected(n, 2 * math.log(n) / n, 1)
-    rep, _ = hyperbolicity_report(g, distance_matrix(g))
-    assert rep.exact
+    (delta, _, upper), _ = hyperbolicity_report(g, distance_matrix(g))
+    assert delta == upper
 
 
 def gnp_half(max_n=40):
@@ -473,11 +471,11 @@ def test_budget_matches_a_scan_over_complete_lists(g, budget):
     dm = distance_matrix(g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
-        res = four_point_delta(g, dm)
-        rep, _ = hyperbolicity_report(g, dm)
+        delta, witness, upper = four_point_delta(g, dm)
+        (rep_delta, rep_witness, rep_upper), _ = hyperbolicity_report(g, dm)
     want = budgeted_four_point(g, dm, budget)
-    assert (2 * res.delta, res.witness, 2 * res.upper) == want
-    assert (2 * rep.delta, rep.witness, 2 * rep.upper) == want
+    assert (2 * delta, witness, 2 * upper) == want
+    assert (2 * rep_delta, rep_witness, 2 * rep_upper) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,9 +486,9 @@ def test_report_thinness_stops_at_the_doubled_upper_end(g, budget):
     dm = distance_matrix(g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
-        rep, nu = hyperbolicity_report(g, dm)
+        (_, _, upper), nu = hyperbolicity_report(g, dm)
     assert nu == naive_interval_thinness(dm)
-    assert nu <= 2 * rep.upper
+    assert nu <= 2 * upper
 
 
 @settings(max_examples=100, deadline=None)
@@ -511,7 +509,7 @@ def test_four_point_delta_scans_no_thinness(g, budget):
         rep, _ = hyperbolicity_report(g, dm)
         mp.setattr(hyperbolicity, "_thinness_scan", no_thinness)
         res = four_point_delta(g, dm)
-    assert res == FourPointResult(rep.delta, rep.witness, rep.upper)
+    assert res == rep
 
 
 def test_budget_matches_complete_lists_past_the_top_layer(monkeypatch):
@@ -528,9 +526,9 @@ def test_budget_matches_complete_lists_past_the_top_layer(monkeypatch):
         t = len(whole_graph_pairs(dm).pairs)
         for budget in (0, 1, 7, t * t, 64 * 64 - 1, 64 * 64, 10**5, 2**26):
             monkeypatch.setattr(hyperbolicity, "FOUR_POINT_BUDGET", budget)
-            res = four_point_delta(g, dm)
+            delta, witness, upper = four_point_delta(g, dm)
             want = budgeted_four_point(g, dm, budget)
-            assert (2 * res.delta, res.witness, 2 * res.upper) == want
+            assert (2 * delta, witness, 2 * upper) == want
 
 
 def test_scans_that_stop_in_the_diameter_layer_build_no_lower_layers(monkeypatch):
@@ -562,4 +560,4 @@ def test_tree_skips_the_block_split(monkeypatch):
     monkeypatch.setattr(hyperbolicity, "biconnected_blocks", no_split)
     assert hyperbolicity._scanned_blocks(g, dm) == []
     assert hyperbolicity_report(g, dm) == want
-    assert four_point_delta(g, dm) == FourPointResult(Fraction(0), (0, 0, 0, 0), Fraction(0))
+    assert four_point_delta(g, dm) == (Fraction(0), (0, 0, 0, 0), Fraction(0))

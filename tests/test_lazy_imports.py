@@ -12,9 +12,10 @@ import pytest
 
 import hypercore
 import hypercore.cli
+from test_golden import CASES, EXIT_CODES, GOLDEN
 
 EXPORTS = {
-    "beamcore": ["BeamCoreResult", "beam_pairs", "total_beam_core"],
+    "beamcore": ["beam_pairs", "total_beam_core"],
     "check": ["check_hit_pack", "four_point_defect"],
     "congestion": ["CoreResult", "median_vertex", "min_core", "traffic_load"],
     "generators": ["generate"],
@@ -23,14 +24,13 @@ EXPORTS = {
         "multi_source_distances",
     ],
     "hyperbolicity": [
-        "EccentricityProfile", "FourPointResult", "biconnected_blocks", "eccentricity_profile",
-        "four_point_delta", "hyperbolicity_report", "mutually_distant_pair", "thin_delta_bound",
+        "biconnected_blocks", "eccentricity_profile", "four_point_delta", "hyperbolicity_report",
+        "mutually_distant_pair", "thin_delta_bound",
     ],
     "lpkappa": ["KappaHitPackResult", "kappa_hit_pack", "round_packing"],
     "multicore": ["interval_family", "multicore_construct"],
     "quasiconvex": [
-        "HitPackResult", "covering_radius", "greedy_hit_pack", "helly_center", "is_interval_like",
-        "set_epsilons",
+        "covering_radius", "greedy_hit_pack", "helly_center", "is_interval_like", "set_epsilons",
     ],
     "simplex": ["LPInstance", "LPSolution", "solve_lp"],
 }
@@ -56,7 +56,7 @@ print(json.dumps([code, loaded()]))
 
 def test_all_lists_the_exported_names():
     assert hypercore.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(hypercore.__all__) == 38
+    assert len(hypercore.__all__) == 34
 
 
 def test_each_name_is_the_object_of_its_submodule():
@@ -145,3 +145,26 @@ def test_the_builders_load_no_checks(module):
         "print(json.dumps('hypercore.check' in sys.modules))\n"
     )
     assert run_fresh(probe, f"hypercore.{module}") == [False]
+
+
+# Run in a fresh interpreter: one command, then its exit code and whether
+# ``dataclasses`` was loaded.
+DATACLASSES_PROBE = """
+import json, sys
+import hypercore.cli
+code = hypercore.cli.run_cli(sys.argv[1:])
+print(json.dumps([code, "dataclasses" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("command", ["hyperbolicity", "helly", "hitpack", "multicore", "beamcore"])
+def test_the_plain_value_commands_load_no_dataclasses(command, tmp_path):
+    # their builders return plain tuples; only congestion, lpkappa and
+    # simplex, which these commands do not load, import dataclasses
+    name = f"{command}_gnp"
+    out = tmp_path / "report.json"
+    argv = [a.format(g=GOLDEN) for a in CASES[name]]
+    [[code, loaded]] = run_fresh(DATACLASSES_PROBE, "--out", out, *argv)
+    assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[name]
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert not loaded

@@ -181,8 +181,7 @@ def test_round_hitting_kappa1_reduces_to_greedy():
     fam = [member(p) for p in parts]
     # the cover 1/16 on every vertex, as integer weights over one denominator
     got = _round_support(range(16), [1] * 16, fam, dm, g, 1, 0)
-    expected = greedy_hit_pack(g, dm, parts, 1).hitting_set
-    assert tuple(got) == expected
+    assert got == greedy_hit_pack(g, dm, parts, 1)[0]
 
 
 def test_kappa_hit_pack_single_member():
@@ -233,7 +232,7 @@ def test_kappa_hit_pack_tree_unions_of_subtrees():
 def test_kappa_hit_pack_random_graph():
     g = gnp_connected(25, 0.15, 12)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(g, dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm)[0])
     rng = random.Random(7)
     fam = []
     for _ in range(5):
@@ -263,6 +262,10 @@ def test_kappa_hit_pack_preconditions():
         kappa_hit_pack(g, dm, [member([0]), member()], 0, F(0))
     with pytest.raises(ValueError, match="^cannot measure quasiconvexity of an empty set$"):
         kappa_hit_pack(g, dm, [member([0], [])], 0, F(0))
+    # r >= eps + 2*delta keeps a negative radius from the Gamma incidence,
+    # which refuses one itself
+    with pytest.raises(ValueError, match="^negative gamma radius -1$"):
+        gamma_sets(dm, fam, -1)
 
 
 def test_witness_vertices_rule():
@@ -368,7 +371,7 @@ def test_witness_lps_match_full_lps(case):
         return pack, hit
 
     optima(radius)
-    delta = thin_delta_bound(four_point_delta(g, dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm)[0])
     eps = family_epsilon(dm, fam)
     r = eps + ceil(delta * 2) + radius
     res = kappa_hit_pack(g, dm, fam, r, delta)

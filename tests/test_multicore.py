@@ -27,7 +27,7 @@ def construct(g, dm, pairs, r, delta):
     """The centers ``multicore_construct`` returns, and the claim that the
     ``multicore`` command checks on them: their radius-r balls intercept
     every demand pair (``check.balls_intercept``)."""
-    centers = multicore_construct(g, dm, pairs, r, delta).hitting_set
+    centers, _ = multicore_construct(g, dm, pairs, r, delta)
     return centers, balls_intercept(g, dm, centers, r, pairs)
 
 
@@ -136,7 +136,7 @@ def test_multicore_tree_matches_brute_sigma():
 def test_multicore_every_pair_intercepted_nontree():
     g = gnp_connected(14, 0.3, 9)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(g, dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm)[0])
     rng = random.Random(0)
     pairs = [(rng.randrange(14), rng.randrange(14)) for _ in range(4)]
     pairs = [(a, b) for a, b in pairs if a != b] or [(0, 1)]
@@ -150,7 +150,7 @@ def test_multicore_every_pair_intercepted_nontree():
 def test_multicore_rejects_small_radius():
     g = cycle_graph(8)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(g, dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm)[0])
     with pytest.raises(ValueError, match="8\\*delta"):
         multicore_construct(g, dm, [(0, 4)], 1, delta)
 
@@ -177,7 +177,7 @@ def test_inequality_chain_small_trees():
     for seed in (3, 8):
         g = random_tree(11, seed)
         dm = distance_matrix(g)
-        delta = thin_delta_bound(four_point_delta(g, dm).delta)
+        delta = thin_delta_bound(four_point_delta(g, dm)[0])
         assert delta == 0
         rng = random.Random(seed)
         pairs = []

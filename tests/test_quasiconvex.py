@@ -61,13 +61,13 @@ def test_greedy_hit_pack_projects_toward_z():
     # one set, so one round: its member nearest z walked r hops toward z
     g = path_graph(7)
     dm = distance_matrix(g)
-    assert greedy_hit_pack(g, dm, [[0, 1]], 0, z=6).hitting_set == (1,)
-    assert greedy_hit_pack(g, dm, [[0, 1]], 2, z=6).hitting_set == (3,)
-    assert greedy_hit_pack(g, dm, [[0, 3, 5]], 4, z=3).hitting_set == (3,)  # z inside the set
-    assert greedy_hit_pack(g, dm, [[0]], 99, z=6).hitting_set == (6,)  # the walk stops at z
+    assert greedy_hit_pack(g, dm, [[0, 1]], 0, z=6)[0] == (1,)
+    assert greedy_hit_pack(g, dm, [[0, 1]], 2, z=6)[0] == (3,)
+    assert greedy_hit_pack(g, dm, [[0, 3, 5]], 4, z=3)[0] == (3,)  # z inside the set
+    assert greedy_hit_pack(g, dm, [[0]], 99, z=6)[0] == (6,)  # the walk stops at z
     # on the 6-cycle 2 and 4 are both 2 from z = 0: the walk starts at 2
     c6 = cycle_graph(6)
-    assert greedy_hit_pack(c6, distance_matrix(c6), [[4, 2]], 1).hitting_set == (1,)
+    assert greedy_hit_pack(c6, distance_matrix(c6), [[4, 2]], 1)[0] == (1,)
     with pytest.raises(ValueError, match="^negative packing gap -1$"):
         greedy_hit_pack(g, dm, [[0, 1]], -1, z=6)
 
@@ -153,7 +153,7 @@ def test_helly_center_subtrees_of_tree():
 def test_helly_center_cycle_intervals():
     g = cycle_graph(6)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(g, dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm)[0])
     sets = [interval(dm, 0, x) for x in (2, 3, 4)]  # all contain vertex 0
     radius = math.floor(covering_radius(0, max(set_epsilons(dm, sets)), delta))
     members = ball_members(dm, helly_center(g, dm, sets, 0), radius)
@@ -201,37 +201,38 @@ def test_greedy_hit_pack_far_singletons():
     tree = path_graph(15)
     dm = distance_matrix(tree)
     sets = [[0], [5], [10], [14]]
-    hp = greedy_hit_pack(tree, dm, sets, 1)
-    assert len(hp.hitting_set) == len(hp.packing) == 4
+    hitting, packing = greedy_hit_pack(tree, dm, sets, 1)
+    assert len(hitting) == len(packing) == 4
     # each pick is hit one step toward z = 0, and the packing is 2-apart
-    assert check_hit_pack(dm, sets, hp.hitting_set, 1, hp.packing, 1) == (True, True)
+    assert check_hit_pack(dm, sets, hitting, 1, packing, 1) == (True, True)
 
 
 def test_greedy_hit_pack_intersecting_collapses():
     g = cycle_graph(6)
     dm = distance_matrix(g)
-    hp = greedy_hit_pack(g, dm, [interval(dm, 0, 3), interval(dm, 1, 4), interval(dm, 2, 5)], 0)
-    assert len(hp.hitting_set) == len(hp.packing) == 1
+    sets = [interval(dm, 0, 3), interval(dm, 1, 4), interval(dm, 2, 5)]
+    hitting, packing = greedy_hit_pack(g, dm, sets, 0)
+    assert len(hitting) == len(packing) == 1
 
 
 def test_greedy_hit_pack_random_certificates():
     rng = random.Random(9)
     g = gnp_connected(30, 0.12, 4)
     dm = distance_matrix(g)
-    delta = thin_delta_bound(four_point_delta(g, dm).delta)
+    delta = thin_delta_bound(four_point_delta(g, dm)[0])
     sets = []
     for _ in range(10):
         a, b = rng.randrange(30), rng.randrange(30)
         sets.append(interval(dm, a, b))
     epsilon = max(set_epsilons(dm, sets))
     for r in (0, 1, 2):
-        hp = greedy_hit_pack(g, dm, sets, r)
-        assert len(hp.hitting_set) == len(hp.packing)
+        hitting, packing = greedy_hit_pack(g, dm, sets, r)
+        assert len(hitting) == len(packing)
         radius = math.floor(covering_radius(r, epsilon, delta))
         for s in sets:
-            assert min(set_distance(dm, [t], s) for t in hp.hitting_set) <= radius
-        for i, a in enumerate(hp.packing):
-            for b in hp.packing[i + 1 :]:
+            assert min(set_distance(dm, [t], s) for t in hitting) <= radius
+        for i, a in enumerate(packing):
+            for b in packing[i + 1 :]:
                 assert set_distance(dm, sets[a], sets[b]) > 2 * r
 
 
@@ -251,7 +252,7 @@ def test_greedy_hit_pack_many_sets_stays_linear():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (hp.hitting_set, hp.packing) == greedy_hit_pack_by_sets(g, dm, sets, r)
+        assert hp == greedy_hit_pack_by_sets(g, dm, sets, r)
         assert peak < s * s // 4  # an S x S int16 block alone takes 2 * s * s bytes
 
 
@@ -271,7 +272,7 @@ def test_helly_balls_check_random_with_thin_inflation():
     for seed in range(8):
         g = gnp_connected(18, 0.2, seed + 40)
         dm = distance_matrix(g)
-        delta = thin_delta_bound(four_point_delta(g, dm).delta)
+        delta = thin_delta_bound(four_point_delta(g, dm)[0])
         balls = [(rng.randrange(18), rng.randrange(0, 3)) for _ in range(5)]
         ok = all(
             dm.d[a, b] <= ra + rb
@@ -372,18 +373,18 @@ def test_check_hit_pack_catches_mutants():
     g = path_graph(12)
     dm = distance_matrix(g)
     members = [[0], [4], [8, 9]]
-    hp = greedy_hit_pack(g, dm, members, 1)
-    assert (hp.hitting_set, hp.packing) == ((7, 3, 0), (2, 1, 0))
+    hitting, packing = greedy_hit_pack(g, dm, members, 1)
+    assert (hitting, packing) == ((7, 3, 0), (2, 1, 0))
     assert math.floor(covering_radius(1, max(set_epsilons(dm, members)), Fraction(0))) == 1
-    assert check_hit_pack(dm, members, hp.hitting_set, 1, hp.packing, 1) == (True, True)
+    assert check_hit_pack(dm, members, hitting, 1, packing, 1) == (True, True)
     # [0] and [4] are 4 apart: packed at gap 1, within 2*gap at gap 2
-    assert check_hit_pack(dm, members, hp.hitting_set, 1, (0, 1), 2) == (True, False)
+    assert check_hit_pack(dm, members, hitting, 1, (0, 1), 2) == (True, False)
     # a repeated packing index is a member at distance 0 from itself
-    assert check_hit_pack(dm, members, hp.hitting_set, 1, (2, 2), 1) == (True, False)
+    assert check_hit_pack(dm, members, hitting, 1, (2, 2), 1) == (True, False)
     # without vertex 0, member [0] lies 3 from the hitting set, beyond radius 1
-    assert check_hit_pack(dm, members, (7, 3), 1, hp.packing, 1) == (False, True)
+    assert check_hit_pack(dm, members, (7, 3), 1, packing, 1) == (False, True)
     with pytest.raises(ValueError, match="^packing index 3 out of range for 3 members$"):
-        check_hit_pack(dm, members, hp.hitting_set, 1, (0, 3), 1)
+        check_hit_pack(dm, members, hitting, 1, (0, 3), 1)
 
 
 @st.composite
@@ -426,10 +427,10 @@ def test_greedy_and_check_hit_pack_equal_set_loops(case, data):
     r = data.draw(st.integers(0, 3))
     delta = Fraction(data.draw(st.integers(0, 4)), 2)
     z = data.draw(st.integers(0, g.n - 1))
-    hp = greedy_hit_pack(g, dm, sets, r, z=z)  # unsorted lists with repeats, as drawn
-    assert (hp.hitting_set, hp.packing) == greedy_hit_pack_by_sets(g, dm, sets, r, z=z)
+    hitting, packing = greedy_hit_pack(g, dm, sets, r, z=z)  # unsorted lists with repeats
+    assert (hitting, packing) == greedy_hit_pack_by_sets(g, dm, sets, r, z=z)
     radius = math.floor(covering_radius(r, max(set_epsilons(dm, sets)), delta))
-    args = (dm, sets, hp.hitting_set, radius, hp.packing, r)
+    args = (dm, sets, hitting, radius, packing, r)
     hit_ok, pack_ok = check_hit_pack(*args)
     assert (hit_ok, pack_ok) == check_hit_pack_by_sets(*args)
     assert pack_ok  # greedy drops every set within 2r of a pick; hit_ok needs a sound delta
