@@ -12,7 +12,7 @@ import importlib
 _EXPORTS = {
     "beamcore": ("beam_pairs", "total_beam_core"),
     "check": ("check_hit_pack", "four_point_defect"),
-    "congestion": ("CoreResult", "median_vertex", "min_core", "traffic_load"),
+    "congestion": ("median_vertex", "min_core", "traffic_load"),
     "generators": ("generate",),
     "graphs": (
         "DistanceMatrix", "Graph", "distance_matrix", "intercepted_pairs", "interval",
@@ -22,12 +22,12 @@ _EXPORTS = {
         "biconnected_blocks", "eccentricity_profile", "four_point_delta", "hyperbolicity_report",
         "mutually_distant_pair", "thin_delta_bound",
     ),
-    "lpkappa": ("KappaHitPackResult", "kappa_hit_pack", "round_packing"),
+    "lpkappa": ("kappa_hit_pack", "round_packing"),
     "multicore": ("interval_family", "multicore_construct"),
     "quasiconvex": (
         "covering_radius", "greedy_hit_pack", "helly_center", "is_interval_like", "set_epsilons",
     ),
-    "simplex": ("LPInstance", "LPSolution", "solve_lp"),
+    "simplex": ("LPInstance", "solve_lp"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_OWNER)

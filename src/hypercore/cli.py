@@ -168,17 +168,18 @@ def _cmd_core(args):
     else:
         profile = table.ids_of(read_tokens(args.profile))
     alpha = _parse_fraction(args.alpha)
-    res = min_core(g, profile, alpha)
-    frac_of_pairs = Fraction(res.intercepted_pairs, res.total_pairs)
+    center, radius, count, median = min_core(g, profile, alpha)
+    profile_size = len(set(profile))
+    total_pairs = profile_size * (profile_size - 1) // 2
     return {
-        "profile_size": len(set(profile)),
+        "profile_size": profile_size,
         "alpha": str(alpha),
-        "center": table.label_of(res.center),
-        "radius": res.radius,
-        "intercepted_pairs": res.intercepted_pairs,
-        "total_pairs": res.total_pairs,
-        "pair_fraction": _fraction_json(frac_of_pairs),
-        "median_vertex": table.label_of(res.median),
+        "center": table.label_of(center),
+        "radius": radius,
+        "intercepted_pairs": count,
+        "total_pairs": total_pairs,
+        "pair_fraction": _fraction_json(Fraction(count, total_pairs)),
+        "median_vertex": table.label_of(median),
     }, {}
 
 
@@ -324,30 +325,42 @@ def _cmd_hitpack(args):
 def _cmd_kappa(args):
     from .check import check_hit_pack
     from .lpkappa import kappa_hit_pack
+    from .quasiconvex import covering_radius, set_epsilons
 
     g, dm, table = _load_graph(args)
     entries = read_kappa_family_json(args.family)
     members = [[table.ids_of(part) for part in e["parts"]] for e in entries]
+    epsilon = max(set_epsilons(dm, [part for parts in members for part in parts]))
     delta, four_point = _thin_delta(args, g, dm)
     z = _base_vertex(args, table)
-    res = kappa_hit_pack(g, dm, members, args.r, delta, z=z)
+    if args.r < epsilon + delta * 2:
+        raise ValueError(
+            f"r={args.r} violates the hypothesis r >= epsilon + 2*delta = {epsilon + delta * 2}"
+        )
+    # never negative: r >= eps + 2*delta >= 0
+    r_star = math.floor(covering_radius(args.r, epsilon, delta))
+    r_prime = math.floor(r_star + epsilon + delta * 3)
+    kappa = max(map(len, members))
+    hitting, packing, packing_optimum, hitting_optimum = kappa_hit_pack(
+        g, dm, members, args.r, r_star, z=z
+    )
     unions = [[v for part in parts for v in part] for parts in members]
-    hit_ok, pack_ok = check_hit_pack(dm, unions, res.hitting_set, res.r_prime, res.packing, args.r)
-    bound_ok = len(res.hitting_set) <= 2 * res.kappa**2 * len(res.packing)
+    hit_ok, pack_ok = check_hit_pack(dm, unions, hitting, r_prime, packing, args.r)
+    bound_ok = len(hitting) <= 2 * kappa**2 * len(packing)
     report = {
         "members": len(members),
-        "kappa": res.kappa,
-        "epsilon": res.epsilon,
+        "kappa": kappa,
+        "epsilon": epsilon,
         "delta": _half_integer_json(delta),
         "r": args.r,
-        "r_star": res.r_star,
-        "r_prime": res.r_prime,
-        "hitting_set": table.labels_of(res.hitting_set),
-        "packing": [entries[i]["name"] for i in res.packing],
+        "r_star": r_star,
+        "r_prime": r_prime,
+        "hitting_set": table.labels_of(hitting),
+        "packing": [entries[i]["name"] for i in packing],
         "lp_optima": {
-            "packing": str(res.packing_optimum),
-            "hitting": str(res.hitting_optimum),
-            "gap_zero": res.packing_optimum == res.hitting_optimum,
+            "packing": str(packing_optimum),
+            "hitting": str(hitting_optimum),
+            "gap_zero": packing_optimum == hitting_optimum,
         },
         "certificates": {"hitting": hit_ok, "packing": pack_ok, "size_bound": bound_ok},
         **four_point,

@@ -3,13 +3,14 @@ vertex set under a demand profile, and the median vertex.
 
 Geodesic counts are int64, promoted to Python ints where they could
 overflow, and traffic fractions are exact rationals, so none of the
-congestion certificates depend on float tolerances.
+congestion certificates depend on float tolerances.  Results are plain
+values: ``min_core`` returns the tuple (center, radius, count, median),
+``traffic_load`` a ``Fraction`` and ``median_vertex`` one vertex id.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -30,17 +31,6 @@ from .graphs import (
 )
 
 HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class CoreResult:
-    """Best interception ball found for a profile, and the profile median."""
-
-    center: int
-    radius: int
-    intercepted_pairs: int
-    total_pairs: int
-    median: int
 
 
 def _geodesic_dag(g: Graph, dx: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -415,9 +405,11 @@ def _threshold_search(
     return found
 
 
-def min_core(g: Graph, X: Sequence[int], alpha: Fraction = HALF) -> CoreResult:
+def min_core(g: Graph, X: Sequence[int], alpha: Fraction = HALF) -> tuple[int, int, int, int]:
     """Minimum-radius ball intercepting at least alpha * |X|^2 / 2 pairs,
-    and the profile median (``median_vertex``).
+    and the profile median (``median_vertex``), as (center, radius, count,
+    median): the ball B(center, radius) intercepts count of the C(|X|, 2)
+    pairs of the profile's distinct vertices.
 
     B(c, rho) intercepts a pair when it meets every geodesic of the pair (a
     pair with an endpoint in the ball counts as intercepted).  count_c(rho),
@@ -504,11 +496,11 @@ def min_core(g: Graph, X: Sequence[int], alpha: Fraction = HALF) -> CoreResult:
         counts, sums = _tree_profile_pass(g, profile)
         best = int(counts.argmax())
         if counts[best] >= threshold:
-            return CoreResult(best, 0, int(counts[best]), total, int(sums.argmin()))
+            return best, 0, int(counts[best]), int(sums.argmin())
     dm = distance_matrix(g, cap=g.n)
     median = median_vertex(dm, profile)
     rho, best, count = _threshold_search(g, dm.d, profile, threshold, median)
-    return CoreResult(best, rho, count, total, median)
+    return best, rho, count, median
 
 
 def median_vertex(dm: DistanceMatrix, X: Sequence[int]) -> int:

@@ -5,34 +5,25 @@ procedure, whose hitting set is at most 2*kappa^2 times its packing.
 
 A member is a list of its parts, each a list of vertex ids in any order and
 with repeats; kappa is the most parts of a member.  ``kappa_hit_pack``
-measures every part's quasiconvexity defect itself (``set_epsilons``).
+takes its two radii from the caller and reads neither the family's
+quasiconvexity defect nor a thin-triangle constant: the ``kappa`` command
+measures the defect (``set_epsilons``) and derives the radii, as ``hitpack``
+does.  It returns plain values, the hitting set and packing as tuples and
+the two LP optima as ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import floor, lcm
+from math import lcm
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, _min_rows, check_rational, check_vertices
-from .quasiconvex import covering_radius, greedy_hit_pack, set_epsilons
+from .graphs import DistanceMatrix, Graph, _min_rows, check_vertices
+from .quasiconvex import greedy_hit_pack
 from .simplex import LPInstance, solve_lp
-
-
-@dataclass(frozen=True)
-class KappaHitPackResult:
-    hitting_set: tuple[int, ...]
-    packing: tuple[int, ...]
-    kappa: int
-    epsilon: int
-    r_star: int
-    r_prime: int
-    packing_optimum: Fraction
-    hitting_optimum: Fraction
 
 
 def _gamma_index(member_dist: np.ndarray, r: int) -> tuple[frozenset[int], ...]:
@@ -174,22 +165,25 @@ def kappa_hit_pack(
     dm: DistanceMatrix,
     members: Sequence[Sequence[Sequence[int]]],
     r: int,
-    delta: Fraction,
+    r_star: int,
     *,
     z: int = 0,
-) -> KappaHitPackResult:
-    """End-to-end covering/packing: an r-packing and an r_prime-hitting set.
+) -> tuple[tuple[int, ...], tuple[int, ...], Fraction, Fraction]:
+    """End-to-end covering/packing: an r-packing P and a hitting set T,
+    returned as (hitting, packing, packing_optimum, hitting_optimum).
 
-    With eps the family's quasiconvexity defect, the largest over every
-    part, measured in one ``set_epsilons`` call and returned, r_star = r +
-    eps + 3*delta and r_prime = r_star + eps + 3*delta (both floored),
-    solves the fractional packing LP at r_star and rounds it to an r-packing
-    P, takes the fractional hitting vector at r_star from the packing LP's
-    duals and rounds it to an r_prime-hitting set T.  The claims that P is
-    pairwise 2r-apart, that T reaches every member within r_prime, and that
-    |T| <= 2*kappa^2*|P| are checked by the caller
-    (``check.check_hit_pack``), not here.  Requires r >= eps + 2*delta,
-    under which the two classical forms of the intermediate radius coincide.
+    Solves the fractional packing LP at r_star and rounds it to P, takes
+    the fractional hitting vector at r_star from the packing LP's duals and
+    rounds it to T.  The caller takes the radii from the family's
+    quasiconvexity defect eps, the largest over every part, and a sound
+    thin-triangle constant delta with r >= eps + 2*delta, under which the
+    two classical forms of the intermediate radius coincide: r_star =
+    floor(covering_radius(r, eps, delta)) and r_prime = floor(r_star + eps
+    + 3*delta).  Then P's members are pairwise more than 2r apart, T reaches
+    every member within r_prime, and |T| <= 2*kappa^2*|P|, kappa the most
+    parts of a member.  These claims are checked by the caller
+    (``check.check_hit_pack``), not here, and this pass reads neither eps
+    nor delta.  The two optima are equal, the value of both LPs.
 
     Both LPs are taken over the witness vertices only, from one
     member-distance matrix that also gives the Gamma incidence at r.
@@ -209,43 +203,25 @@ def kappa_hit_pack(
         raise ValueError("empty family")
     if not all(members):
         raise ValueError("a member needs at least one part")
+    if not all(len(part) for parts in members for part in parts):
+        raise ValueError("a part needs at least one vertex")
     check_vertices(dm.n, [z], "base vertex")
     kappa = max(map(len, members))
-    epsilon = max(set_epsilons(dm, list(chain.from_iterable(members))))
-    check_rational(delta, "delta")
-    if r < epsilon + delta * 2:
-        raise ValueError(
-            f"r={r} violates the hypothesis r >= epsilon + 2*delta "
-            f"= {epsilon + delta * 2}"
-        )
-    r_star = floor(covering_radius(r, epsilon, delta))
-    r_prime = floor(r_star + epsilon + delta * 3)
 
     member_dist = _min_rows(dm.d, [list(chain.from_iterable(parts)) for parts in members])
     gamma_r = _gamma_index(member_dist, r)
     witnesses, incidence = _witness_incidence(member_dist, r_star)
 
-    pack_sol = solve_lp(_unit_lp(incidence.T))
-    if pack_sol.status != "optimal":
-        raise RuntimeError(f"packing LP solve failed: {pack_sol.status}")
-    hit, scale = _scaled(pack_sol.duals)  # the duals are hit / scale
+    values, objective, duals = solve_lp(_unit_lp(incidence.T))
+    hit, scale = _scaled(duals)  # the duals are hit / scale
     total = sum(hit)
     cover = _weighted_rows(incidence, hit)
-    if min(hit) < 0 or min(cover) < scale or total != scale * pack_sol.objective:
+    if min(hit) < 0 or min(cover) < scale or total != scale * objective:
         raise RuntimeError(
             "the packing LP's duals are not a hitting vector of equal value: "
-            f"duals {pack_sol.duals}, packing optimum {pack_sol.objective}"
+            f"duals {duals}, packing optimum {objective}"
         )
 
-    packing = round_packing(pack_sol.values, gamma_r, kappa)
+    packing = round_packing(values, gamma_r, kappa)
     hitting = _round_support(witnesses, hit, members, dm, g, r_star, z)
-    return KappaHitPackResult(
-        hitting_set=hitting,
-        packing=tuple(packing),
-        kappa=kappa,
-        epsilon=epsilon,
-        r_star=r_star,
-        r_prime=r_prime,
-        packing_optimum=pack_sol.objective,
-        hitting_optimum=Fraction(total, scale),
-    )
+    return hitting, tuple(packing), objective, Fraction(total, scale)

@@ -22,9 +22,9 @@ cross-multiplication, so the pivots, values and optimum are those of the
 plain rational tableau.  The values, the optimum and the duals are
 returned as ``Fraction``s, the only ones a solve builds.
 
-Each solve also returns the duals: the dual of row r is minus the final
-reduced cost of the row's slack column.  Every rhs is 1, so they satisfy
-``objective == sum(duals)``; see ``LPSolution``.
+A solve returns the plain triple (values, objective, duals) and raises
+``ValueError`` on an unbounded LP.  No kappa LP is one: each member lies
+near some witness, so each column has a positive entry.
 """
 
 from __future__ import annotations
@@ -71,21 +71,6 @@ class LPInstance:
         return rows
 
 
-@dataclass(frozen=True)
-class LPSolution:
-    """Status, and for an optimal solve the primal values, the optimum and
-    one dual per row of the instance (all empty otherwise).
-
-    The duals certify the optimum: ``objective == sum(duals)``, every dual
-    is >= 0, and sum(duals[r] * a[r][j]) >= 1 in every column j.
-    """
-
-    status: str  # "optimal" | "unbounded"; the origin is feasible
-    values: tuple[Fraction, ...]
-    objective: Fraction | None
-    duals: tuple[Fraction, ...]
-
-
 def _pivot(rows, basis, row, col, det):
     """Fraction-free pivot on rows[row][col]; returns the new denominator."""
     prow = rows[row]
@@ -105,13 +90,13 @@ def _run(rows, basis):
     """Maximize with Bland's rule from ``det`` 1; rows[-1] is the priced-out
     cost row, whose last entry (the objective) never enters.
 
-    Returns (status, det)."""
+    Returns the final ``det``; raises ``ValueError`` when the LP is unbounded."""
     det = 1
     while True:
         cost = rows[-1]
         enter = next((j for j in range(len(cost) - 1) if cost[j] > 0), -1)
         if enter < 0:
-            return "optimal", det
+            return det
         leave = -1
         for r in range(len(rows) - 1):
             a = rows[r][enter]
@@ -125,13 +110,20 @@ def _run(rows, basis):
                 if here < best or (here == best and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:
-            return "unbounded", det
+            raise ValueError("the LP is unbounded")
         det = _pivot(rows, basis, leave, enter, det)
 
 
-def solve_lp(inst: LPInstance) -> LPSolution:
+def solve_lp(inst: LPInstance) -> tuple[tuple[Fraction, ...], Fraction, tuple[Fraction, ...]]:
     """Solve exactly by integer pivoting from the slack basis; the reported
-    optimum and duals are the true ones, with no tolerance involved."""
+    optimum and duals are the true ones, with no tolerance involved.
+
+    Returns (values, objective, duals): the primal values, the optimum and
+    one dual per row of the instance.  The duals certify the optimum:
+    ``objective == sum(duals)``, every dual is >= 0, and sum(duals[r] *
+    a[r][j]) >= 1 in every column j.  The dual of row r is minus the final
+    reduced cost of the row's slack column.  An unbounded LP raises
+    ``ValueError``; the origin is feasible, so no LP is infeasible."""
     n = inst.num_vars
     m = inst.num_rows
     # column layout: structural | slack (row r's is column n + r) | rhs
@@ -139,13 +131,11 @@ def solve_lp(inst: LPInstance) -> LPSolution:
     basis = list(range(n, n + m))
     # the basic slacks cost nothing, so the cost row starts priced out
     rows.append([1] * n + [0] * (m + 1))
-    status, det = _run(rows, basis)
-    if status != "optimal":
-        return LPSolution(status, (), None, ())
+    det = _run(rows, basis)
     cost = rows.pop()
     values = [ZERO] * n
     for r, bv in enumerate(basis):
         if bv < n:
             values[bv] = Fraction(rows[r][-1], det)
     duals = tuple(Fraction(-cost[n + r], det) for r in range(m))
-    return LPSolution("optimal", tuple(values), Fraction(-cost[-1], det), duals)
+    return tuple(values), Fraction(-cost[-1], det), duals

@@ -12,7 +12,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from hypercore import (
-    CoreResult,
     DistanceMatrix,
     Graph,
     distance_matrix,
@@ -33,13 +32,13 @@ class CorpusGraph:
     g: Graph
     dm: DistanceMatrix
     delta4: Fraction
-    _core: CoreResult | None = field(default=None, repr=False)
+    _core: tuple[int, int, int, int] | None = field(default=None, repr=False)
 
     @property
     def thin_delta(self) -> Fraction:
         return self.delta4 * 4
 
-    def full_profile_core(self) -> CoreResult:
+    def full_profile_core(self) -> tuple[int, int, int, int]:
         if self._core is None:
             self._core = min_core(self.g, range(self.g.n))
         return self._core

@@ -17,7 +17,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from hypercore import CoreResult, LPInstance
+from hypercore import LPInstance
 from hypercore.graphs import (
     _check_vertex,
     _min_rows,
@@ -532,7 +532,8 @@ def radius_scan_min_core(g, dm, X, alpha=Fraction(1, 2)):
     from each profile vertex.  The first radius at which a center reaches
     ceil(alpha * |X|^2 / 2) wins; ties prefer the largest count, then the
     smallest center id.  The median is the vertex with the smallest distance
-    sum to the profile, summed vertex by vertex, smallest id on ties."""
+    sum to the profile, summed vertex by vertex, smallest id on ties.
+    Returns (center, radius, count, median), as ``min_core`` does."""
     profile = sorted(set(X))
     nX = len(profile)
     total = nX * (nX - 1) // 2
@@ -554,7 +555,7 @@ def radius_scan_min_core(g, dm, X, alpha=Fraction(1, 2)):
                 if best is None or cnt > counts[best]:
                     best = v
         if best is not None:
-            return CoreResult(best, rho, counts[best], total, median)
+            return best, rho, counts[best], median
     raise AssertionError("no ball up to the diameter met the threshold")
 
 
@@ -607,7 +608,7 @@ def histogram_min_core(g, dm, X, alpha=Fraction(1, 2)):
     every center's count at every radius, the first radius at which some
     center reaches ceil(alpha * |X|^2 / 2) wins, ties prefer the largest
     count, then the smallest center id, and the median is the smallest id
-    of least distance sum."""
+    of least distance sum.  Returns (center, radius, count, median)."""
     profile = sorted(set(X))
     nX = len(profile)
     need = alpha * nX * nX / 2
@@ -616,7 +617,7 @@ def histogram_min_core(g, dm, X, alpha=Fraction(1, 2)):
     rho = int(np.argmax(curve.max(axis=0) >= threshold))
     best = int(np.argmax(curve[:, rho]))
     median = int(dm.d[profile].sum(axis=0, dtype=np.int64).argmin())
-    return CoreResult(best, rho, int(curve[best, rho]), nX * (nX - 1) // 2, median)
+    return best, rho, int(curve[best, rho]), median
 
 
 class GeneralLP(

@@ -94,15 +94,15 @@ def test_criterion_1_core_bound(corpus):
     start = time.time()
     failures = []
     for item in corpus:
-        res = item.full_profile_core()
+        _, radius, count, _ = item.full_profile_core()
         bound = math.floor(item.delta4 * 4)
         need = ceil_quarter_square(item.g.n)
-        if res.radius > bound:
-            failures.append(f"{item.name}: rho={res.radius} > {bound}")
-        if res.intercepted_pairs < need:
-            failures.append(f"{item.name}: pairs={res.intercepted_pairs} < {need}")
-        if item.kind == "tree" and res.radius != 0:
-            failures.append(f"{item.name}: tree core radius {res.radius}")
+        if radius > bound:
+            failures.append(f"{item.name}: rho={radius} > {bound}")
+        if count < need:
+            failures.append(f"{item.name}: pairs={count} < {need}")
+        if item.kind == "tree" and radius != 0:
+            failures.append(f"{item.name}: tree core radius {radius}")
     elapsed = time.time() - start
     ok = not failures and elapsed < CORE_TIME_BUDGET_S
     acceptance_line(1, ok, f"200 graphs, {elapsed:.1f}s, {len(failures)} failures")
@@ -251,19 +251,21 @@ def test_criterion_7_kappa_lp_guarantee(corpus):
             fam.append(parts)
         eps = max(set_epsilons(item.dm, [part for parts in fam for part in parts]))
         r = eps + math.floor(item.thin_delta * 2) + i % 3
-        res = kappa_hit_pack(item.g, item.dm, fam, r, item.thin_delta)
-        k = res.kappa
-        unions = [sorted({v for part in parts for v in part}) for parts in fam]
-        hit_ok, pack_ok = check_hit_pack(
-            item.dm, unions, res.hitting_set, res.r_prime, res.packing, r
+        r_star = math.floor(covering_radius(r, eps, item.thin_delta))
+        r_prime = math.floor(r_star + eps + item.thin_delta * 3)
+        hitting, packing, packing_optimum, hitting_optimum = kappa_hit_pack(
+            item.g, item.dm, fam, r, r_star
         )
+        k = max(map(len, fam))
+        unions = [sorted({v for part in parts for v in part}) for parts in fam]
+        hit_ok, pack_ok = check_hit_pack(item.dm, unions, hitting, r_prime, packing, r)
         if not hit_ok:
             failures.append(f"{item.name}: hitting cert")
         if not pack_ok:
             failures.append(f"{item.name}: packing cert")
-        if len(res.hitting_set) > 2 * k * k * len(res.packing):
+        if len(hitting) > 2 * k * k * len(packing):
             failures.append(f"{item.name}: size bound")
-        if res.packing_optimum != res.hitting_optimum:
+        if packing_optimum != hitting_optimum:
             failures.append(f"{item.name}: duality gap nonzero")
     ok = not failures
     acceptance_line(7, ok, f"50 instances, {len(failures)} failures")
@@ -275,12 +277,12 @@ def test_criterion_8_traffic_consistency(corpus):
     assert len(sample) == 50
     failures = []
     for item in sample:
-        res = item.full_profile_core()
+        center, radius, count, _ = item.full_profile_core()
         n = item.g.n
-        if res.intercepted_pairs < ceil_quarter_square(n):
+        if count < ceil_quarter_square(n):
             failures.append(f"{item.name}: pair count")
             continue
-        members = ball_members(item.dm, res.center, res.radius)
+        members = ball_members(item.dm, center, radius)
         mu = traffic_load(item.g, None, members)
         if n <= 12:
             pairs = list(itertools.permutations(range(n), 2))
@@ -336,16 +338,16 @@ def test_criterion_9_centroid_divergence():
         dm = distance_matrix(g)
         hub = star_path_hub(n)
         need = ceil_quarter_square(n)
-        core = min_core(g, range(n))
+        center, radius, count, _ = min_core(g, range(n))
         centroid = centroid_vertex(dm, range(n))
         t = star_path_centroid_offset(n)
-        radii.append(core.radius)
-        distances.append(int(dm.d[centroid, core.center]))
+        radii.append(radius)
+        distances.append(int(dm.d[centroid, center]))
         short_counts.append(star_path_intercepted(n, t, t - 1))
-        if core.center != hub:
-            failures.append(f"n={n}: core center {core.center} != hub {hub}")
-        if core.intercepted_pairs != star_path_intercepted(n, 0, 0):
-            failures.append(f"n={n}: hub core intercepts {core.intercepted_pairs}")
+        if center != hub:
+            failures.append(f"n={n}: core center {center} != hub {hub}")
+        if count != star_path_intercepted(n, 0, 0):
+            failures.append(f"n={n}: hub core intercepts {count}")
         if centroid != hub - t:
             failures.append(f"n={n}: centroid {centroid} != path vertex {hub - t}")
         if short_counts[-1] >= need:

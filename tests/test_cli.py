@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -173,6 +174,13 @@ def test_module_entry_point_without_subcommand_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["hypercore"])
     with pytest.raises(SystemExit) as exit_:
         hypercore.cli.main()
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err == usage
+    # the module's own `if __name__ == "__main__"` line, in process; runpy
+    # runs a fresh copy of the module, and warns when one is loaded already
+    monkeypatch.delitem(sys.modules, "hypercore.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("hypercore.cli", run_name="__main__")
     assert exit_.value.code == 1
     assert capsys.readouterr().err == usage
 
@@ -502,6 +510,21 @@ def test_kappa_cli(tmp_path, capsys):
     assert rep["kappa"] == 2
     assert rep["lp_optima"]["gap_zero"] is True
     assert all(rep["certificates"].values())
+
+
+def test_kappa_refuses_r_below_epsilon_plus_two_delta(tmp_path, capsys):
+    # the part {v0, v3} of the 6-cycle has defect 1: each of its two
+    # geodesics passes two vertices at distance 1 from it
+    path = write_graph(tmp_path, cycle_graph(6))
+    fam = tmp_path / "kfam.json"
+    fam.write_text(json.dumps([{"name": "m", "parts": [["v0", "v3"]]}]), encoding="utf-8")
+    argv = ["kappa", "--edges", str(path), "--family", str(fam), "--delta", "1/2"]
+    code, rep, err = run_json(capsys, [*argv, "--r", "1"])
+    assert (code, rep) == (1, None)
+    assert err == "error: r=1 violates the hypothesis r >= epsilon + 2*delta = 2\n"
+    code, rep, err = run_json(capsys, [*argv, "--r", "2"])
+    assert code == 0
+    assert (rep["epsilon"], rep["r_star"], rep["r_prime"]) == (1, 4, 6)
 
 
 def test_kappa_failed_certificate_names_its_field(tmp_path, capsys):

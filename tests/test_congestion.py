@@ -111,16 +111,14 @@ def test_demand_validation():
 
 def test_min_core_star():
     star = Graph(5, [(0, i) for i in range(1, 5)])
-    res = min_core(star, range(5))
-    assert res.center == 0
-    assert res.radius == 0
-    assert res.intercepted_pairs == res.total_pairs == 10
+    # the hub meets every one of the C(5, 2) pairs
+    assert min_core(star, range(5)) == (0, 0, 10, 0)
 
 
 def test_min_core_trees_radius_zero():
     for seed in range(5):
         g = random_tree(20, seed + 50)
-        assert min_core(g, range(g.n)).radius == 0
+        assert min_core(g, range(g.n))[1] == 0
 
 
 def test_min_core_trees_arbitrary_profile():
@@ -128,37 +126,35 @@ def test_min_core_trees_arbitrary_profile():
     for seed in range(4):
         g = random_tree(24, seed + 80)
         X = sorted(rng.sample(range(24), rng.randint(2, 12)))
-        res = min_core(g, X)
-        assert res.radius == 0
-        assert res.intercepted_pairs >= -(-len(X) * len(X) // 4)
+        _, radius, count, _ = min_core(g, X)
+        assert radius == 0
+        assert count >= -(-len(X) * len(X) // 4)
 
 
 def test_min_core_path10():
     g = path_graph(10)
-    res = min_core(g, range(10))
+    center, radius, count, median = min_core(g, range(10))
     # pairs through vertex 4: C(10,2) - C(4,2) - C(5,2) = 29, best at rho=0
-    assert res.radius == 0
-    assert res.center == 4
-    assert res.intercepted_pairs == 29
-    assert res.intercepted_pairs >= 25
-    assert res.total_pairs == 45
-    assert res.median == 4  # vertices 4 and 5 tie on distance sum 25; smallest id
+    assert radius == 0
+    assert center == 4
+    assert count == 29
+    assert count >= 25
+    assert median == 4  # vertices 4 and 5 tie on distance sum 25; smallest id
 
 
 def test_min_core_count_is_recheckable_via_intercepted_pairs():
     g = gnp_connected(12, 0.3, 21)
     dm = distance_matrix(g)
     X = list(range(g.n))
-    res = min_core(g, X)
+    center, radius, count, _ = min_core(g, X)
     pairs = [(x, y) for i, x in enumerate(X) for y in X[i + 1 :]]
-    recount = int(intercepted_pairs(g, dm, res.center, res.radius, pairs).sum())
-    assert recount == res.intercepted_pairs
+    recount = int(intercepted_pairs(g, dm, center, radius, pairs).sum())
+    assert recount == count
 
 
 def test_min_core_respects_alpha_and_errors():
     g = path_graph(6)
-    res = min_core(g, range(6), Fraction(1, 3))
-    assert res.intercepted_pairs >= -(-36 // 6)
+    assert min_core(g, range(6), Fraction(1, 3))[2] >= -(-36 // 6)
     with pytest.raises(ValueError):
         min_core(g, [0])
     with pytest.raises(ValueError, match="exceeds"):
@@ -172,7 +168,7 @@ def test_min_core_refuses_float_alpha():
         min_core(g, range(6), 0.5)
     with pytest.raises(ValueError, match=r"^threshold alpha\*\|X\|\^2/2 = 18 exceeds"):
         min_core(g, range(6), 1)
-    assert min_core(g, range(6), Fraction(1, 2)).intercepted_pairs >= 9
+    assert min_core(g, range(6), Fraction(1, 2))[2] >= 9
 
 
 def test_tree_fast_path_matches_generic_counts():
@@ -319,7 +315,7 @@ BELOW_THE_MEDIAN = [
 def _median_radius(g, dm, X, alpha):
     need = alpha * len(X) ** 2 / 2
     curve = np.cumsum(escape_histogram(g, dm, X), axis=1)
-    median = radius_scan_min_core(g, dm, X, alpha).median
+    median = radius_scan_min_core(g, dm, X, alpha)[3]
     return int(np.argmax(curve[median] >= -(-need.numerator // need.denominator)))
 
 
@@ -393,7 +389,7 @@ def test_min_core_below_the_median_radius(case):
     dm = distance_matrix(g)
     expected = histogram_min_core(g, dm, X, alpha)
     assert expected == radius_scan_min_core(g, dm, X, alpha)
-    assert _median_radius(g, dm, X, alpha) >= expected.radius + 2
+    assert _median_radius(g, dm, X, alpha) >= expected[1] + 2
     for k, e in BLOCK_ELEMS[:3]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(congestion, "_BLOCK_ELEMS", k * g.n**e)
@@ -416,7 +412,8 @@ def test_min_core_far_below_the_containment_bound():
     X = [*range(8), 27, *range(47, 55)]
     expected = histogram_min_core(g, dm, X)
     assert expected == radius_scan_min_core(g, dm, X)
-    assert (expected.center, expected.radius, expected.median) == (27, 0, 27)
+    center, radius, _, median = expected
+    assert (center, radius, median) == (27, 0, 27)
     with pytest.MonkeyPatch.context() as mp:
         passes = _counting_passes(mp)
         assert min_core(g, X) == expected
@@ -445,7 +442,7 @@ def test_min_core_cycle_ties_to_smallest_center():
         g = cycle_graph(n)
         dm = distance_matrix(g)
         res = min_core(g, range(n))
-        assert res.center == 0
+        assert res[0] == 0
         assert res == radius_scan_min_core(g, dm, range(n))
 
 
@@ -458,7 +455,7 @@ def test_min_core_tree_past_radius_zero():
         counts, _ = _tree_profile_pass(g, list(range(g.n)))
         assert max(counts) < alpha * g.n * g.n / 2
         res = min_core(g, range(g.n), alpha)
-        assert res.radius > 0
+        assert res[1] > 0
         assert res == radius_scan_min_core(g, dm, range(g.n), alpha)
 
 

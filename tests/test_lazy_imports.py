@@ -17,7 +17,7 @@ from test_golden import CASES, EXIT_CODES, GOLDEN
 EXPORTS = {
     "beamcore": ["beam_pairs", "total_beam_core"],
     "check": ["check_hit_pack", "four_point_defect"],
-    "congestion": ["CoreResult", "median_vertex", "min_core", "traffic_load"],
+    "congestion": ["median_vertex", "min_core", "traffic_load"],
     "generators": ["generate"],
     "graphs": [
         "DistanceMatrix", "Graph", "distance_matrix", "intercepted_pairs", "interval",
@@ -27,12 +27,12 @@ EXPORTS = {
         "biconnected_blocks", "eccentricity_profile", "four_point_delta", "hyperbolicity_report",
         "mutually_distant_pair", "thin_delta_bound",
     ],
-    "lpkappa": ["KappaHitPackResult", "kappa_hit_pack", "round_packing"],
+    "lpkappa": ["kappa_hit_pack", "round_packing"],
     "multicore": ["interval_family", "multicore_construct"],
     "quasiconvex": [
         "covering_radius", "greedy_hit_pack", "helly_center", "is_interval_like", "set_epsilons",
     ],
-    "simplex": ["LPInstance", "LPSolution", "solve_lp"],
+    "simplex": ["LPInstance", "solve_lp"],
 }
 
 STARTUP = {
@@ -56,7 +56,7 @@ print(json.dumps([code, loaded()]))
 
 def test_all_lists_the_exported_names():
     assert hypercore.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(hypercore.__all__) == 34
+    assert len(hypercore.__all__) == 31
 
 
 def test_each_name_is_the_object_of_its_submodule():
@@ -157,10 +157,12 @@ print(json.dumps([code, "dataclasses" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("command", ["hyperbolicity", "helly", "hitpack", "multicore", "beamcore"])
+@pytest.mark.parametrize(
+    "command", ["hyperbolicity", "core", "traffic", "helly", "hitpack", "multicore", "beamcore"]
+)
 def test_the_plain_value_commands_load_no_dataclasses(command, tmp_path):
-    # their builders return plain tuples; only congestion, lpkappa and
-    # simplex, which these commands do not load, import dataclasses
+    # their builders return plain values; only simplex, for its checked
+    # LPInstance, imports dataclasses, and only kappa loads it
     name = f"{command}_gnp"
     out = tmp_path / "report.json"
     argv = [a.format(g=GOLDEN) for a in CASES[name]]

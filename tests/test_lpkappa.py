@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from fractions import Fraction as F
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from hypercore import (
     check_hit_pack,
+    covering_radius,
     distance_matrix,
     four_point_delta,
     greedy_hit_pack,
@@ -59,14 +59,24 @@ def member_distances(dm, fam):
     return _min_rows(dm.d, [union(parts) for parts in fam])
 
 
-def certificates(dm, fam, res, r):
+def radii(dm, fam, r, delta):
+    """(r_star, r_prime) as the ``kappa`` command takes them from the
+    family's epsilon and delta."""
+    eps = family_epsilon(dm, fam)
+    r_star = floor(covering_radius(r, eps, delta))
+    return r_star, floor(r_star + eps + delta * 3)
+
+
+def certificates(dm, fam, res, r, r_prime):
     """The three claims the ``kappa`` command checks on a ``kappa_hit_pack``
     result at radius r: the hitting set reaches every member within
     r_prime, the packing is pairwise more than 2r apart, and |T| <=
     2*kappa^2*|P|."""
+    hitting, packing = res[:2]
     unions = [union(parts) for parts in fam]
-    hit_ok, pack_ok = check_hit_pack(dm, unions, res.hitting_set, res.r_prime, res.packing, r)
-    return hit_ok, pack_ok, len(res.hitting_set) <= 2 * res.kappa**2 * len(res.packing)
+    hit_ok, pack_ok = check_hit_pack(dm, unions, hitting, r_prime, packing, r)
+    kappa = max(map(len, fam))
+    return hit_ok, pack_ok, len(hitting) <= 2 * kappa**2 * len(packing)
 
 
 def gamma_sets(dm, fam, r):
@@ -115,12 +125,10 @@ def test_packing_lp_extremes():
     g = path_graph(12)
     dm = distance_matrix(g)
     far = [member([0]), member([5]), member([11])]
-    sol = solve_lp(packing_lp(far, dm, 0))
-    assert sol.status == "optimal" and sol.objective == 3
+    assert solve_lp(packing_lp(far, dm, 0))[1] == 3
     near = [member([4]), member([5]), member([4, 5])]
     # vertex 4 or 5 is within 1 of all three
-    sol2 = solve_lp(packing_lp(near, dm, 1))
-    assert sol2.objective <= 1
+    assert solve_lp(packing_lp(near, dm, 1))[1] <= 1
 
 
 def test_hitting_lp_extremes():
@@ -142,10 +150,10 @@ def test_lp_duality_zero_gap():
         for _ in range(5)
     ]
     for r in (0, 1, 2):
-        p = solve_lp(packing_lp(fam, dm, r))
+        packing_optimum = solve_lp(packing_lp(fam, dm, r))[1]
         status, _, hitting_optimum = fraction_tableau_solve_lp(full_hitting_lp(fam, dm, r))
-        assert p.status == status == "optimal"
-        assert p.objective == hitting_optimum  # exact strong duality
+        assert status == "optimal"
+        assert packing_optimum == hitting_optimum  # exact strong duality
 
 
 def test_round_packing_trivial_cases():
@@ -188,9 +196,9 @@ def test_kappa_hit_pack_single_member():
     g = path_graph(10)
     dm = distance_matrix(g)
     fam = [member([2, 3], [7])]
-    res = kappa_hit_pack(g, dm, fam, 0, F(0))
-    assert len(res.hitting_set) == len(res.packing) == 1
-    assert certificates(dm, fam, res, 0) == (True, True, True)
+    res = kappa_hit_pack(g, dm, fam, 0, 0)
+    assert len(res[0]) == len(res[1]) == 1
+    assert certificates(dm, fam, res, 0, 0) == (True, True, True)
 
 
 def test_kappa1_tree_subtrees_pack_cover_bound():
@@ -203,10 +211,10 @@ def test_kappa1_tree_subtrees_pack_cover_bound():
             member(interval(dm, rng.randrange(20), rng.randrange(20)))
             for _ in range(6)
         ]
-        res = kappa_hit_pack(g, dm, fam, 0, F(0))
-        assert res.kappa == 1
-        assert certificates(dm, fam, res, 0) == (True, True, True)
-        assert len(res.hitting_set) <= 2 * len(res.packing)
+        assert family_epsilon(dm, fam) == 0  # so r_star = r_prime = 0
+        hitting, packing, _, _ = res = kappa_hit_pack(g, dm, fam, 0, 0)
+        assert certificates(dm, fam, res, 0, 0) == (True, True, True)
+        assert len(hitting) <= 2 * len(packing)
 
 
 def test_kappa_hit_pack_tree_unions_of_subtrees():
@@ -222,11 +230,13 @@ def test_kappa_hit_pack_tree_unions_of_subtrees():
                 interval(dm, rng.randrange(24), rng.randrange(24)),
             ]
             fam.append(member(*parts))
-        res = kappa_hit_pack(g, dm, fam, 0, F(0))
-        assert res.kappa == 2
-        assert certificates(dm, fam, res, 0) == (True, True, True)
-        assert len(res.hitting_set) <= 8 * len(res.packing)
-        assert res.packing_optimum == res.hitting_optimum
+        assert family_epsilon(dm, fam) == 0  # so r_star = r_prime = 0
+        hitting, packing, packing_optimum, hitting_optimum = res = kappa_hit_pack(
+            g, dm, fam, 0, 0
+        )
+        assert certificates(dm, fam, res, 0, 0) == (True, True, True)
+        assert len(hitting) <= 8 * len(packing)
+        assert packing_optimum == hitting_optimum
 
 
 def test_kappa_hit_pack_random_graph():
@@ -242,28 +252,30 @@ def test_kappa_hit_pack_random_graph():
         fam.append(member(*parts))
     eps = family_epsilon(dm, fam)
     r = eps + floor(delta * 2) + 1
-    res = kappa_hit_pack(g, dm, fam, r, delta)
-    assert res.epsilon == eps
-    assert certificates(dm, fam, res, r) == (True, True, True)
-    assert res.packing_optimum == res.hitting_optimum
+    r_star, r_prime = radii(dm, fam, r, delta)
+    hitting, packing, packing_optimum, hitting_optimum = res = kappa_hit_pack(
+        g, dm, fam, r, r_star
+    )
+    assert certificates(dm, fam, res, r, r_prime) == (True, True, True)
+    assert packing_optimum == hitting_optimum
     kappa = max(map(len, fam))
-    assert len(res.hitting_set) <= 2 * kappa * kappa * len(res.packing)
+    assert len(hitting) <= 2 * kappa * kappa * len(packing)
 
 
 def test_kappa_hit_pack_preconditions():
     g = path_graph(8)
     dm = distance_matrix(g)
     fam = [member([0, 1])]
-    with pytest.raises(ValueError, match="r >= epsilon"):
-        kappa_hit_pack(g, dm, fam, 0, F(2))
     with pytest.raises(ValueError, match="^empty family$"):
-        kappa_hit_pack(g, dm, [], 0, F(0))
+        kappa_hit_pack(g, dm, [], 0, 0)
     with pytest.raises(ValueError, match="^a member needs at least one part$"):
-        kappa_hit_pack(g, dm, [member([0]), member()], 0, F(0))
-    with pytest.raises(ValueError, match="^cannot measure quasiconvexity of an empty set$"):
-        kappa_hit_pack(g, dm, [member([0], [])], 0, F(0))
-    # r >= eps + 2*delta keeps a negative radius from the Gamma incidence,
-    # which refuses one itself
+        kappa_hit_pack(g, dm, [member([0]), member()], 0, 0)
+    with pytest.raises(ValueError, match="^a part needs at least one vertex$"):
+        kappa_hit_pack(g, dm, [member([0], [])], 0, 0)
+    with pytest.raises(ValueError, match="^set contains vertex 8, out of range for n=8$"):
+        kappa_hit_pack(g, dm, [member([0], [8])], 0, 0)
+    # the command's r >= eps + 2*delta keeps a negative radius from the
+    # Gamma incidence, which refuses one itself
     with pytest.raises(ValueError, match="^negative gamma radius -1$"):
         gamma_sets(dm, fam, -1)
 
@@ -327,7 +339,7 @@ def test_packing_lp_rows_are_witnesses():
     assert lp.num_rows == 2 and lp.num_vars == 3
     assert sorted(lp.triplets) == [(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 1)]
     full = full_packing_lp(fam, dm, 0)
-    assert solve_lp(lp).objective == solve_lp(full).objective == 2
+    assert solve_lp(lp)[1] == solve_lp(full)[1] == 2
 
 
 def test_hitting_lp_columns_are_witnesses():
@@ -365,24 +377,25 @@ def test_witness_lps_match_full_lps(case):
     fam = [member(*parts) for parts in members]
 
     def optima(r):
-        pack = solve_lp(packing_lp(fam, dm, r)).objective
+        pack = solve_lp(packing_lp(fam, dm, r))[1]
         hit = fraction_tableau_solve_lp(full_hitting_lp(fam, dm, r))[2]
-        assert pack == solve_lp(full_packing_lp(fam, dm, r)).objective == hit
+        assert pack == solve_lp(full_packing_lp(fam, dm, r))[1] == hit
         return pack, hit
 
     optima(radius)
     delta = thin_delta_bound(four_point_delta(g, dm)[0])
     eps = family_epsilon(dm, fam)
     r = eps + ceil(delta * 2) + radius
-    res = kappa_hit_pack(g, dm, fam, r, delta)
+    r_star, r_prime = radii(dm, fam, r, delta)
+    res = kappa_hit_pack(g, dm, fam, r, r_star)
     # the hitting optimum is read off the packing duals; optima() solves the
     # every-vertex hitting LP itself on the Fraction tableau of tests/oracles.py
-    assert (res.packing_optimum, res.hitting_optimum) == optima(res.r_star)
+    assert res[2:] == optima(r_star)
     if g.is_tree():
         # four times the four-point constant certifies thin triangles on
         # trees, but not on graphs with cliques (README Notes): on K6 the
         # members {1, 2} and {2} at r = 0 get the hitting set {1}
-        assert certificates(dm, fam, res, r) == (True, True, True)
+        assert certificates(dm, fam, res, r, r_prime) == (True, True, True)
 
 
 def test_kappa_hitting_mass_lands_on_witness_vertices():
@@ -391,10 +404,10 @@ def test_kappa_hitting_mass_lands_on_witness_vertices():
     g = path_graph(21)
     dm = distance_matrix(g)
     fam = [member([0], [20]), member([20])]
-    res = kappa_hit_pack(g, dm, fam, 0, F(0))
-    assert res.hitting_optimum == 1
-    assert res.hitting_set == (20,)
-    assert certificates(dm, fam, res, 0) == (True, True, True)
+    res = kappa_hit_pack(g, dm, fam, 0, 0)
+    assert res[3] == 1
+    assert res[0] == (20,)
+    assert certificates(dm, fam, res, 0, 0) == (True, True, True)
 
 
 @pytest.mark.parametrize("z", [12, -1])
@@ -408,7 +421,7 @@ def test_kappa_hit_pack_checks_base_vertex_before_solving(monkeypatch, z):
 
     monkeypatch.setattr(lpkappa, "solve_lp", unreachable)
     with pytest.raises(ValueError, match=f"^base vertex contains vertex {z}, out of range for n=12$"):
-        kappa_hit_pack(g, dm, fam, 0, F(0), z=z)
+        kappa_hit_pack(g, dm, fam, 0, 0, z=z)
 
 
 @pytest.mark.parametrize(
@@ -424,15 +437,15 @@ def test_kappa_hit_pack_rejects_bad_duals(monkeypatch, corrupt):
     dm = distance_matrix(g)
     fam = [member([0]), member([5]), member([11])]
     solve = lpkappa.solve_lp
-    assert kappa_hit_pack(g, dm, fam, 0, F(0)).hitting_optimum == 3
+    assert kappa_hit_pack(g, dm, fam, 0, 0)[3] == 3
 
     def corrupted(inst):
-        sol = solve(inst)
-        return dataclasses.replace(sol, duals=corrupt(sol.duals))
+        values, objective, duals = solve(inst)
+        return values, objective, corrupt(duals)
 
     monkeypatch.setattr(lpkappa, "solve_lp", corrupted)
     with pytest.raises(RuntimeError, match="duals"):
-        kappa_hit_pack(g, dm, fam, 0, F(0))
+        kappa_hit_pack(g, dm, fam, 0, 0)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -443,20 +456,20 @@ def test_integer_dual_check_catches_one_changed_dual(monkeypatch, mutate, k):
     g = path_graph(9)
     dm = distance_matrix(g)
     fam = [member([0], [8]), member([0], [4]), member([4], [8])]
-    assert kappa_hit_pack(g, dm, fam, 0, F(0)).hitting_optimum == F(3, 2)
+    assert kappa_hit_pack(g, dm, fam, 0, 0)[3] == F(3, 2)
     solve = lpkappa.solve_lp
 
     def mutated(inst):
-        sol = solve(inst)
-        duals = list(sol.duals)
+        values, objective, duals = solve(inst)
+        duals = list(duals)
         scale = lcm(*(y.denominator for y in duals))
         assert scale == 2
         duals[k] = duals[k] - F(1, scale) if mutate == "lower" else -duals[k]
-        return dataclasses.replace(sol, duals=tuple(duals))
+        return values, objective, tuple(duals)
 
     monkeypatch.setattr(lpkappa, "solve_lp", mutated)
     with pytest.raises(RuntimeError, match="duals"):
-        kappa_hit_pack(g, dm, fam, 0, F(0))
+        kappa_hit_pack(g, dm, fam, 0, 0)
 
 
 def test_integer_dual_check_refuses_a_negative_dual(monkeypatch):
@@ -467,15 +480,14 @@ def test_integer_dual_check_refuses_a_negative_dual(monkeypatch):
     g = path_graph(13)
     dm = distance_matrix(g)
     fam = [member([a], [b]) for a in (0, 4) for b in (8, 12)]
-    assert kappa_hit_pack(g, dm, fam, 0, F(0)).hitting_optimum == 2
+    assert kappa_hit_pack(g, dm, fam, 0, 0)[3] == 2
     solve = lpkappa.solve_lp
 
     def shifted(inst):
-        sol = solve(inst)
-        t = max(sol.duals) + 1
-        duals = tuple(y + s * t for y, s in zip(sol.duals, (1, 1, -1, -1)))
-        return dataclasses.replace(sol, duals=duals)
+        values, objective, duals = solve(inst)
+        t = max(duals) + 1
+        return values, objective, tuple(y + s * t for y, s in zip(duals, (1, 1, -1, -1)))
 
     monkeypatch.setattr(lpkappa, "solve_lp", shifted)
     with pytest.raises(RuntimeError, match="duals"):
-        kappa_hit_pack(g, dm, fam, 0, F(0))
+        kappa_hit_pack(g, dm, fam, 0, 0)

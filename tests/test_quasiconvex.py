@@ -121,7 +121,6 @@ _CONSTANT_TAKERS = {
     "multicore_construct": lambda delta: hc.multicore_construct(_G, _DM, [(0, 5)], 8, delta),
     "total_beam_core": lambda delta: hc.total_beam_core(_G, _DM, delta),
     "mutually_distant_pair": lambda delta: hc.mutually_distant_pair(_DM, delta),
-    "kappa_hit_pack": lambda delta: hc.kappa_hit_pack(_G, _DM, [[[0, 1]], [[2, 3]]], 2, delta),
 }
 
 

@@ -17,19 +17,16 @@ def lp(nvars, rows, triplets):
 
 
 def test_one_variable_box():
-    sol = solve_lp(lp(1, 1, [(0, 0, 1)]))
-    assert sol.status == "optimal"
-    assert sol.objective == 1
-    assert sol.values == (F(1),)
-    assert sol.duals == (F(1),)
+    assert solve_lp(lp(1, 1, [(0, 0, 1)])) == ((F(1),), 1, (F(1),))
 
 
 def test_unbounded():
     # column 0 has no positive entry, so x_0 grows without bound
-    assert solve_lp(lp(1, 1, [(0, 0, -1)])).status == "unbounded"
-    assert solve_lp(lp(2, 1, [(0, 1, 1)])).status == "unbounded"
+    for inst in (lp(1, 1, [(0, 0, -1)]), lp(2, 1, [(0, 1, 1)])):
+        with pytest.raises(ValueError, match="^the LP is unbounded$"):
+            solve_lp(inst)
     # a positive entry in another row bounds it
-    assert solve_lp(lp(1, 2, [(0, 0, -1), (1, 0, 2)])).objective == F(1, 2)
+    assert solve_lp(lp(1, 2, [(0, 0, -1), (1, 0, 2)]))[1] == F(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -59,12 +56,11 @@ def test_non_integer_coefficient_is_refused(value, shown):
 def test_degenerate_instance_terminates():
     # x <= 1, x + y <= 1 and x - y <= 1 all pass through the vertex (1, 0)
     inst = lp(2, 4, [(0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 0, 1), (2, 1, -1), (3, 1, 1)])
-    sol = solve_lp(inst)
-    assert sol.status == "optimal" and sol.objective == 1
+    assert solve_lp(inst)[1] == 1
 
 
 def test_duplicate_triplets_accumulate():
-    assert solve_lp(lp(1, 1, [(0, 0, 1), (0, 0, 1)])).objective == F(1, 2)
+    assert solve_lp(lp(1, 1, [(0, 0, 1), (0, 0, 1)]))[1] == F(1, 2)
 
 
 def test_matches_vertex_enumeration_on_random_instances():
@@ -74,12 +70,11 @@ def test_matches_vertex_enumeration_on_random_instances():
         rows = rng.randint(1, 3)
         triplets = [(r, c, rng.randint(0, 3)) for r in range(rows) for c in range(nvars)]
         inst = lp(nvars, rows, triplets)
-        sol = solve_lp(inst)
         if any(all(t[2] == 0 for t in triplets if t[1] == c) for c in range(nvars)):
-            assert sol.status == "unbounded"
+            with pytest.raises(ValueError, match="^the LP is unbounded$"):
+                solve_lp(inst)
             continue
-        assert sol.status == "optimal"
-        assert sol.objective == lp_optimum_by_vertex_enumeration(GeneralLP.packing(inst))
+        assert solve_lp(inst)[1] == lp_optimum_by_vertex_enumeration(GeneralLP.packing(inst))
 
 
 def test_matches_scipy_on_random_covering_instances():
@@ -92,12 +87,10 @@ def test_matches_scipy_on_random_covering_instances():
         dense = [[rng.choice([0, 0, 1, 1, 2]) for _ in range(nvars)] for _ in range(rows)]
         dense = [row if any(row) else [1] * nvars for row in dense]
         packing = lp(rows, nvars, [(c, r, dense[r][c]) for r in range(rows) for c in range(nvars)])
-        sol = solve_lp(packing)
-        assert sol.status == "optimal"
-        y = sol.duals
+        _, objective, y = solve_lp(packing)
         assert len(y) == nvars and min(y) >= 0
         assert all(sum(a * yc for a, yc in zip(row, y)) >= 1 for row in dense)
-        assert sum(y) == sol.objective
+        assert sum(y) == objective
         res = scipy.linprog(
             c=[1.0] * nvars,
             A_ub=[[-v for v in row] for row in dense],
@@ -138,26 +131,25 @@ def _has_ray(inst):
 @settings(max_examples=300, deadline=None)
 @given(lp_instances())
 def test_status_optimum_and_dual_certificate(inst):
-    sol = solve_lp(inst)
     best = lp_optimum_by_vertex_enumeration(GeneralLP.packing(inst))
     assert best is not None  # the origin is feasible
     if _has_ray(inst):
-        assert sol.status == "unbounded"
+        with pytest.raises(ValueError, match="^the LP is unbounded$"):
+            solve_lp(inst)
         return
-    assert sol.status == "optimal"
-    assert sol.objective == best
+    values, objective, y = solve_lp(inst)
+    assert objective == best
     rows = inst.dense_rows()
-    assert all(v >= 0 for v in sol.values)
-    assert all(sum(a * v for a, v in zip(row, sol.values)) <= 1 for row in rows)
-    assert sum(sol.values) == best
+    assert all(v >= 0 for v in values)
+    assert all(sum(a * v for a, v in zip(row, values)) <= 1 for row in rows)
+    assert sum(values) == best
     # the duals prove the optimum: nonnegative, every column's dual sum at
     # least its objective coefficient 1, and sum(duals) == objective
-    y = sol.duals
     assert len(y) == inst.num_rows
     assert all(yr >= 0 for yr in y)
     for j in range(inst.num_vars):
         assert sum(yr * row[j] for yr, row in zip(y, rows)) >= 1
-    assert sum(y) == sol.objective
+    assert sum(y) == objective
 
 
 @settings(max_examples=300, deadline=None)
@@ -177,7 +169,11 @@ def test_integer_tableau_takes_the_fraction_tableau_pivots(inst):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_pivot", record_int)
         mp.setattr(oracles, "_fraction_pivot", record_frac)
-        sol = solve_lp(inst)
         want = fraction_tableau_solve_lp(GeneralLP.packing(inst))
-    assert (sol.status, sol.values, sol.objective) == want
+        if want[0] == "unbounded":
+            with pytest.raises(ValueError, match="^the LP is unbounded$"):
+                solve_lp(inst)
+        else:
+            values, objective, _ = solve_lp(inst)
+            assert ("optimal", values, objective) == want
     assert integer_pivots == fraction_pivots
