@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .fileio import (
     LabelTable,
-    read_edge_list,
+    _parse_edge_list,
+    _read_text,
     read_family_json,
     read_kappa_family_json,
     read_pairs,
@@ -66,16 +67,39 @@ def _parse_half_integer(text: str) -> Fraction:
     return frac
 
 
-def _read_graph(args):
-    g, table = read_edge_list(args.edges)
+# The last edge-list file read, one tuple replaced whole: (path, text, graph,
+# label table, distance matrix or None until a command asks for it).  A read
+# of any other file empties it first, so at most one graph and one matrix
+# are held; both are immutable, so threads may share them (README Notes).
+_last_read = None
+
+
+def _read_edges(args):
+    """The entry of --edges, which every command reads anew: the last one
+    when its path and text are the same, else a new one, parsed."""
+    global _last_read
+    text = _read_text(args.edges)
+    entry = _last_read
+    if entry is None or entry[:2] != (args.edges, text):
+        entry = _last_read = None  # release the old graph and matrix before the parse
+        entry = _last_read = (args.edges, text, *_parse_edge_list(args.edges, text), None)
+    g = entry[2]
     if g.n > args.max_n:
         raise ValueError(f"graph has {g.n} vertices, above the all-pairs cap --max-n {args.max_n}")
-    return g, table
+    return entry
+
+
+def _read_graph(args):
+    return _read_edges(args)[2:4]
 
 
 def _load_graph(args):
-    g, table = _read_graph(args)
-    return g, distance_matrix(g, cap=args.max_n), table
+    global _last_read
+    path, text, g, table, dm = _read_edges(args)
+    if dm is None:
+        dm = distance_matrix(g, cap=args.max_n)
+        _last_read = (path, text, g, table, dm)
+    return g, dm, table
 
 
 def _thin_delta(args, g, dm) -> tuple[Fraction, dict]:
@@ -104,8 +128,24 @@ def _thin_delta(args, g, dm) -> tuple[Fraction, dict]:
     return thin_delta_bound(upper), fields
 
 
-def _base_vertex(args, table) -> int:
-    return table.id_of(args.base) if args.base is not None else 0
+def _load_family(args, *, kappa=False):
+    """(g, dm, table, entries, sets, epsilon, delta, four_point, z) of a family
+    command, checked in this order; for ``kappa`` each of ``sets`` is a
+    member's list of parts."""
+    from .quasiconvex import set_epsilons
+
+    g, dm, table = _load_graph(args)
+    if kappa:
+        entries = read_kappa_family_json(args.family)
+        sets = [[table.ids_of(part) for part in e["parts"]] for e in entries]
+        parts = [part for member in sets for part in member]
+    else:
+        entries = read_family_json(args.family)
+        sets = parts = [table.ids_of(e["vertices"]) for e in entries]
+    epsilon = max(set_epsilons(dm, parts))
+    delta, four_point = _thin_delta(args, g, dm)
+    z = table.id_of(args.base) if args.base is not None else 0
+    return g, dm, table, entries, sets, epsilon, delta, four_point, z
 
 
 def _half_integer_json(h: Fraction) -> dict:
@@ -261,15 +301,10 @@ def _cmd_beamcore(args):
 def _cmd_helly(args):
     from .check import set_gaps
     from .quasiconvex import (
-        covering_radius, geodesic_covering_radius, helly_center, is_interval_like, set_epsilons,
+        covering_radius, geodesic_covering_radius, helly_center, is_interval_like,
     )
 
-    g, dm, table = _load_graph(args)
-    entries = read_family_json(args.family)
-    sets = [table.ids_of(e["vertices"]) for e in entries]
-    epsilon = max(set_epsilons(dm, sets))
-    delta, four_point = _thin_delta(args, g, dm)
-    z = _base_vertex(args, table)
+    g, dm, table, entries, sets, epsilon, delta, four_point, z = _load_family(args)
     center = helly_center(g, dm, sets, args.r, z=z, names=[e["name"] for e in entries])
     # never negative: r >= 0 (helly_center refused it), eps >= 0 and delta >= 0 (_thin_delta)
     radius = math.floor(covering_radius(args.r, epsilon, delta))
@@ -291,14 +326,9 @@ def _cmd_helly(args):
 
 def _cmd_hitpack(args):
     from .check import check_hit_pack
-    from .quasiconvex import covering_radius, greedy_hit_pack, set_epsilons
+    from .quasiconvex import covering_radius, greedy_hit_pack
 
-    g, dm, table = _load_graph(args)
-    entries = read_family_json(args.family)
-    sets = [table.ids_of(e["vertices"]) for e in entries]
-    epsilon = max(set_epsilons(dm, sets))
-    delta, four_point = _thin_delta(args, g, dm)
-    z = _base_vertex(args, table)
+    g, dm, table, entries, sets, epsilon, delta, four_point, z = _load_family(args)
     hitting, packing = greedy_hit_pack(g, dm, sets, args.r, z=z)
     # never negative: r >= 0 (greedy_hit_pack refused it), eps >= 0 and delta >= 0 (_thin_delta)
     hit_radius = math.floor(covering_radius(args.r, epsilon, delta))
@@ -325,14 +355,9 @@ def _cmd_hitpack(args):
 def _cmd_kappa(args):
     from .check import check_hit_pack
     from .lpkappa import kappa_hit_pack
-    from .quasiconvex import covering_radius, set_epsilons
+    from .quasiconvex import covering_radius
 
-    g, dm, table = _load_graph(args)
-    entries = read_kappa_family_json(args.family)
-    members = [[table.ids_of(part) for part in e["parts"]] for e in entries]
-    epsilon = max(set_epsilons(dm, [part for parts in members for part in parts]))
-    delta, four_point = _thin_delta(args, g, dm)
-    z = _base_vertex(args, table)
+    g, dm, table, entries, members, epsilon, delta, four_point, z = _load_family(args, kappa=True)
     if args.r < epsilon + delta * 2:
         raise ValueError(
             f"r={args.r} violates the hypothesis r >= epsilon + 2*delta = {epsilon + delta * 2}"

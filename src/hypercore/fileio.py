@@ -107,7 +107,12 @@ def read_edge_list(path: str | Path) -> tuple[Graph, LabelTable]:
     array.  When it refuses a split text, the text is read line by line
     only to name the faulty line: a self-loop first, then a repeat from
     the positions ``Graph`` reports."""
-    text = _read_text(path)
+    return _parse_edge_list(path, _read_text(path))
+
+
+def _parse_edge_list(path: str | Path, text: str) -> tuple[Graph, LabelTable]:
+    """``read_edge_list`` of ``path`` once its text is read; ``path`` only
+    names the file in an error message."""
     tokens, lines = _two_label_tokens(text), None
     if tokens is None:
         tokens, lines = _label_lines(path, text, "edges", "self-loop at")
@@ -156,7 +161,10 @@ def _read_family(path: str | Path, key: str, noun: str, labels_of) -> list[dict]
     given.  The name and every label must be strings: a list or object
     label would otherwise fail as an unhashable key.  Names must be unique
     once the defaults are filled in, so that a report's name is one entry."""
-    data = json.loads(_read_text(path))
+    try:
+        data = json.loads(_read_text(path))
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a nonempty JSON list of {noun}s")
     first: dict[str, int] = {}  # the entry of each name so far

@@ -139,12 +139,14 @@ class DistanceMatrix:
     """All-pairs hop distances as a C-contiguous n x n array of the distance
     type (``_distance_dtype``): int16 below 16,384 vertices, int32 above.
     Contiguous, so ``d.ravel()`` is a view and a paired read d[xs, ys] is
-    one ``d.ravel().take(xs * n + ys)``."""
+    one ``d.ravel().take(xs * n + ys)``.  ``d`` is a read-only view: the
+    matrix can be shared, and the array passed in stays writeable."""
 
     __slots__ = ("d",)
 
     def __init__(self, d: np.ndarray):
-        self.d = np.ascontiguousarray(d, dtype=_distance_dtype(len(d)))
+        self.d = np.ascontiguousarray(d, dtype=_distance_dtype(len(d))).view()
+        self.d.flags.writeable = False
 
     @property
     def n(self) -> int:

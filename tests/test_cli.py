@@ -8,6 +8,8 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from hypercore.graphs import DEFAULT_MATRIX_CAP
 from hypercore.quasiconvex import covering_radius
 from oracles import ball_members, set_distance
 from strategies import connected_graphs
-from test_golden import CASES as GOLDEN_CASES, GOLDEN
+from test_golden import CASES as GOLDEN_CASES, EXIT_CODES, GOLDEN, _run as run_golden
 
 
 def run_json(capsys, argv):
@@ -821,3 +823,133 @@ def test_unknown_label_errors(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown vertex label 'nope'\n"
     with pytest.raises(ValueError, match="^duplicate labels in table$"):
         LabelTable(["a", "b", "a"])
+
+
+def test_a_deeply_nested_family_exits_1(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    fam.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    edges = write_graph(tmp_path, path_graph(4))
+    assert run_cli(["helly", "--edges", str(edges), "--family", str(fam)]) == 1
+    assert capsys.readouterr().err == f"error: {fam}: JSON nested too deeply\n"
+
+
+# Consecutive commands on one edge-list file share its parse and matrix
+# (``cli._last_read``).
+
+
+def test_consecutive_commands_on_one_file_build_one_matrix(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(g, **kwargs):
+        calls.append(g.n)
+        return distance_matrix(g, **kwargs)
+
+    monkeypatch.setattr(hypercore.cli, "distance_matrix", counted)
+    helly = _delta_command_argv(tmp_path, "helly")
+    runs = [helly, ["hitpack", *helly[1:]], ["core", *helly[1:3]], ["beamcore", *helly[1:3]]]
+    shared = [run_json(capsys, argv) for argv in runs]
+    assert calls == [9]
+    for argv, result in zip(runs, shared):  # each the same as on its own
+        monkeypatch.setattr(hypercore.cli, "_last_read", None)
+        assert run_json(capsys, argv) == result
+    assert calls == [9] * 4
+
+
+def test_a_rewritten_file_is_parsed_anew(tmp_path, capsys):
+    path, fresh = tmp_path / "g.txt", tmp_path / "fresh.txt"
+    before, after = "a b\nb c\nc d\n", "a b\nb c\nb d\n"  # a path, then a star
+    path.write_text(before, encoding="utf-8")
+    fresh.write_text(after, encoding="utf-8")
+    _, old, _ = run_json(capsys, ["hyperbolicity", "--edges", str(path)])
+    stat = path.stat()
+    path.write_text(after, encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    _, new, _ = run_json(capsys, ["hyperbolicity", "--edges", str(path)])
+    assert new == run_json(capsys, ["hyperbolicity", "--edges", str(fresh)])[1]
+    assert (old["diameter"], new["diameter"]) == (3, 2)
+
+
+def test_a_file_that_fails_to_parse_leaves_no_entry(tmp_path, capsys, monkeypatch):
+    parsed = []
+
+    def counted(path, text):
+        parsed.append(path)
+        return parse(path, text)
+
+    parse = hypercore.cli._parse_edge_list
+    monkeypatch.setattr(hypercore.cli, "_parse_edge_list", counted)
+    good, bad = str(write_graph(tmp_path, path_graph(5))), str(tmp_path / "bad.txt")
+    Path(bad).write_text("a b\nb b\n", encoding="utf-8")
+    first = run_json(capsys, ["beamcore", "--edges", good, "--delta", "0"])
+    assert run_cli(["beamcore", "--edges", bad, "--delta", "0"]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: self-loop at 'b'\n"
+    assert hypercore.cli._last_read is None
+    assert run_json(capsys, ["beamcore", "--edges", good, "--delta", "0"]) == first
+    assert parsed == [good, bad, good]
+
+
+@pytest.mark.parametrize("command", ["core", "beamcore"])
+def test_max_n_refuses_a_graph_already_read(tmp_path, capsys, command):
+    edges = str(write_graph(tmp_path, path_graph(10)))
+    argv = [command, "--edges", edges, *(["--delta", "0"] if command == "beamcore" else [])]
+    code, expected, _ = run_json(capsys, argv)
+    assert hypercore.cli._last_read[:2] == (edges, Path(edges).read_text(encoding="utf-8"))
+    assert run_cli(["--max-n", "9", *argv]) == 1
+    assert capsys.readouterr().err == (
+        "error: graph has 10 vertices, above the all-pairs cap --max-n 9\n"
+    )
+    assert run_json(capsys, ["--max-n", "10", *argv]) == (code, expected, "")
+
+
+def test_goldens_repeat_and_reverse_in_one_process(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    codes = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+    names = list(GOLDEN_CASES)
+    for order in (names, names, names[::-1]):
+        for name in order:
+            expected = (codes[name], (GOLDEN / f"{name}.json").read_bytes())
+            assert run_golden(name, tmp_path) == expected, name
+
+
+def test_threads_share_the_last_read_file(tmp_path, monkeypatch):
+    # more threads than cores, switching often, each alternating between two
+    # files: a mixed entry would give one a report of the other's graph.  A
+    # slow matrix lets other threads replace the entry while it is built.
+    def slow(g, **kwargs):
+        time.sleep(0.001)
+        return distance_matrix(g, **kwargs)
+
+    monkeypatch.setattr(hypercore.cli, "distance_matrix", slow)
+    runs = []
+    for i, g in enumerate([path_graph(12), random_tree(15, 3)]):
+        edges = str(write_graph(tmp_path, g, f"g{i}.txt"))
+        runs += [["core", "--edges", edges], ["beamcore", "--edges", edges, "--delta", "0"]]
+    expected = []
+    for argv in runs:
+        out = tmp_path / "expected.json"
+        expected.append((run_cli(["--out", str(out), *argv]), out.read_bytes()))
+    failures = []
+
+    def worker(k):
+        out = tmp_path / f"thread{k}.json"
+        for i in range(40):
+            j = (i + k) % len(runs)
+            try:
+                if (run_cli(["--out", str(out), *runs[j]]), out.read_bytes()) != expected[j]:
+                    failures.append((k, i))
+            except Exception as exc:  # a matrix of the other graph can index out of range
+                failures.append((k, i, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

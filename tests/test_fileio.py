@@ -211,3 +211,12 @@ def test_family_reader_cases(scratch, read, data, outcome):
         assert str(err.value) == outcome.format(path=scratch)
     else:
         assert read(scratch) == outcome
+
+
+@pytest.mark.parametrize("read", [read_family_json, read_kappa_family_json])
+def test_a_deeply_nested_family_is_a_value_error(scratch, read):
+    # the decoder recurses once per level, so this raised RecursionError
+    scratch.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read(scratch)
+    assert str(err.value) == f"{scratch}: JSON nested too deeply"

@@ -405,6 +405,18 @@ def test_distance_matrix_is_stored_c_contiguous():
         assert dm.d.tolist() == d.tolist()
 
 
+def test_distance_matrix_is_read_only_and_leaves_its_input_writeable():
+    with pytest.raises(ValueError, match="read-only"):
+        distance_matrix(grid_graph(3, 4)).d[0, 1] = 5
+    for given in (np.array([[0, 1], [1, 0]], dtype=np.int16), [[0, 1], [1, 0]], np.eye(2)):
+        dm = DistanceMatrix(given)
+        with pytest.raises(ValueError, match="read-only"):
+            dm.d[0, 1] = 5
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable
+            given[0, 0] = 0
+
+
 def assert_tree_path_matches_kernel(g):
     d = _tree_distances(g)
     want = multi_source_distances(g, range(g.n))
